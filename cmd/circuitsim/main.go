@@ -53,7 +53,6 @@ var commands = []command{
 	{"sweep", "parameter-grid engine: dimensions × base scenario, streamed to CSV/JSONL", runSweep},
 	{"serve", "sweep service daemon: the grid engine behind the versioned spec API", runServe},
 	{"spec", "validate and canonicalize a sweep spec file", runSpecCmd},
-	{"bench", "headline microbenchmarks; -json snapshots BENCH_<n>.json", runBench},
 }
 
 func main() {

@@ -211,18 +211,6 @@ func (n *Network) Clock() *sim.Clock { return n.clock }
 // capacity events and routing diagnostics).
 func (n *Network) Fabric() netem.Fabric { return n.fabric }
 
-// Star is a compatibility shim for pre-Fabric callers: it returns the
-// underlying StarFabric, or nil when the network runs on a different
-// fabric.
-//
-// Deprecated: use Fabric() and type-assert to *netem.StarFabric when
-// star-only diagnostics are required. The shim survives only for the
-// pre-Fabric call sites pinned by fabric_test.go.
-func (n *Network) Star() *netem.Star {
-	s, _ := n.fabric.(*netem.StarFabric)
-	return s
-}
-
 // Seed returns the experiment seed the network was created with.
 func (n *Network) Seed() int64 { return n.seed }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"testing"
 	"time"
 
@@ -106,5 +107,37 @@ func TestSequentialTransfersReuseCellPool(t *testing.T) {
 			t.Fatalf("transfer %d allocated %d new cells past the warm working set of %d",
 				i+2, grew, warm)
 		}
+	}
+}
+
+// TestSteadyStateTransferAllocBudget pins the whole per-cell path at
+// once: after one warm-up transfer has grown every pool, ring and slab
+// to its working set, a further 1 MB forward transfer over the trained
+// 3-hop circuit (≈ 2,000 cells × 4 hops, ACKs and FEEDBACK included)
+// costs at most one allocation — the transfer's own bookkeeping, not
+// anything per cell. The run is bounded by a horizon, so a transfer
+// that stalls fails here instead of hanging the suite.
+func TestSteadyStateTransferAllocBudget(t *testing.T) {
+	// The exit's digest verification snapshots a SHA-256 state per cell;
+	// the budget holds only where that snapshot is allocation-free.
+	h, snap := sha256.New(), []byte(nil)
+	a, ok := h.(interface {
+		AppendBinary([]byte) ([]byte, error)
+	})
+	if !ok || testing.AllocsPerRun(10, func() { snap, _ = a.AppendBinary(snap[:0]) }) != 0 {
+		t.Skip("digest snapshots allocate in this build (before Go 1.24, or under the race detector)")
+	}
+	_, n, c := trainNetwork(t, 8)
+	onDone := func(time.Duration) { n.clock.Stop() }
+	transfer := func() {
+		c.Transfer(units.Megabyte, onDone)
+		n.RunUntil(n.Now() + 60*sim.Second)
+		if !c.Done() {
+			t.Fatal("transfer incomplete at the horizon")
+		}
+	}
+	transfer()
+	if avg := testing.AllocsPerRun(10, transfer); avg > 1 {
+		t.Fatalf("steady-state 1 MB transfer allocates %.1f, want ≤ 1", avg)
 	}
 }

@@ -29,7 +29,7 @@ func (r *fixedRand) Read(p []byte) (int, error) {
 // everything and acknowledges data like a well-behaved hop receiver.
 type sourceRig struct {
 	clock  *sim.Clock
-	star   *netem.Star
+	star   *netem.StarFabric
 	source *Source
 	crypto *onion.CircuitCrypto
 	rk     []*onion.HopKeys
@@ -41,7 +41,7 @@ type sourceRig struct {
 func newSourceRig(t *testing.T, hops int) *sourceRig {
 	t.Helper()
 	rig := &sourceRig{clock: sim.NewClock()}
-	rig.star = netem.NewStar(rig.clock)
+	rig.star = netem.NewStarFabric(rig.clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 
 	rnd := &fixedRand{}
@@ -160,7 +160,7 @@ func TestSourceAccessors(t *testing.T) {
 // sinkRig attaches a Sink and a fake exit node.
 type sinkRig struct {
 	clock *sim.Clock
-	star  *netem.Star
+	star  *netem.StarFabric
 	sink  *Sink
 	exit  *netem.Port
 
@@ -170,7 +170,7 @@ type sinkRig struct {
 func newSinkRig(t *testing.T) *sinkRig {
 	t.Helper()
 	rig := &sinkRig{clock: sim.NewClock()}
-	rig.star = netem.NewStar(rig.clock)
+	rig.star = netem.NewStarFabric(rig.clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 	rig.exit = rig.star.Attach("exit", access, netem.HandlerFunc(func(f *netem.Frame) {
 		rig.ctrl = append(rig.ctrl, *f.Payload.(*transport.Segment))

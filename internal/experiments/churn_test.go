@@ -104,11 +104,14 @@ func TestAblationChurnWidensTheGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	churnGap := churn.MedianGap("backtap", "circuitstart")
-	static, err := Fig1DownloadCDF(DefaultCDFParams())
+	static, err := paperCDF()
 	if err != nil {
 		t.Fatal(err)
 	}
 	staticGap := static.MedianGap("backtap", "circuitstart")
+	// The published gap (EXPERIMENTS.md, "circuit churn"); the static
+	// one is pinned by TestFidelityFig1DownloadGain.
+	within(t, "churn median gain [s]", churnGap, 0.264, 0.03)
 	if churnGap <= 0 {
 		t.Fatalf("churn gap %.3fs — CircuitStart not ahead under churn", churnGap)
 	}

@@ -125,7 +125,7 @@ func TestCwndKBPointsUnits(t *testing.T) {
 // --- Figure 1, lower panel --------------------------------------------
 
 // smallCDFParams shrinks the aggregate experiment so the test suite
-// stays fast; the benchmark runs the paper-scale version.
+// stays fast; TestFidelityFig1DownloadGain runs the paper-scale version.
 func smallCDFParams(seed int64) CDFParams {
 	p := DefaultCDFParams()
 	p.Seed = seed

@@ -25,7 +25,7 @@ type AccessConfig struct {
 	// LossProb applies independently on both access links.
 	LossProb float64
 	// TrainSize enables cell trains on both access links (see
-	// LinkConfig.TrainSize). <= 1 keeps the per-frame machinery.
+	// LinkConfig.TrainSize). <= 1 caps every train at one frame.
 	TrainSize int
 }
 

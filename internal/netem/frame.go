@@ -46,6 +46,9 @@ type Frame struct {
 	Circ uint32
 
 	enqueuedAt sim.Time // set by Link for queue-delay accounting
+	// trainLen is set by Link on the first surviving member of a train
+	// entering the propagation FIFO: how many members survived with it.
+	trainLen int
 }
 
 // FramePool recycles Frame objects so the per-frame hot path of a fabric

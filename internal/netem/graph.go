@@ -27,7 +27,7 @@ type TrunkConfig struct {
 	// LossProb drops frames independently on each direction.
 	LossProb float64
 	// TrainSize enables cell trains on both directions (see
-	// LinkConfig.TrainSize). <= 1 keeps the per-frame machinery.
+	// LinkConfig.TrainSize). <= 1 caps every train at one frame.
 	TrainSize int
 }
 

@@ -55,7 +55,7 @@ func TestGraphSingleSwitchMatchesStar(t *testing.T) {
 	// A one-switch graph is the star: same attach sequence, same frames,
 	// identical delivery times.
 	starClock, graphClock := sim.NewClock(), sim.NewClock()
-	star := NewStar(starClock)
+	star := NewStarFabric(starClock)
 	graph := NewGraphFabric(graphClock)
 	graph.AddSwitch("hub")
 

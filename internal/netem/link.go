@@ -29,12 +29,15 @@ type LinkConfig struct {
 	// back-to-back queued frames are coalesced into one train that
 	// serializes, propagates and delivers as a batch, amortizing event
 	// scheduling, ring churn and handler dispatch across the burst.
-	// Values <= 1 select the untrained per-frame machinery verbatim, so
-	// TrainSize 0 and 1 are byte-identical (the determinism fixture
+	// Every frame crosses the link in a train; values <= 1 cap the
+	// train at one frame, which is the per-frame pipeline — one
+	// serialization and one delivery event per frame, no stretching —
+	// so TrainSize 0 and 1 are byte-identical (the determinism fixture
 	// relies on this). Train membership is decided at formation time:
-	// frames arriving while a train serializes join the next one, a
-	// train never mixes the priority and data classes, and an installed
-	// scheduler's preemption points split trains (see transmitTrain).
+	// frames arriving while a full train serializes join the next one,
+	// a train never mixes the priority and data classes, and an
+	// installed scheduler's preemption points split trains (see
+	// transmitTrain).
 	TrainSize int
 }
 
@@ -114,15 +117,15 @@ func (s *LinkStats) Merge(o LinkStats) {
 }
 
 // Link is a unidirectional pipe with a drop-tail FIFO, a serializer that
-// transmits one frame at a time at the configured rate, and a
+// transmits one train at a time at the configured rate, and a
 // propagation-delay stage. It is the only place in the simulator where
 // bandwidth contention happens.
 //
-// The per-frame machinery is a pre-bound state machine: the two stage
-// callbacks (serialization complete, propagation complete) are bound
-// once at construction, the serializer's current frame lives in a field,
-// and frames past the serializer wait in a FIFO ring — propagation delay
-// is constant per link, so deliveries complete in the order they were
+// The machinery is a pre-bound state machine: the two stage callbacks
+// (serialization complete, propagation complete) are bound once at
+// construction, the serializer's current train lives in a field, and
+// frames past the serializer wait in a FIFO ring — propagation delay is
+// constant per link, so deliveries complete in the order they were
 // scheduled. Together with ring-buffered queues and a FramePool this
 // makes the transit of a frame allocation-free.
 type Link struct {
@@ -137,18 +140,19 @@ type Link struct {
 	queuedBytes units.DataSize
 	busy        bool
 
-	serializing *Frame    // the frame occupying the serializer (untrained)
-	inflight    frameRing // serialized frames in the propagation stage
+	inflight frameRing // serialized frames in the propagation stage
 
-	// Train state (TrainSize > 1 only). train holds the members of the
-	// train occupying the serializer; survivors records, per in-flight
-	// train, how many members passed the loss stage (the propagation
-	// FIFO interleaves members of consecutive trains, so delivery needs
-	// the per-train count); deliverBuf is the scratch batch handed to a
-	// TrainHandler. All three reach their working set once and are
-	// reused — steady-state train transit is allocation-free.
+	// Train state. trainCap is the most frames one train may hold,
+	// max(1, cfg.TrainSize). train holds the members of the train
+	// occupying the serializer; deliverBuf is the scratch batch handed
+	// to a TrainHandler. Both reach their working set once and are
+	// reused — steady-state train transit is allocation-free. The
+	// propagation FIFO holds the members of consecutive trains back to
+	// back; the first survivor of each carries the count of those that
+	// passed the loss stage with it (Frame.trainLen), which is how
+	// delivery finds the train boundary.
+	trainCap   int
 	train      []*Frame
-	survivors  countRing
 	deliverBuf []*Frame
 
 	// Stretching state: a frame arriving while a train with room is in
@@ -163,8 +167,8 @@ type Link struct {
 	trainDoneAt sim.Time
 	txDoneEv    sim.Handle
 
-	txDoneFn  func() // onTxDone / onTxDoneTrain bound once
-	deliverFn func() // onDeliver / onDeliverTrain bound once
+	txDoneFn  func() // onTxDoneTrain bound once
+	deliverFn func() // onDeliverTrain bound once
 
 	// Fault-injection state (see internal/faults). down drops every frame
 	// completing serialization (flapping links, trunk partitions);
@@ -237,14 +241,9 @@ func NewLink(name string, clock *sim.Clock, cfg LinkConfig, dst Handler) *Link {
 	if dst == nil {
 		panic(fmt.Sprintf("netem: link %q with nil destination", name))
 	}
-	l := &Link{name: name, clock: clock, cfg: cfg, dst: dst}
-	if cfg.TrainSize > 1 {
-		l.txDoneFn = l.onTxDoneTrain
-		l.deliverFn = l.onDeliverTrain
-	} else {
-		l.txDoneFn = l.onTxDone
-		l.deliverFn = l.onDeliver
-	}
+	l := &Link{name: name, clock: clock, cfg: cfg, dst: dst, trainCap: max(1, cfg.TrainSize)}
+	l.txDoneFn = l.onTxDoneTrain
+	l.deliverFn = l.onDeliverTrain
 	return l
 }
 
@@ -264,7 +263,7 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // SetRate changes the link's serialization rate. The new rate applies
-// from the next frame onward (a frame already serializing finishes at
+// from the next train onward (a train already serializing finishes at
 // the old rate). Experiments use it to model capacity changes mid-run.
 func (l *Link) SetRate(r units.DataRate) {
 	if r <= 0 {
@@ -365,8 +364,8 @@ func (l *Link) Send(f *Frame) bool {
 	}
 	switch {
 	case !l.busy:
-		l.transmitNext()
-	case len(l.train) > 0 && len(l.train) < l.cfg.TrainSize:
+		l.transmitTrain()
+	case len(l.train) > 0 && len(l.train) < l.trainCap:
 		// A train with room is mid-serialization: the arrival may join
 		// it instead of waiting a full train cycle. This is what lets
 		// coalescing survive smooth arrivals — a steady stream at the
@@ -375,33 +374,6 @@ func (l *Link) Send(f *Frame) bool {
 		l.stretchTrain()
 	}
 	return true
-}
-
-// transmitNext pops the next frame — control before data, FIFO (or the
-// installed scheduler's pick) within each class — and serializes it.
-func (l *Link) transmitNext() {
-	if l.cfg.TrainSize > 1 {
-		l.transmitTrain()
-		return
-	}
-	var f *Frame
-	switch {
-	case l.prioQueue.len() > 0:
-		f = l.prioQueue.pop()
-	case l.queue.len() > 0:
-		f = l.queue.pop()
-	case l.sched != nil && l.sched.Len() > 0:
-		f = l.sched.Pop()
-	default:
-		l.busy = false
-		return
-	}
-	l.queuedBytes -= f.Size
-	l.stats.QueueDelay += l.clock.Now().Sub(f.enqueuedAt)
-
-	l.busy = true
-	l.serializing = f
-	l.clock.After(l.cfg.Rate.TransmissionTime(f.Size), l.txDoneFn)
 }
 
 // lossDraws consults the built-in Bernoulli process and the installed
@@ -467,52 +439,7 @@ func (l *Link) exportArrival() sim.Time {
 	return at
 }
 
-// onTxDone runs when the serializer finishes a frame: the link head is
-// free for the next frame while this one propagates (or is lost).
-func (l *Link) onTxDone() {
-	f := l.serializing
-	l.serializing = nil
-	lost := l.lossDraws()
-	switch {
-	case l.down:
-		l.stats.DownDrops++
-		if l.OnDrop != nil {
-			l.OnDrop(f, DropDown)
-		}
-		l.pool.Put(f)
-	case lost:
-		l.stats.RandomLoss++
-		if l.OnDrop != nil {
-			l.OnDrop(f, DropLoss)
-		}
-		l.pool.Put(f)
-	case l.export != nil:
-		l.deliverBuf = append(l.deliverBuf[:0], f)
-		l.export(l.deliverBuf, l.exportArrival())
-		l.deliverBuf[0] = nil
-		l.deliverBuf = l.deliverBuf[:0]
-	default:
-		l.inflight.push(f)
-		l.scheduleDeliver()
-	}
-	l.transmitNext()
-}
-
-// onDeliver completes the propagation of the oldest in-flight frame.
-// Delay is fixed per link and serialization completions are ordered, so
-// the FIFO head is always the frame this event was scheduled for.
-func (l *Link) onDeliver() {
-	f := l.inflight.pop()
-	l.stats.CellsDelivered++
-	l.stats.TrainsDelivered++
-	l.stats.BytesOut += f.Size
-	l.dst.Deliver(f)
-	if l.terminal {
-		l.pool.Put(f)
-	}
-}
-
-// --- cell trains (TrainSize > 1) --------------------------------------
+// --- cell trains ------------------------------------------------------
 
 // trainSource identifies the queue a forming train draws from. Control
 // and data frames never share a train, and a scheduler-sourced train
@@ -530,11 +457,11 @@ const (
 // transmitTrain forms and serializes the next train. Formation rules:
 //
 //   - A train draws from exactly one source — the priority ring, the
-//     data ring, or the installed scheduler — chosen with the same
-//     precedence as the per-frame path. Control and data frames never
-//     share a train, so priority precedence is preserved at train
-//     granularity.
-//   - Up to TrainSize frames are taken, but only frames that are
+//     data ring, or the installed scheduler — control before data,
+//     FIFO (or the scheduler's pick) within each class. Control and
+//     data frames never share a train, so priority precedence is
+//     preserved at train granularity.
+//   - Up to trainCap frames are taken, but only frames that are
 //     already queued: arrivals during serialization join the next
 //     train, exactly as a hardware burst-dequeue sees only its moment's
 //     backlog.
@@ -546,19 +473,18 @@ const (
 //
 // The whole train serializes as one event at the formation-time rate
 // over its summed bytes — SetRate mid-train therefore applies from the
-// *next* train, the batched analogue of the per-frame rule.
+// *next* train.
 func (l *Link) transmitTrain() {
 	l.train = l.train[:0]
-	max := l.cfg.TrainSize
 	switch {
 	case l.prioQueue.len() > 0:
 		l.trainSrc = trainSrcPrio
-		for len(l.train) < max && l.prioQueue.len() > 0 {
+		for len(l.train) < l.trainCap && l.prioQueue.len() > 0 {
 			l.train = append(l.train, l.prioQueue.pop())
 		}
 	case l.queue.len() > 0:
 		l.trainSrc = trainSrcData
-		for len(l.train) < max && l.queue.len() > 0 {
+		for len(l.train) < l.trainCap && l.queue.len() > 0 {
 			l.train = append(l.train, l.queue.pop())
 		}
 	case l.sched != nil && l.sched.Len() > 0:
@@ -566,7 +492,7 @@ func (l *Link) transmitTrain() {
 		peeker, _ := l.sched.(CircPeeker)
 		first := l.sched.Pop()
 		l.train = append(l.train, first)
-		for len(l.train) < max && l.sched.Len() > 0 {
+		for len(l.train) < l.trainCap && l.sched.Len() > 0 {
 			if peeker != nil {
 				if circ, ok := peeker.PeekCirc(); !ok || circ != first.Circ {
 					break // scheduler preemption point: never span it
@@ -603,7 +529,7 @@ func (l *Link) transmitTrain() {
 func (l *Link) stretchTrain() {
 	now := l.clock.Now()
 	joined := false
-	for len(l.train) < l.cfg.TrainSize {
+	for len(l.train) < l.trainCap {
 		var f *Frame
 		switch l.trainSrc {
 		case trainSrcPrio:
@@ -647,10 +573,11 @@ done:
 // draw, in queue order, so a mid-train cell can be lost while its
 // neighbors survive — and a link's draw sequence is identical to what
 // the same frame sequence would consume untrained. Survivors enter the
-// propagation FIFO together with their count; a fully-lost train
-// schedules no delivery at all.
+// propagation FIFO together, the first carrying their count; a
+// fully-lost train schedules no delivery at all.
 func (l *Link) onTxDoneTrain() {
 	survived := 0
+	var head *Frame // first survivor into the FIFO
 	batch := l.deliverBuf[:0]
 	for i, f := range l.train {
 		lost := l.lossDraws()
@@ -671,6 +598,9 @@ func (l *Link) onTxDoneTrain() {
 			batch = append(batch, f)
 			survived++
 		default:
+			if head == nil {
+				head = f
+			}
 			l.inflight.push(f)
 			survived++
 		}
@@ -687,7 +617,7 @@ func (l *Link) onTxDoneTrain() {
 			}
 			l.deliverBuf = l.deliverBuf[:0]
 		default:
-			l.survivors.push(survived)
+			head.trainLen = survived
 			l.scheduleDeliver()
 		}
 	}
@@ -700,10 +630,11 @@ func (l *Link) onTxDoneTrain() {
 // a single call (relays use this to amortize per-circuit lookups);
 // otherwise members are handed over one Deliver at a time, in order.
 func (l *Link) onDeliverTrain() {
-	n := l.survivors.pop()
-	batch := l.deliverBuf[:0]
-	var bytes units.DataSize
-	for i := 0; i < n; i++ {
+	head := l.inflight.pop()
+	n := head.trainLen
+	batch := append(l.deliverBuf[:0], head)
+	bytes := head.Size
+	for i := 1; i < n; i++ {
 		f := l.inflight.pop()
 		batch = append(batch, f)
 		bytes += f.Size
@@ -719,49 +650,11 @@ func (l *Link) onDeliverTrain() {
 			l.dst.Deliver(f)
 		}
 	}
-	if l.terminal {
-		for _, f := range batch {
+	for i, f := range batch {
+		if l.terminal {
 			l.pool.Put(f)
 		}
-	}
-	for i := range batch {
 		batch[i] = nil
 	}
 	l.deliverBuf = l.deliverBuf[:0]
-}
-
-// countRing is a growable FIFO of per-train survivor counts, the
-// companion of the inflight frame ring. Power-of-two capacity, mask
-// wrap, amortized growth — allocation-free once at its working set.
-type countRing struct {
-	buf  []int
-	head int
-	n    int
-}
-
-func (r *countRing) push(v int) {
-	if r.n == len(r.buf) {
-		size := len(r.buf) * 2
-		if size == 0 {
-			size = 8
-		}
-		buf := make([]int, size)
-		for i := 0; i < r.n; i++ {
-			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = buf
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-func (r *countRing) pop() int {
-	if r.n == 0 {
-		return 0
-	}
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
 }

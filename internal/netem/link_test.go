@@ -403,3 +403,62 @@ func TestFramePoolRecyclesThroughFabric(t *testing.T) {
 		t.Fatalf("pool holds %d frames after unknown-dst drop, want 1", n)
 	}
 }
+
+// pinCycles is how often a zero-alloc pin runs its cycle: the test's
+// warm-up, AllocsPerRun's own warm-up, and the 100 measured runs.
+const pinCycles = 1 + 1 + 100
+
+// countSink counts deliveries without retaining or allocating.
+type countSink struct{ cells, trains int }
+
+func (s *countSink) Deliver(*Frame) { s.cells++ }
+func (s *countSink) DeliverTrain(fs []*Frame) {
+	s.cells += len(fs)
+	s.trains++
+}
+
+// TestLinkTransitZeroAlloc pins the steady-state contract of the one
+// link path: enqueue, serialize, propagate, deliver and recycle through
+// a pooled link allocates nothing — the rings, the pre-bound stage
+// callbacks, the train and batch scratch, the clock's event free list
+// and the frame pool all reach their working set once. A
+// burst of one is the per-frame pipeline; a burst of eight on a
+// TrainSize-8 link departs as one singleton train plus one coalesced
+// train delivered in a single batched call.
+func TestLinkTransitZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		trainSize, burst int
+	}{
+		{"frame", 0, 1},
+		{"train", 8, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := sim.NewClock()
+			dst := &countSink{}
+			link := NewLink("pin", clock, LinkConfig{
+				Rate: units.Mbps(100), Delay: time.Millisecond, TrainSize: tc.trainSize,
+			}, dst)
+			pool := NewFramePool()
+			link.UsePool(pool, true)
+			cycle := func() {
+				for i := 0; i < tc.burst; i++ {
+					f := pool.Get()
+					f.Src, f.Dst, f.Size = "a", "b", 512
+					link.Send(f)
+				}
+				clock.Run()
+			}
+			cycle() // grow every ring, scratch slice and free list
+			if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+				t.Fatalf("steady-state transit allocates %.1f per burst of %d", avg, tc.burst)
+			}
+			if want := pinCycles * tc.burst; dst.cells != want {
+				t.Fatalf("delivered %d of %d frames", dst.cells, want)
+			}
+			if tc.trainSize > 1 && dst.trains == 0 {
+				t.Fatal("no batched delivery: trains never formed")
+			}
+		})
+	}
+}

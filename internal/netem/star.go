@@ -22,12 +22,6 @@ type StarFabric struct {
 	unknownDst uint64
 }
 
-// Star is the historical name of the hub-and-spoke fabric.
-//
-// Deprecated: use StarFabric. The alias remains for pre-Fabric call
-// sites (Network.Star) and will not grow new uses.
-type Star = StarFabric
-
 var _ Fabric = (*StarFabric)(nil)
 
 // NewStarFabric creates an empty star network on the given clock.
@@ -37,9 +31,6 @@ func NewStarFabric(clock *sim.Clock) *StarFabric {
 	}
 	return &StarFabric{clock: clock, ports: make(map[NodeID]*Port), pool: NewFramePool()}
 }
-
-// NewStar is NewStarFabric under its historical name.
-func NewStar(clock *sim.Clock) *Star { return NewStarFabric(clock) }
 
 // Clock returns the simulation clock the network runs on.
 func (s *StarFabric) Clock() *sim.Clock { return s.clock }

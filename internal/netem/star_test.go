@@ -10,7 +10,7 @@ import (
 
 func TestStarEndToEndDelivery(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	got := &sink{clock: clock}
 	star.Attach("a", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), &sink{clock: clock}, nil)
 	pb := star.Attach("b", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), got, nil)
@@ -39,7 +39,7 @@ func TestStarEndToEndDelivery(t *testing.T) {
 
 func TestStarBidirectional(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	sa := &sink{clock: clock}
 	sb := &sink{clock: clock}
 	pa := star.Attach("a", Symmetric(units.Mbps(10), time.Millisecond, 0), sa, nil)
@@ -54,7 +54,7 @@ func TestStarBidirectional(t *testing.T) {
 
 func TestStarUnknownDestination(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	pa := star.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
 	pa.Send("ghost", 512, nil)
 	clock.Run()
@@ -65,7 +65,7 @@ func TestStarUnknownDestination(t *testing.T) {
 
 func TestStarDuplicateAttachPanics(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	star.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
 	defer func() {
 		if recover() == nil {
@@ -77,7 +77,7 @@ func TestStarDuplicateAttachPanics(t *testing.T) {
 
 func TestStarNodesSorted(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	for _, id := range []NodeID{"zeta", "alpha", "mid"} {
 		star.Attach(id, Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
 	}
@@ -94,7 +94,7 @@ func TestStarAsymmetricBottleneck(t *testing.T) {
 	// a has a fast uplink; b has a slow downlink. The b downlink
 	// bounds throughput a→b.
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	got := &sink{clock: clock}
 	star.Attach("a", Symmetric(units.Mbps(100), time.Millisecond, 0), &sink{clock: clock}, nil)
 	star.Attach("b", AccessConfig{
@@ -118,7 +118,7 @@ func TestStarAsymmetricBottleneck(t *testing.T) {
 
 func TestPathRTTAndOneWay(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	star.Attach("a", Symmetric(units.Mbps(8), 5*time.Millisecond, 0), &sink{clock: clock}, nil)
 	star.Attach("b", Symmetric(units.Mbps(8), 7*time.Millisecond, 0), &sink{clock: clock}, nil)
 	ser := units.Mbps(8).TransmissionTime(512) // 512µs
@@ -144,7 +144,7 @@ func TestPathRTTAndOneWay(t *testing.T) {
 
 func TestBottleneckRate(t *testing.T) {
 	clock := sim.NewClock()
-	star := NewStar(clock)
+	star := NewStarFabric(clock)
 	mk := func(id NodeID, up, down float64) {
 		star.Attach(id, AccessConfig{UpRate: units.Mbps(up), DownRate: units.Mbps(down), Delay: time.Millisecond}, &sink{clock: clock}, nil)
 	}
@@ -160,7 +160,7 @@ func TestBottleneckRate(t *testing.T) {
 }
 
 func TestBottleneckRatePanicsOnShortPath(t *testing.T) {
-	star := NewStar(sim.NewClock())
+	star := NewStarFabric(sim.NewClock())
 	defer func() {
 		if recover() == nil {
 			t.Error("no panic on single-node path")
@@ -170,11 +170,33 @@ func TestBottleneckRatePanicsOnShortPath(t *testing.T) {
 }
 
 func TestStarAttachValidation(t *testing.T) {
-	star := NewStar(sim.NewClock())
+	star := NewStarFabric(sim.NewClock())
 	defer func() {
 		if recover() == nil {
 			t.Error("nil handler did not panic")
 		}
 	}()
 	star.Attach("x", Symmetric(units.Mbps(1), 0, 0), nil, nil)
+}
+
+// TestStarTransitZeroAlloc pins a node-to-node crossing of the star —
+// uplink, switch, downlink, recycle — at zero steady-state allocations.
+func TestStarTransitZeroAlloc(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	access := Symmetric(units.Mbps(100), time.Millisecond, 0)
+	delivered := 0
+	pa := star.Attach("a", access, HandlerFunc(func(*Frame) {}), nil)
+	star.Attach("b", access, HandlerFunc(func(*Frame) { delivered++ }), nil)
+	cycle := func() {
+		pa.Send("b", 512, nil)
+		clock.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("steady-state star transit allocates %.1f per frame", avg)
+	}
+	if delivered != pinCycles {
+		t.Fatalf("delivered %d of %d frames", delivered, pinCycles)
+	}
 }

@@ -333,9 +333,9 @@ func TestTrainTerminalLinkRecyclesFrames(t *testing.T) {
 }
 
 func TestTrainSizeZeroAndOneIdentical(t *testing.T) {
-	// TrainSize 0 and 1 must select the untrained machinery verbatim:
-	// identical delivery instants, order, and stats. The determinism
-	// fixture (golden scenario) rides on this equivalence.
+	// TrainSize 0 and 1 both cap the train at one frame — the per-frame
+	// pipeline: identical delivery instants, order, and stats. The
+	// determinism fixture (golden scenario) rides on this equivalence.
 	run := func(trainSize int) (LinkStats, []sim.Time, []int) {
 		clock := sim.NewClock()
 		dst := &trainSink{clock: clock}

@@ -3,6 +3,7 @@ package onion
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -365,5 +366,53 @@ func TestPropertyBackwardFromAnyHop(t *testing.T) {
 		if hop != origin {
 			t.Fatalf("iter %d: recognized at %d, want %d", iter, hop, origin)
 		}
+	}
+}
+
+// TestWrapForwardZeroAlloc pins the client-side cost of sealing and
+// triple-encrypting a cell: the digest sum lands in per-hop scratch.
+func TestWrapForwardZeroAlloc(t *testing.T) {
+	cc, _ := buildTestCircuit(t, 3)
+	c := &cell.Cell{}
+	if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, make([]byte, cell.MaxRelayData)); err != nil {
+		t.Fatal(err)
+	}
+	wrap := func() { cc.WrapForward(c) }
+	wrap() // size the sum scratch
+	if avg := testing.AllocsPerRun(100, wrap); avg != 0 {
+		t.Fatalf("WrapForward allocates %.1f per cell", avg)
+	}
+}
+
+// TestUnwrapBackwardZeroAlloc pins the client-side peel of a 3-hop
+// backward cell — per hop one stream decryption and a header parse,
+// plus the digest verification with its snapshot at the recognizing
+// hop. The exit seals and every hop adds its layer inside the measured
+// cycle, so both running digests advance in lockstep.
+func TestUnwrapBackwardZeroAlloc(t *testing.T) {
+	h := sha256.New()
+	snap := snapshotHash(h, nil)
+	if testing.AllocsPerRun(10, func() { snap = snapshotHash(h, snap[:0]) }) != 0 {
+		t.Skip("the digest snapshot itself allocates in this build (before Go 1.24, or under the race detector)")
+	}
+	cc, relays := buildTestCircuit(t, 3)
+	exit := relays[len(relays)-1]
+	c := &cell.Cell{}
+	data := make([]byte, cell.MaxRelayData)
+	cycle := func() {
+		if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, data); err != nil {
+			t.Fatal(err)
+		}
+		exit.SealBackward(c)
+		for h := len(relays) - 1; h >= 0; h-- {
+			relays[h].EncryptBackward(c)
+		}
+		if _, err := cc.UnwrapBackward(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // size the sum and snapshot scratch
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("seal+encrypt+UnwrapBackward allocates %.1f per cell", avg)
 	}
 }

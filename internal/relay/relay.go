@@ -392,13 +392,18 @@ func sendSegment(sp *transport.SegmentPool, p *netem.Port, dst netem.NodeID, seg
 // If the cell becomes recognized here (this relay is the circuit's last
 // onion hop), its digest is verified and the plaintext travels on to the
 // destination over the final transport hop.
+//
+// Only the exit may declare corruption. At any earlier hop the payload
+// is still ciphertext, and ciphertext that happens to parse as a
+// recognized header with a bad digest is just an unrecognized cell: it
+// is forwarded untouched. Dropping it there loses a cell the hop
+// transport has already acknowledged, which nothing resends.
 func (r *Relay) processCell(h *hop, c *cell.Cell) {
 	h.keys.DecryptForward(c)
 	if hdr, _, err := c.Relay(); err == nil && hdr.Recognized == 0 {
 		if h.keys.VerifyForward(c) {
 			r.stats.Recognized++
-		} else if looksRecognized(hdr) {
-			// Recognized-looking header with a bad digest: corruption.
+		} else if h.exit && looksRecognized(hdr) {
 			r.stats.Corrupt++
 			return
 		}
@@ -422,9 +427,8 @@ func (r *Relay) processBackwardCell(h *hop, c *cell.Cell) {
 }
 
 // looksRecognized distinguishes a genuinely plaintext-looking header
-// from random ciphertext that happens to have Recognized == 0: a real
-// relay header has a known command. Random 507-byte ciphertext passes
-// this ~1-in-10^4 of the time, and the digest check then rejects it.
+// from garbage that happens to have Recognized == 0: a real relay
+// header has a known command.
 func looksRecognized(hdr cell.RelayHeader) bool {
 	return hdr.Cmd >= cell.RelayData && hdr.Cmd <= cell.RelaySendme
 }

@@ -17,7 +17,7 @@ import (
 // asserted in isolation.
 type testRig struct {
 	clock *sim.Clock
-	star  *netem.Star
+	star  *netem.StarFabric
 	relay *Relay
 
 	srcGot   []transport.Segment // control arriving back at the source node
@@ -31,7 +31,7 @@ type testRig struct {
 func newTestRig(t *testing.T) *testRig {
 	t.Helper()
 	clock := sim.NewClock()
-	star := netem.NewStar(clock)
+	star := netem.NewStarFabric(clock)
 	rig := &testRig{clock: clock, star: star}
 
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
@@ -231,32 +231,75 @@ func TestRelayIgnoresStrangerFrames(t *testing.T) {
 	}
 }
 
-func TestRelayCorruptCellDropped(t *testing.T) {
-	rig := newTestRig(t)
-	rig.addHop(t)
-	// A cell that decrypts to a recognized-looking header but a wrong
-	// digest must be dropped, not forwarded. Craft it by sealing the
-	// plaintext (computing the digest), corrupting a data byte, and
-	// only then applying the stream encryption — this must be the first
-	// cell on the hop so the CTR keystreams stay aligned.
-	c := &cell.Cell{Circ: 7}
+// badDigestCell returns a first-on-the-hop cell that decrypts at the
+// rig's relay to a header with Recognized == 0 and a known command but
+// a digest that does not verify: the plaintext is sealed, a data byte
+// is flipped, and only then is the stream layer applied. It must be
+// the first cell on the hop so the CTR keystreams stay aligned. plain
+// is what removing the relay's layer must yield.
+func (r *testRig) badDigestCell(t *testing.T) (c *cell.Cell, plain cell.Cell) {
+	t.Helper()
+	c = &cell.Cell{Circ: 7}
 	if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, []byte{'x'}); err != nil {
 		t.Fatal(err)
 	}
-	rig.ck.SealForward(c)
-	c.Payload[cell.Size-100] ^= 0xff // corrupt data after the digest was sealed
-	rig.ck.EncryptForward(c)
+	r.ck.SealForward(c)
+	c.Payload[cell.Size-100] ^= 0xff
+	plain = *c
+	r.ck.EncryptForward(c)
+	return c, plain
+}
 
+func (r *testRig) sinkDataCells() []*cell.Cell {
+	var out []*cell.Cell
+	for _, s := range r.sinkGot {
+		if s.Kind == transport.KindData {
+			out = append(out, s.Cell)
+		}
+	}
+	return out
+}
+
+// At the exit, where the payload is plaintext, a recognized-looking
+// header with a wrong digest is corruption: dropped, not forwarded.
+func TestRelayCorruptCellDropped(t *testing.T) {
+	rig := newTestRig(t)
+	rig.relay.AddHop(7, "src", "sink", rig.keys, transport.Config{}, true)
+
+	c, _ := rig.badDigestCell(t)
+	rig.sendData(0, c)
+	rig.run()
+	if st := rig.relay.Stats(); st.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
+	}
+	if len(rig.sinkDataCells()) != 0 {
+		t.Fatal("corrupt cell was forwarded")
+	}
+}
+
+// At a middle hop the same bytes are still ciphertext that merely
+// parses as a recognized header — rare, but bulk traffic meets it: the
+// relay cannot judge it and must forward it untouched.
+// Dropping it loses a cell the hop transport has already acknowledged,
+// and the transfer stalls for good.
+func TestRelayMiddleHopForwardsUnverifiedCell(t *testing.T) {
+	rig := newTestRig(t)
+	rig.relay.AddHop(7, "src", "sink", rig.keys, transport.Config{}, false)
+
+	c, want := rig.badDigestCell(t)
 	rig.sendData(0, c)
 	rig.run()
 	st := rig.relay.Stats()
-	if st.Corrupt != 1 {
-		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
+	if st.Corrupt != 0 || st.Recognized != 0 || st.CellsForwarded != 1 {
+		t.Fatalf("Corrupt = %d, Recognized = %d, CellsForwarded = %d, want 0, 0, 1",
+			st.Corrupt, st.Recognized, st.CellsForwarded)
 	}
-	for _, s := range rig.sinkGot {
-		if s.Kind == transport.KindData {
-			t.Fatal("corrupt cell was forwarded")
-		}
+	got := rig.sinkDataCells()
+	if len(got) != 1 {
+		t.Fatalf("%d cells reached the successor, want 1", len(got))
+	}
+	if got[0].Payload != want.Payload {
+		t.Fatal("forwarded cell is not the received cell minus exactly one layer")
 	}
 }
 

@@ -3,9 +3,10 @@ package scenario
 import "testing"
 
 // TestTrainSizeOneMatchesUntrained pins the byte-identity contract at
-// the scenario level: TrainSize 1 selects the per-frame machinery
-// verbatim, so a full multi-arm churn run — arrivals, teardowns, relay
-// failure, rebuilds — produces bit-identical results with TrainSize 0.
+// the scenario level: TrainSize 1 caps every train at one frame and
+// keeps per-cell signalling, exactly as TrainSize 0 does, so a full
+// multi-arm churn run — arrivals, teardowns, relay failure, rebuilds —
+// produces bit-identical results with both.
 func TestTrainSizeOneMatchesUntrained(t *testing.T) {
 	base := churnScenario()
 	base.TrainSize = 0

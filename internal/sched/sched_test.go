@@ -119,8 +119,9 @@ func TestEWMAForget(t *testing.T) {
 	}
 }
 
-// TestEWMAZeroAllocSteadyState pins the hot-path contract directly
-// (the benchcases gate measures the same thing in CI).
+// TestEWMAZeroAllocSteadyState pins the hot-path contract: one
+// push/pop cycle of 8 competing circuits' frames through the cost heap
+// allocates nothing once rings, heap and node map are warm.
 func TestEWMAZeroAllocSteadyState(t *testing.T) {
 	clock := sim.NewClock()
 	q := NewEWMA(clock, 0)

@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkClockScheduleRun measures raw event throughput including the
-// per-iteration closure the caller builds — the historical baseline
-// shape, kept for trend comparison against the gated allocation-free
-// scheduling benchmark (internal/benchcases BenchmarkClockSchedule).
+// per-iteration closure the caller builds. The closure is the one
+// allocation; the hoisted-callback path is pinned at zero by
+// TestScheduleFireZeroAlloc.
 func BenchmarkClockScheduleRun(b *testing.B) {
 	c := NewClock()
 	n := 0

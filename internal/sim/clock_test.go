@@ -399,3 +399,19 @@ func TestCancelledThenRescheduledOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestScheduleFireZeroAlloc pins the scheduling fast path: one event
+// scheduled with a hoisted callback and fired must come from, and
+// return to, the event free list.
+func TestScheduleFireZeroAlloc(t *testing.T) {
+	c := NewClock()
+	fn := func() {}
+	cycle := func() {
+		c.After(time.Microsecond, fn)
+		c.Run()
+	}
+	cycle() // grow the heap and the free list to one event
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("schedule+fire allocates %.1f per event", avg)
+	}
+}

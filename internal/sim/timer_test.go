@@ -138,3 +138,14 @@ func TestTimerRearmNegativeDelayPanics(t *testing.T) {
 	}()
 	tm.Arm(-time.Second)
 }
+
+// TestTimerRearmZeroAlloc pins the rearm the transport RTO performs on
+// every acknowledgment: an armed timer is rescheduled in place.
+func TestTimerRearmZeroAlloc(t *testing.T) {
+	c := NewClock()
+	tm := NewTimer(c, func() {})
+	tm.Arm(time.Millisecond)
+	if avg := testing.AllocsPerRun(100, func() { tm.Arm(time.Millisecond) }); avg != 0 {
+		t.Fatalf("timer rearm allocates %.1f per call", avg)
+	}
+}

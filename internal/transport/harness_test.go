@@ -19,7 +19,7 @@ import (
 type hopHarness struct {
 	t     *testing.T
 	clock *sim.Clock
-	star  *netem.Star
+	star  *netem.StarFabric
 
 	sender *Sender
 	recv   *Receiver
@@ -63,7 +63,7 @@ func newHopHarness(t *testing.T, hc harnessConfig) *hopHarness {
 		hc.delay = 10 * time.Millisecond
 	}
 	h := &hopHarness{t: t, clock: sim.NewClock(), fwdRate: hc.fwdRate}
-	h.star = netem.NewStar(h.clock)
+	h.star = netem.NewStarFabric(h.clock)
 
 	var rng *sim.RNG
 	if hc.lossProb > 0 {

@@ -62,7 +62,7 @@ const (
 	// the current round at the moment the signal trips. It undershoots
 	// badly when the signal trips early in a round (one feedback seen →
 	// window collapses to the floor). Kept as an ablation
-	// (see BenchmarkAblationCompensation).
+	// (see experiments.AblationCompensation).
 	CompCounted
 )
 

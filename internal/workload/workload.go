@@ -170,7 +170,7 @@ type ScenarioParams struct {
 	// direction (server → client through the onion), the direction the
 	// paper's "download times" refer to. The default forward direction
 	// is congestion-equivalent on symmetric access links and matches
-	// the figure benchmarks.
+	// the published figure tables.
 	Download bool
 	// TraceCwnd records per-circuit window traces (memory-heavy; only
 	// the single-circuit figures need it).
