@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"circuitstart/internal/cell"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/transport"
@@ -297,6 +298,49 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	t2, w2 := run()
 	if t1 != t2 || w1 != w2 {
 		t.Fatalf("non-deterministic: (%v, %v) vs (%v, %v)", t1, w1, t2, w2)
+	}
+}
+
+// TestPayloadBytesAreAFunctionOfTheSeed: two networks built from one
+// seed hold the same relay identities and put the same ciphertext on the
+// wire, run after run. Timing never depended on key bytes, so the
+// determinism tests above could not see keys drifting; this looks at the
+// bytes themselves — every identity's public key and the first
+// onion-wrapped cell to leave the client.
+func TestPayloadBytesAreAFunctionOfTheSeed(t *testing.T) {
+	type wire struct {
+		pubs  [3][32]byte
+		first cell.Cell
+	}
+	build := func() wire {
+		var w wire
+		n, c := threeHopNet(t, 1, units.Mbps(8), units.Mbps(100), TransportOptions{})
+		for i, id := range c.Relays() {
+			copy(w.pubs[i][:], n.identities[id].Public())
+		}
+		// Take the client's uplink down and watch what it drops: the
+		// first frame is the first wrapped cell.
+		up := n.Fabric().Port("client").Uplink()
+		up.SetDown(true)
+		seen := false
+		up.OnDrop = func(f *netem.Frame, _ netem.DropReason) {
+			if seg, ok := f.Payload.(*transport.Segment); ok && seg.Kind == transport.KindData && !seen {
+				w.first, seen = *seg.Cell, true
+			}
+		}
+		c.Transfer(10*units.Kilobyte, nil)
+		n.RunUntil(50 * sim.Millisecond)
+		if !seen {
+			t.Fatal("no data cell left the client")
+		}
+		return w
+	}
+	want := build()
+	for i := 0; i < 20; i++ {
+		if got := build(); got != want {
+			t.Fatalf("build %d at the same seed differs: identities equal %v, first wrapped cell equal %v",
+				i, got.pubs == want.pubs, got.first == want.first)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -86,6 +87,53 @@ func TestManySmallCircuits(t *testing.T) {
 		if c.Sink().BadCells() != 0 {
 			t.Errorf("circuit %d: %d bad cells (crypto state crossed circuits?)", i, c.Sink().BadCells())
 		}
+	}
+}
+
+// TestEventHeapBoundedByLinksAndCircuits pins the depth of the event
+// heap on a trial shaped like the paper's Figure 1 aggregate run — 50
+// staggered 250 kB downloads over a 40-relay star, one event per cell.
+// A link holds at most one serialization and one delivery event however
+// many frames it has in propagation, and a circuit a handful of timers
+// per hop, so the high-water mark is O(links + circuits). With one heap
+// event per frame in propagation the same trial peaks in the thousands.
+func TestEventHeapBoundedByLinksAndCircuits(t *testing.T) {
+	const (
+		relays   = 40
+		circuits = 50
+	)
+	n := NewNetwork(42)
+	ids := make([]netem.NodeID, relays)
+	for i := range ids {
+		ids[i] = netem.NodeID(fmt.Sprintf("r%02d", i))
+		// Rates from 8 to 86 Mbit/s and delays from 5 to 24 ms, so paths
+		// have distinct bottlenecks and long pipes.
+		n.MustAddRelay(ids[i], netem.Symmetric(units.Mbps(float64(8+2*i)), time.Duration(5+i%20)*time.Millisecond, 0))
+	}
+	edge := netem.Symmetric(units.Mbps(100), 10*time.Millisecond, 0)
+	built := make([]*Circuit, circuits)
+	for i := range built {
+		c := n.MustBuildCircuit(CircuitSpec{
+			Source: netem.NodeID(fmt.Sprintf("client%02d", i)), Sink: netem.NodeID(fmt.Sprintf("server%02d", i)),
+			SourceAccess: edge, SinkAccess: edge,
+			Relays: []netem.NodeID{ids[i%relays], ids[(7*i+3)%relays], ids[(11*i+17)%relays]},
+		})
+		built[i] = c
+		n.Clock().After(time.Duration(i)*4*time.Millisecond, func() { c.TransferBackward(250*units.Kilobyte, nil) })
+	}
+	n.RunUntil(600 * sim.Second)
+	for i, c := range built {
+		if !c.Done() {
+			t.Fatalf("circuit %d incomplete at the horizon", i)
+		}
+	}
+	links := 2 * len(n.Fabric().Nodes())
+	bound := 2*links + 6*circuits
+	got := n.Clock().MaxPending()
+	t.Logf("MaxPending %d over %d links and %d circuits (bound %d), %d events", got, links, circuits, bound, n.Clock().Processed())
+	if got > bound {
+		t.Errorf("MaxPending = %d, want ≤ 2×%d links + 6×%d circuits = %d: the heap is growing with frames in flight again",
+			got, links, circuits, bound)
 	}
 }
 

@@ -47,8 +47,10 @@ type Frame struct {
 
 	enqueuedAt sim.Time // set by Link for queue-delay accounting
 	// trainLen is set by Link on the first surviving member of a train
-	// entering the propagation FIFO: how many members survived with it.
-	trainLen int
+	// entering the propagation FIFO: how many members survived with it,
+	// and deliverKey the position reserved for their delivery event.
+	trainLen   int
+	deliverKey sim.Key
 }
 
 // FramePool recycles Frame objects so the per-frame hot path of a fabric
@@ -250,6 +252,10 @@ func (r *frameRing) push(f *Frame) {
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
 	r.n++
 }
+
+// peek returns the oldest frame without removing it; the ring must not
+// be empty.
+func (r *frameRing) peek() *Frame { return r.buf[r.head] }
 
 func (r *frameRing) pop() *Frame {
 	if r.n == 0 {

@@ -140,7 +140,10 @@ type Link struct {
 	queuedBytes units.DataSize
 	busy        bool
 
-	inflight frameRing // serialized frames in the propagation stage
+	// inflight holds serialized frames in the propagation stage. Only
+	// the train at its front has a delivery event in the clock's heap;
+	// later trains wait on the key reserved for them (Frame.deliverKey).
+	inflight frameRing
 
 	// Train state. trainCap is the most frames one train may hold,
 	// max(1, cfg.TrainSize). train holds the members of the train
@@ -389,29 +392,21 @@ func (l *Link) lossDraws() bool {
 	return lost
 }
 
-// scheduleDeliver schedules the propagation-complete event for the frame
-// or train just pushed in flight. With jitter installed, delivery
-// instants are clamped monotone so the in-flight FIFO pop discipline
-// survives arbitrary extra delay (equal instants fire in scheduling
-// order on the sim clock).
-func (l *Link) scheduleDeliver() {
-	if l.jitter == nil && l.lastDeliverAt == 0 {
-		l.clock.After(l.cfg.Delay, l.deliverFn)
-		return
+// scheduleDeliver places the train whose head just entered the
+// propagation FIFO in the event order. The link keeps at most one
+// delivery event in the clock's heap: the train's position — the exact
+// key clock.At would have assigned here — is reserved and stored on its
+// head frame, and the event itself is scheduled only if the train is at
+// the front of the FIFO; otherwise onDeliverTrain schedules it when the
+// train gets there. Deliveries on one link fire in FIFO order (constant delay,
+// jitter clamped monotone by arrivalInstant), so a train's reserved key
+// is always later than that of the event pending before it, and every
+// delivery fires exactly where a per-train event would have.
+func (l *Link) scheduleDeliver(head *Frame) {
+	head.deliverKey = l.clock.Reserve(l.arrivalInstant())
+	if l.inflight.peek() == head {
+		l.clock.AtKey(head.deliverKey, l.deliverFn)
 	}
-	// Once any delivery has been jitter-scheduled, stay on the clamped
-	// path even after the model is removed: a spike-delayed frame may
-	// still be in flight, and an unclamped successor would overtake it.
-	extra := time.Duration(0)
-	if l.jitter != nil {
-		extra = l.jitter.Extra()
-	}
-	at := l.clock.Now().Add(l.cfg.Delay + extra)
-	if at.Before(l.lastDeliverAt) {
-		at = l.lastDeliverAt
-	}
-	l.lastDeliverAt = at
-	l.clock.At(at, l.deliverFn)
 }
 
 // setExport installs the shard-boundary export callback (see the export
@@ -419,14 +414,19 @@ func (l *Link) scheduleDeliver() {
 // traffic flows.
 func (l *Link) setExport(fn func(fs []*Frame, arrival sim.Time)) { l.export = fn }
 
-// exportArrival computes the delivery instant an exported frame or
-// train would have had locally: now + Delay, with the same monotone
-// jitter clamp scheduleDeliver applies, so a jittered boundary link
+// arrivalInstant computes when the frame or train completing
+// serialization now finishes propagating: now + Delay, plus jitter. With
+// jitter installed, instants are clamped monotone so the in-flight FIFO
+// pop discipline survives arbitrary extra delay (equal instants fire in
+// scheduling order on the sim clock), and a jittered boundary link
 // exports in delivery order.
-func (l *Link) exportArrival() sim.Time {
+func (l *Link) arrivalInstant() sim.Time {
 	if l.jitter == nil && l.lastDeliverAt == 0 {
 		return l.clock.Now().Add(l.cfg.Delay)
 	}
+	// Once any delivery has been jitter-scheduled, stay on the clamped
+	// path even after the model is removed: a spike-delayed frame may
+	// still be in flight, and an unclamped successor would overtake it.
 	extra := time.Duration(0)
 	if l.jitter != nil {
 		extra = l.jitter.Extra()
@@ -574,7 +574,7 @@ done:
 // neighbors survive — and a link's draw sequence is identical to what
 // the same frame sequence would consume untrained. Survivors enter the
 // propagation FIFO together, the first carrying their count; a
-// fully-lost train schedules no delivery at all.
+// fully-lost train reserves and schedules no delivery at all.
 func (l *Link) onTxDoneTrain() {
 	survived := 0
 	var head *Frame // first survivor into the FIFO
@@ -611,14 +611,14 @@ func (l *Link) onTxDoneTrain() {
 		switch {
 		case l.export != nil:
 			l.deliverBuf = batch
-			l.export(batch, l.exportArrival())
+			l.export(batch, l.arrivalInstant())
 			for i := range batch {
 				batch[i] = nil
 			}
 			l.deliverBuf = l.deliverBuf[:0]
 		default:
 			head.trainLen = survived
-			l.scheduleDeliver()
+			l.scheduleDeliver(head)
 		}
 	}
 	l.transmitTrain()
@@ -640,6 +640,11 @@ func (l *Link) onDeliverTrain() {
 		bytes += f.Size
 	}
 	l.deliverBuf = batch
+	// Hand the link's one heap slot to the next train in the FIFO, under
+	// the key reserved when it entered propagation.
+	if l.inflight.len() > 0 {
+		l.clock.AtKey(l.inflight.peek().deliverKey, l.deliverFn)
+	}
 	l.stats.CellsDelivered += uint64(n)
 	l.stats.TrainsDelivered++
 	l.stats.BytesOut += bytes

@@ -39,9 +39,21 @@ type Identity struct {
 	priv *ecdh.PrivateKey
 }
 
+// newPrivateKey builds an X25519 key from exactly 32 bytes of rand, so a
+// seeded reader yields the same key on every run. ecdh's GenerateKey
+// does not: it first consumes a byte from the reader at random
+// (randutil.MaybeReadByte), shifting a deterministic stream.
+func newPrivateKey(rand io.Reader) (*ecdh.PrivateKey, error) {
+	var seed [32]byte
+	if _, err := io.ReadFull(rand, seed[:]); err != nil {
+		return nil, err
+	}
+	return ecdh.X25519().NewPrivateKey(seed[:])
+}
+
 // NewIdentity generates a relay identity from the given entropy source.
 func NewIdentity(rand io.Reader) (*Identity, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand)
+	priv, err := newPrivateKey(rand)
 	if err != nil {
 		return nil, fmt.Errorf("onion: generating identity: %w", err)
 	}
@@ -126,7 +138,7 @@ var (
 // relayPub. It returns the client's hop keys and the CREATE payload to
 // send to the relay (the client's ephemeral public key).
 func ClientHandshake(rand io.Reader, relayPub []byte) (*HopKeys, []byte, error) {
-	eph, err := ecdh.X25519().GenerateKey(rand)
+	eph, err := newPrivateKey(rand)
 	if err != nil {
 		return nil, nil, fmt.Errorf("onion: ephemeral key: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestClockStartsAtEpoch(t *testing.T) {
@@ -351,6 +352,16 @@ func TestPendingCountsExactly(t *testing.T) {
 	if got := c.Processed(); got != 4 {
 		t.Fatalf("Processed = %d, want 4", got)
 	}
+	// The high-water mark remembers the deepest the heap ever was, and
+	// Reset forgets it.
+	if got := c.MaxPending(); got != 10 {
+		t.Fatalf("MaxPending = %d, want 10", got)
+	}
+	c.Reset()
+	c.After(time.Millisecond, func() {})
+	if got := c.MaxPending(); got != 1 {
+		t.Fatalf("MaxPending after Reset and one push = %d, want 1", got)
+	}
 }
 
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
@@ -413,5 +424,13 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 	cycle() // grow the heap and the free list to one event
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("schedule+fire allocates %.1f per event", avg)
+	}
+}
+
+// TestClockIsOneCacheLine keeps per-shard clocks from false sharing: see
+// the maxPending field.
+func TestClockIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Clock{}); size > 64 {
+		t.Fatalf("Clock is %d bytes; more than 64 puts neighbouring shard clocks on shared cache lines", size)
 	}
 }

@@ -145,6 +145,13 @@ type SenderStats struct {
 	ExitTime      sim.Time // when startup was most recently exited
 }
 
+// sentCell is what the sender keeps per transmitted sequence.
+type sentCell struct {
+	cell *cell.Cell // retained for retransmission; nil once acked
+	at   sim.Time   // first-transmission time
+	rtx  bool       // retransmitted and not yet acked (Karn)
+}
+
 // Sender is the per-hop window-based transmitter. It owns the congestion
 // window, reliability (cumulative ACK + RTO), the round structure, and
 // the Vegas queue estimator over DATA→FEEDBACK RTTs.
@@ -160,9 +167,11 @@ type Sender struct {
 	queue []*cell.Cell
 	qhead int
 
-	retain   map[uint64]*cell.Cell // sent, not yet acked (for retransmission)
-	sendTime map[uint64]sim.Time   // first-transmission times
-	rtx      map[uint64]bool       // sequence was retransmitted (Karn)
+	// sent remembers every transmitted sequence the peer may still
+	// report on: a power-of-two ring indexed by seq & (len-1) over the
+	// contiguous range [min(acked, feedback), nextSeq), doubling when the
+	// range outgrows it.
+	sent []sentCell
 
 	nextSeq  uint64 // next fresh sequence number
 	acked    uint64 // cumulative count received by peer
@@ -266,14 +275,11 @@ func NewSender(cfg Config) *Sender {
 		panic(fmt.Sprintf("transport: alpha %v > beta %v", cfg.Alpha, cfg.Beta))
 	}
 	s := &Sender{
-		cfg:      cfg,
-		clock:    cfg.Clock,
-		retain:   make(map[uint64]*cell.Cell),
-		sendTime: make(map[uint64]sim.Time),
-		rtx:      make(map[uint64]bool),
-		cwnd:     cfg.InitialCwnd,
-		phase:    PhaseStartup,
-		rtt:      NewRTTEstimator(cfg.RTOMin, cfg.RTOMax),
+		cfg:   cfg,
+		clock: cfg.Clock,
+		cwnd:  cfg.InitialCwnd,
+		phase: PhaseStartup,
+		rtt:   NewRTTEstimator(cfg.RTOMin, cfg.RTOMax),
 	}
 	s.rtoTimer = sim.NewTimer(s.clock, s.onRTO)
 	s.probeTimer = sim.NewTimer(s.clock, s.onProbe)
@@ -307,7 +313,7 @@ func (s *Sender) Close(release func(*cell.Cell)) {
 	s.probeTimer.Stop()
 	s.exitTimer.Stop()
 	if s.cfg.OnHeld != nil {
-		if held := s.QueueLen() + len(s.retain); held > 0 {
+		if held := s.QueueLen() + s.Unacked(); held > 0 {
 			s.cfg.OnHeld(-held)
 		}
 	}
@@ -319,9 +325,7 @@ func (s *Sender) Close(release func(*cell.Cell)) {
 	}
 	s.queue = nil
 	s.qhead = 0
-	s.retain = nil
-	s.sendTime = nil
-	s.rtx = nil
+	s.sent = nil
 	s.exitSpacings = nil
 }
 
@@ -709,15 +713,32 @@ func (s *Sender) endRound() {
 	s.roundBudget = 0
 }
 
+// sentAt returns the ring slot of a sequence in the live range.
+func (s *Sender) sentAt(seq uint64) *sentCell {
+	return &s.sent[seq&uint64(len(s.sent)-1)]
+}
+
+// growSent doubles the ring, moving each live sequence to its slot
+// under the new mask.
+func (s *Sender) growSent() {
+	old := s.sent
+	s.sent = make([]sentCell, max(16, 2*len(old)))
+	for seq := min(s.acked, s.feedback); seq < s.nextSeq; seq++ {
+		*s.sentAt(seq) = old[seq&uint64(len(old)-1)]
+	}
+}
+
 func (s *Sender) transmitNext() {
 	c := s.queue[s.qhead]
 	s.queue[s.qhead] = nil
 	s.qhead++
 
 	seq := s.nextSeq
+	if int(seq-min(s.acked, s.feedback)) == len(s.sent) {
+		s.growSent()
+	}
 	s.nextSeq++
-	s.retain[seq] = c
-	s.sendTime[seq] = s.clock.Now()
+	*s.sentAt(seq) = sentCell{cell: c, at: s.clock.Now()}
 	if s.roundActive && s.burstMode() {
 		s.roundBudget--
 		if seq >= s.roundBoundary {
@@ -757,19 +778,14 @@ func (s *Sender) HandleAck(count uint64) {
 	newly := int(count - s.acked)
 	// Sample only the newest covered sequence (and only if it was never
 	// retransmitted — Karn's rule). Older cells in the batch were held
-	// back by a gap, so "now − sendTime" would grossly overestimate
-	// their RTT and pollute the RTO.
-	if last := count - 1; !s.rtx[last] {
-		if t, ok := s.sendTime[last]; ok {
-			s.rtt.Sample(s.clock.Now().Sub(t))
-		}
+	// back by a gap, so now minus their first-transmission time would
+	// grossly overestimate their RTT and pollute the RTO.
+	if last := s.sentAt(count - 1); !last.rtx {
+		s.rtt.Sample(s.clock.Now().Sub(last.at))
 	}
 	for seq := s.acked; seq < count; seq++ {
-		delete(s.retain, seq)
-		delete(s.rtx, seq)
-		if seq < s.feedback {
-			delete(s.sendTime, seq)
-		}
+		sc := s.sentAt(seq)
+		sc.cell, sc.rtx = nil, false
 	}
 	s.acked = count
 	if s.cfg.OnHeld != nil {
@@ -809,21 +825,14 @@ func (s *Sender) HandleFeedback(count uint64) {
 	// report (after a lost FEEDBACK healed) covers cells whose
 	// individual reports are long gone, and their apparent RTTs would
 	// be inflated by the healing delay, not by queueing.
-	if last := count - 1; !s.rtx[last] {
-		if t, ok := s.sendTime[last]; ok {
-			rtt := now.Sub(t)
-			if s.baseRtt == 0 || rtt < s.baseRtt {
-				s.baseRtt = rtt
-			}
-			if s.roundActive {
-				s.roundRttSum += rtt
-				s.roundRttCnt++
-			}
+	if last := s.sentAt(count - 1); !last.rtx {
+		rtt := now.Sub(last.at)
+		if s.baseRtt == 0 || rtt < s.baseRtt {
+			s.baseRtt = rtt
 		}
-	}
-	for seq := s.feedback; seq < count; seq++ {
-		if seq < s.acked {
-			delete(s.sendTime, seq)
+		if s.roundActive {
+			s.roundRttSum += rtt
+			s.roundRttCnt++
 		}
 	}
 	delta := count - s.feedback
@@ -962,14 +971,11 @@ func (s *Sender) onRTO() {
 		return
 	}
 	seq := s.acked
-	c, ok := s.retain[seq]
-	if !ok {
-		return
-	}
-	s.rtx[seq] = true
+	oldest := s.sentAt(seq)
+	oldest.rtx = true
 	s.stats.Retransmitted++
 	s.stats.RTOs++
-	if !s.cfg.Send(Segment{Kind: KindData, Circ: s.cfg.Circ, Seq: seq, Cell: c}) {
+	if !s.cfg.Send(Segment{Kind: KindData, Circ: s.cfg.Circ, Seq: seq, Cell: oldest.cell}) {
 		s.stats.WireRejected++
 	}
 	s.rtt.Backoff()

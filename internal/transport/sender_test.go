@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"circuitstart/internal/cell"
+	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
 
@@ -367,5 +369,76 @@ func TestSegmentWireSizes(t *testing.T) {
 	}
 	if got := (Segment{Kind: KindAck, Circ: 1, Count: 3}).String(); got != "ACK{fwd circ=1 count=3}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestSentRingKeepsCellsAcrossGrowthAndWrap drives the sender's
+// sent-cell ring through several doublings while the live range starts
+// mid-ring (feedback lags far behind the ACKs, so acknowledged sequences
+// stay in range), then checks the three things the ring must remember:
+// which cell to retransmit, when a sequence was first sent, and whether
+// Karn's rule still applies to it.
+func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
+	clock := sim.NewClock()
+	var wire []Segment
+	held := 0
+	s := NewSender(Config{
+		Clock: clock, Startup: NoStartup{}, DisableAvoidance: true,
+		WindowClock: ClockAck, InitialCwnd: 24, MinCwnd: 24,
+		Send:   func(seg Segment) bool { wire = append(wire, seg); return true },
+		OnHeld: func(delta int) { held += delta },
+	})
+	cells := make([]*cell.Cell, 150)
+	for i := range cells {
+		cells[i] = &cell.Cell{}
+		s.Enqueue(cells[i])
+	}
+	// ACK in steps of ten, a millisecond apart, with no FEEDBACK at all:
+	// the range [feedback, nextSeq) = [0, nextSeq) outgrows 16, 32 and 64
+	// slots while new sequences keep landing on wrapped indices.
+	for acked := uint64(10); acked <= 100; acked += 10 {
+		clock.RunUntil(clock.Now() + sim.Millisecond)
+		s.HandleAck(acked)
+	}
+	if got := s.Unacked(); got != 24 {
+		t.Fatalf("Unacked = %d, want the full window of 24", got)
+	}
+	for i, seg := range wire {
+		if seg.Seq != uint64(i) || seg.Cell != cells[i] {
+			t.Fatalf("transmission %d carried seq %d, cell %p; want seq %d, cell %p", i, seg.Seq, seg.Cell, i, cells[i])
+		}
+	}
+
+	// The RTO retransmits the oldest unacked sequence from the ring.
+	wire = wire[:0]
+	clock.RunUntil(clock.Now() + 10*sim.Second)
+	if len(wire) == 0 || wire[0].Seq != 100 || wire[0].Cell != cells[100] {
+		t.Fatalf("RTO retransmitted %+v, want seq 100 carrying cell %p", wire, cells[100])
+	}
+	// Karn: the ACK covering only the retransmitted sequence takes no RTT
+	// sample...
+	srtt := s.SRTT()
+	s.HandleAck(101)
+	if s.SRTT() != srtt {
+		t.Errorf("SRTT moved %v -> %v on the ACK of a retransmitted sequence", srtt, s.SRTT())
+	}
+	// ...but once acked the sequence is no longer marked, so FEEDBACK for
+	// it measures against its first transmission, back in the ring's
+	// first lap.
+	if s.BaseRTT() != 0 {
+		t.Fatalf("BaseRTT = %v before any feedback", s.BaseRTT())
+	}
+	s.HandleFeedback(101)
+	if got := s.BaseRTT(); got < 10*time.Second {
+		t.Errorf("BaseRTT = %v after feedback for seq 100, want now minus its first transmission (> 10s)", got)
+	}
+
+	// Close releases everything still held: queued plus unacked.
+	if want := s.QueueLen() + s.Unacked(); held != want || want == 0 {
+		t.Fatalf("held = %d before Close, want QueueLen+Unacked = %d (non-zero)", held, want)
+	}
+	s.Close(nil)
+	if held != 0 {
+		t.Errorf("held = %d after Close, want 0", held)
 	}
 }
