@@ -102,9 +102,11 @@ func runFig1Cwnd(args []string) error {
 	seed := fs.Int64("seed", 42, "experiment seed")
 	horizon := fs.Duration("horizon", 2*time.Second, "simulated time")
 	csvPath := fs.String("csv", "", "write the (time_ms, cwnd_kb) trace as CSV")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 
 	p := experiments.DefaultCwndTraceParams(*distance)
 	p.Seed = *seed
@@ -152,9 +154,11 @@ func runFig1CDF(args []string) error {
 	download := fs.Bool("download", false, "run transfers in the download (server → client) direction")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	csvPath := fs.String("csv", "", "write both CDFs as CSV")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 
 	p := experiments.DefaultCDFParams()
 	p.Seed = *seed
@@ -217,9 +221,11 @@ func runAblation(args []string) error {
 	relays := fs.Int("relays", 1024, "generated relay population size (scale only)")
 	switches := fs.Int("switches", 16, "backbone ring switches (scale only)")
 	shardCounts := fs.String("shards", "1,2,4", "comma-separated shard counts to time (scale only)")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 
 	switch *name {
 	case "gamma":
@@ -391,9 +397,11 @@ func runDynamic(args []string) error {
 	after := fs.Float64("after", 40, "bottleneck rate after the step [Mbit/s]")
 	restart := fs.Int("restart", 3, "re-probe threshold in rounds (-1 disables the extension)")
 	seed := fs.Int64("seed", 42, "experiment seed")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 
 	r, err := experiments.ExtensionDynamicRestart(experiments.DynamicRestartParams{
 		Seed:          *seed,
@@ -439,9 +447,11 @@ func runScenario(args []string) error {
 	shards := fs.Int("shards", 0, "partition each trial across this many shard clocks (0 = single clock; needs -switches)")
 	faultArg := fs.String("faults", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), ", ")+") or a JSON spec file")
 	csvPath := fs.String("csv", "", "write every arm's TTLB CDF as CSV")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 
 	var armSpecs []scenario.Arm
 	for _, policy := range strings.Split(*arms, ",") {

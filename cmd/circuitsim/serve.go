@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"circuitstart/internal/serve"
@@ -25,9 +27,11 @@ func runServe(args []string) error {
 	workers := fs.Int("workers", 0, "concurrent grid points per sweep (0 = one per CPU)")
 	pointWorkers := fs.Int("point-workers", 0, "worker pool per point's runner (0 = 1)")
 	cachePoints := fs.Int("cache", 4096, "completed grid points to retain for replay (0 = default, negative disables)")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 	opts := serve.Options{
 		Jobs:         *jobs,
 		QueueDepth:   *queue,
@@ -36,7 +40,18 @@ func runServe(args []string) error {
 		CachePoints:  *cachePoints,
 	}
 	fmt.Printf("circuitsim serve: listening on http://%s (spec API v%d)\n", *addr, spec.Version)
-	return serve.ListenAndServe(*addr, opts)
+	// Return on SIGINT/SIGTERM instead of dying to it, so the deferred
+	// profile stop runs; the serving goroutine ends with the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	failed := make(chan error, 1)
+	go func() { failed <- serve.ListenAndServe(*addr, opts) }()
+	select {
+	case err := <-failed:
+		return err
+	case <-sig:
+		return nil
+	}
 }
 
 // runSpecCmd validates and canonicalizes sweep spec files. A valid

@@ -90,12 +90,13 @@ func runSweep(args []string) error {
 	remote := fs.String("remote", "", "run on a circuitsim serve daemon at this base URL instead of in-process")
 	outPath := fs.String("out", "", "stream per-point rows to this file (.csv or .jsonl)")
 	format := fs.String("format", "", "output format: csv | jsonl (default: by -out extension)")
-	if err := fs.Parse(args); err != nil {
+	stopProfiles, err := parseProfiled(fs, args)
+	if err != nil {
 		return err
 	}
+	defer stopProfiles()
 
 	var file *spec.File
-	var err error
 	if *specPath != "" {
 		data, rerr := os.ReadFile(*specPath)
 		if rerr != nil {

@@ -2,15 +2,17 @@ package cell
 
 // Pool recycles Cell objects between the two ends of a simulated
 // circuit: the consuming endpoint returns each in-order-delivered cell,
-// and the producing endpoint draws packetization cells from the pool
-// instead of the heap. A simulation is single-threaded on its clock, so
-// the pool is a plain free list with deterministic reuse order.
+// and the producing endpoint draws a cell from the pool, instead of the
+// heap, at the moment it transmits one. A transfer's cells therefore
+// circulate while it runs — the pool grows to the cells in flight, not
+// to the transfer's size. A simulation is single-threaded on its clock,
+// so the pool is a plain free list with deterministic reuse order.
 //
 // Reuse is safe even though hop senders retain delivered cells until
-// acknowledgment: retransmissions of an already-delivered sequence are
-// discarded by the receiver's sequence check without reading the cell,
-// so a recycled cell's new content can never be observed on an old
-// sequence number.
+// acknowledgment, and now happens while they do: retransmissions of an
+// already-delivered sequence are discarded by the receiver's sequence
+// check without reading the cell, so a recycled cell's new content can
+// never be observed on an old sequence number.
 //
 // A nil *Pool is valid and degrades to plain allocation.
 //

@@ -410,8 +410,9 @@ func (c *Circuit) TransferBackward(size units.DataSize, onComplete func(ttlb tim
 // Teardown closes the circuit and releases its state: every relay on
 // the path drops the circuit's hop (both directions' transport
 // instances close, their timer events returning to the clock's free
-// list), and the endpoints shut down, recycling their never-transmitted
-// packetization cells to the network's cell pool. A transfer still in
+// list), and the endpoints shut down, dropping the unsent remainder of
+// their transfers (origins build a cell only when it is transmitted, so
+// there are no unsent cells to recycle). A transfer still in
 // progress is abandoned — Done stays false and no completion callback
 // fires. Frames already in flight when the circuit dies are absorbed
 // (relays count them as UnknownCircuit, endpoints drop them silently).

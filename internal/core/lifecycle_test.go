@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"circuitstart/internal/cell"
+	"circuitstart/internal/endpoint"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
@@ -142,5 +144,60 @@ func TestFailedRelayBlackholesAndRecovers(t *testing.T) {
 	n.Run()
 	if !c2.Done() {
 		t.Fatal("transfer through recovered relay incomplete")
+	}
+}
+
+// TestLongTransferHoldsOnlyTheCellsInFlight pins what on-demand
+// packetization buys: a transfer far larger than the horizon can move
+// costs cells in proportion to the windows in flight, not to its size —
+// and tearing it down mid-flight has no unsent cells to give back, only
+// a backlog count to forget.
+func TestLongTransferHoldsOnlyTheCellsInFlight(t *testing.T) {
+	n, c := buildLifecycleNet(t)
+	const size = 64 * units.Megabyte
+	c.Transfer(size, nil)
+	n.RunUntil(200 * sim.Millisecond)
+
+	sender := c.Source().Sender()
+	sent := int(sender.Stats().Transmitted)
+	if sent == 0 {
+		t.Fatal("nothing transmitted in 200 ms")
+	}
+	if got, want := sender.QueueLen(), endpoint.CellsFor(size)-sent; got != want {
+		t.Fatalf("source QueueLen = %d, want the %d cells not yet transmitted", got, want)
+	}
+	// Eager packetization allocated all 129,033 cells up front; the 20
+	// Mbit/s path keeps a few hundred in circulation.
+	if all := len(n.cellPool.All()); all == 0 || all >= 4096 || all > sent {
+		t.Fatalf("cell pool grew to %d cells after %d transmissions of a %d-cell transfer; want 0 < cells < 4096",
+			all, sent, endpoint.CellsFor(size))
+	}
+
+	n.Clock().After(0, c.Teardown)
+	n.RunUntil(30 * sim.Second)
+	if got := sender.QueueLen(); got != 0 {
+		t.Fatalf("source QueueLen = %d after teardown, want the backlog dropped", got)
+	}
+	if got := n.Clock().Pending(); got != 0 {
+		t.Fatalf("%d events still pending long after teardown", got)
+	}
+	// Balance: teardown recycles nothing (cells in flight or retained at
+	// a relay are aliased by neighbouring hops), so the free list holds
+	// only what the sink consumed — each cell once, none the pool did
+	// not allocate.
+	all := len(n.cellPool.All())
+	owned := make(map[*cell.Cell]bool, all)
+	for _, cl := range n.cellPool.All() {
+		owned[cl] = true
+	}
+	for i := n.cellPool.FreeLen(); i > 0; i-- {
+		cl := n.cellPool.Get()
+		if !owned[cl] {
+			t.Fatal("free list holds a cell twice, or one the pool never allocated")
+		}
+		delete(owned, cl)
+	}
+	if grew := len(n.cellPool.All()) - all; grew != 0 {
+		t.Fatalf("draining the free list allocated %d cells", grew)
 	}
 }

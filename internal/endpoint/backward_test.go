@@ -32,19 +32,7 @@ func newBackRig(t *testing.T, hops int) *backRig {
 	rig.star = netem.NewStarFabric(rig.clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 
-	rnd := &fixedRand{}
-	idents := make([]*onion.Identity, hops)
-	for i := range idents {
-		id, err := onion.NewIdentity(rnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idents[i] = id
-	}
-	ck, rk, err := onion.BuildCircuit(rnd, idents)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck, rk := testCircuit(t, hops)
 	rig.rk = rk
 
 	rig.relay = rig.star.Attach("first", access, netem.HandlerFunc(func(f *netem.Frame) {

@@ -4,6 +4,12 @@
 // cells at the far end and reports forwarding progress immediately
 // (delivering to the application is the final "forwarding" step, so the
 // sink's feedback is generated on in-order delivery).
+//
+// Both ends packetize on demand: Send and SendBackward only record the
+// bytes submitted, and the hop sender asks for each cell at the instant
+// its window lets the cell leave (transport.Config.Produce). A transfer
+// therefore costs the cells it transmits, not the cells it was offered,
+// and an origin never holds a cell it has not sent.
 package endpoint
 
 import (
@@ -29,11 +35,9 @@ type Source struct {
 	sender *transport.Sender
 	first  netem.NodeID
 
-	queuedBytes units.DataSize
-	sentCells   uint64
-	cells       *cell.Pool // optional recycling with the far endpoint
-	segs        *transport.SegmentPool
-	packBuf     []byte // zero-filled packetization scratch, shared by Send calls
+	cells *cell.Pool // optional recycling with the far endpoint
+	segs  *transport.SegmentPool
+	pack  packetizer
 
 	// Download (backward) direction: the client receives layered cells
 	// from the first relay and unwraps every hop's encryption.
@@ -64,6 +68,7 @@ func NewSource(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 		seg.Dir = transport.DirForward
 		return sendSegment(s.segs, s.port, first, seg)
 	}
+	params.Produce = s.produce
 	s.sender = transport.NewSender(params)
 
 	s.drecv = transport.NewReceiver(circ,
@@ -80,10 +85,10 @@ func NewSource(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 // core.Network). Must be set before traffic flows; nil is valid.
 func (s *Source) UseSegmentPool(sp *transport.SegmentPool) { s.segs = sp }
 
-// UseCellPool wires cell recycling: Send draws packetization cells from
+// UseCellPool wires cell recycling: the packetizer draws its cells from
 // pool, and every consumed download cell is returned to it. Wire the
-// same pool into both endpoints of a circuit (core does) so the cells of
-// one direction feed the packetizer of the other.
+// same pool into both endpoints of a circuit (core does) so the cells
+// the far end consumes feed this end's packetizer, mid-transfer.
 func (s *Source) UseCellPool(pool *cell.Pool) { s.cells = pool }
 
 // ExpectDownload arms the download completion callback: once size
@@ -125,19 +130,17 @@ func (s *Source) consumeDownload(c *cell.Cell) {
 
 // Close releases the source's circuit state on teardown: the forward
 // sender's timers stop (their events return to the clock's free list),
-// its never-transmitted packetization cells — the bulk of an aborted
-// transfer's backlog — go back to the cell pool, the download receiver
-// shuts down, and frames still in flight from the fabric are dropped
-// silently. The port stays attached; a rebuilt circuit uses fresh node
-// IDs.
+// the unsent remainder of a transfer is dropped (it was never built, so
+// there is nothing to recycle), the download receiver shuts down, and
+// frames still in flight from the fabric are dropped silently. The port
+// stays attached; a rebuilt circuit uses fresh node IDs.
 func (s *Source) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
 	s.onDownload = nil
-	pool := s.cells
-	s.sender.Close(func(c *cell.Cell) { pool.Put(c) })
+	s.sender.Close()
 	s.drecv.Close()
 }
 
@@ -154,9 +157,10 @@ func (s *Source) Sender() *transport.Sender { return s.sender }
 // Port returns the source's network attachment.
 func (s *Source) Port() *netem.Port { return s.port }
 
-// Send packetizes size bytes of application data into relay DATA cells,
-// onion-encrypts each, and submits them to the transport. It returns
-// the number of cells enqueued.
+// Send submits size bytes of application data: relay DATA cells of up to
+// cell.MaxRelayData bytes each, onion-encrypted, built one at a time as
+// the transport transmits them. It returns the number of cells the
+// transfer occupies.
 func (s *Source) Send(size units.DataSize) int {
 	if size <= 0 {
 		panic(fmt.Sprintf("endpoint: Send(%v)", size))
@@ -164,36 +168,57 @@ func (s *Source) Send(size units.DataSize) int {
 	if s.closed {
 		panic("endpoint: Send on a closed source")
 	}
-	s.queuedBytes += size
-	remaining := size.Bytes()
-	cells := 0
-	if s.packBuf == nil {
-		s.packBuf = make([]byte, cell.MaxRelayData)
-	}
-	buf := s.packBuf
-	for remaining > 0 {
-		n := int64(cell.MaxRelayData)
-		if remaining < n {
-			n = remaining
-		}
-		remaining -= n
-		c := s.cells.Get()
-		c.Circ = s.circ
-		if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, buf[:n]); err != nil {
-			panic(err) // n <= MaxRelayData by construction
-		}
-		s.crypto.WrapForward(c)
-		s.sender.Enqueue(c)
-		s.sentCells++
-		cells++
-	}
+	cells := s.pack.submit(size)
+	s.sender.Offer(cells)
 	return cells
+}
+
+// produce builds the next forward cell (transport.Config.Produce).
+func (s *Source) produce() *cell.Cell {
+	c := s.pack.next(s.cells, s.circ)
+	s.crypto.WrapForward(c)
+	return c
 }
 
 // CellsFor returns how many cells a transfer of the given size occupies.
 func CellsFor(size units.DataSize) int {
 	per := int64(cell.MaxRelayData)
 	return int((size.Bytes() + per - 1) / per)
+}
+
+// packetizer is the unsent remainder of an origin's submitted transfers.
+// Transfers stay separate — each one's last cell is short rather than
+// topped up from the next — so the cell sequence is the one packetizing
+// every transfer in full at submission would give.
+type packetizer struct {
+	left []int64 // unsent bytes per submitted transfer, oldest at head
+	head int
+}
+
+// zeroData is the application data every transfer carries.
+var zeroData [cell.MaxRelayData]byte
+
+// submit records a transfer and returns how many cells it occupies.
+func (p *packetizer) submit(size units.DataSize) int {
+	if p.head == len(p.left) {
+		p.left, p.head = p.left[:0], 0
+	}
+	p.left = append(p.left, size.Bytes())
+	return CellsFor(size)
+}
+
+// next builds the oldest unsent cell as a plaintext relay DATA cell.
+func (p *packetizer) next(pool *cell.Pool, circ cell.CircID) *cell.Cell {
+	n := min(p.left[p.head], int64(cell.MaxRelayData))
+	if p.left[p.head] -= n; p.left[p.head] == 0 {
+		p.head++
+	}
+	c := pool.Get()
+	c.Circ = circ
+	if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, zeroData[:n]); err != nil {
+		panic(err) // n <= MaxRelayData by construction
+	}
+	return c
 }
 
 // Deliver handles a segment arriving from the first relay: control for
@@ -296,7 +321,7 @@ type Sink struct {
 
 	cellPool *cell.Pool // optional recycling with the far endpoint
 	segs     *transport.SegmentPool
-	packBuf  []byte // zero-filled packetization scratch, shared by SendBackward calls
+	pack     packetizer
 
 	closed bool
 }
@@ -323,6 +348,7 @@ func NewSink(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 		seg.Dir = transport.DirBackward
 		return sendSegment(k.segs, k.port, exit, seg)
 	}
+	params.Produce = k.produce
 	k.bsender = transport.NewSender(params)
 	return k
 }
@@ -336,12 +362,13 @@ func (k *Sink) UseSegmentPool(sp *transport.SegmentPool) { k.segs = sp }
 func (k *Sink) BackwardSender() *transport.Sender { return k.bsender }
 
 // UseCellPool wires cell recycling: consumed upload cells are returned
-// to pool and SendBackward draws its packetization cells from it.
+// to pool and the backward packetizer draws its cells from it.
 func (k *Sink) UseCellPool(pool *cell.Pool) { k.cellPool = pool }
 
-// SendBackward packetizes size bytes of server data into plaintext
-// relay DATA cells and submits them toward the client over the backward
-// direction. It returns the number of cells enqueued.
+// SendBackward submits size bytes of server data toward the client over
+// the backward direction: plaintext relay DATA cells, built one at a
+// time as the transport transmits them. It returns the number of cells
+// the transfer occupies.
 func (k *Sink) SendBackward(size units.DataSize) int {
 	if size <= 0 {
 		panic(fmt.Sprintf("endpoint: SendBackward(%v)", size))
@@ -349,28 +376,14 @@ func (k *Sink) SendBackward(size units.DataSize) int {
 	if k.closed {
 		panic("endpoint: SendBackward on a closed sink")
 	}
-	remaining := size.Bytes()
-	if k.packBuf == nil {
-		k.packBuf = make([]byte, cell.MaxRelayData)
-	}
-	buf := k.packBuf
-	cells := 0
-	for remaining > 0 {
-		n := int64(cell.MaxRelayData)
-		if remaining < n {
-			n = remaining
-		}
-		remaining -= n
-		c := k.cellPool.Get()
-		c.Circ = k.circ
-		if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, buf[:n]); err != nil {
-			panic(err) // n <= MaxRelayData by construction
-		}
-		k.bsender.Enqueue(c)
-		cells++
-	}
+	cells := k.pack.submit(size)
+	k.bsender.Offer(cells)
 	return cells
 }
+
+// produce builds the next backward cell (transport.Config.Produce):
+// plaintext, since the exit relay seals and encrypts.
+func (k *Sink) produce() *cell.Cell { return k.pack.next(k.cellPool, k.circ) }
 
 // sendSegment transmits a hop segment, giving control segments (ACK,
 // FEEDBACK, PROBE) link priority so congestion feedback is not delayed
@@ -388,17 +401,16 @@ func sendSegment(sp *transport.SegmentPool, p *netem.Port, dst netem.NodeID, seg
 }
 
 // Close releases the sink's circuit state on teardown: the backward
-// sender's timers stop, its never-transmitted packetization cells go
-// back to the cell pool, the forward receiver shuts down, and frames
-// still in flight from the fabric are dropped silently.
+// sender's timers stop, the unsent remainder of a download is dropped,
+// the forward receiver shuts down, and frames still in flight from the
+// fabric are dropped silently.
 func (k *Sink) Close() {
 	if k.closed {
 		return
 	}
 	k.closed = true
 	k.onComplete = nil
-	pool := k.cellPool
-	k.bsender.Close(func(c *cell.Cell) { pool.Put(c) })
+	k.bsender.Close()
 	k.recv.Close()
 }
 

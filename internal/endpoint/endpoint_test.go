@@ -25,6 +25,27 @@ func (r *fixedRand) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// testCircuit builds a circuit's client-side and relay-side keys. The
+// randomness is a fixed stream, so every call with the same hop count
+// returns the same keys in fresh cipher state.
+func testCircuit(t *testing.T, hops int) (*onion.CircuitCrypto, []*onion.HopKeys) {
+	t.Helper()
+	rnd := &fixedRand{}
+	idents := make([]*onion.Identity, hops)
+	for i := range idents {
+		id, err := onion.NewIdentity(rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idents[i] = id
+	}
+	ck, rk, err := onion.BuildCircuit(rnd, idents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck, rk
+}
+
 // sourceRig attaches a Source and a fake first-relay node that records
 // everything and acknowledges data like a well-behaved hop receiver.
 type sourceRig struct {
@@ -44,20 +65,7 @@ func newSourceRig(t *testing.T, hops int) *sourceRig {
 	rig.star = netem.NewStarFabric(rig.clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 
-	rnd := &fixedRand{}
-	idents := make([]*onion.Identity, hops)
-	for i := range idents {
-		id, err := onion.NewIdentity(rnd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idents[i] = id
-	}
-	ck, rk, err := onion.BuildCircuit(rnd, idents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rig.crypto, rig.rk = ck, rk
+	rig.crypto, rig.rk = testCircuit(t, hops)
 
 	var relayPort *netem.Port
 	relayPort = rig.star.Attach("first", access, netem.HandlerFunc(func(f *netem.Frame) {
@@ -165,6 +173,7 @@ type sinkRig struct {
 	exit  *netem.Port
 
 	ctrl []transport.Segment // control segments arriving at the exit
+	recv *transport.Receiver // when set, takes the sink's backward data (see ackBackward)
 }
 
 func newSinkRig(t *testing.T) *sinkRig {
@@ -173,7 +182,17 @@ func newSinkRig(t *testing.T) *sinkRig {
 	rig.star = netem.NewStarFabric(rig.clock)
 	access := netem.Symmetric(units.Mbps(50), time.Millisecond, 0)
 	rig.exit = rig.star.Attach("exit", access, netem.HandlerFunc(func(f *netem.Frame) {
-		rig.ctrl = append(rig.ctrl, *f.Payload.(*transport.Segment))
+		seg := *f.Payload.(*transport.Segment)
+		rig.ctrl = append(rig.ctrl, seg)
+		if rig.recv == nil {
+			return
+		}
+		switch seg.Kind {
+		case transport.KindData:
+			rig.recv.HandleData(seg.Seq, seg.Cell)
+		case transport.KindProbe:
+			rig.recv.HandleProbe()
+		}
 	}), nil)
 	rig.sink = NewSink("server", rig.star, access, 1, "exit", transport.Config{}, nil)
 	return rig

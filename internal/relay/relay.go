@@ -353,8 +353,8 @@ func (r *Relay) RemoveHop(circ cell.CircID) bool {
 	if h == nil {
 		return false
 	}
-	h.send.Close(nil)
-	h.bsend.Close(nil)
+	h.send.Close()
+	h.bsend.Close()
 	h.recv.Close()
 	h.brecv.Close()
 	delete(r.hops, circ)

@@ -125,9 +125,12 @@ type Clock struct {
 	free    *event // recycled events awaiting reuse
 	running bool
 	stopped bool
+	// rootOpen is set while a fired event's handler runs: queue[0] is
+	// then a vacant slot, not an event (see fire).
+	rootOpen bool
 
 	// maxPending is the high-water mark of len(queue). It is an int32 in
-	// the padding behind the two flags so that Clock stays one 64-byte
+	// the padding behind the three flags so that Clock stays one 64-byte
 	// cache line: the sharded engine allocates its per-shard clocks back
 	// to back and writes now/seq/processed on every event from a
 	// different core each, so a Clock that outgrows the 64-byte size
@@ -157,7 +160,10 @@ func (c *Clock) Processed() uint64 { return c.processed }
 // delivery event however many trains it has in propagation (their
 // positions are reserved Keys, see Reserve), so Pending is O(links +
 // timers), not O(frames in flight).
-func (c *Clock) Pending() int { return len(c.queue) }
+func (c *Clock) Pending() int {
+	c.settle()
+	return len(c.queue)
+}
 
 // MaxPending returns the high-water mark of Pending since construction
 // or the last Reset.
@@ -169,6 +175,7 @@ func (c *Clock) MaxPending() int { return int(c.maxPending) }
 // and a trial whose shards are all idle (with empty boundary queues)
 // has quiesced and may stop at the barrier.
 func (c *Clock) Next() (Time, bool) {
+	c.settle()
 	if len(c.queue) == 0 {
 		return 0, false
 	}
@@ -349,6 +356,7 @@ func (c *Clock) Reset() {
 	if c.running {
 		panic("sim: Reset called while running")
 	}
+	c.settle()
 	for i, slot := range c.queue {
 		slot.ev.idx = -1
 		c.release(slot.ev)
@@ -377,7 +385,10 @@ func (c *Clock) RunUntil(horizon Time) Time {
 	}
 	c.running = true
 	c.stopped = false
-	defer func() { c.running = false }()
+	defer func() {
+		c.running = false
+		c.settle() // a handler that panicked left the root open
+	}()
 
 	for len(c.queue) > 0 && !c.stopped {
 		next := c.queue[0]
@@ -385,14 +396,7 @@ func (c *Clock) RunUntil(horizon Time) Time {
 			c.now = horizon
 			return c.now
 		}
-		c.heapPop()
-		fn := next.ev.fn
-		c.now = next.at
-		c.processed++
-		// Recycle before invoking: fn may schedule new events and is
-		// allowed to reuse this very slot.
-		c.release(next.ev)
-		fn()
+		c.fire(next)
 	}
 	if horizon != MaxTime && c.now < horizon {
 		c.now = horizon
@@ -403,17 +407,33 @@ func (c *Clock) RunUntil(horizon Time) Time {
 // Step executes exactly one pending event and reports whether one was
 // executed. It is primarily a testing aid.
 func (c *Clock) Step() bool {
+	c.settle()
 	if len(c.queue) == 0 {
 		return false
 	}
-	next := c.queue[0]
-	c.heapPop()
-	fn := next.ev.fn
-	c.now = next.at
-	c.processed++
-	c.release(next.ev)
-	fn()
+	c.fire(c.queue[0])
 	return true
+}
+
+// fire runs the root event. Its heap slot is left open while the handler
+// runs, because nearly every handler schedules a successor (a link event
+// its next link event, a timer its re-arm): the first push takes the
+// vacant root with one sift-down, where removing the root first and
+// pushing afterwards costs a sift-down and a sift-up. Every other heap
+// access settles the pop first, and so does fire once the handler
+// returns. Firing order is a function of the keys alone, so it cannot
+// tell the two apart.
+func (c *Clock) fire(root heapSlot) {
+	root.ev.idx = -1
+	c.rootOpen = true
+	fn := root.ev.fn
+	c.now = root.at
+	c.processed++
+	// Recycle before invoking: fn may schedule new events and is
+	// allowed to reuse this very event.
+	c.release(root.ev)
+	fn()
+	c.settle()
 }
 
 // --- inlined 4-ary min-heap ------------------------------------------
@@ -423,31 +443,42 @@ func (c *Clock) Step() bool {
 // dispatch per comparison and halves the tree depth.
 
 func (c *Clock) heapPush(ev *event) {
+	slot := heapSlot{at: ev.at, origin: ev.origin, seq: ev.seq, ev: ev}
+	if c.rootOpen {
+		// The heap is as deep as before the fire, which maxPending saw.
+		c.rootOpen = false
+		c.queue[0] = slot
+		c.heapDown(0)
+		return
+	}
 	ev.idx = int32(len(c.queue))
-	c.queue = append(c.queue, heapSlot{at: ev.at, origin: ev.origin, seq: ev.seq, ev: ev})
+	c.queue = append(c.queue, slot)
 	if n := int32(len(c.queue)); n > c.maxPending {
 		c.maxPending = n
 	}
 	c.heapUp(int(ev.idx))
 }
 
-// heapPop removes the minimum (c.queue[0]).
-func (c *Clock) heapPop() {
+// settle completes the pop that fire deferred: the vacant root is filled
+// from the heap's last slot. A no-op when the root is not open.
+func (c *Clock) settle() {
+	if !c.rootOpen {
+		return
+	}
+	c.rootOpen = false
 	n := len(c.queue) - 1
-	root := c.queue[0].ev
 	last := c.queue[n]
 	c.queue[n] = heapSlot{}
 	c.queue = c.queue[:n]
 	if n > 0 {
 		c.queue[0] = last
-		last.ev.idx = 0
 		c.heapDown(0)
 	}
-	root.idx = -1
 }
 
 // heapRemove deletes an arbitrary queued event.
 func (c *Clock) heapRemove(ev *event) {
+	c.settle()
 	i := int(ev.idx)
 	n := len(c.queue) - 1
 	last := c.queue[n]
@@ -465,6 +496,7 @@ func (c *Clock) heapRemove(ev *event) {
 // heapFix restores the heap invariant after ev's (at, seq) changed,
 // refreshing the inlined sort key first.
 func (c *Clock) heapFix(ev *event) {
+	c.settle()
 	i := int(ev.idx)
 	c.queue[i].at = ev.at
 	c.queue[i].origin = ev.origin

@@ -120,6 +120,12 @@ type Config struct {
 	// for retransmission. Relays wire it to the resource manager's
 	// per-circuit memory accounting; Close reports the final release.
 	OnHeld func(delta int)
+	// Produce, if set, builds the next cell of the backlog announced with
+	// Offer. The sender calls it at the instant it transmits the cell, so
+	// an origin pays for a cell (pool Get, fill, onion wrap) only when the
+	// window lets it leave. Required by Offer; relays leave it nil and
+	// push with Enqueue.
+	Produce func() *cell.Cell
 	// BatchSignals defers OnFirstTransmit to pump-drain boundaries: one
 	// call with the final cumulative count per burst instead of one per
 	// cell. On a train-running network this collapses a burst's worth
@@ -166,6 +172,11 @@ type Sender struct {
 	// Enqueue rewinds the cursor whenever the queue drains.
 	queue []*cell.Cell
 	qhead int
+
+	// backlog counts cells announced with Offer that cfg.Produce has not
+	// built yet. They wait behind the local queue and count as queued
+	// everywhere the sender asks how much data is waiting.
+	backlog int
 
 	// sent remembers every transmitted sequence the peer may still
 	// report on: a power-of-two ring indexed by seq & (len-1) over the
@@ -292,19 +303,17 @@ func NewSender(cfg Config) *Sender {
 
 // Close shuts the sender down as part of a circuit teardown. All three
 // timers are stopped, which returns their events to the clock's free
-// list immediately; cells still waiting for their first transmission
-// are handed to release one by one; and every subsequent handler call
-// is a no-op, so segments already in flight when the circuit died are
-// absorbed silently.
+// list immediately; the unproduced backlog is forgotten; and every
+// subsequent handler call is a no-op, so segments already in flight
+// when the circuit died are absorbed silently.
 //
-// release is non-nil only at the hop that originated the cells (the
-// source's forward sender, the sink's backward sender), where a
-// never-transmitted cell has exactly one owner and may be recycled to
-// the endpoint's pool. Relay senders pass nil: a transmitted cell is
-// retained here AND referenced by the upstream hop until the in-flight
-// ACK lands, so recycling relay-held cells could hand one cell to two
-// circuits. See DESIGN.md, "Teardown ownership".
-func (s *Sender) Close(release func(*cell.Cell)) {
+// No cell is recycled here. A queued or retained cell at a relay is
+// also referenced by the upstream hop until the in-flight ACK lands, so
+// recycling it could hand one cell to two circuits; an origin holds no
+// cell it has not transmitted (see Offer). The garbage collector or the
+// trial-boundary Pool.Reset reclaims them. See DESIGN.md, "Teardown
+// ownership".
+func (s *Sender) Close() {
 	if s.closed {
 		return
 	}
@@ -313,18 +322,13 @@ func (s *Sender) Close(release func(*cell.Cell)) {
 	s.probeTimer.Stop()
 	s.exitTimer.Stop()
 	if s.cfg.OnHeld != nil {
-		if held := s.QueueLen() + s.Unacked(); held > 0 {
+		if held := len(s.queue) - s.qhead + s.Unacked(); held > 0 {
 			s.cfg.OnHeld(-held)
 		}
 	}
-	for i := s.qhead; i < len(s.queue); i++ {
-		if release != nil {
-			release(s.queue[i])
-		}
-		s.queue[i] = nil
-	}
 	s.queue = nil
 	s.qhead = 0
+	s.backlog = 0
 	s.sent = nil
 	s.exitSpacings = nil
 }
@@ -344,8 +348,9 @@ func (s *Sender) CwndBytes() float64 { return s.cwnd * cell.Size }
 // Phase returns the current congestion-control phase.
 func (s *Sender) Phase() Phase { return s.phase }
 
-// QueueLen returns cells waiting for their first transmission.
-func (s *Sender) QueueLen() int { return len(s.queue) - s.qhead }
+// QueueLen returns cells waiting for their first transmission: the
+// local queue plus the offered backlog not yet produced.
+func (s *Sender) QueueLen() int { return len(s.queue) - s.qhead + s.backlog }
 
 // InFlight returns the window occupancy in cells under the configured
 // window clock.
@@ -630,6 +635,25 @@ func (s *Sender) Enqueue(c *cell.Cell) {
 	s.updateProbeTimer()
 }
 
+// Offer announces n more cells of backlog for cfg.Produce to build, one
+// at each transmission. To the window logic the backlog is queued data
+// exactly as if the n cells had been Enqueued back to back; only the
+// cells themselves do not exist until they leave.
+func (s *Sender) Offer(n int) {
+	if n <= 0 {
+		panic(fmt.Sprintf("transport: Offer(%d)", n))
+	}
+	if s.cfg.Produce == nil {
+		panic("transport: Offer without Config.Produce")
+	}
+	if s.closed {
+		panic("transport: Offer on a closed sender")
+	}
+	s.backlog += n
+	s.pump()
+	s.updateProbeTimer()
+}
+
 // burstMode reports whether transmission is currently governed by
 // discrete round budgets. During the exit measurement the sender
 // switches to continuous window refill: a train boundary would open a
@@ -728,10 +752,24 @@ func (s *Sender) growSent() {
 	}
 }
 
+// next dequeues the cell to transmit: the head of the local queue, or,
+// once that is empty, the next cell of the offered backlog, built now.
+func (s *Sender) next() *cell.Cell {
+	if s.qhead < len(s.queue) {
+		c := s.queue[s.qhead]
+		s.queue[s.qhead] = nil
+		s.qhead++
+		return c
+	}
+	s.backlog--
+	if s.cfg.OnHeld != nil {
+		s.cfg.OnHeld(1)
+	}
+	return s.cfg.Produce()
+}
+
 func (s *Sender) transmitNext() {
-	c := s.queue[s.qhead]
-	s.queue[s.qhead] = nil
-	s.qhead++
+	c := s.next()
 
 	seq := s.nextSeq
 	if int(seq-min(s.acked, s.feedback)) == len(s.sent) {

@@ -437,7 +437,7 @@ func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
 	if want := s.QueueLen() + s.Unacked(); held != want || want == 0 {
 		t.Fatalf("held = %d before Close, want QueueLen+Unacked = %d (non-zero)", held, want)
 	}
-	s.Close(nil)
+	s.Close()
 	if held != 0 {
 		t.Errorf("held = %d after Close, want 0", held)
 	}

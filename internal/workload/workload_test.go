@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"circuitstart/internal/directory"
+	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
@@ -235,27 +237,75 @@ func TestDownloadScenarioCompletes(t *testing.T) {
 // soak this size to meet it reliably — the directed test constructs it
 // — so this guards the forward direction as a whole: a lost cell
 // anywhere shows up as an incomplete transfer, not as a hung run.
+//
+// The lossy variants drop 1 % of the frames on every access link, in
+// both transfer directions. Origins build each cell from the pool the
+// far end recycles into, mid-transfer, so a cell the consumer has
+// already handed back can still sit in an upstream hop sender's
+// retransmission ring (its ACK was the frame that got lost) and go out
+// again carrying its new content under the old sequence number. The
+// receiver must discard it by sequence alone: one cell read twice shows
+// as a bad or corrupt cell, or as a transfer that never completes.
 func TestForwardSoakCompletesEveryTransfer(t *testing.T) {
 	if testing.Short() {
-		t.Skip("soak: 3 seeds × 40 MB of simulated forward traffic")
+		t.Skip("soak: 3 seeds × 40 MB of simulated traffic, lossless and lossy")
 	}
-	for _, seed := range []int64{42, 7, 2018} {
-		p := DefaultScenario()
-		p.Circuits = 20
-		p.TransferSize = 2 * units.Megabyte
-		p.TrainSize = 8
-		sc, err := Build(seed, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range sc.Run(600 * sim.Second) {
-			if !r.Done {
-				t.Errorf("seed %d: circuit %d incomplete at the horizon", seed, r.Circuit)
+	for _, v := range []struct {
+		name     string
+		download bool
+		loss     float64
+	}{
+		{"forward", false, 0},
+		{"forward lossy", false, 0.01},
+		{"download lossy", true, 0.01},
+	} {
+		for _, seed := range []int64{42, 7, 2018} {
+			p := DefaultScenario()
+			p.Circuits = 20
+			p.TransferSize = 2 * units.Megabyte
+			p.TrainSize = 8
+			p.Download = v.download
+			if v.loss > 0 {
+				// Build's default client access, made lossy.
+				p.ClientAccess = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, p.Relays.QueueCap)
+				p.ClientAccess.LossProb = v.loss
 			}
-		}
-		for _, d := range sc.Consensus.Relays() {
-			if n := sc.Network.Relay(d.ID).Stats().Corrupt; n != 0 {
-				t.Errorf("seed %d: relay %s counted %d corrupt cells on a lossless fabric", seed, d.ID, n)
+			sc, err := Build(seed, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relays := sc.Consensus.Relays()
+			if v.loss > 0 {
+				for _, d := range relays {
+					port := sc.Network.Relay(d.ID).Port()
+					for i, l := range []*netem.Link{port.Uplink(), port.Downlink()} {
+						l.SetLossModel(&netem.GilbertElliott{LossGood: v.loss, LossBad: v.loss,
+							RNG: sim.NewRNG(seed, fmt.Sprintf("soak-loss-%s-%d", d.ID, i))})
+					}
+				}
+			}
+			for _, r := range sc.Run(3600 * sim.Second) {
+				if !r.Done {
+					t.Errorf("%s, seed %d: circuit %d incomplete at the horizon", v.name, seed, r.Circuit)
+				}
+			}
+			for _, d := range relays {
+				if n := sc.Network.Relay(d.ID).Stats().Corrupt; n != 0 {
+					t.Errorf("%s, seed %d: relay %s counted %d corrupt cells", v.name, seed, d.ID, n)
+				}
+			}
+			var lost uint64
+			for _, c := range sc.Circuits {
+				if n := c.Sink().BadCells(); n != 0 {
+					t.Errorf("%s, seed %d: sink counted %d bad cells", v.name, seed, n)
+				}
+				if n := c.Source().DownloadBadCells(); n != 0 {
+					t.Errorf("%s, seed %d: client counted %d bad download cells", v.name, seed, n)
+				}
+				lost += c.Source().Sender().Stats().Retransmitted + c.Sink().BackwardSender().Stats().Retransmitted
+			}
+			if v.loss > 0 && lost == 0 {
+				t.Errorf("%s, seed %d: no origin ever retransmitted; the loss is not reaching the data path", v.name, seed)
 			}
 		}
 	}
