@@ -103,3 +103,27 @@ func TestGoldenShardedOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedOddRingOutput is the regression test for a determinism bug
+// the all-cut fixtures above could not see: on a five-switch ring a
+// plan leaves some trunks inside a shard and cuts others, and two trunk
+// deliveries into one switch at the same instant used to fire in an
+// order that depended on which of the two was imported at a barrier.
+// This seeded run differed between -shards 1 and -shards 2.
+func TestShardedOddRingOutput(t *testing.T) {
+	args := []string{
+		"-circuits", "6", "-relays", "24", "-switches", "5",
+		"-size", "100000", "-poisson", "40", "-reps", "2",
+		"-workers", "2", "-seed", "4", "-train", "2",
+		"-faults", "testdata/sharded_faults.json",
+	}
+	run := func(shards string) string {
+		return captureStdout(t, func() error { return runScenario(append(append([]string{}, args...), "-shards", shards)) })
+	}
+	want := run("1")
+	for _, shards := range []string{"2", "3", "4"} {
+		if got := run(shards); got != want {
+			t.Errorf("output at -shards %s differs from -shards 1\n--- got ---\n%s--- want ---\n%s", shards, got, want)
+		}
+	}
+}

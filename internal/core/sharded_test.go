@@ -166,7 +166,9 @@ func TestShardedLookaheadNeverViolated(t *testing.T) {
 // TestShardedFrameLeakBalance: every frame handed across a boundary is
 // recycled exactly once — after the trial drains, each shard's pool has
 // every frame it ever allocated back on its free list, and the export/
-// import counters agree with empty boundary queues.
+// import counters agree with empty boundary rings (which did fill: a
+// frame dies into the source shard's pool at export and is reborn from
+// the destination's at import, so both pools see every crossing).
 func TestShardedFrameLeakBalance(t *testing.T) {
 	spec := shardTestSpec()
 	sn, err := NewShardedNetwork(3, spec, 4, nil)
@@ -201,6 +203,12 @@ func TestShardedFrameLeakBalance(t *testing.T) {
 	}
 	if fab.Exported() != fab.Imported() {
 		t.Fatalf("exported %d frames but imported %d", fab.Exported(), fab.Imported())
+	}
+	if n := fab.PendingHandoffs(); n != 0 {
+		t.Fatalf("%d frames still in the boundary rings after the run drained", n)
+	}
+	if fab.QueueHighWater() == 0 {
+		t.Fatal("boundary rings never held a frame")
 	}
 	for i := 0; i < fab.NumShards(); i++ {
 		pool := fab.Shard(i).FramePool()

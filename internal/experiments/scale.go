@@ -137,6 +137,14 @@ type ScaleRun struct {
 	Wall time.Duration
 	// Speedup is baselineWall / Wall (1.0 for the baseline entry).
 	Speedup float64
+	// CutTrunks of Trunks backbone trunks cross a shard boundary, and
+	// Handoffs frames crossed one: what the partition costs.
+	CutTrunks, Trunks int
+	Handoffs          uint64
+	// Busy is the mean time a shard spent executing its windows, Wait
+	// the mean time it spent parked at barriers instead — waiting for a
+	// slower shard or for the coordinator's serial work.
+	Busy, Wait time.Duration
 	// MedianTTLB and the churn counters summarize the run's results —
 	// identical across every row by construction.
 	MedianTTLB float64
@@ -157,13 +165,15 @@ type ScaleResult struct {
 
 // WriteText renders the speedup table.
 func (r *ScaleResult) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-8s %12s %9s %12s %7s %9s %8s\n",
-		"shards", "wall", "speedup", "median-ttlb", "built", "torndown", "rebuilt"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-8s %12s %9s %7s %10s %15s %12s %7s %9s %8s\n",
+		"shards", "wall", "speedup", "cut", "handoffs", "busy/wait", "median-ttlb", "built", "torndown", "rebuilt"); err != nil {
 		return err
 	}
 	for _, run := range r.Runs {
-		if _, err := fmt.Fprintf(w, "%-8d %12s %8.2fx %11.3fs %7d %9d %8d\n",
+		if _, err := fmt.Fprintf(w, "%-8d %12s %8.2fx %7s %10d %15s %11.3fs %7d %9d %8d\n",
 			run.Shards, run.Wall.Round(time.Millisecond), run.Speedup,
+			fmt.Sprintf("%d/%d", run.CutTrunks, run.Trunks), run.Handoffs,
+			fmt.Sprintf("%s/%s", run.Busy.Round(time.Millisecond), run.Wait.Round(time.Millisecond)),
 			run.MedianTTLB, run.Built, run.TornDown, run.Rebuilt); err != nil {
 			return err
 		}
@@ -199,10 +209,21 @@ func AblationScale(p ScaleParams) (*ScaleResult, error) {
 				shards, p.ShardCounts[0], err)
 		}
 		arm := out.Arms[0]
+		cost := arm.Net.Shard
+		var busy time.Duration
+		for _, b := range cost.Busy {
+			busy += b
+		}
+		busy /= time.Duration(len(cost.Busy))
 		run := ScaleRun{
 			Shards:     shards,
 			Wall:       wall,
 			Speedup:    1,
+			CutTrunks:  cost.Cut,
+			Trunks:     cost.Trunks,
+			Handoffs:   cost.Handoffs,
+			Busy:       busy,
+			Wait:       cost.Wall - busy,
 			MedianTTLB: arm.TTLB.Median(),
 			Built:      arm.Churn.Built,
 			TornDown:   arm.Churn.TornDown,

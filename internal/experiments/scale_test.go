@@ -48,13 +48,22 @@ func TestAblationScale(t *testing.T) {
 		if run.Wall <= 0 || run.Speedup <= 0 {
 			t.Fatalf("run at %d shards has no timing: %+v", run.Shards, run)
 		}
+		// An 8-switch ring splits into as many arcs as shards, and the
+		// cost columns must say so.
+		if run.CutTrunks != run.Shards || run.Trunks != p.Switches || run.Handoffs == 0 || run.Busy <= 0 {
+			t.Fatalf("run at %d shards reports cost %d/%d cut, %d handoffs, busy %v",
+				run.Shards, run.CutTrunks, run.Trunks, run.Handoffs, run.Busy)
+		}
+	}
+	if base.CutTrunks != 0 || base.Handoffs != 0 {
+		t.Fatalf("one shard reports %d cut trunks and %d handoffs", base.CutTrunks, base.Handoffs)
 	}
 	var b strings.Builder
 	if err := res.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"shards", "speedup", "GOMAXPROCS"} {
+	for _, want := range []string{"shards", "speedup", "cut", "handoffs", "busy/wait", "GOMAXPROCS"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}

@@ -192,15 +192,23 @@ type Link struct {
 	pool     *FramePool
 	terminal bool
 
+	// lane, when nonzero, makes this a trunk of a ShardedFabric: its
+	// delivery keys come from sim.LaneKey(lane, laneSeq) instead of the
+	// clock's own counter, so where a delivery fires among events it ties
+	// with does not depend on which shard's clock fires it. laneSeq
+	// counts the trains that reached the propagation stage.
+	lane    uint16
+	laneSeq uint64
+
 	// export, when set, makes this a shard-boundary egress: frames that
 	// survive serialization are handed to the sharded fabric at
-	// serialization end, stamped with the instant they would have been
-	// delivered (now + Delay, jitter-clamped), instead of entering the
-	// local propagation FIFO. The callback owns the frames for the
-	// duration of the call and must detach payloads it keeps — the
-	// propagation stage and delivery stats then happen on the importing
-	// shard, so LinkStats stay identical to local delivery.
-	export func(fs []*Frame, arrival sim.Time)
+	// serialization end, with the key their delivery would have been
+	// scheduled under (instant now + Delay, jitter-clamped), instead of
+	// entering the local propagation FIFO. The callback owns the frames
+	// for the duration of the call and must detach payloads it keeps —
+	// the propagation stage and delivery stats then happen on the
+	// importing shard, so LinkStats stay identical to local delivery.
+	export func(fs []*Frame, key sim.Key)
 
 	stats LinkStats
 
@@ -392,27 +400,33 @@ func (l *Link) lossDraws() bool {
 	return lost
 }
 
+// deliverKey returns the position in the event order of the delivery of
+// the train completing serialization now: the exact key clock.At would
+// assign here, or the link's next lane key on a sharded fabric's trunk.
+func (l *Link) deliverKey() sim.Key {
+	at := l.arrivalInstant()
+	if l.lane == 0 {
+		return l.clock.Reserve(at)
+	}
+	l.laneSeq++
+	return sim.LaneKey(at, l.clock.Now(), l.lane, l.laneSeq)
+}
+
 // scheduleDeliver places the train whose head just entered the
 // propagation FIFO in the event order. The link keeps at most one
-// delivery event in the clock's heap: the train's position — the exact
-// key clock.At would have assigned here — is reserved and stored on its
-// head frame, and the event itself is scheduled only if the train is at
-// the front of the FIFO; otherwise onDeliverTrain schedules it when the
-// train gets there. Deliveries on one link fire in FIFO order (constant delay,
-// jitter clamped monotone by arrivalInstant), so a train's reserved key
-// is always later than that of the event pending before it, and every
-// delivery fires exactly where a per-train event would have.
+// delivery event in the clock's heap: the train's position is stored on
+// its head frame, and the event itself is scheduled only if the train
+// is at the front of the FIFO; otherwise onDeliverTrain schedules it
+// when the train gets there. Deliveries on one link fire in FIFO order
+// (constant delay, jitter clamped monotone by arrivalInstant), so a
+// train's key is always later than that of the event pending before it,
+// and every delivery fires exactly where a per-train event would have.
 func (l *Link) scheduleDeliver(head *Frame) {
-	head.deliverKey = l.clock.Reserve(l.arrivalInstant())
+	head.deliverKey = l.deliverKey()
 	if l.inflight.peek() == head {
 		l.clock.AtKey(head.deliverKey, l.deliverFn)
 	}
 }
-
-// setExport installs the shard-boundary export callback (see the export
-// field). Only the sharded fabric sets it, at construction, before any
-// traffic flows.
-func (l *Link) setExport(fn func(fs []*Frame, arrival sim.Time)) { l.export = fn }
 
 // arrivalInstant computes when the frame or train completing
 // serialization now finishes propagating: now + Delay, plus jitter. With
@@ -611,7 +625,7 @@ func (l *Link) onTxDoneTrain() {
 		switch {
 		case l.export != nil:
 			l.deliverBuf = batch
-			l.export(batch, l.arrivalInstant())
+			l.export(batch, l.deliverKey())
 			for i := range batch {
 				batch[i] = nil
 			}

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -21,13 +22,19 @@ import (
 // does during the window can affect this shard before the window ends.
 //
 // Execution is barrier-synchronous. At each barrier every shard clock
-// is parked at the same instant W; the coordinator drains boundary
-// queues, merge-sorts the eligible handoffs into the canonical order
-// (arrival, trunk, seq), schedules them on their destination shards,
-// and releases the shards to run to W + L. The merge key is
-// shard-count-invariant — trunk identity and per-trunk serialization
-// order do not depend on how the graph was cut — which is what makes
-// results byte-identical for any shard count, including one.
+// is parked at the same instant W; the coordinator admits, boundary by
+// boundary, the handoffs that arrive by W + L to their destination
+// shards and releases the shards to run to W + L. Every trunk delivery
+// — handed off or local to a shard — fires under a key made of its
+// arrival instant, its serialization end, the trunk's lane (its place in
+// the global trunk order) and a per-trunk count, none of which depends
+// on how the graph was cut; deliveries that tie on the two instants
+// therefore fire in lane order under every plan, which is what makes
+// results byte-identical for any plan, the one-shard plan included.
+
+// maxShardedTrunks is the most trunks a sharded fabric can carry: each
+// direction of a trunk takes one of the 16-bit lanes of sim.LaneKey.
+const maxShardedTrunks = math.MaxUint16 / 2
 
 // ShardPlan assigns every switch of a GraphSpec to a shard and records
 // the conservative lookahead bound the assignment induces.
@@ -40,14 +47,26 @@ type ShardPlan struct {
 	// Lookahead is the minimum propagation delay over cut trunks —
 	// the window width. Zero when the plan has a single shard (no cuts).
 	Lookahead time.Duration
+	// Cut counts the trunks whose ends lie on different shards, Trunks
+	// every trunk of the spec. Each frame crossing a cut trunk is a
+	// handoff through the coordinator, so Cut of Trunks is the share of
+	// the backbone that pays for the partition.
+	Cut, Trunks int
 }
 
 // PartitionGraph partitions a spec's switches into at most the given
 // number of shards. Zero-delay trunks are contracted first (a
-// zero-delay cut would leave no lookahead), then the resulting
-// components are distributed over the shards balanced by switch count,
-// largest component first, deterministically. The effective shard count
-// is min(shards, number of components).
+// zero-delay cut would leave no lookahead); the effective shard count
+// is min(shards, number of contracted components). Each shard is then
+// a region grown over trunk adjacency: it starts at the lowest
+// unassigned component next to the previous shard's region (the lowest
+// of all for the first shard, or when nothing adjacent is left) and
+// takes components breadth-first, neighbors in switch order, for as
+// long as that brings the running total of assigned switches closer to
+// its even share (s+1)·n/k. Regions are therefore contiguous wherever
+// the backbone allows it — k arcs on a ring cut k trunks, k runs of a
+// line k − 1 — every shard's size is within one component of n/k, and
+// the plan is a pure function of (spec, shards): no step iterates a map.
 func PartitionGraph(gs GraphSpec, shards int) (ShardPlan, error) {
 	if err := gs.Validate(); err != nil {
 		return ShardPlan{}, err
@@ -55,120 +74,195 @@ func PartitionGraph(gs GraphSpec, shards int) (ShardPlan, error) {
 	if shards < 1 {
 		return ShardPlan{}, fmt.Errorf("netem: PartitionGraph with %d shards", shards)
 	}
-
-	// Union-find over switches, contracting zero-delay trunks.
-	parent := make(map[SwitchID]SwitchID, len(gs.Switches))
-	for _, s := range gs.Switches {
-		parent[s] = s
+	if len(gs.Trunks) > maxShardedTrunks {
+		return ShardPlan{}, fmt.Errorf("netem: %d trunks, a sharded fabric orders at most %d", len(gs.Trunks), maxShardedTrunks)
 	}
-	var find func(s SwitchID) SwitchID
-	find = func(s SwitchID) SwitchID {
-		if parent[s] != s {
-			parent[s] = find(parent[s])
+
+	// Union-find over switches in sorted order, contracting zero-delay
+	// trunks. A component's root is its lowest switch, so numbering the
+	// roots in switch order numbers the components by lowest member.
+	order := append([]SwitchID(nil), gs.Switches...)
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	index := make(map[SwitchID]int, len(order))
+	for i, s := range order {
+		index[s] = i
+	}
+	parent := make([]int, len(order))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
 		}
-		return parent[s]
+		return i
 	}
 	for _, t := range gs.Trunks {
 		if t.Config.Delay == 0 {
-			parent[find(t.A)] = find(t.B)
+			a, b := find(index[t.A]), find(index[t.B])
+			if a > b {
+				a, b = b, a
+			}
+			parent[b] = a
 		}
 	}
-
-	// Components in deterministic order: size descending, then lowest
-	// member switch.
-	members := make(map[SwitchID][]SwitchID)
-	for _, s := range gs.Switches {
-		r := find(s)
-		members[r] = append(members[r], s)
-	}
-	type comp struct {
-		min SwitchID
-		sws []SwitchID
-	}
-	comps := make([]comp, 0, len(members))
-	for _, sws := range members {
-		sort.Slice(sws, func(i, j int) bool { return sws[i] < sws[j] })
-		comps = append(comps, comp{min: sws[0], sws: sws})
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i].sws) != len(comps[j].sws) {
-			return len(comps[i].sws) > len(comps[j].sws)
+	compOf := make([]int, len(order)) // switch index → component
+	var size []int                    // component → switches in it
+	for i := range order {
+		if r := find(i); r == i {
+			compOf[i] = len(size)
+			size = append(size, 1)
+		} else {
+			compOf[i] = compOf[r]
+			size[compOf[r]]++
 		}
-		return comps[i].min < comps[j].min
-	})
+	}
+	adj := make([][]int, len(size))
+	for _, t := range gs.Trunks {
+		if a, b := compOf[index[t.A]], compOf[index[t.B]]; a != b {
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
+		}
+	}
+	for _, nb := range adj {
+		sort.Ints(nb)
+	}
 
 	k := shards
-	if k > len(comps) {
-		k = len(comps)
+	if k > len(size) {
+		k = len(size)
 	}
-	assign := make(map[SwitchID]int, len(gs.Switches))
-	load := make([]int, k)
-	for _, c := range comps {
-		lightest := 0
-		for i := 1; i < k; i++ {
-			if load[i] < load[lightest] {
-				lightest = i
+	const unassigned = -1
+	shardOf := make([]int, len(size))
+	for c := range shardOf {
+		shardOf[c] = unassigned
+	}
+	lowest := 0       // every component below it is assigned
+	left := len(size) // components still unassigned
+	n := len(order)   // switches in all
+	done := 0         // switches assigned so far
+	var region, frontier []int
+	for s := 0; s < k; s++ {
+		seed := unassigned
+		for _, c := range region {
+			for _, nb := range adj[c] {
+				if shardOf[nb] == unassigned && (seed == unassigned || nb < seed) {
+					seed = nb
+				}
 			}
 		}
-		for _, s := range c.sws {
-			assign[s] = lightest
+		region, frontier = region[:0], frontier[:0]
+		for left > 0 {
+			if len(frontier) == 0 {
+				// First component of the region, or the region has
+				// swallowed everything it touches: go on from the lowest
+				// component left.
+				if seed == unassigned {
+					for shardOf[lowest] != unassigned {
+						lowest++
+					}
+					seed = lowest
+				}
+				frontier = append(frontier, seed)
+				seed = unassigned
+			}
+			c := frontier[0]
+			frontier = frontier[1:]
+			if shardOf[c] != unassigned {
+				continue // reached twice before it was taken
+			}
+			if s < k-1 && len(region) > 0 {
+				// Every later shard needs a component, and this one stops
+				// where taking c would leave its total further from the
+				// even share than not taking it (ties take).
+				if left <= k-1-s || k*(2*done+size[c]) > 2*(s+1)*n {
+					break
+				}
+			}
+			shardOf[c] = s
+			region = append(region, c)
+			done += size[c]
+			left--
+			for _, nb := range adj[c] {
+				if shardOf[nb] == unassigned {
+					frontier = append(frontier, nb)
+				}
+			}
 		}
-		load[lightest] += len(c.sws)
 	}
 
-	look := time.Duration(0)
+	plan := ShardPlan{Shards: k, Assign: make(map[SwitchID]int, len(order)), Trunks: len(gs.Trunks)}
+	for i, sw := range order {
+		plan.Assign[sw] = shardOf[compOf[i]]
+	}
 	for _, t := range gs.Trunks {
-		if assign[t.A] != assign[t.B] {
-			if look == 0 || t.Config.Delay < look {
-				look = t.Config.Delay
+		if plan.Assign[t.A] != plan.Assign[t.B] {
+			plan.Cut++
+			if plan.Lookahead == 0 || t.Config.Delay < plan.Lookahead {
+				plan.Lookahead = t.Config.Delay
 			}
 		}
 	}
-	if k > 1 && look == 0 {
-		// Cannot happen: zero-delay trunks never cross components.
-		return ShardPlan{}, fmt.Errorf("netem: partition cut a zero-delay trunk")
-	}
-	return ShardPlan{Shards: k, Assign: assign, Lookahead: look}, nil
+	return plan, nil
 }
 
 // handoffFrame is one frame's payload-bearing fields, detached from the
 // *Frame (which is recycled into the source shard's pool at export) and
-// re-materialized from the destination shard's pool at import.
+// re-materialized from the destination shard's pool at import. A
+// handoff — one boundary delivery: a frame, or a whole surviving train,
+// that finished serializing on a cut trunk — is a run of these; like a
+// train in a link's propagation FIFO, the first of the run carries its
+// length and the key the delivery fires under.
 type handoffFrame struct {
 	src, dst NodeID
 	size     units.DataSize
 	payload  any
-	priority bool
 	circ     uint32
+	priority bool
+
+	trainLen int32
+	key      sim.Key
 }
 
-// handoff is one boundary delivery event: a frame or a whole surviving
-// train that finished serializing on a cut trunk. arrival is the
-// instant it would have been delivered locally; trunk and seq complete
-// the canonical merge key.
-type handoff struct {
-	arrival sim.Time
-	origin  sim.Time // serialization end on the source shard
-	trunk   string   // egress trunk name — shard-count-invariant identity
-	seq     uint64   // per-trunk serialization sequence
-	dstSw   SwitchID
-	frames  []handoffFrame
+// handoffRing is a growable FIFO ring of handoff frames, held by value:
+// once it has reached its working set, pushing and popping allocate
+// nothing. Capacity is a power of two so the wrap is a mask.
+type handoffRing struct {
+	buf  []handoffFrame
+	head int
+	n    int
 }
 
-// handoffBefore is the canonical shard-merge comparator: arrival time,
-// then trunk name, then per-trunk sequence. The key is a total order
-// (no two handoffs share all three fields) and every component is
-// independent of the shard count, so any interleaving of per-shard
-// queues merges into one canonical schedule. FuzzShardMergeOrder pins
-// this.
-func handoffBefore(a, b handoff) bool {
-	if a.arrival != b.arrival {
-		return a.arrival < b.arrival
+func (r *handoffRing) len() int { return r.n }
+
+// push appends a zero slot for the caller to fill in place.
+func (r *handoffRing) push() *handoffFrame {
+	if r.n == len(r.buf) {
+		size := len(r.buf) * 2
+		if size == 0 {
+			size = 16
+		}
+		buf := make([]handoffFrame, size)
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
 	}
-	if a.trunk != b.trunk {
-		return a.trunk < b.trunk
-	}
-	return a.seq < b.seq
+	h := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
+	r.n++
+	return h
+}
+
+// peek returns the oldest slot; the ring must not be empty.
+func (r *handoffRing) peek() *handoffFrame { return &r.buf[r.head] }
+
+// drop removes the oldest slot, clearing it so the ring does not pin the
+// payload.
+func (r *handoffRing) drop() {
+	r.buf[r.head] = handoffFrame{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
 }
 
 // ShardLookaheadCheck is a test-only debug hook: when non-nil it is
@@ -183,18 +277,92 @@ var ShardLookaheadCheck func(shard int, clockNow, arrival sim.Time)
 // boundary is one cut-trunk direction: the egress link lives on the
 // source shard (serialization, queueing, drops and loss all happen
 // there, on the source clock), and completed serializations append to
-// queue, drained by the coordinator at barriers. The queue is touched
-// by the source shard's goroutine during windows and by the coordinator
-// between windows; the WaitGroup barrier orders the two, so no lock is
-// needed.
+// out. At a barrier the coordinator moves the handoffs due in the next
+// window to in, which the destination shard delivers from during the
+// window — one pending event per boundary, like a link's propagation
+// FIFO. out is touched by the source shard's goroutine during windows,
+// in by the destination's, and both by the coordinator between windows;
+// the barrier orders the three, so no lock is needed.
 type boundary struct {
-	link      *Link
-	from, to  int
-	dstSw     SwitchID
-	seq       uint64
-	queue     []handoff
+	link     *Link
+	src, dst *GraphFabric // the egress link's shard and the ingress switch's
+	to       int          // dst's index
+	dstSw    *gswitch     // ingress switch, on dst
+
+	out, in   handoffRing
+	importFn  func() // deliverHead bound once
 	exported  uint64
 	highWater int
+}
+
+// export is the boundary link's export callback: it detaches a surviving
+// train from its frames, which die here, on the source shard.
+func (b *boundary) export(fs []*Frame, key sim.Key) {
+	for i, f := range fs {
+		h := b.out.push()
+		h.src, h.dst, h.size = f.Src, f.Dst, f.Size
+		h.payload, h.circ, h.priority = f.Payload, f.Circ, f.Priority
+		if i == 0 {
+			h.trainLen, h.key = int32(len(fs)), key
+		}
+		f.Payload = nil // payload migrates
+		b.src.pool.Put(f)
+	}
+	b.exported += uint64(len(fs))
+	if n := b.out.len(); n > b.highWater {
+		b.highWater = n
+	}
+}
+
+// admit moves the handoffs arriving by end from out to in, crediting
+// their delivery to the egress link, and arms the import event if none
+// is pending. It runs on the coordinator, with both shards parked:
+// crediting stats inside the destination shard's window would race with
+// the source shard serializing more frames. It returns the number of
+// frames moved.
+func (b *boundary) admit(end sim.Time) (frames uint64) {
+	idle := b.in.len() == 0
+	for b.out.len() > 0 && !b.out.peek().key.At().After(end) {
+		head := b.out.peek()
+		if ShardLookaheadCheck != nil {
+			ShardLookaheadCheck(b.to, b.dst.clock.Now(), head.key.At())
+		}
+		n := int(head.trainLen)
+		var bytes units.DataSize
+		for i := 0; i < n; i++ {
+			h := b.out.peek()
+			bytes += h.size
+			*b.in.push() = *h
+			b.out.drop()
+		}
+		b.link.stats.CellsDelivered += uint64(n)
+		b.link.stats.TrainsDelivered++
+		b.link.stats.BytesOut += bytes
+		frames += uint64(n)
+	}
+	if idle && b.in.len() > 0 {
+		b.dst.clock.AtKey(b.in.peek().key, b.importFn)
+	}
+	return frames
+}
+
+// deliverHead is the boundary's import event, on the destination shard:
+// the oldest admitted handoff re-materializes from the destination pool
+// and enters the ingress switch, exactly as the egress link's delivery
+// event would have handed it over on one clock.
+func (b *boundary) deliverHead() {
+	g := b.dst
+	for n := b.in.peek().trainLen; n > 0; n-- {
+		h := b.in.peek()
+		f := g.pool.Get()
+		f.Src, f.Dst, f.Size = h.src, h.dst, h.size
+		f.Payload, f.Priority, f.Circ = h.payload, h.priority, h.circ
+		b.in.drop()
+		g.routeFrom(b.dstSw, f)
+	}
+	if b.in.len() > 0 {
+		g.clock.AtKey(b.in.peek().key, b.importFn)
+	}
 }
 
 // nodeInfo is the sharded fabric's global registry entry for an
@@ -230,7 +398,16 @@ type ShardedFabric struct {
 	nodes      map[NodeID]nodeInfo
 
 	imported uint64
-	scratch  []handoff // per-barrier merge buffer, reused
+
+	// Per-run accounting (see RunStats) and the workers that run the
+	// shards' windows: one goroutine per shard for the length of a
+	// RunWindows call, released into each window through its start
+	// channel and joined through windowDone.
+	wall       time.Duration
+	busy       []time.Duration
+	start      []chan sim.Time
+	windowDone sync.WaitGroup
+	workers    sync.WaitGroup
 
 	// window, when nonzero, overrides plan.Lookahead as the barrier
 	// stride. Scenario engines set it to a partition-independent value
@@ -253,12 +430,16 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 	if len(clocks) != plan.Shards {
 		panic(fmt.Sprintf("netem: %d clocks for %d shards", len(clocks), plan.Shards))
 	}
+	if len(spec.Trunks) > maxShardedTrunks {
+		panic(fmt.Sprintf("netem: %d trunks, a sharded fabric orders at most %d", len(spec.Trunks), maxShardedTrunks))
+	}
 	sf := &ShardedFabric{
 		spec:     spec,
 		plan:     plan,
 		oracle:   spec.Build(sim.NewClock(), nil),
 		trunkDir: make(map[[2]SwitchID]*Link),
 		nodes:    make(map[NodeID]nodeInfo),
+		busy:     make([]time.Duration, plan.Shards),
 	}
 	sf.oracle.Switches() // force freeze: routes + global order
 
@@ -314,46 +495,31 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 
 	// Trunks in the global deterministic order (source switch sorted,
 	// then destination sorted) — the same order the unsharded fabric's
-	// freeze produces, so Trunks() and every stats table line up.
+	// freeze produces, so Trunks() and every stats table line up. A
+	// trunk's place in it, plus one, is its lane: the order in which
+	// deliveries from different trunks fire when they tie on instant and
+	// origin, whatever the plan cut.
 	for _, a := range sf.oracle.order {
 		for _, b := range sf.oracle.neighbors(sf.oracle.switches[a]) {
-			from := plan.Assign[a]
+			from, to := plan.Assign[a], plan.Assign[b]
 			g := sf.shards[from]
-			sa := g.switches[a]
 			cfg := cfgOf[[2]SwitchID{a, b}]
 			lc := LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap,
 				LossProb: cfg.LossProb, RNG: rng, TrainSize: cfg.TrainSize}
 			var lnk *Link
-			if to := plan.Assign[b]; to == from {
+			if to == from {
 				lnk = NewLink(trunkName(a, b), g.clock, lc, &switchIngress{g: g, sw: g.switches[b]})
 			} else {
 				lnk = NewLink(trunkName(a, b), g.clock, lc, deadEnd{name: trunkName(a, b)})
-				bd := &boundary{link: lnk, from: from, to: to, dstSw: b}
-				pool := g.pool
-				clk := g.clock
-				lnk.setExport(func(fs []*Frame, arrival sim.Time) {
-					hf := make([]handoffFrame, len(fs))
-					for i, f := range fs {
-						hf[i] = handoffFrame{src: f.Src, dst: f.Dst, size: f.Size,
-							payload: f.Payload, priority: f.Priority, circ: f.Circ}
-						f.Payload = nil // payload migrates; the frame dies here
-						pool.Put(f)
-					}
-					bd.queue = append(bd.queue, handoff{
-						arrival: arrival, origin: clk.Now(),
-						trunk: bd.link.name, seq: bd.seq,
-						dstSw: bd.dstSw, frames: hf,
-					})
-					bd.seq++
-					bd.exported += uint64(len(fs))
-					if len(bd.queue) > bd.highWater {
-						bd.highWater = len(bd.queue)
-					}
-				})
+				bd := &boundary{link: lnk, src: g, dst: sf.shards[to], to: to,
+					dstSw: sf.shards[to].switches[b]}
+				bd.importFn = bd.deliverHead
+				lnk.export = bd.export
 				sf.boundaries = append(sf.boundaries, bd)
 			}
+			lnk.lane = uint16(len(sf.trunkOrder) + 1)
 			lnk.UsePool(g.pool, false)
-			sa.out[b] = lnk
+			g.switches[a].out[b] = lnk
 			g.trunks = append(g.trunks, lnk)
 			sf.trunkDir[[2]SwitchID{a, b}] = lnk
 			sf.trunkOrder = append(sf.trunkOrder, [2]SwitchID{a, b})
@@ -443,9 +609,9 @@ func (sf *ShardedFabric) Unroutable() uint64 {
 }
 
 // Exported returns the total frames handed off across shard
-// boundaries; Imported the total re-materialized on their destination
-// shards. After a run drains, the two are equal and every boundary
-// queue is empty — the leak-balance tests assert this.
+// boundaries; Imported the total admitted to their destination shards.
+// After a run drains, the two are equal and every boundary ring is
+// empty — the leak-balance tests assert this.
 func (sf *ShardedFabric) Exported() uint64 {
 	var n uint64
 	for _, b := range sf.boundaries {
@@ -454,13 +620,24 @@ func (sf *ShardedFabric) Exported() uint64 {
 	return n
 }
 
-// Imported returns the total frames re-materialized from boundary
-// handoffs.
+// Imported returns the total frames admitted to their destination
+// shards at barriers.
 func (sf *ShardedFabric) Imported() uint64 { return sf.imported }
 
-// QueueHighWater returns the deepest any boundary queue ever got, in
-// handoff records. Conservative windows bound it naturally: a queue
-// holds at most the frames one trunk serializes in about two windows.
+// PendingHandoffs returns the frames exported but not yet delivered on
+// their destination shard — what the boundary rings hold. Zero once a
+// run has drained.
+func (sf *ShardedFabric) PendingHandoffs() int {
+	n := 0
+	for _, b := range sf.boundaries {
+		n += b.out.len() + b.in.len()
+	}
+	return n
+}
+
+// QueueHighWater returns the deepest any boundary's export ring ever
+// got, in frames. Conservative windows bound it naturally: a ring holds
+// at most the frames one trunk serializes in about two windows.
 func (sf *ShardedFabric) QueueHighWater() int {
 	max := 0
 	for _, b := range sf.boundaries {
@@ -475,10 +652,8 @@ func (sf *ShardedFabric) QueueHighWater() int {
 // queue is empty and no handoff is pending. Scenario drivers use it to
 // stop at a barrier once all work has drained.
 func (sf *ShardedFabric) Idle() bool {
-	for _, b := range sf.boundaries {
-		if len(b.queue) > 0 {
-			return false
-		}
+	if sf.PendingHandoffs() > 0 {
+		return false
 	}
 	for _, g := range sf.shards {
 		if _, ok := g.clock.Next(); ok {
@@ -486,6 +661,33 @@ func (sf *ShardedFabric) Idle() bool {
 		}
 	}
 	return true
+}
+
+// ShardRunStats is what sharding cost a run: how the plan cut the
+// backbone, how many frames paid for it, and where the wall time went.
+// It holds wall-clock time, so it belongs in no seeded output.
+type ShardRunStats struct {
+	// Shards is the effective shard count; Cut of Trunks trunks have
+	// their ends on different shards.
+	Shards, Cut, Trunks int
+	// Handoffs counts frames handed across shard boundaries.
+	Handoffs uint64
+	// Wall is the time spent in RunWindows and Busy[i] the part of it
+	// shard i spent executing its windows; the rest it waited — at
+	// barriers for slower shards, and for the coordinator's serial work
+	// (handoff admission and the barrier callback).
+	Wall time.Duration
+	Busy []time.Duration
+}
+
+// RunStats returns the accounting accumulated over every RunWindows
+// call so far.
+func (sf *ShardedFabric) RunStats() ShardRunStats {
+	return ShardRunStats{
+		Shards: sf.plan.Shards, Cut: sf.plan.Cut, Trunks: sf.plan.Trunks,
+		Handoffs: sf.Exported(),
+		Wall:     sf.wall, Busy: append([]time.Duration(nil), sf.busy...),
+	}
 }
 
 // RunWindows advances every shard in barrier-synchronous conservative
@@ -497,6 +699,12 @@ func (sf *ShardedFabric) Idle() bool {
 // than one shard. Returning false stops the run at that barrier.
 // RunWindows returns the instant it stopped at.
 func (sf *ShardedFabric) RunWindows(horizon sim.Time, barrier func(now sim.Time) bool) sim.Time {
+	began := time.Now()
+	sf.startWorkers()
+	defer func() {
+		sf.stopWorkers()
+		sf.wall += time.Since(began)
+	}()
 	w := sim.Time(0)
 	for {
 		if barrier != nil && !barrier(w) {
@@ -521,78 +729,66 @@ func (sf *ShardedFabric) RunWindows(horizon sim.Time, barrier func(now sim.Time)
 	}
 }
 
-// importUpTo drains every boundary's handoffs with arrival ≤ end,
-// merge-sorts them into the canonical order, and schedules their
-// deliveries on the destination shards. Delivery stats are credited to
-// the egress link here, at the barrier, while its owning shard is
-// parked — crediting them inside the destination shard's window would
-// race with the source shard serializing more frames.
+// importUpTo admits, on every boundary, the handoffs arriving by end.
+// Boundaries need no merging: each handoff fires under the lane key its
+// egress link gave it, so the destination clock's heap puts deliveries
+// from different trunks in the one canonical order whatever order they
+// were admitted in.
 func (sf *ShardedFabric) importUpTo(end sim.Time) {
-	eligible := sf.scratch[:0]
 	for _, b := range sf.boundaries {
-		n := 0
-		for n < len(b.queue) && !b.queue[n].arrival.After(end) {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		for _, h := range b.queue[:n] {
-			cells := uint64(len(h.frames))
-			var bytes units.DataSize
-			for _, hf := range h.frames {
-				bytes += hf.size
-			}
-			b.link.stats.CellsDelivered += cells
-			b.link.stats.TrainsDelivered++
-			b.link.stats.BytesOut += bytes
-			eligible = append(eligible, h)
-		}
-		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = handoff{}
-		}
-		b.queue = b.queue[:rest]
+		sf.imported += b.admit(end)
 	}
-	sort.Slice(eligible, func(i, j int) bool { return handoffBefore(eligible[i], eligible[j]) })
-	for _, h := range eligible {
-		dst := sf.plan.Assign[h.dstSw]
-		g := sf.shards[dst]
-		if ShardLookaheadCheck != nil {
-			ShardLookaheadCheck(dst, g.clock.Now(), h.arrival)
-		}
-		sf.imported += uint64(len(h.frames))
-		h := h
-		sw := g.switches[h.dstSw]
-		g.clock.AtOrigin(h.arrival, h.origin, func() {
-			for _, hf := range h.frames {
-				f := g.pool.Get()
-				f.Src, f.Dst, f.Size = hf.src, hf.dst, hf.size
-				f.Payload, f.Priority, f.Circ = hf.payload, hf.priority, hf.circ
-				g.routeFrom(sw, f)
-			}
-		})
-	}
-	sf.scratch = eligible[:0]
 }
 
-// runWindow advances every shard to end, one goroutine per shard. With
-// one shard it runs inline — the single-shard engine pays no
-// synchronization cost.
-func (sf *ShardedFabric) runWindow(end sim.Time) {
+// startWorkers launches one goroutine per shard that runs the windows
+// runWindow releases; stopWorkers ends them and waits. A single shard
+// has none — it runs inline.
+func (sf *ShardedFabric) startWorkers() {
 	if len(sf.shards) == 1 {
-		sf.shards[0].clock.RunUntil(end)
 		return
 	}
-	var wg sync.WaitGroup
-	for _, g := range sf.shards {
-		wg.Add(1)
-		go func(g *GraphFabric) {
-			defer wg.Done()
-			g.clock.RunUntil(end)
-		}(g)
+	sf.start = make([]chan sim.Time, len(sf.shards))
+	for i := range sf.shards {
+		sf.start[i] = make(chan sim.Time)
+		sf.workers.Add(1)
+		go func(i int, start <-chan sim.Time) {
+			defer sf.workers.Done()
+			for end := range start {
+				sf.runShard(i, end)
+				sf.windowDone.Done()
+			}
+		}(i, sf.start[i])
 	}
-	wg.Wait()
+}
+
+func (sf *ShardedFabric) stopWorkers() {
+	for _, c := range sf.start {
+		close(c)
+	}
+	sf.workers.Wait()
+	sf.start = nil
+}
+
+// runShard advances shard i to end and accounts the time it took.
+func (sf *ShardedFabric) runShard(i int, end sim.Time) {
+	began := time.Now()
+	sf.shards[i].clock.RunUntil(end)
+	sf.busy[i] += time.Since(began)
+}
+
+// runWindow advances every shard to end, each on its worker goroutine,
+// and returns when all have parked. With one shard it runs inline — the
+// single-shard engine pays no synchronization cost.
+func (sf *ShardedFabric) runWindow(end sim.Time) {
+	if len(sf.shards) == 1 {
+		sf.runShard(0, end)
+		return
+	}
+	sf.windowDone.Add(len(sf.shards))
+	for _, c := range sf.start {
+		c <- end
+	}
+	sf.windowDone.Wait()
 }
 
 // PathTransits returns the directed trunk links a frame from a to b

@@ -1,97 +1,109 @@
 package netem
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
 	"circuitstart/internal/sim"
 )
 
-// fuzzHandoffs renders a fuzz input into a deterministic batch of
-// handoffs with deliberate arrival-time collisions: arrivals are drawn
-// from a tiny range so many handoffs tie on time and the comparator
-// must fall through to (trunk, seq). Per-trunk sequences are assigned
-// in generation order, mirroring how boundaries stamp them.
-func fuzzHandoffs(seed int64, n int, trunks int) []handoff {
-	if trunks < 1 {
-		trunks = 1
-	}
+// fuzzDelivery is one trunk delivery of a generated batch: the lane key
+// fields its egress link would stamp, and its index in the batch.
+type fuzzDelivery struct {
+	at, origin sim.Time
+	lane       uint16
+	n          uint64
+	id         int
+}
+
+func (d fuzzDelivery) key() sim.Key { return sim.LaneKey(d.at, d.origin, d.lane, d.n) }
+
+// fuzzDeliveries renders a fuzz input into a deterministic batch with
+// deliberate collisions: instants are drawn from a tiny range so many
+// deliveries tie on (at, origin) and the order must fall through to
+// (lane, n). Per-lane sequences are assigned in generation order,
+// mirroring how a link stamps them.
+func fuzzDeliveries(seed int64, n int, lanes int) []fuzzDelivery {
 	rng := sim.NewRNG(seed, "fuzz-merge")
-	seqs := make(map[string]uint64, trunks)
-	out := make([]handoff, n)
+	seqs := make([]uint64, lanes+1)
+	out := make([]fuzzDelivery, n)
 	for i := range out {
-		trunk := fmt.Sprintf("trunk:sw%02d>sw%02d", rng.Int63n(int64(trunks)), rng.Int63n(int64(trunks)))
-		out[i] = handoff{
-			arrival: sim.Time(rng.Int63n(8)), // tiny range: force ties
-			origin:  sim.Time(rng.Int63n(8)),
-			trunk:   trunk,
-			seq:     seqs[trunk],
-			dstSw:   SwitchID(fmt.Sprintf("sw%02d", rng.Int63n(int64(trunks)))),
+		lane := uint16(1 + rng.Int63n(int64(lanes)))
+		origin := sim.Time(rng.Int63n(8)) // tiny range: force ties
+		seqs[lane]++
+		out[i] = fuzzDelivery{
+			at:     origin + 1 + sim.Time(rng.Int63n(4)), // a cut trunk has positive delay
+			origin: origin,
+			lane:   lane,
+			n:      seqs[lane],
+			id:     i,
 		}
-		seqs[trunk]++
 	}
 	return out
 }
 
 // FuzzShardMergeOrder pins the property the whole determinism contract
-// leans on: handoffBefore is a strict total order over any batch of
-// handoffs, so the coordinator's merged import schedule is the same no
-// matter how the batch was split across boundary queues — i.e. no
-// matter where the partition fell. The fuzzer varies the batch, the
-// tie density and two interleavings; the test asserts both interleavings
-// sort to the identical sequence and that the comparator is irreflexive,
-// asymmetric and antisymmetric-total on every pair.
+// leans on: the order in which trunk deliveries fire is a function of
+// their lane keys alone. The same batch is put on three clocks the way
+// three different plans would — every trunk cut and admitted in
+// generation order, every trunk cut and admitted in a shuffled order,
+// and a mixed plan whose odd lanes are local (each delivery scheduled
+// from an event at its origin instant, as an uncut link does) while the
+// even lanes are imported up front — and all three must fire in the
+// canonical (at, origin, lane, n) order.
 func FuzzShardMergeOrder(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(3), int64(2))
 	f.Add(int64(42), uint8(64), uint8(1), int64(7))
 	f.Add(int64(-9), uint8(2), uint8(8), int64(0))
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, trunks uint8, shuffleSeed int64) {
-		batch := fuzzHandoffs(seed, int(n), int(trunks)%8+1)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, lanes uint8, shuffleSeed int64) {
+		batch := fuzzDeliveries(seed, int(n), int(lanes)%8+1)
 
-		// Two different interleavings of the same batch — stand-ins for
-		// two different shard partitions delivering the same handoffs
-		// through differently-grouped boundary queues.
-		a := append([]handoff(nil), batch...)
-		b := append([]handoff(nil), batch...)
+		want := append([]fuzzDelivery(nil), batch...)
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			switch {
+			case a.at != b.at:
+				return a.at < b.at
+			case a.origin != b.origin:
+				return a.origin < b.origin
+			case a.lane != b.lane:
+				return a.lane < b.lane
+			}
+			return a.n < b.n
+		})
+
+		shuffled := append([]fuzzDelivery(nil), batch...)
 		shuf := sim.NewRNG(shuffleSeed, "fuzz-merge-shuffle")
-		for i := len(b) - 1; i > 0; i-- {
+		for i := len(shuffled) - 1; i > 0; i-- {
 			j := int(shuf.Int63n(int64(i + 1)))
-			b[i], b[j] = b[j], b[i]
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		}
 
-		sort.Slice(a, func(i, j int) bool { return handoffBefore(a[i], a[j]) })
-		sort.Slice(b, func(i, j int) bool { return handoffBefore(b[i], b[j]) })
-		for i := range a {
-			if a[i].arrival != b[i].arrival || a[i].trunk != b[i].trunk || a[i].seq != b[i].seq {
-				t.Fatalf("merge order depends on the interleaving at %d: %+v vs %+v", i, a[i], b[i])
-			}
-		}
-
-		// Comparator laws: irreflexive, asymmetric, and total up to key
-		// equality — every distinct pair is strictly ordered one way.
-		for i := range a {
-			if handoffBefore(a[i], a[i]) {
-				t.Fatalf("handoffBefore not irreflexive at %d: %+v", i, a[i])
-			}
-			for j := i + 1; j < len(a); j++ {
-				ij, ji := handoffBefore(a[i], a[j]), handoffBefore(a[j], a[i])
-				if ij && ji {
-					t.Fatalf("handoffBefore not asymmetric: %+v vs %+v", a[i], a[j])
+		run := func(name string, admit []fuzzDelivery, local func(fuzzDelivery) bool) {
+			clock := sim.NewClock()
+			var fired []int
+			for _, d := range admit {
+				d := d
+				fire := func() { fired = append(fired, d.id) }
+				if local(d) {
+					clock.At(d.origin, func() { clock.AtKey(d.key(), fire) })
+				} else {
+					clock.AtKey(d.key(), fire)
 				}
-				sameKey := a[i].arrival == a[j].arrival && a[i].trunk == a[j].trunk && a[i].seq == a[j].seq
-				if !ij && !ji && !sameKey {
-					t.Fatalf("distinct handoffs unordered: %+v vs %+v", a[i], a[j])
+			}
+			clock.Run()
+			if len(fired) != len(want) {
+				t.Fatalf("%s: %d of %d deliveries fired", name, len(fired), len(want))
+			}
+			for i, id := range fired {
+				if id != want[i].id {
+					t.Fatalf("%s: delivery %d fired was %+v, canonical order has %+v", name, i, batch[id], want[i])
 				}
 			}
 		}
-
-		// The sorted order must respect the comparator pairwise — the
-		// transitivity check sort.Slice itself cannot promise.
-		for i := 0; i+1 < len(a); i++ {
-			if handoffBefore(a[i+1], a[i]) {
-				t.Fatalf("sorted sequence violates comparator at %d", i)
-			}
-		}
+		none := func(fuzzDelivery) bool { return false }
+		run("all cut", batch, none)
+		run("all cut, shuffled admission", shuffled, none)
+		run("mixed plan", shuffled, func(d fuzzDelivery) bool { return d.lane%2 == 1 })
 	})
 }

@@ -38,6 +38,9 @@ type NetStats struct {
 	// SchedDrops counts frames dropped by installed circuit schedulers
 	// (bandwidth policers) — distinct from link-level tail drops.
 	SchedDrops uint64
+	// Shard is what sharding cost the trial set (zero when Shards = 0).
+	// It holds wall-clock time, so no seeded output renders it.
+	Shard netem.ShardRunStats
 }
 
 // merge pools another trial's fabric accounting into s.
@@ -46,6 +49,18 @@ func (s *NetStats) merge(o NetStats) {
 	s.Unroutable += o.Unroutable
 	s.Resource.Merge(o.Resource)
 	s.SchedDrops += o.SchedDrops
+	switch {
+	case o.Shard.Shards == 0:
+	case s.Shard.Shards == 0:
+		s.Shard = o.Shard
+	default:
+		// Same scenario → same plan; the costs add up, shard by shard.
+		s.Shard.Handoffs += o.Shard.Handoffs
+		s.Shard.Wall += o.Shard.Wall
+		for i, b := range o.Shard.Busy {
+			s.Shard.Busy[i] += b
+		}
+	}
 	if len(s.Trunks) == 0 {
 		s.Trunks = append(s.Trunks, o.Trunks...)
 		return

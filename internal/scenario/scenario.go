@@ -218,14 +218,16 @@ type Scenario struct {
 	TrainSize int
 	// Shards, when positive, runs every trial on the sharded
 	// conservative-lookahead engine: the Fabric is partitioned into at
-	// most Shards shards (netem.PartitionGraph), each advancing on its
-	// own clock and goroutine, coupled only through cut-trunk handoffs.
-	// Results are byte-identical for ANY positive value — Shards = 1 is
-	// the reference single-shard engine and larger counts must reproduce
-	// it exactly — but not to the Shards = 0 single-clock engine, whose
-	// control-plane timing (early stop, teardown instants) differs.
-	// Requires a Fabric topology; see validateSharded for the features
-	// the sharded engine rejects.
+	// most Shards contiguous regions (netem.PartitionGraph), each
+	// advancing on its own clock and goroutine, coupled only through
+	// cut-trunk handoffs. Results are byte-identical under ANY plan —
+	// whichever trunks a shard count cuts or leaves local, Shards = 1
+	// included, because trunk deliveries that tie fire in lane order on
+	// every clock (TestShardedPlanInvariance) — but not to the
+	// Shards = 0 single-clock engine, whose control-plane timing (early
+	// stop, teardown instants) and tie order (scheduling history, not
+	// lanes) differ. Requires a Fabric topology; see validateSharded for
+	// the features the sharded engine rejects.
 	Shards int
 	// Probes selects instrumentation.
 	Probes Probes

@@ -22,8 +22,10 @@ import (
 // circuit builds, transfer starts, teardowns, relay failures — happens
 // at barriers, where every shard clock is parked at the same instant.
 //
-// Determinism contract: results are byte-identical for any Shards ≥ 1.
-// Three rules make that hold:
+// Determinism contract: results are byte-identical for any Shards ≥ 1,
+// that is, under any plan netem.PartitionGraph returns. The data plane's
+// half is netem's: trunk deliveries fire under plan-invariant lane keys.
+// Three rules make the control plane hold up its half:
 //
 //  1. The barrier stride is GraphSpec.MinPositiveTrunkDelay — a bound
 //     over ALL trunks, not just the cut ones — so the barrier schedule
@@ -664,6 +666,7 @@ func netStatsSharded(sn *core.ShardedNetwork) NetStats {
 		UnknownDst: fab.UnknownDst(),
 		Unroutable: fab.Unroutable(),
 		SchedDrops: sn.SchedDrops(),
+		Shard:      fab.RunStats(),
 	}
 	for _, l := range fab.Trunks() {
 		st.Trunks = append(st.Trunks, TrunkStat{Name: l.Name(), Stats: l.Stats()})

@@ -145,6 +145,104 @@ func TestShardedShardCountInvariance(t *testing.T) {
 	}
 }
 
+// shardMatrixScenario is one cell of the generated determinism matrix: a
+// small Poisson-arrival population on the given backbone with jitter
+// and two-cell trains on, so simultaneous deliveries from different
+// trunks into one switch — the ties a plan must not be able to reorder
+// — do occur.
+func shardMatrixScenario(kind workload.BackboneKind, switches int, seed int64, shards int) Scenario {
+	bp := workload.DefaultBackboneParams(24, switches)
+	bp.Kind = kind
+	spec, err := workload.GenerateBackbone(bp)
+	if err != nil {
+		panic(err)
+	}
+	return Scenario{
+		Name:     "shard-matrix",
+		Seed:     seed,
+		Shards:   shards,
+		Topology: Topology{Population: &bp.Relays, Fabric: &spec},
+		Circuits: CircuitSet{
+			Count:        6,
+			Hops:         3,
+			TransferSize: 100 * units.Kilobyte,
+			Arrival:      Arrival{Kind: ArrivePoisson, Rate: 40},
+		},
+		Arms: []Arm{{Name: "circuitstart"}},
+		Faults: faults.Plan{
+			Jitter: []faults.Jitter{{
+				Relay: workload.RelayID(3), From: 200 * sim.Millisecond, Until: 4 * sim.Second,
+				Amplitude: 3 * time.Millisecond, SpikeProb: 0.02, SpikeDelay: 30 * time.Millisecond,
+			}},
+		},
+		TrainSize:    2,
+		Horizon:      120 * sim.Second,
+		Replications: 1,
+	}
+}
+
+// TestShardedPlanInvariance runs a generated matrix — odd and even
+// rings, a line and a full mesh, several seeds — at 1 to 4 shards and
+// requires every cell byte-identical to its one-shard run. The fixtures
+// above only ever produce plans that cut every trunk or none; odd rings
+// and uneven splits produce plans that cut some trunks and leave others
+// local to a shard, where a tie between a local and an imported
+// delivery must still resolve the same way. The test asserts the matrix
+// contains such plans.
+func TestShardedPlanInvariance(t *testing.T) {
+	type backbone struct {
+		kind     workload.BackboneKind
+		switches int
+	}
+	backbones := []backbone{
+		{workload.BackboneRing, 5}, {workload.BackboneRing, 7},
+		{workload.BackboneRing, 8}, {workload.BackboneRing, 9},
+		{workload.BackboneLine, 6}, {workload.BackboneFull, 5},
+	}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	if testing.Short() {
+		seeds = seeds[:3]
+	}
+	mixed := 0
+	for _, bb := range backbones {
+		for _, shards := range []int{2, 3, 4} {
+			sc := shardMatrixScenario(bb.kind, bb.switches, 1, shards)
+			plan, err := netem.PartitionGraph(*sc.Topology.Fabric, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := 0
+			for _, tr := range sc.Topology.Fabric.Trunks {
+				if plan.Assign[tr.A] != plan.Assign[tr.B] {
+					cut++
+				}
+			}
+			if cut > 0 && cut < len(sc.Topology.Fabric.Trunks) {
+				mixed++
+			}
+		}
+		for _, seed := range seeds {
+			ref, err := Runner{Workers: 1}.Run(shardMatrixScenario(bb.kind, bb.switches, seed, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{2, 3, 4} {
+				shards := shards
+				t.Run(fmt.Sprintf("%s%d/seed=%d/shards=%d", bb.kind, bb.switches, seed, shards), func(t *testing.T) {
+					got, err := Runner{Workers: 1}.Run(shardMatrixScenario(bb.kind, bb.switches, seed, shards))
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertShardedStatsIdentical(t, ref, got)
+				})
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatalf("no plan in the matrix mixes cut and uncut trunks")
+	}
+}
+
 func TestShardedWorkerCountDeterminism(t *testing.T) {
 	// Worker-pool parallelism composes with shard parallelism: trials
 	// are pure functions of their seeds regardless of which worker's

@@ -75,7 +75,7 @@ func (t Time) String() string { return time.Duration(t).String() }
 type event struct {
 	at     Time
 	origin Time   // virtual instant the scheduling call was made
-	seq    uint64 // tie-breaker: FIFO for equal (at, origin)
+	seq    uint64 // tie-breaker for equal (at, origin): lane, then FIFO (see Key)
 	fn     func()
 	idx    int32  // heap index, -1 when not queued
 	gen    uint64 // bumped on recycle; Handles capture the value they saw
@@ -96,15 +96,16 @@ type heapSlot struct {
 }
 
 // slotLess orders entries by (at, origin, seq) — earliest instant
-// first, then earliest scheduling instant, FIFO within both. For
-// events scheduled by the clock's own execution the origin is the
-// current time, so origin order and seq order always agree and the key
-// degenerates to the classic (at, seq) FIFO — byte-identical to the
-// pre-origin engine. The origin field exists for the sharded engine:
-// a handoff imported at a barrier is scheduled with the origin it had
-// on its source shard (its serialization end), which slots it among
-// equal-instant events exactly where the single-clock engine would
-// have put it.
+// first, then earliest scheduling instant, then seq. For events
+// scheduled through At the origin is the current time and seq is the
+// clock's own counter, so origin order and seq order always agree and
+// the key degenerates to the classic (at, seq) FIFO. The sharded engine
+// keys every backbone-trunk delivery with LaneKey instead: seq then
+// holds the trunk's lane above a per-trunk count, so deliveries that
+// tie on (at, origin) fire after the clock's own events, in lane order,
+// FIFO within a lane — an order no scheduling history enters, and
+// therefore the same whether the trunk is local to the shard or its
+// deliveries are imported at a barrier.
 func slotLess(a, b heapSlot) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -240,15 +241,40 @@ func (c *Clock) release(ev *event) {
 	c.free = ev
 }
 
-// Key is a reserved position in the event order: the exact (at, origin,
-// seq) sort key At would have given an event scheduled at the moment of
-// the Reserve call. A Key is only meaningful on the clock that issued
-// it, until that clock's next Reset.
+// Key is a position in the event order. Reserve issues the exact (at,
+// origin, seq) sort key At would have given an event scheduled at the
+// moment of the call; such a key is only meaningful on the clock that
+// issued it, until that clock's next Reset. LaneKey builds one from
+// values that belong to no clock.
 type Key struct {
 	at     Time
 	origin Time
 	seq    uint64
 }
+
+// laneShift splits Key.seq: the lane in the top 16 bits, a sequence
+// number below. Lane 0 is the clock's own counter, so a key from
+// Reserve orders before every laned key it ties with on (at, origin).
+const laneShift = 48
+
+// LaneKey returns the key (at, origin, lane, n): among keys with equal
+// (at, origin) it orders after every key a clock issued itself, then by
+// lane, then by n. Nothing in it depends on what else a clock has
+// scheduled, so an event keyed this way fires at the same place in the
+// order on whichever clock AtKey puts it. lane must be positive, n must
+// fit in 48 bits and origin must not exceed at.
+func LaneKey(at, origin Time, lane uint16, n uint64) Key {
+	if origin > at {
+		panic(fmt.Sprintf("sim: event origin %v after its instant %v", origin, at))
+	}
+	if lane == 0 || n>>laneShift != 0 {
+		panic(fmt.Sprintf("sim: LaneKey(lane %d, n %d)", lane, n))
+	}
+	return Key{at: at, origin: origin, seq: uint64(lane)<<laneShift | n}
+}
+
+// At returns the instant the key schedules at.
+func (k Key) At() Time { return k.at }
 
 // Reserve claims the position in the event order that At(t, fn) would
 // take right now — consuming the sequence number — without putting an
@@ -262,18 +288,13 @@ func (c *Clock) Reserve(t Time) Key {
 	if t < c.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v which is before now %v", t, c.now))
 	}
-	return c.nextKey(t, c.now)
-}
-
-// nextKey issues the key (t, origin) with the next sequence number.
-func (c *Clock) nextKey(t, origin Time) Key {
-	k := Key{at: t, origin: origin, seq: c.seq}
+	k := Key{at: t, origin: c.now, seq: c.seq}
 	c.seq++
 	return k
 }
 
-// AtKey schedules fn under a key obtained from Reserve. Each key
-// schedules at most one event; a key whose instant is already past
+// AtKey schedules fn under a key obtained from Reserve or LaneKey. Each
+// key schedules at most one event; a key whose instant is already past
 // panics like At.
 func (c *Clock) AtKey(k Key, fn func()) Handle {
 	if k.at < c.now {
@@ -290,23 +311,6 @@ func (c *Clock) AtKey(k Key, fn func()) Handle {
 // It is Reserve and AtKey back to back.
 func (c *Clock) At(t Time, fn func()) Handle {
 	return c.AtKey(c.Reserve(t), fn)
-}
-
-// AtOrigin schedules fn at the absolute instant t with an explicit
-// origin for equal-instant ordering (see slotLess). origin must not
-// exceed t. It exists for the sharded engine's barrier imports; all
-// other callers want At, whose origin is the current instant.
-func (c *Clock) AtOrigin(t, origin Time, fn func()) Handle {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v which is before now %v", t, c.now))
-	}
-	if origin > t {
-		panic(fmt.Sprintf("sim: event origin %v after its instant %v", origin, t))
-	}
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	return c.push(c.nextKey(t, origin), fn)
 }
 
 func (c *Clock) push(k Key, fn func()) Handle {
