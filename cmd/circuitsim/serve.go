@@ -10,7 +10,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"circuitstart/internal/serve"
 	"circuitstart/internal/spec"
@@ -101,9 +100,12 @@ func runSpecCmd(args []string) error {
 }
 
 // runSweepRemote executes the sweep on a `circuitsim serve` daemon:
-// POST the spec, poll until terminal, stream the rows byte-for-byte
-// into -out, and print the daemon's text summary — the same bytes the
-// local path would produce, which the CI smoke job pins with cmp.
+// POST the spec, follow the row stream byte-for-byte into -out (or
+// discard it) until the job is terminal, then read its status once and
+// print the daemon's text summary — the same bytes the local path
+// would produce, which the CI smoke job pins with cmp. A failed or
+// cancelled job leaves the rows it emitted in -out, as a local run
+// does.
 func runSweepRemote(baseURL string, f *spec.File, outPath, format string) error {
 	baseURL = strings.TrimRight(baseURL, "/")
 	if !strings.Contains(baseURL, "://") {
@@ -130,57 +132,25 @@ func runSweepRemote(baseURL string, f *spec.File, outPath, format string) error 
 	if err := decodeOrError(resp, &status); err != nil {
 		return fmt.Errorf("submit: %w", err)
 	}
-
 	statusURL := baseURL + "/v1/sweeps/" + status.ID
-	for !terminalState(status.State) {
-		time.Sleep(100 * time.Millisecond)
-		resp, err := client.Get(statusURL)
-		if err != nil {
-			return err
-		}
-		if err := decodeOrError(resp, &status); err != nil {
-			return fmt.Errorf("status: %w", err)
-		}
+
+	// The rows stream ends when the job is terminal, so following it is
+	// the wait.
+	if err := followRows(client, statusURL+"/rows", outPath, format); err != nil {
+		return err
+	}
+	resp, err = client.Get(statusURL)
+	if err != nil {
+		return err
+	}
+	if err := decodeOrError(resp, &status); err != nil {
+		return fmt.Errorf("status: %w", err)
 	}
 	switch status.State {
 	case "failed":
 		return fmt.Errorf("remote sweep %s failed: %s", status.ID, status.Error)
 	case "cancelled":
 		return fmt.Errorf("remote sweep %s was cancelled", status.ID)
-	}
-
-	if outPath != "" {
-		accept := "text/csv"
-		if format == "jsonl" {
-			accept = "application/x-ndjson"
-		}
-		req, err := http.NewRequest(http.MethodGet, statusURL+"/rows", nil)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Accept", accept)
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			defer resp.Body.Close()
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("rows: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		}
-		out, err := os.Create(outPath)
-		if err != nil {
-			resp.Body.Close()
-			return err
-		}
-		_, cerr := io.Copy(out, resp.Body)
-		resp.Body.Close()
-		if err := out.Close(); cerr == nil {
-			cerr = err
-		}
-		if cerr != nil {
-			return cerr
-		}
 	}
 
 	req, err := http.NewRequest(http.MethodGet, statusURL+"/summary", nil)
@@ -209,6 +179,42 @@ func runSweepRemote(baseURL string, f *spec.File, outPath, format string) error 
 	return nil
 }
 
+// followRows streams a job's rows into outPath, or discards them when
+// there is no -out, until the daemon ends the stream.
+func followRows(client *http.Client, rowsURL, outPath, format string) error {
+	req, err := http.NewRequest(http.MethodGet, rowsURL, nil)
+	if err != nil {
+		return err
+	}
+	accept := "text/csv"
+	if format == "jsonl" {
+		accept = "application/x-ndjson"
+	}
+	req.Header.Set("Accept", accept)
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("rows: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+	}
+	if outPath == "" {
+		_, err := io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	out, err := os.Create(outPath)
+	if err != nil {
+		return err
+	}
+	_, cerr := io.Copy(out, resp.Body)
+	if err := out.Close(); cerr == nil {
+		cerr = err
+	}
+	return cerr
+}
+
 // decodeOrError decodes a JSON response body into v, turning non-2xx
 // responses into errors carrying the daemon's {"error": ...} message.
 func decodeOrError(resp *http.Response, v any) error {
@@ -227,9 +233,4 @@ func decodeOrError(resp *http.Response, v any) error {
 		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
 	}
 	return json.Unmarshal(data, v)
-}
-
-// terminalState mirrors serve's job-state machine on the client side.
-func terminalState(s string) bool {
-	return s == "done" || s == "failed" || s == "cancelled"
 }

@@ -32,7 +32,6 @@ import (
 
 	"circuitstart/internal/spec"
 	"circuitstart/internal/sweep"
-	"circuitstart/internal/traceio"
 )
 
 // Options configures a Server. The zero value serves with one job at a
@@ -350,10 +349,14 @@ func (s *Server) cancel(w http.ResponseWriter, j *job) {
 }
 
 // rows streams the job's emitted rows in grid order and follows the
-// job live until it reaches a terminal state, flushing after every
-// write so clients see points as they complete. The bytes re-emitted
-// for each row go through the stock batch sinks — a streamed CSV is
-// byte-identical to `circuitsim sweep -out` for the same spec.
+// job live until it reaches a terminal state. The sinks write each row
+// in one call straight to the ResponseWriter, which buffers; the
+// stream flushes each time it has caught up — after draining every row
+// already emitted, before blocking for the next, and once at the end.
+// A running job's rows reach the client as they complete, and a
+// finished or fully cached job leaves in buffer-sized chunks, not one
+// per write. The bytes come from the stock batch sinks, so a streamed
+// CSV is byte-identical to `circuitsim sweep -out` for the same spec.
 func (s *Server) rows(w http.ResponseWriter, r *http.Request, j *job) {
 	ndjson := false
 	accept := r.Header.Get("Accept")
@@ -366,23 +369,19 @@ func (s *Server) rows(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 
-	var flusher traceio.Flusher
-	if f, ok := w.(http.Flusher); ok {
-		flusher = f
-	}
-	out := traceio.NewAutoFlushWriter(w, flusher)
 	var sink sweep.Sink
 	if ndjson {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		sink = sweep.NewJSONLSink(out)
+		sink = sweep.NewJSONLSink(w)
 	} else {
 		w.Header().Set("Content-Type", "text/csv")
-		sink = sweep.NewCSVSink(out)
+		sink = sweep.NewCSVSink(w)
 	}
 	w.WriteHeader(http.StatusOK)
 	if err := sink.Begin(j.meta); err != nil {
 		return
 	}
+	rc := http.NewResponseController(w)
 
 	next := 0
 	for {
@@ -402,12 +401,15 @@ func (s *Server) rows(w http.ResponseWriter, r *http.Request, j *job) {
 				return
 			}
 		}
-		if done && len(batch) == 0 {
+		if len(batch) > 0 {
+			continue // drain before flushing or blocking
+		}
+		// A client that has gone away fails the next write or cancels
+		// the request context, so a flush error needs no handling here.
+		_ = rc.Flush()
+		if done {
 			sink.Flush()
 			return
-		}
-		if len(batch) > 0 {
-			continue // drain before blocking
 		}
 		select {
 		case <-wait:

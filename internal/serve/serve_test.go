@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -191,6 +192,84 @@ func TestSubmitStreamSummary(t *testing.T) {
 	if len(sum.Marginals) != 1 || sum.Marginals[0].Dimension != "gamma" {
 		t.Errorf("json summary marginals = %s", jsonSummary)
 	}
+}
+
+// flushCounter is a ResponseWriter that counts flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestFinishedJobStreamsInFewFlushes pins the flush-when-caught-up
+// rule: a finished job's rows are all available at once, so the stream
+// flushes when it has drained them and at the end — not once per write.
+func TestFinishedJobStreamsInFewFlushes(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	wantCSV, wantJSONL, _ := batchBytes(t, smokeSpec)
+	st := submit(t, ts, smokeSpec)
+	waitState(t, ts, st.ID, func(s jobStatus) bool { return s.State == StateDone })
+
+	for _, tc := range []struct {
+		accept string
+		want   []byte
+	}{{"text/csv", wantCSV}, {"application/x-ndjson", wantJSONL}} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+st.ID+"/rows", nil)
+		req.Header.Set("Accept", tc.accept)
+		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.flushes > 2 {
+			t.Errorf("%s: finished job streamed in %d flushes, want ≤ 2", tc.accept, rec.flushes)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), tc.want) {
+			t.Errorf("%s: streamed rows differ from batch:\n--- daemon ---\n%s--- batch ---\n%s", tc.accept, rec.Body.Bytes(), tc.want)
+		}
+	}
+}
+
+// TestLiveFollowStreamsBeforeDone checks that coalescing flushes does
+// not hold a running job's rows back: the client reads the first data
+// row while the sweep still reports running.
+func TestLiveFollowStreamsBeforeDone(t *testing.T) {
+	_, ts := newTestServer(t, Options{Jobs: 1, CachePoints: -1})
+	st := submit(t, ts, slowSpec)
+
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/sweeps/"+st.ID+"/rows", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/csv")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for _, what := range []string{"header", "first data row"} {
+		if _, err := br.ReadString('\n'); err != nil {
+			t.Fatalf("reading the %s: %v", what, err)
+		}
+	}
+	if got := getStatus(t, ts, st.ID); got.State != StateRunning {
+		t.Errorf("first row reached the client with the sweep %s (%d of %d emitted), want %s",
+			got.State, got.Emitted, got.Points, StateRunning)
+	}
+
+	req, err = http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, del.Body)
+	del.Body.Close()
+	waitState(t, ts, st.ID, func(s jobStatus) bool { return terminal(s.State) })
 }
 
 // TestCacheReplayAndOverlapDelta pins the tentpole cache contract:

@@ -32,7 +32,11 @@ type Engine struct {
 	// order equals grid order, an interrupted sweep's output is a valid
 	// prefix; re-running with Resume set to the first missing index
 	// (and appending to the same file) completes it without re-paying
-	// the finished points.
+	// the finished points. The prefix is valid per row: the stock
+	// sinks hand each row to their writer in one Write, so a killed
+	// `circuitsim sweep -out` leaves no half row in the file. A point
+	// with several arms can still end short of its last arms; drop
+	// that point's rows before resuming at its index.
 	Resume int
 	// Lookup, when set, is consulted once per grid point before any
 	// work is scheduled for it. Returning (arms, true) replays the

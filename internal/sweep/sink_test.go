@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -139,6 +140,62 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if row.N != want.TTLB.N || row.TTLBP50 != want.TTLB.Median ||
 			row.ExitCwnd != want.ExitCwndMean || row.TTLBMax != want.TTLB.Max {
 			t.Errorf("line %d metrics = %+v, want %+v", i+1, row, want.ArmPoint)
+		}
+	}
+}
+
+// countingWriter counts Write calls and keeps the bytes. It has no
+// WriteString method, so io.WriteString cannot bypass the count.
+type countingWriter struct {
+	writes int
+	buf    bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// TestSinksWriteOneRecordPerCall pins the write granularity the file
+// and HTTP paths rely on: the header and every (point, arm) row reach
+// the writer in exactly one Write, so an unbuffered file never holds
+// half a row and a stream never flushes a row in pieces.
+func TestSinksWriteOneRecordPerCall(t *testing.T) {
+	meta := sweep.Meta{Name: "writes", Dimensions: []string{"gamma", "policy"}, GridSize: 4, Points: 4}
+	pr := sweep.PointResult{
+		Point: sweep.Point{Index: 3, Coords: []string{"4", "a,b"}},
+		Arms: []sweep.ArmPoint{
+			{Arm: "circuitstart", ExitCwndMean: 36.7, Restarts: 2, MemHighWater: 1 << 20, Availability: 1},
+			{Arm: `"quoted"`, Incomplete: 1},
+		},
+	}
+	sinks := []struct {
+		name string
+		make func(io.Writer) sweep.Sink
+	}{
+		{"csv", func(w io.Writer) sweep.Sink { return sweep.NewCSVSink(w) }},
+		{"jsonl", func(w io.Writer) sweep.Sink { return sweep.NewJSONLSink(w) }},
+	}
+	for _, sk := range sinks {
+		var w countingWriter
+		s := sk.make(&w)
+		if err := s.Begin(meta); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%s header took %d writes, want 1", sk.name, w.writes)
+		}
+		if err := s.Point(&pr); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 + len(pr.Arms); w.writes != want {
+			t.Errorf("%s header + %d rows took %d writes, want %d", sk.name, len(pr.Arms), w.writes, want)
+		}
+		if lines := strings.Count(w.buf.String(), "\n"); lines != 1+len(pr.Arms) {
+			t.Errorf("%s wrote %d lines, want %d", sk.name, lines, 1+len(pr.Arms))
 		}
 	}
 }

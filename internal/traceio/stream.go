@@ -4,15 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 )
 
 // CSVStream writes CSV rows incrementally — the streaming counterpart
 // of Table for producers (like the sweep engine) that emit results as
 // they become available instead of accumulating them first. The header
-// fixes the column count; every row must match it.
+// fixes the column count; every row must match it. Each record, header
+// included, is encoded into a buffer the stream reuses and reaches the
+// writer in a single Write, so a reader of the file or stream sees
+// whole records only and an unbuffered writer pays one call per row.
 type CSVStream struct {
 	w    io.Writer
 	cols int
+	rec  []byte
 }
 
 // NewCSVStream writes the header row and returns a stream bound to it.
@@ -35,108 +41,84 @@ func NewCSVStreamNoHeader(w io.Writer, columns int) (*CSVStream, error) {
 
 // Write appends one row. The cell count must match the header.
 func (s *CSVStream) Write(cells ...string) error {
-	if len(cells) != s.cols {
-		return fmt.Errorf("traceio: row with %d cells in CSV stream with %d columns", len(cells), s.cols)
+	if err := s.check(len(cells)); err != nil {
+		return err
 	}
-	return writeCSVRecord(s.w, cells)
+	rec := s.rec[:0]
+	for i, c := range cells {
+		if i > 0 {
+			rec = append(rec, ',')
+		}
+		rec = appendField(rec, c)
+	}
+	return s.emit(rec)
 }
 
 // Writef appends a row of formatted values with Table.AddRowf's rules:
 // strings pass through, float64s are compacted, everything else uses %v.
 func (s *CSVStream) Writef(cells ...any) error {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			out[i] = v
-		case float64:
-			out[i] = formatFloat(v)
-		default:
-			out[i] = fmt.Sprintf("%v", c)
-		}
+	if err := s.check(len(cells)); err != nil {
+		return err
 	}
-	return s.Write(out...)
-}
-
-// writeCSVRecord writes one record immediately (encoding/csv buffers
-// whole records internally; going through a per-row Flush would lose
-// write errors, so the quoting is done here — the cells the simulator
-// emits never need quoting, but a comma or quote in a label must not
-// corrupt the file).
-func writeCSVRecord(w io.Writer, cells []string) error {
+	rec := s.rec[:0]
 	for i, c := range cells {
 		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
+			rec = append(rec, ',')
 		}
-		if needsQuoting(c) {
-			if _, err := io.WriteString(w, quoteCSV(c)); err != nil {
-				return err
-			}
-		} else if _, err := io.WriteString(w, c); err != nil {
-			return err
-		}
+		rec = appendCell(rec, c)
 	}
-	_, err := io.WriteString(w, "\n")
+	return s.emit(rec)
+}
+
+func (s *CSVStream) check(cells int) error {
+	if cells != s.cols {
+		return fmt.Errorf("traceio: row with %d cells in CSV stream with %d columns", cells, s.cols)
+	}
+	return nil
+}
+
+// emit terminates the record and hands it to the writer in one call.
+func (s *CSVStream) emit(rec []byte) error {
+	rec = append(rec, '\n')
+	s.rec = rec
+	_, err := s.w.Write(rec)
 	return err
 }
 
-func needsQuoting(c string) bool {
-	for i := 0; i < len(c); i++ {
-		switch c[i] {
-		case ',', '"', '\n', '\r':
-			return true
-		}
+// appendCell renders one Writef value. Numbers never need quoting, so
+// only strings, and the %v fallback, go through appendField.
+func appendCell(rec []byte, c any) []byte {
+	switch v := c.(type) {
+	case string:
+		return appendField(rec, v)
+	case float64:
+		return appendFloat(rec, v)
+	case int:
+		return strconv.AppendInt(rec, int64(v), 10)
+	case int64:
+		return strconv.AppendInt(rec, v, 10)
+	case uint64:
+		return strconv.AppendUint(rec, v, 10)
+	default:
+		return appendField(rec, fmt.Sprint(v))
 	}
-	return false
 }
 
-func quoteCSV(c string) string {
-	out := make([]byte, 0, len(c)+2)
-	out = append(out, '"')
+// appendField appends one cell, quoted when it holds a comma, a quote
+// or a line break — the cells the simulator emits never need quoting,
+// but a comma or quote in a label must not corrupt the file.
+func appendField(rec []byte, c string) []byte {
+	if !strings.ContainsAny(c, ",\"\r\n") {
+		return append(rec, c...)
+	}
+	rec = append(rec, '"')
 	for i := 0; i < len(c); i++ {
 		if c[i] == '"' {
-			out = append(out, '"', '"')
-			continue
+			rec = append(rec, '"')
 		}
-		out = append(out, c[i])
+		rec = append(rec, c[i])
 	}
-	return string(append(out, '"'))
-}
-
-// Flusher is the optional push-side of a streaming writer. It is
-// satisfied by bufio.Writer and (via a wrapper) net/http's
-// ResponseWriter flusher — declared here so sinks can flush transports
-// without importing them.
-type Flusher interface {
-	Flush()
-}
-
-// AutoFlushWriter forwards every Write to w and then flushes f — the
-// adapter that turns a buffered or chunked transport (an HTTP response,
-// say) into a live row stream: each CSV/JSONL record the sweep sinks
-// emit reaches the client immediately instead of sitting in a buffer
-// until the sweep ends. Output bytes are untouched, so a streamed file
-// is byte-identical to a batch-written one.
-type AutoFlushWriter struct {
-	w io.Writer
-	f Flusher
-}
-
-// NewAutoFlushWriter wraps w; flush may be nil (then writes pass
-// through unflushed, so callers can wrap unconditionally).
-func NewAutoFlushWriter(w io.Writer, flush Flusher) *AutoFlushWriter {
-	return &AutoFlushWriter{w: w, f: flush}
-}
-
-// Write implements io.Writer.
-func (a *AutoFlushWriter) Write(p []byte) (int, error) {
-	n, err := a.w.Write(p)
-	if err == nil && a.f != nil {
-		a.f.Flush()
-	}
-	return n, err
+	return append(rec, '"')
 }
 
 // JSONLStream writes one compact JSON value per line (JSON Lines) —

@@ -219,5 +219,10 @@ func writeTabRow(w io.Writer, cells []string) {
 // formatFloat renders a float compactly (no trailing zeros, full
 // precision where needed).
 func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', 8, 64)
+	return string(appendFloat(nil, v))
+}
+
+// appendFloat is formatFloat's allocation-free form.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', 8, 64)
 }
