@@ -34,7 +34,6 @@ type pointRows struct {
 // that, unlike sync.Cond, composes with context cancellation).
 type job struct {
 	id       string
-	file     *spec.File
 	sw       sweep.Sweep
 	baseHash string
 	meta     sweep.Meta
@@ -49,6 +48,29 @@ type job struct {
 	computed int // points actually executed
 	tbl      *sweep.Table
 	errMsg   string
+}
+
+// newJob sizes a queued job for sw, whose points are cached under
+// baseHash. It validates the grid and counts its points; it expands
+// none of them — the engine builds a point's scenario only if the
+// point has to run.
+func newJob(sw sweep.Sweep, baseHash string) (*job, error) {
+	n, err := sw.Count()
+	if err != nil {
+		return nil, err
+	}
+	return &job{
+		sw:       sw,
+		baseHash: baseHash,
+		state:    StateQueued,
+		notify:   make(chan struct{}),
+		meta: sweep.Meta{
+			Name:       sw.Name,
+			Dimensions: sw.DimensionNames(),
+			GridSize:   sw.Size(),
+			Points:     n,
+		},
+	}, nil
 }
 
 func (j *job) broadcastLocked() {
@@ -93,7 +115,8 @@ type jobStatus struct {
 // collector is the engine sink that feeds a job's row log. It runs on
 // the engine's emit goroutine, strictly in grid order, and doubles as
 // the cache writer: every computed point is inserted under its content
-// key as it is emitted.
+// key as it is emitted (a replayed point is already cached, so it is
+// not hashed again).
 type collector struct {
 	job   *job
 	cache *pointCache
@@ -102,10 +125,9 @@ type collector struct {
 func (c *collector) Begin(meta sweep.Meta) error { return nil }
 
 func (c *collector) Point(pr *sweep.PointResult) error {
-	key := spec.PointKey(c.job.baseHash, c.job.meta.Dimensions, pr.Point.Coords)
 	computed := pr.Result != nil
-	if computed {
-		c.cache.put(key, pr.Arms)
+	if computed && c.cache != nil {
+		c.cache.put(spec.PointKey(c.job.baseHash, c.job.meta.Dimensions, pr.Point.Coords), pr.Arms)
 	}
 	j := c.job
 	j.mu.Lock()
@@ -140,10 +162,12 @@ func (j *job) run(workers, pointWorkers int, cache *pointCache) {
 	eng := sweep.Engine{
 		Workers:      workers,
 		PointWorkers: pointWorkers,
-		Lookup: func(pt sweep.Point) ([]sweep.ArmPoint, bool) {
+		Stop:         j.cancel.Load,
+	}
+	if cache != nil {
+		eng.Lookup = func(pt sweep.Point) ([]sweep.ArmPoint, bool) {
 			return cache.get(spec.PointKey(j.baseHash, j.meta.Dimensions, pt.Coords))
-		},
-		Stop: j.cancel.Load,
+		}
 	}
 	tbl, err := eng.Run(j.sw, col)
 

@@ -233,42 +233,34 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	pts, err := sw.Points()
+	j, err := newJob(sw, hash)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	j := &job{
-		file:     f,
-		sw:       sw,
-		baseHash: hash,
-		state:    StateQueued,
-		notify:   make(chan struct{}),
-		meta: sweep.Meta{
-			Name:       sw.Name,
-			Dimensions: sw.DimensionNames(),
-			GridSize:   sw.Size(),
-			Points:     len(pts),
-		},
+	if !s.enqueue(j) {
+		httpError(w, http.StatusServiceUnavailable, "job queue full (%d queued)", s.opts.QueueDepth)
+		return
 	}
+	writeJSON(w, http.StatusAccepted, j.snapshot())
+}
 
+// enqueue registers j under a fresh id and queues it, or reports false
+// when the queue is full.
+func (s *Server) enqueue(j *job) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.seq++
 	j.id = fmt.Sprintf("sweep-%06d", s.seq)
 	select {
 	case s.queue <- j:
 	default:
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "job queue full (%d queued)", s.opts.QueueDepth)
-		return
+		return false
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.evictLocked()
-	s.mu.Unlock()
-
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	return true
 }
 
 // evictLocked drops the oldest terminal jobs past MaxJobs.

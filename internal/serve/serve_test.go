@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"circuitstart/internal/scenario"
 	"circuitstart/internal/spec"
 	"circuitstart/internal/sweep"
 )
@@ -410,6 +411,11 @@ func TestSubmitRejections(t *testing.T) {
 	if code, body := post(`{"base": {"kind": "trace", "relays": 7}, "dimensions": [{"gammas": [2]}]}`); code != http.StatusBadRequest || !strings.Contains(body, "relays") {
 		t.Errorf("kind-mismatched field: %d %s — must name the field", code, body)
 	}
+	// Points are expanded only when they run, so a value no mutator can
+	// apply must be refused when the spec renders, not fail the job.
+	if code, body := post(`{"dimensions": [{"hopcounts": [0]}]}`); code != http.StatusBadRequest || !strings.Contains(body, "dimensions[0]") {
+		t.Errorf("zero hop count: %d %s — must be a 400 naming the block", code, body)
+	}
 	big := `{"name": "` + strings.Repeat("x", 4096) + `", "dimensions": [{"gammas": [2]}]}`
 	if code, body := post(big); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized spec: %d %s", code, body)
@@ -440,6 +446,46 @@ func TestSubmitRejections(t *testing.T) {
 	}
 	if code, _ := fetch(t, ts, "/v1/sweeps/"+st.ID+"/nonsense", ""); code != http.StatusNotFound {
 		t.Errorf("unknown subresource: %d", code)
+	}
+}
+
+// TestPanickingGridPointFailsJob checks that a mutator panic — raised
+// on an engine worker goroutine, out of reach of net/http's handler
+// recovery — fails its job instead of killing the daemon: the job ends
+// failed with the point named, and the next submission completes.
+func TestPanickingGridPointFailsJob(t *testing.T) {
+	// One sweep worker, so point 0 completes before point 1 is claimed.
+	srv, ts := newTestServer(t, Options{SweepWorkers: 1})
+	f, err := spec.Parse([]byte(smokeSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := f.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Dimensions = []sweep.Dimension{sweep.Custom("mutator",
+		sweep.Value{Label: "ok", Apply: func(*scenario.Scenario) error { return nil }},
+		sweep.Value{Label: "boom", Apply: func(*scenario.Scenario) error { panic("mutator bug") }},
+	)}
+	j, err := newJob(sw, "panic-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.enqueue(j) {
+		t.Fatal("queue full")
+	}
+	fin := waitState(t, ts, j.id, func(s jobStatus) bool { return terminal(s.State) })
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "point 1 (boom)") || !strings.Contains(fin.Error, "mutator bug") {
+		t.Fatalf("panicking job ended %s (%q), want %s naming point 1 and the panic", fin.State, fin.Error, StateFailed)
+	}
+	if fin.Emitted != 1 {
+		t.Errorf("panicking job emitted %d points, want point 0 only", fin.Emitted)
+	}
+
+	next := submit(t, ts, smokeSpec)
+	if st := waitState(t, ts, next.ID, func(s jobStatus) bool { return terminal(s.State) }); st.State != StateDone {
+		t.Fatalf("submission after the panic ended %s (%q), want %s", st.State, st.Error, StateDone)
 	}
 }
 

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"circuitstart/internal/core"
@@ -160,9 +161,14 @@ func (b *Base) buildDim(d Dim, traceParams experiments.CwndTraceParams) (sweep.D
 		}
 	}
 	if len(d.HopCounts) > 0 {
-		if b.Kind == "trace" {
+		// A circuit needs a relay: refuse short counts here, where the
+		// offending block is named, not when a worker expands the point.
+		switch least := slices.Min(d.HopCounts); {
+		case least < 1:
+			add(sweep.Dimension{}, fmt.Errorf("hop count %d is below 1", least))
+		case b.Kind == "trace":
 			add(TraceHops(traceParams, d.HopCounts...), nil)
-		} else {
+		default:
 			add(sweep.Hops(d.HopCounts...), nil)
 		}
 	}

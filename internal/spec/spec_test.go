@@ -121,6 +121,9 @@ func TestParseErrorsNameTheEntry(t *testing.T) {
 		{`{"sample": -1, "dimensions": [{"gammas": [2]}]}`, "sample"},
 		{`{"dimensions": [{"size_dists": ["pareto:10:1.1:5"]}]}`, "pareto"},
 		{`{"dimensions": [{"unknown_axis": [1]}]}`, "unknown_axis"},
+		{`{"dimensions": [{"hopcounts": [0]}]}`, "dimensions[0]: hop count 0"},
+		{`{"dimensions": [{"gammas": [2]}, {"hopcounts": [3, -1]}]}`, "dimensions[1]: hop count -1"},
+		{`{"base": {"kind": "population"}, "dimensions": [{"hopcounts": [2, 0]}]}`, "dimensions[0]: hop count 0"},
 	}
 	for i, c := range cases {
 		_, err := Parse([]byte(c.src))

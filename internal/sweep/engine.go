@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +20,14 @@ var ErrStopped = errors.New("sweep: stopped")
 // and completed points are emitted to the sinks in grid order — never
 // in completion order — so sweep output bytes are identical for any
 // Workers value.
+//
+// A point is its identity, (Index, Coords), until it has to run: a
+// worker clones the base and applies the mutators only for a point it
+// is about to simulate, never for one Lookup answers. A mutator error
+// or panic is therefore reported as that point's failure, exactly like
+// a scenario the Runner rejects: Run returns it naming the point's
+// index and coordinates, after the grid-order prefix that completed
+// before it has reached the sinks.
 type Engine struct {
 	// Workers is the number of grid points executing concurrently
 	// (≤ 0 = runtime.NumCPU()).
@@ -39,13 +48,15 @@ type Engine struct {
 	// that point's rows before resuming at its index.
 	Resume int
 	// Lookup, when set, is consulted once per grid point before any
-	// work is scheduled for it. Returning (arms, true) replays the
-	// point from those cached per-arm rows instead of running it — the
-	// hash-keyed generalization of Resume: any subset of the grid can
-	// be served from a prior run, not just an index prefix. Replayed
-	// points reach the sinks with PointResult.Result == nil (stock
-	// sinks and Table never read it). Lookup may be called from
-	// multiple worker goroutines concurrently.
+	// work is scheduled for it, with the point's Index and Coords only
+	// (its Scenario is not built yet). Returning (arms, true) replays
+	// the point from those cached per-arm rows instead of running it —
+	// the hash-keyed generalization of Resume: any subset of the grid
+	// can be served from a prior run, not just an index prefix.
+	// Replayed points are never expanded: they reach the sinks with a
+	// zero Point.Scenario and PointResult.Result == nil (stock sinks
+	// and Table read neither). Lookup may be called from multiple
+	// worker goroutines concurrently.
 	Lookup func(Point) ([]ArmPoint, bool)
 	// Stop, when set, is polled before each point is started. Once it
 	// returns true no further points run and Run returns ErrStopped;
@@ -54,26 +65,20 @@ type Engine struct {
 	Stop func() bool
 }
 
-// Run expands the sweep and executes every point, streaming each
-// result to every sink in grid order. It always aggregates into an
-// in-memory Table (returned even when a mid-sweep error cuts the run
-// short, with the points that completed before the failure).
+// Run executes every point of the sweep, streaming each result to
+// every sink in grid order. It always aggregates into an in-memory
+// Table (returned even when a mid-sweep error cuts the run short, with
+// the points that completed before the failure).
 func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
-	pts, err := s.Points()
-	if err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if e.Resume > 0 {
-		cut := 0
-		for cut < len(pts) && pts[cut].Index < e.Resume {
-			cut++
-		}
-		pts = pts[cut:]
-	}
+	idx := s.indices()
+	idx = idx[sort.SearchInts(idx, e.Resume):]
 
 	tbl := NewTable()
 	all := append(append([]Sink{}, sinks...), tbl)
-	meta := Meta{Name: s.Name, Dimensions: s.DimensionNames(), GridSize: s.Size(), Points: len(pts)}
+	meta := Meta{Name: s.Name, Dimensions: s.DimensionNames(), GridSize: s.Size(), Points: len(idx)}
 	for i, sk := range all {
 		if err := sk.Begin(meta); err != nil {
 			// Honour the Sink contract for the sinks already begun:
@@ -89,8 +94,8 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(pts) {
-		workers = len(pts)
+	if workers > len(idx) {
+		workers = len(idx)
 	}
 	pointWorkers := e.PointWorkers
 	if pointWorkers <= 0 {
@@ -101,10 +106,10 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 		res *PointResult
 		err error
 	}
-	results := make([]slot, len(pts))
+	results := make([]slot, len(idx))
 	var next, failed, stopped atomic.Int64
 	var wg sync.WaitGroup
-	done := make(chan int, len(pts))
+	done := make(chan int, len(idx))
 	// Claim tokens bound how far workers run ahead of the emit cursor:
 	// a completed point parks its full Result until every predecessor
 	// has been emitted, so without a bound one slow early point would
@@ -121,7 +126,7 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 			for {
 				<-claims
 				i := int(next.Add(1)) - 1
-				if i >= len(pts) {
+				if i >= len(idx) {
 					claims <- struct{}{}
 					return
 				}
@@ -136,19 +141,18 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 					done <- i
 					continue
 				}
+				pt := s.coords(idx[i])
 				if e.Lookup != nil {
-					if arms, ok := e.Lookup(pts[i]); ok {
-						results[i] = slot{res: &PointResult{Point: pts[i], Arms: arms}}
+					if arms, ok := e.Lookup(pt); ok {
+						results[i] = slot{res: &PointResult{Point: pt, Arms: arms}}
 						done <- i
 						continue
 					}
 				}
-				res, err := scenario.Runner{Workers: pointWorkers}.Run(pts[i].Scenario)
+				res, err := runPoint(&s, pt, pointWorkers)
+				results[i] = slot{res: res, err: err}
 				if err != nil {
-					results[i] = slot{err: fmt.Errorf("sweep: point %d (%v): %w", pts[i].Index, pts[i].Coords, err)}
 					failed.Store(1)
-				} else {
-					results[i] = slot{res: &PointResult{Point: pts[i], Arms: armPoints(res), Result: res}}
 				}
 				done <- i
 			}
@@ -159,7 +163,7 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 	// Emit strictly in grid order: results may complete out of order,
 	// so each finished index parks in `ready` until every predecessor
 	// has been emitted. Sinks run on this goroutine only.
-	ready := make(map[int]bool, len(pts))
+	ready := make(map[int]bool, len(idx))
 	emit := 0
 	var firstErr error
 	for i := range done {
@@ -193,6 +197,19 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 		firstErr = ErrStopped
 	}
 	return tbl, firstErr
+}
+
+// runPoint expands pt into its scenario and simulates it on a Runner of
+// the given width. It runs on an engine worker goroutine.
+func runPoint(s *Sweep, pt Point, workers int) (*PointResult, error) {
+	if err := s.expand(&pt); err != nil {
+		return nil, err
+	}
+	res, err := scenario.Runner{Workers: workers}.Run(pt.Scenario)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: point %d (%v): %w", pt.Index, pt.Coords, err)
+	}
+	return &PointResult{Point: pt, Arms: armPoints(res), Result: res}, nil
 }
 
 // Run executes the sweep with a default Engine (one point per CPU).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"circuitstart/internal/scenario"
@@ -73,6 +74,64 @@ func TestEngineLookupMatchesResume(t *testing.T) {
 	for _, idx := range computed {
 		if !wantComputed[idx] {
 			t.Errorf("lookup run computed point %d, which resume skipped", idx)
+		}
+	}
+}
+
+// TestEngineExpandsOnlyPointsThatRun pins lazy expansion: the engine
+// clones the base and applies a point's mutators only when the point
+// has to run. A Lookup hit is never expanded, a miss is expanded once,
+// and without a Lookup every point is expanded once.
+func TestEngineExpandsOnlyPointsThatRun(t *testing.T) {
+	var applies atomic.Int64
+	counted := func(label string) sweep.Value {
+		return sweep.Value{Label: label, Apply: func(*scenario.Scenario) error {
+			applies.Add(1)
+			return nil
+		}}
+	}
+	sw := sweep.Sweep{
+		Name:       "lazy",
+		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
+		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4), sweep.Custom("counted", counted("a"), counted("b"))},
+	}
+	const points = 4
+
+	var fullCSV bytes.Buffer
+	cap := &captureSink{}
+	if _, err := (sweep.Engine{Workers: 2}).Run(sw, cap, sweep.NewCSVSink(&fullCSV)); err != nil {
+		t.Fatal(err)
+	}
+	if got := applies.Swap(0); got != points {
+		t.Errorf("run without Lookup applied the counted dimension %d times, want once per point (%d)", got, points)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		cached func(index int) bool
+		misses int
+	}{
+		{"every point cached", func(int) bool { return true }, 0},
+		{"even points cached", func(i int) bool { return i%2 == 0 }, points / 2},
+	} {
+		var csv bytes.Buffer
+		_, err := sweep.Engine{
+			Workers: 2,
+			Lookup: func(pt sweep.Point) ([]sweep.ArmPoint, bool) {
+				if !tc.cached(pt.Index) {
+					return nil, false
+				}
+				return cap.results[pt.Index].Arms, true
+			},
+		}.Run(sw, sweep.NewCSVSink(&csv))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := applies.Swap(0); got != int64(tc.misses) {
+			t.Errorf("%s: counted dimension applied %d times, want once per miss (%d)", tc.name, got, tc.misses)
+		}
+		if csv.String() != fullCSV.String() {
+			t.Errorf("%s: CSV differs from the full run:\n--- got ---\n%s--- full ---\n%s", tc.name, csv.String(), fullCSV.String())
 		}
 	}
 }

@@ -33,7 +33,8 @@ type Sink interface {
 }
 
 // metricColumns is the fixed per-arm column schema shared by the CSV
-// and JSONL sinks (and mirrored by ArmPoint's fields).
+// and JSONL sinks (and mirrored by ArmPoint's fields). CSVSink.Point
+// appends the cells in exactly this order.
 var metricColumns = []string{
 	"n", "incomplete",
 	"ttlb_mean_s", "ttlb_min_s", "ttlb_p25_s", "ttlb_p50_s", "ttlb_p75_s", "ttlb_p90_s", "ttlb_p99_s", "ttlb_max_s",
@@ -42,19 +43,6 @@ var metricColumns = []string{
 	"built", "torn_down", "rebuilt", "aborted",
 	"jain_ttlb", "adm_rejected", "killed", "sched_drops", "mem_hw_bytes",
 	"stalls", "recoveries", "retries", "abandoned", "ttr_p50_s", "availability", "goodput_kbps",
-}
-
-// metricCells renders one ArmPoint in metricColumns order.
-func metricCells(ap *ArmPoint) []any {
-	return []any{
-		ap.TTLB.N, ap.Incomplete,
-		ap.TTLB.Mean, ap.TTLB.Min, ap.TTLB.P25, ap.TTLB.Median, ap.TTLB.P75, ap.TTLB.P90, ap.TTLB.P99, ap.TTLB.Max,
-		ap.ExitCwndMean, ap.ExitTimeMedian, ap.Restarts,
-		ap.UnknownDst, ap.Unroutable, ap.TrunkDrops, ap.MeanTrainLen,
-		ap.Built, ap.TornDown, ap.Rebuilt, ap.Aborted,
-		ap.Jain, ap.AdmissionRejected, ap.Killed, ap.SchedDrops, ap.MemHighWater,
-		ap.Stalls, ap.Recoveries, ap.Retries, ap.Abandoned, ap.TTRP50, ap.Availability, ap.GoodputKBps,
-	}
 }
 
 // CSVSink streams one row per (point, arm): the point's grid index,
@@ -88,17 +76,45 @@ func (s *CSVSink) Begin(meta Meta) error {
 	return err
 }
 
-// Point implements Sink.
+// Point implements Sink: one record of typed cells per arm — the grid
+// index, the coordinates, the arm, then metricColumns in order.
 func (s *CSVSink) Point(pr *PointResult) error {
+	cs := s.cs
 	for i := range pr.Arms {
-		cells := make([]any, 0, 2+len(pr.Point.Coords)+len(metricColumns))
-		cells = append(cells, pr.Point.Index)
+		ap := &pr.Arms[i]
+		cs.Int(int64(pr.Point.Index))
 		for _, c := range pr.Point.Coords {
-			cells = append(cells, c)
+			cs.Field(c)
 		}
-		cells = append(cells, pr.Arms[i].Arm)
-		cells = append(cells, metricCells(&pr.Arms[i])...)
-		if err := s.cs.Writef(cells...); err != nil {
+		cs.Field(ap.Arm)
+
+		cs.Int(int64(ap.TTLB.N))
+		cs.Int(int64(ap.Incomplete))
+		for _, v := range [...]float64{
+			ap.TTLB.Mean, ap.TTLB.Min, ap.TTLB.P25, ap.TTLB.Median, ap.TTLB.P75, ap.TTLB.P90, ap.TTLB.P99, ap.TTLB.Max,
+			ap.ExitCwndMean, ap.ExitTimeMedian,
+		} {
+			cs.Float(v)
+		}
+		for _, v := range [...]uint64{ap.Restarts, ap.UnknownDst, ap.Unroutable, ap.TrunkDrops} {
+			cs.Uint(v)
+		}
+		cs.Float(ap.MeanTrainLen)
+		for _, v := range [...]int{ap.Built, ap.TornDown, ap.Rebuilt, ap.Aborted} {
+			cs.Int(int64(v))
+		}
+		cs.Float(ap.Jain)
+		for _, v := range [...]uint64{ap.AdmissionRejected, ap.Killed, ap.SchedDrops} {
+			cs.Uint(v)
+		}
+		cs.Int(ap.MemHighWater)
+		for _, v := range [...]int{ap.Stalls, ap.Recoveries, ap.Retries, ap.Abandoned} {
+			cs.Int(int64(v))
+		}
+		for _, v := range [...]float64{ap.TTRP50, ap.Availability, ap.GoodputKBps} {
+			cs.Float(v)
+		}
+		if err := cs.EndRecord(); err != nil {
 			return err
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"circuitstart/internal/core"
+	"circuitstart/internal/metrics"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sweep"
 	"circuitstart/internal/units"
@@ -197,6 +199,40 @@ func TestSinksWriteOneRecordPerCall(t *testing.T) {
 		if lines := strings.Count(w.buf.String(), "\n"); lines != 1+len(pr.Arms) {
 			t.Errorf("%s wrote %d lines, want %d", sk.name, lines, 1+len(pr.Arms))
 		}
+	}
+}
+
+// TestCSVSinkRowBytes pins a CSV row with a distinct value in every
+// column — including quoting, float specials and integer extremes — to
+// the bytes the boxed-cell encoder wrote, so a column can neither move
+// nor change its rendering.
+func TestCSVSinkRowBytes(t *testing.T) {
+	ap := sweep.ArmPoint{
+		Arm:        "circuitstart",
+		TTLB:       metrics.Summary{N: 1, Mean: 2.5, Min: 0.125, P25: 1.0 / 3, Median: 4, P75: 5e-7, P90: 6e21, P99: math.Inf(1), Max: math.NaN()},
+		Incomplete: 2, ExitCwndMean: 36.7, ExitTimeMedian: 0.75, Restarts: 3,
+		UnknownDst: 4, Unroutable: 5, TrunkDrops: math.MaxUint64, MeanTrainLen: 7.5,
+		Built: 8, TornDown: 9, Rebuilt: 10, Aborted: 11,
+		Jain: 0.99, AdmissionRejected: 12, Killed: 13, SchedDrops: 14, MemHighWater: math.MinInt64,
+		Stalls: 15, Recoveries: 16, Retries: 17, Abandoned: -18, TTRP50: 1.25, Availability: 1, GoodputKBps: 123456.789,
+	}
+	pr := sweep.PointResult{
+		Point: sweep.Point{Index: 47, Coords: []string{"2", "8 Mbit/s", `a,"b"`}},
+		Arms:  []sweep.ArmPoint{ap, {Arm: "backtap"}},
+	}
+	var buf bytes.Buffer
+	s := sweep.NewCSVSink(&buf)
+	if err := s.Begin(sweep.Meta{Dimensions: []string{"gamma", "bottleneck_bw", "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := s.Point(&pr); err != nil {
+		t.Fatal(err)
+	}
+	want := "47,2,8 Mbit/s,\"a,\"\"b\"\"\",circuitstart,1,2,2.5,0.125,0.33333333,4,5e-07,6e+21,+Inf,NaN,36.7,0.75,3,4,5,18446744073709551615,7.5,8,9,10,11,0.99,12,13,14,-9223372036854775808,15,16,17,-18,1.25,1,123456.79\n" +
+		"47,2,8 Mbit/s,\"a,\"\"b\"\"\",backtap,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n"
+	if buf.String() != want {
+		t.Errorf("CSV rows =\n%q\nwant\n%q", buf.String(), want)
 	}
 }
 

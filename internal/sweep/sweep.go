@@ -171,35 +171,82 @@ func (s *Sweep) indices() []int {
 	return idx
 }
 
-// point expands grid index i into a Point: clone the base, apply one
-// value per dimension (row-major decode, last dimension fastest).
-func (s *Sweep) point(i int) (Point, error) {
-	pt := Point{Index: i, Coords: make([]string, len(s.Dimensions))}
-	// Decode right to left so the last dimension varies fastest.
-	vals := make([]Value, len(s.Dimensions))
-	rem := i
-	for d := len(s.Dimensions) - 1; d >= 0; d-- {
-		n := len(s.Dimensions[d].Values)
-		vals[d] = s.Dimensions[d].Values[rem%n]
-		pt.Coords[d] = vals[d].Label
-		rem /= n
+// Count validates the grid declaration and returns how many points the
+// sweep executes — the full grid, or the Sample cap — without expanding
+// any of them.
+func (s *Sweep) Count() (int, error) {
+	if err := s.validate(); err != nil {
+		return 0, err
 	}
+	if n := s.Size(); s.Sample == 0 || s.Sample >= n {
+		return n, nil
+	}
+	return s.Sample, nil
+}
+
+// coords decodes grid index i into its identity: the Point with one
+// value label per dimension (row-major, last dimension fastest) and no
+// scenario yet.
+func (s *Sweep) coords(i int) Point {
+	pt := Point{Index: i, Coords: make([]string, len(s.Dimensions))}
+	for d := len(s.Dimensions) - 1; d >= 0; d-- {
+		vals := s.Dimensions[d].Values
+		pt.Coords[d] = vals[i%len(vals)].Label
+		i /= len(vals)
+	}
+	return pt
+}
+
+// expand builds pt's scenario: clone the base and apply the point's
+// value of each dimension, in dimension order. A mutator that fails or
+// panics fails the point, named by index, coordinates and dimension.
+func (s *Sweep) expand(pt *Point) (err error) {
+	d := -1 // the dimension being applied; -1 while cloning
+	defer func() {
+		if p := recover(); p != nil {
+			err = s.pointError(pt, d, fmt.Errorf("panicked: %v", p))
+		}
+	}()
 	sc := s.Base.Clone()
-	for d, v := range vals {
-		if err := v.Apply(&sc); err != nil {
-			return Point{}, fmt.Errorf("sweep: point %d (%s): dimension %q value %q: %w",
-				i, strings.Join(pt.Coords, " "), s.Dimensions[d].Name, v.Label, err)
+	// stride is the number of grid points one step of dimension d spans.
+	stride := s.Size()
+	for d = 0; d < len(s.Dimensions); d++ {
+		vals := s.Dimensions[d].Values
+		stride /= len(vals)
+		if err := vals[pt.Index/stride%len(vals)].Apply(&sc); err != nil {
+			return s.pointError(pt, d, err)
 		}
 	}
 	if s.Name != "" {
 		sc.Name = fmt.Sprintf("%s[%s]", s.Name, strings.Join(pt.Coords, " "))
 	}
 	pt.Scenario = sc
+	return nil
+}
+
+// pointError attributes an expansion failure to pt's value of
+// dimension d, or to the point alone when d < 0.
+func (s *Sweep) pointError(pt *Point, d int, err error) error {
+	where := fmt.Sprintf("sweep: point %d (%s)", pt.Index, strings.Join(pt.Coords, " "))
+	if d >= 0 {
+		where += fmt.Sprintf(": dimension %q value %q", s.Dimensions[d].Name, pt.Coords[d])
+	}
+	return fmt.Errorf("%s: %w", where, err)
+}
+
+// point expands grid index i into a full Point: its coordinates and its
+// mutated scenario.
+func (s *Sweep) point(i int) (Point, error) {
+	pt := s.coords(i)
+	if err := s.expand(&pt); err != nil {
+		return Point{}, err
+	}
 	return pt, nil
 }
 
 // Points expands the sweep into its executable grid points (the full
-// cross product, or the seeded sample), in grid order.
+// cross product, or the seeded sample), in grid order. Engine.Run does
+// not call it: the engine expands a point only when it has to run it.
 func (s *Sweep) Points() ([]Point, error) {
 	if err := s.validate(); err != nil {
 		return nil, err

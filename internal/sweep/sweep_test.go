@@ -9,6 +9,7 @@ import (
 	"circuitstart/internal/experiments"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
+	"circuitstart/internal/spec"
 	"circuitstart/internal/sweep"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
@@ -160,6 +161,9 @@ func TestSampleCap(t *testing.T) {
 	if len(pts) != 3 {
 		t.Fatalf("sampled %d points, want 3", len(pts))
 	}
+	if n, err := sw.Count(); err != nil || n != len(pts) {
+		t.Fatalf("Count = %d, %v; want %d", n, err, len(pts))
+	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Index <= pts[i-1].Index {
 			t.Fatalf("sample not in grid order: %d after %d", pts[i].Index, pts[i-1].Index)
@@ -222,6 +226,9 @@ func TestSweepValidation(t *testing.T) {
 		if _, err := sw.Points(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+		if _, err := sw.Count(); err == nil {
+			t.Errorf("case %d counted", i)
+		}
 	}
 }
 
@@ -241,6 +248,72 @@ func TestEngineFailedPoint(t *testing.T) {
 	}
 	if len(tbl.Rows) != 1 || tbl.Rows[0].Point != 0 {
 		t.Fatalf("table rows = %+v, want the one completed point", tbl.Rows)
+	}
+}
+
+// TestEnginePanickingMutatorFailsPoint checks that a mutator panic —
+// raised on an engine worker goroutine, where nothing else would
+// recover it — fails its point with the index and coordinates named,
+// while the points before it still reach the sinks.
+func TestEnginePanickingMutatorFailsPoint(t *testing.T) {
+	sw := sweep.Sweep{
+		Base: popBase(scenario.Arm{Name: "circuitstart"}),
+		Dimensions: []sweep.Dimension{sweep.Custom("mutator",
+			sweep.Value{Label: "ok", Apply: noop},
+			sweep.Value{Label: "boom", Apply: func(*scenario.Scenario) error { panic("mutator bug") }},
+		)},
+	}
+	cap := &captureSink{}
+	tbl, err := sweep.Engine{Workers: 1}.Run(sw, cap)
+	if err == nil || !strings.Contains(err.Error(), "point 1 (boom)") || !strings.Contains(err.Error(), "mutator bug") {
+		t.Fatalf("expected point 1 to fail with the panic named, got %v", err)
+	}
+	if len(cap.results) != 1 || cap.results[0].Point.Index != 0 || len(tbl.Rows) != 1 {
+		t.Fatalf("sinks got %d points and %d table rows, want point 0 only", len(cap.results), len(tbl.Rows))
+	}
+	if _, err := sw.Points(); err == nil || !strings.Contains(err.Error(), "point 1 (boom)") {
+		t.Fatalf("Points: expected point 1 to fail with the panic named, got %v", err)
+	}
+}
+
+// TestSpecGridsWorkerDeterminism runs spec-rendered grids whose points
+// are expanded on the engine's worker goroutines — one crossing the
+// trace axes that rebuild the topology, one crossing population axes —
+// and requires identical CSV at 1 and 4 workers. Under -race it also
+// checks that concurrent expansion shares no mutable state.
+func TestSpecGridsWorkerDeterminism(t *testing.T) {
+	grids := map[string]string{
+		"trace": `{"name": "trace-axes", "base": {"kind": "trace", "horizon_sec": 3},
+		  "dimensions": [{"gammas": [2, 4]}, {"bandwidths_mbps": [8, 16]}, {"hopcounts": [2, 3]}]}`,
+		"population": `{"name": "population-axes",
+		  "base": {"kind": "population", "relays": 8, "circuits": 2, "size_bytes": 40000, "horizon_sec": 60},
+		  "dimensions": [{"hopcounts": [2, 3]}, {"faults": ["none", "flaky"]},
+		    {"size_dists": ["fixed:30000", "lognormal:30000:0.5"]}, {"seeds": [1, 2]}]}`,
+	}
+	for name, src := range grids {
+		f, err := spec.Parse([]byte(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		run := func(workers int) string {
+			sw, err := f.Sweep()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var csv bytes.Buffer
+			if _, err := (sweep.Engine{Workers: workers}).Run(sw, sweep.NewCSVSink(&csv)); err != nil {
+				t.Fatalf("%s at %d workers: %v", name, workers, err)
+			}
+			return csv.String()
+		}
+		one, four := run(1), run(4)
+		if one != four {
+			t.Errorf("%s: CSV differs between 1 and 4 workers:\n--- 1 ---\n%s--- 4 ---\n%s", name, one, four)
+		}
+		sw, _ := f.Sweep()
+		if rows := strings.Count(one, "\n") - 1; rows != sw.Size() {
+			t.Errorf("%s: %d CSV rows, want one per point (%d)", name, rows, sw.Size())
+		}
 	}
 }
 

@@ -15,10 +15,16 @@ import (
 // included, is encoded into a buffer the stream reuses and reaches the
 // writer in a single Write, so a reader of the file or stream sees
 // whole records only and an unbuffered writer pays one call per row.
+//
+// A record is either a Write of string cells or a sequence of typed
+// appends (Field, Int, Uint, Float) closed by EndRecord. The typed form
+// encodes numbers straight into the buffer, without boxing a row into
+// []any.
 type CSVStream struct {
-	w    io.Writer
-	cols int
-	rec  []byte
+	w     io.Writer
+	cols  int
+	rec   []byte
+	cells int // cells appended to the pending record
 }
 
 // NewCSVStream writes the header row and returns a stream bound to it.
@@ -39,69 +45,50 @@ func NewCSVStreamNoHeader(w io.Writer, columns int) (*CSVStream, error) {
 	return &CSVStream{w: w, cols: columns}, nil
 }
 
-// Write appends one row. The cell count must match the header.
+// Write appends one row of string cells. The cell count must match the
+// header.
 func (s *CSVStream) Write(cells ...string) error {
-	if err := s.check(len(cells)); err != nil {
-		return err
+	for _, c := range cells {
+		s.Field(c)
 	}
-	rec := s.rec[:0]
-	for i, c := range cells {
-		if i > 0 {
-			rec = append(rec, ',')
-		}
-		rec = appendField(rec, c)
-	}
-	return s.emit(rec)
+	return s.EndRecord()
 }
 
-// Writef appends a row of formatted values with Table.AddRowf's rules:
-// strings pass through, float64s are compacted, everything else uses %v.
-func (s *CSVStream) Writef(cells ...any) error {
-	if err := s.check(len(cells)); err != nil {
-		return err
+// Field appends a string cell to the pending record, quoted when it
+// needs to be.
+func (s *CSVStream) Field(c string) { s.rec = appendField(s.sep(), c) }
+
+// Int appends an integer cell to the pending record.
+func (s *CSVStream) Int(v int64) { s.rec = strconv.AppendInt(s.sep(), v, 10) }
+
+// Uint appends an unsigned integer cell to the pending record.
+func (s *CSVStream) Uint(v uint64) { s.rec = strconv.AppendUint(s.sep(), v, 10) }
+
+// Float appends a float cell to the pending record, compacted as
+// Table.AddRowf renders it. Numbers never need quoting.
+func (s *CSVStream) Float(v float64) { s.rec = appendFloat(s.sep(), v) }
+
+// sep counts the next cell and returns the record buffer with its
+// separator in place.
+func (s *CSVStream) sep() []byte {
+	s.cells++
+	if s.cells > 1 {
+		return append(s.rec, ',')
 	}
-	rec := s.rec[:0]
-	for i, c := range cells {
-		if i > 0 {
-			rec = append(rec, ',')
-		}
-		rec = appendCell(rec, c)
-	}
-	return s.emit(rec)
+	return s.rec
 }
 
-func (s *CSVStream) check(cells int) error {
+// EndRecord terminates the pending record and hands it to the writer in
+// one call. A record whose cell count does not match the header is an
+// error and is discarded without writing anything.
+func (s *CSVStream) EndRecord() error {
+	rec, cells := append(s.rec, '\n'), s.cells
+	s.rec, s.cells = rec[:0], 0
 	if cells != s.cols {
 		return fmt.Errorf("traceio: row with %d cells in CSV stream with %d columns", cells, s.cols)
 	}
-	return nil
-}
-
-// emit terminates the record and hands it to the writer in one call.
-func (s *CSVStream) emit(rec []byte) error {
-	rec = append(rec, '\n')
-	s.rec = rec
 	_, err := s.w.Write(rec)
 	return err
-}
-
-// appendCell renders one Writef value. Numbers never need quoting, so
-// only strings, and the %v fallback, go through appendField.
-func appendCell(rec []byte, c any) []byte {
-	switch v := c.(type) {
-	case string:
-		return appendField(rec, v)
-	case float64:
-		return appendFloat(rec, v)
-	case int:
-		return strconv.AppendInt(rec, int64(v), 10)
-	case int64:
-		return strconv.AppendInt(rec, v, 10)
-	case uint64:
-		return strconv.AppendUint(rec, v, 10)
-	default:
-		return appendField(rec, fmt.Sprint(v))
-	}
 }
 
 // appendField appends one cell, quoted when it holds a comma, a quote

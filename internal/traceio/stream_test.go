@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCSVStream(t *testing.T) {
@@ -19,7 +18,10 @@ func TestCSVStream(t *testing.T) {
 	if err := s.Write("1", "2", "3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Writef("x", 1.5, 7); err != nil {
+	s.Field("x")
+	s.Float(1.5)
+	s.Int(7)
+	if err := s.EndRecord(); err != nil {
 		t.Fatal(err)
 	}
 	// Cells with commas, quotes and newlines must round-trip.
@@ -58,31 +60,44 @@ func (l *writeLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCSVStreamRecordBytes pins the record encoder to the bytes the
-// cell-by-cell writer produced — quoting, empty cells and every value
-// type Writef formats itself — and checks each record is one Write.
+// cell is one typed append, for table-driven records.
+type cell func(*CSVStream)
+
+func field(c string) cell  { return func(s *CSVStream) { s.Field(c) } }
+func num(v int64) cell     { return func(s *CSVStream) { s.Int(v) } }
+func unum(v uint64) cell   { return func(s *CSVStream) { s.Uint(v) } }
+func float(v float64) cell { return func(s *CSVStream) { s.Float(v) } }
+
+// TestCSVStreamRecordBytes pins the typed appenders to the bytes the
+// boxed-cell row writer they replaced produced — quoting, empty cells,
+// float specials and compaction, integer extremes — and checks each
+// record is one Write.
 func TestCSVStreamRecordBytes(t *testing.T) {
-	type pair struct{ A, B string }
 	cases := []struct {
 		name  string
-		cells []any
+		cells []cell
 		want  string
 	}{
-		{"plain", []any{"a", "b"}, "a,b\n"},
-		{"comma", []any{"a,b", "c"}, "\"a,b\",c\n"},
-		{"quote", []any{`say "hi"`, `"`}, "\"say \"\"hi\"\"\",\"\"\"\"\n"},
-		{"cr", []any{"x\ry", "z"}, "\"x\ry\",z\n"},
-		{"lf", []any{"x\ny", "z"}, "\"x\ny\",z\n"},
-		{"crlf", []any{"x\r\ny"}, "\"x\r\ny\"\n"},
-		{"empty cells", []any{"", "", ""}, ",,\n"},
-		{"one empty cell", []any{""}, "\n"},
-		{"float64", []any{1.5, 0.0, -2.25e-9, 123456789.0, 1.0 / 3}, "1.5,0,-2.25e-09,1.2345679e+08,0.33333333\n"},
-		{"float64 specials", []any{math.NaN(), math.Inf(1), math.Inf(-1)}, "NaN,+Inf,-Inf\n"},
-		{"int", []any{0, -7, math.MaxInt64}, "0,-7,9223372036854775807\n"},
-		{"int64", []any{int64(math.MinInt64), int64(42)}, "-9223372036854775808,42\n"},
-		{"uint64", []any{uint64(0), uint64(math.MaxUint64)}, "0,18446744073709551615\n"},
-		{"fallback", []any{true, float32(1.5), int32(-3), uint8(9), nil, 1500 * time.Millisecond}, "true,1.5,-3,9,<nil>,1.5s\n"},
-		{"fallback quoted", []any{pair{"x,y", "z"}, []string{"a", `"b"`}}, "\"{x,y z}\",\"[a \"\"b\"\"]\"\n"},
+		{"plain", []cell{field("a"), field("b")}, "a,b\n"},
+		{"comma", []cell{field("a,b"), field("c")}, "\"a,b\",c\n"},
+		{"quote", []cell{field(`say "hi"`), field(`"`)}, "\"say \"\"hi\"\"\",\"\"\"\"\n"},
+		{"cr", []cell{field("x\ry"), field("z")}, "\"x\ry\",z\n"},
+		{"lf", []cell{field("x\ny"), field("z")}, "\"x\ny\",z\n"},
+		{"crlf", []cell{field("x\r\ny")}, "\"x\r\ny\"\n"},
+		{"non-ascii quoted", []cell{field("α,β"), field("γ")}, "\"α,β\",γ\n"},
+		{"empty cells", []cell{field(""), field(""), field("")}, ",,\n"},
+		{"one empty cell", []cell{field("")}, "\n"},
+		{"float", []cell{float(1.5), float(0), float(-2.25e-9), float(123456789), float(1.0 / 3), float(0.1)},
+			"1.5,0,-2.25e-09,1.2345679e+08,0.33333333,0.1\n"},
+		{"float specials", []cell{float(math.NaN()), float(math.Inf(1)), float(math.Inf(-1)), float(math.Copysign(0, -1))},
+			"NaN,+Inf,-Inf,-0\n"},
+		{"float extremes", []cell{float(1e21), float(1e20), float(5e-324), float(math.MaxFloat64)},
+			"1e+21,1e+20,4.9406565e-324,1.7976931e+308\n"},
+		{"int", []cell{num(0), num(-7), num(math.MinInt64), num(math.MaxInt64)},
+			"0,-7,-9223372036854775808,9223372036854775807\n"},
+		{"uint", []cell{unum(0), unum(math.MaxUint64)}, "0,18446744073709551615\n"},
+		{"mixed", []cell{num(3), field("4"), field("a,b"), field("circuitstart"), unum(2), float(36.7)},
+			"3,4,\"a,b\",circuitstart,2,36.7\n"},
 	}
 	for _, tc := range cases {
 		var log writeLog
@@ -90,7 +105,10 @@ func TestCSVStreamRecordBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Writef(tc.cells...); err != nil {
+		for _, c := range tc.cells {
+			c(s)
+		}
+		if err := s.EndRecord(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := strings.Join(log.writes, ""); got != tc.want {
@@ -113,6 +131,41 @@ func TestCSVStreamRecordBytes(t *testing.T) {
 	want := []string{"point,\"a,b\",\"q\"\"\"\n", ",\"x\ny\",plain\n"}
 	if strings.Join(log.writes, "|") != strings.Join(want, "|") {
 		t.Errorf("writes = %q, want %q", log.writes, want)
+	}
+}
+
+// TestCSVStreamCellCountMismatch checks that a typed record with too
+// few or too many cells is refused without writing anything, and that
+// the refused cells do not leak into the next record.
+func TestCSVStreamCellCountMismatch(t *testing.T) {
+	var log writeLog
+	s, err := NewCSVStreamNoHeader(&log, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Int(1)
+	if err := s.EndRecord(); err == nil {
+		t.Error("record with 1 of 2 cells accepted")
+	}
+	s.Int(1)
+	s.Uint(2)
+	s.Float(3)
+	if err := s.EndRecord(); err == nil {
+		t.Error("record with 3 of 2 cells accepted")
+	}
+	if err := s.Write("only"); err == nil {
+		t.Error("string row with 1 of 2 cells accepted")
+	}
+	if len(log.writes) != 0 {
+		t.Fatalf("refused records wrote %q", log.writes)
+	}
+	s.Field("a")
+	s.Int(-1)
+	if err := s.EndRecord(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a,-1\n"}; strings.Join(log.writes, "|") != strings.Join(want, "|") {
+		t.Errorf("writes after refusals = %q, want %q", log.writes, want)
 	}
 }
 
