@@ -67,6 +67,36 @@ func TestGoldenScenarioOutput(t *testing.T) {
 	}
 }
 
+// goldenStaticRingArgs is a static trial (no churn, no faults) on a
+// four-switch ring. Its per-trunk table shows when the clock stopped:
+// a static trial keeps completed circuits up and stops at the instant
+// its last initial download settles, so draining the queue instead, or
+// tearing circuits down on completion, moves the trunk rows.
+var goldenStaticRingArgs = []string{
+	"-circuits", "6", "-relays", "16", "-switches", "4",
+	"-size", "100000", "-spread", "200ms", "-reps", "2",
+	"-workers", "2", "-seed", "42", "-download",
+}
+
+// TestGoldenStaticRingOutput pins the static stop rule. If a change
+// legitimately alters seeded outputs, regenerate with:
+//
+//	go run ./cmd/circuitsim scenario -circuits 6 -relays 16 \
+//	  -switches 4 -size 100000 -spread 200ms -reps 2 -workers 2 \
+//	  -seed 42 -download > cmd/circuitsim/testdata/golden_static_ring.txt
+//
+// and call out the determinism break in the change description.
+func TestGoldenStaticRingOutput(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden_static_ring.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := captureStdout(t, func() error { return runScenario(goldenStaticRingArgs) })
+	if got != string(want) {
+		t.Errorf("static ring output drifted from testdata/golden_static_ring.txt\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // goldenShardedArgs is the sharded determinism fixture's flag set,
 // minus -shards (the matrix test appends it). Faults, cell trains,
 // Poisson arrivals and two workers all ride along, so the fixture pins

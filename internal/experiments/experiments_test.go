@@ -1,9 +1,12 @@
 package experiments
 
 import (
-	"sort"
+	"fmt"
 	"testing"
+	"time"
 
+	"circuitstart/internal/netem"
+	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
@@ -325,35 +328,73 @@ func TestAblationGammaScenarioEquivalence(t *testing.T) {
 }
 
 // TestFig1DownloadCDFScenarioEquivalence asserts the CDF adapter's
-// declarative scenario matches running each arm by hand through the
-// workload package — the legacy execution path.
+// declarative scenario, run on the scenario engine, matches running each
+// arm by hand through workload.Build and workload.Scenario.Run — the
+// reference execution — circuit for circuit, over both arrival kinds,
+// both transfer directions, three seeds, and a star and a ring fabric.
 func TestFig1DownloadCDFScenarioEquivalence(t *testing.T) {
-	p := smallCDFParams(42)
-	res, err := Fig1DownloadCDF(p)
+	ring, err := workload.GenerateBackbone(workload.DefaultBackboneParams(16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := []struct {
+		name   string
+		spread time.Duration
+	}{{"together", 0}, {"uniform", 200 * time.Millisecond}}
+	directions := []struct {
+		name     string
+		download bool
+	}{{"download", true}, {"forward", false}}
+	fabrics := []struct {
+		name string
+		spec *netem.GraphSpec
+	}{{"star", nil}, {"ring4", &ring}}
+	for _, arrival := range arrivals {
+		for _, dir := range directions {
+			for _, seed := range []int64{1, 7, 42} {
+				for _, fabric := range fabrics {
+					p := smallCDFParams(seed)
+					p.Scenario.StartSpread = arrival.spread
+					p.Scenario.Download = dir.download
+					p.Scenario.Fabric = fabric.spec
+					name := fmt.Sprintf("%s/%s/seed%d/%s", arrival.name, dir.name, seed, fabric.name)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						checkCDFAgainstWorkload(t, p)
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkCDFAgainstWorkload runs p's scenario on the engine and each arm
+// through the workload reference, and compares every circuit's Done,
+// TTLB and exit window.
+func checkCDFAgainstWorkload(t *testing.T, p CDFParams) {
+	sc := p.ToScenario()
+	sc.Topology.Fabric = p.Scenario.Fabric
+	res, err := scenario.Runner{Workers: 1}.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, policy := range p.Policies {
 		sp := p.Scenario
 		sp.Transport.Policy = policy
-		sc, err := workload.Build(p.Seed, sp)
+		ref, err := workload.Build(p.Seed, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []float64
-		for _, r := range sc.Run(p.Horizon) {
-			if r.Done {
-				want = append(want, r.TTLB.Seconds())
-			}
-		}
-		sort.Float64s(want)
-		got := res.Arm(policy).TTLB.Sorted()
+		want := ref.Run(p.Horizon)
+		got := res.Arm(policy).Circuits
 		if len(got) != len(want) {
-			t.Fatalf("arm %q: %d vs %d samples", policy, len(got), len(want))
+			t.Fatalf("arm %q: %d vs %d circuits", policy, len(got), len(want))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("arm %q sample %d: %v vs %v", policy, i, got[i], want[i])
+		for i, w := range want {
+			exit := ref.Circuits[i].SourceSender().Stats().ExitCwnd
+			if g := got[i]; g.Done != w.Done || g.TTLB != w.TTLB || g.ExitCwnd != exit {
+				t.Fatalf("arm %q circuit %d: engine done=%v ttlb=%v exit=%v, reference done=%v ttlb=%v exit=%v",
+					policy, i, g.Done, g.TTLB, g.ExitCwnd, w.Done, w.TTLB, exit)
 			}
 		}
 	}

@@ -21,8 +21,7 @@ import (
 // downloads arrive over freshly built circuits mid-run, completed
 // circuits are torn down (their cell and timer state released back to
 // the pools), and initial circuits can be killed on a schedule. The
-// zero value disables churn and preserves the static execution path
-// byte for byte.
+// zero value disables churn: the trial is static (see hasChurn).
 type CircuitEvents struct {
 	// ArrivalRate, when positive, adds an open-loop Poisson process of
 	// new downloads (mean arrivals per second, stream
@@ -81,8 +80,9 @@ type RelayEvent struct {
 }
 
 // hasChurn reports whether the scenario exercises the dynamic circuit
-// lifecycle at all. When false, trials run the exact pre-churn
-// execution path, preserving seeded outputs byte for byte.
+// lifecycle at all. When false the trial is static: both engines keep
+// a completed download's circuit up, stop once every initial download
+// has settled, and report no lifecycle ledger.
 func (sc *Scenario) hasChurn() bool {
 	return sc.CircuitEvents.enabled() || len(sc.RelayEvents) > 0 || sc.Faults.Enabled()
 }
@@ -179,9 +179,10 @@ type download struct {
 	delivered    units.DataSize // bytes banked from discarded circuits
 }
 
-// churnEngine drives one trial's dynamic circuit lifecycle on a single
-// network/clock, so everything it does is deterministic regardless of
-// the worker pool running the trial.
+// churnEngine drives one trial on a single network/clock — static
+// trials and the dynamic circuit lifecycle alike — so everything it
+// does is deterministic regardless of the worker pool running the
+// trial.
 type churnEngine struct {
 	sc     Scenario
 	arm    Arm
@@ -189,6 +190,10 @@ type churnEngine struct {
 	cons   *directory.Consensus // nil on explicit topologies
 	access netem.AccessConfig
 	seed   int64
+	// churnOn is sc.hasChurn(). Without it a completed download keeps
+	// its circuit, the clock stops once the last initial download
+	// settles (unless RunFullHorizon), and the ledger is reported zero.
+	churnOn bool
 
 	pathRNG   *sim.RNG // churn-arrival and rebuild path sampling
 	downloads []*download
@@ -214,22 +219,29 @@ func (e *churnEngine) newDownload(index int) *download {
 	return &download{index: index}
 }
 
-// runChurn executes one trial with the dynamic circuit lifecycle:
-// initial circuits start per the arrival process exactly as in the
-// static path (same RNG streams), then churn arrivals, scheduled
-// teardowns and relay failure/recovery play out on the trial's clock.
+// runChurn executes one trial on the single-clock engine: initial
+// circuits start per the arrival process, then — when the scenario has
+// churn — arrivals, scheduled teardowns, relay failure/recovery and
+// faults play out on the trial's clock.
 func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, ChurnStats, ResilienceStats, error) {
 	e := &churnEngine{
 		sc:      sc,
 		arm:     arm,
 		seed:    seed,
-		pathRNG: sim.NewRNG(seed, "scenario-churn-paths"),
+		churnOn: sc.hasChurn(),
 		failed:  make(map[netem.NodeID]bool),
 	}
-	if ar != nil {
-		e.dlSlab = ar.Slot("scenario.downloads", func() any {
-			return new(arena.Slab[download])
-		}).(*arena.Slab[download])
+	if e.churnOn {
+		// A static trial never samples a path and holds only its initial
+		// downloads, so it skips the path stream's math/rand source
+		// (5 kB) and the slab's 64-entry chunk (8 kB): a sweep point runs
+		// on a fresh arena, and its one-circuit trial would pay both.
+		e.pathRNG = sim.NewRNG(seed, "scenario-churn-paths")
+		if ar != nil {
+			e.dlSlab = ar.Slot("scenario.downloads", func() any {
+				return new(arena.Slab[download])
+			}).(*arena.Slab[download])
+		}
 	}
 	e.churn.Lifetime = newLifetimeDist(arm.Name)
 
@@ -260,13 +272,18 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 
 	// Initial downloads follow the scenario's declared arrival process,
 	// drawn from the runner's own streams ("scenario-starts" /
-	// "scenario-arrivals"). Note this is not byte-compatible with the
-	// static generated-population path, whose together/uniform arrivals
-	// go through workload.Scenario.Run and its "workload-starts" stream
-	// — enabling churn is allowed to change the realized start times.
-	// A nil slot is a circuit refused at admission by a resource-limited
-	// relay; its download is recorded as rejected and never starts.
-	delays := arrivalDelays(seed, sc.Circuits, len(initial))
+	// "scenario-arrivals") — except a static generated trial without a
+	// SizeMix, whose uniform stagger comes from "workload-starts", the
+	// stream workload.Scenario.Run draws, so the paper experiments keep
+	// their seeded outputs. Enabling churn is allowed to change the
+	// realized start times. A nil slot is a circuit refused at admission
+	// by a resource-limited relay; its download is recorded as rejected
+	// and never starts.
+	starts := "scenario-starts"
+	if !e.churnOn && sc.Topology.Population != nil && len(sc.Circuits.SizeMix) == 0 {
+		starts = "workload-starts"
+	}
+	delays := arrivalDelays(seed, sc.Circuits, len(initial), starts)
 	for i, c := range initial {
 		d := e.newDownload(i)
 		d.circuit = c
@@ -278,9 +295,10 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 			continue
 		}
 		e.churn.Built++
-		if c.Closed() {
+		if c.Closed() && e.churnOn {
 			// Evicted at build time (admission kill), before the kill
-			// observer was installed — account the lifecycle here.
+			// observer was installed — account the lifecycle here. A
+			// static trial settles it at its start instead.
 			d.aborted, d.killed = true, true
 			e.churn.Aborted++
 			e.churn.TornDown++
@@ -312,20 +330,46 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 		e.n.Clock().At(ev.At, func() { e.relayEvent(ev) })
 	}
 
-	// No Stop(): teardown releases every timer, so the queue drains on
-	// its own once the last download finishes (or the horizon cuts a
-	// stalled one off).
+	// With churn there is no Stop(): teardown releases every timer, so
+	// the queue drains on its own once the last download finishes (or
+	// the horizon cuts a stalled one off). A static trial stops in
+	// settle.
 	e.n.RunUntil(sc.Horizon)
-	return e.collect(rep), netStats(e.n), e.churn, e.resil, nil
+	net := netStats(e.n)
+	out := e.collect(rep)
+	if !e.churnOn {
+		e.churn = ChurnStats{}
+	}
+	return out, net, e.churn, e.resil, nil
+}
+
+// settle stops a static trial's clock once every initial download has
+// settled — completed, killed, or found closed at its start — unless
+// RunFullHorizon keeps it running to the horizon.
+func (e *churnEngine) settle() {
+	if e.churnOn || e.sc.RunFullHorizon {
+		return
+	}
+	for _, d := range e.downloads {
+		if !d.done && !d.aborted {
+			return
+		}
+	}
+	e.n.Clock().Stop()
 }
 
 // scheduleStart arms download d's first transfer start after delay. A
 // scheduled teardown may kill the circuit before the staggered start
 // arrives (the start is then dropped — the download is already
 // accounted as aborted), and a relay failure may have replaced the
-// circuit with a rebuilt one (the start then proceeds on it).
+// circuit with a rebuilt one (the start then proceeds on it). On a
+// static trial a circuit evicted at build time settles here.
 func (e *churnEngine) scheduleStart(d *download, delay time.Duration) {
 	start := func() {
+		if !e.churnOn && !d.aborted && d.circuit.Closed() {
+			d.aborted, d.killed = true, true
+			e.settle()
+		}
 		if d.started || d.aborted || d.circuit.Closed() {
 			return
 		}
@@ -374,6 +418,7 @@ func (e *churnEngine) watchKills() {
 		}
 		e.churn.TornDown++
 		e.churn.Lifetime.Add(c.Lifetime().Seconds())
+		e.settle()
 	})
 }
 
@@ -479,7 +524,8 @@ func (e *churnEngine) buildCircuit(d *download, path []netem.NodeID) (*core.Circ
 }
 
 // complete records download d's completion and schedules its circuit's
-// teardown after the configured linger.
+// teardown after the configured linger. A static trial keeps the
+// circuit up.
 func (e *churnEngine) complete(d *download) {
 	d.done = true
 	d.ttlb = e.n.Now().Sub(d.startAt)
@@ -490,6 +536,10 @@ func (e *churnEngine) complete(d *download) {
 			e.recordRecovery(d)
 		}
 		e.endActive(d)
+	}
+	if !e.churnOn {
+		e.settle()
+		return
 	}
 	circ := d.circuit
 	if delay := e.sc.CircuitEvents.TeardownDelay; delay > 0 {

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -143,44 +142,6 @@ func TestChurnRebuildPolicy(t *testing.T) {
 	}
 }
 
-func TestChurnZeroValueKeepsStaticPath(t *testing.T) {
-	// A scenario whose churn fields are explicitly zero must take the
-	// original static execution path and produce the identical Result —
-	// the no-churn half of the adapter-equivalence guarantee.
-	static := testScenario()
-	churnZero := testScenario()
-	churnZero.CircuitEvents = CircuitEvents{}
-	churnZero.RelayEvents = nil
-
-	a, err := Runner{Workers: 3}.Run(static)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Runner{Workers: 3}.Run(churnZero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsIdentical(t, a, b)
-	for i := range a.Arms {
-		if a.Arms[i].Churn.Lifetime != nil || b.Arms[i].Churn.Lifetime != nil {
-			t.Fatal("static scenario grew churn aggregates")
-		}
-	}
-	var at, bt strings.Builder
-	if err := a.WriteText(&at); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WriteText(&bt); err != nil {
-		t.Fatal(err)
-	}
-	if at.String() != bt.String() {
-		t.Fatalf("rendered output differs:\n%s\nvs\n%s", at.String(), bt.String())
-	}
-	if strings.Contains(at.String(), "torn_down") {
-		t.Fatal("static output grew a churn table")
-	}
-}
-
 func TestChurnExplicitTopologyTeardown(t *testing.T) {
 	// Scheduled teardown on an explicit topology: circuit 0 dies at
 	// 50 ms mid-transfer, circuit 1 completes; both end torn down.
@@ -268,9 +229,9 @@ func TestChurnFailureBeforeStaggeredStart(t *testing.T) {
 }
 
 // TestChurnTeardownDelayAloneEnablesLifecycle pins the CircuitEvents
-// zero-value boundary: TeardownDelay by itself must engage the
-// lifecycle engine (circuits torn down after completion), not be
-// silently ignored by the static path.
+// zero-value boundary: TeardownDelay by itself must turn the circuit
+// lifecycle on (circuits torn down after completion), not leave the
+// trial static.
 func TestChurnTeardownDelayAloneEnablesLifecycle(t *testing.T) {
 	sc := testScenario()
 	sc.Replications = 1

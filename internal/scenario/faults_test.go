@@ -153,9 +153,9 @@ func TestFaultsRecoveryLifecycle(t *testing.T) {
 // the stall detector: on a trial that makes steady progress the
 // watchdogs only read state, so enabling recovery on a churn run with
 // no fault sources must leave every per-circuit outcome identical.
-// (The baseline itself uses the dynamic engine — a TeardownDelay alone
-// enables it — because a fault plan routes through that engine, not
-// the static path.)
+// (The baseline itself runs with the lifecycle on — a TeardownDelay
+// alone turns it on — because a fault plan turns it on too, and a
+// static trial would keep its completed circuits up.)
 func TestRecoveryOnlyPlanPreservesOutcomes(t *testing.T) {
 	base := testScenario()
 	base.CircuitEvents.TeardownDelay = 10 * time.Millisecond

@@ -202,12 +202,13 @@ type CircuitOutcome struct {
 	TTLB time.Duration
 	// Done reports whether the transfer completed within the horizon.
 	Done bool
-	// Aborted reports the download was torn down before completing
-	// (churn scenarios only). Aborted downloads are counted in
-	// ChurnStats.Aborted, not in ArmResult.Incomplete.
+	// Aborted reports the download ended without completing: torn down,
+	// killed by a relay's resource manager, or refused at admission.
+	// Aborted downloads are counted in ChurnStats.Aborted when the
+	// scenario has churn, never in ArmResult.Incomplete.
 	Aborted bool
-	// StartAt is when the download first started (churn scenarios
-	// only; zero otherwise).
+	// StartAt is when the download first started (zero if it never
+	// did).
 	StartAt sim.Time
 	// Rebuilds counts the download's circuit rebuilds after relay
 	// failures (churn scenarios only).

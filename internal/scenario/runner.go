@@ -162,27 +162,19 @@ func trialSeed(seed int64, rep int) int64 {
 // panic in the simulator is converted into an error so one bad trial
 // fails the run cleanly instead of killing the worker pool. Scenarios
 // with Shards > 0 run on the sharded conservative-lookahead engine;
-// scenarios with churn run the dynamic-lifecycle engine; everything
-// else takes the original static path, unchanged byte for byte.
+// every other trial, static or churned, runs on the single-clock
+// engine (runChurn).
 func runTrial(sc Scenario, arm Arm, seed int64, rep int, ars []*arena.Arena) (out []CircuitOutcome, net NetStats, churn ChurnStats, resil ResilienceStats, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("scenario: arm %q rep %d panicked: %v", arm.Name, rep, p)
 		}
 	}()
-	var ar *arena.Arena
-	if len(ars) > 0 {
-		ar = ars[0]
-	}
 	switch {
 	case sc.Shards > 0:
 		out, net, churn, resil, err = runSharded(sc, arm, seed, rep, ars)
-	case sc.hasChurn():
-		out, net, churn, resil, err = runChurn(sc, arm, seed, rep, ar)
-	case sc.Topology.Population != nil:
-		out, net, err = runGenerated(sc, arm, seed, rep, ar)
 	default:
-		out, net, err = runExplicit(sc, arm, seed, rep, ar)
+		out, net, churn, resil, err = runChurn(sc, arm, seed, rep, ars[0])
 	}
 	if err != nil {
 		err = fmt.Errorf("scenario: arm %q rep %d: %w", arm.Name, rep, err)
@@ -229,16 +221,13 @@ func scheduleEvents(n *core.Network, events []LinkEvent) {
 	}
 }
 
-// workloadParams renders the scenario's generated-topology trial into
-// workload.ScenarioParams (shared by the static and churn paths).
+// workloadParams renders the scenario's generated topology into the
+// workload.Build parameters of one trial. The engine starts the
+// transfers itself, so the start and direction fields stay zero.
 func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioParams {
-	var spread time.Duration
-	if sc.Circuits.Arrival.Kind == ArriveUniform {
-		spread = sc.Circuits.Arrival.Spread
-	}
-	// With a SizeMix-only workload the transfers are driven by
-	// runTransfers (per-circuit sizeFor), but Build still validates a
-	// positive TransferSize — hand it the first mix entry.
+	// With a SizeMix-only workload the engine sizes each transfer
+	// (sizeFor), but Build still validates a positive TransferSize —
+	// hand it the first mix entry.
 	size := sc.Circuits.TransferSize
 	if size <= 0 {
 		size = sc.Circuits.sizeFor(0)
@@ -250,8 +239,6 @@ func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioPara
 		TransferSize:   size,
 		Transport:      arm.Transport,
 		ClientAccess:   sc.ClientAccess,
-		StartSpread:    spread,
-		Download:       sc.Circuits.Download,
 		TraceCwnd:      sc.Probes.TraceCwnd,
 		Fabric:         sc.Topology.Fabric,
 		RelayConfig:    arm.Relay,
@@ -260,29 +247,10 @@ func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioPara
 	}
 }
 
-// runGenerated executes one trial over a generated relay population via
-// the workload package. Together/uniform arrivals go through
-// workload.Scenario.Run — the exact execution path of the pre-scenario
-// experiments, preserving their seeded outputs bit for bit.
-func runGenerated(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, error) {
-	wsc, err := workload.Build(seed, workloadParams(sc, arm, ar))
-	if err != nil {
-		return nil, NetStats{}, err
-	}
-	scheduleEvents(wsc.Network, sc.Events)
-	if sc.Circuits.Arrival.Kind == ArrivePoisson || len(sc.Circuits.SizeMix) > 0 {
-		runTransfers(wsc.Network, wsc.Circuits, sc.Circuits, seed, sc.Horizon, false)
-	} else {
-		wsc.Run(sc.Horizon)
-	}
-	return collect(wsc.Circuits, rep, sc.Probes.TraceCwnd), netStats(wsc.Network), nil
-}
-
 // buildExplicit constructs one trial's network over an explicit
 // topology: attach the listed relays in order and build each circuit
 // along its declared path. It returns the (defaults-filled) client
-// access so churn arrivals attach identically. Shared by the static
-// and churn paths.
+// access so churn arrivals attach identically.
 func buildExplicit(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*core.Network, []*core.Circuit, netem.AccessConfig, error) {
 	build := func(clock *sim.Clock, _ *sim.RNG) netem.Fabric {
 		return netem.NewStarFabric(clock)
@@ -347,90 +315,14 @@ func buildExplicit(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*core.Net
 	return n, circuits, access, nil
 }
 
-// runExplicit executes one trial over an explicit topology: attach the
-// listed relays in order, schedule link events, build each circuit
-// along its declared path, and run the transfers.
-func runExplicit(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]CircuitOutcome, NetStats, error) {
-	n, circuits, _, err := buildExplicit(sc, arm, seed, ar)
-	if err != nil {
-		return nil, NetStats{}, err
-	}
-	scheduleEvents(n, sc.Events)
-	runTransfers(n, circuits, sc.Circuits, seed, sc.Horizon, sc.RunFullHorizon)
-	return collect(circuits, rep, sc.Probes.TraceCwnd), netStats(n), nil
-}
-
-// runTransfers starts every circuit's transfer per the arrival process
-// and executes the simulation. Unless fullHorizon is set, the clock
-// stops as soon as the last transfer completes — a resource-limit kill
-// counts its circuit as finished so an eviction cannot stall the stop.
-// Circuits rejected at admission (nil slots) never start.
-func runTransfers(n *core.Network, circuits []*core.Circuit, cs CircuitSet, seed int64, horizon sim.Time, fullHorizon bool) {
-	delays := arrivalDelays(seed, cs, len(circuits))
-	remaining := 0
-	for _, c := range circuits {
-		if c != nil {
-			remaining++
-		}
-	}
-	finished := make([]bool, len(circuits))
-	finish := func(i int) {
-		if finished[i] {
-			return
-		}
-		finished[i] = true
-		remaining--
-		if remaining == 0 && !fullHorizon {
-			n.Clock().Stop()
-		}
-	}
-	idx := make(map[*core.Circuit]int, len(circuits))
-	for i, c := range circuits {
-		if c != nil {
-			idx[c] = i
-		}
-	}
-	n.OnKill(func(c *core.Circuit) {
-		if i, ok := idx[c]; ok {
-			finish(i)
-		}
-	})
-	for i, c := range circuits {
-		if c == nil {
-			continue
-		}
-		i, circ := i, c
-		start := func() {
-			if circ.Closed() {
-				// Evicted before its start (admission kill at build
-				// time, or mid-stagger); nothing left to transfer.
-				finish(i)
-				return
-			}
-			done := func(time.Duration) { finish(i) }
-			if cs.Download {
-				circ.TransferBackward(cs.sizeFor(i), done)
-			} else {
-				circ.Transfer(cs.sizeFor(i), done)
-			}
-		}
-		if delays[i] == 0 {
-			start()
-		} else {
-			n.Clock().After(delays[i], start)
-		}
-	}
-	n.RunUntil(horizon)
-}
-
 // arrivalDelays renders the arrival process into per-circuit start
 // offsets, drawn from seed-derived streams so they are identical across
-// arms and worker counts.
-func arrivalDelays(seed int64, cs CircuitSet, n int) []time.Duration {
+// arms and worker counts. starts names the uniform stagger's stream.
+func arrivalDelays(seed int64, cs CircuitSet, n int, starts string) []time.Duration {
 	out := make([]time.Duration, n)
 	switch cs.Arrival.Kind {
 	case ArriveUniform:
-		rng := sim.NewRNG(seed, "scenario-starts")
+		rng := sim.NewRNG(seed, starts)
 		for i := range out {
 			out[i] = time.Duration(rng.Int63n(int64(cs.Arrival.Spread)))
 		}
@@ -441,34 +333,6 @@ func arrivalDelays(seed int64, cs CircuitSet, n int) []time.Duration {
 			at += time.Duration(rng.Exponential(1/cs.Arrival.Rate) * float64(time.Second))
 			out[i] = at
 		}
-	}
-	return out
-}
-
-// collect extracts one outcome per circuit after a trial has run. A nil
-// slot is a circuit refused at admission; it is reported as Rejected.
-func collect(circuits []*core.Circuit, rep int, traced bool) []CircuitOutcome {
-	out := make([]CircuitOutcome, len(circuits))
-	for i, c := range circuits {
-		if c == nil {
-			out[i] = CircuitOutcome{Replication: rep, Index: i, Rejected: true}
-			continue
-		}
-		ttlb, done := c.TTLB()
-		o := CircuitOutcome{
-			Replication:  rep,
-			Index:        i,
-			TTLB:         ttlb,
-			Done:         done,
-			Killed:       c.Killed() && !done,
-			OptimalCells: c.ModelPath().OptimalSourceWindowCells(),
-		}
-		st := c.SourceSender().Stats()
-		o.ExitCwnd, o.ExitTime, o.Restarts = st.ExitCwnd, st.ExitTime, st.Restarts
-		if traced {
-			o.Trace = c.SourceTrace()
-		}
-		out[i] = o
 	}
 	return out
 }

@@ -10,9 +10,11 @@
 // Poisson arrivals, capacity-step events and replicated runs. Circuits
 // are dynamic entities — CircuitEvents adds churn (downloads arriving
 // over fresh circuits, teardown of completed ones) and RelayEvents
-// schedules relay failures/recoveries with per-arm rebuild policies —
-// while zero-valued churn fields preserve the static execution path
-// byte for byte.
+// schedules relay failures/recoveries with per-arm rebuild policies.
+// With the churn fields zero a trial is static: its circuits live to the
+// end and the clock stops when the last initial download settles. One
+// single-clock engine runs both kinds of trial; Shards selects the
+// sharded engine instead.
 //
 // Determinism is a hard guarantee: each trial builds its own
 // core.Network from a seed-derived substream and the aggregation order
@@ -197,7 +199,7 @@ type Scenario struct {
 	// CircuitEvents configures circuit churn: Poisson arrivals of new
 	// downloads over fresh circuits, teardown of completed circuits,
 	// and scheduled teardowns of initial circuits. The zero value keeps
-	// the static all-circuits-at-t=0-forever execution path.
+	// the trial static: every initial circuit lives to the end.
 	CircuitEvents CircuitEvents
 	// RelayEvents schedules relay failures and recoveries. Circuits
 	// crossing a failed relay are torn down at the failure instant;
@@ -207,8 +209,8 @@ type Scenario struct {
 	// jitter, link flaps, trunk partitions, relay degradation, and the
 	// endpoint-side stall-detection/recovery configuration. The zero
 	// value injects nothing and keeps seeded outputs byte-identical;
-	// any non-zero plan routes the trial through the dynamic lifecycle
-	// engine (see internal/faults).
+	// any non-zero plan turns the circuit lifecycle on, as churn does
+	// (see internal/faults).
 	Faults faults.Plan
 	// TrainSize caps cell-train coalescing on every link of every trial
 	// — access links and backbone trunks alike. Values ≤ 1 keep the
@@ -225,9 +227,9 @@ type Scenario struct {
 	// included, because trunk deliveries that tie fire in lane order on
 	// every clock (TestShardedPlanInvariance) — but not to the
 	// Shards = 0 single-clock engine, whose control-plane timing (early
-	// stop, teardown instants) and tie order (scheduling history, not
-	// lanes) differ. Requires a Fabric topology; see validateSharded for
-	// the features the sharded engine rejects.
+	// stop, teardown instants), start streams and tie order (scheduling
+	// history, not lanes) differ. Requires a Fabric topology; see
+	// validateSharded for the features the sharded engine rejects.
 	Shards int
 	// Probes selects instrumentation.
 	Probes Probes

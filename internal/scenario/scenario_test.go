@@ -172,7 +172,7 @@ func TestRunnerPoissonArrivals(t *testing.T) {
 
 func TestArrivalDelays(t *testing.T) {
 	cs := CircuitSet{Arrival: Arrival{Kind: ArrivePoisson, Rate: 100}}
-	delays := arrivalDelays(1, cs, 20)
+	delays := arrivalDelays(1, cs, 20, "scenario-starts")
 	var prev time.Duration
 	for i, d := range delays {
 		if d <= prev {
@@ -181,13 +181,13 @@ func TestArrivalDelays(t *testing.T) {
 		prev = d
 	}
 	cs = CircuitSet{Arrival: Arrival{Kind: ArriveUniform, Spread: time.Second}}
-	for i, d := range arrivalDelays(1, cs, 20) {
+	for i, d := range arrivalDelays(1, cs, 20, "scenario-starts") {
 		if d < 0 || d >= time.Second {
 			t.Fatalf("uniform delay %d = %v outside [0, 1s)", i, d)
 		}
 	}
 	cs = CircuitSet{}
-	for i, d := range arrivalDelays(1, cs, 3) {
+	for i, d := range arrivalDelays(1, cs, 3, "scenario-starts") {
 		if d != 0 {
 			t.Fatalf("together delay %d = %v", i, d)
 		}

@@ -147,8 +147,8 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 	}
 
 	// Initial downloads follow the declared arrival process, drawn from
-	// the same streams as the single-clock engine.
-	delays := arrivalDelays(seed, sc.Circuits, len(initial))
+	// the streams the single-clock engine uses under churn.
+	delays := arrivalDelays(seed, sc.Circuits, len(initial), "scenario-starts")
 	for i, c := range initial {
 		d := e.newDownload(i)
 		d.circuit = c
