@@ -2,19 +2,26 @@
 // runner and the benchmarks reuse across trials.
 //
 // A simulation trial allocates the same shapes every time: clock events,
-// cells, boxed segment wrappers, circuits, churn-ledger entries. Tearing
-// a trial down object by object and reallocating everything for the next
-// one is where the old hot path spent most of its allocations. An Arena
-// instead owns the recyclable substrate — one clock whose event free
-// list survives trials, the cell and segment pools, and named object
-// slabs — and makes whole-trial teardown a pointer reset: ResetTrial
-// rewinds every cursor without releasing memory, so trial N+1 replays
-// into the working set trial N built.
+// cells, boxed segment wrappers, frames and link ring buffers, circuits,
+// churn-ledger entries. Tearing a trial down object by object and
+// reallocating everything for the next one is where the old hot path
+// spent most of its allocations. An Arena instead owns the recyclable
+// substrate — one clock whose event free list survives trials, the
+// cell, segment and frame stores, and named object slabs — and makes
+// whole-trial teardown a pointer reset: ResetTrial rewinds every cursor
+// without releasing memory, so trial N+1 replays into the working set
+// trial N built.
 //
-// Arenas are per worker goroutine (a clock is single-threaded by
-// design); the determinism contract is unaffected because recycled
-// memory is observationally neutral — every output is a pure function
-// of seeds and virtual time, never of object identity or stale bytes.
+// Lifetime: an arena serves one goroutine at a time (a clock is
+// single-threaded by design), but it is not tied to a goroutine or to a
+// run. The scenario runner keeps its arenas on a bounded process-wide
+// idle list between runs, until they sit through a garbage collection
+// untaken, so trial N+1 may belong to a later sweep point or daemon job
+// than trial N; an arena that served a failed trial is dropped, never
+// reused. The determinism contract is unaffected because
+// recycled memory is observationally neutral — every output is a pure
+// function of seeds and virtual time, never of object identity or stale
+// bytes.
 package arena
 
 import (
@@ -93,11 +100,11 @@ func (a *Arena) ResetTrial() {
 }
 
 // Slab is a chunked bump allocator for trial-lifetime objects. New
-// returns a zeroed *T from the current cursor position; Reset rewinds
-// the cursor so the next trial reuses the same memory. Chunking keeps
-// issued pointers stable while the slab grows. Objects live until the
-// Reset after the caller is done reading them — never hold a slab
-// pointer across a trial boundary.
+// returns a zeroed *T from the current cursor position; Reset zeroes
+// what was issued and rewinds the cursor so the next trial reuses the
+// same memory. Chunking keeps issued pointers stable while the slab
+// grows. Objects live until the Reset after the caller is done reading
+// them — never hold a slab pointer across a trial boundary.
 type Slab[T any] struct {
 	chunks [][]T
 	n      int
@@ -105,21 +112,28 @@ type Slab[T any] struct {
 
 const slabChunk = 64
 
-// New returns a zeroed object from the slab.
+// New returns a zeroed object from the slab: a fresh chunk is zeroed by
+// allocation, a reused one by the Reset before.
 func (s *Slab[T]) New() *T {
 	ci, off := s.n/slabChunk, s.n%slabChunk
 	if ci == len(s.chunks) {
 		s.chunks = append(s.chunks, make([]T, slabChunk))
 	}
 	s.n++
-	p := &s.chunks[ci][off]
-	var zero T
-	*p = zero
-	return p
+	return &s.chunks[ci][off]
 }
 
 // Len returns the number of live objects.
 func (s *Slab[T]) Len() int { return s.n }
 
-// Reset rewinds the cursor; memory is retained for reuse.
-func (s *Slab[T]) Reset() { s.n = 0 }
+// Reset zeroes the issued objects and rewinds the cursor; memory is
+// retained for reuse. Zeroing at Reset rather than in New keeps a slab
+// on an idle arena from pinning the object graph of the last trial it
+// served (a circuit points into its whole network).
+func (s *Slab[T]) Reset() {
+	for i := 0; s.n > 0; i++ {
+		k := min(s.n, slabChunk)
+		clear(s.chunks[i][:k])
+		s.n -= k
+	}
+}

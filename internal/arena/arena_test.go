@@ -8,12 +8,15 @@ import (
 )
 
 func TestSlabReusesMemoryAcrossResets(t *testing.T) {
-	type obj struct{ a, b int }
+	type obj struct {
+		a, b int
+		ref  *int
+	}
 	var s Slab[obj]
 	first := make([]*obj, 0, 100)
 	for i := 0; i < 100; i++ {
 		p := s.New()
-		p.a, p.b = i, -i
+		p.a, p.b, p.ref = i, -i, new(int)
 		first = append(first, p)
 	}
 	if s.Len() != 100 {
@@ -22,6 +25,13 @@ func TestSlabReusesMemoryAcrossResets(t *testing.T) {
 	s.Reset()
 	if s.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", s.Len())
+	}
+	// Reset itself zeroes, so a slab on an idle arena pins nothing its
+	// last trial's objects pointed to.
+	for i, p := range first {
+		if *p != (obj{}) {
+			t.Fatalf("object %d not zeroed by Reset: %+v", i, *p)
+		}
 	}
 	for i := 0; i < 100; i++ {
 		p := s.New()

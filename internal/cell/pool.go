@@ -65,7 +65,8 @@ func (p *Pool) Reset() {
 	p.free = append(p.free[:0], p.all...)
 }
 
-// All exposes the allocation ledger for tests.
+// All returns the allocation ledger: every cell the pool holds, free or
+// not.
 func (p *Pool) All() []*Cell { return p.all }
 
 // FreeLen exposes the free-list depth for tests.

@@ -11,6 +11,8 @@
 package netem
 
 import (
+	"math/bits"
+
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
@@ -64,7 +66,10 @@ type Frame struct {
 // frame working set survive fabric teardown. The store remembers every
 // frame it ever allocated, so Reset can reclaim frames stranded in
 // discarded links (in flight when a trial stopped) along with the free
-// ones.
+// ones. The same goes for the ring buffers of the links wired to the
+// pool: a growing ring takes its larger buffer from the store and hands
+// the smaller one back, and Reset reclaims the buffers a discarded
+// trial's links still hold.
 //
 // A nil *FramePool is valid and degrades to plain allocation (Get) and
 // dropping on the floor (Put) — standalone Links built by tests keep the
@@ -77,6 +82,13 @@ type frameStore struct {
 	free    []*Frame
 	all     []*Frame
 	reclaim func(payload any)
+	// rings[k] holds the ring buffers of length minRing<<k.
+	rings []ringClass
+}
+
+// ringClass is one buffer length's free list and allocation ledger.
+type ringClass struct {
+	free, all [][]*Frame
 }
 
 // NewFramePool returns an empty pool.
@@ -105,14 +117,15 @@ func (p *FramePool) OnReclaim(fn func(payload any)) {
 	}
 }
 
-// Reset reclaims every frame the pool's store ever allocated — free or
-// not — rebuilding the free list in allocation order. It exists for
-// trial boundaries: frames still sitting in a dead trial's links come
-// back without waiting for delivery. Payload references are dropped
-// WITHOUT invoking the OnReclaim hook; a caller resetting the frame
-// pool is expected to reset the payload pools wholesale too. Calling it
-// while any live link still holds frames aliases memory — only reset
-// between trials, after the owning fabric is discarded.
+// Reset reclaims every frame and ring buffer the pool's store ever
+// allocated — free or not — rebuilding the free lists in allocation
+// order. It exists for trial boundaries: frames still sitting in a dead
+// trial's links, and the rings holding them, come back without waiting
+// for delivery. Payload references are dropped WITHOUT invoking the
+// OnReclaim hook; a caller resetting the frame pool is expected to reset
+// the payload pools wholesale too. Calling it while any live link still
+// holds frames aliases memory — only reset between trials, after the
+// owning fabric is discarded.
 func (p *FramePool) Reset() {
 	if p == nil {
 		return
@@ -122,6 +135,10 @@ func (p *FramePool) Reset() {
 	for _, f := range s.all {
 		f.Payload = nil
 		s.free = append(s.free, f)
+	}
+	for k := range s.rings {
+		c := &s.rings[k]
+		c.free = append(c.free[:0], c.all...)
 	}
 }
 
@@ -175,6 +192,47 @@ func (p *FramePool) Put(f *Frame) {
 	}
 	f.Payload = nil
 	s.free = append(s.free, f)
+}
+
+// minRing is the length of a ring buffer's first allocation.
+const minRing = 8
+
+// class returns the store's class for ring buffers of length n, a
+// power-of-two multiple of minRing.
+func (s *frameStore) class(n int) *ringClass {
+	k := bits.TrailingZeros(uint(n / minRing))
+	for len(s.rings) <= k {
+		s.rings = append(s.rings, ringClass{})
+	}
+	return &s.rings[k]
+}
+
+// ringBuf returns a ring buffer of length n from the store, allocating
+// one only when none is free. A reused buffer's slots hold stale
+// pointers; a ring never reads a slot it has not written.
+func (p *FramePool) ringBuf(n int) []*Frame {
+	if p == nil {
+		return make([]*Frame, n)
+	}
+	c := p.s.class(n)
+	if m := len(c.free); m > 0 {
+		buf := c.free[m-1]
+		c.free[m-1] = nil
+		c.free = c.free[:m-1]
+		return buf
+	}
+	buf := make([]*Frame, n)
+	c.all = append(c.all, buf)
+	return buf
+}
+
+// putRingBuf hands an outgrown ring buffer back to the store.
+func (p *FramePool) putRingBuf(buf []*Frame) {
+	if p == nil || len(buf) == 0 {
+		return
+	}
+	c := p.s.class(len(buf))
+	c.free = append(c.free, buf)
 }
 
 // SchedQueue is a pluggable scheduler for a link's data frames. When
@@ -237,6 +295,9 @@ type TrainHandler interface {
 // frameRing is a growable FIFO ring buffer of frames. Capacity is a
 // power of two so the wrap is a mask; growth is amortized, so a link
 // that has reached its working set never allocates per frame again.
+// Buffers come from the link's frame pool, so across trials the rings
+// of fresh links regrow into the buffers the previous trial's links
+// grew.
 type frameRing struct {
 	buf  []*Frame
 	head int
@@ -245,9 +306,9 @@ type frameRing struct {
 
 func (r *frameRing) len() int { return r.n }
 
-func (r *frameRing) push(f *Frame) {
+func (r *frameRing) push(f *Frame, p *FramePool) {
 	if r.n == len(r.buf) {
-		r.grow()
+		r.grow(p)
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = f
 	r.n++
@@ -268,15 +329,12 @@ func (r *frameRing) pop() *Frame {
 	return f
 }
 
-func (r *frameRing) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 8
-	}
-	buf := make([]*Frame, size)
+func (r *frameRing) grow(p *FramePool) {
+	buf := p.ringBuf(max(2*len(r.buf), minRing))
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
+	p.putRingBuf(r.buf)
 	r.buf = buf
 	r.head = 0
 }

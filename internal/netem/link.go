@@ -258,10 +258,11 @@ func NewLink(name string, clock *sim.Clock, cfg LinkConfig, dst Handler) *Link {
 	return l
 }
 
-// UsePool wires frame recycling: dead frames go back to pool, and — when
-// terminal is true — a frame's delivery to the destination handler ends
-// its life (fabrics set this on the last link before a node). Standalone
-// links without a pool never recycle.
+// UsePool wires frame recycling: dead frames go back to pool, the
+// link's rings take their buffers from it, and — when terminal is true —
+// a frame's delivery to the destination handler ends its life (fabrics
+// set this on the last link before a node). Standalone links without a
+// pool never recycle.
 func (l *Link) UsePool(pool *FramePool, terminal bool) {
 	l.pool = pool
 	l.terminal = terminal
@@ -355,7 +356,7 @@ func (l *Link) Send(f *Frame) bool {
 	f.enqueuedAt = l.clock.Now()
 	switch {
 	case f.Priority:
-		l.prioQueue.push(f)
+		l.prioQueue.push(f, l.pool)
 	case l.sched != nil:
 		if !l.sched.Push(f) {
 			l.stats.SchedDrops++
@@ -366,7 +367,7 @@ func (l *Link) Send(f *Frame) bool {
 			return false
 		}
 	default:
-		l.queue.push(f)
+		l.queue.push(f, l.pool)
 	}
 	l.queuedBytes += f.Size
 	l.stats.Enqueued++
@@ -615,7 +616,7 @@ func (l *Link) onTxDoneTrain() {
 			if head == nil {
 				head = f
 			}
-			l.inflight.push(f)
+			l.inflight.push(f, l.pool)
 			survived++
 		}
 		l.train[i] = nil

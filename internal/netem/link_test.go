@@ -404,6 +404,50 @@ func TestFramePoolRecyclesThroughFabric(t *testing.T) {
 	}
 }
 
+// TestFramePoolReclaimsRingBuffers pins that a link's rings grow into
+// buffers from its frame pool's store, and that Reset reclaims them from
+// a discarded link stopped with frames queued and in flight: a fresh
+// link on the same store, under the same burst, allocates no ring
+// buffer.
+func TestFramePoolReclaimsRingBuffers(t *testing.T) {
+	pool := NewFramePool()
+	ringBufs := func() (all, free int) {
+		for _, c := range pool.s.rings {
+			all += len(c.all)
+			free += len(c.free)
+		}
+		return all, free
+	}
+	burst := func() {
+		clock := sim.NewClock()
+		link := NewLink("ring", clock, LinkConfig{Rate: units.Mbps(8), Delay: 10 * time.Millisecond}, &countSink{})
+		link.UsePool(pool, true)
+		for i := 0; i < 100; i++ {
+			f := pool.Get()
+			f.Src, f.Dst, f.Size, f.Priority = "a", "b", 512, i%10 == 0
+			link.Send(f)
+		}
+		// Stop mid-flight: frames stay queued and propagating.
+		clock.RunUntil(sim.Time(5 * time.Millisecond))
+		if link.QueueLen() == 0 || link.inflight.len() == 0 {
+			t.Fatalf("burst left %d queued, %d in flight; want both nonzero", link.QueueLen(), link.inflight.len())
+		}
+	}
+	burst()
+	grown, _ := ringBufs()
+	if grown == 0 {
+		t.Fatal("the rings took no buffer from the pool")
+	}
+	pool.Reset()
+	if all, free := ringBufs(); free != all {
+		t.Fatalf("Reset reclaimed %d of %d ring buffers", free, all)
+	}
+	burst()
+	if all, _ := ringBufs(); all != grown {
+		t.Fatalf("a fresh link after Reset allocated %d more ring buffers", all-grown)
+	}
+}
+
 // pinCycles is how often a zero-alloc pin runs its cycle: the test's
 // warm-up, AllocsPerRun's own warm-up, and the 100 measured runs.
 const pinCycles = 1 + 1 + 100

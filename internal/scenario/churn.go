@@ -234,8 +234,8 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 	if e.churnOn {
 		// A static trial never samples a path and holds only its initial
 		// downloads, so it skips the path stream's math/rand source
-		// (5 kB) and the slab's 64-entry chunk (8 kB): a sweep point runs
-		// on a fresh arena, and its one-circuit trial would pay both.
+		// (5 kB), which every one-circuit sweep point would otherwise
+		// pay, and the download slab.
 		e.pathRNG = sim.NewRNG(seed, "scenario-churn-paths")
 		if ar != nil {
 			e.dlSlab = ar.Slot("scenario.downloads", func() any {

@@ -28,6 +28,8 @@ type Runner struct {
 }
 
 // Run executes every trial of the scenario and aggregates a Result.
+// Its workers draw their trial arenas from a process-wide idle list and
+// return them when done, so the arenas outlive the Run.
 func (r Runner) Run(sc Scenario) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -52,18 +54,24 @@ func (r Runner) Run(sc Scenario) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena pool per worker: consecutive trials on this
-			// goroutine reuse the same clock event free lists,
-			// cell/segment pools and object slabs, so only the first
-			// trial pays the full allocation bill. A sharded trial draws
-			// one arena per shard from the pool. Determinism is
-			// unaffected — trial outputs are pure functions of their
-			// seeds, never of which worker's recycled memory they ran in.
-			pool := arenaPool{}
+			// Each worker borrows an arena pool from the idle list for as
+			// long as it has trials, and gives it back when it runs out:
+			// consecutive trials — on this goroutine, and in later Runs,
+			// such as the next sweep point or daemon job — reuse the same
+			// clock event free lists, cell, segment and frame stores and
+			// object slabs, so only the first trial a pool serves pays the
+			// full allocation bill. A sharded trial draws one arena per
+			// shard from the pool. Determinism is unaffected — trial
+			// outputs are pure functions of their seeds, never of which
+			// recycled memory they ran in.
+			var pool *arenaPool
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= trials {
-					return
+					break
+				}
+				if pool == nil {
+					pool = idle.take()
 				}
 				rep, arm := i/len(sc.Arms), i%len(sc.Arms)
 				want := 1
@@ -73,11 +81,15 @@ func (r Runner) Run(sc Scenario) (*Result, error) {
 				outs[i], nets[i], churns[i], resils[i], errs[i] = runTrial(sc, sc.Arms[arm], trialSeed(sc.Seed, rep), rep, pool.get(want))
 				if errs[i] != nil {
 					// A failed (possibly panicked) trial may leave an
-					// arena's clock mid-run; start the next trial clean.
-					pool = arenaPool{}
+					// arena's clock mid-run: drop its pool, and run the
+					// next trial on another.
+					pool = nil
 				} else {
 					pool.resetTrial()
 				}
+			}
+			if pool != nil {
+				idle.put(pool)
 			}
 		}()
 	}
@@ -128,6 +140,112 @@ func Run(sc Scenario) (*Result, error) { return Runner{}.Run(sc) }
 // trials.
 type arenaPool struct {
 	arenas []*arena.Arena
+}
+
+// idle holds the arena pools between Runs, shared by every Runner in
+// the process: the workers of one Run, of concurrent Runs (daemon
+// jobs) and of successive ones (sweep points).
+var idle idleList
+
+// idleList is a bounded, mutex-guarded stack of reset arena pools. It
+// keeps at most GOMAXPROCS pools — as many as can run at once — so what
+// reuse retains is bounded by that many working sets; a pool given back
+// to a full list is dropped for the garbage collector.
+//
+// Pools age out the way sync.Pool's victim cache does: every garbage
+// collection moves the pools put back since the one before to old, and
+// drops the old pools nobody took meanwhile. Trial loops take their
+// pools back long before that, but a process that stops running trials
+// — a daemon between jobs, a sweep followed by other work — does not
+// keep its largest working sets alive, nor make every later collection
+// mark them. Not a sync.Pool itself: that bounds nothing, and
+// /v1/healthz reports what the list holds.
+type idleList struct {
+	mu         sync.Mutex
+	pools, old []*arenaPool
+}
+
+// take pops the most recently returned pool, or makes an empty one.
+func (l *idleList) take() *arenaPool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if p := pop(&l.pools); p != nil {
+		return p
+	}
+	if p := pop(&l.old); p != nil {
+		return p
+	}
+	return &arenaPool{}
+}
+
+// pop removes and returns the last pool of ps, or nil.
+func pop(ps *[]*arenaPool) *arenaPool {
+	n := len(*ps)
+	if n == 0 {
+		return nil
+	}
+	p := (*ps)[n-1]
+	(*ps)[n-1] = nil
+	*ps = (*ps)[:n-1]
+	return p
+}
+
+// put returns a pool whose arenas have been reset, unless the list is
+// full.
+func (l *idleList) put(p *arenaPool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.pools)+len(l.old) < runtime.GOMAXPROCS(0) {
+		l.pools = append(l.pools, p)
+	}
+}
+
+// age drops the pools that sat through a whole garbage-collection cycle
+// untaken and starts the next cycle's aging.
+func (l *idleList) age() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.old)
+	l.old, l.pools = l.pools, l.old[:0]
+}
+
+// gcHook ages the idle list after every garbage collection: its
+// finalizer runs once per cycle and re-arms itself. The pointer field
+// keeps it out of the tiny allocator, whose blocks may never be
+// finalized.
+type gcHook struct{ _ *byte }
+
+func init() { runtime.SetFinalizer(&gcHook{}, (*gcHook).collected) }
+
+func (h *gcHook) collected() {
+	idle.age()
+	runtime.SetFinalizer(h, (*gcHook).collected)
+}
+
+// ArenaRetention is what the idle arena pools hold for reuse by later
+// Runs.
+type ArenaRetention struct {
+	// IdlePools counts the pools on the idle list (at most GOMAXPROCS).
+	IdlePools int
+	// Cells and Frames count the cells and frames their arenas hold.
+	Cells, Frames int
+}
+
+// IdleArenas reports what the idle arena pools hold right now. Pools lent
+// to running workers are not counted.
+func IdleArenas() ArenaRetention {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	r := ArenaRetention{IdlePools: len(idle.pools) + len(idle.old)}
+	for _, ps := range [][]*arenaPool{idle.pools, idle.old} {
+		for _, p := range ps {
+			for _, ar := range p.arenas {
+				r.Cells += len(ar.Cells.All())
+				r.Frames += ar.Frames.AllLen()
+			}
+		}
+	}
+	return r
 }
 
 // get returns at least n arenas (the same slice header is reused, so

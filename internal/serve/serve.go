@@ -19,7 +19,8 @@
 //	GET    /v1/sweeps/{id}/summary table summary (Accept: text/plain
 //	                               for the exact CLI block, else JSON)
 //	DELETE /v1/sweeps/{id}         cancel a queued or running sweep
-//	GET    /v1/healthz             liveness + queue/cache counters
+//	GET    /v1/healthz             liveness + queue/cache counters and
+//	                               the trial arenas kept between jobs
 package serve
 
 import (
@@ -29,7 +30,9 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"time"
 
+	"circuitstart/internal/scenario"
 	"circuitstart/internal/spec"
 	"circuitstart/internal/sweep"
 )
@@ -136,11 +139,23 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers. Without it a client that never finishes them holds a
+// connection and a goroutine forever. Bodies and streamed responses are
+// not bounded: a spec upload is small, and a row stream follows a
+// running sweep for as long as it runs.
+const readHeaderTimeout = 10 * time.Second
+
 // ListenAndServe runs a server on addr until the listener fails.
 func ListenAndServe(addr string, opts Options) error {
 	s := NewServer(opts)
 	defer s.Close()
-	return http.ListenAndServe(addr, s.Handler())
+	return newHTTPServer(addr, s.Handler()).ListenAndServe()
+}
+
+// newHTTPServer configures the daemon's listener-side limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // Handler returns the daemon's HTTP handler.
@@ -187,12 +202,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := len(s.jobs)
 	s.mu.Unlock()
+	// Trial arenas outlive the jobs that ran on them: report the working
+	// sets the daemon keeps between jobs.
+	ar := scenario.IdleArenas()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ok":      true,
 		"jobs":    jobs,
 		"queued":  queued,
 		"running": running,
 		"cache":   s.cache.stats(),
+		"arenas": map[string]int{
+			"idle_pools": ar.IdlePools,
+			"cells":      ar.Cells,
+			"frames":     ar.Frames,
+		},
 	})
 }
 

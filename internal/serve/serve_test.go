@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -510,6 +511,9 @@ func TestSummaryBeforeDone(t *testing.T) {
 }
 
 // TestHealthzAndList sanity-checks the liveness and listing endpoints.
+// A finished job leaves its trial arenas on the idle list, and healthz
+// reports them: at least one pool, at most GOMAXPROCS, holding the
+// cells and frames its trials grew.
 func TestHealthzAndList(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	st := submit(t, ts, smokeSpec)
@@ -525,12 +529,20 @@ func TestHealthzAndList(t *testing.T) {
 		Cache struct {
 			Points int `json:"points"`
 		} `json:"cache"`
+		Arenas struct {
+			IdlePools int `json:"idle_pools"`
+			Cells     int `json:"cells"`
+			Frames    int `json:"frames"`
+		} `json:"arenas"`
 	}
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatalf("healthz: %v\n%s", err, body)
 	}
 	if !health.OK || health.Jobs != 1 || health.Cache.Points != 2 {
 		t.Errorf("healthz = %s", body)
+	}
+	if a := health.Arenas; a.IdlePools < 1 || a.IdlePools > runtime.GOMAXPROCS(0) || a.Cells == 0 || a.Frames == 0 {
+		t.Errorf("healthz arenas = %+v, want 1..GOMAXPROCS idle pools holding cells and frames\n%s", a, body)
 	}
 
 	code, body = fetch(t, ts, "/v1/sweeps", "")
@@ -600,4 +612,15 @@ func TestQueueFull(t *testing.T) {
 		resp.Body.Close()
 	}
 	waitState(t, ts, running.ID, func(s jobStatus) bool { return terminal(s.State) })
+}
+
+// TestHTTPServerReadHeaderTimeout pins the listener-side limit: the
+// server ListenAndServe runs drops a client that has not finished its
+// request headers after readHeaderTimeout, instead of holding its
+// connection and goroutine forever.
+func TestHTTPServerReadHeaderTimeout(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if readHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want the positive constant %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
 }
