@@ -2,15 +2,17 @@
 // runner and the benchmarks reuse across trials.
 //
 // A simulation trial allocates the same shapes every time: clock events,
-// cells, boxed segment wrappers, frames and link ring buffers, circuits,
-// churn-ledger entries. Tearing a trial down object by object and
-// reallocating everything for the next one is where the old hot path
-// spent most of its allocations. An Arena instead owns the recyclable
-// substrate — one clock whose event free list survives trials, the
-// cell, segment and frame stores, and named object slabs — and makes
-// whole-trial teardown a pointer reset: ResetTrial rewinds every cursor
-// without releasing memory, so trial N+1 replays into the working set
-// trial N built.
+// cells, boxed segment wrappers, frames and link ring buffers, each
+// hop sender's buffers (retransmission ring, queue, exit-measurement
+// spacings), circuits, churn-ledger entries. Tearing a trial down object
+// by object and reallocating everything for the next one is where the
+// old hot path spent most of its allocations. An Arena instead owns the
+// recyclable substrate — one clock whose event free list survives
+// trials, the cell, segment and frame stores (the segment pool also
+// stores the sender buffers, and the frame pool the link rings), and
+// named object slabs — and makes whole-trial teardown a pointer reset:
+// ResetTrial rewinds every cursor without releasing memory, so trial
+// N+1 replays into the working set trial N built.
 //
 // Lifetime: an arena serves one goroutine at a time (a clock is
 // single-threaded by design), but it is not tied to a goroutine or to a
@@ -42,7 +44,8 @@ type Arena struct {
 	// Cells recycles overlay cells between the endpoints of every
 	// circuit built in the arena.
 	Cells *cell.Pool
-	// Segments recycles the boxed segment wrappers frames carry.
+	// Segments recycles the boxed segment wrappers frames carry, and
+	// stores the buffers every hop sender grows.
 	Segments *transport.SegmentPool
 	// Frames is the backing store every per-trial fabric's frame pool
 	// adopts, so the frame working set survives fabric teardown.
@@ -82,8 +85,9 @@ type Resetter interface{ Reset() }
 // ResetTrial ends one trial and prepares the next: the clock returns to
 // the epoch (pending events recycled, armed timers inert), the frame,
 // cell and segment pools reclaim everything they ever allocated —
-// including objects stranded mid-flight in the dying trial's links —
-// and every resettable slot rewinds its cursor. No memory is released;
+// including objects stranded mid-flight in the dying trial's links and
+// the buffers its links and senders still hold — and every resettable
+// slot rewinds its cursor. No memory is released;
 // that retention is the arena's entire point. Call it only between
 // trials, after every result has been read out of the dying trial's
 // objects: pool and slab memory is reused by the next one.

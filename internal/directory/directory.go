@@ -120,28 +120,31 @@ func (c *Consensus) TotalBandwidth() units.DataRate {
 }
 
 // PickWeighted selects one relay holding all bits of flag,
-// bandwidth-weighted as Tor does, excluding IDs in excl.
+// bandwidth-weighted as Tor does, excluding IDs in excl. It walks the
+// consensus twice — once to sum the eligible weight, once to spend one
+// draw over it — and allocates nothing.
 func (c *Consensus) PickWeighted(rng *sim.RNG, flag Flag, excl map[netem.NodeID]bool) (Descriptor, error) {
+	eligible := func(d *Descriptor) bool { return d.Flags.Has(flag) && !excl[d.ID] }
 	var total int64
-	candidates := make([]Descriptor, 0, len(c.relays))
-	for _, d := range c.relays {
-		if !d.Flags.Has(flag) || excl[d.ID] {
-			continue
+	last := -1
+	for i := range c.relays {
+		if eligible(&c.relays[i]) {
+			total += c.relays[i].Bandwidth.BitsPerSecond()
+			last = i
 		}
-		candidates = append(candidates, d)
-		total += d.Bandwidth.BitsPerSecond()
 	}
-	if len(candidates) == 0 {
+	if last < 0 {
 		return Descriptor{}, ErrNoCandidates
 	}
 	x := rng.Int63n(total)
-	for _, d := range candidates {
-		x -= d.Bandwidth.BitsPerSecond()
-		if x < 0 {
-			return d, nil
+	for i := range c.relays[:last] {
+		if d := &c.relays[i]; eligible(d) {
+			if x -= d.Bandwidth.BitsPerSecond(); x < 0 {
+				return *d, nil
+			}
 		}
 	}
-	return candidates[len(candidates)-1], nil
+	return c.relays[last], nil
 }
 
 // SelectPath chooses a circuit path of nHops distinct relays: the first

@@ -204,3 +204,86 @@ func TestFlagString(t *testing.T) {
 		}
 	}
 }
+
+// pickByCopy is PickWeighted as it was before it stopped allocating:
+// copy the eligible descriptors, then spend one draw over their weight.
+// It is the reference the differential test holds the two-pass walk to.
+func pickByCopy(c *Consensus, rng *sim.RNG, flag Flag, excl map[netem.NodeID]bool) (Descriptor, error) {
+	var total int64
+	var candidates []Descriptor
+	for _, d := range c.relays {
+		if !d.Flags.Has(flag) || excl[d.ID] {
+			continue
+		}
+		candidates = append(candidates, d)
+		total += d.Bandwidth.BitsPerSecond()
+	}
+	if len(candidates) == 0 {
+		return Descriptor{}, ErrNoCandidates
+	}
+	x := rng.Int63n(total)
+	for _, d := range candidates {
+		x -= d.Bandwidth.BitsPerSecond()
+		if x < 0 {
+			return d, nil
+		}
+	}
+	return candidates[len(candidates)-1], nil
+}
+
+// TestPickWeightedMatchesCopyReference holds PickWeighted to the
+// copy-based reference over seeded consensuses, every flag and growing
+// exclusion sets: both pick the same descriptor sequence from twin RNG
+// streams, so every draw — and the RNG state after it — is unchanged.
+func TestPickWeightedMatchesCopyReference(t *testing.T) {
+	flags := []Flag{FlagGuard, FlagExit, FlagMiddle, FlagGuard | FlagExit}
+	for seed := int64(1); seed <= 20; seed++ {
+		gen := sim.NewRNG(seed, "consensus")
+		n := 1 + gen.Intn(40)
+		ds := make([]Descriptor, n)
+		for i := range ds {
+			ds[i] = Descriptor{
+				ID:        netem.NodeID(string(rune('a'+i%26)) + string(rune('A'+i/26))),
+				Bandwidth: units.Mbps(float64(1 + gen.Intn(200))),
+				Flags:     Flag(1 + gen.Intn(7)),
+			}
+		}
+		c, err := NewConsensus(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := sim.NewRNG(seed, "pick"), sim.NewRNG(seed, "pick")
+		excl := map[netem.NodeID]bool{}
+		for i := 0; i < 200; i++ {
+			flag := flags[i%len(flags)]
+			d, err := c.PickWeighted(got, flag, excl)
+			rd, rerr := pickByCopy(c, want, flag, excl)
+			if d != rd || err != rerr {
+				t.Fatalf("seed %d pick %d (%v, %d excluded): got %+v, %v; reference %+v, %v",
+					seed, i, flag, len(excl), d, err, rd, rerr)
+			}
+			if i%7 == 0 {
+				excl[ds[gen.Intn(n)].ID] = true
+			}
+			if i%50 == 49 {
+				clear(excl)
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatalf("seed %d: the RNG streams diverged", seed)
+		}
+	}
+}
+
+func TestPickWeightedZeroAlloc(t *testing.T) {
+	c := testConsensus(t)
+	rng := sim.NewRNG(5, "alloc")
+	excl := map[netem.NodeID]bool{"g1": true}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := c.PickWeighted(rng, FlagMiddle, excl); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("PickWeighted allocates %.1f times per pick", a)
+	}
+}

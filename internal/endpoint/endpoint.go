@@ -82,8 +82,12 @@ func NewSource(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 }
 
 // UseSegmentPool wires the shared segment-wrapper pool (see
-// core.Network). Must be set before traffic flows; nil is valid.
-func (s *Source) UseSegmentPool(sp *transport.SegmentPool) { s.segs = sp }
+// core.Network), which also stores the forward sender's buffers. Must
+// be set before traffic flows; nil is valid.
+func (s *Source) UseSegmentPool(sp *transport.SegmentPool) {
+	s.segs = sp
+	s.sender.UseSegmentPool(sp)
+}
 
 // UseCellPool wires cell recycling: the packetizer draws its cells from
 // pool, and every consumed download cell is returned to it. Wire the
@@ -354,8 +358,12 @@ func NewSink(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 }
 
 // UseSegmentPool wires the shared segment-wrapper pool (see
-// core.Network). Must be set before traffic flows; nil is valid.
-func (k *Sink) UseSegmentPool(sp *transport.SegmentPool) { k.segs = sp }
+// core.Network), which also stores the backward sender's buffers. Must
+// be set before traffic flows; nil is valid.
+func (k *Sink) UseSegmentPool(sp *transport.SegmentPool) {
+	k.segs = sp
+	k.bsender.UseSegmentPool(sp)
+}
 
 // BackwardSender exposes the sink's server-side sender (the subject of
 // download-direction window traces).

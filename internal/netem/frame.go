@@ -11,8 +11,7 @@
 package netem
 
 import (
-	"math/bits"
-
+	"circuitstart/internal/bufpool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
@@ -67,9 +66,9 @@ type Frame struct {
 // frame it ever allocated, so Reset can reclaim frames stranded in
 // discarded links (in flight when a trial stopped) along with the free
 // ones. The same goes for the ring buffers of the links wired to the
-// pool: a growing ring takes its larger buffer from the store and hands
-// the smaller one back, and Reset reclaims the buffers a discarded
-// trial's links still hold.
+// pool: a growing ring takes its larger buffer from the store (a
+// bufpool.Store) and hands the smaller one back, and Reset reclaims the
+// buffers a discarded trial's links still hold.
 //
 // A nil *FramePool is valid and degrades to plain allocation (Get) and
 // dropping on the floor (Put) — standalone Links built by tests keep the
@@ -82,13 +81,7 @@ type frameStore struct {
 	free    []*Frame
 	all     []*Frame
 	reclaim func(payload any)
-	// rings[k] holds the ring buffers of length minRing<<k.
-	rings []ringClass
-}
-
-// ringClass is one buffer length's free list and allocation ledger.
-type ringClass struct {
-	free, all [][]*Frame
+	rings   bufpool.Store[*Frame]
 }
 
 // NewFramePool returns an empty pool.
@@ -136,10 +129,7 @@ func (p *FramePool) Reset() {
 		f.Payload = nil
 		s.free = append(s.free, f)
 	}
-	for k := range s.rings {
-		c := &s.rings[k]
-		c.free = append(c.free[:0], c.all...)
-	}
+	s.rings.Reset()
 }
 
 // AllLen returns how many frames the pool's store ever allocated.
@@ -194,45 +184,13 @@ func (p *FramePool) Put(f *Frame) {
 	s.free = append(s.free, f)
 }
 
-// minRing is the length of a ring buffer's first allocation.
-const minRing = 8
-
-// class returns the store's class for ring buffers of length n, a
-// power-of-two multiple of minRing.
-func (s *frameStore) class(n int) *ringClass {
-	k := bits.TrailingZeros(uint(n / minRing))
-	for len(s.rings) <= k {
-		s.rings = append(s.rings, ringClass{})
-	}
-	return &s.rings[k]
-}
-
-// ringBuf returns a ring buffer of length n from the store, allocating
-// one only when none is free. A reused buffer's slots hold stale
-// pointers; a ring never reads a slot it has not written.
-func (p *FramePool) ringBuf(n int) []*Frame {
+// rings returns the store the pool's links grow their ring buffers in;
+// nil for a nil pool, which allocates plainly.
+func (p *FramePool) rings() *bufpool.Store[*Frame] {
 	if p == nil {
-		return make([]*Frame, n)
+		return nil
 	}
-	c := p.s.class(n)
-	if m := len(c.free); m > 0 {
-		buf := c.free[m-1]
-		c.free[m-1] = nil
-		c.free = c.free[:m-1]
-		return buf
-	}
-	buf := make([]*Frame, n)
-	c.all = append(c.all, buf)
-	return buf
-}
-
-// putRingBuf hands an outgrown ring buffer back to the store.
-func (p *FramePool) putRingBuf(buf []*Frame) {
-	if p == nil || len(buf) == 0 {
-		return
-	}
-	c := p.s.class(len(buf))
-	c.free = append(c.free, buf)
+	return &p.s.rings
 }
 
 // SchedQueue is a pluggable scheduler for a link's data frames. When
@@ -330,11 +288,12 @@ func (r *frameRing) pop() *Frame {
 }
 
 func (r *frameRing) grow(p *FramePool) {
-	buf := p.ringBuf(max(2*len(r.buf), minRing))
+	st := p.rings()
+	buf := st.Get(2 * len(r.buf))
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
-	p.putRingBuf(r.buf)
+	st.Put(r.buf)
 	r.buf = buf
 	r.head = 0
 }

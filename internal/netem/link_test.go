@@ -412,11 +412,7 @@ func TestFramePoolRecyclesThroughFabric(t *testing.T) {
 func TestFramePoolReclaimsRingBuffers(t *testing.T) {
 	pool := NewFramePool()
 	ringBufs := func() (all, free int) {
-		for _, c := range pool.s.rings {
-			all += len(c.all)
-			free += len(c.free)
-		}
-		return all, free
+		return pool.s.rings.AllLen(), pool.s.rings.FreeLen()
 	}
 	burst := func() {
 		clock := sim.NewClock()

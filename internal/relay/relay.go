@@ -105,9 +105,10 @@ type Relay struct {
 	sched sched.Queue
 
 	// segs recycles the boxed segment wrappers this relay attaches to
-	// outgoing frames. core.Network shares one pool per network and
-	// reclaims wrappers through the fabric FramePool's OnReclaim hook; a
-	// nil pool degrades to plain allocation.
+	// outgoing frames, and stores the buffers its hop senders grow.
+	// core.Network shares one pool per network and reclaims wrappers
+	// through the fabric FramePool's OnReclaim hook; a nil pool degrades
+	// to plain allocation.
 	segs *transport.SegmentPool
 
 	// ackFlush is DeliverTrain's scratch list of receivers owing a
@@ -303,6 +304,7 @@ func (r *Relay) AddHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.Ho
 		fwd.OnHeld = func(delta int) { r.mgr.Held(circ, delta) }
 	}
 	h.send = transport.NewSender(fwd)
+	h.send.UseSegmentPool(r.segs)
 
 	h.recv = transport.NewReceiver(circ,
 		func(seg transport.Segment) bool {
@@ -327,6 +329,7 @@ func (r *Relay) AddHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.Ho
 		back.OnHeld = func(delta int) { r.mgr.Held(circ, delta) }
 	}
 	h.bsend = transport.NewSender(back)
+	h.bsend.UseSegmentPool(r.segs)
 
 	h.brecv = transport.NewReceiver(circ,
 		func(seg transport.Segment) bool {

@@ -77,6 +77,23 @@ func flakyShardedScenario(t *testing.T) Scenario {
 	return sc
 }
 
+// flakyChurnScenario is the single-clock lifecycle engine under the
+// flaky fault preset with endpoint recovery armed: scheduled teardowns,
+// a relay failure and stall recovery tear hops down mid-transfer, so the
+// sender buffers those hops hand back — rings and queues that held live
+// cells — serve the circuits built after them.
+func flakyChurnScenario(t *testing.T) Scenario {
+	t.Helper()
+	sc := churnScenario()
+	plan, err := faults.Preset("flaky", sc.RelayIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Faults = plan
+	sc.Replications = 1
+	return sc
+}
+
 // cutOffTrainScenario runs 2 MB transfers in 8-cell trains on a routed
 // ring and stops them at a 300 ms horizon, with frames in flight on
 // every link and cells held for retransmission. The teardown linger
@@ -131,14 +148,18 @@ func runPanicking(t *testing.T) {
 // a Run: a Result is the same bytes on fresh arenas and on arenas that
 // earlier Runs left behind on the idle list — here after a panicking
 // trial, a 4-shard churn trial under the flaky preset and a trained
-// trial cut off at its horizon with frames in flight. A pool that
-// served the panicking trial must never reach the list.
+// trial cut off at its horizon with frames in flight — and each target
+// on the arenas the targets before it left, among them a single-clock
+// churn trial whose torn-down hops returned their sender buffers
+// mid-trial. A pool that served the panicking trial must never reach
+// the list.
 func TestArenaReuseIndependence(t *testing.T) {
 	targets := []struct {
 		name string
 		sc   func(*testing.T) Scenario
 	}{
 		{"sharded-flaky", flakyShardedScenario},
+		{"churn-flaky", flakyChurnScenario},
 		{"cut-off-trains", cutOffTrainScenario},
 		{"static", func(*testing.T) Scenario { return testScenario() }},
 	}
@@ -162,7 +183,7 @@ func TestArenaReuseIndependence(t *testing.T) {
 		t.Fatalf("the panicked trial's pool was returned: %d idle pools", n)
 	}
 	run(t, flakyShardedScenario(t))
-	if !bytes.Equal(run(t, cutOffTrainScenario(t)), fresh[1]) {
+	if !bytes.Equal(run(t, cutOffTrainScenario(t)), fresh[2]) {
 		t.Fatal("cut-off-trains differs on the arenas a sharded trial left")
 	}
 	if r := IdleArenas(); r.IdlePools != 1 || r.Frames == 0 || r.Cells == 0 {

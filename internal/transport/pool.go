@@ -1,5 +1,12 @@
 package transport
 
+import (
+	"time"
+
+	"circuitstart/internal/bufpool"
+	"circuitstart/internal/cell"
+)
+
 // SegmentPool recycles boxed *Segment wrappers. The overlay attaches
 // segments to netem frames as `any` payloads; boxing a Segment value
 // allocates 136 bytes per hop transmission, which profiling showed was
@@ -17,9 +24,21 @@ package transport
 // The pool remembers every segment it ever allocated so Reset can
 // reclaim wrappers stranded in a dead trial's frames along with the
 // free ones.
+//
+// The pool also stores the buffers a hop sender grows (see
+// Sender.UseSegmentPool): its retransmission ring, its local queue and
+// its exit-measurement spacings, each a size-classed bufpool.Store. A
+// sender takes a larger buffer from the store as it grows and hands the
+// smaller one back, and Close returns what it holds — emptied: the cells
+// a buffer pointed to are never recycled through it (see DESIGN.md,
+// "Teardown ownership").
 type SegmentPool struct {
 	free []*Segment
 	all  []*Segment
+
+	sent     bufpool.Store[sentCell]
+	queues   bufpool.Store[*cell.Cell]
+	spacings bufpool.Store[time.Duration]
 }
 
 // NewSegmentPool returns an empty pool.
@@ -51,10 +70,11 @@ func (p *SegmentPool) Put(s *Segment) {
 	p.free = append(p.free, s)
 }
 
-// Reset reclaims every wrapper the pool ever allocated — free or not —
-// zeroing each and rebuilding the free list in allocation order. Only
-// call it at a trial boundary, after the frames carrying the wrappers
-// have been discarded; resetting under live traffic aliases memory.
+// Reset reclaims every wrapper and sender buffer the pool ever
+// allocated — free or not — zeroing each and rebuilding the free lists
+// in allocation order. Only call it at a trial boundary, after the
+// frames carrying the wrappers and the senders holding the buffers have
+// been discarded; resetting under live traffic aliases memory.
 func (p *SegmentPool) Reset() {
 	if p == nil {
 		return
@@ -64,4 +84,31 @@ func (p *SegmentPool) Reset() {
 		*s = Segment{}
 		p.free = append(p.free, s)
 	}
+	p.sent.Reset()
+	p.queues.Reset()
+	p.spacings.Reset()
+}
+
+// The sender's buffer stores; nil for a nil pool, which allocates
+// plainly.
+
+func (p *SegmentPool) sentStore() *bufpool.Store[sentCell] {
+	if p == nil {
+		return nil
+	}
+	return &p.sent
+}
+
+func (p *SegmentPool) queueStore() *bufpool.Store[*cell.Cell] {
+	if p == nil {
+		return nil
+	}
+	return &p.queues
+}
+
+func (p *SegmentPool) spacingStore() *bufpool.Store[time.Duration] {
+	if p == nil {
+		return nil
+	}
+	return &p.spacings
 }

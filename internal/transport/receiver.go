@@ -32,7 +32,9 @@ type Receiver struct {
 	deliver func(*cell.Cell)
 
 	expected uint64 // next in-order sequence
-	buffer   map[uint64]*cell.Cell
+	// buffer parks out-of-order cells. It is made when the first one
+	// arrives: most hops never reorder, and a nil map reads as empty.
+	buffer map[uint64]*cell.Cell
 
 	forwarded    uint64 // highest forwarding count reported to us
 	feedbackSent uint64 // highest count actually signalled upstream
@@ -68,7 +70,6 @@ func NewReceiver(circ cell.CircID, send func(Segment) bool, deliver func(*cell.C
 		circ:    circ,
 		send:    send,
 		deliver: deliver,
-		buffer:  make(map[uint64]*cell.Cell),
 	}
 }
 
@@ -153,6 +154,9 @@ func (r *Receiver) handleData(seq uint64, c *cell.Cell) bool {
 		if _, dup := r.buffer[seq]; dup {
 			r.stats.Duplicates++
 		} else {
+			if r.buffer == nil {
+				r.buffer = make(map[uint64]*cell.Cell)
+			}
 			r.buffer[seq] = c
 			r.stats.Buffered++
 		}

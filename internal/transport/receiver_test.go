@@ -217,3 +217,23 @@ func TestThroughputUnderBottleneckMatchesRate(t *testing.T) {
 		t.Errorf("goodput %.2f Mbit/s through a 2 Mbit/s forwarder", r)
 	}
 }
+
+// TestReceiverMakesReorderMapOnDemand pins that an in-order hop never
+// builds the reorder map: it is made by the first out-of-order arrival.
+func TestReceiverMakesReorderMapOnDemand(t *testing.T) {
+	r, delivered, _ := collectReceiver(t)
+	for i := 0; i < 3; i++ {
+		r.HandleData(uint64(i), mkCell(i))
+	}
+	if r.buffer != nil {
+		t.Fatal("in-order arrivals made the reorder map")
+	}
+	r.HandleData(4, mkCell(4))
+	if r.buffer == nil {
+		t.Fatal("an out-of-order arrival was not parked")
+	}
+	r.HandleData(3, mkCell(3))
+	if len(*delivered) != 5 || r.Expected() != 5 {
+		t.Fatalf("delivered %d cells, expected %d; want 5, 5", len(*delivered), r.Expected())
+	}
+}

@@ -3,7 +3,7 @@ package transport
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"circuitstart/internal/cell"
@@ -164,6 +164,9 @@ type sentCell struct {
 type Sender struct {
 	cfg   Config
 	clock *sim.Clock
+	// pool stores the buffers below as they grow (see UseSegmentPool);
+	// nil allocates them plainly.
+	pool *SegmentPool
 
 	// queue holds cells awaiting first transmission; qhead indexes the
 	// next cell to leave. Dequeue advances the cursor instead of
@@ -301,13 +304,23 @@ func NewSender(cfg Config) *Sender {
 	return s
 }
 
+// UseSegmentPool wires the pool the sender's growable buffers come from
+// — the retransmission ring, the local queue and the exit-measurement
+// spacings — and Close returns them to. Relays and endpoints pass the
+// segment pool they were wired with, so within a trial arena a fresh
+// circuit's senders regrow into the buffers torn-down ones held. Must
+// be set before traffic flows; nil allocates plainly.
+func (s *Sender) UseSegmentPool(sp *SegmentPool) { s.pool = sp }
+
 // Close shuts the sender down as part of a circuit teardown. All three
 // timers are stopped, which returns their events to the clock's free
-// list immediately; the unproduced backlog is forgotten; and every
-// subsequent handler call is a no-op, so segments already in flight
-// when the circuit died are absorbed silently.
+// list immediately; the unproduced backlog is forgotten; the sender's
+// buffers go back to its pool; and every subsequent handler call is a
+// no-op, so segments already in flight when the circuit died are
+// absorbed silently.
 //
-// No cell is recycled here. A queued or retained cell at a relay is
+// No cell is recycled here: the buffers go back emptied, and the cells
+// they pointed to are abandoned. A queued or retained cell at a relay is
 // also referenced by the upstream hop until the in-flight ACK lands, so
 // recycling it could hand one cell to two circuits; an origin holds no
 // cell it has not transmitted (see Offer). The garbage collector or the
@@ -326,9 +339,17 @@ func (s *Sender) Close() {
 			s.cfg.OnHeld(-held)
 		}
 	}
-	s.queue = nil
-	s.qhead = 0
 	s.backlog = 0
+	s.releaseBuffers()
+}
+
+// releaseBuffers hands the queue, the retransmission ring and the
+// spacings back to the pool, emptied, and forgets them.
+func (s *Sender) releaseBuffers() {
+	s.pool.queueStore().Put(s.queue)
+	s.pool.sentStore().Put(s.sent)
+	s.pool.spacingStore().Put(s.exitSpacings)
+	s.queue, s.qhead = nil, 0
 	s.sent = nil
 	s.exitSpacings = nil
 }
@@ -521,9 +542,10 @@ func (s *Sender) observeExitFeedback(delta uint64) {
 	}
 	// A batch of delta cells at one instant is delta samples: one at the
 	// observed spacing, the rest back-to-back (zero spacing).
-	s.exitSpacings = append(s.exitSpacings, now.Sub(s.exitLastFb))
+	st := s.pool.spacingStore()
+	s.exitSpacings = st.Append(s.exitSpacings, now.Sub(s.exitLastFb))
 	for i := uint64(1); i < delta; i++ {
-		s.exitSpacings = append(s.exitSpacings, 0)
+		s.exitSpacings = st.Append(s.exitSpacings, 0)
 	}
 	s.exitLastFb = now
 }
@@ -561,10 +583,10 @@ func (s *Sender) onExitMeasured() {
 	}
 	est := float64(s.feedback - s.exitFbStart)
 	if len(s.exitSpacings) >= 4 && s.baseRtt > 0 {
-		sorted := make([]time.Duration, len(s.exitSpacings))
-		copy(sorted, s.exitSpacings)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		if med := sorted[len(sorted)/2]; med > 0 {
+		// The samples are spent once the window closes (the next
+		// measurement starts over), so they are sorted in place.
+		slices.Sort(s.exitSpacings)
+		if med := s.exitSpacings[len(s.exitSpacings)/2]; med > 0 {
 			if disp := float64(s.baseRtt) / float64(med); disp < est {
 				est = disp
 			}
@@ -626,6 +648,9 @@ func (s *Sender) Enqueue(c *cell.Cell) {
 	if s.qhead == len(s.queue) && s.qhead > 0 {
 		s.queue = s.queue[:0]
 		s.qhead = 0
+	}
+	if len(s.queue) == cap(s.queue) {
+		s.growQueue()
 	}
 	s.queue = append(s.queue, c)
 	if s.cfg.OnHeld != nil {
@@ -742,14 +767,28 @@ func (s *Sender) sentAt(seq uint64) *sentCell {
 	return &s.sent[seq&uint64(len(s.sent)-1)]
 }
 
-// growSent doubles the ring, moving each live sequence to its slot
-// under the new mask.
+// growSent doubles the ring in a buffer from the pool, moving each live
+// sequence to its slot under the new mask, and hands the old buffer back.
 func (s *Sender) growSent() {
+	st := s.pool.sentStore()
 	old := s.sent
-	s.sent = make([]sentCell, max(16, 2*len(old)))
+	s.sent = st.Get(2 * len(old))
 	for seq := min(s.acked, s.feedback); seq < s.nextSeq; seq++ {
 		*s.sentAt(seq) = old[seq&uint64(len(old)-1)]
 	}
+	st.Put(old)
+}
+
+// growQueue makes room for one more queued cell: the waiting cells move
+// to the front of a pool buffer twice their number, and the old buffer,
+// consumed prefix and all, goes back.
+func (s *Sender) growQueue() {
+	st := s.pool.queueStore()
+	old := s.queue
+	buf := st.Get(2 * (len(old) - s.qhead))
+	s.queue = buf[:copy(buf, old[s.qhead:])]
+	s.qhead = 0
+	st.Put(old)
 }
 
 // next dequeues the cell to transmit: the head of the local queue, or,
@@ -823,6 +862,12 @@ func (s *Sender) HandleAck(count uint64) {
 	}
 	for seq := s.acked; seq < count; seq++ {
 		sc := s.sentAt(seq)
+		// Conservation: an unacked sequence still holds the cell it was
+		// sent with. A ring that lost one (a buffer recycled before its
+		// contents moved) would retransmit nothing.
+		if sc.cell == nil {
+			panic(fmt.Sprintf("transport: ack covers seq %d, which holds no cell", seq))
+		}
 		sc.cell, sc.rtx = nil, false
 	}
 	s.acked = count

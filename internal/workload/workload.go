@@ -42,7 +42,8 @@ type RelayParams struct {
 	QueueCap units.DataSize
 	// GuardFrac and ExitFrac select which prefix/suffix of the relay
 	// population additionally holds the Guard/Exit flag (every relay is
-	// Middle-capable). Defaults: 0.4 each.
+	// Middle-capable). Defaults: 0.4 each. Each flag goes to at least
+	// one relay.
 	GuardFrac, ExitFrac float64
 }
 
@@ -108,8 +109,11 @@ func GenerateRelays(seed int64, params RelayParams) ([]Relay, error) {
 
 	rng := sim.NewRNG(seed, "workload-relays")
 	relays := make([]Relay, params.N)
-	nGuard := int(guards * float64(params.N))
-	nExit := int(exits * float64(params.N))
+	// At least one relay holds each flag, so a population too small for
+	// the fractions to reach one relay (N ≤ 2 by default) still has a
+	// guard and an exit.
+	nGuard := max(1, int(guards*float64(params.N)))
+	nExit := max(1, int(exits*float64(params.N)))
 	for i := range relays {
 		bw := units.DataRate(rng.LogNormal(0, sigma) * float64(params.BandwidthMedian))
 		if params.MinBandwidth > 0 && bw < params.MinBandwidth {

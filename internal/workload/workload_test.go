@@ -310,3 +310,42 @@ func TestForwardSoakCompletesEveryTransfer(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateRelaysTinyPopulationsHaveGuardAndExit pins the flag floor:
+// a population too small for the default 0.4 fractions to reach one
+// relay still flags a guard and an exit, so a path can be selected; from
+// N = 3 on the fractions alone decide, as before.
+func TestGenerateRelaysTinyPopulationsHaveGuardAndExit(t *testing.T) {
+	for _, tc := range []struct {
+		n            int
+		guards, exit []bool
+	}{
+		{1, []bool{true}, []bool{true}},
+		{2, []bool{true, false}, []bool{false, true}},
+		{3, []bool{true, false, false}, []bool{false, false, true}},
+	} {
+		relays, err := GenerateRelays(42, DefaultRelayParams(tc.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		descs := make([]directory.Descriptor, len(relays))
+		for i, r := range relays {
+			descs[i] = r.Desc
+			if g := r.Desc.Flags.Has(directory.FlagGuard); g != tc.guards[i] {
+				t.Errorf("N=%d relay %d: guard %v, want %v", tc.n, i, g, tc.guards[i])
+			}
+			if e := r.Desc.Flags.Has(directory.FlagExit); e != tc.exit[i] {
+				t.Errorf("N=%d relay %d: exit %v, want %v", tc.n, i, e, tc.exit[i])
+			}
+		}
+		cons, err := directory.NewConsensus(descs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for hops := 1; hops <= tc.n; hops++ {
+			if _, err := cons.SelectPath(sim.NewRNG(1, "path"), hops); err != nil {
+				t.Errorf("N=%d: %d-hop path: %v", tc.n, hops, err)
+			}
+		}
+	}
+}
