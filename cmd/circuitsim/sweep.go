@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -317,8 +318,8 @@ func parseFloats(raw []string) ([]float64, error) {
 	out := make([]float64, len(raw))
 	for i, r := range raw {
 		v, err := strconv.ParseFloat(r, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q", r)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad value %q (want a finite number)", r)
 		}
 		out[i] = v
 	}

@@ -255,6 +255,26 @@ func TestRunSweepBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunSweepRejectsNonFinite pins that a NaN or infinite value in a
+// dimension flag is refused naming the flag, and that a NaN size-dist
+// sigma is refused instead of running as 1-byte transfers.
+func TestRunSweepRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-gammas", "NaN"}, "-gammas"},
+		{[]string{"-gammas", "2", "-bandwidths", "Inf"}, "-bandwidths"},
+		{[]string{"-base", "population", "-circuits", "3", "-relays", "12",
+			"-sizedists", "lognormal:250000:NaN,lognormal:250000:0.5", "-horizon", "30s"}, "sigma NaN"},
+	} {
+		err := runSweep(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestRunSweepSpecExplicitZeroSpread checks that "spread_ms": 0 in a
 // spec is honoured (simultaneous arrivals) rather than silently
 // replaced with the default stagger.

@@ -8,11 +8,15 @@
 // by object and reallocating everything for the next one is where the
 // old hot path spent most of its allocations. An Arena instead owns the
 // recyclable substrate — one clock whose event free list survives
-// trials, the cell, segment and frame stores (the segment pool also
-// stores the sender buffers, and the frame pool the link rings), and
-// named object slabs — and makes whole-trial teardown a pointer reset:
-// ResetTrial rewinds every cursor without releasing memory, so trial
-// N+1 replays into the working set trial N built.
+// trials, and every store of package pool a trial draws from: the cell,
+// frame and segment stores, the link-ring and sender-buffer stores, and
+// named object stores for layers above (Slot) — and makes whole-trial
+// teardown a pointer reset: ResetTrial rewinds every store without
+// releasing memory, so trial N+1 replays into the working set trial N
+// built. Balance is the one leak check every pool test shares
+// (TestArenaBalanceCatchesLeaks, and the trial-level checks in core and
+// scenario: TestShardedFrameLeakBalance, TestFaultedTrialPoolBalance,
+// TestArenaReuseIndependence).
 //
 // Lifetime: an arena serves one goroutine at a time (a clock is
 // single-threaded by design), but it is not tied to a goroutine or to a
@@ -27,117 +31,122 @@
 package arena
 
 import (
+	"fmt"
+
 	"circuitstart/internal/cell"
 	"circuitstart/internal/netem"
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/transport"
 )
 
 // Arena is the reusable substrate for a sequence of trials. The fields
 // are the cross-layer pools every network needs; Slot extends it with
-// caller-defined slabs (core's circuit slab, scenario's churn ledger)
-// without this package importing those layers.
+// caller-defined object stores (core's circuits, scenario's download
+// ledgers) without this package importing those layers.
 type Arena struct {
 	// Clock is the shared simulation clock. ResetTrial rewinds it to
 	// the epoch, recycling pending events through its free list.
 	Clock *sim.Clock
 	// Cells recycles overlay cells between the endpoints of every
 	// circuit built in the arena.
-	Cells *cell.Pool
+	Cells *pool.Objects[cell.Cell]
 	// Segments recycles the boxed segment wrappers frames carry, and
 	// stores the buffers every hop sender grows.
 	Segments *transport.SegmentPool
-	// Frames is the backing store every per-trial fabric's frame pool
-	// adopts, so the frame working set survives fabric teardown.
+	// Frames holds the stores every per-trial fabric's frame pool
+	// adopts, so the frame and link-ring working set survives fabric
+	// teardown. A dying frame hands the segment it carries back to
+	// Segments.
 	Frames *netem.FramePool
 
-	slots map[string]any
+	// stores names every store the arena owns, slots included.
+	stores map[string]pool.Store
 }
 
-// New returns an arena with fresh pools and an empty slot table.
+// New returns an arena with fresh stores.
 func New() *Arena {
-	return &Arena{
+	a := &Arena{
 		Clock:    sim.NewClock(),
-		Cells:    cell.NewPool(),
+		Cells:    new(pool.Objects[cell.Cell]),
 		Segments: transport.NewSegmentPool(),
 		Frames:   netem.NewFramePool(),
-		slots:    make(map[string]any),
 	}
-}
-
-// Slot returns the named auxiliary pool, creating it with mk on first
-// use. Layers above use it to hang their own slabs off the arena (keyed
-// by package-unique strings) so the arena stays ignorant of their
-// types. A slot value implementing Resetter is rewound by ResetTrial.
-func (a *Arena) Slot(key string, mk func() any) any {
-	v, ok := a.slots[key]
-	if !ok {
-		v = mk()
-		a.slots[key] = v
-	}
-	return v
-}
-
-// Resetter is implemented by slot values that need rewinding at trial
-// boundaries (Slab implements it).
-type Resetter interface{ Reset() }
-
-// ResetTrial ends one trial and prepares the next: the clock returns to
-// the epoch (pending events recycled, armed timers inert), the frame,
-// cell and segment pools reclaim everything they ever allocated —
-// including objects stranded mid-flight in the dying trial's links and
-// the buffers its links and senders still hold — and every resettable
-// slot rewinds its cursor. No memory is released;
-// that retention is the arena's entire point. Call it only between
-// trials, after every result has been read out of the dying trial's
-// objects: pool and slab memory is reused by the next one.
-func (a *Arena) ResetTrial() {
-	a.Clock.Reset()
-	a.Frames.Reset()
-	a.Cells.Reset()
-	a.Segments.Reset()
-	for _, v := range a.slots {
-		if r, ok := v.(Resetter); ok {
-			r.Reset()
+	// Recycle boxed segment wrappers the instant their carrying frame
+	// dies (delivered, tail-dropped, policed or randomly lost): the
+	// frame store's put hook is the one place every death is visible.
+	a.Frames.Objects.OnPut = func(f *netem.Frame) {
+		if s, ok := f.Payload.(*transport.Segment); ok {
+			a.Segments.Put(s)
 		}
 	}
+	a.stores = a.Segments.Stores()
+	a.stores["cells"] = a.Cells
+	a.stores["frames"] = a.Frames.Objects
+	a.stores["link rings"] = a.Frames.Rings
+	return a
 }
 
-// Slab is a chunked bump allocator for trial-lifetime objects. New
-// returns a zeroed *T from the current cursor position; Reset zeroes
-// what was issued and rewinds the cursor so the next trial reuses the
-// same memory. Chunking keeps issued pointers stable while the slab
-// grows. Objects live until the Reset after the caller is done reading
-// them — never hold a slab pointer across a trial boundary.
-type Slab[T any] struct {
-	chunks [][]T
-	n      int
-}
-
-const slabChunk = 64
-
-// New returns a zeroed object from the slab: a fresh chunk is zeroed by
-// allocation, a reused one by the Reset before.
-func (s *Slab[T]) New() *T {
-	ci, off := s.n/slabChunk, s.n%slabChunk
-	if ci == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]T, slabChunk))
+// Slot returns a's object store named key, creating it on first use.
+// Layers above hang their trial-lifetime objects off the arena this way
+// (keyed by package-unique strings) so the arena stays ignorant of their
+// types. Their objects are drawn with Get and never Put: ResetTrial
+// reclaims them all, and a pointer is valid until then.
+func Slot[T any](a *Arena, key string) *pool.Objects[T] {
+	s, ok := a.stores[key].(*pool.Objects[T])
+	if !ok {
+		s = new(pool.Objects[T])
+		a.stores[key] = s
 	}
-	s.n++
-	return &s.chunks[ci][off]
+	return s
 }
 
-// Len returns the number of live objects.
-func (s *Slab[T]) Len() int { return s.n }
-
-// Reset zeroes the issued objects and rewinds the cursor; memory is
-// retained for reuse. Zeroing at Reset rather than in New keeps a slab
-// on an idle arena from pinning the object graph of the last trial it
-// served (a circuit points into its whole network).
-func (s *Slab[T]) Reset() {
-	for i := 0; s.n > 0; i++ {
-		k := min(s.n, slabChunk)
-		clear(s.chunks[i][:k])
-		s.n -= k
+// ResetTrial ends one trial and prepares the next: the clock returns to
+// the epoch (pending events recycled, armed timers inert), then every
+// store reclaims everything it ever allocated — including objects
+// stranded mid-flight in the dying trial's links and the buffers its
+// links and senders still hold. No memory is released; that retention is
+// the arena's entire point. Call it only between trials, after every
+// result has been read out of the dying trial's objects: their memory is
+// reused by the next one.
+func (a *Arena) ResetTrial() {
+	a.Clock.Reset()
+	for _, s := range a.stores {
+		s.Reset()
 	}
+}
+
+// Balance checks the arena's stores, and fails if
+//   - a free list holds an entry twice;
+//   - a free list holds an entry its store did not allocate;
+//   - the clock has nothing pending, yet a frame or a segment wrapper is
+//     not free.
+//
+// Cells and buffers may be held at that point: teardown abandons cells,
+// and open senders and links hold buffers. peers are the arenas of the
+// other shards of a sharded trial, which draw a cell or a segment on one
+// shard and recycle it on another: each of a's stores is checked
+// together with the peers' store of the same name, and the clock must be
+// idle on every shard.
+func (a *Arena) Balance(peers ...*Arena) error {
+	idle := a.Clock.Pending() == 0
+	for _, p := range peers {
+		idle = idle && p.Clock.Pending() == 0
+	}
+	for name, s := range a.stores {
+		group := []pool.Store{s}
+		for _, p := range peers {
+			if ps := p.stores[name]; ps != nil {
+				group = append(group, ps)
+			}
+		}
+		held, err := pool.Balance(group...)
+		if err == nil && idle && held > 0 && (name == "frames" || name == "segments") {
+			err = fmt.Errorf("%d held with the clock idle", held)
+		}
+		if err != nil {
+			return fmt.Errorf("arena: %s: %w", name, err)
+		}
+	}
+	return nil
 }

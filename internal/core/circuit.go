@@ -207,18 +207,10 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 		return nil, err
 	}
 
-	var c *Circuit
-	if n.ar != nil {
-		// Trial-lifetime object: draw from the arena slab so churned
-		// circuits stop costing a heap allocation each. The pointer is
-		// valid until the arena's next ResetTrial.
-		slab := n.ar.Slot("core.circuits", func() any {
-			return new(arena.Slab[Circuit])
-		}).(*arena.Slab[Circuit])
-		c = slab.New()
-	} else {
-		c = &Circuit{}
-	}
+	// Trial-lifetime object: drawn from the arena so churned circuits
+	// stop costing a heap allocation each. The pointer is valid until the
+	// arena's next ResetTrial.
+	c := arena.Slot[Circuit](n.ar, "core.circuits").Get()
 	*c = Circuit{id: spec.ID, network: n, spec: spec, builtAt: n.Now()}
 
 	// Wire the relay hops. Hop i of the circuit runs between node i and
@@ -270,16 +262,16 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 	}
 	c.source = endpoint.NewSource(spec.Source, n.fabric, spec.SourceAccess,
 		spec.ID, clientCrypto, spec.Relays[0], srcCfg, n.lossRNG)
-	c.source.UseCellPool(n.cellPool)
-	c.source.UseSegmentPool(n.segPool)
+	c.source.UseCellPool(n.ar.Cells)
+	c.source.UseSegmentPool(n.ar.Segments)
 	sinkCfg := tmpl
 	if sinkCfg.Startup, err = spec.Transport.policy(); err != nil {
 		return nil, err
 	}
 	c.sink = endpoint.NewSink(spec.Sink, n.fabric, spec.SinkAccess,
 		spec.ID, spec.Relays[len(spec.Relays)-1], sinkCfg, n.lossRNG)
-	c.sink.UseCellPool(n.cellPool)
-	c.sink.UseSegmentPool(n.segPool)
+	c.sink.UseCellPool(n.ar.Cells)
+	c.sink.UseSegmentPool(n.ar.Segments)
 
 	// Analytic model of the same path, including any backbone trunks
 	// each hop crosses on a routed fabric.

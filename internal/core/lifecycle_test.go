@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"circuitstart/internal/cell"
 	"circuitstart/internal/endpoint"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
@@ -168,7 +167,7 @@ func TestLongTransferHoldsOnlyTheCellsInFlight(t *testing.T) {
 	}
 	// Eager packetization allocated all 129,033 cells up front; the 20
 	// Mbit/s path keeps a few hundred in circulation.
-	if all := len(n.cellPool.All()); all == 0 || all >= 4096 || all > sent {
+	if all := n.ar.Cells.Len(); all == 0 || all >= 4096 || all > sent {
 		t.Fatalf("cell pool grew to %d cells after %d transmissions of a %d-cell transfer; want 0 < cells < 4096",
 			all, sent, endpoint.CellsFor(size))
 	}
@@ -184,20 +183,9 @@ func TestLongTransferHoldsOnlyTheCellsInFlight(t *testing.T) {
 	// Balance: teardown recycles nothing (cells in flight or retained at
 	// a relay are aliased by neighbouring hops), so the free list holds
 	// only what the sink consumed — each cell once, none the pool did
-	// not allocate.
-	all := len(n.cellPool.All())
-	owned := make(map[*cell.Cell]bool, all)
-	for _, cl := range n.cellPool.All() {
-		owned[cl] = true
-	}
-	for i := n.cellPool.FreeLen(); i > 0; i-- {
-		cl := n.cellPool.Get()
-		if !owned[cl] {
-			t.Fatal("free list holds a cell twice, or one the pool never allocated")
-		}
-		delete(owned, cl)
-	}
-	if grew := len(n.cellPool.All()) - all; grew != 0 {
-		t.Fatalf("draining the free list allocated %d cells", grew)
+	// not allocate — and with the clock idle every frame and segment
+	// wrapper is back.
+	if err := n.ar.Balance(); err != nil {
+		t.Fatal(err)
 	}
 }

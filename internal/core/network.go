@@ -20,7 +20,6 @@ import (
 	"circuitstart/internal/resource"
 	"circuitstart/internal/sched"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/transport"
 )
 
 // Network is an overlay under construction: attach relays, then build
@@ -37,16 +36,10 @@ type Network struct {
 	lossRNG    *sim.RNG
 	keyRNG     *sim.RNG
 
-	// cellPool recycles cells between the consuming and producing
-	// endpoints of every circuit on this network (single-threaded on the
-	// shared clock, so one pool serves them all). segPool does the same
-	// for the boxed segment wrappers frames carry — the fabric's frame
-	// pool returns wrappers here the moment their frame dies.
-	cellPool *cell.Pool
-	segPool  *transport.SegmentPool
-
-	// ar is the arena the network draws trial-lifetime objects from
-	// (circuits), nil for standalone networks.
+	// ar is the arena the network draws its clock, its cell and segment
+	// pools and its trial-lifetime objects (circuits) from; a standalone
+	// network has one of its own. One arena serves every circuit on the
+	// network: they are single-threaded on its shared clock.
 	ar *arena.Arena
 
 	nextAutoCirc uint32
@@ -79,63 +72,40 @@ func NewNetwork(seed int64) *Network {
 // backbone. Every trial must build its own fabric; reusing one across
 // networks would share clocks and queues.
 func NewNetworkWithFabric(seed int64, build FabricBuilder) *Network {
-	return newNetwork(nil, seed, build)
+	return NewNetworkInArena(nil, seed, build)
 }
 
-// NewNetworkInArena is NewNetworkWithFabric drawing its clock, cell pool
-// and segment pool from a trial arena instead of allocating fresh ones.
+// NewNetworkInArena is NewNetworkWithFabric drawing its clock, its
+// pools and its circuits from a trial arena instead of a fresh one.
 // Callers running trial sequences pair it with ar.ResetTrial() between
 // trials: the network object itself is rebuilt (maps, fabric, relays are
 // trial-specific state) but the expensive recyclable substrate — event
-// free list, cell and segment free lists, object slabs — carries over.
-// The arena's clock must be idle and reset when called.
+// free list, every store of the arena — carries over. The arena's clock
+// must be idle and reset when called; a nil arena is a fresh one.
 func NewNetworkInArena(ar *arena.Arena, seed int64, build FabricBuilder) *Network {
-	return newNetwork(ar, seed, build)
-}
-
-func newNetwork(ar *arena.Arena, seed int64, build FabricBuilder) *Network {
-	var (
-		clock    *sim.Clock
-		cellPool *cell.Pool
-		segPool  *transport.SegmentPool
-	)
-	if ar != nil {
-		clock, cellPool, segPool = ar.Clock, ar.Cells, ar.Segments
-	} else {
-		clock, cellPool, segPool = sim.NewClock(), cell.NewPool(), transport.NewSegmentPool()
+	if ar == nil {
+		ar = arena.New()
 	}
 	lossRNG := sim.NewRNG(seed, "netem-loss")
-	fab := build(clock, lossRNG)
+	fab := build(ar.Clock, lossRNG)
 	if fab == nil {
 		panic("core: FabricBuilder returned nil")
 	}
-	if fab.Clock() != clock {
+	if fab.Clock() != ar.Clock {
 		panic("core: fabric built on a foreign clock")
 	}
-	// An arena-backed network redirects the fabric's frame pool to the
-	// arena's long-lived store, so the frame working set survives this
-	// trial's fabric and ResetTrial can reclaim stranded frames.
-	if ar != nil {
-		fab.FramePool().Adopt(ar.Frames)
-	}
-	// Recycle boxed segment wrappers the instant their carrying frame
-	// dies (delivered, tail-dropped, policed or randomly lost) — the
-	// frame pool's reclaim hook is the one place every death is visible.
-	fab.FramePool().OnReclaim(func(p any) {
-		if s, ok := p.(*transport.Segment); ok {
-			segPool.Put(s)
-		}
-	})
+	// The fabric's frame pool moves to the arena's stores, so the frame
+	// working set survives this trial's fabric, ResetTrial can reclaim
+	// stranded frames, and every frame death frees the segment it carries.
+	*fab.FramePool() = *ar.Frames
 	return &Network{
-		clock:      clock,
+		clock:      ar.Clock,
 		fabric:     fab,
 		seed:       seed,
 		relays:     make(map[netem.NodeID]*relay.Relay),
 		identities: make(map[netem.NodeID]*onion.Identity),
 		lossRNG:    lossRNG,
 		keyRNG:     sim.NewRNG(seed, "onion-keys"),
-		cellPool:   cellPool,
-		segPool:    segPool,
 		ar:         ar,
 		circuits:   make(map[cell.CircID]*Circuit),
 	}
@@ -235,7 +205,7 @@ func (n *Network) AddRelay(id netem.NodeID, access netem.AccessConfig) (*relay.R
 		return nil, fmt.Errorf("core: relay %q identity: %w", id, err)
 	}
 	r := relay.New(id, n.fabric, access, n.lossRNG)
-	r.UseSegmentPool(n.segPool)
+	r.UseSegmentPool(n.ar.Segments)
 	if err := r.Configure(n.relayCfg, n.killCircuit); err != nil {
 		return nil, fmt.Errorf("core: relay %q: %w", id, err)
 	}

@@ -77,7 +77,7 @@ func NewShardedNetwork(seed int64, spec netem.GraphSpec, shards int, arenas []*a
 	for i := 0; i < plan.Shards; i++ {
 		i := i
 		ar := arenas[i]
-		sn.shards[i] = newNetwork(ar, seed, func(clock *sim.Clock, lossRNG *sim.RNG) netem.Fabric {
+		sn.shards[i] = NewNetworkInArena(ar, seed, func(clock *sim.Clock, lossRNG *sim.RNG) netem.Fabric {
 			if fab == nil {
 				fab = netem.NewShardedFabric(spec, plan, clocks, lossRNG)
 			}
@@ -132,7 +132,7 @@ func (sn *ShardedNetwork) AddRelay(id netem.NodeID, access netem.AccessConfig) (
 	shard := sn.fab.ShardOf(id)
 	n := sn.shards[shard]
 	r := relay.New(id, n.fabric, access, n.lossRNG)
-	r.UseSegmentPool(n.segPool)
+	r.UseSegmentPool(n.ar.Segments)
 	if err := r.Configure(n.relayCfg, n.killCircuit); err != nil {
 		return nil, fmt.Errorf("core: relay %q: %w", id, err)
 	}
@@ -316,16 +316,16 @@ func (sn *ShardedNetwork) BuildCircuit(spec CircuitSpec) (*ShardedCircuit, error
 	}
 	c.source = endpoint.NewSource(spec.Source, srcNet.fabric, spec.SourceAccess,
 		spec.ID, clientCrypto, spec.Relays[0], srcCfg, srcNet.lossRNG)
-	c.source.UseCellPool(srcNet.cellPool)
-	c.source.UseSegmentPool(srcNet.segPool)
+	c.source.UseCellPool(srcNet.ar.Cells)
+	c.source.UseSegmentPool(srcNet.ar.Segments)
 	sinkCfg := tmpl
 	if sinkCfg.Startup, err = spec.Transport.policy(); err != nil {
 		return nil, err
 	}
 	c.sink = endpoint.NewSink(spec.Sink, sinkNet.fabric, spec.SinkAccess,
 		spec.ID, spec.Relays[len(spec.Relays)-1], sinkCfg, sinkNet.lossRNG)
-	c.sink.UseCellPool(sinkNet.cellPool)
-	c.sink.UseSegmentPool(sinkNet.segPool)
+	c.sink.UseCellPool(sinkNet.ar.Cells)
+	c.sink.UseSegmentPool(sinkNet.ar.Segments)
 
 	seq := make([]netem.NodeID, 0, len(spec.Relays)+2)
 	seq = append(seq, spec.Source)

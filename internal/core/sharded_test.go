@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
+	"circuitstart/internal/arena"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
@@ -164,9 +164,9 @@ func TestShardedLookaheadNeverViolated(t *testing.T) {
 }
 
 // TestShardedFrameLeakBalance: every frame handed across a boundary is
-// recycled exactly once — after the trial drains, each shard's pool has
-// every frame it ever allocated back on its free list, and the export/
-// import counters agree with empty boundary rings (which did fill: a
+// recycled exactly once — after the trial drains, the shards' arenas
+// balance as one, with every frame and segment wrapper free, and the
+// export/import counters agree with empty boundary rings (which did fill: a
 // frame dies into the source shard's pool at export and is reborn from
 // the destination's at import, so both pools see every crossing).
 func TestShardedFrameLeakBalance(t *testing.T) {
@@ -210,12 +210,11 @@ func TestShardedFrameLeakBalance(t *testing.T) {
 	if fab.QueueHighWater() == 0 {
 		t.Fatal("boundary rings never held a frame")
 	}
-	for i := 0; i < fab.NumShards(); i++ {
-		pool := fab.Shard(i).FramePool()
-		if pool.AllLen() != pool.FreeLen() {
-			t.Errorf("shard %d: %d frames allocated, %d free — %s",
-				i, pool.AllLen(), pool.FreeLen(),
-				fmt.Sprintf("%d leaked or double-recycled", pool.AllLen()-pool.FreeLen()))
-		}
+	ars := make([]*arena.Arena, sn.NumShards())
+	for i := range ars {
+		ars[i] = sn.Shard(i).ar
+	}
+	if err := ars[0].Balance(ars[1:]...); err != nil {
+		t.Fatal(err)
 	}
 }

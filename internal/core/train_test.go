@@ -97,13 +97,13 @@ func TestSequentialTransfersReuseCellPool(t *testing.T) {
 		}
 	}
 	transfer()
-	warm := len(n.cellPool.All())
+	warm := n.ar.Cells.Len()
 	if warm == 0 {
 		t.Fatal("cell pool unused: the data path is not drawing from the arena")
 	}
 	for i := 0; i < 2; i++ {
 		transfer()
-		if grew := len(n.cellPool.All()) - warm; grew != 0 {
+		if grew := n.ar.Cells.Len() - warm; grew != 0 {
 			t.Fatalf("transfer %d allocated %d new cells past the warm working set of %d",
 				i+2, grew, warm)
 		}
@@ -111,7 +111,7 @@ func TestSequentialTransfersReuseCellPool(t *testing.T) {
 }
 
 // TestSteadyStateTransferAllocBudget pins the whole per-cell path at
-// once: after one warm-up transfer has grown every pool, ring and slab
+// once: after one warm-up transfer has grown every pool, ring and slot
 // to its working set, a further 1 MB forward transfer over the trained
 // 3-hop circuit (≈ 2,000 cells × 4 hops, ACKs and FEEDBACK included)
 // costs at most one allocation — the transfer's own bookkeeping, not

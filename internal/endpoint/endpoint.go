@@ -18,6 +18,7 @@ import (
 	"circuitstart/internal/cell"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/onion"
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
@@ -35,8 +36,8 @@ type Source struct {
 	sender *transport.Sender
 	first  netem.NodeID
 
-	cells *cell.Pool // optional recycling with the far endpoint
-	segs  *transport.SegmentPool
+	cells *pool.Objects[cell.Cell] // optional recycling with the far endpoint
+	segs  transport.SegmentPool
 	pack  packetizer
 
 	// Download (backward) direction: the client receives layered cells
@@ -66,7 +67,7 @@ func NewSource(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 	params.Circ = circ
 	params.Send = func(seg transport.Segment) bool {
 		seg.Dir = transport.DirForward
-		return sendSegment(s.segs, s.port, first, seg)
+		return s.segs.Send(s.port, first, seg)
 	}
 	params.Produce = s.produce
 	s.sender = transport.NewSender(params)
@@ -74,7 +75,7 @@ func NewSource(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 	s.drecv = transport.NewReceiver(circ,
 		func(seg transport.Segment) bool {
 			seg.Dir = transport.DirBackward
-			return sendSegment(s.segs, s.port, first, seg)
+			return s.segs.Send(s.port, first, seg)
 		},
 		s.consumeDownload,
 	)
@@ -83,17 +84,17 @@ func NewSource(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 
 // UseSegmentPool wires the shared segment-wrapper pool (see
 // core.Network), which also stores the forward sender's buffers. Must
-// be set before traffic flows; nil is valid.
+// be set before traffic flows.
 func (s *Source) UseSegmentPool(sp *transport.SegmentPool) {
-	s.segs = sp
+	s.segs = *sp
 	s.sender.UseSegmentPool(sp)
 }
 
 // UseCellPool wires cell recycling: the packetizer draws its cells from
-// pool, and every consumed download cell is returned to it. Wire the
-// same pool into both endpoints of a circuit (core does) so the cells
+// cells, and every consumed download cell is returned to it. Wire the
+// same store into both endpoints of a circuit (core does) so the cells
 // the far end consumes feed this end's packetizer, mid-transfer.
-func (s *Source) UseCellPool(pool *cell.Pool) { s.cells = pool }
+func (s *Source) UseCellPool(cells *pool.Objects[cell.Cell]) { s.cells = cells }
 
 // ExpectDownload arms the download completion callback: once size
 // application bytes have arrived over the backward direction,
@@ -212,12 +213,12 @@ func (p *packetizer) submit(size units.DataSize) int {
 }
 
 // next builds the oldest unsent cell as a plaintext relay DATA cell.
-func (p *packetizer) next(pool *cell.Pool, circ cell.CircID) *cell.Cell {
+func (p *packetizer) next(cells *pool.Objects[cell.Cell], circ cell.CircID) *cell.Cell {
 	n := min(p.left[p.head], int64(cell.MaxRelayData))
 	if p.left[p.head] -= n; p.left[p.head] == 0 {
 		p.head++
 	}
-	c := pool.Get()
+	c := cells.Get()
 	c.Circ = circ
 	if err := c.SetRelay(cell.RelayHeader{Cmd: cell.RelayData, StreamID: 1}, zeroData[:n]); err != nil {
 		panic(err) // n <= MaxRelayData by construction
@@ -323,8 +324,8 @@ type Sink struct {
 	// plaintext relay cells; the exit relay seals and encrypts them.
 	bsender *transport.Sender
 
-	cellPool *cell.Pool // optional recycling with the far endpoint
-	segs     *transport.SegmentPool
+	cellPool *pool.Objects[cell.Cell] // optional recycling with the far endpoint
+	segs     transport.SegmentPool
 	pack     packetizer
 
 	closed bool
@@ -341,7 +342,7 @@ func NewSink(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 	k.recv = transport.NewReceiver(circ,
 		func(seg transport.Segment) bool {
 			seg.Dir = transport.DirForward
-			return sendSegment(k.segs, k.port, exit, seg)
+			return k.segs.Send(k.port, exit, seg)
 		},
 		k.consume,
 	)
@@ -350,7 +351,7 @@ func NewSink(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 	params.Circ = circ
 	params.Send = func(seg transport.Segment) bool {
 		seg.Dir = transport.DirBackward
-		return sendSegment(k.segs, k.port, exit, seg)
+		return k.segs.Send(k.port, exit, seg)
 	}
 	params.Produce = k.produce
 	k.bsender = transport.NewSender(params)
@@ -359,9 +360,9 @@ func NewSink(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig,
 
 // UseSegmentPool wires the shared segment-wrapper pool (see
 // core.Network), which also stores the backward sender's buffers. Must
-// be set before traffic flows; nil is valid.
+// be set before traffic flows.
 func (k *Sink) UseSegmentPool(sp *transport.SegmentPool) {
-	k.segs = sp
+	k.segs = *sp
 	k.bsender.UseSegmentPool(sp)
 }
 
@@ -370,8 +371,8 @@ func (k *Sink) UseSegmentPool(sp *transport.SegmentPool) {
 func (k *Sink) BackwardSender() *transport.Sender { return k.bsender }
 
 // UseCellPool wires cell recycling: consumed upload cells are returned
-// to pool and the backward packetizer draws its cells from it.
-func (k *Sink) UseCellPool(pool *cell.Pool) { k.cellPool = pool }
+// to cells and the backward packetizer draws its cells from it.
+func (k *Sink) UseCellPool(cells *pool.Objects[cell.Cell]) { k.cellPool = cells }
 
 // SendBackward submits size bytes of server data toward the client over
 // the backward direction: plaintext relay DATA cells, built one at a
@@ -392,21 +393,6 @@ func (k *Sink) SendBackward(size units.DataSize) int {
 // produce builds the next backward cell (transport.Config.Produce):
 // plaintext, since the exit relay seals and encrypts.
 func (k *Sink) produce() *cell.Cell { return k.pack.next(k.cellPool, k.circ) }
-
-// sendSegment transmits a hop segment, giving control segments (ACK,
-// FEEDBACK, PROBE) link priority so congestion feedback is not delayed
-// by the data queues it describes. Data frames carry their circuit ID
-// so installed circuit schedulers can tell flows apart. The segment
-// rides as a pooled *Segment wrapper (see relay.sendSegment); a nil
-// pool allocates a fresh wrapper per call.
-func sendSegment(sp *transport.SegmentPool, p *netem.Port, dst netem.NodeID, seg transport.Segment) bool {
-	s := sp.Get()
-	*s = seg
-	if seg.Kind == transport.KindData {
-		return p.SendCirc(dst, seg.WireSize(), s, uint32(seg.Circ))
-	}
-	return p.SendPriority(dst, seg.WireSize(), s)
-}
 
 // Close releases the sink's circuit state on teardown: the backward
 // sender's timers stop, the unsent remainder of a download is dropped,

@@ -101,9 +101,9 @@ type Fabric interface {
 	// on a star). The analytic path model folds them into its per-hop
 	// rates and latencies. Panics on unattached nodes.
 	PathTransits(a, b NodeID) []*Link
-	// FramePool returns the fabric's frame pool. The overlay uses it to
-	// install an OnReclaim hook for payload wrappers; per-frame traffic
-	// must keep going through Port.Send.
+	// FramePool returns the fabric's frame pool. The overlay points it
+	// at a trial arena's stores (see FramePool); per-frame traffic must
+	// keep going through Port.Send.
 	FramePool() *FramePool
 }
 

@@ -11,7 +11,7 @@
 package netem
 
 import (
-	"circuitstart/internal/bufpool"
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
@@ -54,144 +54,38 @@ type Frame struct {
 	deliverKey sim.Key
 }
 
-// FramePool recycles Frame objects so the per-frame hot path of a fabric
-// allocates nothing in steady state. It is a plain free list: each
-// simulation is single-threaded on its own clock, so no locking is
-// needed, and reuse order is deterministic.
+// FramePool is where a fabric's frames and its links' ring buffers come
+// from, so the per-frame hot path allocates nothing in steady state: a
+// frame store and a ring-buffer store (see package pool for the
+// contract). A growing ring takes its larger buffer from Rings and hands
+// the smaller one back.
 //
-// The free list lives in an indirected backing store so a pool can
-// Adopt another pool's store: a trial arena owns one long-lived store
-// and every per-trial fabric redirects its own pool there, letting the
-// frame working set survive fabric teardown. The store remembers every
-// frame it ever allocated, so Reset can reclaim frames stranded in
-// discarded links (in flight when a trial stopped) along with the free
-// ones. The same goes for the ring buffers of the links wired to the
-// pool: a growing ring takes its larger buffer from the store (a
-// bufpool.Store) and hands the smaller one back, and Reset reclaims the
-// buffers a discarded trial's links still hold.
-//
-// A nil *FramePool is valid and degrades to plain allocation (Get) and
-// dropping on the floor (Put) — standalone Links built by tests keep the
-// old semantics without wiring a pool.
+// The pool holds its stores by pointer, so assigning one pool to another
+// redirects it: a trial arena owns one long-lived pair of stores, and
+// every per-trial fabric — whose links captured its pool when the fabric
+// was built, before the network existed — is pointed there, letting the
+// working set survive fabric teardown. The zero FramePool's nil stores
+// allocate plainly and drop what they are handed back; links UsePool
+// never wired recycle through it.
 type FramePool struct {
-	s *frameStore
+	Objects *pool.Objects[Frame]
+	Rings   *pool.Buffers[*Frame]
 }
 
-type frameStore struct {
-	free    []*Frame
-	all     []*Frame
-	reclaim func(payload any)
-	rings   bufpool.Store[*Frame]
+// unpooled is the pool of standalone links.
+var unpooled FramePool
+
+// NewFramePool returns a pool with empty stores.
+func NewFramePool() *FramePool {
+	return &FramePool{Objects: new(pool.Objects[Frame]), Rings: new(pool.Buffers[*Frame])}
 }
 
-// NewFramePool returns an empty pool.
-func NewFramePool() *FramePool { return &FramePool{s: &frameStore{}} }
+// Get returns a zeroed frame for the caller to fill.
+func (p *FramePool) Get() *Frame { return p.Objects.Get() }
 
-// Adopt redirects this pool to src's backing store: subsequent Get/Put
-// calls — including through Links that captured this *FramePool earlier
-// — draw from and recycle into src's free list. Call it before traffic
-// flows; frames already drawn from the old store are simply never
-// reused.
-func (p *FramePool) Adopt(src *FramePool) {
-	if p != nil && src != nil {
-		p.s = src.s
-	}
-}
-
-// OnReclaim installs a hook invoked with a dying frame's non-nil
-// Payload just before the pool drops the reference. The overlay uses it
-// to recycle the boxed segment wrappers it attaches as payloads: the
-// network layer is the one place that reliably sees every frame death
-// (delivery, tail drop, random loss), so it is the one place the
-// wrapper's life can end exactly once.
-func (p *FramePool) OnReclaim(fn func(payload any)) {
-	if p != nil {
-		p.s.reclaim = fn
-	}
-}
-
-// Reset reclaims every frame and ring buffer the pool's store ever
-// allocated — free or not — rebuilding the free lists in allocation
-// order. It exists for trial boundaries: frames still sitting in a dead
-// trial's links, and the rings holding them, come back without waiting
-// for delivery. Payload references are dropped WITHOUT invoking the
-// OnReclaim hook; a caller resetting the frame pool is expected to reset
-// the payload pools wholesale too. Calling it while any live link still
-// holds frames aliases memory — only reset between trials, after the
-// owning fabric is discarded.
-func (p *FramePool) Reset() {
-	if p == nil {
-		return
-	}
-	s := p.s
-	s.free = s.free[:0]
-	for _, f := range s.all {
-		f.Payload = nil
-		s.free = append(s.free, f)
-	}
-	s.rings.Reset()
-}
-
-// AllLen returns how many frames the pool's store ever allocated.
-// Together with FreeLen it lets leak tests assert pool balance: after a
-// trial fully drains (or after Reset), every allocated frame must be
-// back on the free list.
-func (p *FramePool) AllLen() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.s.all)
-}
-
-// FreeLen returns how many frames are currently on the free list.
-func (p *FramePool) FreeLen() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.s.free)
-}
-
-// Get returns a frame for the caller to fill. Every exported field must
-// be set by the caller; recycled frames carry no payload.
-func (p *FramePool) Get() *Frame {
-	if p == nil {
-		return &Frame{}
-	}
-	s := p.s
-	if n := len(s.free); n > 0 {
-		f := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return f
-	}
-	f := &Frame{}
-	s.all = append(s.all, f)
-	return f
-}
-
-// Put recycles a dead frame. The payload reference is dropped so the
-// pool does not pin overlay objects; everything else is overwritten by
-// the next Get's caller.
-func (p *FramePool) Put(f *Frame) {
-	if p == nil || f == nil {
-		return
-	}
-	s := p.s
-	if s.reclaim != nil && f.Payload != nil {
-		s.reclaim(f.Payload)
-	}
-	f.Payload = nil
-	s.free = append(s.free, f)
-}
-
-// rings returns the store the pool's links grow their ring buffers in;
-// nil for a nil pool, which allocates plainly.
-func (p *FramePool) rings() *bufpool.Store[*Frame] {
-	if p == nil {
-		return nil
-	}
-	return &p.s.rings
-}
+// Put recycles a dead frame: the frame store's put hook sees it whole,
+// then it is zeroed.
+func (p *FramePool) Put(f *Frame) { p.Objects.Put(f) }
 
 // SchedQueue is a pluggable scheduler for a link's data frames. When
 // installed via Link.SetScheduler it replaces the built-in FIFO ring
@@ -288,7 +182,7 @@ func (r *frameRing) pop() *Frame {
 }
 
 func (r *frameRing) grow(p *FramePool) {
-	st := p.rings()
+	st := p.Rings
 	buf := st.Get(2 * len(r.buf))
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]

@@ -185,10 +185,10 @@ type Link struct {
 	jitter        JitterModel
 	lastDeliverAt sim.Time
 
-	// pool, when non-nil, receives dead frames (dropped, lost, or — on
-	// terminal links — delivered). terminal marks the last link before a
-	// node handler: only there does Deliver end a frame's life; on
-	// fabric-internal links the routing stage sends it onward.
+	// pool receives dead frames (dropped, lost, or — on terminal links —
+	// delivered). terminal marks the last link before a node handler:
+	// only there does Deliver end a frame's life; on fabric-internal
+	// links the routing stage sends it onward.
 	pool     *FramePool
 	terminal bool
 
@@ -252,7 +252,7 @@ func NewLink(name string, clock *sim.Clock, cfg LinkConfig, dst Handler) *Link {
 	if dst == nil {
 		panic(fmt.Sprintf("netem: link %q with nil destination", name))
 	}
-	l := &Link{name: name, clock: clock, cfg: cfg, dst: dst, trainCap: max(1, cfg.TrainSize)}
+	l := &Link{name: name, clock: clock, cfg: cfg, dst: dst, trainCap: max(1, cfg.TrainSize), pool: &unpooled}
 	l.txDoneFn = l.onTxDoneTrain
 	l.deliverFn = l.onDeliverTrain
 	return l
@@ -262,7 +262,7 @@ func NewLink(name string, clock *sim.Clock, cfg LinkConfig, dst Handler) *Link {
 // link's rings take their buffers from it, and — when terminal is true —
 // a frame's delivery to the destination handler ends its life (fabrics
 // set this on the last link before a node). Standalone links without a
-// pool never recycle.
+// pool never recycle: their frames and rings are plain allocations.
 func (l *Link) UsePool(pool *FramePool, terminal bool) {
 	l.pool = pool
 	l.terminal = terminal

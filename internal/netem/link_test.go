@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
@@ -380,6 +381,20 @@ func TestLinkSetRateMidSerializationAppliesNext(t *testing.T) {
 	}
 }
 
+// heldOf returns how many entries s allocated and how many of them are
+// held, failing t if its ledger does not balance.
+func heldOf(t *testing.T, s interface {
+	pool.Store
+	Len() int
+}) (all, held int) {
+	t.Helper()
+	held, err := pool.Balance(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Len(), held
+}
+
 func TestFramePoolRecyclesThroughFabric(t *testing.T) {
 	// A frame delivered across the star must come back to the pool:
 	// steady-state traffic reuses storage instead of allocating.
@@ -389,18 +404,17 @@ func TestFramePoolRecyclesThroughFabric(t *testing.T) {
 	star.Attach("b", Symmetric(units.Mbps(10), 0, 0), HandlerFunc(func(*Frame) {}), nil)
 	pa.Send("b", 512, "x")
 	clock.Run()
-	if n := len(star.pool.s.free); n != 1 {
-		t.Fatalf("pool holds %d frames after delivery, want 1", n)
-	}
-	f := star.pool.s.free[0]
-	if f.Payload != nil {
-		t.Fatal("recycled frame retains payload")
+	if all, held := heldOf(t, star.pool.Objects); all != 1 || held != 0 {
+		t.Fatalf("pool holds %d of %d frames after delivery, want 0 of 1", held, all)
 	}
 	// Unknown destinations recycle too.
 	pa.Send("ghost", 512, "y")
 	clock.Run()
-	if n := len(star.pool.s.free); n != 1 {
-		t.Fatalf("pool holds %d frames after unknown-dst drop, want 1", n)
+	if all, held := heldOf(t, star.pool.Objects); all != 1 || held != 0 {
+		t.Fatalf("pool holds %d of %d frames after unknown-dst drop, want 0 of 1", held, all)
+	}
+	if f := star.pool.Get(); *f != (Frame{}) {
+		t.Fatalf("recycled frame kept %+v", *f)
 	}
 }
 
@@ -410,16 +424,13 @@ func TestFramePoolRecyclesThroughFabric(t *testing.T) {
 // link on the same store, under the same burst, allocates no ring
 // buffer.
 func TestFramePoolReclaimsRingBuffers(t *testing.T) {
-	pool := NewFramePool()
-	ringBufs := func() (all, free int) {
-		return pool.s.rings.AllLen(), pool.s.rings.FreeLen()
-	}
+	fp := NewFramePool()
 	burst := func() {
 		clock := sim.NewClock()
 		link := NewLink("ring", clock, LinkConfig{Rate: units.Mbps(8), Delay: 10 * time.Millisecond}, &countSink{})
-		link.UsePool(pool, true)
+		link.UsePool(fp, true)
 		for i := 0; i < 100; i++ {
-			f := pool.Get()
+			f := fp.Get()
 			f.Src, f.Dst, f.Size, f.Priority = "a", "b", 512, i%10 == 0
 			link.Send(f)
 		}
@@ -430,16 +441,17 @@ func TestFramePoolReclaimsRingBuffers(t *testing.T) {
 		}
 	}
 	burst()
-	grown, _ := ringBufs()
+	grown, _ := heldOf(t, fp.Rings)
 	if grown == 0 {
 		t.Fatal("the rings took no buffer from the pool")
 	}
-	pool.Reset()
-	if all, free := ringBufs(); free != all {
-		t.Fatalf("Reset reclaimed %d of %d ring buffers", free, all)
+	fp.Objects.Reset()
+	fp.Rings.Reset()
+	if all, held := heldOf(t, fp.Rings); held != 0 {
+		t.Fatalf("Reset left %d of %d ring buffers held", held, all)
 	}
 	burst()
-	if all, _ := ringBufs(); all != grown {
+	if all, _ := heldOf(t, fp.Rings); all != grown {
 		t.Fatalf("a fresh link after Reset allocated %d more ring buffers", all-grown)
 	}
 }

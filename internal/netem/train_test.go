@@ -322,13 +322,8 @@ func TestTrainTerminalLinkRecyclesFrames(t *testing.T) {
 	if got := dst.payloads(); len(got) != n {
 		t.Fatalf("delivered %d frames, want %d", len(got), n)
 	}
-	if free := len(pool.s.free); free != n {
-		t.Fatalf("pool holds %d frames after delivery, want %d", free, n)
-	}
-	for _, f := range pool.s.free {
-		if f.Payload != nil {
-			t.Fatal("recycled train frame retains payload")
-		}
+	if all, held := heldOf(t, pool.Objects); all != n || held != 0 {
+		t.Fatalf("pool holds %d of %d frames after delivery, want all %d free", held, all, n)
 	}
 }
 

@@ -1,9 +1,20 @@
-package bufpool
+package pool
 
 import "testing"
 
-func TestStoreGetRoundsUpToPowerOfTwoClasses(t *testing.T) {
-	var s Store[int]
+// ledgerOf returns how many buffers s ever allocated and how many of
+// them are free, failing t if the ledger does not balance.
+func ledgerOf[T any](t *testing.T, s *Buffers[T]) (all, free int) {
+	t.Helper()
+	held, err := Balance(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Len(), s.Len() - held
+}
+
+func TestBuffersGetRoundsUpToPowerOfTwoClasses(t *testing.T) {
+	var s Buffers[int]
 	for _, tc := range []struct{ n, want int }{
 		{0, MinLen}, {1, MinLen}, {MinLen, MinLen}, {MinLen + 1, 2 * MinLen},
 		{32, 32}, {33, 64}, {1000, 1024},
@@ -11,26 +22,26 @@ func TestStoreGetRoundsUpToPowerOfTwoClasses(t *testing.T) {
 		if got := len(s.Get(tc.n)); got != tc.want {
 			t.Errorf("Get(%d) has length %d, want %d", tc.n, got, tc.want)
 		}
-		var nilStore *Store[int]
+		var nilStore *Buffers[int]
 		if got := len(nilStore.Get(tc.n)); got != tc.want {
 			t.Errorf("nil Get(%d) has length %d, want %d", tc.n, got, tc.want)
 		}
 	}
 }
 
-// TestStorePutZeroesAndReuses pins the hand-back contract: a buffer put
+// TestBuffersPutZeroesAndReuses pins the hand-back contract: a buffer put
 // back is zeroed, so the store pins nothing its owner pointed to, and
 // the next Get of its class returns it instead of allocating.
-func TestStorePutZeroesAndReuses(t *testing.T) {
-	var s Store[*int]
+func TestBuffersPutZeroesAndReuses(t *testing.T) {
+	var s Buffers[*int]
 	x := 7
 	buf := s.Get(10)
 	for i := range buf {
 		buf[i] = &x
 	}
 	s.Put(buf[:3]) // a resliced buffer goes back whole
-	if s.AllLen() != 1 || s.FreeLen() != 1 {
-		t.Fatalf("ledger %d all / %d free after one Put, want 1 / 1", s.AllLen(), s.FreeLen())
+	if all, free := ledgerOf(t, &s); all != 1 || free != 1 {
+		t.Fatalf("ledger %d all / %d free after one Put, want 1 / 1", all, free)
 	}
 	again := s.Get(16)
 	if &again[0] != &buf[0] {
@@ -41,22 +52,19 @@ func TestStorePutZeroesAndReuses(t *testing.T) {
 			t.Fatalf("slot %d still points into the previous owner", i)
 		}
 	}
-	if other := s.Get(9); &other[0] == &buf[0] || s.AllLen() != 2 {
+	if other := s.Get(9); &other[0] == &buf[0] || s.Len() != 2 {
 		t.Fatal("one buffer was handed out twice")
 	}
 	s.Put(nil) // no-op
-	var nilStore *Store[*int]
+	var nilStore *Buffers[*int]
 	nilStore.Put(again)
 	nilStore.Reset()
-	if nilStore.AllLen() != 0 || nilStore.FreeLen() != 0 {
-		t.Fatal("a nil store reports buffers")
-	}
 }
 
-// TestStoreAppendGrowsThroughStore pins Append: contents survive each
+// TestBuffersAppendGrowsThroughStore pins Append: contents survive each
 // doubling, and every outgrown buffer is back on a free list.
-func TestStoreAppendGrowsThroughStore(t *testing.T) {
-	var s Store[int]
+func TestBuffersAppendGrowsThroughStore(t *testing.T) {
+	var s Buffers[int]
 	var buf []int
 	for i := 0; i < 100; i++ {
 		buf = s.Append(buf, i)
@@ -67,16 +75,17 @@ func TestStoreAppendGrowsThroughStore(t *testing.T) {
 		}
 	}
 	// 8, 16, 32, 64 outgrown; 128 held.
-	if s.AllLen() != 5 || s.FreeLen() != 4 {
-		t.Fatalf("ledger %d all / %d free, want 5 / 4", s.AllLen(), s.FreeLen())
+	if all, free := ledgerOf(t, &s); all != 5 || free != 4 {
+		t.Fatalf("ledger %d all / %d free, want 5 / 4", all, free)
 	}
 }
 
-// TestStoreResetBalancesLedger pins the trial boundary: Reset puts every
-// buffer the ledger ever allocated — held ones included — on a free
-// list, zeroed, and a second trial of the same shape allocates nothing.
-func TestStoreResetBalancesLedger(t *testing.T) {
-	var s Store[int]
+// TestBuffersResetBalancesLedger pins the trial boundary: Reset puts
+// every buffer the ledger ever allocated — held ones included — on a
+// free list, zeroed, and a second trial of the same shape allocates
+// nothing.
+func TestBuffersResetBalancesLedger(t *testing.T) {
+	var s Buffers[int]
 	trial := func() [][]int {
 		var held [][]int
 		for n := 1; n <= 200; n += 37 {
@@ -90,13 +99,13 @@ func TestStoreResetBalancesLedger(t *testing.T) {
 		return held[1:]
 	}
 	held := trial()
-	all := s.AllLen()
-	if s.FreeLen() == all {
+	all, free := ledgerOf(t, &s)
+	if free == all {
 		t.Fatal("the trial holds no buffer; the test proves nothing")
 	}
 	s.Reset()
-	if s.FreeLen() != all || s.AllLen() != all {
-		t.Fatalf("Reset left %d of %d buffers free", s.FreeLen(), all)
+	if after, free := ledgerOf(t, &s); free != all || after != all {
+		t.Fatalf("Reset left %d of %d buffers free", free, all)
 	}
 	for _, b := range held {
 		for i, v := range b {
@@ -106,13 +115,13 @@ func TestStoreResetBalancesLedger(t *testing.T) {
 		}
 	}
 	trial()
-	if s.AllLen() != all {
-		t.Fatalf("the second trial allocated %d more buffers", s.AllLen()-all)
+	if s.Len() != all {
+		t.Fatalf("the second trial allocated %d more buffers", s.Len()-all)
 	}
 }
 
-func TestStoreWarmCycleZeroAlloc(t *testing.T) {
-	var s Store[int]
+func TestBuffersWarmCycleZeroAlloc(t *testing.T) {
+	var s Buffers[int]
 	cycle := func() {
 		var buf []int
 		for i := 0; i < 300; i++ {

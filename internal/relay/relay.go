@@ -106,10 +106,9 @@ type Relay struct {
 
 	// segs recycles the boxed segment wrappers this relay attaches to
 	// outgoing frames, and stores the buffers its hop senders grow.
-	// core.Network shares one pool per network and reclaims wrappers
-	// through the fabric FramePool's OnReclaim hook; a nil pool degrades
-	// to plain allocation.
-	segs *transport.SegmentPool
+	// core.Network shares its arena's pool, whose frame store's put hook
+	// reclaims the wrappers; the zero pool degrades to plain allocation.
+	segs transport.SegmentPool
 
 	// ackFlush is DeliverTrain's scratch list of receivers owing a
 	// coalesced acknowledgment; it reaches its working set (distinct
@@ -129,8 +128,8 @@ func New(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig, rng *sim.
 }
 
 // UseSegmentPool wires the shared segment-wrapper pool (see
-// core.Network). Must be set before traffic flows; nil is valid.
-func (r *Relay) UseSegmentPool(sp *transport.SegmentPool) { r.segs = sp }
+// core.Network). Must be set before traffic flows.
+func (r *Relay) UseSegmentPool(sp *transport.SegmentPool) { r.segs = *sp }
 
 // Configure applies a scheduling/limits config to a fresh relay:
 // non-FIFO disciplines (or a bandwidth cap) install a scheduler on the
@@ -289,7 +288,7 @@ func (r *Relay) AddHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.Ho
 	fwd.Circ = circ
 	fwd.Send = func(seg transport.Segment) bool {
 		seg.Dir = transport.DirForward
-		return sendSegment(r.segs, r.port, succ, seg)
+		return r.segs.Send(r.port, succ, seg)
 	}
 	// The feedback chain: the first onward transmission of a cell is
 	// the moment this relay "forwards" it, which the receiver reports
@@ -304,12 +303,12 @@ func (r *Relay) AddHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.Ho
 		fwd.OnHeld = func(delta int) { r.mgr.Held(circ, delta) }
 	}
 	h.send = transport.NewSender(fwd)
-	h.send.UseSegmentPool(r.segs)
+	h.send.UseSegmentPool(&r.segs)
 
 	h.recv = transport.NewReceiver(circ,
 		func(seg transport.Segment) bool {
 			seg.Dir = transport.DirForward
-			return sendSegment(r.segs, r.port, pred, seg)
+			return r.segs.Send(r.port, pred, seg)
 		},
 		func(c *cell.Cell) { r.processCell(h, c) },
 	)
@@ -319,7 +318,7 @@ func (r *Relay) AddHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.Ho
 	back.Circ = circ
 	back.Send = func(seg transport.Segment) bool {
 		seg.Dir = transport.DirBackward
-		return sendSegment(r.segs, r.port, pred, seg)
+		return r.segs.Send(r.port, pred, seg)
 	}
 	back.BatchSignals = batch
 	back.OnFirstTransmit = func(count uint64) {
@@ -329,12 +328,12 @@ func (r *Relay) AddHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.Ho
 		back.OnHeld = func(delta int) { r.mgr.Held(circ, delta) }
 	}
 	h.bsend = transport.NewSender(back)
-	h.bsend.UseSegmentPool(r.segs)
+	h.bsend.UseSegmentPool(&r.segs)
 
 	h.brecv = transport.NewReceiver(circ,
 		func(seg transport.Segment) bool {
 			seg.Dir = transport.DirBackward
-			return sendSegment(r.segs, r.port, succ, seg)
+			return r.segs.Send(r.port, succ, seg)
 		},
 		func(c *cell.Cell) { r.processBackwardCell(h, c) },
 	)
@@ -370,25 +369,6 @@ func (r *Relay) RemoveHop(circ cell.CircID) bool {
 		r.sched.Forget(uint32(circ))
 	}
 	return true
-}
-
-// sendSegment transmits a hop segment, giving control segments (ACK,
-// FEEDBACK, PROBE) link priority so congestion feedback is not delayed
-// by the data queues it describes. Data frames carry their circuit ID
-// so installed circuit schedulers can tell flows apart.
-//
-// The segment rides the frame as a pooled *Segment wrapper: boxing the
-// value directly would allocate on every hop transmission, the single
-// hottest allocation site of a transfer. The wrapper returns to sp via
-// the fabric FramePool's OnReclaim hook when the frame dies; a nil
-// pool allocates a fresh wrapper per call.
-func sendSegment(sp *transport.SegmentPool, p *netem.Port, dst netem.NodeID, seg transport.Segment) bool {
-	s := sp.Get()
-	*s = seg
-	if seg.Kind == transport.KindData {
-		return p.SendCirc(dst, seg.WireSize(), s, uint32(seg.Circ))
-	}
-	return p.SendPriority(dst, seg.WireSize(), s)
 }
 
 // processCell removes this relay's onion layer and forwards the cell.

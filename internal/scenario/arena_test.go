@@ -97,7 +97,7 @@ func flakyChurnScenario(t *testing.T) Scenario {
 // cutOffTrainScenario runs 2 MB transfers in 8-cell trains on a routed
 // ring and stops them at a 300 ms horizon, with frames in flight on
 // every link and cells held for retransmission. The teardown linger
-// turns the lifecycle engine on, so the trial fills the download slab.
+// turns the lifecycle engine on, so the trial fills the download store.
 func cutOffTrainScenario(t *testing.T) Scenario {
 	t.Helper()
 	bp := workload.DefaultBackboneParams(16, 4)
@@ -195,6 +195,32 @@ func TestArenaReuseIndependence(t *testing.T) {
 			t.Errorf("%s differs on reused arenas:\nfresh:\n%s\nreused:\n%s", tg.name, fresh[i], got)
 		}
 	}
+	for _, tg := range targets {
+		balanceAfterDrain(t, tg.name, tg.sc(t))
+	}
+}
+
+// balanceAfterDrain runs sc's first trial on the arenas earlier Runs
+// left on the idle list, drains every clock the trial used, and checks
+// that the arenas balance as one.
+func balanceAfterDrain(t *testing.T, name string, sc Scenario) {
+	t.Helper()
+	if err := sc.validate(); err != nil {
+		t.Fatal(err)
+	}
+	p := idle.take()
+	ars := p.get(max(1, sc.Shards))
+	if _, _, _, _, err := runTrial(sc, sc.Arms[0], sc.Seed, 0, ars); err != nil {
+		t.Fatal(err)
+	}
+	for _, ar := range ars {
+		ar.Clock.Run()
+	}
+	if err := ars[0].Balance(ars[1:]...); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+	p.resetTrial()
+	idle.put(p)
 }
 
 // traceScenario is the shape of one sweep grid point: a single

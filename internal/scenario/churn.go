@@ -10,6 +10,7 @@ import (
 	"circuitstart/internal/directory"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
@@ -168,7 +169,7 @@ type download struct {
 	rebuild  int
 
 	// Recovery-engine state (zero unless Faults.Recovery is enabled;
-	// the slab zeroes these on reuse like everything else).
+	// the arena store zeroes these on reuse like everything else).
 	lastProgress uint64   // progressOf at the last watchdog check
 	stalled      bool     // inside a declared stall
 	stalledAt    sim.Time // when the open stall was declared
@@ -197,7 +198,7 @@ type churnEngine struct {
 
 	pathRNG   *sim.RNG // churn-arrival and rebuild path sampling
 	downloads []*download
-	dlSlab    *arena.Slab[download] // nil without an arena
+	dlStore   *pool.Objects[download] // nil on a static trial
 	failed    map[netem.NodeID]bool
 	churn     ChurnStats
 
@@ -207,16 +208,13 @@ type churnEngine struct {
 	resil    ResilienceStats
 }
 
-// newDownload allocates a ledger entry — from the trial arena's slab
-// when one is in play (churn-heavy trials create thousands), from the
-// heap otherwise.
+// newDownload allocates a ledger entry — from the trial arena's store
+// under churn (churn-heavy trials create thousands), from the heap on a
+// static trial.
 func (e *churnEngine) newDownload(index int) *download {
-	if e.dlSlab != nil {
-		d := e.dlSlab.New()
-		d.index = index
-		return d
-	}
-	return &download{index: index}
+	d := e.dlStore.Get()
+	d.index = index
+	return d
 }
 
 // runChurn executes one trial on the single-clock engine: initial
@@ -235,13 +233,9 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 		// A static trial never samples a path and holds only its initial
 		// downloads, so it skips the path stream's math/rand source
 		// (5 kB), which every one-circuit sweep point would otherwise
-		// pay, and the download slab.
+		// pay, and the download store.
 		e.pathRNG = sim.NewRNG(seed, "scenario-churn-paths")
-		if ar != nil {
-			e.dlSlab = ar.Slot("scenario.downloads", func() any {
-				return new(arena.Slab[download])
-			}).(*arena.Slab[download])
-		}
+		e.dlStore = arena.Slot[download](ar, "scenario.downloads")
 	}
 	e.churn.Lifetime = newLifetimeDist(arm.Name)
 

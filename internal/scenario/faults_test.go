@@ -202,8 +202,8 @@ func TestFaultedTrialPoolBalance(t *testing.T) {
 	if p := ar.Clock.Pending(); p != 0 {
 		t.Fatalf("%d events still pending after a drained faulted trial", p)
 	}
-	if free, all := ar.Frames.FreeLen(), ar.Frames.AllLen(); free != all {
-		t.Fatalf("frame pool leak after faulted trial: %d free of %d allocated", free, all)
+	if err := ar.Balance(); err != nil {
+		t.Fatalf("pool leak after faulted trial: %v", err)
 	}
 }
 

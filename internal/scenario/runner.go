@@ -59,7 +59,7 @@ func (r Runner) Run(sc Scenario) (*Result, error) {
 			// consecutive trials — on this goroutine, and in later Runs,
 			// such as the next sweep point or daemon job — reuse the same
 			// clock event free lists, cell, segment and frame stores and
-			// object slabs, so only the first trial a pool serves pays the
+			// slot stores, so only the first trial a pool serves pays the
 			// full allocation bill. A sharded trial draws one arena per
 			// shard from the pool. Determinism is unaffected — trial
 			// outputs are pure functions of their seeds, never of which
@@ -240,8 +240,8 @@ func IdleArenas() ArenaRetention {
 	for _, ps := range [][]*arenaPool{idle.pools, idle.old} {
 		for _, p := range ps {
 			for _, ar := range p.arenas {
-				r.Cells += len(ar.Cells.All())
-				r.Frames += ar.Frames.AllLen()
+				r.Cells += ar.Cells.Len()
+				r.Frames += ar.Frames.Objects.Len()
 			}
 		}
 	}
@@ -382,12 +382,7 @@ func buildExplicit(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*core.Net
 			return fs.Build(clock, rng)
 		}
 	}
-	var n *core.Network
-	if ar != nil {
-		n = core.NewNetworkInArena(ar, seed, build)
-	} else {
-		n = core.NewNetworkWithFabric(seed, build)
-	}
+	n := core.NewNetworkInArena(ar, seed, build)
 	if err := n.ConfigureRelays(arm.Relay); err != nil {
 		return nil, nil, netem.AccessConfig{}, err
 	}

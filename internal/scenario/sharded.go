@@ -11,6 +11,7 @@ import (
 	"circuitstart/internal/directory"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
@@ -96,7 +97,7 @@ type shardedEngine struct {
 
 	pathRNG   *sim.RNG
 	downloads []*sdownload
-	dlSlab    *arena.Slab[sdownload] // nil without an arena
+	dlStore   *pool.Objects[sdownload]
 	failed    map[netem.NodeID]bool
 	churn     ChurnStats
 
@@ -112,8 +113,7 @@ type shardedEngine struct {
 }
 
 // runSharded executes one trial on the sharded engine. arenas supplies
-// one arena per shard (len ≥ the requested shard count; nil allocates
-// fresh substrate).
+// one arena per shard (len ≥ the requested shard count).
 func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena) ([]CircuitOutcome, NetStats, ChurnStats, ResilienceStats, error) {
 	e := &shardedEngine{
 		sc:      sc,
@@ -121,12 +121,8 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 		seed:    seed,
 		churnOn: sc.hasChurn(),
 		pathRNG: sim.NewRNG(seed, "scenario-churn-paths"),
+		dlStore: arena.Slot[sdownload](arenas[0], "scenario.sharded-downloads"),
 		failed:  make(map[netem.NodeID]bool),
-	}
-	if len(arenas) > 0 {
-		e.dlSlab = arenas[0].Slot("scenario.sharded-downloads", func() any {
-			return new(arena.Slab[sdownload])
-		}).(*arena.Slab[sdownload])
 	}
 	if e.churnOn {
 		e.churn.Lifetime = newLifetimeDist(arm.Name)
@@ -190,15 +186,11 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 	return e.collect(rep), netStatsSharded(e.sn), e.churn, ResilienceStats{}, nil
 }
 
-// newDownload allocates a ledger entry from the arena slab when one is
-// in play, from the heap otherwise.
+// newDownload allocates a ledger entry from the arena's store.
 func (e *shardedEngine) newDownload(index int) *sdownload {
-	if e.dlSlab != nil {
-		d := e.dlSlab.New()
-		d.index = index
-		return d
-	}
-	return &sdownload{index: index}
+	d := e.dlStore.Get()
+	d.index = index
+	return d
 }
 
 // newShardedNetwork builds the trial's ShardedNetwork from the

@@ -3,112 +3,78 @@ package transport
 import (
 	"time"
 
-	"circuitstart/internal/bufpool"
 	"circuitstart/internal/cell"
+	"circuitstart/internal/netem"
+	"circuitstart/internal/pool"
 )
 
 // SegmentPool recycles boxed *Segment wrappers. The overlay attaches
 // segments to netem frames as `any` payloads; boxing a Segment value
 // allocates 136 bytes per hop transmission, which profiling showed was
 // >80% of a transfer's steady-state allocations. Instead, senders draw
-// a wrapper here, and the fabric's FramePool returns it through its
-// OnReclaim hook the moment the carrying frame dies (delivery, tail
-// drop or random loss) — the one place every frame death is visible,
-// so each wrapper is recycled exactly once.
-//
-// Like the other pools in this repository it is a plain free list: a
-// simulation is single-threaded on its clock, so no locking, and reuse
-// order is deterministic. A nil *SegmentPool is valid and degrades to
-// plain allocation, keeping unpooled construction paths (direct relay
-// tests) working unchanged.
-// The pool remembers every segment it ever allocated so Reset can
-// reclaim wrappers stranded in a dead trial's frames along with the
-// free ones.
+// a wrapper here, and the frame store's put hook returns it the moment
+// the carrying frame dies (delivery, tail drop or random loss) — the one
+// place every frame death is visible, so each wrapper is recycled
+// exactly once.
 //
 // The pool also stores the buffers a hop sender grows (see
 // Sender.UseSegmentPool): its retransmission ring, its local queue and
-// its exit-measurement spacings, each a size-classed bufpool.Store. A
+// its exit-measurement spacings, each a size-classed pool.Buffers. A
 // sender takes a larger buffer from the store as it grows and hands the
 // smaller one back, and Close returns what it holds — emptied: the cells
 // a buffer pointed to are never recycled through it (see DESIGN.md,
 // "Teardown ownership").
+//
+// A SegmentPool holds its stores by pointer. Relays and endpoints keep
+// a copy and their senders point at it, so the zero SegmentPool, whose
+// nil stores allocate plainly, serves unpooled construction paths
+// (direct relay tests) unchanged.
 type SegmentPool struct {
-	free []*Segment
-	all  []*Segment
-
-	sent     bufpool.Store[sentCell]
-	queues   bufpool.Store[*cell.Cell]
-	spacings bufpool.Store[time.Duration]
+	segments *pool.Objects[Segment]
+	sent     *pool.Buffers[sentCell]
+	queues   *pool.Buffers[*cell.Cell]
+	spacings *pool.Buffers[time.Duration]
 }
 
-// NewSegmentPool returns an empty pool.
-func NewSegmentPool() *SegmentPool { return &SegmentPool{} }
+// unpooled is the pool of senders none was wired into.
+var unpooled SegmentPool
+
+// NewSegmentPool returns a pool with empty stores.
+func NewSegmentPool() *SegmentPool {
+	return &SegmentPool{
+		segments: new(pool.Objects[Segment]),
+		sent:     new(pool.Buffers[sentCell]),
+		queues:   new(pool.Buffers[*cell.Cell]),
+		spacings: new(pool.Buffers[time.Duration]),
+	}
+}
 
 // Get returns a zeroed segment for the caller to fill.
-func (p *SegmentPool) Get() *Segment {
-	if p == nil {
-		return &Segment{}
+func (p *SegmentPool) Get() *Segment { return p.segments.Get() }
+
+// Put recycles a dead wrapper, zeroed so the pool pins no cell.
+func (p *SegmentPool) Put(s *Segment) { p.segments.Put(s) }
+
+// Send transmits a hop segment from port as a pooled wrapper, giving
+// control segments (ACK, FEEDBACK, PROBE) link priority so congestion
+// feedback is not delayed by the data queues it describes. Data frames
+// carry their circuit ID so installed circuit schedulers can tell flows
+// apart.
+func (p *SegmentPool) Send(port *netem.Port, dst netem.NodeID, seg Segment) bool {
+	s := p.Get()
+	*s = seg
+	if seg.Kind == KindData {
+		return port.SendCirc(dst, seg.WireSize(), s, uint32(seg.Circ))
 	}
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return s
-	}
-	s := &Segment{}
-	p.all = append(p.all, s)
-	return s
+	return port.SendPriority(dst, seg.WireSize(), s)
 }
 
-// Put recycles a dead wrapper. The segment is zeroed so the pool pins
-// neither cells nor stale header fields.
-func (p *SegmentPool) Put(s *Segment) {
-	if p == nil || s == nil {
-		return
+// Stores names the pool's stores for the arena that resets and balances
+// them: the wrappers, which frame deaths empty, and the sender buffers,
+// which open senders hold.
+func (p *SegmentPool) Stores() map[string]pool.Store {
+	return map[string]pool.Store{
+		"segments": p.segments, "sender rings": p.sent,
+		"sender queues": p.queues, "sender spacings": p.spacings,
 	}
-	*s = Segment{}
-	p.free = append(p.free, s)
-}
-
-// Reset reclaims every wrapper and sender buffer the pool ever
-// allocated — free or not — zeroing each and rebuilding the free lists
-// in allocation order. Only call it at a trial boundary, after the
-// frames carrying the wrappers and the senders holding the buffers have
-// been discarded; resetting under live traffic aliases memory.
-func (p *SegmentPool) Reset() {
-	if p == nil {
-		return
-	}
-	p.free = p.free[:0]
-	for _, s := range p.all {
-		*s = Segment{}
-		p.free = append(p.free, s)
-	}
-	p.sent.Reset()
-	p.queues.Reset()
-	p.spacings.Reset()
-}
-
-// The sender's buffer stores; nil for a nil pool, which allocates
-// plainly.
-
-func (p *SegmentPool) sentStore() *bufpool.Store[sentCell] {
-	if p == nil {
-		return nil
-	}
-	return &p.sent
-}
-
-func (p *SegmentPool) queueStore() *bufpool.Store[*cell.Cell] {
-	if p == nil {
-		return nil
-	}
-	return &p.queues
-}
-
-func (p *SegmentPool) spacingStore() *bufpool.Store[time.Duration] {
-	if p == nil {
-		return nil
-	}
-	return &p.spacings
 }

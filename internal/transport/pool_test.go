@@ -5,11 +5,13 @@ import (
 	"time"
 
 	"circuitstart/internal/cell"
+	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 )
 
 // fixedWindowSender is a sender with a pinned 64-cell window and no
-// network: Send records data segments into sent (nil = count only).
+// network: Send records data segments into sent (nil = count only),
+// and its buffers come from pool (nil = plain allocation).
 func fixedWindowSender(clock *sim.Clock, pool *SegmentPool, sent *[]Segment, n *uint64) *Sender {
 	s := NewSender(Config{
 		Clock: clock, Circ: 1,
@@ -25,16 +27,28 @@ func fixedWindowSender(clock *sim.Clock, pool *SegmentPool, sent *[]Segment, n *
 			return true
 		},
 	})
-	s.UseSegmentPool(pool)
+	if pool != nil {
+		s.UseSegmentPool(pool)
+	}
 	return s
 }
 
 // bufferLedgers returns how many sender buffers the pool ever allocated
-// and how many are on its free lists, over all three stores.
-func bufferLedgers(p *SegmentPool) (all, free int) {
-	all = p.sent.AllLen() + p.queues.AllLen() + p.spacings.AllLen()
-	free = p.sent.FreeLen() + p.queues.FreeLen() + p.spacings.FreeLen()
-	return all, free
+// and how many of them are held, over all three stores, failing t if a
+// ledger does not balance.
+func bufferLedgers(t *testing.T, p *SegmentPool) (all, held int) {
+	t.Helper()
+	for name, s := range p.Stores() {
+		if name == "segments" {
+			continue
+		}
+		n, err := pool.Balance(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += n
+	}
+	return p.sent.Len() + p.queues.Len() + p.spacings.Len(), held
 }
 
 // TestSenderWarmPoolZeroAlloc is the transport allocation pin: on a warm
@@ -43,9 +57,9 @@ func bufferLedgers(p *SegmentPool) (all, free int) {
 // the buffers back (as Close does at teardown) allocates nothing.
 func TestSenderWarmPoolZeroAlloc(t *testing.T) {
 	clock := sim.NewClock()
-	pool := NewSegmentPool()
+	sp := NewSegmentPool()
 	var transmitted uint64
-	s := fixedWindowSender(clock, pool, nil, &transmitted)
+	s := fixedWindowSender(clock, sp, nil, &transmitted)
 	c := &cell.Cell{Circ: 1, Cmd: cell.CmdRelay}
 	cycle := func() {
 		for i := 0; i < 200; i++ {
@@ -59,8 +73,8 @@ func TestSenderWarmPoolZeroAlloc(t *testing.T) {
 		s.releaseBuffers()
 	}
 	cycle()
-	if all, free := bufferLedgers(pool); all < 2 || free != all {
-		t.Fatalf("after one cycle the pool holds %d buffers, %d free; want ring and queue buffers, all free", all, free)
+	if all, held := bufferLedgers(t, sp); all < 2 || held != 0 {
+		t.Fatalf("after one cycle the pool holds %d of %d buffers; want ring and queue buffers, all free", held, all)
 	}
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Fatalf("a warm sender cycle allocates %.1f times", a)
@@ -76,11 +90,11 @@ func TestSenderWarmPoolZeroAlloc(t *testing.T) {
 // sequence. Handing the old ring back before copying out of it (Put
 // zeroes it) would retransmit nothing.
 func TestSenderRingGrowthKeepsRetainedCells(t *testing.T) {
-	for _, pool := range []*SegmentPool{nil, NewSegmentPool()} {
+	for _, sp := range []*SegmentPool{nil, NewSegmentPool()} {
 		clock := sim.NewClock()
 		var sent []Segment
 		var n uint64
-		s := fixedWindowSender(clock, pool, &sent, &n)
+		s := fixedWindowSender(clock, sp, &sent, &n)
 		cells := make([]*cell.Cell, 40)
 		for i := range cells {
 			cells[i] = &cell.Cell{Circ: 1, Cmd: cell.CmdRelay}
@@ -93,7 +107,7 @@ func TestSenderRingGrowthKeepsRetainedCells(t *testing.T) {
 			t.Fatal("no retransmission fired")
 		}
 		if rtx := sent[first]; rtx.Seq != 5 || rtx.Cell != cells[5] {
-			t.Fatalf("pool %v: RTO retransmitted seq %d carrying %p, want seq 5 carrying %p", pool != nil, rtx.Seq, rtx.Cell, cells[5])
+			t.Fatalf("pool %v: RTO retransmitted seq %d carrying %p, want seq 5 carrying %p", sp != nil, rtx.Seq, rtx.Cell, cells[5])
 		}
 	}
 }
@@ -105,35 +119,37 @@ func TestSenderRingGrowthKeepsRetainedCells(t *testing.T) {
 // the closed sender held are not recycled through it.
 func TestSegmentPoolResetReclaimsSenderBuffers(t *testing.T) {
 	clock := sim.NewClock()
-	pool := NewSegmentPool()
+	sp := NewSegmentPool()
 	var n uint64
-	closed := fixedWindowSender(clock, pool, nil, &n)
-	abandoned := fixedWindowSender(clock, pool, nil, &n)
+	closed := fixedWindowSender(clock, sp, nil, &n)
+	abandoned := fixedWindowSender(clock, sp, nil, &n)
 	c := &cell.Cell{Circ: 1, Cmd: cell.CmdRelay}
 	c.Payload[0] = 42
 	for i := 0; i < 100; i++ {
 		closed.Enqueue(c)
 		abandoned.Enqueue(c)
 	}
-	_ = pool.Get() // a wrapper stranded in a dead frame
+	_ = sp.Get() // a wrapper stranded in a dead frame
 
-	heldAll, heldFree := bufferLedgers(pool)
+	all, before := bufferLedgers(t, sp)
 	closed.Close()
-	all, free := bufferLedgers(pool)
-	if all != heldAll || free-heldFree != 2 {
-		t.Fatalf("Close returned %d buffers, want its ring and queue", free-heldFree)
+	after, held := bufferLedgers(t, sp)
+	if after != all || before-held != 2 {
+		t.Fatalf("Close returned %d buffers, want its ring and queue", before-held)
 	}
 	if c.Payload[0] != 42 {
 		t.Fatal("Close touched a cell it held")
 	}
-	if free == all {
+	if held == 0 {
 		t.Fatal("the abandoned sender holds no buffer; the test proves nothing")
 	}
-	pool.Reset()
-	if all, free := bufferLedgers(pool); free != all {
-		t.Fatalf("Reset left %d of %d sender buffers held", all-free, all)
+	for _, s := range sp.Stores() {
+		s.Reset()
 	}
-	if len(pool.free) != len(pool.all) {
-		t.Fatalf("Reset left %d of %d segment wrappers held", len(pool.all)-len(pool.free), len(pool.all))
+	if all, held := bufferLedgers(t, sp); held != 0 {
+		t.Fatalf("Reset left %d of %d sender buffers held", held, all)
+	}
+	if held, err := pool.Balance(sp.segments); err != nil || held != 0 {
+		t.Fatalf("Reset left %d segment wrappers held (%v)", held, err)
 	}
 }

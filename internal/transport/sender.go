@@ -165,7 +165,7 @@ type Sender struct {
 	cfg   Config
 	clock *sim.Clock
 	// pool stores the buffers below as they grow (see UseSegmentPool);
-	// nil allocates them plainly.
+	// until one is wired, unpooled allocates them plainly.
 	pool *SegmentPool
 
 	// queue holds cells awaiting first transmission; qhead indexes the
@@ -291,6 +291,7 @@ func NewSender(cfg Config) *Sender {
 	s := &Sender{
 		cfg:   cfg,
 		clock: cfg.Clock,
+		pool:  &unpooled,
 		cwnd:  cfg.InitialCwnd,
 		phase: PhaseStartup,
 		rtt:   NewRTTEstimator(cfg.RTOMin, cfg.RTOMax),
@@ -309,7 +310,7 @@ func NewSender(cfg Config) *Sender {
 // spacings — and Close returns them to. Relays and endpoints pass the
 // segment pool they were wired with, so within a trial arena a fresh
 // circuit's senders regrow into the buffers torn-down ones held. Must
-// be set before traffic flows; nil allocates plainly.
+// be set before traffic flows; without it the sender allocates plainly.
 func (s *Sender) UseSegmentPool(sp *SegmentPool) { s.pool = sp }
 
 // Close shuts the sender down as part of a circuit teardown. All three
@@ -324,7 +325,7 @@ func (s *Sender) UseSegmentPool(sp *SegmentPool) { s.pool = sp }
 // also referenced by the upstream hop until the in-flight ACK lands, so
 // recycling it could hand one cell to two circuits; an origin holds no
 // cell it has not transmitted (see Offer). The garbage collector or the
-// trial-boundary Pool.Reset reclaims them. See DESIGN.md, "Teardown
+// trial-boundary ResetTrial of the arena reclaims them. See DESIGN.md, "Teardown
 // ownership".
 func (s *Sender) Close() {
 	if s.closed {
@@ -346,9 +347,9 @@ func (s *Sender) Close() {
 // releaseBuffers hands the queue, the retransmission ring and the
 // spacings back to the pool, emptied, and forgets them.
 func (s *Sender) releaseBuffers() {
-	s.pool.queueStore().Put(s.queue)
-	s.pool.sentStore().Put(s.sent)
-	s.pool.spacingStore().Put(s.exitSpacings)
+	s.pool.queues.Put(s.queue)
+	s.pool.sent.Put(s.sent)
+	s.pool.spacings.Put(s.exitSpacings)
 	s.queue, s.qhead = nil, 0
 	s.sent = nil
 	s.exitSpacings = nil
@@ -542,7 +543,7 @@ func (s *Sender) observeExitFeedback(delta uint64) {
 	}
 	// A batch of delta cells at one instant is delta samples: one at the
 	// observed spacing, the rest back-to-back (zero spacing).
-	st := s.pool.spacingStore()
+	st := s.pool.spacings
 	s.exitSpacings = st.Append(s.exitSpacings, now.Sub(s.exitLastFb))
 	for i := uint64(1); i < delta; i++ {
 		s.exitSpacings = st.Append(s.exitSpacings, 0)
@@ -770,7 +771,7 @@ func (s *Sender) sentAt(seq uint64) *sentCell {
 // growSent doubles the ring in a buffer from the pool, moving each live
 // sequence to its slot under the new mask, and hands the old buffer back.
 func (s *Sender) growSent() {
-	st := s.pool.sentStore()
+	st := s.pool.sent
 	old := s.sent
 	s.sent = st.Get(2 * len(old))
 	for seq := min(s.acked, s.feedback); seq < s.nextSeq; seq++ {
@@ -783,7 +784,7 @@ func (s *Sender) growSent() {
 // to the front of a pool buffer twice their number, and the old buffer,
 // consumed prefix and all, goes back.
 func (s *Sender) growQueue() {
-	st := s.pool.queueStore()
+	st := s.pool.queues
 	old := s.queue
 	buf := st.Get(2 * (len(old) - s.qhead))
 	s.queue = buf[:copy(buf, old[s.qhead:])]

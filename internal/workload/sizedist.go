@@ -58,12 +58,12 @@ func (d SizeDist) Validate() error {
 	switch d.Kind {
 	case SizeFixed:
 	case SizeLogNormal:
-		if d.Sigma <= 0 {
-			return fmt.Errorf("workload: lognormal size dist: sigma %g must be positive", d.Sigma)
+		if !finitePositive(d.Sigma) {
+			return fmt.Errorf("workload: lognormal size dist: sigma %g must be finite and positive", d.Sigma)
 		}
 	case SizePareto:
-		if d.Alpha <= 0 {
-			return fmt.Errorf("workload: pareto size dist: alpha %g must be positive", d.Alpha)
+		if !finitePositive(d.Alpha) {
+			return fmt.Errorf("workload: pareto size dist: alpha %g must be finite and positive", d.Alpha)
 		}
 		if d.Max <= 0 {
 			return fmt.Errorf("workload: pareto size dist: max bound required (bounded Pareto)")
@@ -76,6 +76,10 @@ func (d SizeDist) Validate() error {
 	}
 	return nil
 }
+
+// finitePositive reports whether v is a positive real number: NaN and
+// +Inf fail it.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Label renders the distribution in the compact colon form ParseSizeDist
 // accepts — the canonical spec-field and sweep-coordinate spelling.
@@ -112,7 +116,10 @@ func (d SizeDist) Sample(seed int64, n int) ([]units.DataSize, error) {
 		case SizePareto:
 			v = boundedPareto(rng.Uniform(0, 1), float64(d.Size), float64(d.Max), d.Alpha)
 		}
-		s := units.DataSize(math.Round(v))
+		s := units.DataSize(math.MaxInt64) // NaN or past int64: saturate
+		if v < 1<<62 {
+			s = units.DataSize(math.Round(v))
+		}
 		if d.Min > 0 && s < d.Min {
 			s = d.Min
 		}
@@ -142,14 +149,11 @@ func boundedPareto(u, lo, hi, alpha float64) float64 {
 //	lognormal:<median_bytes>:<sigma>
 //	pareto:<scale_bytes>:<alpha>:<max_bytes>
 //
-// A bare integer is shorthand for fixed:<bytes>.
+// A bare byte count is shorthand for fixed:<bytes>.
 func ParseSizeDist(s string) (SizeDist, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
 	if len(parts) == 1 {
-		if n, err := strconv.ParseInt(parts[0], 10, 64); err == nil {
-			d := SizeDist{Kind: SizeFixed, Size: units.DataSize(n)}
-			return d, d.Validate()
-		}
+		parts = []string{string(SizeFixed), parts[0]}
 	}
 	bad := func() (SizeDist, error) {
 		return SizeDist{}, fmt.Errorf("workload: bad size dist %q (want fixed:<bytes>, lognormal:<median>:<sigma> or pareto:<scale>:<alpha>:<max>)", s)
@@ -158,38 +162,48 @@ func ParseSizeDist(s string) (SizeDist, error) {
 		v, err := strconv.ParseFloat(p, 64)
 		return v, err == nil
 	}
+	// A byte field is an integer, exact to the byte, or a number in
+	// [1, MaxInt64] checked before it converts: past that the conversion
+	// wraps, and NaN converts to anything.
+	size := func(p string) (units.DataSize, bool) {
+		if n, err := strconv.ParseInt(p, 10, 64); err == nil {
+			return units.DataSize(n), n >= 1
+		}
+		v, ok := num(p)
+		return units.DataSize(v), ok && v >= 1 && v < math.MaxInt64
+	}
 	var d SizeDist
 	switch SizeDistKind(parts[0]) {
 	case SizeFixed:
 		if len(parts) != 2 {
 			return bad()
 		}
-		v, ok := num(parts[1])
+		v, ok := size(parts[1])
 		if !ok {
 			return bad()
 		}
-		d = SizeDist{Kind: SizeFixed, Size: units.DataSize(v)}
+		d = SizeDist{Kind: SizeFixed, Size: v}
 	case SizeLogNormal:
 		if len(parts) != 3 {
 			return bad()
 		}
-		v, ok1 := num(parts[1])
+		v, ok1 := size(parts[1])
 		sg, ok2 := num(parts[2])
 		if !ok1 || !ok2 {
 			return bad()
 		}
-		d = SizeDist{Kind: SizeLogNormal, Size: units.DataSize(v), Sigma: sg}
+		d = SizeDist{Kind: SizeLogNormal, Size: v, Sigma: sg}
 	case SizePareto:
 		if len(parts) != 4 {
 			return bad()
 		}
-		v, ok1 := num(parts[1])
+		v, ok1 := size(parts[1])
 		al, ok2 := num(parts[2])
-		mx, ok3 := num(parts[3])
+		mx, ok3 := size(parts[3])
 		if !ok1 || !ok2 || !ok3 {
 			return bad()
 		}
-		d = SizeDist{Kind: SizePareto, Size: units.DataSize(v), Alpha: al, Max: units.DataSize(mx)}
+		d = SizeDist{Kind: SizePareto, Size: v, Alpha: al, Max: mx}
 	default:
 		return bad()
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"circuitstart/internal/units"
@@ -57,6 +59,73 @@ func TestParseSizeDistErrors(t *testing.T) {
 			t.Errorf("ParseSizeDist(%q) accepted", src)
 		}
 	}
+}
+
+// TestParseSizeDistRejectsNonFinite pins the finite-parameter contract:
+// a NaN or infinite sigma or alpha is refused instead of collapsing every
+// sample to one byte, and a byte field outside [1, MaxInt64] is refused
+// as written instead of wrapping to a negative size first. Each error
+// must name what was wrong as the user wrote it.
+func TestParseSizeDistRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"lognormal:250000:NaN", "sigma NaN"},
+		{"lognormal:250000:Inf", "sigma +Inf"},
+		{"pareto:1000:NaN:2000", "alpha NaN"},
+		{"pareto:1000:+Inf:2000", "alpha +Inf"},
+		{"fixed:1e30", `"fixed:1e30"`},
+		{"fixed:NaN", `"fixed:NaN"`},
+		{"lognormal:Inf:0.5", `"lognormal:Inf:0.5"`},
+		{"pareto:1000:1.1:1e30", `"pareto:1000:1.1:1e30"`},
+	} {
+		_, err := ParseSizeDist(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseSizeDist(%q) = %v, want an error naming %s", tc.src, err, tc.want)
+		}
+	}
+	for _, d := range []SizeDist{
+		{Kind: SizeLogNormal, Size: 1000, Sigma: math.NaN()},
+		{Kind: SizePareto, Size: 1000, Alpha: math.Inf(1), Max: 2000},
+	} {
+		if err := d.Validate(); err == nil {
+			t.Errorf("Validate accepted %+v", d)
+		}
+	}
+}
+
+// FuzzParseSizeDist checks every accepted spelling: it validates,
+// re-parses from its Label to an equal SizeDist, and samples within
+// [max(1, Min), Max] whenever Max is set.
+func FuzzParseSizeDist(f *testing.F) {
+	for _, src := range []string{
+		"fixed:500000", "lognormal:200000:0.75", "pareto:100000:1.2:10000000", "250000",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseSizeDist(src)
+		if err != nil {
+			return
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("ParseSizeDist(%q) accepted an invalid %+v: %v", src, d, err)
+		}
+		again, err := ParseSizeDist(d.Label())
+		if err != nil || again != d {
+			t.Fatalf("%q → %q re-parses to %+v, %v; want %+v", src, d.Label(), again, err, d)
+		}
+		if d.Max == 0 {
+			return
+		}
+		mix, err := d.Sample(1, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range mix {
+			if s < max(1, d.Min) || s > d.Max {
+				t.Fatalf("%q sampled %d outside [max(1, %d), %d]", src, s, d.Min, d.Max)
+			}
+		}
+	})
 }
 
 // TestSampleDeterministic pins the seeding contract: same seed, same

@@ -190,9 +190,8 @@ type ScenarioParams struct {
 	// batch back-to-back queued cells into single link events (see
 	// netem.LinkConfig.TrainSize).
 	TrainSize int
-	// Arena, when set, draws the trial's clock, cell/segment pools and
-	// circuit slab from this per-worker arena instead of allocating
-	// fresh ones. The caller owns the trial sequencing: the arena's
+	// Arena, when set, draws the trial's clock, pools and circuits from
+	// this per-worker arena instead of allocating fresh ones. The caller owns the trial sequencing: the arena's
 	// clock must be reset (arena.ResetTrial) before each Build.
 	Arena *arena.Arena
 }
@@ -319,10 +318,7 @@ func newNetwork(seed int64, fabric *netem.GraphSpec, ar *arena.Arena, trainSize 
 			return spec.Build(clock, rng)
 		}
 	}
-	if ar != nil {
-		return core.NewNetworkInArena(ar, seed, build), nil
-	}
-	return core.NewNetworkWithFabric(seed, build), nil
+	return core.NewNetworkInArena(ar, seed, build), nil
 }
 
 // Result is one circuit's outcome.
