@@ -20,135 +20,31 @@
 //	n.Run()
 //	ttlb, _ := c.TTLB()
 //
-// The experiments sub-API (Fig1CwndTrace, Fig1DownloadCDF, the
-// Ablation* functions) regenerates every figure of the paper; see
-// EXPERIMENTS.md for the reproduction report and DESIGN.md for the
-// system inventory.
+// Fig1CwndTrace and Fig1DownloadCDF regenerate the paper's Figure 1;
+// the ablations and extensions run from the command line ('circuitsim
+// ablation -name …'). EXPERIMENTS.md is the reproduction report and
+// DESIGN.md the system inventory.
 //
 // # Declarative scenarios
 //
-// Beyond the fixed figure entry points, the Scenario/Runner API
-// describes an experiment as plain data — topology (explicit relays or
-// a generated Tor-like population), circuits (count, paths, transfer
-// size and direction, arrival process), one policy arm per transport
-// configuration, and instrumentation — and executes it on a multi-core
-// worker pool:
-//
-//	pop := circuitstart.DefaultRelayParams(40)
-//	res, _ := circuitstart.Runner{Workers: 8}.Run(circuitstart.Scenario{
-//		Seed:     42,
-//		Topology: circuitstart.Topology{Population: &pop},
-//		Circuits: circuitstart.CircuitSet{Count: 50, TransferSize: 500 * circuitstart.Kilobyte},
-//		Arms: []circuitstart.Arm{
-//			{Name: "with", Transport: circuitstart.TransportOptions{}},
-//			{Name: "without", Transport: circuitstart.TransportOptions{Policy: circuitstart.PolicyBackTap}},
-//		},
-//		Horizon: 600 * circuitstart.Second,
-//	})
-//
-// Each (arm, replication) trial runs on its own Network with a
-// seed-derived substream, so a Result is bit-identical regardless of
-// the worker count or trial completion order. The figure entry points
-// are thin adapters over this API; examples/scenarios shows a custom
-// multi-arm sweep, and 'circuitsim scenario' drives one from the
-// command line.
-//
-// # Circuit lifecycle and churn
-//
-// Circuits are dynamic entities: a built Circuit can be torn down with
-// Teardown, which removes its per-hop state from every relay on the
-// path and releases timers and untransmitted cells back to their pools
-// — so long-running simulations do not accumulate dead circuit state.
-// Relays can fail and recover mid-run (blackholing traffic while
-// down). In a Scenario, the same dynamics are declared as data:
-// CircuitEvents adds Poisson arrivals of new downloads over fresh
-// circuits and teardown of completed ones, RelayEvents schedules relay
-// failures/recoveries, and an Arm with Rebuild set rebuilds affected
-// circuits over fresh consensus-sampled paths — paying a full startup
-// again, the regime where the paper's scheme matters most
-// (AblationChurn measures exactly that; see 'circuitsim ablation -name
-// churn' and examples/churn).
+// A Scenario describes an experiment as plain data — topology
+// (explicit relays, or a generated Tor-like population, optionally
+// behind a routed backbone), circuits (count, paths, transfer size and
+// direction, arrival process), one policy arm per transport
+// configuration, churn, faults and instrumentation — and a Runner
+// executes its trials on a worker pool. Each (arm, replication) trial
+// runs on its own Network with a seed-derived substream, so a
+// ScenarioResult is bit-identical for any worker count. ExampleRunner
+// and ExampleRunner_policies show two-arm and four-arm comparisons.
 //
 // # Parameter sweeps
 //
-// Where a Scenario describes one experiment, a Sweep describes a whole
-// parameter space: a base Scenario crossed with named Dimensions (γ,
-// policy, transfer size, circuit count, population size, trunk
-// bandwidth, churn rate, or any custom mutation), executed point by
-// point on the parallel runner and streamed into sinks:
-//
-// # Relay resources and scheduling
-//
-// Relays are finite machines, not infinite sinks: a RelayConfig on an
-// Arm (or on Network.ConfigureRelays directly) gives every relay a
-// resource manager — circuit and buffered-memory caps with a
-// deterministic admission/kill policy (reject-new, kill-oldest,
-// kill-heaviest) — and a pluggable uplink scheduler: FIFO, or the
-// Tor-style EWMA discipline that prioritises quiet (interactive)
-// circuits over heavy (bulk) ones. Both are pure data threaded through
-// Scenario arms and sweep dimensions (SweepSchedulers, SweepRelayCaps);
-// the zero RelayConfig is the byte-identical unlimited/FIFO default.
-// Results surface Jain's fairness index over per-circuit TTLB, kill and
-// rejection counters, and per-relay memory high-water marks.
-// AblationOverload crams an interactive-vs-bulk mix onto a few capped
-// relays behind a saturated trunk and runs the CircuitStart-vs-slow-
-// start × FIFO-vs-EWMA grid ('circuitsim ablation -name overload' and
-// examples/overload).
-//
-//	tbl, _ := circuitstart.RunSweep(circuitstart.Sweep{
-//		Name: "gamma-surface",
-//		Base: base, // any Scenario
-//		Dimensions: []circuitstart.Dimension{
-//			circuitstart.SweepGamma(1, 4, 16),
-//			circuitstart.SweepTransferSizes(100*circuitstart.Kilobyte, circuitstart.Megabyte),
-//		},
-//	}, circuitstart.NewSweepCSVSink(f))
-//	rows, _ := tbl.Marginal("gamma")
-//
-// Every point clones the base (mutators never alias) and keeps its
-// seed, so differences across the grid are attributable to the
-// dimensions alone, and results are emitted in grid order — output
-// bytes are identical for any worker count. The fixed ablations are
-// point queries on this engine ('circuitsim sweep' runs grids from the
-// command line; examples/sweep sweeps a gamma × bandwidth × hops
-// surface no fixed ablation can express).
-//
-// # Fault injection and recovery
-//
-// A FaultPlan on a Scenario declares adverse conditions as data:
-// Gilbert–Elliott burst loss and delay jitter on relay access links,
-// link flaps, backbone trunk partitions, and relay degradation (hang
-// or slowdown). Every fault source draws from its own named RNG
-// stream, so an empty plan leaves seeded outputs byte-identical and a
-// faulted run stays deterministic for any worker count. FaultRecovery
-// arms endpoint stall detection: a download with no progress for
-// StallRTOs retransmission timeouts tears down its circuit and
-// rebuilds on a path excluding the suspect relay, under capped
-// exponential backoff and a retry budget. Results surface per-arm
-// ResilienceStats — stalls, recoveries, the time-to-recovery
-// distribution, availability and goodput-under-fault — and
-// AblationFaults compares startup policies under an identical fault
-// schedule ('circuitsim ablation -name faults' and examples/faults;
-// 'circuitsim scenario/sweep -faults' applies presets or JSON specs).
-//
-// # Sweep service and spec API
-//
-// Everything submittable to the sweep engine has one versioned JSON
-// wire form (SpecFile, schema version 1): a base scenario, dimension
-// axes, sampling — validated eagerly with unknown fields rejected and
-// the offending entry named. ParseSpec and MarshalSpec are a canonical
-// codec (Marshal ∘ Parse is a fixed point, so specs diff and hash
-// stably), SpecFromScenario renders a population Scenario back into a
-// spec, and the same schema drives three front doors: `circuitsim
-// sweep` flags, `circuitsim sweep -spec` files, and the `circuitsim
-// serve` daemon (ServeSweeps / NewSweepServer), whose HTTP API streams
-// per-grid-point rows live with bytes identical to the batch sinks and
-// caches completed points by content hash — resubmitting an
-// overlapping grid replays the shared points byte-identically and
-// computes only the delta. Transfer-size workloads extend beyond a
-// scalar with SizeDist (fixed, lognormal, bounded-Pareto; SweepSizeDists
-// sweeps distributions as a grid axis), seeded deterministically from
-// the scenario seed. See DESIGN.md's "Sweep service & spec schema".
+// A Sweep crosses a base Scenario with named Dimensions; a SweepEngine
+// executes every grid point on the parallel runner and streams the
+// per-point aggregates into sinks in grid order, so output bytes are
+// identical for any worker count. ExampleSweepEngine runs the paper's
+// γ ablation as a one-dimensional grid; 'circuitsim sweep' and
+// 'circuitsim serve' drive grids from versioned JSON specs.
 package circuitstart
 
 import (
@@ -161,11 +57,8 @@ import (
 	"circuitstart/internal/relay"
 	"circuitstart/internal/resource"
 	"circuitstart/internal/scenario"
-	"circuitstart/internal/serve"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/spec"
 	"circuitstart/internal/sweep"
-	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
@@ -215,7 +108,7 @@ type (
 	Path = model.Path
 )
 
-// Experiment types (one per figure/ablation of the paper).
+// Figure 1 types.
 type (
 	// CwndTraceParams configures a Figure-1 upper-panel run.
 	CwndTraceParams = experiments.CwndTraceParams
@@ -223,31 +116,11 @@ type (
 	CwndTraceResult = experiments.CwndTraceResult
 	// CDFParams configures the Figure-1 lower-panel aggregate run.
 	CDFParams = experiments.CDFParams
-	// CDFResult is the aggregate download-time comparison.
-	CDFResult = experiments.CDFResult
 	// ScenarioParams shapes the synthetic Tor-like workload.
 	ScenarioParams = workload.ScenarioParams
-	// DynamicRestartParams configures the capacity-step extension run.
-	DynamicRestartParams = experiments.DynamicRestartParams
-	// SharedBottleneckParams configures the shared-trunk ablation.
-	SharedBottleneckParams = experiments.SharedBottleneckParams
-	// ChurnParams configures the circuit-churn ablation.
-	ChurnParams = experiments.ChurnParams
-	// OverloadParams configures the relay-overload ablation.
-	OverloadParams = experiments.OverloadParams
-	// FaultsParams configures the resilience ablation (CircuitStart vs
-	// slow start under burst loss, a relay hang and a trunk flap).
-	FaultsParams = experiments.FaultsParams
-	// ScaleParams configures the scale ablation: one whole-network
-	// churn trial at a consensus-realistic relay count, timed at each
-	// requested shard count over byte-identical simulations.
-	ScaleParams = experiments.ScaleParams
-	// ScaleResult is the scale ablation's speedup table.
-	ScaleResult = experiments.ScaleResult
 )
 
-// Relay resource management and scheduling. See the package comment's
-// "Relay resources and scheduling" section.
+// Relay resource management and scheduling, set per Arm.
 type (
 	// RelayConfig selects a relay's uplink scheduler and resource
 	// limits; the zero value is the byte-identical unlimited/FIFO
@@ -263,7 +136,8 @@ type (
 	KillPolicy = resource.Policy
 )
 
-// Admission/kill policies for ResourceLimits.Policy.
+// The values of ResourceLimits.Policy, which a caller of the facade
+// cannot name otherwise.
 const (
 	// KillRejectNew refuses new circuits at the circuit cap.
 	KillRejectNew = resource.RejectNew
@@ -330,13 +204,15 @@ type (
 	CircuitOutcome = scenario.CircuitOutcome
 	// RelayParams shapes a generated relay population.
 	RelayParams = workload.RelayParams
+	// SizeDist draws per-circuit transfer sizes from a distribution
+	// (fixed, lognormal, bounded-Pareto), seeded by the scenario seed.
+	SizeDist = workload.SizeDist
 )
 
 // Parameter-sweep engine: a Sweep crosses a base Scenario with named
 // Dimensions and executes every grid point on the parallel runner,
-// streaming per-point aggregates into sinks. See the package sweep
-// documentation; examples/sweep shows a gamma × bandwidth × hops
-// surface, and 'circuitsim sweep' drives grids from the command line.
+// streaming per-point aggregates into sinks. See the package comment's
+// "Parameter sweeps" section.
 type (
 	// Sweep declares a parameter grid over a base Scenario.
 	Sweep = sweep.Sweep
@@ -360,107 +236,16 @@ type (
 	SweepTable = sweep.Table
 )
 
-// Sweep dimension constructors and sinks.
-var (
-	// RunSweep executes a Sweep with a default engine (one grid point
-	// per CPU).
-	RunSweep = sweep.Run
-	// SweepCustom builds a dimension from explicit labelled mutators.
-	SweepCustom = sweep.Custom
-	// SweepGamma sweeps the start-up exit threshold γ on every arm.
-	SweepGamma = sweep.Gamma
-	// SweepPolicies sweeps the start-up policy on every arm.
-	SweepPolicies = sweep.Policies
-	// SweepCircuits sweeps the concurrent circuit count.
-	SweepCircuits = sweep.Circuits
-	// SweepTransferSizes sweeps the per-circuit transfer size.
-	SweepTransferSizes = sweep.TransferSizes
-	// SweepHops sweeps the sampled path length (generated populations).
-	SweepHops = sweep.Hops
-	// SweepPopulationSizes sweeps the generated relay population size.
-	SweepPopulationSizes = sweep.PopulationSizes
-	// SweepPopulationBandwidths sweeps the population's median rate.
-	SweepPopulationBandwidths = sweep.PopulationBandwidths
-	// SweepRelayRates sweeps one explicit relay's access rate.
-	SweepRelayRates = sweep.RelayRates
-	// SweepTrunkRates sweeps every backbone trunk's rate.
-	SweepTrunkRates = sweep.TrunkRates
-	// SweepTrunkDelays sweeps every backbone trunk's delay.
-	SweepTrunkDelays = sweep.TrunkDelays
-	// SweepChurnRates sweeps the circuit-churn arrival rate.
-	SweepChurnRates = sweep.ChurnRates
-	// SweepSchedulers sweeps the relay uplink scheduler on every arm.
-	SweepSchedulers = sweep.DimScheduler
-	// SweepRelayCaps sweeps the per-relay resource limits on every arm.
-	SweepRelayCaps = sweep.DimRelayCaps
-	// SweepSeeds re-runs the grid under independent base seeds.
-	SweepSeeds = sweep.Seeds
-	// SweepTrainSizes sweeps the cell-train coalescing cap.
-	SweepTrainSizes = sweep.DimTrainSize
-	// SweepShards sweeps the trial-internal shard count on the
-	// conservative-lookahead parallel engine (byte-identical results,
-	// wall-clock only).
-	SweepShards = sweep.DimShards
-	// SweepSizeDists sweeps the per-circuit transfer-size distribution
-	// ("fixed:N", "lognormal:median:sigma", "pareto:min:alpha:max").
-	SweepSizeDists = sweep.DimSizeDist
-	// NewSweepCSVSink streams sweep rows as CSV.
-	NewSweepCSVSink = sweep.NewCSVSink
-	// NewSweepJSONLSink streams sweep rows as JSON lines.
-	NewSweepJSONLSink = sweep.NewJSONLSink
-)
+// SweepGamma sweeps the start-up exit threshold γ on every arm.
+var SweepGamma = sweep.Gamma
 
 // ErrSweepStopped is returned by SweepEngine.Run when its Stop hook
 // tripped mid-grid: the rows emitted before the stop are a valid
-// grid-order prefix.
+// grid-order prefix. Callers that set Stop test for it with errors.Is.
 var ErrSweepStopped = sweep.ErrStopped
 
-// Sweep service daemon and versioned spec schema. See the package
-// comment's "Sweep service and spec API" section.
-type (
-	// SpecFile is the versioned JSON wire form of a sweep submission:
-	// base scenario, dimension axes, sampling. `circuitsim sweep -spec`
-	// files, the sweep CLI's flag grids, and the serve daemon's POST
-	// bodies all parse into it.
-	SpecFile = spec.File
-	// SpecBase is a spec's base-scenario block.
-	SpecBase = spec.Base
-	// SpecDim is one dimension block of a spec (exactly one axis set).
-	SpecDim = spec.Dim
-	// SpecPopulation overrides the generated relay population's shape
-	// within a SpecBase.
-	SpecPopulation = spec.Population
-	// ServeOptions configures the sweep service daemon.
-	ServeOptions = serve.Options
-	// SweepServer is the daemon state behind the HTTP handler.
-	SweepServer = serve.Server
-	// SizeDist draws per-circuit transfer sizes from a distribution
-	// (fixed, lognormal, bounded-Pareto), seeded by the scenario seed.
-	SizeDist = workload.SizeDist
-)
-
-var (
-	// ParseSpec parses and validates a versioned sweep spec, naming
-	// the offending entry on error.
-	ParseSpec = spec.Parse
-	// MarshalSpec renders a spec in canonical form — the fixed point
-	// of Marshal ∘ Parse, safe to diff and hash.
-	MarshalSpec = spec.Marshal
-	// SpecFromScenario renders a population Scenario back into a spec
-	// base, refusing (by name) anything the wire schema cannot express.
-	SpecFromScenario = spec.FromScenario
-	// NewSweepServer starts a sweep service (job executors + point
-	// cache) and returns it; pair with (*Server).Handler and Close.
-	NewSweepServer = serve.NewServer
-	// ServeSweeps runs the sweep service daemon on an address —
-	// `circuitsim serve` in library form.
-	ServeSweeps = serve.ListenAndServe
-	// ParseSizeDist parses "fixed:N", "lognormal:median:sigma" or
-	// "pareto:min:alpha:max" into a SizeDist.
-	ParseSizeDist = workload.ParseSizeDist
-)
-
-// Backbone trunk meshes for BackboneParams.Kind.
+// The values of BackboneParams.Kind, which a caller of the facade
+// cannot name otherwise.
 const (
 	// BackboneRing joins the switches in a cycle.
 	BackboneRing = workload.BackboneRing
@@ -470,7 +255,8 @@ const (
 	BackboneFull = workload.BackboneFull
 )
 
-// Relay churn actions for RelayEvent.Kind.
+// The values of RelayEvent.Kind, which a caller of the facade cannot
+// name otherwise.
 const (
 	// RelayFail takes a relay out of service (frames blackholed).
 	RelayFail = scenario.RelayFail
@@ -478,7 +264,8 @@ const (
 	RelayRecover = scenario.RelayRecover
 )
 
-// Arrival processes for CircuitSet.Arrival.Kind.
+// The values of Arrival.Kind, which a caller of the facade cannot name
+// otherwise.
 const (
 	// ArriveTogether starts every transfer at t = 0 (default).
 	ArriveTogether = scenario.ArriveTogether
@@ -493,23 +280,17 @@ var (
 	// NewNetwork creates a star overlay whose randomness derives from
 	// seed.
 	NewNetwork = core.NewNetwork
-	// NewNetworkWithFabric creates an overlay on a custom topology
-	// fabric (e.g. a GraphSpec's Build).
-	NewNetworkWithFabric = core.NewNetworkWithFabric
 	// Symmetric builds an AccessConfig with equal up/down rates.
 	Symmetric = netem.Symmetric
-	// SymmetricTrunk builds a lossless TrunkConfig.
-	SymmetricTrunk = netem.SymmetricTrunk
 	// GenerateBackbone renders BackboneParams into a GraphSpec.
 	GenerateBackbone = workload.GenerateBackbone
 	// DefaultBackboneParams returns n relays behind k ring switches.
 	DefaultBackboneParams = workload.DefaultBackboneParams
+	// DefaultRelayParams returns the Tor-flavoured population used by
+	// the paper's aggregate experiment.
+	DefaultRelayParams = workload.DefaultRelayParams
 	// Mbps constructs a DataRate from megabits per second.
 	Mbps = units.Mbps
-	// Kbps constructs a DataRate from kilobits per second.
-	Kbps = units.Kbps
-	// BDP returns the bandwidth-delay product of a rate and RTT.
-	BDP = units.BDP
 
 	// Fig1CwndTrace regenerates the paper's Figure 1 upper panels.
 	Fig1CwndTrace = experiments.Fig1CwndTrace
@@ -521,77 +302,16 @@ var (
 	DefaultCDFParams = experiments.DefaultCDFParams
 	// AblationGamma sweeps the γ exit threshold.
 	AblationGamma = experiments.AblationGamma
-	// AblationCompensation compares exit-window strategies.
-	AblationCompensation = experiments.AblationCompensation
-	// AblationFeedbackClock isolates feedback- vs ACK-clocking.
-	AblationFeedbackClock = experiments.AblationFeedbackClock
-	// AblationBottleneckPosition sweeps the bottleneck hop.
-	AblationBottleneckPosition = experiments.AblationBottleneckPosition
-	// AblationConcurrency sweeps concurrent circuit counts.
-	AblationConcurrency = experiments.AblationConcurrency
-	// ExtensionDynamicRestart runs the capacity-step extension.
-	ExtensionDynamicRestart = experiments.ExtensionDynamicRestart
-	// AblationSharedBottleneck runs M circuits across one shared
-	// backbone trunk, CircuitStart vs slow start.
-	AblationSharedBottleneck = experiments.AblationSharedBottleneck
-	// DefaultSharedBottleneckParams mirrors the shared-trunk setup.
-	DefaultSharedBottleneckParams = experiments.DefaultSharedBottleneckParams
-	// AblationChurn compares CircuitStart vs BackTap under circuit
-	// churn: Poisson arrivals of short downloads over fresh circuits,
-	// per-completion teardown, and relay failures with rebuilds.
-	AblationChurn = experiments.AblationChurn
-	// DefaultChurnParams mirrors the churn ablation's setup.
-	DefaultChurnParams = experiments.DefaultChurnParams
-	// AblationOverload runs the relay-overload grid: CircuitStart vs
-	// slow start × FIFO vs EWMA scheduling on capped, saturated relays.
-	AblationOverload = experiments.AblationOverload
-	// DefaultOverloadParams mirrors the overload ablation's setup.
-	DefaultOverloadParams = experiments.DefaultOverloadParams
-	// AblationFaults runs the resilience comparison: CircuitStart vs
-	// slow start under an identical fault schedule with endpoint stall
-	// detection and circuit rebuild on both arms.
-	AblationFaults = experiments.AblationFaults
-	// DefaultFaultsParams mirrors the faults ablation's setup.
-	DefaultFaultsParams = experiments.DefaultFaultsParams
-	// AblationScale times one whole-network churn trial at each shard
-	// count of the conservative-lookahead parallel engine and asserts
-	// the results are byte-identical across all of them.
-	AblationScale = experiments.AblationScale
-	// DefaultScaleParams mirrors the scale ablation's setup.
-	DefaultScaleParams = experiments.DefaultScaleParams
-	// FaultPreset renders a named fault preset ("burstloss", "flaky",
-	// "hang", ...) against a concrete relay list.
-	FaultPreset = faults.Preset
-	// FaultPresetNames lists the built-in fault preset names.
-	FaultPresetNames = faults.PresetNames
-	// ParseFaultSpec parses a JSON fault-plan specification.
-	ParseFaultSpec = faults.ParseSpec
-	// KillPolicyByName maps configuration names ("reject-new",
-	// "kill-oldest", "kill-heaviest") to kill policies.
-	KillPolicyByName = resource.PolicyByName
-	// JainIndex computes Jain's fairness index over a sample set.
-	JainIndex = metrics.JainIndex
-
-	// RunScenario executes a Scenario with a default Runner (one
-	// worker per CPU).
-	RunScenario = scenario.Run
-	// DefaultRelayParams returns the Tor-flavoured population used by
-	// the paper's aggregate experiment.
-	DefaultRelayParams = workload.DefaultRelayParams
 )
 
 // Data size units.
 const (
-	Byte     = units.Byte
 	Kilobyte = units.Kilobyte
 	Megabyte = units.Megabyte
 )
 
-// Virtual time units.
-const (
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
-)
+// Second is one second of virtual time.
+const Second = sim.Second
 
 // Startup policy names accepted by TransportOptions.Policy.
 const (
@@ -611,9 +331,3 @@ const (
 	// PolicyFixed pins a static window (Tor-SENDME-like baseline).
 	PolicyFixed = "fixed"
 )
-
-// DefaultGamma is the paper's start-up exit threshold (γ = 4).
-const DefaultGamma = transport.DefaultGamma
-
-// CellSize is the fixed cell size in bytes, as in Tor.
-const CellSize = 512

@@ -67,6 +67,19 @@ func TestPublicAPIExperiments(t *testing.T) {
 	if r.Trace.Len() == 0 || r.OptimalCells <= 0 {
 		t.Fatalf("empty result: %+v", r)
 	}
+	p := circuitstart.DefaultCDFParams()
+	p.Scenario.Circuits = 4
+	p.Scenario.Relays = circuitstart.DefaultRelayParams(12)
+	p.Scenario.TransferSize = 100 * circuitstart.Kilobyte
+	cdf, err := circuitstart.Fig1DownloadCDF(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range cdf.Arms {
+		if arm.Incomplete != 0 || arm.TTLB.Len() != 4 {
+			t.Fatalf("arm %s: %d of 4 done, %d incomplete", arm.Name, arm.TTLB.Len(), arm.Incomplete)
+		}
+	}
 }
 
 // TestPublicAPIBackbone exercises the routed-fabric surface through the

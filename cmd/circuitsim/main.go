@@ -55,6 +55,9 @@ var commands = []command{
 	{"spec", "validate and canonicalize a sweep spec file", runSpecCmd},
 }
 
+// main dispatches os.Args to the commands table. Tests call the
+// run functions directly, so only the CI jobs that build the binary
+// run main itself.
 func main() {
 	if len(os.Args) < 2 {
 		usage(os.Stderr)
@@ -176,7 +179,7 @@ func runFig1CDF(args []string) error {
 	dists := make([]*metrics.Distribution, 0, len(res.Arms))
 	for _, arm := range res.Arms {
 		if arm.Incomplete > 0 {
-			fmt.Printf("  warning: %s left %d transfers incomplete\n", arm.Policy, arm.Incomplete)
+			fmt.Printf("  warning: %s left %d transfers incomplete\n", arm.Name, arm.Incomplete)
 		}
 		dists = append(dists, arm.TTLB)
 	}
@@ -452,6 +455,13 @@ func runScenario(args []string) error {
 		return err
 	}
 	defer stopProfiles()
+
+	if *reps < 1 {
+		return fmt.Errorf("-reps %d: want at least 1", *reps)
+	}
+	if *poisson < 0 {
+		return fmt.Errorf("-poisson %g: want a non-negative rate", *poisson)
+	}
 
 	var armSpecs []scenario.Arm
 	for _, policy := range strings.Split(*arms, ",") {

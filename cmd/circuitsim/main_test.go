@@ -166,3 +166,55 @@ func TestRunScenario(t *testing.T) {
 		t.Fatal("empty arm list accepted")
 	}
 }
+
+// TestRunScenarioRejectsBadFlags pins that the scenario flags a
+// Scenario cannot express fail before anything runs, instead of
+// falling back to a default the output then misreports.
+func TestRunScenarioRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-poisson", "-3"}, "-poisson -3"},
+		{[]string{"-reps", "0"}, "-reps 0"},
+		{[]string{"-reps", "-1"}, "-reps -1"},
+	} {
+		err := runScenario(append([]string{"-circuits", "1", "-relays", "4", "-size", "1000"}, c.args...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one naming %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestRunSpecCmd drives the spec subcommand: the canonical print is a
+// fixed point, -validate prints its one-line summary, and a spec that
+// fails to parse is reported under its file name.
+func TestRunSpecCmd(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(src, []byte(`{"dimensions": [{"gammas": [4, 2]}, {"bandwidths_mbps": [8]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	canonical := captureStdout(t, func() error { return runSpecCmd([]string{src}) })
+	again := filepath.Join(dir, "canonical.json")
+	if err := os.WriteFile(again, []byte(canonical), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := captureStdout(t, func() error { return runSpecCmd([]string{again}) }); out != canonical {
+		t.Fatalf("canonical form is not a fixed point:\n%s\nvs\n%s", canonical, out)
+	}
+	summary := captureStdout(t, func() error { return runSpecCmd([]string{"-validate", src}) })
+	if want := src + `: ok — "spec-sweep", 2 points over 2 dimensions (grid 2), base hash `; !strings.HasPrefix(summary, want) {
+		t.Fatalf("summary %q, want prefix %q", summary, want)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"base": {"kind": "population", "hops": -2}, "dimensions": [{"gammas": [2]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSpecCmd([]string{"-validate", bad}); err == nil || !strings.HasPrefix(err.Error(), bad+": ") {
+		t.Fatalf("bad spec: error %v, want one naming %s", err, bad)
+	}
+	if err := runSpecCmd(nil); err == nil {
+		t.Fatal("no spec file accepted")
+	}
+}

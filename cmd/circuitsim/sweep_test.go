@@ -51,32 +51,35 @@ func TestRunSweepHopsBandwidthCompose(t *testing.T) {
 }
 
 // TestRunSweepResumeAppends checks the documented resume contract: an
-// interrupted sweep's -out file is completed in place, not truncated.
+// interrupted sweep's -out file is completed in place, not truncated,
+// in either output format.
 func TestRunSweepResumeAppends(t *testing.T) {
 	dir := t.TempDir()
-	full, part := filepath.Join(dir, "full.csv"), filepath.Join(dir, "part.csv")
 	grid := []string{"-gammas", "2,4", "-bandwidths", "8,16"}
-	if err := runSweep(append([]string{"-out", full}, grid...)); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Simulate an interruption after point 1: keep header + 2 rows.
-	lines := strings.SplitAfter(string(want), "\n")
-	if err := os.WriteFile(part, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runSweep(append([]string{"-resume", "2", "-out", part}, grid...)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("resumed file differs from the uninterrupted run:\n--- got ---\n%s--- want ---\n%s", got, want)
+	for _, ext := range []string{".csv", ".jsonl"} {
+		full, part := filepath.Join(dir, "full"+ext), filepath.Join(dir, "part"+ext)
+		if err := runSweep(append([]string{"-out", full}, grid...)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Simulate an interruption after point 1: keep header + 2 rows.
+		lines := strings.SplitAfter(string(want), "\n")
+		if err := os.WriteFile(part, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runSweep(append([]string{"-resume", "2", "-out", part}, grid...)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("resumed %s file differs from the uninterrupted run:\n--- got ---\n%s--- want ---\n%s", ext, got, want)
+		}
 	}
 }
 

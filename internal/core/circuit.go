@@ -172,7 +172,6 @@ type Circuit struct {
 	builtAt  sim.Time
 	closedAt sim.Time
 	closed   bool
-	killed   bool
 }
 
 // BuildCircuit constructs the circuit: per-hop key establishment with
@@ -332,9 +331,6 @@ func (c *Circuit) RelaySender(i int) *transport.Sender {
 	return c.network.relays[c.spec.Relays[i]].HopSender(c.id)
 }
 
-// Hops returns the number of transport hops (relays + 1).
-func (c *Circuit) Hops() int { return len(c.spec.Relays) + 1 }
-
 // ModelPath returns the analytic model of the circuit's node sequence.
 func (c *Circuit) ModelPath() model.Path { return c.path }
 
@@ -427,12 +423,6 @@ func (c *Circuit) Teardown() {
 
 // Closed reports whether the circuit has been torn down.
 func (c *Circuit) Closed() bool { return c.closed }
-
-// Killed reports whether the teardown was a resource-limit eviction.
-func (c *Circuit) Killed() bool { return c.killed }
-
-// BuiltAt returns the virtual time the circuit was built.
-func (c *Circuit) BuiltAt() sim.Time { return c.builtAt }
 
 // ClosedAt returns when the circuit was torn down (meaningful only
 // when Closed reports true).

@@ -142,7 +142,6 @@ func (n *Network) killCircuit(id cell.CircID) {
 	if c == nil || c.closed {
 		return
 	}
-	c.killed = true
 	if n.onKill != nil {
 		n.onKill(c)
 	}

@@ -30,7 +30,6 @@ import (
 // operations: they may only run while every shard clock is parked (at
 // t = 0 or inside a RunWindows barrier).
 type ShardedNetwork struct {
-	seed   int64
 	fab    *netem.ShardedFabric
 	shards []*Network
 
@@ -67,7 +66,6 @@ func NewShardedNetwork(seed int64, spec netem.GraphSpec, shards int, arenas []*a
 	}
 	var fab *netem.ShardedFabric
 	sn := &ShardedNetwork{
-		seed:       seed,
 		keyRNG:     sim.NewRNG(seed, "onion-keys"),
 		identities: make(map[netem.NodeID]*onion.Identity),
 		relayShard: make(map[netem.NodeID]int),
@@ -98,9 +96,6 @@ func (sn *ShardedNetwork) NumShards() int { return len(sn.shards) }
 // Shard returns shard i's Network. Use it only for shard-local,
 // control-plane inspection (relay stats, scheduler drops).
 func (sn *ShardedNetwork) Shard(i int) *Network { return sn.shards[i] }
-
-// Seed returns the experiment seed.
-func (sn *ShardedNetwork) Seed() int64 { return sn.seed }
 
 // ConfigureRelays applies the scheduling template on every shard (and,
 // for the EWMA discipline, each shard's trunk links — boundary egress
@@ -355,12 +350,6 @@ func (sn *ShardedNetwork) BuildCircuit(spec CircuitSpec) (*ShardedCircuit, error
 	return c, nil
 }
 
-// ID returns the circuit identifier.
-func (c *ShardedCircuit) ID() cell.CircID { return c.id }
-
-// Source returns the data-origin endpoint.
-func (c *ShardedCircuit) Source() *endpoint.Source { return c.source }
-
 // SourceSender returns the source's hop sender.
 func (c *ShardedCircuit) SourceSender() *transport.Sender { return c.source.Sender() }
 
@@ -424,12 +413,6 @@ func (c *ShardedCircuit) Teardown() {
 
 // Closed reports whether the circuit has been torn down.
 func (c *ShardedCircuit) Closed() bool { return c.closed }
-
-// BuiltAt returns the instant the circuit was built.
-func (c *ShardedCircuit) BuiltAt() sim.Time { return c.builtAt }
-
-// ClosedAt returns when the circuit was torn down.
-func (c *ShardedCircuit) ClosedAt() sim.Time { return c.closedAt }
 
 // Lifetime returns how long the circuit has been alive: ClosedAt −
 // BuiltAt once torn down, the source shard's now − BuiltAt while up.

@@ -282,9 +282,6 @@ func TestAblationBottleneckPosition(t *testing.T) {
 }
 
 func TestAblationConcurrency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("aggregate sweep")
-	}
 	rows, err := AblationConcurrency(42, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)

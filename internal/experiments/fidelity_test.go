@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func within(t *testing.T, what string, got, published, tol float64) {
 // paperCDF runs the paper-scale Figure 1 lower panel once for every
 // test that needs it (50 circuits × 500 kB × 2 arms, seconds of wall
 // time).
-var paperCDF = sync.OnceValues(func() (CDFResult, error) {
+var paperCDF = sync.OnceValues(func() (*scenario.Result, error) {
 	return Fig1DownloadCDF(DefaultCDFParams())
 })
 

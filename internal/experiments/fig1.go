@@ -230,59 +230,18 @@ func (p CDFParams) ToScenario() scenario.Scenario {
 	}
 }
 
-// CDFArm is one policy's outcome distribution.
-type CDFArm struct {
-	Policy     string
-	TTLB       *metrics.Distribution // seconds
-	Incomplete int
-}
-
-// CDFResult is the Figure-1-lower-panel comparison.
-type CDFResult struct {
-	Params CDFParams
-	Arms   []CDFArm
-}
-
-// Arm returns the named arm, or nil.
-func (r CDFResult) Arm(policy string) *CDFArm {
-	for i := range r.Arms {
-		if r.Arms[i].Policy == policy {
-			return &r.Arms[i]
-		}
-	}
-	return nil
-}
-
-// MedianGap returns armA's median TTLB minus armB's, in seconds —
-// negative when A is faster. It panics if either arm is missing.
-func (r CDFResult) MedianGap(a, b string) float64 {
-	armA, armB := r.Arm(a), r.Arm(b)
-	if armA == nil || armB == nil {
-		panic(fmt.Sprintf("experiments: arms %q, %q not both present", a, b))
-	}
-	return armA.TTLB.Median() - armB.TTLB.Median()
-}
-
 // Fig1DownloadCDF runs the aggregate experiment once per policy arm on
 // identical topologies and workloads (same seed), so differences in the
 // TTLB distribution are attributable to the start-up scheme alone. Arms
 // run in parallel, one worker per CPU.
-func Fig1DownloadCDF(p CDFParams) (CDFResult, error) {
+func Fig1DownloadCDF(p CDFParams) (*scenario.Result, error) {
 	if len(p.Policies) == 0 {
 		p.Policies = []string{"circuitstart", "backtap"}
 	}
 	if p.Horizon <= 0 {
 		p.Horizon = 600 * sim.Second
 	}
-	sres, err := scenario.Run(p.ToScenario())
-	if err != nil {
-		return CDFResult{}, err
-	}
-	res := CDFResult{Params: p}
-	for _, arm := range sres.Arms {
-		res.Arms = append(res.Arms, CDFArm{Policy: arm.Name, TTLB: arm.TTLB, Incomplete: arm.Incomplete})
-	}
-	return res, nil
+	return scenario.Run(p.ToScenario())
 }
 
 // mustPolicy panics if the policy name is unknown — experiment tables

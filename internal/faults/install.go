@@ -23,7 +23,6 @@ type Network interface {
 // the trial clock, and the set of currently-faulted relays is tracked so
 // recovery path selection can route around live failures.
 type Injector struct {
-	plan Plan
 	// suspect refcounts relays currently inside a fault episode (down,
 	// hung, or slowed). Overlapping episodes on one relay nest.
 	suspect map[netem.NodeID]int
@@ -38,7 +37,7 @@ type Injector struct {
 // The plan must have passed Validate against this topology; Install
 // panics on targets the topology does not have.
 func Install(n Network, p Plan, seed int64) *Injector {
-	inj := &Injector{plan: p, suspect: make(map[netem.NodeID]int)}
+	inj := &Injector{suspect: make(map[netem.NodeID]int)}
 	clock := n.Clock()
 	at := func(t sim.Time, fn func()) {
 		if t.After(clock.Now()) {
@@ -180,15 +179,6 @@ func Install(n Network, p Plan, seed int64) *Injector {
 		}
 	}
 	return inj
-}
-
-// Plan returns the installed plan (with Recovery defaults filled).
-func (inj *Injector) Plan() Plan { return inj.plan }
-
-// Suspected reports whether the relay is currently inside a fault
-// episode the injector tracks (flapped down, hung, or slowed).
-func (inj *Injector) Suspected(id netem.NodeID) bool {
-	return inj != nil && inj.suspect[id] > 0
 }
 
 // ExcludedWith merges the currently-suspected relays into base, the

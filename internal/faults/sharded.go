@@ -33,7 +33,7 @@ type ShardedNetwork interface {
 // Suspect-driven recovery (Plan.Recovery) is rejected by sharded
 // scenario validation for exactly this reason.
 func InstallSharded(n ShardedNetwork, p Plan, seed int64) *Injector {
-	inj := &Injector{plan: p}
+	inj := &Injector{}
 	at := func(clk *sim.Clock, t sim.Time, fn func()) {
 		if t.After(clk.Now()) {
 			clk.At(t, fn)

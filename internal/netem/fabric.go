@@ -83,9 +83,6 @@ type Fabric interface {
 	// Unroutable returns how many frames were dropped because no route
 	// existed between their switches (always 0 on a star).
 	Unroutable() uint64
-	// ResetStats zeroes the drop counters and every access and trunk
-	// link's LinkStats, so a fabric reused across trials starts clean.
-	ResetStats()
 	// PathOneWay returns the analytic no-queueing one-way latency from a
 	// to b for a frame of the given size. Panics on unattached nodes.
 	PathOneWay(a, b NodeID, size units.DataSize) time.Duration
@@ -117,9 +114,6 @@ type Port struct {
 	cfg  AccessConfig
 	pool *FramePool // the owning fabric's frame pool (may be nil)
 }
-
-// ID returns the node ID this port belongs to.
-func (p *Port) ID() NodeID { return p.id }
 
 // Config returns the access configuration.
 func (p *Port) Config() AccessConfig { return p.cfg }

@@ -310,9 +310,6 @@ func (l *Link) SetJitter(m JitterModel) { l.jitter = m }
 // restores the built-in FIFO.
 func (l *Link) SetScheduler(q SchedQueue) { l.sched = q }
 
-// Scheduler returns the installed data-frame scheduler, or nil.
-func (l *Link) Scheduler() SchedQueue { return l.sched }
-
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
@@ -331,9 +328,6 @@ func (l *Link) QueueLen() int {
 	}
 	return n
 }
-
-// QueuedBytes returns the bytes waiting in the queue.
-func (l *Link) QueuedBytes() units.DataSize { return l.queuedBytes }
 
 // Busy reports whether a frame is currently being serialized.
 func (l *Link) Busy() bool { return l.busy }

@@ -514,3 +514,17 @@ func TestLinkTransitZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+func TestDropReasonString(t *testing.T) {
+	for r, want := range map[DropReason]string{
+		DropTail:      "tail-drop",
+		DropLoss:      "random-loss",
+		DropSched:     "sched-drop",
+		DropDown:      "down-drop",
+		DropReason(9): "DropReason(9)",
+	} {
+		if got := r.String(); got != want {
+			t.Errorf("DropReason(%d).String() = %q, want %q", int(r), got, want)
+		}
+	}
+}

@@ -533,15 +533,11 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 // local delivery on such a link is a bug.
 type deadEnd struct{ name string }
 
+// Deliver implements Handler by panicking. Only a bug reaches it, so no
+// test runs it.
 func (d deadEnd) Deliver(*Frame) {
 	panic(fmt.Sprintf("netem: boundary link %q delivered locally", d.name))
 }
-
-// Plan returns the shard plan the fabric was built from.
-func (sf *ShardedFabric) Plan() ShardPlan { return sf.plan }
-
-// Lookahead returns the conservative window width.
-func (sf *ShardedFabric) Lookahead() time.Duration { return sf.plan.Lookahead }
 
 // SetWindow overrides the barrier stride. The stride must be positive
 // and must not exceed the plan's lookahead (when the plan has cuts) —
@@ -558,9 +554,6 @@ func (sf *ShardedFabric) SetWindow(d time.Duration) {
 	}
 	sf.window = d
 }
-
-// NumShards returns the effective shard count.
-func (sf *ShardedFabric) NumShards() int { return len(sf.shards) }
 
 // Shard returns shard i's fabric. Relays and endpoints attach through
 // it; everything it schedules lands on shard i's clock.
@@ -810,64 +803,4 @@ func (sf *ShardedFabric) PathTransits(a, b NodeID) []*Link {
 		links = append(links, sf.trunkDir[[2]SwitchID{sws[i], sws[i+1]}])
 	}
 	return links
-}
-
-// PathOneWay returns the analytic no-queueing one-way latency from a to
-// b, exactly as the unsharded fabric computes it.
-func (sf *ShardedFabric) PathOneWay(a, b NodeID, size units.DataSize) time.Duration {
-	na, aok := sf.nodes[a]
-	nb, bok := sf.nodes[b]
-	if !aok || !bok {
-		panic(fmt.Sprintf("netem: PathOneWay between unattached nodes %q, %q", a, b))
-	}
-	total := na.port.cfg.UpRate.TransmissionTime(size) + na.port.cfg.Delay +
-		nb.port.cfg.DownRate.TransmissionTime(size) + nb.port.cfg.Delay
-	for _, l := range sf.PathTransits(a, b) {
-		total += l.Config().Rate.TransmissionTime(size) + l.Config().Delay
-	}
-	return total
-}
-
-// PathRTT returns the analytic round-trip time between two attached
-// nodes.
-func (sf *ShardedFabric) PathRTT(a, b NodeID, size units.DataSize) time.Duration {
-	return sf.PathOneWay(a, b, size) + sf.PathOneWay(b, a, size)
-}
-
-// BottleneckRate returns the minimum forwarding rate along the node
-// sequence, mirroring GraphFabric.BottleneckRate over the global
-// topology.
-func (sf *ShardedFabric) BottleneckRate(path []NodeID) units.DataRate {
-	if len(path) < 2 {
-		panic("netem: BottleneckRate needs at least two nodes")
-	}
-	min := units.DataRate(1<<63 - 1)
-	for i := 0; i < len(path)-1; i++ {
-		na, aok := sf.nodes[path[i]]
-		nb, bok := sf.nodes[path[i+1]]
-		if !aok || !bok {
-			panic(fmt.Sprintf("netem: BottleneckRate over unattached hop %q→%q", path[i], path[i+1]))
-		}
-		if na.port.cfg.UpRate < min {
-			min = na.port.cfg.UpRate
-		}
-		if nb.port.cfg.DownRate < min {
-			min = nb.port.cfg.DownRate
-		}
-		for _, l := range sf.PathTransits(path[i], path[i+1]) {
-			if r := l.Config().Rate; r < min {
-				min = r
-			}
-		}
-	}
-	return min
-}
-
-// Port returns an attached node's port regardless of shard, or nil.
-func (sf *ShardedFabric) Port(id NodeID) *Port {
-	ni, ok := sf.nodes[id]
-	if !ok {
-		return nil
-	}
-	return ni.port
 }

@@ -102,16 +102,6 @@ func (s *StarFabric) UnknownDst() uint64 { return s.unknownDst }
 // Unroutable returns 0: every attached pair is one switch apart.
 func (s *StarFabric) Unroutable() uint64 { return 0 }
 
-// ResetStats zeroes the drop counter and every access link's stats.
-func (s *StarFabric) ResetStats() {
-	s.unknownDst = 0
-	for _, id := range s.Nodes() {
-		p := s.ports[id]
-		p.up.ResetStats()
-		p.down.ResetStats()
-	}
-}
-
 // PathRTT returns the analytic no-queueing round-trip time between two
 // attached nodes for a frame of the given size in each direction: two
 // serializations and two propagation hops each way. The optimal-window

@@ -215,9 +215,6 @@ func (r *Relay) Hang() { r.hung = true }
 // state survived (transport retransmission recovers short hangs).
 func (r *Relay) Unhang() { r.hung = false }
 
-// Hung reports whether the relay is currently hung.
-func (r *Relay) Hung() bool { return r.hung }
-
 // Circuits returns the number of circuits currently crossing the relay.
 func (r *Relay) Circuits() int { return len(r.hops) }
 

@@ -184,9 +184,6 @@ func NewManager(clock *sim.Clock, limits Limits) *Manager {
 	}
 }
 
-// Limits returns the configured caps.
-func (m *Manager) Limits() Limits { return m.limits }
-
 // OnKill installs the eviction callback. The callback must tear the
 // circuit down end to end (releasing the relay's hop via Release);
 // without one, kill policies degrade to rejecting/ignoring.

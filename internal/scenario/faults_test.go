@@ -149,6 +149,36 @@ func TestFaultsRecoveryLifecycle(t *testing.T) {
 	}
 }
 
+// TestRecoveryNeedsDeliveredBytes pins what a recovery is: the first
+// byte at the receiving endpoint on a rebuilt circuit. A partition
+// that never heals cuts every download off from its server, while the
+// guard on the client's side of the dead trunk keeps acknowledging the
+// first cells of each rebuild; those acks are not a recovery. Every
+// download must exhaust its budget and be abandoned, with nothing
+// recovered.
+func TestRecoveryNeedsDeliveredBytes(t *testing.T) {
+	sc := faultedScenario()
+	sc.Faults.BurstLoss = nil
+	sc.Faults.Degrades = nil
+	sc.Faults.Partitions = []faults.Partition{{TrunkA: "west", TrunkB: "east", At: 300 * sim.Millisecond}}
+	sc.Faults.Recovery = faults.Recovery{Enabled: true, MaxRetries: 1, RTOMax: 500 * time.Millisecond}
+	sc.Horizon = 30 * sim.Second
+	sc.Replications = 1
+	res, err := Runner{Workers: 1}.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := res.Arms[0]
+	r := a.Resilience
+	if r.Recoveries != 0 || r.TTR.Len() != 0 {
+		t.Fatalf("%d recoveries (%d TTR samples) across a partition that never heals",
+			r.Recoveries, r.TTR.Len())
+	}
+	if r.Abandoned != 4 || a.Churn.Aborted != 4 {
+		t.Fatalf("abandoned %d, aborted %d; want 4 and 4", r.Abandoned, a.Churn.Aborted)
+	}
+}
+
 // TestRecoveryOnlyPlanPreservesOutcomes pins the observer property of
 // the stall detector: on a trial that makes steady progress the
 // watchdogs only read state, so enabling recovery on a churn run with

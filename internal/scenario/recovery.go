@@ -20,7 +20,7 @@ import (
 //
 //	running --(no progress for StallRTOs×RTO)--> stalled
 //	stalled --(backoff, rebuild ok)--> running   (recovery recorded on
-//	                                              first new progress)
+//	                                              first byte received)
 //	stalled --(rebuild failed)--> stalled        (backoff doubles)
 //	stalled --(MaxRetries exhausted)--> abandoned
 //
@@ -91,7 +91,10 @@ func (e *churnEngine) checkProgress(d *download, gen uint64) {
 	}
 	if p := e.progressOf(d); p != d.lastProgress {
 		d.lastProgress = p
-		if d.stalled {
+		// A stalled download runs on a rebuilt circuit, so its first
+		// byte at the receiving endpoint is the recovery; acks from the
+		// near hops of a still-dead path are not.
+		if d.stalled && e.receivedOn(d.circuit) > 0 {
 			e.recordRecovery(d)
 		}
 		// Feed the live path's RTT so the stall deadline tracks the
@@ -160,8 +163,9 @@ func (e *churnEngine) rebuildAfterStall(d *download, gen uint64) {
 }
 
 // recordRecovery closes an open stall: time-to-recovery is the span
-// from the stall declaration to the first subsequent progress (or to
-// completion, whichever lands first).
+// from the stall declaration to the first byte the receiving endpoint
+// gets on the rebuilt circuit (or to completion, whichever lands
+// first).
 func (e *churnEngine) recordRecovery(d *download) {
 	span := e.n.Now().Sub(d.stalledAt).Seconds()
 	e.resil.Recoveries++

@@ -124,15 +124,16 @@ type ResilienceStats struct {
 	// Stalls counts declared stalls (one per outage, however many
 	// rebuild attempts it took).
 	Stalls int
-	// Recoveries counts stalls that saw transport progress again.
+	// Recoveries counts stalls whose rebuilt circuit delivered a byte
+	// to the receiving endpoint.
 	Recoveries int
 	// Retries counts rebuild attempts spent from downloads' budgets.
 	Retries int
 	// Abandoned counts downloads that exhausted their retry budget
 	// (also counted in ChurnStats.Aborted).
 	Abandoned int
-	// TTR pools time-to-recovery in seconds: stall declaration to first
-	// subsequent progress (or completion).
+	// TTR pools time-to-recovery in seconds: stall declaration to the
+	// first byte received on the rebuilt circuit (or completion).
 	TTR *metrics.Distribution
 	// Downtime and Active are summed per-download seconds: Active spans
 	// each download's first start to its terminal instant, Downtime the

@@ -235,6 +235,10 @@ type Scenario struct {
 	Probes Probes
 }
 
+// Validate returns the error Run would return for sc before
+// simulating anything. sc itself is left unchanged.
+func (sc Scenario) Validate() error { return sc.validate() }
+
 // validate checks the scenario and fills defaulted fields in place.
 func (sc *Scenario) validate() error {
 	explicit := len(sc.Topology.Relays) > 0
@@ -393,6 +397,12 @@ func (sc *Scenario) validate() error {
 		}
 		if sc.Circuits.Count <= 0 {
 			return fmt.Errorf("scenario: %d circuits", sc.Circuits.Count)
+		}
+		if n := sc.Topology.Population.N; n <= 0 {
+			return fmt.Errorf("scenario: %d relays in the population", n)
+		}
+		if sc.Circuits.Hops < 0 {
+			return fmt.Errorf("scenario: %d hops per circuit", sc.Circuits.Hops)
 		}
 		if sc.Circuits.Hops == 0 {
 			sc.Circuits.Hops = 3

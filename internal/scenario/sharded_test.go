@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"circuitstart/internal/faults"
+	"circuitstart/internal/metrics"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
@@ -362,6 +364,31 @@ func TestShardedStaticExplicitTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsIdentical(t, res, res64)
+}
+
+// TestShardedTraceProbe checks Probes.TraceCwnd on the sharded engine:
+// every circuit carries a source window trace, and the traces are
+// identical at one and two shards.
+func TestShardedTraceProbe(t *testing.T) {
+	var traces [2][]metrics.Point
+	for i, shards := range []int{1, 2} {
+		sc := sharedTrunkScenario(units.Mbps(40), nil)
+		sc.Shards = shards
+		sc.Probes.TraceCwnd = true
+		res, err := Runner{Workers: 1}.Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range res.Arms[0].Circuits {
+			if o.Trace == nil || o.Trace.Len() == 0 {
+				t.Fatalf("%d shards: circuit %d has no cwnd trace", shards, o.Index)
+			}
+			traces[i] = append(traces[i], o.Trace.Points()...)
+		}
+	}
+	if !slices.Equal(traces[0], traces[1]) {
+		t.Fatal("cwnd traces differ between one and two shards")
+	}
 }
 
 func TestShardedValidation(t *testing.T) {

@@ -183,3 +183,39 @@ func TestPoliceBucketCapsAtBurst(t *testing.T) {
 	})
 	clock.Run()
 }
+
+// TestPeekCircNamesTheNextPop checks the train-splitting contract:
+// PeekCirc names the circuit the next Pop serves, through a policer
+// too, and a policer over FIFO (which has no preemption points) reports
+// that it cannot peek.
+func TestPeekCircNamesTheNextPop(t *testing.T) {
+	clock := sim.NewClock()
+	ewma := NewEWMA(clock, 0)
+	policed := NewPolice(NewEWMA(clock, 0), clock, units.Mbps(100), 64*units.Kilobyte)
+	for _, q := range []interface {
+		Queue
+		netem.CircPeeker
+	}{ewma, policed} {
+		if _, ok := q.PeekCirc(); ok {
+			t.Fatal("empty queue peeked a circuit")
+		}
+		q.Push(frame(1, 512))
+		q.Push(frame(1, 512))
+		q.Push(frame(2, 512))
+		for q.Len() > 0 {
+			circ, ok := q.PeekCirc()
+			if f := q.Pop(); !ok || f.Circ != circ {
+				t.Fatalf("peeked circuit %d (%v), popped %d", circ, ok, f.Circ)
+			}
+		}
+		q.Forget(1)
+		q.Forget(2)
+	}
+	fifo := NewPolice(NewFIFO(), clock, units.Mbps(100), 64*units.Kilobyte)
+	fifo.Push(frame(1, 512))
+	if _, ok := fifo.PeekCirc(); ok {
+		t.Fatal("policed FIFO claimed to peek")
+	}
+	fifo.Pop()
+	fifo.Forget(1)
+}

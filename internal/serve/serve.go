@@ -146,7 +146,9 @@ func (s *Server) Close() {
 // running sweep for as long as it runs.
 const readHeaderTimeout = 10 * time.Second
 
-// ListenAndServe runs a server on addr until the listener fails.
+// ListenAndServe runs a server on addr until the listener fails. It
+// blocks on a real port, so tests drive Server.Handler through
+// httptest instead and only the serve-smoke CI job runs it.
 func ListenAndServe(addr string, opts Options) error {
 	s := NewServer(opts)
 	defer s.Close()

@@ -173,17 +173,25 @@ func (b *Base) buildDim(d Dim, traceParams experiments.CwndTraceParams) (sweep.D
 		}
 	}
 	if len(d.SizesBytes) > 0 {
-		sizes := make([]units.DataSize, len(d.SizesBytes))
-		for i, n := range d.SizesBytes {
-			sizes[i] = units.DataSize(n)
+		if least := slices.Min(d.SizesBytes); least < 1 {
+			add(sweep.Dimension{}, fmt.Errorf("transfer size %d bytes is below 1", least))
+		} else {
+			sizes := make([]units.DataSize, len(d.SizesBytes))
+			for i, n := range d.SizesBytes {
+				sizes[i] = units.DataSize(n)
+			}
+			add(sweep.TransferSizes(sizes...), nil)
 		}
-		add(sweep.TransferSizes(sizes...), nil)
 	}
 	if len(d.SizeDists) > 0 {
 		add(sweep.DimSizeDist(d.SizeDists...))
 	}
 	if len(d.Counts) > 0 {
-		add(sweep.Circuits(d.Counts...), nil)
+		if least := slices.Min(d.Counts); least < 1 {
+			add(sweep.Dimension{}, fmt.Errorf("circuit count %d is below 1", least))
+		} else {
+			add(sweep.Circuits(d.Counts...), nil)
+		}
 	}
 	if len(d.Trains) > 0 {
 		add(sweep.DimTrainSize(d.Trains...))

@@ -164,8 +164,12 @@ func Parse(data []byte) (*File, error) {
 	}
 	// Eagerly render the sweep: every dimension value and the fully
 	// composed base scenario are validated now, not inside a worker.
-	if _, err := f.Sweep(); err != nil {
+	sw, err := f.Sweep()
+	if err != nil {
 		return nil, err
+	}
+	if err := sw.Base.Validate(); err != nil {
+		return nil, fmt.Errorf("spec: base: %w", err)
 	}
 	return &f, nil
 }

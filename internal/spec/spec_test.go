@@ -37,7 +37,7 @@ var specCorpus = []string{
 	   "population": {"median_mbps": 20, "sigma": 0.5, "delay_min_ms": 5, "delay_max_ms": 30}},
 	  "dimensions": [{"gammas": [2]}], "sample": 1, "sample_seed": 9}`,
 	`{"base": {"kind": "population", "relays": 8, "circuits": 2, "size_bytes": 40000,
-	   "fault_plan": {"burst_loss": [{"relay": "relay-01", "from_s": 0.5, "until_s": 2}]}},
+	   "fault_plan": {"burst_loss": [{"relay": "relay-001", "from_s": 0.5, "until_s": 2}]}},
 	  "dimensions": [{"counts": [2, 3]}]}`,
 }
 
@@ -134,6 +134,60 @@ func TestParseErrorsNameTheEntry(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("case %d: error %q does not name %q", i, err, c.want)
 		}
+	}
+}
+
+// TestParseRejectsWhatAWorkerWould pins the package contract for the
+// specs that render fine but cannot run: the base scenario and every
+// count and size axis are range-checked at Parse, so the CLI and the
+// daemon refuse them before any worker starts.
+func TestParseRejectsWhatAWorkerWould(t *testing.T) {
+	cases := []struct {
+		src  string
+		want string
+	}{
+		{`{"base": {"kind": "population", "hops": -2}, "dimensions": [{"gammas": [2]}]}`, "base: scenario: -2 hops"},
+		{`{"base": {"kind": "population", "circuits": -2}, "dimensions": [{"gammas": [2]}]}`, "base: scenario: -2 circuits"},
+		{`{"base": {"kind": "population", "relays": -8}, "dimensions": [{"gammas": [2]}]}`, "base: scenario: -8 relays"},
+		{`{"base": {"kind": "population"}, "dimensions": [{"counts": [4, -1]}]}`, "dimensions[0]: circuit count -1"},
+		{`{"base": {"kind": "population"}, "dimensions": [{"gammas": [2]}, {"sizes_bytes": [-5]}]}`, "dimensions[1]: transfer size -5"},
+	}
+	for i, c := range cases {
+		_, err := Parse([]byte(c.src))
+		if err == nil {
+			t.Errorf("case %d accepted: %s", i, c.src)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: error %q does not name %q", i, err, c.want)
+		}
+	}
+}
+
+// TestPopulationBandwidthsAxis checks that bandwidths_mbps on a
+// population base sets each point's median relay rate, on a clone that
+// leaves the base population alone.
+func TestPopulationBandwidthsAxis(t *testing.T) {
+	f, err := Parse([]byte(`{"base": {"kind": "population", "relays": 10, "circuits": 2},
+	  "dimensions": [{"bandwidths_mbps": [8, 32]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := f.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := sw.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []units.DataRate{units.Mbps(8), units.Mbps(32)} {
+		if got := pts[i].Scenario.Topology.Population.BandwidthMedian; got != want {
+			t.Errorf("point %d (%v): median %v, want %v", i, pts[i].Coords, got, want)
+		}
+	}
+	if got, want := sw.Base.Topology.Population.BandwidthMedian, workload.DefaultRelayParams(10).BandwidthMedian; got != want {
+		t.Errorf("base median moved to %v, want %v", got, want)
 	}
 }
 

@@ -2,12 +2,9 @@ package sweep
 
 import (
 	"fmt"
-	"time"
 
 	"circuitstart/internal/faults"
-	"circuitstart/internal/netem"
 	relaypkg "circuitstart/internal/relay"
-	"circuitstart/internal/resource"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
@@ -158,95 +155,6 @@ func PopulationBandwidths(rates ...units.DataRate) Dimension {
 	return d
 }
 
-// RelayRates returns a dimension sweeping one explicit relay's access
-// rate (both directions) — the bottleneck-bandwidth axis of the trace
-// scenarios.
-func RelayRates(relay netem.NodeID, rates ...units.DataRate) Dimension {
-	d := Dimension{Name: fmt.Sprintf("%s_bw", relay)}
-	for _, r := range rates {
-		r := r
-		d.Values = append(d.Values, Value{
-			Label: r.String(),
-			Apply: func(sc *scenario.Scenario) error {
-				for i := range sc.Topology.Relays {
-					if sc.Topology.Relays[i].ID == relay {
-						sc.Topology.Relays[i].Access.UpRate = r
-						sc.Topology.Relays[i].Access.DownRate = r
-						return nil
-					}
-				}
-				return fmt.Errorf("explicit topology has no relay %q", relay)
-			},
-		})
-	}
-	return d
-}
-
-// TrunkRates returns a dimension sweeping every backbone trunk's rate
-// (both directions) on a scenario with a Fabric spec.
-func TrunkRates(rates ...units.DataRate) Dimension {
-	d := Dimension{Name: "trunk_bw"}
-	for _, r := range rates {
-		r := r
-		d.Values = append(d.Values, Value{
-			Label: r.String(),
-			Apply: func(sc *scenario.Scenario) error {
-				if sc.Topology.Fabric == nil {
-					return fmt.Errorf("trunk-rate axis needs a topology with a Fabric spec")
-				}
-				for i := range sc.Topology.Fabric.Trunks {
-					sc.Topology.Fabric.Trunks[i].Config.Rate = r
-				}
-				return nil
-			},
-		})
-	}
-	return d
-}
-
-// TrunkDelays returns a dimension sweeping every backbone trunk's
-// one-way propagation delay on a scenario with a Fabric spec.
-func TrunkDelays(delays ...time.Duration) Dimension {
-	d := Dimension{Name: "trunk_delay"}
-	for _, dl := range delays {
-		dl := dl
-		d.Values = append(d.Values, Value{
-			Label: dl.String(),
-			Apply: func(sc *scenario.Scenario) error {
-				if sc.Topology.Fabric == nil {
-					return fmt.Errorf("trunk-delay axis needs a topology with a Fabric spec")
-				}
-				for i := range sc.Topology.Fabric.Trunks {
-					sc.Topology.Fabric.Trunks[i].Config.Delay = dl
-				}
-				return nil
-			},
-		})
-	}
-	return d
-}
-
-// ChurnRates returns a dimension sweeping the circuit-churn arrival
-// rate. The base scenario must bound the process via
-// CircuitEvents.Arrivals (scenario validation requires both).
-func ChurnRates(rates ...float64) Dimension {
-	d := Dimension{Name: "churn_rate"}
-	for _, r := range rates {
-		r := r
-		d.Values = append(d.Values, Value{
-			Label: fmt.Sprintf("%g", r),
-			Apply: func(sc *scenario.Scenario) error {
-				if sc.CircuitEvents.Arrivals <= 0 {
-					return fmt.Errorf("churn-rate axis needs CircuitEvents.Arrivals set on the base scenario")
-				}
-				sc.CircuitEvents.ArrivalRate = r
-				return nil
-			},
-		})
-	}
-	return d
-}
-
 // DimScheduler returns a dimension sweeping the relay circuit-scheduler
 // discipline ("fifo" or "ewma") on every arm. Names are validated
 // eagerly, so a typo fails at grid construction, not inside a worker.
@@ -268,26 +176,6 @@ func DimScheduler(names ...string) (Dimension, error) {
 		})
 	}
 	return d, nil
-}
-
-// DimRelayCaps returns a dimension sweeping the per-relay resource
-// limits on every arm. A zero Limits value is the uncapped baseline;
-// labels come from Limits.Label.
-func DimRelayCaps(caps ...resource.Limits) Dimension {
-	d := Dimension{Name: "relay_caps"}
-	for _, l := range caps {
-		l := l
-		d.Values = append(d.Values, Value{
-			Label: l.Label(),
-			Apply: func(sc *scenario.Scenario) error {
-				for i := range sc.Arms {
-					sc.Arms[i].Relay.Limits = l
-				}
-				return nil
-			},
-		})
-	}
-	return d
 }
 
 // DimTrainSize returns a dimension sweeping the cell-train coalescing

@@ -211,6 +211,3 @@ func runPoint(s *Sweep, pt Point, workers int) (*PointResult, error) {
 	}
 	return &PointResult{Point: pt, Arms: armPoints(res), Result: res}, nil
 }
-
-// Run executes the sweep with a default Engine (one point per CPU).
-func Run(s Sweep, sinks ...Sink) (*Table, error) { return Engine{}.Run(s, sinks...) }

@@ -55,7 +55,7 @@ func offerRun(t *testing.T, hc harnessConfig, offer bool) (log []string, produce
 	h.run(60 * time.Second)
 	h.assertDeliveredInOrder(submitted)
 	if !h.sender.Idle() {
-		t.Fatalf("sender not idle at the horizon: %s", h.sender.DebugState())
+		t.Fatalf("sender not idle at the horizon: %s", debugState(h.sender))
 	}
 	log = append(log, fmt.Sprintf("last delivery %v", h.lastDelivery),
 		fmt.Sprintf("stats %+v", h.sender.Stats()),
@@ -136,4 +136,11 @@ func TestOfferedCellsCountAsHeldOnceProduced(t *testing.T) {
 	if held != 0 || s.QueueLen() != 0 {
 		t.Fatalf("held = %d, QueueLen = %d after Close; want 0, 0", held, s.QueueLen())
 	}
+}
+
+// debugState renders the sender's internal state for a failure message.
+func debugState(s *Sender) string {
+	return fmt.Sprintf("phase=%v cwnd=%.1f measuring=%v aligned=%v starved=%v roundActive=%v budget=%d boundary=%d sent=%d acked=%d fb=%d queue=%d inflight=%d exitTimerArmed=%v rtoArmed=%v",
+		s.phase, s.cwnd, s.exitMeasuring, s.exitAligned, s.exitStarved, s.roundActive, s.roundBudget, s.roundBoundary,
+		s.nextSeq, s.acked, s.feedback, s.QueueLen(), s.InFlight(), s.exitTimer.Armed(), s.rtoTimer.Armed())
 }

@@ -90,9 +90,6 @@ func (r *Receiver) Close() {
 	r.buffer = nil
 }
 
-// Closed reports whether the receiver has been shut down.
-func (r *Receiver) Closed() bool { return r.closed }
-
 // Stats returns a snapshot of the counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 

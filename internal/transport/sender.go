@@ -355,17 +355,10 @@ func (s *Sender) releaseBuffers() {
 	s.exitSpacings = nil
 }
 
-// Closed reports whether the sender has been shut down.
-func (s *Sender) Closed() bool { return s.closed }
-
 // --- accessors -------------------------------------------------------
 
 // Cwnd returns the congestion window in cells.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// CwndBytes returns the window expressed in payload bytes (cells ×
-// cell.Size), the unit of the paper's Figure 1 y-axis.
-func (s *Sender) CwndBytes() float64 { return s.cwnd * cell.Size }
 
 // Phase returns the current congestion-control phase.
 func (s *Sender) Phase() Phase { return s.phase }
@@ -410,27 +403,6 @@ func (s *Sender) RoundFeedback() int { return int(s.feedback - s.roundStartFb) }
 // meaningful during Startup.OnRoundComplete; policies must not grow the
 // window after an application-limited round.
 func (s *Sender) RoundAppLimited() bool { return s.lastRoundAppLimited }
-
-// DispersionWindow estimates the optimal window from the current
-// round's packet-train dispersion: the successor's forwarding rate,
-// measured as feedback spacing, times the base RTT. This is the
-// "elaborate analysis of the timing information gathered" that the
-// discrete rounds' packet trains enable — the train prefix the
-// successor forwards back-to-back reveals its drain rate, and
-// rate × baseRtt is the minimal window that fully utilizes it.
-// ok is false until the round has at least two spaced feedback events.
-func (s *Sender) DispersionWindow() (cells float64, ok bool) {
-	n := s.RoundFeedback()
-	if !s.roundHasFb || n < 2 || s.baseRtt <= 0 {
-		return 0, false
-	}
-	elapsed := s.clock.Now().Sub(s.roundFirstFb)
-	if elapsed <= 0 {
-		return 0, false
-	}
-	rate := float64(n-1) / elapsed.Seconds() // cells per second
-	return rate * s.baseRtt.Seconds(), true
-}
 
 // VegasDiff returns the live queue estimate of the current round:
 // diff = cwnd·(currentRtt/baseRtt) − cwnd, with currentRtt the mean
@@ -1077,11 +1049,4 @@ func (s *Sender) onRTO() {
 // flight (transfer drained through this hop).
 func (s *Sender) Idle() bool {
 	return s.QueueLen() == 0 && s.nextSeq == s.acked && s.nextSeq == s.feedback
-}
-
-// DebugState renders internal sender state for diagnostics.
-func (s *Sender) DebugState() string {
-	return fmt.Sprintf("phase=%v cwnd=%.1f measuring=%v aligned=%v starved=%v roundActive=%v budget=%d boundary=%d sent=%d acked=%d fb=%d queue=%d inflight=%d exitTimerArmed=%v rtoArmed=%v",
-		s.phase, s.cwnd, s.exitMeasuring, s.exitAligned, s.exitStarved, s.roundActive, s.roundBudget, s.roundBoundary,
-		s.nextSeq, s.acked, s.feedback, s.QueueLen(), s.InFlight(), s.exitTimer.Armed(), s.rtoTimer.Armed())
 }

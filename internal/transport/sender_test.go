@@ -442,3 +442,14 @@ func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
 		t.Errorf("held = %d after Close, want 0", held)
 	}
 }
+
+func TestCompensationString(t *testing.T) {
+	for c, want := range map[Compensation]string{
+		CompMeasured: "measured",
+		CompCounted:  "counted",
+	} {
+		if got := c.String(); got != want {
+			t.Errorf("Compensation(%d).String() = %q, want %q", int(c), got, want)
+		}
+	}
+}

@@ -35,9 +35,6 @@ func (s DataSize) Bits() int64 { return int64(s) * 8 }
 // cwnd axis ("source cwnd [KB]").
 func (s DataSize) Kilobytes() float64 { return float64(s) / 1000 }
 
-// Megabytes returns the size in MB.
-func (s DataSize) Megabytes() float64 { return float64(s) / 1e6 }
-
 func (s DataSize) String() string {
 	switch {
 	case s >= Gigabyte:
