@@ -7,29 +7,6 @@ import (
 	"testing"
 )
 
-func TestRunAblationFaults(t *testing.T) {
-	if err := runAblation([]string{"-name", "faults", "-circuits", "4"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runAblation([]string{"-name", "faults", "-circuits", "0"}); err == nil {
-		t.Fatal("zero circuits accepted")
-	}
-}
-
-// TestAblationFaultsTrainDeterminism pins the TrainSize ≤ 1 contract on
-// the faulted path: 0 (disabled) and 1 (trains of one) must both take
-// the one-event-per-cell schedule and print byte-identical reports.
-func TestAblationFaultsTrainDeterminism(t *testing.T) {
-	run := func(train string) string {
-		return captureStdout(t, func() error {
-			return runAblation([]string{"-name", "faults", "-circuits", "4", "-train", train})
-		})
-	}
-	if a, b := run("0"), run("1"); a != b {
-		t.Errorf("faults ablation differs between -train 0 and -train 1\n--- train 0 ---\n%s--- train 1 ---\n%s", a, b)
-	}
-}
-
 func TestRunScenarioFaultsPreset(t *testing.T) {
 	args := []string{"-circuits", "4", "-relays", "10", "-size", "100000",
 		"-reps", "2", "-workers", "4", "-seed", "42", "-faults", "flaky"}

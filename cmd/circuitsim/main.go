@@ -25,7 +25,6 @@ import (
 	"circuitstart/internal/faults"
 	"circuitstart/internal/metrics"
 	"circuitstart/internal/netem"
-	"circuitstart/internal/resource"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/traceio"
@@ -47,7 +46,7 @@ type command struct {
 var commands = []command{
 	{"fig1-cwnd", "single-circuit source cwnd trace (Figure 1, upper panels)", runFig1Cwnd},
 	{"fig1-cdf", "download-time CDF, with vs without CircuitStart (Figure 1, lower)", runFig1CDF},
-	{"ablation", "design-choice sweeps: " + strings.Join(ablationNames, ", "), runAblation},
+	{"ablation", "design-choice sweeps: " + strings.Join(ablationNames(), ", "), runAblation},
 	{"dynamic", "capacity-step extension (future-work experiment)", runDynamic},
 	{"scenario", "declarative multi-arm sweep on the parallel runner", runScenario},
 	{"sweep", "parameter-grid engine: dimensions × base scenario, streamed to CSV/JSONL", runSweep},
@@ -110,6 +109,9 @@ func runFig1Cwnd(args []string) error {
 		return err
 	}
 	defer stopProfiles()
+	if *horizon <= 0 {
+		return fmt.Errorf("-horizon %v: want a positive duration", *horizon)
+	}
 
 	p := experiments.DefaultCwndTraceParams(*distance)
 	p.Seed = *seed
@@ -169,58 +171,114 @@ func runFig1CDF(args []string) error {
 	p.Scenario.Relays = workload.DefaultRelayParams(*relays)
 	p.Scenario.TransferSize = units.DataSize(*size)
 	p.Scenario.Download = *download
+	return writeFig1CDF(os.Stdout, p, *csvPath)
+}
+
+// writeFig1CDF runs the aggregate experiment and prints one TTLB
+// summary row per arm and CircuitStart's median improvement over
+// BackTap; csvPath, if set, receives both CDFs.
+func writeFig1CDF(w io.Writer, p experiments.CDFParams, csvPath string) error {
 	res, err := experiments.Fig1DownloadCDF(p)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("fig1-cdf: %d circuits over %d relays, %s each\n",
-		*circuits, *relays, units.DataSize(*size))
+	fmt.Fprintf(w, "fig1-cdf: %d circuits over %d relays, %s each\n",
+		p.Scenario.Circuits, p.Scenario.Relays.N, p.Scenario.TransferSize)
 	dists := make([]*metrics.Distribution, 0, len(res.Arms))
 	for _, arm := range res.Arms {
 		if arm.Incomplete > 0 {
-			fmt.Printf("  warning: %s left %d transfers incomplete\n", arm.Name, arm.Incomplete)
+			fmt.Fprintf(w, "  warning: %s left %d transfers incomplete\n", arm.Name, arm.Incomplete)
 		}
 		dists = append(dists, arm.TTLB)
 	}
-	if err := traceio.WriteSummaryTable(os.Stdout, dists...); err != nil {
+	if err := traceio.WriteSummaryTable(w, dists...); err != nil {
 		return err
 	}
-	if gap := res.MedianGap("circuitstart", "backtap"); len(res.Arms) >= 2 {
-		fmt.Printf("median improvement with CircuitStart: %.3f s\n", -gap)
+	if err := writeMedianGap(w, res, "median improvement with CircuitStart", "circuitstart", "backtap"); err != nil {
+		return err
 	}
 
-	if *csvPath != "" {
-		return writeCSV(*csvPath, func(f *os.File) error {
+	if csvPath != "" {
+		return writeCSV(csvPath, func(f *os.File) error {
 			return traceio.WriteCDFCSV(f, dists...)
 		})
 	}
 	return nil
 }
 
+// writeMedianGap prints how much earlier arm a's median transfer
+// finished than arm b's, or, when an arm completed no transfer within
+// the horizon and so has no median, which arm that was.
+func writeMedianGap(w io.Writer, res *scenario.Result, label, a, b string) error {
+	for _, name := range []string{a, b} {
+		if arm := res.Arm(name); arm == nil || arm.TTLB.Len() == 0 {
+			_, err := fmt.Fprintf(w, "%s: none, %s completed no transfer\n", label, name)
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "%s: %.3f s\n", label, -res.MedianGap(a, b))
+	return err
+}
+
+// ablation binds one -name of the ablation subcommand to the function
+// that runs it and prints its table. The usage text lists the names
+// in this order.
+type ablation struct {
+	name string
+	run  func(w io.Writer, a ablationArgs) error
+}
+
+// ablationArgs carries the parsed ablation flags: the seed every
+// ablation takes, and the scale ablation's population and shard counts.
+type ablationArgs struct {
+	seed  int64
+	scale experiments.ScaleParams
+}
+
+var ablations = []ablation{
+	{"gamma", traceAblation(func(seed int64) ([]experiments.TraceRow, error) {
+		return experiments.AblationGamma(seed, nil)
+	})},
+	{"compensation", traceAblation(experiments.AblationCompensation)},
+	{"clock", traceAblation(experiments.AblationFeedbackClock)},
+	{"position", traceAblation(experiments.AblationBottleneckPosition)},
+	{"concurrency", runConcurrency},
+	{"extensions", traceAblation(experiments.AblationExtensions)},
+	{"vegas", traceAblation(experiments.AblationVegas)},
+	{"shared", func(w io.Writer, a ablationArgs) error {
+		return reportShared(w, experiments.SharedBottleneck(a.seed))
+	}},
+	{"churn", func(w io.Writer, a ablationArgs) error {
+		sc, err := experiments.Churn(a.seed)
+		if err != nil {
+			return err
+		}
+		return reportChurn(w, sc)
+	}},
+	{"overload", func(w io.Writer, a ablationArgs) error {
+		return reportOverload(w, experiments.Overload(a.seed))
+	}},
+	{"faults", func(w io.Writer, a ablationArgs) error {
+		return reportFaults(w, experiments.Faults(a.seed))
+	}},
+	{"scale", runScale},
+}
+
 // ablationNames lists every -name the ablation subcommand accepts, in
-// presentation order; runAblation's switch must cover exactly these
-// (the usage text and README derive from this list).
-var ablationNames = []string{
-	"gamma", "compensation", "clock", "position", "concurrency",
-	"extensions", "vegas", "shared", "churn", "overload", "faults",
-	"scale",
+// table order.
+func ablationNames() []string {
+	names := make([]string, len(ablations))
+	for i, ab := range ablations {
+		names[i] = ab.name
+	}
+	return names
 }
 
 func runAblation(args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ExitOnError)
-	name := fs.String("name", "gamma", strings.Join(ablationNames, " | "))
+	name := fs.String("name", "gamma", strings.Join(ablationNames(), " | "))
 	seed := fs.Int64("seed", 42, "experiment seed")
-	circuits := fs.Int("circuits", 8, "circuits sharing the trunk (shared, faults)")
-	trunk := fs.Float64("trunk", 16, "shared trunk rate [Mbit/s] (shared, overload, faults)")
-	arrivals := fs.Int("arrivals", 40, "churn downloads arriving mid-run (churn only)")
-	rate := fs.Float64("rate", 8, "churn arrival rate per second (churn only)")
-	failures := fs.Int("failures", 2, "high-bandwidth relays failing mid-run (churn only)")
-	pairs := fs.Int("pairs", 8, "interactive+bulk circuit pairs (overload only)")
-	maxCircuits := fs.Int("max-circuits", 6, "per-relay circuit cap (overload only)")
-	maxMemory := fs.Int64("max-memory", 128_000, "per-relay held-cell memory cap [bytes] (overload only)")
-	killPolicy := fs.String("kill", "kill-heaviest", "cap policy: reject-new | kill-oldest | kill-heaviest (overload only)")
-	train := fs.Int("train", 0, "cell-train coalescing cap per link, <=1 = one event per cell (churn, overload, faults)")
 	relays := fs.Int("relays", 1024, "generated relay population size (scale only)")
 	switches := fs.Int("switches", 16, "backbone ring switches (scale only)")
 	shardCounts := fs.String("shards", "1,2,4", "comma-separated shard counts to time (scale only)")
@@ -230,143 +288,20 @@ func runAblation(args []string) error {
 	}
 	defer stopProfiles()
 
-	switch *name {
-	case "gamma":
-		rows, err := experiments.AblationGamma(*seed, nil)
-		if err != nil {
+	for _, ab := range ablations {
+		if ab.name != *name {
+			continue
+		}
+		a := ablationArgs{seed: *seed, scale: experiments.DefaultScaleParams()}
+		a.scale.Seed = *seed
+		a.scale.Relays = *relays
+		a.scale.Switches = *switches
+		if a.scale.ShardCounts, err = parseShardCounts(*shardCounts); err != nil {
 			return err
 		}
-		return printAblation(rows)
-	case "compensation":
-		rows, err := experiments.AblationCompensation(*seed)
-		if err != nil {
-			return err
-		}
-		return printAblation(rows)
-	case "clock":
-		rows, err := experiments.AblationFeedbackClock(*seed)
-		if err != nil {
-			return err
-		}
-		return printAblation(rows)
-	case "position":
-		rows, err := experiments.AblationBottleneckPosition(*seed, 3)
-		if err != nil {
-			return err
-		}
-		return printAblation(rows)
-	case "extensions":
-		rows, err := experiments.AblationExtensions(*seed)
-		if err != nil {
-			return err
-		}
-		return printAblation(rows)
-	case "vegas":
-		rows, err := experiments.AblationVegas(*seed, nil)
-		if err != nil {
-			return err
-		}
-		return printAblation(rows)
-	case "shared":
-		p := experiments.DefaultSharedBottleneckParams()
-		p.Seed = *seed
-		p.Circuits = *circuits
-		p.TrunkRate = units.Mbps(*trunk)
-		res, err := experiments.AblationSharedBottleneck(p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ablation shared-bottleneck: %d circuits across one %s trunk, %s each\n",
-			p.Circuits, p.TrunkRate, p.TransferSize)
-		if err := res.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("median improvement with CircuitStart: %.3f s\n",
-			-res.MedianGap("circuitstart", "slowstart"))
-		return nil
-	case "concurrency":
-		rows, err := experiments.AblationConcurrency(*seed, nil)
-		if err != nil {
-			return err
-		}
-		tbl := traceio.NewTable("circuits", "median_with_s", "median_without_s", "p90_with_s", "p90_without_s")
-		for _, r := range rows {
-			tbl.AddRowf(r.Circuits, r.MedianWith, r.MedianWithout, r.P90With, r.P90Without)
-		}
-		return tbl.WriteText(os.Stdout)
-	case "churn":
-		p := experiments.DefaultChurnParams()
-		p.Seed = *seed
-		p.Arrivals = *arrivals
-		p.ArrivalRate = *rate
-		p.Failures = *failures
-		p.TrainSize = *train
-		res, err := experiments.AblationChurn(p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ablation churn: %d initial + %d arriving downloads (%s each) over %d relays, %d relay failures\n",
-			p.InitialCircuits, p.Arrivals, p.TransferSize, p.Relays.N, p.Failures)
-		if err := res.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("median improvement with CircuitStart under churn: %.3f s\n",
-			-res.MedianGap("circuitstart", "backtap"))
-		return nil
-	case "overload":
-		policy, err := resource.PolicyByName(*killPolicy)
-		if err != nil {
-			return err
-		}
-		p := experiments.DefaultOverloadParams()
-		p.Seed = *seed
-		p.CircuitPairs = *pairs
-		p.TrunkRate = units.Mbps(*trunk)
-		p.Limits.MaxCircuits = *maxCircuits
-		p.Limits.MaxMemory = units.DataSize(*maxMemory)
-		p.Limits.Policy = policy
-		p.TrainSize = *train
-		res, err := experiments.AblationOverload(p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ablation overload: %d interactive (%s) + %d bulk (%s) circuits on %d relay pairs behind a %s trunk, caps %s\n",
-			p.CircuitPairs, p.Interactive, p.CircuitPairs, p.Bulk, p.RelayPairs, p.TrunkRate, p.Limits.Label())
-		return res.WriteText(os.Stdout)
-	case "faults":
-		p := experiments.DefaultFaultsParams()
-		p.Seed = *seed
-		p.Circuits = *circuits
-		p.TrunkRate = units.Mbps(*trunk)
-		p.TrainSize = *train
-		res, err := experiments.AblationFaults(p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ablation faults: %d downloads (%s each) on %d relay pairs behind a %s trunk; burst loss, relay hang and trunk flap with endpoint recovery\n",
-			p.Circuits, p.TransferSize, p.RelayPairs, p.TrunkRate)
-		return res.WriteText(os.Stdout)
-	case "scale":
-		p := experiments.DefaultScaleParams()
-		p.Seed = *seed
-		p.Relays = *relays
-		p.Switches = *switches
-		p.TrainSize = *train
-		counts, err := parseShardCounts(*shardCounts)
-		if err != nil {
-			return err
-		}
-		p.ShardCounts = counts
-		res, err := experiments.AblationScale(p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ablation scale: %d initial + %d arriving downloads (%s each) over %d relays behind %d switches, one trial timed per shard count\n",
-			p.InitialCircuits, p.Arrivals, p.TransferSize, p.Relays, p.Switches)
-		return res.WriteText(os.Stdout)
-	default:
-		return fmt.Errorf("unknown ablation %q", *name)
+		return ab.run(os.Stdout, a)
 	}
+	return fmt.Errorf("unknown ablation %q", *name)
 }
 
 // parseShardCounts parses the scale ablation's "1,2,4" flag.
@@ -382,23 +317,103 @@ func parseShardCounts(s string) ([]int, error) {
 	return counts, nil
 }
 
-func printAblation(rows []experiments.AblationRow) error {
-	tbl := traceio.NewTable("configuration", "exit_cwnd", "optimal", "peak", "settle", "final")
-	for _, r := range rows {
-		settle := "never"
-		if r.SettleTime >= 0 {
-			settle = r.SettleTime.String()
+// traceAblation adapts a sweep over the single-circuit trace scenario:
+// one row per configuration, with the window statistics of its trace.
+func traceAblation(rows func(seed int64) ([]experiments.TraceRow, error)) func(io.Writer, ablationArgs) error {
+	return func(w io.Writer, a ablationArgs) error {
+		rs, err := rows(a.seed)
+		if err != nil {
+			return err
 		}
-		tbl.AddRowf(r.Label, r.ExitCwnd, r.OptimalCells, r.PeakCells, settle, r.FinalCells)
+		tbl := traceio.NewTable("configuration", "exit_cwnd", "optimal", "peak", "settle", "final")
+		for _, r := range rs {
+			settle := "never"
+			if r.SettleTime >= 0 {
+				settle = r.SettleTime.String()
+			}
+			tbl.AddRowf(r.Label, r.ExitCwnd, r.OptimalCells, r.PeakCells, settle, r.FinalCells)
+		}
+		return tbl.WriteText(w)
 	}
-	return tbl.WriteText(os.Stdout)
+}
+
+// runConcurrency prints TTLB medians and 90th percentiles per
+// concurrency level. Its four aggregate runs take seconds, so only
+// TestGoldenTables without -short runs it.
+func runConcurrency(w io.Writer, a ablationArgs) error {
+	rows, err := experiments.AblationConcurrency(a.seed, nil)
+	if err != nil {
+		return err
+	}
+	tbl := traceio.NewTable("circuits", "median_with_s", "median_without_s", "p90_with_s", "p90_without_s")
+	for _, r := range rows {
+		tbl.AddRowf(r.Circuits, r.MedianWith, r.MedianWithout, r.P90With, r.P90Without)
+	}
+	return tbl.WriteText(w)
+}
+
+// writeReport runs one multi-arm ablation scenario and prints a header
+// line describing it, then the result table.
+func writeReport(w io.Writer, sc scenario.Scenario, header string, args ...any) (*scenario.Result, error) {
+	res, err := scenario.Run(sc)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := fmt.Fprintf(w, header+"\n", args...); err != nil {
+		return nil, err
+	}
+	return res, res.WriteText(w)
+}
+
+// trunkRate is the rate of a dumbbell scenario's one backbone trunk.
+func trunkRate(sc scenario.Scenario) units.DataRate {
+	return sc.Topology.Fabric.Trunks[0].Config.Rate
+}
+
+func reportShared(w io.Writer, sc scenario.Scenario) error {
+	res, err := writeReport(w, sc, "ablation shared-bottleneck: %d circuits across one %s trunk, %s each",
+		sc.Circuits.Count, trunkRate(sc), sc.Circuits.TransferSize)
+	if err != nil {
+		return err
+	}
+	return writeMedianGap(w, res, "median improvement with CircuitStart", "circuitstart", "slowstart")
+}
+
+func reportChurn(w io.Writer, sc scenario.Scenario) error {
+	res, err := writeReport(w, sc, "ablation churn: %d initial + %d arriving downloads (%s each) over %d relays, %d relay failures",
+		sc.Circuits.Count, sc.CircuitEvents.Arrivals, sc.Circuits.TransferSize, sc.Topology.Population.N, len(sc.RelayEvents)/2)
+	if err != nil {
+		return err
+	}
+	return writeMedianGap(w, res, "median improvement with CircuitStart under churn", "circuitstart", "backtap")
+}
+
+func reportOverload(w io.Writer, sc scenario.Scenario) error {
+	pairs := sc.Circuits.Count / 2
+	_, err := writeReport(w, sc, "ablation overload: %d interactive (%s) + %d bulk (%s) circuits on %d relay pairs behind a %s trunk, caps %s",
+		pairs, sc.Circuits.SizeMix[0], pairs, sc.Circuits.SizeMix[1], len(sc.Topology.Relays)/2, trunkRate(sc), sc.Arms[0].Relay.Limits.Label())
+	return err
+}
+
+func reportFaults(w io.Writer, sc scenario.Scenario) error {
+	_, err := writeReport(w, sc, "ablation faults: %d downloads (%s each) on %d relay pairs behind a %s trunk; burst loss, relay hang and trunk flap with endpoint recovery",
+		sc.Circuits.Count, sc.Circuits.TransferSize, len(sc.Topology.Relays)/2, trunkRate(sc))
+	return err
+}
+
+func runScale(w io.Writer, a ablationArgs) error {
+	p := a.scale
+	res, err := experiments.AblationScale(p)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "ablation scale: %d initial + %d arriving downloads (%s each) over %d relays behind %d switches, one trial timed per shard count\n",
+		p.InitialCircuits, p.Arrivals, p.TransferSize, p.Relays, p.Switches)
+	return res.WriteText(w)
 }
 
 func runDynamic(args []string) error {
 	fs := flag.NewFlagSet("dynamic", flag.ExitOnError)
-	before := fs.Float64("before", 8, "bottleneck rate before the step [Mbit/s]")
-	after := fs.Float64("after", 40, "bottleneck rate after the step [Mbit/s]")
-	restart := fs.Int("restart", 3, "re-probe threshold in rounds (-1 disables the extension)")
 	seed := fs.Int64("seed", 42, "experiment seed")
 	stopProfiles, err := parseProfiled(fs, args)
 	if err != nil {
@@ -406,14 +421,7 @@ func runDynamic(args []string) error {
 	}
 	defer stopProfiles()
 
-	r, err := experiments.ExtensionDynamicRestart(experiments.DynamicRestartParams{
-		Seed:          *seed,
-		BeforeRate:    units.Mbps(*before),
-		AfterRate:     units.Mbps(*after),
-		StepAt:        sim.Second,
-		Horizon:       5 * sim.Second,
-		RestartRounds: *restart,
-	})
+	r, err := experiments.ExtensionDynamicRestart(experiments.DynamicRestart(*seed))
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"circuitstart/internal/experiments"
+	"circuitstart/internal/sim"
+	"circuitstart/internal/workload"
 )
 
 func TestRunFig1Cwnd(t *testing.T) {
@@ -25,12 +30,23 @@ func TestRunFig1Cwnd(t *testing.T) {
 	}
 }
 
+// TestRunFig1CwndBadFlags pins that a flag the trace cannot honour
+// fails before anything runs, with an error naming it, instead of
+// falling back to a default the output then misreports.
 func TestRunFig1CwndBadFlags(t *testing.T) {
-	if err := runFig1Cwnd([]string{"-distance", "9"}); err == nil {
-		t.Fatal("bottleneck beyond the path accepted")
-	}
-	if err := runFig1Cwnd([]string{"-policy", "warp"}); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-distance", "9"}, "bottleneck hop 9"},
+		{[]string{"-policy", "warp"}, `"warp"`},
+		{[]string{"-horizon", "0s"}, "-horizon 0s"},
+		{[]string{"-horizon", "-1s"}, "-horizon -1s"},
+	} {
+		err := runFig1Cwnd(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one naming %q", c.args, err, c.want)
+		}
 	}
 }
 
@@ -48,44 +64,25 @@ func TestRunFig1CDFSmall(t *testing.T) {
 	}
 }
 
-func TestRunAblation(t *testing.T) {
-	for _, name := range []string{"compensation", "clock", "position"} {
-		if err := runAblation([]string{"-name", name}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if err := runAblation([]string{"-name", "bogus"}); err == nil {
-		t.Fatal("unknown ablation accepted")
-	}
-}
-
-func TestRunAblationShared(t *testing.T) {
-	if err := runAblation([]string{"-name", "shared", "-circuits", "3", "-trunk", "24"}); err != nil {
+// TestFig1CDFWithoutCompletedTransfer runs the fig1-cdf report on a
+// horizon too short for any transfer to finish: the table must say why
+// the median improvement is missing instead of asking an empty
+// distribution for its median.
+func TestFig1CDFWithoutCompletedTransfer(t *testing.T) {
+	p := experiments.DefaultCDFParams()
+	p.Scenario.Circuits = 2
+	p.Scenario.Relays = workload.DefaultRelayParams(5)
+	p.Horizon = sim.Millisecond
+	var buf bytes.Buffer
+	if err := writeFig1CDF(&buf, p, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runAblation([]string{"-name", "shared", "-circuits", "0"}); err == nil {
-		t.Fatal("zero circuits accepted")
+	out := buf.String()
+	if !strings.Contains(out, "left 2 transfers incomplete") {
+		t.Errorf("report does not warn about the incomplete transfers:\n%s", out)
 	}
-}
-
-func TestRunAblationChurn(t *testing.T) {
-	if err := runAblation([]string{"-name", "churn", "-arrivals", "6", "-rate", "6", "-failures", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runAblation([]string{"-name", "churn", "-failures", "-1"}); err == nil {
-		t.Fatal("negative failure count accepted")
-	}
-}
-
-func TestRunAblationOverload(t *testing.T) {
-	if err := runAblation([]string{"-name", "overload", "-pairs", "4", "-max-circuits", "5", "-kill", "kill-oldest"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runAblation([]string{"-name", "overload", "-kill", "banish"}); err == nil {
-		t.Fatal("unknown kill policy accepted")
-	}
-	if err := runAblation([]string{"-name", "overload", "-pairs", "0"}); err == nil {
-		t.Fatal("zero circuit pairs accepted")
+	if want := "median improvement with CircuitStart: none, circuitstart completed no transfer\n"; !strings.HasSuffix(out, want) {
+		t.Errorf("report does not end with %q:\n%s", want, out)
 	}
 }
 
@@ -104,44 +101,13 @@ func TestUsageMatchesCommandTable(t *testing.T) {
 			t.Errorf("command %q has no implementation", cmd.name)
 		}
 	}
-	for _, name := range ablationNames {
+	for _, name := range ablationNames() {
 		if !strings.Contains(help, name) {
 			t.Errorf("usage does not mention ablation %q", name)
 		}
 	}
 	if got := strings.Count(help, "\n  "); got != len(commands) {
 		t.Errorf("usage lists %d commands, table has %d", got, len(commands))
-	}
-}
-
-// TestAblationNamesDispatch asserts every advertised ablation name is
-// actually dispatchable (reaches its implementation rather than the
-// unknown-name error). Names whose full runs other tests in this file
-// already exercise — compensation/clock/position (TestRunAblation),
-// shared (TestRunAblationShared), churn (TestRunAblationChurn),
-// overload (TestRunAblationOverload), faults (TestRunAblationFaults) —
-// and the minutes-long concurrency
-// sweep are skipped; the remaining trace-topology sweeps are cheap
-// enough to run outright.
-func TestAblationNamesDispatch(t *testing.T) {
-	covered := map[string]bool{
-		"compensation": true, "clock": true, "position": true,
-		"shared": true, "churn": true, "concurrency": true,
-		"overload": true, "faults": true,
-	}
-	for _, name := range ablationNames {
-		if covered[name] {
-			continue
-		}
-		if err := runAblation([]string{"-name", name}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-}
-
-func TestRunDynamic(t *testing.T) {
-	if err := runDynamic([]string{"-before", "8", "-after", "24"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -13,38 +13,18 @@ import (
 	"circuitstart/internal/units"
 )
 
-// AblationRow is one configuration's outcome in an ablation sweep over
-// the single-circuit trace scenario.
-type AblationRow struct {
-	// Label names the configuration (γ value, policy name, …).
+// TraceRow is one configuration's outcome in an ablation over the
+// single-circuit trace scenario: the configuration's label (γ value,
+// policy name, …) and its trace statistics.
+type TraceRow struct {
 	Label string
-	// ExitCwnd, OptimalCells, PeakCells, SettleTime, FinalCells mirror
-	// CwndTraceResult.
-	ExitCwnd     float64
-	OptimalCells float64
-	PeakCells    float64
-	SettleTime   sim.Time
-	FinalCells   float64
-	// ExitTime is when startup ended.
-	ExitTime sim.Time
-}
-
-func rowFromTrace(label string, r CwndTraceResult) AblationRow {
-	return AblationRow{
-		Label:        label,
-		ExitCwnd:     r.ExitCwnd,
-		OptimalCells: r.OptimalCells,
-		PeakCells:    r.PeakCells,
-		SettleTime:   r.SettleTime,
-		FinalCells:   r.FinalCells,
-		ExitTime:     r.ExitTime,
-	}
+	CwndTraceResult
 }
 
 // runTraceArms executes one multi-arm sweep over the trace scenario —
 // every arm sees the identical topology and seed, and the runner fans
 // the arms out across the CPUs — and renders one row per arm.
-func runTraceArms(p CwndTraceParams, arms []scenario.Arm) ([]AblationRow, error) {
+func runTraceArms(p CwndTraceParams, arms []scenario.Arm) ([]TraceRow, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -52,16 +32,16 @@ func runTraceArms(p CwndTraceParams, arms []scenario.Arm) ([]AblationRow, error)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationRow, len(res.Arms))
+	rows := make([]TraceRow, len(res.Arms))
 	for i, arm := range res.Arms {
-		rows[i] = rowFromTrace(arm.Name, traceResult(p, arm.Circuits[0]))
+		rows[i] = TraceRow{arm.Name, traceResult(p, arm.Circuits[0])}
 	}
 	return rows, nil
 }
 
 // AblationGamma sweeps the start-up exit threshold γ (paper fixes γ=4)
 // on the distant-bottleneck trace scenario.
-func AblationGamma(seed int64, gammas []float64) ([]AblationRow, error) {
+func AblationGamma(seed int64, gammas []float64) ([]TraceRow, error) {
 	if len(gammas) == 0 {
 		gammas = []float64{1, 2, 4, 8, 16}
 	}
@@ -81,15 +61,12 @@ func AblationGamma(seed int64, gammas []float64) ([]AblationRow, error) {
 // measured compensation, the literal in-round count, halving, and no
 // compensation at all (classic slow start), on the distant-bottleneck
 // scenario where compensation matters most.
-func AblationCompensation(seed int64) ([]AblationRow, error) {
+func AblationCompensation(seed int64) ([]TraceRow, error) {
 	arms := []scenario.Arm{
 		{Name: "measured (paper)", Transport: core.TransportOptions{Policy: "circuitstart", Compensation: transport.CompMeasured}},
 		{Name: "counted (literal)", Transport: core.TransportOptions{Policy: "circuitstart", Compensation: transport.CompCounted}},
 		{Name: "halving", Transport: core.TransportOptions{Policy: "circuitstart-halve"}},
 		{Name: "classic slow start", Transport: core.TransportOptions{Policy: "slowstart"}},
-	}
-	for _, a := range arms {
-		mustPolicy(orDefault(a.Transport.Policy))
 	}
 	p := DefaultCwndTraceParams(3)
 	p.Seed = seed
@@ -99,7 +76,7 @@ func AblationCompensation(seed int64) ([]AblationRow, error) {
 // AblationFeedbackClock isolates the feedback-vs-ACK clocking choice:
 // the same compensated exit, driven by rounds of FEEDBACK (CircuitStart)
 // or by reception ACKs (a chained split-TCP-style ramp).
-func AblationFeedbackClock(seed int64) ([]AblationRow, error) {
+func AblationFeedbackClock(seed int64) ([]TraceRow, error) {
 	arms := []scenario.Arm{
 		{Name: "feedback rounds (paper)", Transport: core.TransportOptions{Policy: "circuitstart"}},
 		{Name: "ack clocked + compensation", Transport: core.TransportOptions{Policy: "slowstart-compensated"}},
@@ -110,25 +87,21 @@ func AblationFeedbackClock(seed int64) ([]AblationRow, error) {
 	return runTraceArms(p, arms)
 }
 
-// AblationBottleneckPosition sweeps the bottleneck hop 1..hops and
-// reports convergence per position — the paper's claim is position
-// independence ("quickly adjust the cwnd independently of the
-// bottleneck's location"). Each position is its own topology, so this
-// sweep runs one single-arm scenario per hop.
-func AblationBottleneckPosition(seed int64, hops int) ([]AblationRow, error) {
-	if hops <= 0 {
-		hops = 3
-	}
-	rows := make([]AblationRow, 0, hops)
-	for h := 1; h <= hops; h++ {
+// AblationBottleneckPosition sweeps the bottleneck over hops 1..3 of
+// the trace circuit and reports convergence per position — the paper's
+// claim is position independence ("quickly adjust the cwnd
+// independently of the bottleneck's location"). Each position is its
+// own topology, so this sweep runs one single-arm scenario per hop.
+func AblationBottleneckPosition(seed int64) ([]TraceRow, error) {
+	var rows []TraceRow
+	for h := 1; h <= 3; h++ {
 		p := DefaultCwndTraceParams(h)
 		p.Seed = seed
-		p.Hops = hops
 		r, err := Fig1CwndTrace(p)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, rowFromTrace(fmt.Sprintf("bottleneck at hop %d", h), r))
+		rows = append(rows, TraceRow{fmt.Sprintf("bottleneck at hop %d", h), r})
 	}
 	return rows, nil
 }
@@ -137,7 +110,7 @@ func AblationBottleneckPosition(seed int64, hops int) ([]AblationRow, error) {
 // reproduction enables by default (DESIGN.md, deviations): the same
 // distant-bottleneck trace with both, either, and neither of severe
 // remeasure and accelerated re-probe.
-func AblationExtensions(seed int64) ([]AblationRow, error) {
+func AblationExtensions(seed int64) ([]TraceRow, error) {
 	arms := []scenario.Arm{
 		{Name: "both extensions (default)", Transport: core.TransportOptions{}},
 		{Name: "remeasure only", Transport: core.TransportOptions{RestartRounds: -1}},
@@ -152,10 +125,8 @@ func AblationExtensions(seed int64) ([]AblationRow, error) {
 // AblationVegas sweeps the congestion-avoidance thresholds (α, β)
 // around BackTap's defaults (2, 4) on the near-bottleneck trace, where
 // the post-exit operating point is governed by avoidance.
-func AblationVegas(seed int64, pairs [][2]float64) ([]AblationRow, error) {
-	if len(pairs) == 0 {
-		pairs = [][2]float64{{1, 2}, {2, 4}, {3, 6}, {4, 8}, {6, 12}}
-	}
+func AblationVegas(seed int64) ([]TraceRow, error) {
+	pairs := [][2]float64{{1, 2}, {2, 4}, {3, 6}, {4, 8}, {6, 12}}
 	arms := make([]scenario.Arm, len(pairs))
 	for i, ab := range pairs {
 		arms[i] = scenario.Arm{
@@ -213,25 +184,43 @@ func AblationConcurrency(seed int64, levels []int) ([]ConcurrencyRow, error) {
 	return rows, nil
 }
 
-// DynamicRestartParams configures the future-work extension experiment:
-// the bottleneck's capacity steps up mid-transfer and the sender must
-// re-probe instead of crawling.
-type DynamicRestartParams struct {
-	Seed int64
-	// BeforeRate, AfterRate are the bottleneck's capacity before and
-	// after the step.
-	BeforeRate, AfterRate units.DataRate
-	// StepAt is when the capacity changes.
-	StepAt sim.Time
-	// Horizon bounds the run.
-	Horizon sim.Time
-	// RestartRounds configures the extension (-1 disables: baseline).
-	RestartRounds int
+// DynamicRestart is the future-work extension experiment: a circuit
+// over relays r1, r2, r3 whose bottleneck r2's access rate steps from
+// 8 to 40 Mbit/s at 1 s, declared as the scenario's one LinkEvent
+// (netem links apply a rate change from the next frame onward), in an
+// otherwise 100 Mbit/s overlay. The 50 MB transfer, twice what the
+// stepped-up bottleneck carries in the 5 s horizon, keeps the source
+// backlogged throughout. Its one arm re-probes after 3 rounds; set the
+// arm's Transport.RestartRounds to -1 for the baseline without the
+// extension. Run it with ExtensionDynamicRestart.
+func DynamicRestart(seed int64) scenario.Scenario {
+	fast, delay := units.Mbps(100), 5*time.Millisecond
+	return scenario.Scenario{
+		Name: "extension-dynamic-restart",
+		Seed: seed,
+		Topology: scenario.Topology{Relays: []scenario.RelaySpec{
+			{ID: "r1", Access: netem.Symmetric(fast, delay, 0)},
+			{ID: "r2", Access: netem.Symmetric(units.Mbps(8), delay, 0)},
+			{ID: "r3", Access: netem.Symmetric(fast, delay, 0)},
+		}},
+		Circuits: scenario.CircuitSet{
+			Count:        1,
+			Paths:        [][]netem.NodeID{{"r1", "r2", "r3"}},
+			TransferSize: 50 * units.Megabyte,
+		},
+		Arms: []scenario.Arm{
+			{Name: "dynamic", Transport: core.TransportOptions{RestartRounds: 3}},
+		},
+		ClientAccess:   netem.Symmetric(fast, delay, 0),
+		Horizon:        5 * sim.Second,
+		RunFullHorizon: true,
+		Events:         []scenario.LinkEvent{{At: sim.Second, Relay: "r2", Rate: units.Mbps(40)}},
+		Probes:         scenario.Probes{TraceCwnd: true},
+	}
 }
 
 // DynamicRestartResult reports how quickly the window followed the step.
 type DynamicRestartResult struct {
-	Params DynamicRestartParams
 	// OptimalBefore/After are the model windows for the two regimes.
 	OptimalBefore, OptimalAfter float64
 	// WindowAtStep is the source window just before the step.
@@ -245,98 +234,49 @@ type DynamicRestartResult struct {
 	Restarts uint64
 }
 
-// ExtensionDynamicRestart runs the capacity-step experiment: a circuit
-// whose bottleneck relay's access rate steps from BeforeRate to
-// AfterRate at StepAt, declared as a scenario LinkEvent (netem links
-// apply a rate change from the next frame onward). With the re-probe
-// extension the source should find the new capacity within a few round
-// trips; without it, Vegas crawls up at one cell per RTT.
-func ExtensionDynamicRestart(p DynamicRestartParams) (DynamicRestartResult, error) {
-	if p.BeforeRate <= 0 || p.AfterRate <= 0 {
-		return DynamicRestartResult{}, fmt.Errorf("experiments: rates must be positive")
+// ExtensionDynamicRestart runs a capacity-step scenario — DynamicRestart
+// or an edit of it — and measures how its first arm's window followed
+// the step. With the re-probe extension the source should find the new
+// capacity within a few round trips; without it, Vegas crawls up at one
+// cell per RTT.
+func ExtensionDynamicRestart(sc scenario.Scenario) (DynamicRestartResult, error) {
+	if len(sc.Events) != 1 || sc.Events[0].Relay == "" {
+		return DynamicRestartResult{}, fmt.Errorf("experiments: a capacity step is one relay LinkEvent, the scenario has %d events", len(sc.Events))
 	}
-	if p.StepAt <= 0 {
-		p.StepAt = 1 * sim.Second
-	}
-	if p.Horizon <= p.StepAt {
-		p.Horizon = p.StepAt + 4*sim.Second
-	}
-
-	fast := units.Mbps(100)
-	delay := 5 * time.Millisecond
-	relayIDs := []netem.NodeID{"r1", "r2", "r3"}
-	relays := make([]scenario.RelaySpec, len(relayIDs))
-	for i, id := range relayIDs {
-		rate := fast
-		if id == "r2" {
-			rate = p.BeforeRate
-		}
-		relays[i] = scenario.RelaySpec{ID: id, Access: netem.Symmetric(rate, delay, 0)}
-	}
-	// Keep the source backlogged across the whole horizon.
-	size := units.DataSize(float64(p.AfterRate.BytesPerSecond()) * p.Horizon.Seconds() * 2)
-	sres, err := scenario.Runner{Workers: 1}.Run(scenario.Scenario{
-		Name:     "extension-dynamic-restart",
-		Seed:     p.Seed,
-		Topology: scenario.Topology{Relays: relays},
-		Circuits: scenario.CircuitSet{
-			Count:        1,
-			Paths:        [][]netem.NodeID{relayIDs},
-			TransferSize: size,
-		},
-		Arms: []scenario.Arm{
-			{Name: "dynamic", Transport: core.TransportOptions{RestartRounds: p.RestartRounds}},
-		},
-		ClientAccess:   netem.Symmetric(fast, delay, 0),
-		Horizon:        p.Horizon,
-		RunFullHorizon: true,
-		Events:         []scenario.LinkEvent{{At: p.StepAt, Relay: "r2", Rate: p.AfterRate}},
-		Probes:         scenario.Probes{TraceCwnd: true},
-	})
+	step := sc.Events[0]
+	sres, err := scenario.Runner{Workers: 1}.Run(sc)
 	if err != nil {
 		return DynamicRestartResult{}, err
 	}
 	o := sres.Arms[0].Circuits[0]
 
-	res := DynamicRestartResult{Params: p}
-	// The circuit's model path was built from the pre-step rates.
-	res.OptimalBefore = o.OptimalCells
-
-	// Optimal after the step, from a model path with the new rate.
-	after := make([]model.Node, 0, 5)
-	after = append(after, model.FromAccess(netem.Symmetric(fast, delay, 0)))
-	for _, id := range relayIDs {
-		rate := fast
-		if id == "r2" {
-			rate = p.AfterRate
+	// The circuit's model path was built from the pre-step rates; the
+	// optimum after the step comes from a model path with the new rate.
+	res := DynamicRestartResult{OptimalBefore: o.OptimalCells, RecoveryTime: -1, Restarts: o.Restarts}
+	after := []model.Node{model.FromAccess(sc.ClientAccess)}
+	for _, r := range sc.Topology.Relays {
+		access := r.Access
+		if r.ID == step.Relay {
+			access.UpRate, access.DownRate = step.Rate, step.Rate
 		}
-		after = append(after, model.FromAccess(netem.Symmetric(rate, delay, 0)))
+		after = append(after, model.FromAccess(access))
 	}
-	after = append(after, model.FromAccess(netem.Symmetric(fast, delay, 0)))
+	after = append(after, model.FromAccess(sc.ClientAccess))
 	res.OptimalAfter = model.NewPath(after).OptimalSourceWindowCells()
 
 	tr := o.Trace
-	if v, ok := tr.At(p.StepAt); ok {
+	if v, ok := tr.At(step.At); ok {
 		res.WindowAtStep = v
 	}
-	res.RecoveryTime = -1
 	target := 0.8 * res.OptimalAfter
 	for _, pt := range tr.Points() {
-		if pt.At > p.StepAt && pt.Value >= target {
-			res.RecoveryTime = pt.At.Sub(p.StepAt)
+		if pt.At > step.At && pt.Value >= target {
+			res.RecoveryTime = pt.At.Sub(step.At)
 			break
 		}
 	}
 	if last, ok := tr.Last(); ok {
 		res.FinalCells = last.Value
 	}
-	res.Restarts = o.Restarts
 	return res, nil
-}
-
-func orDefault(policy string) string {
-	if policy == "" {
-		return "circuitstart"
-	}
-	return policy
 }

@@ -11,119 +11,73 @@ import (
 	"circuitstart/internal/units"
 )
 
-// SharedBottleneckParams configures the shared-trunk ablation: M
-// disjoint circuits whose paths all cross one backbone trunk — the
-// congestion structure a star cannot express, because on a star every
-// circuit's bottleneck is an access link it owns alone.
-type SharedBottleneckParams struct {
-	Seed int64
-	// Circuits is M, the number of circuits sharing the trunk.
-	Circuits int
-	// TrunkRate is the shared trunk's per-direction capacity — the
-	// bottleneck, sized well below Circuits × AccessRate.
-	TrunkRate units.DataRate
-	// TrunkQueueCap bounds the trunk queue (0 = unbounded).
-	TrunkQueueCap units.DataSize
-	// AccessRate is every node's access capacity.
-	AccessRate units.DataRate
-	// Delay is the access and trunk one-way propagation delay.
-	Delay time.Duration
-	// TransferSize is the fixed transfer per circuit.
-	TransferSize units.DataSize
-	// Horizon bounds each trial.
-	Horizon sim.Time
-}
-
-// DefaultSharedBottleneckParams puts 8 circuits with 100 Mbit/s
-// accesses behind a 16 Mbit/s trunk: each circuit's fair share is a
-// fraction of its access rate, so all contention is on the trunk.
-func DefaultSharedBottleneckParams() SharedBottleneckParams {
-	return SharedBottleneckParams{
-		Seed:         42,
-		Circuits:     8,
-		TrunkRate:    units.Mbps(16),
-		AccessRate:   units.Mbps(100),
-		Delay:        5 * time.Millisecond,
-		TransferSize: 500 * units.Kilobyte,
-		Horizon:      300 * sim.Second,
-	}
-}
-
-// Scenario renders the params into the declarative two-arm scenario:
-// two switches joined by the shared trunk, and per circuit i a west
-// guard g-i and an east exit e-i, so circuit i's forward path
-// client-i → g-i → e-i → server-i crosses the trunk exactly once and
-// all M circuits contend there.
-func (p SharedBottleneckParams) Scenario() scenario.Scenario {
-	access := netem.Symmetric(p.AccessRate, p.Delay, 0)
+// dumbbell declares the two-switch topology the shared, overload and
+// faults ablations run on: switches west and east joined by one trunk,
+// pairs guard/exit relay pairs (g-k homed west, e-k east) and circuits
+// downloads assigned to the pairs round-robin, so circuit i's path
+// client-i → g-k → e-k → server-i crosses the trunk exactly once. The
+// circuits start uniformly within the first 200 ms; the caller adds
+// the transfer sizes, arms and horizon.
+func dumbbell(name string, seed int64, pairs, circuits int, trunk netem.TrunkConfig, access netem.AccessConfig) scenario.Scenario {
 	spec := netem.GraphSpec{
 		Switches: []netem.SwitchID{"east", "west"},
-		Trunks: []netem.TrunkSpec{{
-			A: "west", B: "east",
-			Config: netem.TrunkConfig{Rate: p.TrunkRate, Delay: p.Delay, QueueCap: p.TrunkQueueCap},
-		}},
-		Homes: map[netem.NodeID]netem.SwitchID{
-			// Single-circuit runs name the endpoints without an index.
-			"client": "west", "server": "east",
-		},
+		Trunks:   []netem.TrunkSpec{{A: "west", B: "east", Config: trunk}},
+		// Single-circuit runs name the endpoints without an index.
+		Homes: map[netem.NodeID]netem.SwitchID{"client": "west", "server": "east"},
 	}
-	relays := make([]scenario.RelaySpec, 0, 2*p.Circuits)
-	paths := make([][]netem.NodeID, p.Circuits)
-	for i := 0; i < p.Circuits; i++ {
-		g := netem.NodeID(fmt.Sprintf("g-%03d", i))
-		e := netem.NodeID(fmt.Sprintf("e-%03d", i))
+	relays := make([]scenario.RelaySpec, 0, 2*pairs)
+	for k := 0; k < pairs; k++ {
+		g := netem.NodeID(fmt.Sprintf("g-%03d", k))
+		e := netem.NodeID(fmt.Sprintf("e-%03d", k))
 		relays = append(relays,
 			scenario.RelaySpec{ID: g, Access: access},
 			scenario.RelaySpec{ID: e, Access: access})
-		paths[i] = []netem.NodeID{g, e}
 		spec.Homes[g] = "west"
 		spec.Homes[e] = "east"
+	}
+	paths := make([][]netem.NodeID, circuits)
+	for i := range paths {
+		k := i % pairs
+		paths[i] = []netem.NodeID{relays[2*k].ID, relays[2*k+1].ID}
 		spec.Homes[netem.NodeID(fmt.Sprintf("client-%03d", i))] = "west"
 		spec.Homes[netem.NodeID(fmt.Sprintf("server-%03d", i))] = "east"
 	}
 	return scenario.Scenario{
-		Name:     "ablation-shared-bottleneck",
-		Seed:     p.Seed,
+		Name:     name,
+		Seed:     seed,
 		Topology: scenario.Topology{Relays: relays, Fabric: &spec},
 		Circuits: scenario.CircuitSet{
-			Count:        p.Circuits,
-			Paths:        paths,
-			TransferSize: p.TransferSize,
-			Arrival:      scenario.Arrival{Kind: scenario.ArriveUniform, Spread: 200 * time.Millisecond},
-		},
-		Arms: []scenario.Arm{
-			{Name: "circuitstart", Transport: core.TransportOptions{Policy: "circuitstart"}},
-			{Name: "slowstart", Transport: core.TransportOptions{Policy: "slowstart"}},
+			Count:   circuits,
+			Paths:   paths,
+			Arrival: scenario.Arrival{Kind: scenario.ArriveUniform, Spread: 200 * time.Millisecond},
 		},
 		ClientAccess: access,
-		Horizon:      p.Horizon,
 	}
 }
 
-// validate checks the params and fills defaults in place.
-func (p *SharedBottleneckParams) validate() error {
-	if p.Circuits <= 0 {
-		return fmt.Errorf("experiments: %d circuits", p.Circuits)
+// policyArms returns one arm per start-up policy, named after it.
+func policyArms(policies ...string) []scenario.Arm {
+	arms := make([]scenario.Arm, len(policies))
+	for i, policy := range policies {
+		arms[i] = scenario.Arm{Name: policy, Transport: core.TransportOptions{Policy: policy}}
 	}
-	if p.TrunkRate <= 0 || p.AccessRate <= 0 {
-		return fmt.Errorf("experiments: rates must be positive")
-	}
-	if p.TransferSize <= 0 {
-		return fmt.Errorf("experiments: transfer size %v", p.TransferSize)
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 300 * sim.Second
-	}
-	return nil
+	return arms
 }
 
-// AblationSharedBottleneck runs M circuits across one shared trunk,
-// CircuitStart vs classic slow start, on identical topology and seed.
-// The returned Result carries the TTLB distributions and the trunk's
-// pooled LinkStats (queue high-water mark, drops) per arm.
-func AblationSharedBottleneck(p SharedBottleneckParams) (*scenario.Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	return scenario.Run(p.Scenario())
+// SharedBottleneck is the shared-trunk ablation: 8 circuits, each over
+// its own guard/exit pair with 100 Mbit/s accesses, all crossing one
+// 16 Mbit/s backbone trunk — the congestion structure a star cannot
+// express, because on a star every circuit's bottleneck is an access
+// link it owns alone. Each circuit's fair share is a fraction of its
+// access rate, so all contention is on the trunk. The arms are
+// CircuitStart and classic slow start; the Result carries the TTLB
+// distributions and the trunk's pooled LinkStats per arm.
+func SharedBottleneck(seed int64) scenario.Scenario {
+	delay := 5 * time.Millisecond
+	sc := dumbbell("ablation-shared-bottleneck", seed, 8, 8,
+		netem.SymmetricTrunk(units.Mbps(16), delay, 0), netem.Symmetric(units.Mbps(100), delay, 0))
+	sc.Circuits.TransferSize = 500 * units.Kilobyte
+	sc.Arms = policyArms("circuitstart", "slowstart")
+	sc.Horizon = 300 * sim.Second
+	return sc
 }

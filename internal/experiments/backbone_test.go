@@ -3,17 +3,12 @@ package experiments
 import (
 	"testing"
 
-	"circuitstart/internal/sim"
-	"circuitstart/internal/units"
+	"circuitstart/internal/scenario"
 )
 
 func TestAblationSharedBottleneck(t *testing.T) {
-	p := DefaultSharedBottleneckParams()
-	if testing.Short() {
-		p.Circuits = 4
-		p.TransferSize = 200 * units.Kilobyte
-	}
-	res, err := AblationSharedBottleneck(p)
+	sc := SharedBottleneck(42)
+	res, err := scenario.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +19,8 @@ func TestAblationSharedBottleneck(t *testing.T) {
 		if arm.Incomplete != 0 {
 			t.Fatalf("arm %s left %d transfers incomplete", arm.Name, arm.Incomplete)
 		}
-		if arm.TTLB.Len() != p.Circuits {
-			t.Fatalf("arm %s has %d samples, want %d", arm.Name, arm.TTLB.Len(), p.Circuits)
+		if arm.TTLB.Len() != sc.Circuits.Count {
+			t.Fatalf("arm %s has %d samples, want %d", arm.Name, arm.TTLB.Len(), sc.Circuits.Count)
 		}
 		if arm.Net.UnknownDst != 0 || arm.Net.Unroutable != 0 {
 			t.Fatalf("arm %s dropped frames in the fabric: %+v", arm.Name, arm.Net)
@@ -49,7 +44,8 @@ func TestAblationSharedBottleneck(t *testing.T) {
 	}
 	// All transfers complete and the medians are in a sane band: the
 	// aggregate can't beat trunk line rate.
-	wire := float64(p.TransferSize.Bytes()*8) * float64(p.Circuits) / (float64(p.TrunkRate.Mbit()) * 1e6)
+	trunk := sc.Topology.Fabric.Trunks[0].Config.Rate
+	wire := float64(sc.Circuits.TransferSize.Bytes()*8) * float64(sc.Circuits.Count) / (float64(trunk.Mbit()) * 1e6)
 	for _, arm := range res.Arms {
 		if arm.TTLB.Quantile(1) < wire/4 {
 			t.Errorf("arm %s max TTLB %.3fs implausibly beats the shared trunk (aggregate floor %.3fs)",
@@ -58,34 +54,13 @@ func TestAblationSharedBottleneck(t *testing.T) {
 	}
 }
 
-func TestAblationSharedBottleneckValidation(t *testing.T) {
-	p := DefaultSharedBottleneckParams()
-	p.Circuits = 0
-	if _, err := AblationSharedBottleneck(p); err == nil {
-		t.Error("zero circuits accepted")
-	}
-	p = DefaultSharedBottleneckParams()
-	p.TrunkRate = 0
-	if _, err := AblationSharedBottleneck(p); err == nil {
-		t.Error("zero trunk rate accepted")
-	}
-	p = DefaultSharedBottleneckParams()
-	p.TransferSize = 0
-	if _, err := AblationSharedBottleneck(p); err == nil {
-		t.Error("zero transfer accepted")
-	}
-}
-
 func TestAblationSharedBottleneckDeterministic(t *testing.T) {
-	p := DefaultSharedBottleneckParams()
-	p.Circuits = 3
-	p.TransferSize = 100 * units.Kilobyte
-	p.Horizon = 120 * sim.Second
-	a, err := AblationSharedBottleneck(p)
+	sc := SharedBottleneck(42)
+	a, err := scenario.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AblationSharedBottleneck(p)
+	b, err := scenario.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,105 +1,31 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
-	"circuitstart/internal/core"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
 
-// ChurnParams configures the churn ablation: the startup-dominated
-// regime the paper's scheme targets. Short downloads arrive over fresh
-// circuits as an open-loop Poisson process, completed circuits are torn
-// down (their state released back to the pools), and high-bandwidth
-// relays fail mid-run — every affected download is rebuilt over a new
-// path and pays a full circuit startup again. CircuitStart's fast
-// compensated ramp is amortized over far less data per circuit than in
-// the static Figure-1 experiment, so its median win should widen.
-type ChurnParams struct {
-	Seed int64
-	// Relays shapes the generated Tor-like population.
-	Relays workload.RelayParams
-	// InitialCircuits start within the first 200 ms.
-	InitialCircuits int
-	// Arrivals further downloads arrive Poisson at ArrivalRate per
-	// second, each over a freshly built circuit.
-	Arrivals    int
-	ArrivalRate float64
-	// TransferSize is the fixed download per circuit — short, so
-	// startup dominates the transfer time.
-	TransferSize units.DataSize
-	// Failures is how many of the population's highest-bandwidth
-	// relays fail mid-run (they attract the most circuits, Tor's
-	// selection being bandwidth-weighted). Failure k hits at
-	// FailAt + k·FailEvery and heals RecoverAfter later.
-	Failures     int
-	FailAt       sim.Time
-	FailEvery    time.Duration
-	RecoverAfter time.Duration
-	// TrainSize caps cell-train coalescing on every link (≤1 = one
-	// event per cell, the byte-identical baseline).
-	TrainSize int
-	// Horizon bounds each trial.
-	Horizon sim.Time
-}
-
-// DefaultChurnParams mirrors the aggregate experiment's population but
-// replaces its static workload with churn: 10 initial + 40 arriving
-// 250 kB downloads at 8 per second, and the two fattest relays failing
-// at 1 s and 3 s for 3 s each.
-func DefaultChurnParams() ChurnParams {
-	return ChurnParams{
-		Seed:            42,
-		Relays:          workload.DefaultRelayParams(40),
-		InitialCircuits: 10,
-		Arrivals:        40,
-		ArrivalRate:     8,
-		TransferSize:    250 * units.Kilobyte,
-		Failures:        2,
-		FailAt:          1 * sim.Second,
-		FailEvery:       2 * time.Second,
-		RecoverAfter:    3 * time.Second,
-		Horizon:         600 * sim.Second,
-	}
-}
-
-// validate checks the params and fills defaults in place.
-func (p *ChurnParams) validate() error {
-	if p.InitialCircuits <= 0 {
-		return fmt.Errorf("experiments: %d initial circuits", p.InitialCircuits)
-	}
-	if p.Arrivals < 0 || (p.Arrivals > 0) != (p.ArrivalRate > 0) {
-		return fmt.Errorf("experiments: churn arrivals need both a count and a rate")
-	}
-	if p.TransferSize <= 0 {
-		return fmt.Errorf("experiments: transfer size %v", p.TransferSize)
-	}
-	if p.Failures < 0 || p.Failures > p.Relays.N {
-		return fmt.Errorf("experiments: %d failures over %d relays", p.Failures, p.Relays.N)
-	}
-	if p.Failures > 0 && (p.FailAt <= 0 || p.RecoverAfter <= 0) {
-		return fmt.Errorf("experiments: failures need positive FailAt and RecoverAfter")
-	}
-	if p.Failures > 1 && p.FailEvery <= 0 {
-		return fmt.Errorf("experiments: multiple failures need a positive FailEvery")
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 600 * sim.Second
-	}
-	return nil
-}
-
-// Scenario renders the params into the declarative two-arm churn
-// scenario. The relay failure schedule is derived from the same seeded
-// population generation the trial itself performs, so the event list
-// names exactly the relays that will exist.
-func (p ChurnParams) Scenario() (scenario.Scenario, error) {
-	relays, err := workload.GenerateRelays(p.Seed, p.Relays)
+// Churn is the churn ablation: the startup-dominated regime the
+// paper's scheme targets, on the aggregate experiment's 40-relay
+// population. 10 initial and 40 arriving 250 kB downloads (8 per
+// second, Poisson) each run over a fresh circuit that is torn down on
+// completion, and the two fattest relays fail at 1 s and 3 s for 3 s
+// each; every affected download is rebuilt over a new path and pays a
+// full circuit startup again. CircuitStart's fast compensated ramp is
+// amortized over far less data per circuit than in the static Figure-1
+// experiment, so its median win over plain BackTap should widen. The
+// Result carries the TTLB distributions plus the per-arm ChurnStats.
+//
+// The failure schedule names relays of the seeded population the trial
+// itself generates, so building it can fail as generation can.
+func Churn(seed int64) (scenario.Scenario, error) {
+	pop := workload.DefaultRelayParams(40)
+	relays, err := workload.GenerateRelays(seed, pop)
 	if err != nil {
 		return scenario.Scenario{}, err
 	}
@@ -112,50 +38,29 @@ func (p ChurnParams) Scenario() (scenario.Scenario, error) {
 		return relays[i].Desc.ID < relays[j].Desc.ID
 	})
 	var events []scenario.RelayEvent
-	for k := 0; k < p.Failures; k++ {
-		at := p.FailAt + sim.Time(k)*sim.Time(p.FailEvery)
+	for k, r := range relays[:2] {
+		at := sim.Second + sim.Time(k)*2*sim.Second
 		events = append(events,
-			scenario.RelayEvent{At: at, Relay: relays[k].Desc.ID, Kind: scenario.RelayFail},
-			scenario.RelayEvent{At: at + sim.Time(p.RecoverAfter), Relay: relays[k].Desc.ID, Kind: scenario.RelayRecover},
+			scenario.RelayEvent{At: at, Relay: r.Desc.ID, Kind: scenario.RelayFail},
+			scenario.RelayEvent{At: at + 3*sim.Second, Relay: r.Desc.ID, Kind: scenario.RelayRecover},
 		)
 	}
-	pop := p.Relays
+	arms := policyArms("circuitstart", "backtap")
+	for i := range arms {
+		arms[i].Rebuild = true
+	}
 	return scenario.Scenario{
 		Name:     "ablation-churn",
-		Seed:     p.Seed,
+		Seed:     seed,
 		Topology: scenario.Topology{Population: &pop},
 		Circuits: scenario.CircuitSet{
-			Count:        p.InitialCircuits,
-			TransferSize: p.TransferSize,
+			Count:        10,
+			TransferSize: 250 * units.Kilobyte,
 			Arrival:      scenario.Arrival{Kind: scenario.ArriveUniform, Spread: 200 * time.Millisecond},
 		},
-		Arms: []scenario.Arm{
-			{Name: "circuitstart", Transport: core.TransportOptions{Policy: "circuitstart"}, Rebuild: true},
-			{Name: "backtap", Transport: core.TransportOptions{Policy: "backtap"}, Rebuild: true},
-		},
-		CircuitEvents: scenario.CircuitEvents{
-			ArrivalRate: p.ArrivalRate,
-			Arrivals:    p.Arrivals,
-		},
-		RelayEvents: events,
-		TrainSize:   p.TrainSize,
-		Horizon:     p.Horizon,
+		Arms:          arms,
+		CircuitEvents: scenario.CircuitEvents{ArrivalRate: 8, Arrivals: 40},
+		RelayEvents:   events,
+		Horizon:       600 * sim.Second,
 	}, nil
-}
-
-// AblationChurn runs the dynamic-lifecycle comparison: CircuitStart vs
-// plain BackTap under Poisson circuit arrivals, per-completion circuit
-// teardown and relay failures with rebuilds, on identical topology,
-// workload and failure schedule. The returned Result carries the TTLB
-// distributions plus the per-arm ChurnStats (circuits built/torn
-// down/rebuilt/aborted and the pooled lifetime distribution).
-func AblationChurn(p ChurnParams) (*scenario.Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	sc, err := p.Scenario()
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Run(sc)
 }

@@ -4,33 +4,24 @@ import (
 	"testing"
 
 	"circuitstart/internal/scenario"
-	"circuitstart/internal/units"
-	"circuitstart/internal/workload"
 )
 
-// smallChurnParams shrinks the default churn ablation for fast tests.
-func smallChurnParams() ChurnParams {
-	p := DefaultChurnParams()
-	p.Relays = workload.DefaultRelayParams(16)
-	p.InitialCircuits = 5
-	p.Arrivals = 10
-	p.ArrivalRate = 6
-	p.TransferSize = 150 * units.Kilobyte
-	p.Failures = 1
-	return p
-}
-
 func TestAblationChurnLifecycle(t *testing.T) {
-	res, err := AblationChurn(smallChurnParams())
+	sc, err := Churn(42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := scenario.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downloads := sc.Circuits.Count + sc.CircuitEvents.Arrivals
 	for _, arm := range res.Arms {
-		if got := len(arm.Circuits); got != 15 {
-			t.Fatalf("arm %q has %d downloads, want 15", arm.Name, got)
+		if got := len(arm.Circuits); got != downloads {
+			t.Fatalf("arm %q has %d downloads, want %d", arm.Name, got, downloads)
 		}
 		c := arm.Churn
-		if c.Built < 15 || c.TornDown != c.Built {
+		if c.Built < downloads || c.TornDown != c.Built {
 			t.Fatalf("arm %q lifecycle: %+v", arm.Name, c)
 		}
 		if c.Lifetime.Len() != c.TornDown {
@@ -43,8 +34,7 @@ func TestAblationChurnLifecycle(t *testing.T) {
 }
 
 func TestAblationChurnDeterministicAcrossWorkers(t *testing.T) {
-	p := smallChurnParams()
-	sc, err := p.Scenario()
+	sc, err := Churn(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,24 +63,6 @@ func TestAblationChurnDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestAblationChurnValidation(t *testing.T) {
-	cases := []func(*ChurnParams){
-		func(p *ChurnParams) { p.InitialCircuits = 0 },
-		func(p *ChurnParams) { p.TransferSize = 0 },
-		func(p *ChurnParams) { p.Arrivals = 5; p.ArrivalRate = 0 },
-		func(p *ChurnParams) { p.Failures = -1 },
-		func(p *ChurnParams) { p.Failures = p.Relays.N + 1 },
-		func(p *ChurnParams) { p.FailAt = 0 },
-	}
-	for i, mutate := range cases {
-		p := smallChurnParams()
-		mutate(&p)
-		if _, err := AblationChurn(p); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-}
-
 // TestAblationChurnWidensTheGap asserts the headline property: in the
 // startup-dominated churn regime — short downloads over fresh circuits,
 // relay failures forcing repeated startups — CircuitStart's median win
@@ -99,7 +71,11 @@ func TestAblationChurnWidensTheGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full aggregate runs")
 	}
-	churn, err := AblationChurn(DefaultChurnParams())
+	sc, err := Churn(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn, err := scenario.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

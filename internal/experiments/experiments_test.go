@@ -220,13 +220,13 @@ func TestAblationCompensation(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	byLabel := map[string]AblationRow{}
+	byLabel := map[string]TraceRow{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
 	}
 	measured := byLabel["measured (paper)"]
 	classic := byLabel["classic slow start"]
-	errOf := func(r AblationRow) float64 {
+	errOf := func(r TraceRow) float64 {
 		e := r.ExitCwnd/r.OptimalCells - 1
 		if e < 0 {
 			e = -e
@@ -263,7 +263,7 @@ func TestAblationFeedbackClock(t *testing.T) {
 }
 
 func TestAblationBottleneckPosition(t *testing.T) {
-	rows, err := AblationBottleneckPosition(42, 3)
+	rows, err := AblationBottleneckPosition(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +317,10 @@ func TestAblationGammaScenarioEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rowFromTrace(rows[i].Label, r)
-		if rows[i] != want {
-			t.Errorf("gamma=%g: scenario row %+v != per-call row %+v", g, rows[i], want)
+		got := rows[i]
+		if got.ExitCwnd != r.ExitCwnd || got.ExitTime != r.ExitTime || got.OptimalCells != r.OptimalCells ||
+			got.PeakCells != r.PeakCells || got.SettleTime != r.SettleTime || got.FinalCells != r.FinalCells {
+			t.Errorf("gamma=%g: scenario row %+v != per-call trace %+v", g, got.CwndTraceResult, r)
 		}
 	}
 }
@@ -401,17 +402,7 @@ func TestExtensionDynamicRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second capacity-step run")
 	}
-	base := DynamicRestartParams{
-		Seed:       42,
-		BeforeRate: units.Mbps(8),
-		AfterRate:  units.Mbps(40),
-		StepAt:     sim.Second,
-		Horizon:    5 * sim.Second,
-	}
-
-	withExt := base
-	withExt.RestartRounds = 3
-	re, err := ExtensionDynamicRestart(withExt)
+	re, err := ExtensionDynamicRestart(DynamicRestart(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +416,14 @@ func TestExtensionDynamicRestart(t *testing.T) {
 		t.Error("extension enabled but no re-probe happened")
 	}
 
-	without := base
-	without.RestartRounds = -1
+	unstepped := DynamicRestart(42)
+	unstepped.Events = nil
+	if _, err := ExtensionDynamicRestart(unstepped); err == nil {
+		t.Fatal("a scenario without a capacity step accepted")
+	}
+
+	without := DynamicRestart(42)
+	without.Arms[0].Transport.RestartRounds = -1
 	ro, err := ExtensionDynamicRestart(without)
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +443,7 @@ func TestAblationExtensions(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	byLabel := map[string]AblationRow{}
+	byLabel := map[string]TraceRow{}
 	for _, r := range rows {
 		byLabel[r.Label] = r
 	}
@@ -464,7 +461,7 @@ func TestAblationExtensions(t *testing.T) {
 }
 
 func TestAblationVegas(t *testing.T) {
-	rows, err := AblationVegas(42, nil)
+	rows, err := AblationVegas(42)
 	if err != nil {
 		t.Fatal(err)
 	}

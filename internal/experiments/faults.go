@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"circuitstart/internal/core"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/scenario"
@@ -12,182 +10,39 @@ import (
 	"circuitstart/internal/units"
 )
 
-// FaultsParams configures the resilience ablation: CircuitStart vs
-// classic slow start on an identical two-switch topology while three
-// fault classes fire in sequence — Gilbert–Elliott burst loss on one
-// guard's access links, a relay hang (blackhole with the relay still
-// nominally "up"), and a backbone trunk flap that darkens every
-// circuit at once. Endpoint stall detection and rebuild is enabled on
-// both arms, so the comparison isolates what the startup policy costs
-// when circuits must repeatedly pay a fresh startup to recover. The
-// headline metrics are median time-to-recovery, availability and
+// Faults is the resilience ablation: CircuitStart vs classic slow
+// start, 8 downloads of 1.5 MB over 2 relay pairs behind a 16 Mbit/s
+// trunk, while three fault classes fire in sequence. Guard g-001 takes
+// Gilbert–Elliott burst loss from 2 s to 20 s, guard g-000 hangs (a
+// blackhole with the relay still nominally "up") at 4 s for 6 s, and
+// the trunk flaps at 12 s for 3 s, darkening every circuit at once.
+// Endpoint stall detection and rebuild, with up to 8 rebuilds per
+// download, is on in both arms, so every fault episode is survivable
+// and the comparison isolates what the startup policy costs when
+// circuits must repeatedly pay a fresh startup to recover. The headline
+// metrics are median time-to-recovery, availability and
 // goodput-under-fault.
-type FaultsParams struct {
-	Seed int64
-	// RelayPairs is how many guard/exit relay pairs span the trunk;
-	// circuits are assigned round-robin.
-	RelayPairs int
-	// Circuits is the number of concurrent downloads.
-	Circuits int
-	// TrunkRate is the backbone trunk's per-direction capacity;
-	// AccessRate every node's access capacity.
-	TrunkRate, AccessRate units.DataRate
-	// Delay is the access and trunk one-way propagation delay.
-	Delay time.Duration
-	// TransferSize is the fixed download per circuit — sized so the
-	// transfers span the fault schedule below.
-	TransferSize units.DataSize
-	// LossFrom/LossUntil bound the burst-loss window on the second
-	// guard; LossBad is the bad-state loss rate.
-	LossFrom, LossUntil sim.Time
-	LossBad             float64
-	// HangAt hangs the first guard for HangFor.
-	HangAt  sim.Time
-	HangFor time.Duration
-	// FlapAt takes the backbone trunk down for FlapFor.
-	FlapAt  sim.Time
-	FlapFor time.Duration
-	// Recovery configures the stall detector (zero fields default).
-	Recovery faults.Recovery
-	// TrainSize caps cell-train coalescing on every link (≤1 = one
-	// event per cell, the byte-identical baseline).
-	TrainSize int
-	// Horizon bounds each trial.
-	Horizon sim.Time
-}
-
-// DefaultFaultsParams runs 8 downloads of 1.5 MB over 2 relay pairs
-// behind a 16 Mbit/s trunk. Guard g-001 takes burst loss from 2 s to
-// 20 s, guard g-000 hangs at 4 s for 6 s, and the trunk flaps at 12 s
-// for 3 s. Recovery allows 8 rebuilds per download so every fault
-// episode is survivable within the backoff budget.
-func DefaultFaultsParams() FaultsParams {
-	return FaultsParams{
-		Seed:         42,
-		RelayPairs:   2,
-		Circuits:     8,
-		TrunkRate:    units.Mbps(16),
-		AccessRate:   units.Mbps(50),
-		Delay:        5 * time.Millisecond,
-		TransferSize: 1500 * units.Kilobyte,
-		LossFrom:     2 * sim.Second,
-		LossUntil:    20 * sim.Second,
-		LossBad:      0.5,
-		HangAt:       4 * sim.Second,
-		HangFor:      6 * time.Second,
-		FlapAt:       12 * sim.Second,
-		FlapFor:      3 * time.Second,
-		Recovery: faults.Recovery{
-			Enabled:    true,
-			MaxRetries: 8,
-			RTOMax:     5 * time.Second,
-		},
-		Horizon: 120 * sim.Second,
-	}
-}
-
-// validate checks the params and fills defaults in place.
-func (p *FaultsParams) validate() error {
-	if p.RelayPairs < 2 {
-		return fmt.Errorf("experiments: faults ablation needs ≥2 relay pairs, got %d", p.RelayPairs)
-	}
-	if p.Circuits <= 0 {
-		return fmt.Errorf("experiments: %d circuits", p.Circuits)
-	}
-	if p.TrunkRate <= 0 || p.AccessRate <= 0 {
-		return fmt.Errorf("experiments: rates must be positive")
-	}
-	if p.TransferSize <= 0 {
-		return fmt.Errorf("experiments: transfer size %v", p.TransferSize)
-	}
-	if !p.Recovery.Enabled {
-		return fmt.Errorf("experiments: faults ablation needs Recovery.Enabled")
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 120 * sim.Second
-	}
-	return nil
-}
-
-// Scenario renders the params into the declarative two-arm resilience
-// scenario: the overload topology's two switches and shared relay
-// pairs, a fault plan staggering burst loss, a relay hang and a trunk
-// flap, and endpoint recovery on both arms.
-func (p FaultsParams) Scenario() scenario.Scenario {
-	access := netem.Symmetric(p.AccessRate, p.Delay, 0)
-	spec := netem.GraphSpec{
-		Switches: []netem.SwitchID{"east", "west"},
-		Trunks: []netem.TrunkSpec{{
-			A: "west", B: "east",
-			Config: netem.TrunkConfig{Rate: p.TrunkRate, Delay: p.Delay},
-		}},
-		Homes: map[netem.NodeID]netem.SwitchID{},
-	}
-	relays := make([]scenario.RelaySpec, 0, 2*p.RelayPairs)
-	for k := 0; k < p.RelayPairs; k++ {
-		g := netem.NodeID(fmt.Sprintf("g-%03d", k))
-		e := netem.NodeID(fmt.Sprintf("e-%03d", k))
-		relays = append(relays,
-			scenario.RelaySpec{ID: g, Access: access},
-			scenario.RelaySpec{ID: e, Access: access})
-		spec.Homes[g] = "west"
-		spec.Homes[e] = "east"
-	}
-	paths := make([][]netem.NodeID, p.Circuits)
-	for i := 0; i < p.Circuits; i++ {
-		k := i % p.RelayPairs
-		paths[i] = []netem.NodeID{
-			netem.NodeID(fmt.Sprintf("g-%03d", k)),
-			netem.NodeID(fmt.Sprintf("e-%03d", k)),
-		}
-		spec.Homes[netem.NodeID(fmt.Sprintf("client-%03d", i))] = "west"
-		spec.Homes[netem.NodeID(fmt.Sprintf("server-%03d", i))] = "east"
-	}
-	plan := faults.Plan{
+func Faults(seed int64) scenario.Scenario {
+	delay := 5 * time.Millisecond
+	sc := dumbbell("ablation-faults", seed, 2, 8,
+		netem.SymmetricTrunk(units.Mbps(16), delay, 0), netem.Symmetric(units.Mbps(50), delay, 0))
+	sc.Circuits.TransferSize = 1500 * units.Kilobyte
+	sc.Arms = policyArms("circuitstart", "slowstart")
+	sc.Faults = faults.Plan{
 		BurstLoss: []faults.BurstLoss{{
-			Relay: "g-001", From: p.LossFrom, Until: p.LossUntil,
-			PGoodBad: 0.01, PBadGood: 0.1, LossBad: p.LossBad,
+			Relay: "g-001", From: 2 * sim.Second, Until: 20 * sim.Second,
+			PGoodBad: 0.01, PBadGood: 0.1, LossBad: 0.5,
 		}},
 		Degrades: []faults.Degrade{{
 			Relay: "g-000", Mode: faults.DegradeHang,
-			At: p.HangAt, RecoverAfter: p.HangFor,
+			At: 4 * sim.Second, RecoverAfter: 6 * time.Second,
 		}},
 		Partitions: []faults.Partition{{
 			TrunkA: "west", TrunkB: "east",
-			At: p.FlapAt, HealAfter: p.FlapFor,
+			At: 12 * sim.Second, HealAfter: 3 * time.Second,
 		}},
-		Recovery: p.Recovery,
+		Recovery: faults.Recovery{Enabled: true, MaxRetries: 8, RTOMax: 5 * time.Second},
 	}
-	return scenario.Scenario{
-		Name:     "ablation-faults",
-		Seed:     p.Seed,
-		Topology: scenario.Topology{Relays: relays, Fabric: &spec},
-		Circuits: scenario.CircuitSet{
-			Count:        p.Circuits,
-			Paths:        paths,
-			TransferSize: p.TransferSize,
-			Arrival:      scenario.Arrival{Kind: scenario.ArriveUniform, Spread: 200 * time.Millisecond},
-		},
-		Arms: []scenario.Arm{
-			{Name: "circuitstart", Transport: core.TransportOptions{Policy: "circuitstart"}},
-			{Name: "slowstart", Transport: core.TransportOptions{Policy: "slowstart"}},
-		},
-		ClientAccess: access,
-		Faults:       plan,
-		TrainSize:    p.TrainSize,
-		Horizon:      p.Horizon,
-	}
-}
-
-// AblationFaults runs the resilience comparison: CircuitStart vs
-// classic slow start under an identical fault schedule (burst loss,
-// relay hang, trunk flap) with endpoint stall detection and rebuild on
-// both arms. The returned Result carries the TTLB distributions plus
-// the per-arm ResilienceStats (stalls, recoveries, retries, abandons,
-// the TTR distribution, availability and goodput-under-fault).
-func AblationFaults(p FaultsParams) (*scenario.Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	return scenario.Run(p.Scenario())
+	sc.Horizon = 120 * sim.Second
+	return sc
 }

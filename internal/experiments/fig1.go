@@ -1,10 +1,12 @@
-// Package experiments implements one entry point per figure of the
-// paper plus the ablations listed in DESIGN.md. Every entry point is a
-// thin adapter over the declarative scenario API: it renders its params
-// into a scenario.Scenario, hands it to a scenario.Runner, and reshapes
-// the aggregated Result into the figure's historical result struct —
-// same signatures, same seeded outputs, but multi-arm sweeps now run
-// their arms in parallel.
+// Package experiments declares one scenario per figure of the paper
+// and per ablation listed in DESIGN.md. An ablation that is a single
+// multi-arm scenario is a function of the seed alone (SharedBottleneck,
+// Churn, Overload, Faults, DynamicRestart): it returns the
+// scenario.Scenario at the values its published table uses, and a
+// variant is an edit of that value, not a second parameter schema. The
+// figures and the trace sweeps, whose tables derive statistics from
+// each arm's cwnd trace, run their scenarios on a scenario.Runner and
+// reshape the Result into the figure's result struct.
 package experiments
 
 import (
@@ -16,7 +18,6 @@ import (
 	"circuitstart/internal/netem"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
@@ -242,12 +243,4 @@ func Fig1DownloadCDF(p CDFParams) (*scenario.Result, error) {
 		p.Horizon = 600 * sim.Second
 	}
 	return scenario.Run(p.ToScenario())
-}
-
-// mustPolicy panics if the policy name is unknown — experiment tables
-// are static, so a typo is a programming error.
-func mustPolicy(name string) {
-	if _, err := transport.PolicyByName(name, 0); err != nil {
-		panic(err)
-	}
 }

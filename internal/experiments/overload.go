@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"circuitstart/internal/core"
@@ -13,173 +12,36 @@ import (
 	"circuitstart/internal/units"
 )
 
-// OverloadParams configures the overload ablation: an interactive-vs-
-// bulk circuit mix crammed onto a few shared relays behind a saturated
-// backbone trunk, with per-relay resource limits turned on. The grid is
-// CircuitStart vs classic slow start × FIFO vs Tor-style EWMA
-// quiet-circuit scheduling, so the result separates what the startup
-// policy buys from what the relay scheduler buys when the relay is the
-// scarce resource. The headline metrics are Jain's fairness index over
-// per-circuit TTLB, the resource managers' kill/rejection counters and
-// the per-relay memory high-water mark.
-type OverloadParams struct {
-	Seed int64
-	// CircuitPairs is the number of interactive+bulk circuit pairs; the
-	// scenario runs 2×CircuitPairs circuits, sizes alternating.
-	CircuitPairs int
-	// RelayPairs is how many guard/exit relay pairs the circuits share,
-	// assigned round-robin — CircuitPairs·2/RelayPairs circuits land on
-	// each relay, so the per-relay limits actually bite.
-	RelayPairs int
-	// TrunkRate is the shared backbone trunk's per-direction capacity,
-	// sized well below the offered load so the backbone stays saturated.
-	TrunkRate units.DataRate
-	// TrunkQueueCap bounds the trunk queue (0 = unbounded).
-	TrunkQueueCap units.DataSize
-	// AccessRate is every node's access capacity.
-	AccessRate units.DataRate
-	// Delay is the access and trunk one-way propagation delay.
-	Delay time.Duration
-	// Interactive and Bulk are the two transfer sizes of the mix.
-	Interactive, Bulk units.DataSize
-	// Limits is the per-relay resource envelope applied on every arm.
-	Limits resource.Limits
-	// HalfLife is the EWMA arms' cost half-life (0 = package default).
-	HalfLife sim.Time
-	// TrainSize caps cell-train coalescing on every link (≤1 = one
-	// event per cell, the byte-identical baseline).
-	TrainSize int
-	// Horizon bounds each trial.
-	Horizon sim.Time
-}
-
-// DefaultOverloadParams overloads 2 relay pairs with 8 interactive
-// (50 kB) + 8 bulk (2 MB) circuits behind a 16 Mbit/s trunk. Each relay
-// admits at most 6 circuits (kill-heaviest beyond that) and may hold at
-// most 128 kB of cells, so admission kills and mid-run memory evictions
+// Overload is the overload ablation: an interactive-vs-bulk circuit
+// mix crammed onto a few shared relays behind a saturated backbone
+// trunk, with per-relay resource limits turned on. 8 interactive
+// (50 kB) and 8 bulk (2 MB) circuits, sizes alternating, share 2 relay
+// pairs behind a 16 Mbit/s trunk with a 256 kB queue. Each relay admits
+// at most 6 circuits (kill-heaviest beyond that) and may hold at most
+// 128 kB of cells, so admission kills and mid-run memory evictions
 // both occur.
-func DefaultOverloadParams() OverloadParams {
-	return OverloadParams{
-		Seed:          42,
-		CircuitPairs:  8,
-		RelayPairs:    2,
-		TrunkRate:     units.Mbps(16),
-		TrunkQueueCap: 256 * units.Kilobyte,
-		AccessRate:    units.Mbps(50),
-		Delay:         5 * time.Millisecond,
-		Interactive:   50 * units.Kilobyte,
-		Bulk:          2000 * units.Kilobyte,
-		Limits: resource.Limits{
-			MaxCircuits: 6,
-			MaxMemory:   128 * units.Kilobyte,
-			Policy:      resource.KillHeaviest,
-		},
-		Horizon: 300 * sim.Second,
-	}
-}
-
-// validate checks the params and fills defaults in place.
-func (p *OverloadParams) validate() error {
-	if p.CircuitPairs <= 0 {
-		return fmt.Errorf("experiments: %d circuit pairs", p.CircuitPairs)
-	}
-	if p.RelayPairs <= 0 {
-		return fmt.Errorf("experiments: %d relay pairs", p.RelayPairs)
-	}
-	if p.TrunkRate <= 0 || p.AccessRate <= 0 {
-		return fmt.Errorf("experiments: rates must be positive")
-	}
-	if p.Interactive <= 0 || p.Bulk <= 0 {
-		return fmt.Errorf("experiments: transfer sizes %v / %v", p.Interactive, p.Bulk)
-	}
-	if err := p.Limits.Validate(); err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	if p.HalfLife < 0 {
-		return fmt.Errorf("experiments: negative half-life %v", p.HalfLife)
-	}
-	if p.Horizon <= 0 {
-		p.Horizon = 300 * sim.Second
-	}
-	return nil
-}
-
-// Scenario renders the params into the declarative four-arm overload
-// scenario: two switches joined by the saturated trunk, RelayPairs
-// shared guard/exit pairs, and 2×CircuitPairs circuits assigned
-// round-robin with sizes alternating interactive, bulk, interactive, …
-func (p OverloadParams) Scenario() scenario.Scenario {
-	access := netem.Symmetric(p.AccessRate, p.Delay, 0)
-	spec := netem.GraphSpec{
-		Switches: []netem.SwitchID{"east", "west"},
-		Trunks: []netem.TrunkSpec{{
-			A: "west", B: "east",
-			Config: netem.TrunkConfig{Rate: p.TrunkRate, Delay: p.Delay, QueueCap: p.TrunkQueueCap},
-		}},
-		Homes: map[netem.NodeID]netem.SwitchID{},
-	}
-	relays := make([]scenario.RelaySpec, 0, 2*p.RelayPairs)
-	for k := 0; k < p.RelayPairs; k++ {
-		g := netem.NodeID(fmt.Sprintf("g-%03d", k))
-		e := netem.NodeID(fmt.Sprintf("e-%03d", k))
-		relays = append(relays,
-			scenario.RelaySpec{ID: g, Access: access},
-			scenario.RelaySpec{ID: e, Access: access})
-		spec.Homes[g] = "west"
-		spec.Homes[e] = "east"
-	}
-	count := 2 * p.CircuitPairs
-	paths := make([][]netem.NodeID, count)
-	for i := 0; i < count; i++ {
-		k := i % p.RelayPairs
-		paths[i] = []netem.NodeID{
-			netem.NodeID(fmt.Sprintf("g-%03d", k)),
-			netem.NodeID(fmt.Sprintf("e-%03d", k)),
-		}
-		spec.Homes[netem.NodeID(fmt.Sprintf("client-%03d", i))] = "west"
-		spec.Homes[netem.NodeID(fmt.Sprintf("server-%03d", i))] = "east"
-	}
-	arm := func(policy, sched string) scenario.Arm {
-		return scenario.Arm{
-			Name:      policy + "/" + sched,
-			Transport: core.TransportOptions{Policy: policy},
-			Relay: relay.Config{
-				Scheduler: sched,
-				HalfLife:  p.HalfLife,
-				Limits:    p.Limits,
-			},
+//
+// The grid is CircuitStart vs classic slow start × FIFO vs Tor-style
+// EWMA quiet-circuit scheduling, so the result separates what the
+// startup policy buys from what the relay scheduler buys when the relay
+// is the scarce resource. The headline metrics are Jain's fairness
+// index over per-circuit TTLB, the resource managers' kill/rejection
+// counters and the per-relay memory high-water mark.
+func Overload(seed int64) scenario.Scenario {
+	delay := 5 * time.Millisecond
+	sc := dumbbell("ablation-overload", seed, 2, 16,
+		netem.SymmetricTrunk(units.Mbps(16), delay, 256*units.Kilobyte), netem.Symmetric(units.Mbps(50), delay, 0))
+	sc.Circuits.SizeMix = []units.DataSize{50 * units.Kilobyte, 2000 * units.Kilobyte}
+	limits := resource.Limits{MaxCircuits: 6, MaxMemory: 128 * units.Kilobyte, Policy: resource.KillHeaviest}
+	for _, policy := range []string{"circuitstart", "slowstart"} {
+		for _, sched := range []string{"fifo", "ewma"} {
+			sc.Arms = append(sc.Arms, scenario.Arm{
+				Name:      policy + "/" + sched,
+				Transport: core.TransportOptions{Policy: policy},
+				Relay:     relay.Config{Scheduler: sched, Limits: limits},
+			})
 		}
 	}
-	return scenario.Scenario{
-		Name:     "ablation-overload",
-		Seed:     p.Seed,
-		Topology: scenario.Topology{Relays: relays, Fabric: &spec},
-		Circuits: scenario.CircuitSet{
-			Count:   count,
-			Paths:   paths,
-			SizeMix: []units.DataSize{p.Interactive, p.Bulk},
-			Arrival: scenario.Arrival{Kind: scenario.ArriveUniform, Spread: 200 * time.Millisecond},
-		},
-		Arms: []scenario.Arm{
-			arm("circuitstart", "fifo"),
-			arm("circuitstart", "ewma"),
-			arm("slowstart", "fifo"),
-			arm("slowstart", "ewma"),
-		},
-		ClientAccess: access,
-		TrainSize:    p.TrainSize,
-		Horizon:      p.Horizon,
-	}
-}
-
-// AblationOverload runs the overload grid: CircuitStart vs classic slow
-// start × FIFO vs EWMA scheduling, on identical topology, workload mix
-// and resource limits. The returned Result carries the TTLB
-// distributions plus the per-arm fairness/resource table (Jain's index,
-// admissions, rejections, kills, memory high-water, scheduler drops).
-func AblationOverload(p OverloadParams) (*scenario.Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	return scenario.Run(p.Scenario())
+	sc.Horizon = 300 * sim.Second
+	return sc
 }

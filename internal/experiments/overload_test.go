@@ -4,34 +4,18 @@ import (
 	"bytes"
 	"testing"
 
-	"circuitstart/internal/resource"
 	"circuitstart/internal/scenario"
-	"circuitstart/internal/units"
 )
 
-// smallOverloadParams shrinks the default overload ablation for fast
-// tests while keeping the limits tight enough to force kills.
-func smallOverloadParams() OverloadParams {
-	p := DefaultOverloadParams()
-	p.CircuitPairs = 4
-	p.RelayPairs = 1
-	p.Bulk = 500 * units.Kilobyte
-	p.Limits = resource.Limits{
-		MaxCircuits: 6,
-		MaxMemory:   64 * units.Kilobyte,
-		Policy:      resource.KillHeaviest,
-	}
-	return p
-}
-
 func TestAblationOverloadReportsPressure(t *testing.T) {
-	res, err := AblationOverload(smallOverloadParams())
+	sc := Overload(42)
+	res, err := scenario.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, arm := range res.Arms {
-		if got := len(arm.Circuits); got != 8 {
-			t.Fatalf("arm %q has %d circuits, want 8", arm.Name, got)
+		if got := len(arm.Circuits); got != sc.Circuits.Count {
+			t.Fatalf("arm %q has %d circuits, want %d", arm.Name, got, sc.Circuits.Count)
 		}
 		rs := arm.Net.Resource
 		if rs.Admitted == 0 {
@@ -69,7 +53,7 @@ func TestAblationOverloadReportsPressure(t *testing.T) {
 // fairness indices, kill counts, memory high-water marks and all — is
 // byte-identical for any Runner worker count.
 func TestAblationOverloadDeterministicAcrossWorkers(t *testing.T) {
-	sc := smallOverloadParams().Scenario()
+	sc := Overload(42)
 	render := func(workers int) string {
 		res, err := scenario.Runner{Workers: workers}.Run(sc)
 		if err != nil {
@@ -84,24 +68,5 @@ func TestAblationOverloadDeterministicAcrossWorkers(t *testing.T) {
 	one, eight := render(1), render(8)
 	if one != eight {
 		t.Fatalf("overload report differs between 1 and 8 workers\n--- 1 ---\n%s--- 8 ---\n%s", one, eight)
-	}
-}
-
-func TestAblationOverloadValidation(t *testing.T) {
-	cases := []func(*OverloadParams){
-		func(p *OverloadParams) { p.CircuitPairs = 0 },
-		func(p *OverloadParams) { p.RelayPairs = 0 },
-		func(p *OverloadParams) { p.TrunkRate = 0 },
-		func(p *OverloadParams) { p.Interactive = 0 },
-		func(p *OverloadParams) { p.Bulk = -1 },
-		func(p *OverloadParams) { p.Limits.MaxCircuits = -1 },
-		func(p *OverloadParams) { p.HalfLife = -1 },
-	}
-	for i, mutate := range cases {
-		p := smallOverloadParams()
-		mutate(&p)
-		if _, err := AblationOverload(p); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
 	}
 }
