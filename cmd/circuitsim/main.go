@@ -470,6 +470,15 @@ func runScenario(args []string) error {
 	if *poisson < 0 {
 		return fmt.Errorf("-poisson %g: want a non-negative rate", *poisson)
 	}
+	if *spread < 0 {
+		return fmt.Errorf("-spread %v: want a non-negative window", *spread)
+	}
+	if *hops < 1 {
+		return fmt.Errorf("-hops %d: want at least 1", *hops)
+	}
+	if *switches < 0 {
+		return fmt.Errorf("-switches %d: want 0 (star) or more", *switches)
+	}
 
 	var armSpecs []scenario.Arm
 	for _, policy := range strings.Split(*arms, ",") {

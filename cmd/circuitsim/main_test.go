@@ -144,6 +144,9 @@ func TestRunScenarioRejectsBadFlags(t *testing.T) {
 		{[]string{"-poisson", "-3"}, "-poisson -3"},
 		{[]string{"-reps", "0"}, "-reps 0"},
 		{[]string{"-reps", "-1"}, "-reps -1"},
+		{[]string{"-spread", "-1s"}, "-spread -1s"},
+		{[]string{"-hops", "0"}, "-hops 0"},
+		{[]string{"-switches", "-1"}, "-switches -1"},
 	} {
 		err := runScenario(append([]string{"-circuits", "1", "-relays", "4", "-size", "1000"}, c.args...))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -147,6 +147,11 @@ func (sn *ShardedNetwork) Relay(id netem.NodeID) *relay.Relay {
 	return sn.shards[shard].relays[id]
 }
 
+// Identity returns an attached relay's onion identity, or nil. Its key
+// is derived on the first circuit built through the relay, so after a
+// trial Identity(id).Derived() tells whether any circuit reached it.
+func (sn *ShardedNetwork) Identity(id netem.NodeID) *onion.Identity { return sn.identities[id] }
+
 // RelayShard returns the shard a relay lives on and its clock, or
 // (-1, nil) when unknown. Fault installers use it to schedule each
 // episode on the owning shard.

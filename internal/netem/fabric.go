@@ -113,6 +113,7 @@ type Port struct {
 	down *Link // fabric → node
 	cfg  AccessConfig
 	pool *FramePool // the owning fabric's frame pool (may be nil)
+	home int32      // home switch index on a GraphFabric (0 on a star)
 }
 
 // Config returns the access configuration.

@@ -50,8 +50,15 @@ type Frame struct {
 	// trainLen is set by Link on the first surviving member of a train
 	// entering the propagation FIFO: how many members survived with it,
 	// and deliverKey the position reserved for their delivery event.
-	trainLen   int
+	trainLen int32
+	// dstSw and dstPort are the destination as a GraphFabric resolves
+	// it at the frame's first switch: its home switch index plus one
+	// (0 = unresolved) and, when it is attached to that fabric, its
+	// port. Later switches route on dstSw alone. (dstSw shares a word
+	// with trainLen, so a frame stays in its 112-byte size class.)
+	dstSw      int32
 	deliverKey sim.Key
+	dstPort    *Port
 }
 
 // FramePool is where a fabric's frames and its links' ring buffers come

@@ -182,12 +182,40 @@ func sortedNodes(m map[NodeID]SwitchID) []NodeID {
 	return ids
 }
 
-// gswitch is one backbone switch: its outgoing trunk per neighbor and
-// the build-time next-hop table toward every other switch.
+// gswitch is one backbone switch: its place in the fabric's switch
+// order, its outgoing trunk per neighbor, and its hop table, computed
+// once at freeze and indexed by destination switch. The hop table is
+// the one routing structure: frames and the analytic path queries both
+// walk it.
 type gswitch struct {
 	id   SwitchID
-	out  map[SwitchID]*Link    // neighbor → trunk link this switch transmits on
-	next map[SwitchID]SwitchID // destination switch → next hop
+	idx  int32              // index in the fabric's sorted switch order
+	out  map[SwitchID]*Link // neighbor → trunk link this switch transmits on
+	hops []hop              // destination switch index → next hop
+}
+
+// hop is one hop-table entry: the trunk toward a destination switch and
+// the index of the switch at its far end. The entry of the switch
+// itself, and of every switch it cannot reach, has no link.
+type hop struct {
+	link *Link
+	next int32
+}
+
+// trunkRoute returns the trunk links from switch index a to switch
+// index b, following the hop tables of sws (every switch, by index),
+// or ok = false when the backbone is disconnected between them.
+func trunkRoute(sws []*gswitch, a, b int32) (links []*Link, ok bool) {
+	links = []*Link{}
+	for cur := a; cur != b; {
+		h := sws[cur].hops[b]
+		if h.link == nil {
+			return nil, false
+		}
+		links = append(links, h.link)
+		cur = h.next
+	}
+	return links, true
 }
 
 // GraphFabric routes frames across an arbitrary switch graph: a node's
@@ -207,21 +235,22 @@ type GraphFabric struct {
 	clock    *sim.Clock
 	switches map[SwitchID]*gswitch
 	order    []SwitchID // sorted, fixed at freeze
+	sws      []*gswitch // by index in order, fixed at freeze
 	trunks   []*Link    // both directions, deterministic order
 	frozen   bool
 
 	ports  map[NodeID]*Port
 	pinned map[NodeID]SwitchID // explicit homes
-	homes  map[NodeID]SwitchID // resolved at attach
 	pool   *FramePool
 
 	// Sharded-execution hooks (see shard.go). remoteHome resolves nodes
-	// attached on other shards of a ShardedFabric so routeFrom forwards
-	// toward their home switch instead of counting an unknown
-	// destination; onAttach mirrors local attachments into the sharded
-	// fabric's global registry. Both are nil on standalone fabrics.
-	remoteHome func(NodeID) (SwitchID, bool)
-	onAttach   func(id NodeID, home SwitchID, p *Port)
+	// attached on other shards of a ShardedFabric to their home switch
+	// index, so routeFrom forwards toward it instead of counting an
+	// unknown destination; onAttach mirrors local attachments into the
+	// sharded fabric's global registry. Both are nil on standalone
+	// fabrics.
+	remoteHome func(NodeID) (int32, bool)
+	onAttach   func(id NodeID, home int32, p *Port)
 
 	unknownDst uint64
 	unroutable uint64
@@ -239,7 +268,6 @@ func NewGraphFabric(clock *sim.Clock) *GraphFabric {
 		switches: make(map[SwitchID]*gswitch),
 		ports:    make(map[NodeID]*Port),
 		pinned:   make(map[NodeID]SwitchID),
-		homes:    make(map[NodeID]SwitchID),
 		pool:     NewFramePool(),
 	}
 }
@@ -256,11 +284,7 @@ func (g *GraphFabric) AddSwitch(id SwitchID) {
 	if _, dup := g.switches[id]; dup {
 		panic(fmt.Sprintf("netem: switch %q added twice", id))
 	}
-	g.switches[id] = &gswitch{
-		id:   id,
-		out:  make(map[SwitchID]*Link),
-		next: make(map[SwitchID]SwitchID),
-	}
+	g.switches[id] = &gswitch{id: id, out: make(map[SwitchID]*Link)}
 }
 
 // AddTrunk connects two switches with a bidirectional trunk: one Link
@@ -342,8 +366,8 @@ func (g *GraphFabric) AssignHome(node NodeID, sw SwitchID) {
 
 // Home returns the switch a node homes (or would home) to.
 func (g *GraphFabric) Home(node NodeID) SwitchID {
-	if sw, ok := g.homes[node]; ok {
-		return sw
+	if p, ok := g.ports[node]; ok {
+		return g.order[p.home]
 	}
 	if sw, ok := g.pinned[node]; ok {
 		return sw
@@ -373,16 +397,16 @@ func (g *GraphFabric) Attach(id NodeID, cfg AccessConfig, h Handler, rng *sim.RN
 	home := g.Home(id)
 	sw := g.switches[home]
 	p := newPort(id, g.clock, cfg, &switchIngress{g: g, sw: sw}, h, rng, g.pool)
+	p.home = sw.idx
 	g.ports[id] = p
-	g.homes[id] = home
 	if g.onAttach != nil {
-		g.onAttach(id, home, p)
+		g.onAttach(id, sw.idx, p)
 	}
 	return p
 }
 
-// freeze fixes the backbone: sorts the switch order, collects the trunk
-// list, and computes every switch's next-hop table.
+// freeze fixes the backbone: sorts and indexes the switch order,
+// collects the trunk list, and computes every switch's hop table.
 func (g *GraphFabric) freeze() {
 	if len(g.switches) == 0 {
 		panic("netem: graph fabric with no switches")
@@ -393,6 +417,11 @@ func (g *GraphFabric) freeze() {
 		g.order = append(g.order, id)
 	}
 	sort.Slice(g.order, func(i, j int) bool { return g.order[i] < g.order[j] })
+	g.sws = make([]*gswitch, len(g.order))
+	for i, id := range g.order {
+		g.sws[i] = g.switches[id]
+		g.sws[i].idx = int32(i)
+	}
 	for _, a := range g.order {
 		sa := g.switches[a]
 		for _, b := range g.neighbors(sa) {
@@ -416,7 +445,7 @@ func (g *GraphFabric) neighbors(s *gswitch) []SwitchID {
 
 // computeRoutes runs Dijkstra from src over trunk propagation delay,
 // breaking ties by hop count and then by lexicographic first hop, and
-// stores src's next-hop table. Every step is over sorted orders, so the
+// stores src's hop table. Every step is over sorted orders, so the
 // routes are a pure function of the spec.
 func (g *GraphFabric) computeRoutes(src SwitchID) {
 	type est struct {
@@ -487,54 +516,64 @@ func (g *GraphFabric) computeRoutes(src SwitchID) {
 		}
 	}
 
-	next := g.switches[src].next
-	for _, dst := range g.order {
+	s := g.switches[src]
+	s.hops = make([]hop, len(g.order))
+	for i, dst := range g.order {
 		if dst == src {
 			continue
 		}
 		if e := ests[dst]; e.known {
-			next[dst] = e.first
+			s.hops[i] = hop{link: s.out[e.first], next: g.switches[e.first].idx}
 		}
 	}
 }
 
 // routeFrom forwards a frame that arrived at sw: deliver locally when
 // the destination homes here, otherwise transmit on the trunk toward
-// the destination's home switch. Unattached destinations and
+// the destination's home switch. The frame's first switch resolves its
+// destination (see resolve); every later switch routes on the resolved
+// index alone, one hop-table read. Unattached destinations and
 // destinations without a route are counted and dropped — loudly
 // surfaced by the scenario layer so a routing bug cannot silently
 // blackhole an experiment.
 func (g *GraphFabric) routeFrom(sw *gswitch, f *Frame) {
-	dst, ok := g.ports[f.Dst]
-	if !ok {
-		if g.remoteHome != nil {
-			if home, remote := g.remoteHome(f.Dst); remote {
-				nh, routed := sw.next[home]
-				if !routed {
-					g.unroutable++
-					g.pool.Put(f)
-					return
-				}
-				sw.out[nh].Send(f)
-				return
-			}
-		}
+	if f.dstSw == 0 && !g.resolve(f) {
 		g.unknownDst++
 		g.pool.Put(f)
 		return
 	}
-	home := g.homes[f.Dst]
-	if home == sw.id {
-		dst.down.Send(f)
+	to := f.dstSw - 1
+	if to == sw.idx {
+		f.dstPort.down.Send(f)
 		return
 	}
-	nh, ok := sw.next[home]
-	if !ok {
+	next := sw.hops[to].link
+	if next == nil {
 		g.unroutable++
 		g.pool.Put(f)
 		return
 	}
-	sw.out[nh].Send(f)
+	next.Send(f)
+}
+
+// resolve records a frame's destination on it: the port and home
+// switch of a node attached to this fabric, or — on a shard of a
+// ShardedFabric — the home switch alone of a node attached on another
+// shard. It reports false for a destination attached nowhere. A frame
+// handed across shards is rebuilt without these fields, so it resolves
+// again on the shard it arrives at and never carries a foreign port.
+func (g *GraphFabric) resolve(f *Frame) bool {
+	if p, ok := g.ports[f.Dst]; ok {
+		f.dstPort, f.dstSw = p, p.home+1
+		return true
+	}
+	if g.remoteHome != nil {
+		if home, ok := g.remoteHome(f.Dst); ok {
+			f.dstSw = home + 1
+			return true
+		}
+	}
+	return false
 }
 
 // Port returns the port of an attached node, or nil.
@@ -585,34 +624,15 @@ func (g *GraphFabric) ResetStats() {
 	}
 }
 
-// route returns the switch sequence from a's home to b's home
-// (inclusive), or nil when no route exists.
-func (g *GraphFabric) route(a, b SwitchID) []SwitchID {
-	hops := []SwitchID{a}
-	for cur := a; cur != b; {
-		nh, ok := g.switches[cur].next[b]
-		if !ok {
-			return nil
-		}
-		hops = append(hops, nh)
-		cur = nh
-	}
-	return hops
-}
-
 // trunkPath returns the directed trunk links between two attached
 // nodes' home switches, or panics when the backbone is disconnected
 // between them — analytic path queries on unroutable pairs are
 // programming errors.
 func (g *GraphFabric) trunkPath(a, b NodeID) []*Link {
-	ha, hb := g.homes[a], g.homes[b]
-	sws := g.route(ha, hb)
-	if sws == nil {
-		panic(fmt.Sprintf("netem: no route between %q (home %q) and %q (home %q)", a, ha, b, hb))
-	}
-	links := make([]*Link, 0, len(sws)-1)
-	for i := 0; i+1 < len(sws); i++ {
-		links = append(links, g.switches[sws[i]].out[sws[i+1]])
+	ha, hb := g.ports[a].home, g.ports[b].home
+	links, ok := trunkRoute(g.sws, ha, hb)
+	if !ok {
+		panic(fmt.Sprintf("netem: no route between %q (home %q) and %q (home %q)", a, g.order[ha], b, g.order[hb]))
 	}
 	return links
 }

@@ -626,7 +626,7 @@ func (l *Link) onTxDoneTrain() {
 			}
 			l.deliverBuf = l.deliverBuf[:0]
 		default:
-			head.trainLen = survived
+			head.trainLen = int32(survived)
 			l.scheduleDeliver(head)
 		}
 	}
@@ -640,7 +640,7 @@ func (l *Link) onTxDoneTrain() {
 // otherwise members are handed over one Deliver at a time, in order.
 func (l *Link) onDeliverTrain() {
 	head := l.inflight.pop()
-	n := head.trainLen
+	n := int(head.trainLen)
 	batch := append(l.deliverBuf[:0], head)
 	bytes := head.Size
 	for i := 1; i < n; i++ {

@@ -4,11 +4,21 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 )
+
+// TestFrameFitsItsSizeClass keeps the resolved destination free: the
+// graph fabric's dstSw shares a word with trainLen, so a pooled frame
+// stays in the 112-byte allocation class it had before it carried one.
+func TestFrameFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size > 112 {
+		t.Fatalf("Frame is %d bytes, more than the 112-byte size class", size)
+	}
+}
 
 // sink collects delivered frames with their arrival times. It snapshots
 // each frame: fabric-routed frames are recycled the moment Deliver

@@ -349,7 +349,9 @@ func (b *boundary) admit(end sim.Time) (frames uint64) {
 // deliverHead is the boundary's import event, on the destination shard:
 // the oldest admitted handoff re-materializes from the destination pool
 // and enters the ingress switch, exactly as the egress link's delivery
-// event would have handed it over on one clock.
+// event would have handed it over on one clock. The fresh frame carries
+// no resolved destination, so the ingress switch resolves it against
+// this shard's own ports.
 func (b *boundary) deliverHead() {
 	g := b.dst
 	for n := b.in.peek().trainLen; n > 0; n-- {
@@ -369,14 +371,14 @@ func (b *boundary) deliverHead() {
 // attached node.
 type nodeInfo struct {
 	shard int
-	home  SwitchID
+	home  int32 // home switch index
 	port  *Port
 }
 
 // ShardedFabric runs one GraphFabric partitioned across per-core
 // shards. Each shard is a real *GraphFabric (same switch, trunk and
 // link machinery as the unsharded engine) carrying globally-computed
-// next-hop tables; cut trunks become boundary egress links whose
+// hop tables; cut trunks become boundary egress links whose
 // deliveries hand off through the coordinator. Nodes attach to the
 // shard owning their home switch; the global registry keeps routing,
 // path queries and stats identical to the unsharded fabric.
@@ -391,6 +393,9 @@ type ShardedFabric struct {
 	// engine runs, and so Home resolution hashes over the same global
 	// switch order.
 	oracle *GraphFabric
+	// sws is every live switch by global index, each on its owning
+	// shard; its hop tables name live links. Every shard shares it.
+	sws []*gswitch
 
 	trunkDir   map[[2]SwitchID]*Link // directed trunk → live link on its owning shard
 	trunkOrder [][2]SwitchID         // global deterministic order (matches unsharded Trunks)
@@ -449,48 +454,41 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 		cfgOf[[2]SwitchID{t.B, t.A}] = t.Config
 	}
 
-	// Per-shard fabrics: local switches with global next-hop tables,
-	// frozen from birth so nothing recomputes routes over the partial
-	// topology. order is the global order so unpinned nodes hash to the
-	// same home switch as on the unsharded fabric.
+	// Per-shard fabrics: local switches with global hop tables, frozen
+	// from birth so nothing recomputes routes over the partial topology.
+	// order is the global order so unpinned nodes hash to the same home
+	// switch as on the unsharded fabric, and switch indices are global.
+	n := len(sf.oracle.order)
+	sf.sws = make([]*gswitch, n)
 	sf.shards = make([]*GraphFabric, plan.Shards)
 	for i := range sf.shards {
 		g := &GraphFabric{
 			clock:    clocks[i],
 			switches: make(map[SwitchID]*gswitch),
 			order:    append([]SwitchID(nil), sf.oracle.order...),
+			sws:      sf.sws,
 			frozen:   true,
 			ports:    make(map[NodeID]*Port),
 			pinned:   make(map[NodeID]SwitchID),
-			homes:    make(map[NodeID]SwitchID),
 			pool:     NewFramePool(),
 		}
 		for node, sw := range spec.Homes {
 			g.pinned[node] = sw
 		}
-		g.remoteHome = func(id NodeID) (SwitchID, bool) {
+		g.remoteHome = func(id NodeID) (int32, bool) {
 			ni, ok := sf.nodes[id]
-			if !ok {
-				return "", false
-			}
-			return ni.home, true
+			return ni.home, ok
 		}
 		shard := i
-		g.onAttach = func(id NodeID, home SwitchID, p *Port) {
+		g.onAttach = func(id NodeID, home int32, p *Port) {
 			sf.nodes[id] = nodeInfo{shard: shard, home: home, port: p}
 		}
 		sf.shards[i] = g
 	}
-	for sw, shard := range plan.Assign {
-		g := sf.shards[shard]
-		g.switches[sw] = &gswitch{
-			id:   sw,
-			out:  make(map[SwitchID]*Link),
-			next: make(map[SwitchID]SwitchID, len(sf.oracle.switches[sw].next)),
-		}
-		for dst, nh := range sf.oracle.switches[sw].next {
-			g.switches[sw].next[dst] = nh
-		}
+	for i, o := range sf.oracle.sws {
+		s := &gswitch{id: o.id, idx: o.idx, out: make(map[SwitchID]*Link), hops: make([]hop, n)}
+		sf.shards[plan.Assign[o.id]].switches[o.id] = s
+		sf.sws[i] = s
 	}
 
 	// Trunks in the global deterministic order (source switch sorted,
@@ -523,6 +521,15 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 			g.trunks = append(g.trunks, lnk)
 			sf.trunkDir[[2]SwitchID{a, b}] = lnk
 			sf.trunkOrder = append(sf.trunkOrder, [2]SwitchID{a, b})
+		}
+	}
+	// The oracle's routes, over the live links.
+	for i, o := range sf.oracle.sws {
+		s := sf.sws[i]
+		for dst, h := range o.hops {
+			if h.link != nil {
+				s.hops[dst] = hop{link: s.out[sf.oracle.order[h.next]], next: h.next}
+			}
 		}
 	}
 	return sf
@@ -794,13 +801,10 @@ func (sf *ShardedFabric) PathTransits(a, b NodeID) []*Link {
 	if !aok || !bok {
 		panic(fmt.Sprintf("netem: PathTransits between unattached nodes %q, %q", a, b))
 	}
-	sws := sf.oracle.route(na.home, nb.home)
-	if sws == nil {
-		panic(fmt.Sprintf("netem: no route between %q (home %q) and %q (home %q)", a, na.home, b, nb.home))
-	}
-	links := make([]*Link, 0, len(sws)-1)
-	for i := 0; i+1 < len(sws); i++ {
-		links = append(links, sf.trunkDir[[2]SwitchID{sws[i], sws[i+1]}])
+	links, ok := trunkRoute(sf.sws, na.home, nb.home)
+	if !ok {
+		panic(fmt.Sprintf("netem: no route between %q (home %q) and %q (home %q)",
+			a, sf.oracle.order[na.home], b, sf.oracle.order[nb.home]))
 	}
 	return links
 }

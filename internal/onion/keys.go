@@ -9,6 +9,11 @@
 // cell a relay forwards is really decrypted/encrypted one layer, and the
 // exit verifies integrity. This keeps the simulated relays honest about
 // per-cell work and makes the substrate reusable.
+//
+// A relay's identity key is derived on its first handshake, not when
+// the identity is drawn: NewIdentity still reads the key's 32 seed
+// bytes from the stream at once, so the stream order — and every later
+// key — is the same as if the key were derived there.
 package onion
 
 import (
@@ -34,9 +39,15 @@ const (
 	DigestSeedLen = 20
 )
 
-// Identity is a relay's long-term X25519 identity used in handshakes.
+// Identity is a relay's long-term X25519 identity used in handshakes:
+// the 32 seed bytes NewIdentity drew, and the key derived from them on
+// first use (see the package doc). That first use writes the identity
+// without synchronization. It is safe because an identity belongs to
+// the one network that drew it and only that network's control plane
+// uses it: never share one between concurrent trials or pool it.
 type Identity struct {
-	priv *ecdh.PrivateKey
+	seed [32]byte
+	priv *ecdh.PrivateKey // nil until first used
 }
 
 // newPrivateKey builds an X25519 key from exactly 32 bytes of rand, so a
@@ -52,16 +63,34 @@ func newPrivateKey(rand io.Reader) (*ecdh.PrivateKey, error) {
 }
 
 // NewIdentity generates a relay identity from the given entropy source.
+// It reads exactly 32 bytes and defers the key derivation to first use.
 func NewIdentity(rand io.Reader) (*Identity, error) {
-	priv, err := newPrivateKey(rand)
-	if err != nil {
+	id := new(Identity)
+	if _, err := io.ReadFull(rand, id.seed[:]); err != nil {
 		return nil, fmt.Errorf("onion: generating identity: %w", err)
 	}
-	return &Identity{priv: priv}, nil
+	return id, nil
 }
 
+// key returns the identity's private key, deriving it on first use.
+// X25519 accepts any 32-byte seed, so the derivation cannot fail.
+func (id *Identity) key() *ecdh.PrivateKey {
+	if id.priv == nil {
+		priv, err := ecdh.X25519().NewPrivateKey(id.seed[:])
+		if err != nil {
+			panic(fmt.Sprintf("onion: deriving identity key: %v", err))
+		}
+		id.priv = priv
+	}
+	return id.priv
+}
+
+// Derived reports whether the identity's key has been derived, that
+// is, whether any handshake or Public call has used it yet.
+func (id *Identity) Derived() bool { return id.priv != nil }
+
 // Public returns the identity's public key bytes (32 bytes).
-func (id *Identity) Public() []byte { return id.priv.PublicKey().Bytes() }
+func (id *Identity) Public() []byte { return id.key().PublicKey().Bytes() }
 
 // HopKeys is one side's directional key material for a single hop:
 // a forward cipher (client → exit direction), a backward cipher, and
@@ -168,9 +197,11 @@ func (id *Identity) RelayHandshake(createPayload []byte) (*HopKeys, error) {
 	if err != nil {
 		return nil, ErrBadHandshake
 	}
-	secret, err := id.priv.ECDH(cp)
+	secret, err := id.key().ECDH(cp)
 	if err != nil {
-		return nil, fmt.Errorf("onion: ECDH: %w", err)
+		// A low-order point yields the all-zero secret; the payload is
+		// what is wrong, not the relay.
+		return nil, fmt.Errorf("%w: %v", ErrBadHandshake, err)
 	}
 	ctx := append(append([]byte{}, createPayload...), id.Public()...)
 	return deriveHopKeys(secret, ctx)

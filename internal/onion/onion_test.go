@@ -2,8 +2,10 @@ package onion
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -74,9 +76,85 @@ func TestRelayHandshakeRejectsBadPayload(t *testing.T) {
 	if _, err := id.RelayHandshake([]byte("short")); err != ErrBadHandshake {
 		t.Errorf("err = %v, want ErrBadHandshake", err)
 	}
-	if _, err := id.RelayHandshake(make([]byte, 32)); err == nil {
-		// All-zero is a low-order point; X25519 must reject it.
-		t.Error("all-zero public key accepted")
+	// Low-order points: X25519 with them yields the all-zero secret, so
+	// the relay must refuse them as malformed CREATE payloads.
+	one := make([]byte, 32)
+	one[0] = 1
+	for name, payload := range map[string][]byte{"all-zero": make([]byte, 32), "u=1": one} {
+		if _, err := id.RelayHandshake(payload); !errors.Is(err, ErrBadHandshake) {
+			t.Errorf("%s point: err = %v, want ErrBadHandshake", name, err)
+		}
+	}
+}
+
+// TestNewIdentityConsumesExactlyOneSeed pins the key stream: drawing an
+// identity takes exactly 32 bytes, so the draw after it is the one a
+// reader that skipped 32 bytes makes.
+func TestNewIdentityConsumesExactlyOneSeed(t *testing.T) {
+	drawn := mrand.New(mrand.NewSource(5))
+	if _, err := NewIdentity(drawn); err != nil {
+		t.Fatal(err)
+	}
+	skipped := mrand.New(mrand.NewSource(5))
+	var seed [32]byte
+	skipped.Read(seed[:])
+	var got, want [8]byte
+	drawn.Read(got[:])
+	skipped.Read(want[:])
+	if got != want {
+		t.Fatalf("next draw after NewIdentity = %x, want %x", got, want)
+	}
+}
+
+// TestIdentityKeyMatchesEagerDerivation: the key derived on first use
+// is the key ecdh derives eagerly from the same 32 seed bytes, whether
+// Public or RelayHandshake uses it first.
+func TestIdentityKeyMatchesEagerDerivation(t *testing.T) {
+	var seed [32]byte
+	mrand.New(mrand.NewSource(9)).Read(seed[:])
+	eager, err := ecdh.X25519().NewPrivateKey(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	byPublic, err := NewIdentity(mrand.New(mrand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(byPublic.Public(), eager.PublicKey().Bytes()) {
+		t.Fatal("Public differs from the eagerly derived public key")
+	}
+
+	byHandshake, err := NewIdentity(mrand.New(mrand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientKeys, create, err := ClientHandshake(rand.Reader, eager.PublicKey().Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	relayKeys, err := byHandshake.RelayHandshake(create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ecdh.X25519().NewPublicKey(create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret, err := eager.ECDH(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eagerKeys, err := deriveHopKeys(secret, append(append([]byte{}, create...), eager.PublicKey().Bytes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b, c cell.Cell
+	clientKeys.EncryptForward(&a)
+	relayKeys.EncryptForward(&b)
+	eagerKeys.EncryptForward(&c)
+	if a.Payload != b.Payload || b.Payload != c.Payload {
+		t.Fatal("lazily derived handshake keys differ from the eager ones")
 	}
 }
 
