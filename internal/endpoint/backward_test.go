@@ -18,7 +18,7 @@ import (
 // cells like the real relay chain would.
 type backRig struct {
 	clock  *sim.Clock
-	star   *netem.StarFabric
+	star   *netem.GraphFabric
 	source *Source
 	rk     []*onion.HopKeys // relay-side keys, guard first
 	relay  *netem.Port

@@ -50,7 +50,7 @@ func testCircuit(t *testing.T, hops int) (*onion.CircuitCrypto, []*onion.HopKeys
 // everything and acknowledges data like a well-behaved hop receiver.
 type sourceRig struct {
 	clock  *sim.Clock
-	star   *netem.StarFabric
+	star   *netem.GraphFabric
 	source *Source
 	crypto *onion.CircuitCrypto
 	rk     []*onion.HopKeys
@@ -168,7 +168,7 @@ func TestSourceAccessors(t *testing.T) {
 // sinkRig attaches a Sink and a fake exit node.
 type sinkRig struct {
 	clock *sim.Clock
-	star  *netem.StarFabric
+	star  *netem.GraphFabric
 	sink  *Sink
 	exit  *netem.Port
 

@@ -119,6 +119,8 @@ func TestParseSpecErrors(t *testing.T) {
 		`{"bogus": 1}`, // unknown field
 		`{"degrades": [{"relay": "r1", "mode": "melt"}]}`, // unknown mode
 		`not json`,
+		`{"flaps": [{"relay": "r1", "down_at_s": 1e300}]}`,      // past int64 nanoseconds
+		`{"jitter": [{"relay": "r1", "amplitude_ms": -1.1e9}]}`, // past ±1e6 s
 	}
 	for i, spec := range cases {
 		if _, err := ParseSpec([]byte(spec)); err == nil {

@@ -120,10 +120,7 @@ func Install(n Network, p Plan, seed int64) *Injector {
 	}
 
 	if len(p.Partitions) > 0 {
-		gf, ok := n.Fabric().(*netem.GraphFabric)
-		if !ok {
-			panic("faults: plan partitions a fabric without trunks")
-		}
+		gf := n.Fabric().(*netem.GraphFabric)
 		for _, pt := range p.Partitions {
 			ab, ba := gf.Trunk(pt.TrunkA, pt.TrunkB), gf.Trunk(pt.TrunkB, pt.TrunkA)
 			if ab == nil || ba == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -74,17 +75,44 @@ type recoverySpec struct {
 	RTOMaxMS   float64 `json:"rto_max_ms"`
 }
 
-func seconds(s float64) sim.Time       { return sim.Time(s * float64(time.Second)) }
-func secondsD(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-func millis(ms float64) time.Duration  { return time.Duration(ms * float64(time.Millisecond)) }
+// maxWireSeconds bounds every time a plan's wire form names: ±1e6 s,
+// about 11.6 days of virtual time. Inside it a time in nanoseconds is
+// exact in a float64, so it converts to nanoseconds and back without
+// drift; past int64 the float-to-integer conversion differs by
+// platform.
+const maxWireSeconds = 1e6
+
+// wireTimes converts wire-form times to nanoseconds, rounded to the
+// nearest, and keeps the first time outside ±maxWireSeconds as its
+// error. Rounding (not truncation) makes MarshalSpec ∘ ParseSpec a
+// fixed point: 525.4337364610001 s truncated to 525433736461 ns
+// rendered as 525.433736461, which truncated to one nanosecond less.
+type wireTimes struct{ err error }
+
+func (w *wireTimes) ns(v float64, unit time.Duration) int64 {
+	if !(math.Abs(v)*float64(unit) <= maxWireSeconds*float64(time.Second)) {
+		if w.err == nil {
+			w.err = fmt.Errorf("faults: time %g × %v outside ±%g s", v, unit, maxWireSeconds)
+		}
+		return 0
+	}
+	return int64(math.Round(v * float64(unit)))
+}
+
+func (w *wireTimes) seconds(s float64) sim.Time       { return sim.Time(w.ns(s, time.Second)) }
+func (w *wireTimes) secondsD(s float64) time.Duration { return time.Duration(w.ns(s, time.Second)) }
+func (w *wireTimes) millis(ms float64) time.Duration {
+	return time.Duration(w.ns(ms, time.Millisecond))
+}
 
 func toSeconds(t sim.Time) float64       { return float64(t) / float64(time.Second) }
 func toSecondsD(d time.Duration) float64 { return float64(d) / float64(time.Second) }
 func toMillis(d time.Duration) float64   { return float64(d) / float64(time.Millisecond) }
 
 // ParseSpec decodes a JSON fault plan. Unknown fields are rejected so a
-// typo fails the run instead of silently injecting nothing. The returned
-// plan still needs Validate against the target topology.
+// typo fails the run instead of silently injecting nothing, and so is a
+// time outside ±maxWireSeconds. The returned plan still needs Validate
+// against the target topology.
 func ParseSpec(data []byte) (Plan, error) {
 	var spec planSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -93,10 +121,11 @@ func ParseSpec(data []byte) (Plan, error) {
 		return Plan{}, fmt.Errorf("faults: parsing spec: %w", err)
 	}
 	var p Plan
+	var w wireTimes
 	for _, b := range spec.BurstLoss {
 		p.BurstLoss = append(p.BurstLoss, BurstLoss{
 			Relay: netem.NodeID(b.Relay),
-			From:  seconds(b.FromS), Until: seconds(b.UntilS),
+			From:  w.seconds(b.FromS), Until: w.seconds(b.UntilS),
 			PGoodBad: b.PGoodBad, PBadGood: b.PBadGood,
 			LossGood: b.LossGood, LossBad: b.LossBad,
 		})
@@ -104,22 +133,22 @@ func ParseSpec(data []byte) (Plan, error) {
 	for _, j := range spec.Jitter {
 		p.Jitter = append(p.Jitter, Jitter{
 			Relay: netem.NodeID(j.Relay),
-			From:  seconds(j.FromS), Until: seconds(j.UntilS),
-			Amplitude: millis(j.AmplitudeMS),
-			SpikeProb: j.SpikeProb, SpikeDelay: millis(j.SpikeMS),
+			From:  w.seconds(j.FromS), Until: w.seconds(j.UntilS),
+			Amplitude: w.millis(j.AmplitudeMS),
+			SpikeProb: j.SpikeProb, SpikeDelay: w.millis(j.SpikeMS),
 		})
 	}
 	for _, f := range spec.Flaps {
 		p.Flaps = append(p.Flaps, Flap{
 			Relay:  netem.NodeID(f.Relay),
-			DownAt: seconds(f.DownAtS), UpAfter: secondsD(f.UpAfterS),
-			Repeat: f.Repeat, Every: secondsD(f.EveryS),
+			DownAt: w.seconds(f.DownAtS), UpAfter: w.secondsD(f.UpAfterS),
+			Repeat: f.Repeat, Every: w.secondsD(f.EveryS),
 		})
 	}
 	for _, pt := range spec.Partitions {
 		p.Partitions = append(p.Partitions, Partition{
 			TrunkA: netem.SwitchID(pt.TrunkA), TrunkB: netem.SwitchID(pt.TrunkB),
-			At: seconds(pt.AtS), HealAfter: secondsD(pt.HealAfterS),
+			At: w.seconds(pt.AtS), HealAfter: w.secondsD(pt.HealAfterS),
 		})
 	}
 	for _, d := range spec.Degrades {
@@ -134,15 +163,18 @@ func ParseSpec(data []byte) (Plan, error) {
 		}
 		p.Degrades = append(p.Degrades, Degrade{
 			Relay: netem.NodeID(d.Relay), Mode: mode,
-			At: seconds(d.AtS), RecoverAfter: secondsD(d.RecoverAfterS),
+			At: w.seconds(d.AtS), RecoverAfter: w.secondsD(d.RecoverAfterS),
 			RateFactor: d.RateFactor,
 		})
 	}
 	if r := spec.Recovery; r != nil {
 		p.Recovery = Recovery{
 			Enabled: r.Enabled, StallRTOs: r.StallRTOs, MaxRetries: r.MaxRetries,
-			RTOMin: millis(r.RTOMinMS), RTOMax: millis(r.RTOMaxMS),
+			RTOMin: w.millis(r.RTOMinMS), RTOMax: w.millis(r.RTOMaxMS),
 		}
+	}
+	if w.err != nil {
+		return Plan{}, w.err
 	}
 	return p, nil
 }
@@ -223,7 +255,7 @@ var presets = map[string]func(relays []netem.NodeID) Plan{
 		var p Plan
 		for _, id := range firstN(relays, 3) {
 			p.BurstLoss = append(p.BurstLoss, BurstLoss{
-				Relay: id, From: seconds(2),
+				Relay: id, From: 2 * sim.Second,
 				PGoodBad: 0.005, PBadGood: 0.1, LossGood: 0, LossBad: 0.8,
 			})
 		}
@@ -237,13 +269,13 @@ var presets = map[string]func(relays []netem.NodeID) Plan{
 		ids := firstN(relays, 2)
 		if len(ids) > 0 {
 			p.Flaps = append(p.Flaps, Flap{
-				Relay: ids[0], DownAt: seconds(5),
+				Relay: ids[0], DownAt: 5 * sim.Second,
 				UpAfter: 3 * time.Second, Repeat: 2, Every: 20 * time.Second,
 			})
 		}
 		if len(ids) > 1 {
 			p.Jitter = append(p.Jitter, Jitter{
-				Relay: ids[1], From: seconds(2),
+				Relay: ids[1], From: 2 * sim.Second,
 				Amplitude: 5 * time.Millisecond,
 				SpikeProb: 0.02, SpikeDelay: 50 * time.Millisecond,
 			})
@@ -258,7 +290,7 @@ var presets = map[string]func(relays []netem.NodeID) Plan{
 		for _, id := range firstN(relays, 1) {
 			p.Degrades = append(p.Degrades, Degrade{
 				Relay: id, Mode: DegradeHang,
-				At: seconds(5), RecoverAfter: 15 * time.Second,
+				At: 5 * sim.Second, RecoverAfter: 15 * time.Second,
 			})
 		}
 		p.Recovery = Recovery{Enabled: true}
@@ -271,7 +303,7 @@ var presets = map[string]func(relays []netem.NodeID) Plan{
 		for _, id := range firstN(relays, 1) {
 			p.Degrades = append(p.Degrades, Degrade{
 				Relay: id, Mode: DegradeSlow,
-				At: seconds(5), RecoverAfter: 20 * time.Second, RateFactor: 0.1,
+				At: 5 * sim.Second, RecoverAfter: 20 * time.Second, RateFactor: 0.1,
 			})
 		}
 		p.Recovery = Recovery{Enabled: true}

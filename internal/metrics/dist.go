@@ -70,7 +70,8 @@ func (d *Distribution) StdDev() float64 {
 	var ss float64
 	for _, v := range d.samples {
 		dv := v - m
-		ss += dv * dv
+		// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+		ss += float64(dv * dv)
 	}
 	return math.Sqrt(ss / float64(n))
 }
@@ -107,14 +108,15 @@ func (d *Distribution) Quantile(q float64) float64 {
 	if len(d.samples) == 1 {
 		return d.samples[0]
 	}
-	pos := q * float64(len(d.samples)-1)
+	// Each float64(…) rounds a product unfused (TestNoFusedMultiplyAdd).
+	pos := float64(q * float64(len(d.samples)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return d.samples[lo]
 	}
 	frac := pos - float64(lo)
-	return d.samples[lo]*(1-frac) + d.samples[hi]*frac
+	return float64(d.samples[lo]*(1-frac)) + float64(d.samples[hi]*frac)
 }
 
 // Median returns the 0.5 quantile.

@@ -17,7 +17,8 @@ func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 0

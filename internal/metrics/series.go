@@ -115,7 +115,8 @@ func (s *Series) TimeAverage(horizon sim.Time) (float64, bool) {
 		if i+1 < len(s.points) && s.points[i+1].At < horizon {
 			end = s.points[i+1].At
 		}
-		weighted += p.Value * float64(end-p.At)
+		// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+		weighted += float64(p.Value * float64(end-p.At))
 	}
 	total := float64(horizon - s.points[0].At)
 	return weighted / total, true

@@ -58,7 +58,7 @@ type Path struct {
 	nodes []Node
 	// fwd[i] lists the fabric-internal links hop i crosses from node i
 	// toward node i+1; rev[i] the links crossed back from node i+1
-	// toward node i. Both nil on a star.
+	// toward node i. Both nil on the one-switch star.
 	fwd, rev [][]Transit
 }
 
@@ -71,8 +71,8 @@ func NewPath(nodes []Node) Path {
 // toward the sink and reverse[i] back toward the source — the analytic
 // mirror of a circuit routed over a GraphFabric, where equal-cost
 // routing may pick different physical paths per direction. Each list
-// may be nil (a star, or a symmetric route mirroring the other list)
-// or must have one entry (possibly nil) per hop.
+// may be nil (the one-switch star, or a symmetric route mirroring the
+// other list) or must have one entry (possibly nil) per hop.
 func NewPathWithTransits(nodes []Node, forward, reverse [][]Transit) Path {
 	if len(nodes) < 2 {
 		panic(fmt.Sprintf("model: path needs >= 2 nodes, got %d", len(nodes)))

@@ -59,10 +59,11 @@ func Symmetric(rate units.DataRate, delay time.Duration, queueCap units.DataSize
 
 // Fabric is the pluggable topology substrate: it attaches node ports,
 // routes frames between them, and accounts what happened on the way.
-// StarFabric (the paper's hub-and-spoke switch) and GraphFabric (a
-// routed multi-switch backbone) implement it; everything above netem —
-// relays, endpoints, core.Network — works against this interface, so a
-// scenario swaps topologies without touching the overlay.
+// GraphFabric implements it, for the paper's star (a one-switch
+// GraphSpec, NewStarFabric) and for routed multi-switch backbones alike;
+// everything above netem — relays, endpoints, core.Network — works
+// against this interface, so a scenario swaps topologies without
+// touching the overlay.
 type Fabric interface {
 	// Clock returns the simulation clock the fabric runs on.
 	Clock() *sim.Clock
@@ -75,13 +76,14 @@ type Fabric interface {
 	// Nodes returns the attached node IDs in sorted order.
 	Nodes() []NodeID
 	// Trunks returns the fabric-internal links (switch-to-switch trunks)
-	// in deterministic order; nil when the fabric has none (star).
+	// in deterministic order; nil when the fabric has none (a single
+	// switch).
 	Trunks() []*Link
 	// UnknownDst returns how many frames were addressed to detached
 	// nodes (and silently dropped).
 	UnknownDst() uint64
 	// Unroutable returns how many frames were dropped because no route
-	// existed between their switches (always 0 on a star).
+	// existed between their switches (a disconnected backbone).
 	Unroutable() uint64
 	// PathOneWay returns the analytic no-queueing one-way latency from a
 	// to b for a frame of the given size. Panics on unattached nodes.
@@ -94,9 +96,9 @@ type Fabric interface {
 	// unattached hops.
 	BottleneckRate(path []NodeID) units.DataRate
 	// PathTransits returns the fabric-internal links a frame from a to
-	// b crosses between the two access links, in traversal order (nil
-	// on a star). The analytic path model folds them into its per-hop
-	// rates and latencies. Panics on unattached nodes.
+	// b crosses between the two access links, in traversal order (empty
+	// when both home to one switch). The analytic path model folds them
+	// into its per-hop rates and latencies. Panics on unattached nodes.
 	PathTransits(a, b NodeID) []*Link
 	// FramePool returns the fabric's frame pool. The overlay points it
 	// at a trial arena's stores (see FramePool); per-frame traffic must
@@ -113,7 +115,7 @@ type Port struct {
 	down *Link // fabric → node
 	cfg  AccessConfig
 	pool *FramePool // the owning fabric's frame pool (may be nil)
-	home int32      // home switch index on a GraphFabric (0 on a star)
+	home int32      // home switch index in the fabric's switch order
 }
 
 // Config returns the access configuration.

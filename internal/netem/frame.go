@@ -1,6 +1,7 @@
 // Package netem emulates the network layer the overlay runs on:
 // point-to-point links with finite bandwidth, propagation delay and
-// drop-tail queues, wired into a star topology through a switch.
+// drop-tail queues, wired through a graph of switches. The paper's star
+// topology is the one-switch graph.
 //
 // This replaces the ns-3 substrate used by the paper's nstor framework.
 // The fidelity target is network-level behaviour (the only thing the

@@ -152,34 +152,51 @@ func (gs GraphSpec) MinPositiveTrunkDelay() time.Duration {
 	return min
 }
 
-// Build constructs the fabric the spec describes on the given clock. rng
-// drives trunk loss processes (only consulted when a trunk has loss).
-// Build panics on an invalid spec — Validate first when the spec comes
-// from user input.
+// Build constructs the fabric the spec describes on the given clock:
+// its switches, one Link per direction of every trunk (named
+// "trunk:a>b" and "trunk:b>a"), its pinned homes and every switch's hop
+// table. It is the only way to build a GraphFabric. rng drives trunk
+// loss processes (only consulted when a trunk has loss). Build panics on
+// an invalid spec — Validate first when the spec comes from user input.
 func (gs GraphSpec) Build(clock *sim.Clock, rng *sim.RNG) *GraphFabric {
+	if clock == nil {
+		panic("netem: GraphSpec.Build with nil clock")
+	}
 	if err := gs.Validate(); err != nil {
 		panic(err)
 	}
-	g := NewGraphFabric(clock)
+	g := &GraphFabric{
+		clock:    clock,
+		switches: make(map[SwitchID]*gswitch, len(gs.Switches)),
+		ports:    make(map[NodeID]*Port),
+		pinned:   make(map[NodeID]SwitchID, len(gs.Homes)),
+		pool:     NewFramePool(),
+	}
 	for _, id := range gs.Switches {
-		g.AddSwitch(id)
+		g.switches[id] = &gswitch{id: id, out: make(map[SwitchID]*Link)}
 	}
 	for _, t := range gs.Trunks {
-		g.AddTrunk(t.A, t.B, t.Config, rng)
+		lc := LinkConfig{Rate: t.Config.Rate, Delay: t.Config.Delay, QueueCap: t.Config.QueueCap,
+			LossProb: t.Config.LossProb, RNG: rng, TrainSize: t.Config.TrainSize}
+		sa, sb := g.switches[t.A], g.switches[t.B]
+		sa.out[t.B] = NewLink(trunkName(t.A, t.B), clock, lc, &switchIngress{g: g, sw: sb})
+		sa.out[t.B].UsePool(g.pool, false)
+		sb.out[t.A] = NewLink(trunkName(t.B, t.A), clock, lc, &switchIngress{g: g, sw: sa})
+		sb.out[t.A].UsePool(g.pool, false)
 	}
-	for _, node := range sortedNodes(gs.Homes) {
-		g.AssignHome(node, gs.Homes[node])
+	for node, sw := range gs.Homes {
+		g.pinned[node] = sw
 	}
+	g.freeze()
 	return g
 }
 
-func sortedNodes(m map[NodeID]SwitchID) []NodeID {
-	ids := make([]NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// NewStarFabric builds the paper's evaluation topology, relays
+// "connected in a star topology": a one-switch GraphSpec, so every node
+// is its uplink and the destination's downlink away from every other,
+// and all contention happens on access links.
+func NewStarFabric(clock *sim.Clock) *GraphFabric {
+	return GraphSpec{Switches: []SwitchID{"star"}}.Build(clock, nil)
 }
 
 // gswitch is one backbone switch: its place in the fabric's switch
@@ -223,21 +240,19 @@ func trunkRoute(sws []*gswitch, a, b int32) (links []*Link, ok bool) {
 // precomputed shortest paths over trunk links (each a full Link, so
 // trunks serialize, queue, delay and drop like any access link), and the
 // destination's home switch feeds its downlink. With a single switch it
-// degenerates to exactly the star.
+// is the paper's star (NewStarFabric).
 //
-// Construction is two-phase: AddSwitch/AddTrunk build the backbone, the
-// first Attach freezes it and computes the routes (deterministic
-// shortest path: trunk propagation delay, then hop count, then
-// lexicographic next-hop as tie-breakers). Mutating the backbone after
-// the freeze panics — rerouting under live traffic would invalidate
-// running experiments.
+// GraphSpec.Build constructs the whole backbone and computes its routes
+// (deterministic shortest path: trunk propagation delay, then hop count,
+// then lexicographic next-hop as tie-breakers). The backbone is fixed
+// from then on — rerouting under live traffic would invalidate running
+// experiments — and only nodes attach.
 type GraphFabric struct {
 	clock    *sim.Clock
 	switches map[SwitchID]*gswitch
-	order    []SwitchID // sorted, fixed at freeze
-	sws      []*gswitch // by index in order, fixed at freeze
+	order    []SwitchID // sorted
+	sws      []*gswitch // by index in order
 	trunks   []*Link    // both directions, deterministic order
-	frozen   bool
 
 	ports  map[NodeID]*Port
 	pinned map[NodeID]SwitchID // explicit homes
@@ -258,59 +273,8 @@ type GraphFabric struct {
 
 var _ Fabric = (*GraphFabric)(nil)
 
-// NewGraphFabric creates an empty routed fabric on the given clock.
-func NewGraphFabric(clock *sim.Clock) *GraphFabric {
-	if clock == nil {
-		panic("netem: NewGraphFabric with nil clock")
-	}
-	return &GraphFabric{
-		clock:    clock,
-		switches: make(map[SwitchID]*gswitch),
-		ports:    make(map[NodeID]*Port),
-		pinned:   make(map[NodeID]SwitchID),
-		pool:     NewFramePool(),
-	}
-}
-
 // Clock returns the simulation clock the network runs on.
 func (g *GraphFabric) Clock() *sim.Clock { return g.clock }
-
-// AddSwitch registers a backbone switch. Panics on duplicates or after
-// the fabric is frozen.
-func (g *GraphFabric) AddSwitch(id SwitchID) {
-	if g.frozen {
-		panic(fmt.Sprintf("netem: AddSwitch(%q) after first Attach", id))
-	}
-	if _, dup := g.switches[id]; dup {
-		panic(fmt.Sprintf("netem: switch %q added twice", id))
-	}
-	g.switches[id] = &gswitch{id: id, out: make(map[SwitchID]*Link)}
-}
-
-// AddTrunk connects two switches with a bidirectional trunk: one Link
-// per direction, named "trunk:a>b" and "trunk:b>a". rng drives the loss
-// process (may be nil when cfg.LossProb is zero). Panics on unknown
-// switches, self-loops, duplicate pairs, or after the freeze.
-func (g *GraphFabric) AddTrunk(a, b SwitchID, cfg TrunkConfig, rng *sim.RNG) {
-	if g.frozen {
-		panic(fmt.Sprintf("netem: AddTrunk(%q, %q) after first Attach", a, b))
-	}
-	if a == b {
-		panic(fmt.Sprintf("netem: trunk %q-%q is a self-loop", a, b))
-	}
-	sa, sb := g.switches[a], g.switches[b]
-	if sa == nil || sb == nil {
-		panic(fmt.Sprintf("netem: trunk %q-%q names an unknown switch", a, b))
-	}
-	if _, dup := sa.out[b]; dup {
-		panic(fmt.Sprintf("netem: duplicate trunk %q-%q", a, b))
-	}
-	lc := LinkConfig{Rate: cfg.Rate, Delay: cfg.Delay, QueueCap: cfg.QueueCap, LossProb: cfg.LossProb, RNG: rng, TrainSize: cfg.TrainSize}
-	sa.out[b] = NewLink(trunkName(a, b), g.clock, lc, &switchIngress{g: g, sw: sb})
-	sa.out[b].UsePool(g.pool, false)
-	sb.out[a] = NewLink(trunkName(b, a), g.clock, lc, &switchIngress{g: g, sw: sa})
-	sb.out[a].UsePool(g.pool, false)
-}
 
 // switchIngress is the handler feeding a switch's routing stage — the
 // destination of every uplink and trunk that terminates there. It
@@ -344,25 +308,7 @@ func (g *GraphFabric) Trunk(a, b SwitchID) *Link {
 
 // Trunks returns every directed trunk link in deterministic
 // (source switch, destination switch) order.
-func (g *GraphFabric) Trunks() []*Link {
-	if !g.frozen {
-		g.freeze()
-	}
-	return g.trunks
-}
-
-// AssignHome pins a node to a switch before it attaches. Unpinned nodes
-// home to a deterministic hash of their ID. Panics on unknown switches
-// or nodes that already attached.
-func (g *GraphFabric) AssignHome(node NodeID, sw SwitchID) {
-	if _, ok := g.switches[sw]; !ok {
-		panic(fmt.Sprintf("netem: AssignHome(%q) to unknown switch %q", node, sw))
-	}
-	if _, attached := g.ports[node]; attached {
-		panic(fmt.Sprintf("netem: AssignHome(%q) after the node attached", node))
-	}
-	g.pinned[node] = sw
-}
+func (g *GraphFabric) Trunks() []*Link { return g.trunks }
 
 // Home returns the switch a node homes (or would home) to.
 func (g *GraphFabric) Home(node NodeID) SwitchID {
@@ -372,27 +318,21 @@ func (g *GraphFabric) Home(node NodeID) SwitchID {
 	if sw, ok := g.pinned[node]; ok {
 		return sw
 	}
-	if !g.frozen {
-		g.freeze()
-	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s", node)
 	return g.order[h.Sum64()%uint64(len(g.order))]
 }
 
 // Attach connects a node to its home switch. The handler receives every
-// frame addressed to id. Attach panics if id is already attached, the
-// handler is nil, or the fabric has no switches. The first Attach
-// freezes the backbone and computes the routing tables.
+// frame addressed to id. Attach panics if id is already attached or the
+// handler is nil — silently replacing a node's handler would invalidate
+// running experiments.
 func (g *GraphFabric) Attach(id NodeID, cfg AccessConfig, h Handler, rng *sim.RNG) *Port {
 	if _, dup := g.ports[id]; dup {
 		panic(fmt.Sprintf("netem: node %q attached twice", id))
 	}
 	if h == nil {
 		panic(fmt.Sprintf("netem: node %q attached with nil handler", id))
-	}
-	if !g.frozen {
-		g.freeze()
 	}
 	home := g.Home(id)
 	sw := g.switches[home]
@@ -408,10 +348,6 @@ func (g *GraphFabric) Attach(id NodeID, cfg AccessConfig, h Handler, rng *sim.RN
 // freeze fixes the backbone: sorts and indexes the switch order,
 // collects the trunk list, and computes every switch's hop table.
 func (g *GraphFabric) freeze() {
-	if len(g.switches) == 0 {
-		panic("netem: graph fabric with no switches")
-	}
-	g.frozen = true
 	g.order = make([]SwitchID, 0, len(g.switches))
 	for id := range g.switches {
 		g.order = append(g.order, id)
@@ -587,16 +523,6 @@ func (g *GraphFabric) Nodes() []NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Switches returns the backbone switch IDs in sorted order.
-func (g *GraphFabric) Switches() []SwitchID {
-	if !g.frozen {
-		g.freeze()
-	}
-	out := make([]SwitchID, len(g.order))
-	copy(out, g.order)
-	return out
 }
 
 // FramePool returns the fabric's frame pool.

@@ -11,12 +11,11 @@ import (
 // twoSwitchFabric builds west—east with one trunk and two nodes homed
 // on opposite sides.
 func twoSwitchFabric(clock *sim.Clock, trunk TrunkConfig) (*GraphFabric, *sink, *sink) {
-	g := NewGraphFabric(clock)
-	g.AddSwitch("west")
-	g.AddSwitch("east")
-	g.AddTrunk("west", "east", trunk, nil)
-	g.AssignHome("a", "west")
-	g.AssignHome("b", "east")
+	g := GraphSpec{
+		Switches: []SwitchID{"west", "east"},
+		Trunks:   []TrunkSpec{{A: "west", B: "east", Config: trunk}},
+		Homes:    map[NodeID]SwitchID{"a": "west", "b": "east"},
+	}.Build(clock, nil)
 	sa, sb := &sink{clock: clock}, &sink{clock: clock}
 	g.Attach("a", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), sa, nil)
 	g.Attach("b", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), sb, nil)
@@ -51,65 +50,18 @@ func TestGraphRoutedDelivery(t *testing.T) {
 	}
 }
 
-func TestGraphSingleSwitchMatchesStar(t *testing.T) {
-	// A one-switch graph is the star: same attach sequence, same frames,
-	// identical delivery times.
-	starClock, graphClock := sim.NewClock(), sim.NewClock()
-	star := NewStarFabric(starClock)
-	graph := NewGraphFabric(graphClock)
-	graph.AddSwitch("hub")
-
-	starSinks := map[NodeID]*sink{}
-	graphSinks := map[NodeID]*sink{}
-	cfgs := map[NodeID]AccessConfig{
-		"a": Symmetric(units.Mbps(10), 2*time.Millisecond, 0),
-		"b": {UpRate: units.Mbps(100), DownRate: units.Mbps(2), Delay: time.Millisecond},
-		"c": Symmetric(units.Mbps(50), 0, 0),
-	}
-	for _, id := range []NodeID{"a", "b", "c"} {
-		starSinks[id] = &sink{clock: starClock}
-		graphSinks[id] = &sink{clock: graphClock}
-		star.Attach(id, cfgs[id], starSinks[id], nil)
-		graph.Attach(id, cfgs[id], graphSinks[id], nil)
-	}
-	send := func(f Fabric, src, dst NodeID, n int) {
-		for i := 0; i < n; i++ {
-			f.Port(src).Send(dst, 512, i)
-		}
-		f.Port(src).SendPriority(dst, 24, "ctrl")
-	}
-	for _, pair := range [][2]NodeID{{"a", "b"}, {"b", "c"}, {"c", "a"}} {
-		send(star, pair[0], pair[1], 5)
-		send(graph, pair[0], pair[1], 5)
-	}
-	starClock.Run()
-	graphClock.Run()
-	for _, id := range []NodeID{"a", "b", "c"} {
-		ss, gs := starSinks[id], graphSinks[id]
-		if len(ss.frames) != len(gs.frames) {
-			t.Fatalf("node %s: star %d frames, graph %d", id, len(ss.frames), len(gs.frames))
-		}
-		for i := range ss.frames {
-			if ss.times[i] != gs.times[i] || ss.frames[i].Payload != gs.frames[i].Payload {
-				t.Fatalf("node %s frame %d: star (%v, %v) vs graph (%v, %v)",
-					id, i, ss.times[i], ss.frames[i].Payload, gs.times[i], gs.frames[i].Payload)
-			}
-		}
-	}
-}
-
 func TestGraphPriorityAcrossMultiHopRoute(t *testing.T) {
 	// Three switches in a line; a slow middle trunk builds a queue the
 	// priority frame must jump at an interior hop, not just at the edge.
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	for _, id := range []SwitchID{"s1", "s2", "s3"} {
-		g.AddSwitch(id)
-	}
-	g.AddTrunk("s1", "s2", SymmetricTrunk(units.Mbps(100), time.Millisecond, 0), nil)
-	g.AddTrunk("s2", "s3", SymmetricTrunk(units.Mbps(1), time.Millisecond, 0), nil)
-	g.AssignHome("a", "s1")
-	g.AssignHome("b", "s3")
+	g := GraphSpec{
+		Switches: []SwitchID{"s1", "s2", "s3"},
+		Trunks: []TrunkSpec{
+			{A: "s1", B: "s2", Config: SymmetricTrunk(units.Mbps(100), time.Millisecond, 0)},
+			{A: "s2", B: "s3", Config: SymmetricTrunk(units.Mbps(1), time.Millisecond, 0)},
+		},
+		Homes: map[NodeID]SwitchID{"a": "s1", "b": "s3"},
+	}.Build(clock, nil)
 	col := &sink{clock: clock}
 	g.Attach("a", Symmetric(units.Mbps(100), 0, 0), &sink{clock: clock}, nil)
 	g.Attach("b", Symmetric(units.Mbps(100), 0, 0), col, nil)
@@ -143,13 +95,11 @@ func TestGraphRandomLossOnTrunkRoute(t *testing.T) {
 	// Certain loss on the middle trunk: every frame vanishes there and
 	// is accounted as RandomLoss on exactly that link.
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	g.AddSwitch("s1")
-	g.AddSwitch("s2")
-	rng := sim.NewRNG(1, "trunk-loss")
-	g.AddTrunk("s1", "s2", TrunkConfig{Rate: units.Mbps(10), LossProb: 1}, rng)
-	g.AssignHome("a", "s1")
-	g.AssignHome("b", "s2")
+	g := GraphSpec{
+		Switches: []SwitchID{"s1", "s2"},
+		Trunks:   []TrunkSpec{{A: "s1", B: "s2", Config: TrunkConfig{Rate: units.Mbps(10), LossProb: 1}}},
+		Homes:    map[NodeID]SwitchID{"a": "s1", "b": "s2"},
+	}.Build(clock, sim.NewRNG(1, "trunk-loss"))
 	col := &sink{clock: clock}
 	g.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
 	g.Attach("b", Symmetric(units.Mbps(10), 0, 0), col, nil)
@@ -176,17 +126,17 @@ func TestGraphDeterministicTieBreak(t *testing.T) {
 	// cost the same; the lexicographically smaller next hop ("left")
 	// must carry the traffic, deterministically.
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	for _, id := range []SwitchID{"hub", "left", "right", "far"} {
-		g.AddSwitch(id)
-	}
 	cfg := SymmetricTrunk(units.Mbps(100), time.Millisecond, 0)
-	g.AddTrunk("hub", "left", cfg, nil)
-	g.AddTrunk("hub", "right", cfg, nil)
-	g.AddTrunk("left", "far", cfg, nil)
-	g.AddTrunk("right", "far", cfg, nil)
-	g.AssignHome("a", "hub")
-	g.AssignHome("b", "far")
+	g := GraphSpec{
+		Switches: []SwitchID{"hub", "left", "right", "far"},
+		Trunks: []TrunkSpec{
+			{A: "hub", B: "left", Config: cfg},
+			{A: "hub", B: "right", Config: cfg},
+			{A: "left", B: "far", Config: cfg},
+			{A: "right", B: "far", Config: cfg},
+		},
+		Homes: map[NodeID]SwitchID{"a": "hub", "b": "far"},
+	}.Build(clock, nil)
 	col := &sink{clock: clock}
 	g.Attach("a", Symmetric(units.Mbps(100), 0, 0), &sink{clock: clock}, nil)
 	g.Attach("b", Symmetric(units.Mbps(100), 0, 0), col, nil)
@@ -214,23 +164,18 @@ func TestGraphTieBreakSurvivesLateEqualCostPath(t *testing.T) {
 	// later. Regression: relaxing an already-visited switch used to
 	// flip b's tie-break after e had inherited the old one.
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	for _, id := range []SwitchID{"hub", "a", "z", "b", "c", "d", "e"} {
-		g.AddSwitch(id)
+	trunk := func(a, b SwitchID, ms int) TrunkSpec {
+		return TrunkSpec{A: a, B: b, Config: SymmetricTrunk(units.Mbps(100), time.Duration(ms)*time.Millisecond, 0)}
 	}
-	ms := func(n int) TrunkConfig {
-		return SymmetricTrunk(units.Mbps(100), time.Duration(n)*time.Millisecond, 0)
-	}
-	g.AddTrunk("hub", "a", ms(1), nil)
-	g.AddTrunk("a", "z", ms(4), nil)
-	g.AddTrunk("z", "b", ms(0), nil)
-	g.AddTrunk("hub", "c", ms(2), nil)
-	g.AddTrunk("c", "d", ms(2), nil)
-	g.AddTrunk("d", "b", ms(1), nil)
-	g.AddTrunk("b", "e", ms(1), nil)
-	g.AssignHome("src", "hub")
-	g.AssignHome("dstB", "b")
-	g.AssignHome("dstE", "e")
+	g := GraphSpec{
+		Switches: []SwitchID{"hub", "a", "z", "b", "c", "d", "e"},
+		Trunks: []TrunkSpec{
+			trunk("hub", "a", 1), trunk("a", "z", 4), trunk("z", "b", 0),
+			trunk("hub", "c", 2), trunk("c", "d", 2), trunk("d", "b", 1),
+			trunk("b", "e", 1),
+		},
+		Homes: map[NodeID]SwitchID{"src": "hub", "dstB": "b", "dstE": "e"},
+	}.Build(clock, nil)
 	for _, id := range []NodeID{"src", "dstB", "dstE"} {
 		g.Attach(id, Symmetric(units.Mbps(100), 0, 0), &sink{clock: clock}, nil)
 	}
@@ -255,11 +200,10 @@ func TestGraphTieBreakSurvivesLateEqualCostPath(t *testing.T) {
 
 func TestGraphUnknownAndUnroutable(t *testing.T) {
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	g.AddSwitch("s1")
-	g.AddSwitch("island") // no trunk: disconnected
-	g.AssignHome("a", "s1")
-	g.AssignHome("b", "island")
+	g := GraphSpec{
+		Switches: []SwitchID{"s1", "island"}, // no trunk: disconnected
+		Homes:    map[NodeID]SwitchID{"a": "s1", "b": "island"},
+	}.Build(clock, nil)
 	g.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
 	g.Attach("b", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
 
@@ -312,14 +256,14 @@ func TestGraphStatsResetCleanly(t *testing.T) {
 
 func TestGraphAnalyticPaths(t *testing.T) {
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	for _, id := range []SwitchID{"s1", "s2", "s3"} {
-		g.AddSwitch(id)
-	}
-	g.AddTrunk("s1", "s2", SymmetricTrunk(units.Mbps(8), 3*time.Millisecond, 0), nil)
-	g.AddTrunk("s2", "s3", SymmetricTrunk(units.Mbps(50), 2*time.Millisecond, 0), nil)
-	g.AssignHome("a", "s1")
-	g.AssignHome("b", "s3")
+	g := GraphSpec{
+		Switches: []SwitchID{"s1", "s2", "s3"},
+		Trunks: []TrunkSpec{
+			{A: "s1", B: "s2", Config: SymmetricTrunk(units.Mbps(8), 3*time.Millisecond, 0)},
+			{A: "s2", B: "s3", Config: SymmetricTrunk(units.Mbps(50), 2*time.Millisecond, 0)},
+		},
+		Homes: map[NodeID]SwitchID{"a": "s1", "b": "s3"},
+	}.Build(clock, nil)
 	g.Attach("a", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), &sink{clock: clock}, nil)
 	g.Attach("b", Symmetric(units.Mbps(100), 7*time.Millisecond, 0), &sink{clock: clock}, nil)
 
@@ -341,13 +285,11 @@ func TestGraphAnalyticPaths(t *testing.T) {
 
 func TestGraphHomeDefaultIsDeterministic(t *testing.T) {
 	build := func() *GraphFabric {
-		g := NewGraphFabric(sim.NewClock())
-		g.AddSwitch("s1")
-		g.AddSwitch("s2")
-		g.AddSwitch("s3")
-		g.AddTrunk("s1", "s2", SymmetricTrunk(units.Mbps(10), 0, 0), nil)
-		g.AddTrunk("s2", "s3", SymmetricTrunk(units.Mbps(10), 0, 0), nil)
-		return g
+		cfg := SymmetricTrunk(units.Mbps(10), 0, 0)
+		return GraphSpec{
+			Switches: []SwitchID{"s1", "s2", "s3"},
+			Trunks:   []TrunkSpec{{A: "s1", B: "s2", Config: cfg}, {A: "s2", B: "s3", Config: cfg}},
+		}.Build(sim.NewClock(), nil)
 	}
 	g1, g2 := build(), build()
 	spread := map[SwitchID]int{}
@@ -418,30 +360,229 @@ func TestGraphSpecBuild(t *testing.T) {
 	if got := len(g.Trunks()); got != 2 {
 		t.Fatalf("%d directed trunks, want 2", got)
 	}
+	for name, build := range map[string]func(){
+		"nil clock":    func() { spec.Build(nil, nil) },
+		"invalid spec": func() { GraphSpec{}.Build(clock, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Build with %s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
+// TestGraphBuildPhasePanics pins the one construction panic Validate
+// cannot see: a node attached twice. Every structural error of the
+// backbone is a GraphSpec.Validate error (TestGraphSpecValidate), and
+// Build validates first.
 func TestGraphBuildPhasePanics(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
 	clock := sim.NewClock()
-	g := NewGraphFabric(clock)
-	g.AddSwitch("s1")
-	expectPanic("duplicate switch", func() { g.AddSwitch("s1") })
-	expectPanic("self-loop", func() { g.AddTrunk("s1", "s1", SymmetricTrunk(1, 0, 0), nil) })
-	expectPanic("unknown trunk switch", func() { g.AddTrunk("s1", "ghost", SymmetricTrunk(1, 0, 0), nil) })
-	expectPanic("home to unknown switch", func() { g.AssignHome("n", "ghost") })
+	g := GraphSpec{Switches: []SwitchID{"s1"}}.Build(clock, nil)
 	g.Attach("n", Symmetric(units.Mbps(1), 0, 0), &sink{clock: clock}, nil)
-	expectPanic("switch after freeze", func() { g.AddSwitch("s2") })
-	expectPanic("trunk after freeze", func() { g.AddTrunk("s1", "s2", SymmetricTrunk(1, 0, 0), nil) })
-	expectPanic("duplicate attach", func() {
-		g.Attach("n", Symmetric(units.Mbps(1), 0, 0), &sink{clock: clock}, nil)
-	})
-	expectPanic("home after attach", func() { g.AssignHome("n", "s1") })
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate attach did not panic")
+		}
+	}()
+	g.Attach("n", Symmetric(units.Mbps(1), 0, 0), &sink{clock: clock}, nil)
+}
+
+// The paper's star is the one-switch graph NewStarFabric builds: the
+// tests below pin its behaviour.
+
+func TestStarEndToEndDelivery(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	got := &sink{clock: clock}
+	star.Attach("a", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), &sink{clock: clock}, nil)
+	pb := star.Attach("b", Symmetric(units.Mbps(10), 5*time.Millisecond, 0), got, nil)
+	_ = pb
+
+	pa := star.Port("a")
+	if !pa.Send("b", 512, "hello") {
+		t.Fatal("Send rejected")
+	}
+	clock.Run()
+	if len(got.frames) != 1 {
+		t.Fatalf("b received %d frames, want 1", len(got.frames))
+	}
+	f := got.frames[0]
+	if f.Src != "a" || f.Dst != "b" || f.Payload != "hello" {
+		t.Errorf("frame = %+v", f)
+	}
+	// Latency: 2 serializations (512B @10Mbit/s = 409.6→410µs... exact:
+	// 4096/1e7 s = 409.6µs, rounded up per serialization) + 2×5ms.
+	ser := units.Mbps(10).TransmissionTime(512)
+	want := sim.Time(2*ser + 10*time.Millisecond)
+	if got.times[0] != want {
+		t.Errorf("arrival at %v, want %v", got.times[0], want)
+	}
+}
+
+func TestStarBidirectional(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	sa := &sink{clock: clock}
+	sb := &sink{clock: clock}
+	pa := star.Attach("a", Symmetric(units.Mbps(10), time.Millisecond, 0), sa, nil)
+	pb := star.Attach("b", Symmetric(units.Mbps(10), time.Millisecond, 0), sb, nil)
+	pa.Send("b", 512, 1)
+	pb.Send("a", 512, 2)
+	clock.Run()
+	if len(sb.frames) != 1 || len(sa.frames) != 1 {
+		t.Fatalf("a got %d, b got %d; want 1 each", len(sa.frames), len(sb.frames))
+	}
+}
+
+func TestStarUnknownDestination(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	pa := star.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
+	pa.Send("ghost", 512, nil)
+	clock.Run()
+	if star.UnknownDst() != 1 {
+		t.Errorf("UnknownDst = %d, want 1", star.UnknownDst())
+	}
+}
+
+func TestStarDuplicateAttachPanics(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	star.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate Attach did not panic")
+		}
+	}()
+	star.Attach("a", Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
+}
+
+func TestStarNodesSorted(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	for _, id := range []NodeID{"zeta", "alpha", "mid"} {
+		star.Attach(id, Symmetric(units.Mbps(10), 0, 0), &sink{clock: clock}, nil)
+	}
+	got := star.Nodes()
+	want := []NodeID{"alpha", "mid", "zeta"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Nodes() = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestStarAsymmetricBottleneck(t *testing.T) {
+	// a has a fast uplink; b has a slow downlink. The b downlink
+	// bounds throughput a→b.
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	got := &sink{clock: clock}
+	star.Attach("a", Symmetric(units.Mbps(100), time.Millisecond, 0), &sink{clock: clock}, nil)
+	star.Attach("b", AccessConfig{
+		UpRate: units.Mbps(100), DownRate: units.Mbps(2),
+		Delay: time.Millisecond,
+	}, got, nil)
+	const n = 200
+	pa := star.Port("a")
+	for i := 0; i < n; i++ {
+		pa.Send("b", 512, i)
+	}
+	end := clock.Run()
+	if len(got.frames) != n {
+		t.Fatalf("delivered %d", len(got.frames))
+	}
+	rate := units.RateFromTransfer(n*512, end.Duration())
+	if r := rate.Mbit(); r > 2.05 {
+		t.Errorf("achieved %.2f Mbit/s through a 2 Mbit/s bottleneck", r)
+	}
+}
+
+func TestPathRTTAndOneWay(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	star.Attach("a", Symmetric(units.Mbps(8), 5*time.Millisecond, 0), &sink{clock: clock}, nil)
+	star.Attach("b", Symmetric(units.Mbps(8), 7*time.Millisecond, 0), &sink{clock: clock}, nil)
+	ser := units.Mbps(8).TransmissionTime(512) // 512µs
+	oneWay := star.PathOneWay("a", "b", 512)
+	if want := 2*ser + 12*time.Millisecond; oneWay != want {
+		t.Errorf("PathOneWay = %v, want %v", oneWay, want)
+	}
+	rtt := star.PathRTT("a", "b", 512)
+	if want := 4*ser + 24*time.Millisecond; rtt != want {
+		t.Errorf("PathRTT = %v, want %v", rtt, want)
+	}
+	if rtt != star.PathOneWay("a", "b", 512)+star.PathOneWay("b", "a", 512) {
+		t.Error("RTT != sum of one-way latencies")
+	}
+	// One switch: no trunk lies between any two nodes.
+	if ts := star.PathTransits("a", "b"); len(ts) != 0 {
+		t.Errorf("PathTransits on the star = %d links, want 0", len(ts))
+	}
+	if star.Trunks() != nil {
+		t.Errorf("the star has %d trunks", len(star.Trunks()))
+	}
+}
+
+func TestBottleneckRate(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	mk := func(id NodeID, up, down float64) {
+		star.Attach(id, AccessConfig{UpRate: units.Mbps(up), DownRate: units.Mbps(down), Delay: time.Millisecond}, &sink{clock: clock}, nil)
+	}
+	mk("c", 50, 50)
+	mk("r1", 100, 100)
+	mk("r2", 8, 100) // slow uplink — the bottleneck
+	mk("r3", 100, 100)
+	mk("s", 100, 100)
+	got := star.BottleneckRate([]NodeID{"c", "r1", "r2", "r3", "s"})
+	if got != units.Mbps(8) {
+		t.Errorf("BottleneckRate = %v, want 8Mbit/s", got)
+	}
+}
+
+func TestBottleneckRatePanicsOnShortPath(t *testing.T) {
+	star := NewStarFabric(sim.NewClock())
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on single-node path")
+		}
+	}()
+	star.BottleneckRate([]NodeID{"only"})
+}
+
+func TestStarAttachValidation(t *testing.T) {
+	star := NewStarFabric(sim.NewClock())
+	defer func() {
+		if recover() == nil {
+			t.Error("nil handler did not panic")
+		}
+	}()
+	star.Attach("x", Symmetric(units.Mbps(1), 0, 0), nil, nil)
+}
+
+// TestStarTransitZeroAlloc pins a node-to-node crossing of the star —
+// uplink, switch, downlink, recycle — at zero steady-state allocations.
+func TestStarTransitZeroAlloc(t *testing.T) {
+	clock := sim.NewClock()
+	star := NewStarFabric(clock)
+	access := Symmetric(units.Mbps(100), time.Millisecond, 0)
+	delivered := 0
+	pa := star.Attach("a", access, HandlerFunc(func(*Frame) {}), nil)
+	star.Attach("b", access, HandlerFunc(func(*Frame) { delivered++ }), nil)
+	cycle := func() {
+		pa.Send("b", 512, nil)
+		clock.Run()
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("steady-state star transit allocates %.1f per frame", avg)
+	}
+	if delivered != pinCycles {
+		t.Fatalf("delivered %d of %d frames", delivered, pinCycles)
+	}
 }

@@ -446,7 +446,6 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 		nodes:    make(map[NodeID]nodeInfo),
 		busy:     make([]time.Duration, plan.Shards),
 	}
-	sf.oracle.Switches() // force freeze: routes + global order
 
 	cfgOf := make(map[[2]SwitchID]TrunkConfig, 2*len(spec.Trunks))
 	for _, t := range spec.Trunks {
@@ -454,8 +453,8 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 		cfgOf[[2]SwitchID{t.B, t.A}] = t.Config
 	}
 
-	// Per-shard fabrics: local switches with global hop tables, frozen
-	// from birth so nothing recomputes routes over the partial topology.
+	// Per-shard fabrics: local switches with the oracle's global hop
+	// tables, so nothing computes routes over the partial topology.
 	// order is the global order so unpinned nodes hash to the same home
 	// switch as on the unsharded fabric, and switch indices are global.
 	n := len(sf.oracle.order)
@@ -467,7 +466,6 @@ func NewShardedFabric(spec GraphSpec, plan ShardPlan, clocks []*sim.Clock, rng *
 			switches: make(map[SwitchID]*gswitch),
 			order:    append([]SwitchID(nil), sf.oracle.order...),
 			sws:      sf.sws,
-			frozen:   true,
 			ports:    make(map[NodeID]*Port),
 			pinned:   make(map[NodeID]SwitchID),
 			pool:     NewFramePool(),

@@ -17,7 +17,7 @@ import (
 // asserted in isolation.
 type testRig struct {
 	clock *sim.Clock
-	star  *netem.StarFabric
+	star  *netem.GraphFabric
 	relay *Relay
 
 	srcGot   []transport.Segment // control arriving back at the source node

@@ -30,7 +30,7 @@ type NetStats struct {
 	// Unroutable counts frames with no route between home switches.
 	Unroutable uint64
 	// Trunks pools each backbone trunk's LinkStats, in the fabric's
-	// deterministic trunk order (empty on a star).
+	// deterministic trunk order (empty on the one-switch star).
 	Trunks []TrunkStat
 	// Resource pools the relays' resource-manager counters (admissions,
 	// rejections, kills, memory high-water; zero without limits).
@@ -426,5 +426,6 @@ func (r *Result) writeResources(w io.Writer) error {
 	return tbl.WriteText(w)
 }
 
-// Trunks returns the arm's pooled per-trunk stats (nil on a star).
+// Trunks returns the arm's pooled per-trunk stats (nil on the
+// one-switch star).
 func (a *ArmResult) Trunks() []TrunkStat { return a.Net.Trunks }

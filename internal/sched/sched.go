@@ -223,7 +223,8 @@ func (q *EWMA) Pop() *netem.Frame {
 	n := q.heap[0]
 	f := n.ring.pop()
 	q.length--
-	n.cost += q.scale() * float64(f.Size)
+	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+	n.cost += float64(q.scale() * float64(f.Size))
 	if n.ring.len() == 0 {
 		q.heapRemoveTop()
 	} else {
@@ -373,7 +374,8 @@ func (q *Police) refill() {
 	if now == q.last {
 		return
 	}
-	q.tokens += q.rate.BytesPerSecond() * now.Sub(q.last).Seconds()
+	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+	q.tokens += float64(q.rate.BytesPerSecond() * now.Sub(q.last).Seconds())
 	if max := float64(q.burst); q.tokens > max {
 		q.tokens = max
 	}

@@ -32,7 +32,8 @@ func (r *RNG) Name() string { return r.name }
 
 // Uniform returns a sample from U[lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + r.Float64()*(hi-lo)
+	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+	return lo + float64(r.Float64()*(hi-lo))
 }
 
 // LogNormal returns a sample from the log-normal distribution with the
@@ -40,7 +41,8 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 // relay bandwidths are heavy-tailed; log-normal is the standard synthetic
 // stand-in.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // Pareto returns a sample from the Pareto distribution with the given

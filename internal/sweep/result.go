@@ -31,7 +31,7 @@ type ArmPoint struct {
 	TrunkDrops uint64
 	// MeanTrainLen is the mean cells-per-train across the arm's backbone
 	// trunks (cells delivered / trains delivered). Exactly 1 when the
-	// trial ran untrained, 0 on a star (no trunk accounting).
+	// trial ran untrained, 0 on the one-switch star (it has no trunks).
 	MeanTrainLen float64
 	// Built, TornDown, Rebuilt and Aborted pool the arm's
 	// circuit-lifecycle counters (zero without churn).

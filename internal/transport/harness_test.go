@@ -19,7 +19,7 @@ import (
 type hopHarness struct {
 	t     *testing.T
 	clock *sim.Clock
-	star  *netem.StarFabric
+	star  *netem.GraphFabric
 
 	sender *Sender
 	recv   *Receiver

@@ -412,7 +412,8 @@ func (s *Sender) VegasDiff() float64 {
 		return 0
 	}
 	current := time.Duration(int64(s.roundRttSum) / int64(s.roundRttCnt))
-	return s.cwnd*(float64(current)/float64(s.baseRtt)) - s.cwnd
+	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+	return float64(s.cwnd*(float64(current)/float64(s.baseRtt))) - s.cwnd
 }
 
 // --- window manipulation (used by Startup policies) -------------------

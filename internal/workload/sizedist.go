@@ -139,7 +139,8 @@ func (d SizeDist) Sample(seed int64, n int) ([]units.DataSize, error) {
 func boundedPareto(u, lo, hi, alpha float64) float64 {
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
+	return math.Pow(-(float64(u*ha)-float64(u*la)-ha)/(ha*la), -1/alpha)
 }
 
 // ParseSizeDist parses the compact colon form used by spec files and
