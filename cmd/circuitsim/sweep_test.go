@@ -223,18 +223,20 @@ func TestRunSweepSpecFaultsDimension(t *testing.T) {
 }
 
 // TestRunSweepGridPointFailsCleanly pins the scripted-sweep error
-// contract: a grid point whose parameters fail validation (here a zero
-// bottleneck bandwidth) must surface as an error naming the point, not
-// as a panic inside a worker — and the sweep must not write a partial
-// row for it.
+// contract: a grid value that cannot run (here a zero bottleneck
+// bandwidth) is refused when the spec is parsed, with an error naming
+// the value, not inside a worker, and the sweep writes no output.
 func TestRunSweepGridPointFailsCleanly(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "grid.csv")
 	err := runSweep([]string{"-bandwidths", "8,0", "-out", out})
 	if err == nil {
 		t.Fatal("zero-bandwidth grid point accepted")
 	}
-	if !strings.Contains(err.Error(), "point") {
-		t.Fatalf("error %q does not name the failing grid point", err)
+	if !strings.Contains(err.Error(), "bandwidth 0 Mbit/s") {
+		t.Fatalf("error %q does not name the zero bandwidth", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused sweep left %s behind (stat: %v)", out, err)
 	}
 }
 

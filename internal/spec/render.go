@@ -144,20 +144,29 @@ func (b *Base) buildDim(d Dim, traceParams experiments.CwndTraceParams) (sweep.D
 		out = append(out, dim)
 	}
 	if len(d.Gammas) > 0 {
-		add(sweep.Gamma(d.Gammas...), nil)
+		// γ = 0 would select the default 4 under the label 0.
+		if least := slices.Min(d.Gammas); !(least > 0) {
+			add(sweep.Dimension{}, fmt.Errorf("gamma %v is not positive", least))
+		} else {
+			add(sweep.Gamma(d.Gammas...), nil)
+		}
 	}
 	if len(d.Policies) > 0 {
 		add(sweep.Policies(d.Policies...))
 	}
 	if len(d.BandwidthsMbps) > 0 {
-		rates := make([]units.DataRate, len(d.BandwidthsMbps))
-		for i, m := range d.BandwidthsMbps {
-			rates[i] = units.Mbps(m)
-		}
-		if b.Kind == "trace" {
-			add(TraceBandwidths(b.Distance, rates...), nil)
+		if least := slices.Min(d.BandwidthsMbps); !(least > 0) {
+			add(sweep.Dimension{}, fmt.Errorf("bandwidth %v Mbit/s is not positive", least))
 		} else {
-			add(sweep.PopulationBandwidths(rates...), nil)
+			rates := make([]units.DataRate, len(d.BandwidthsMbps))
+			for i, m := range d.BandwidthsMbps {
+				rates[i] = units.Mbps(m)
+			}
+			if b.Kind == "trace" {
+				add(TraceBandwidths(b.Distance, rates...), nil)
+			} else {
+				add(sweep.PopulationBandwidths(rates...), nil)
+			}
 		}
 	}
 	if len(d.HopCounts) > 0 {

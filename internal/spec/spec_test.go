@@ -151,6 +151,9 @@ func TestParseRejectsWhatAWorkerWould(t *testing.T) {
 		{`{"base": {"kind": "population", "relays": -8}, "dimensions": [{"gammas": [2]}]}`, "base: scenario: -8 relays"},
 		{`{"base": {"kind": "population"}, "dimensions": [{"counts": [4, -1]}]}`, "dimensions[0]: circuit count -1"},
 		{`{"base": {"kind": "population"}, "dimensions": [{"gammas": [2]}, {"sizes_bytes": [-5]}]}`, "dimensions[1]: transfer size -5"},
+		{`{"dimensions": [{"bandwidths_mbps": [8, 0]}]}`, "dimensions[0]: bandwidth 0 Mbit/s is not positive"},
+		{`{"dimensions": [{"gammas": [0]}]}`, "dimensions[0]: gamma 0 is not positive"},
+		{`{"dimensions": [{"gammas": [2, -1]}]}`, "dimensions[0]: gamma -1 is not positive"},
 	}
 	for i, c := range cases {
 		_, err := Parse([]byte(c.src))
