@@ -160,8 +160,8 @@ func (n *Network) ResourceStats() resource.Stats {
 	return total
 }
 
-// SchedDrops totals the frames dropped by installed schedulers
-// (bandwidth policers) across relay uplinks and fabric trunks.
+// SchedDrops totals the frames refused by installed schedulers across
+// relay uplinks and fabric trunks.
 func (n *Network) SchedDrops() uint64 {
 	var total uint64
 	for _, r := range n.relays {

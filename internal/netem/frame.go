@@ -101,7 +101,7 @@ func (p *FramePool) Put(f *Frame) { p.Objects.Put(f) }
 // pops the scheduler's pick. Priority (control) frames bypass it and
 // keep strict precedence.
 //
-// Push may refuse a frame (a bandwidth policer, for example); the link
+// Push may refuse a frame; the link
 // then counts a SchedDrop and recycles the frame exactly like a tail
 // drop. Pop must return frames until Len reaches zero — admission
 // decisions belong in Push, so the serializer stays work-conserving.

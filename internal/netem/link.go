@@ -225,7 +225,7 @@ type DropReason int
 const (
 	DropTail  DropReason = iota // egress queue full
 	DropLoss                    // random loss process
-	DropSched                   // refused by the installed scheduler (policer)
+	DropSched                   // refused by the installed scheduler
 	DropDown                    // link administratively down (flap / partition)
 )
 

@@ -19,7 +19,7 @@ import (
 )
 
 // Stats counts relay-level activity across all circuits. Admission
-// refusals and scheduler (policer) drops are counted separately from
+// refusals and scheduler drops are counted separately from
 // the link-level tail drops in the port's LinkStats, so overload
 // diagnostics aren't conflated with queue overflow.
 type Stats struct {
@@ -31,7 +31,7 @@ type Stats struct {
 	FailedDrops       uint64 // frames blackholed while the relay was failed
 	HungDrops         uint64 // frames blackholed while the relay was hung
 	AdmissionRejected uint64 // hops refused by the resource manager
-	SchedDrops        uint64 // frames dropped by the uplink scheduler/policer
+	SchedDrops        uint64 // frames dropped by the uplink scheduler
 }
 
 // Config selects the relay's uplink scheduling discipline and resource
@@ -45,8 +45,8 @@ type Config struct {
 	// HalfLife is the EWMA decay half-life (0 = sched.DefaultHalfLife).
 	// Ignored for FIFO.
 	HalfLife sim.Time
-	// Limits caps the relay's circuits, buffered cell memory and uplink
-	// bandwidth (see resource.Limits; the zero value is unlimited).
+	// Limits caps the relay's circuits and buffered cell memory (see
+	// resource.Limits; the zero value is unlimited).
 	Limits resource.Limits
 }
 
@@ -102,7 +102,7 @@ type Relay struct {
 	// Configure). mgr enforces Config.Limits; sched is the installed
 	// uplink scheduler, held concretely so RemoveHop can Forget circuits.
 	mgr   *resource.Manager
-	sched sched.Queue
+	sched *sched.EWMA
 
 	// segs recycles the boxed segment wrappers this relay attaches to
 	// outgoing frames, and stores the buffers its hop senders grow.
@@ -132,8 +132,7 @@ func New(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig, rng *sim.
 func (r *Relay) UseSegmentPool(sp *transport.SegmentPool) { r.segs = *sp }
 
 // Configure applies a scheduling/limits config to a fresh relay:
-// non-FIFO disciplines (or a bandwidth cap) install a scheduler on the
-// uplink, and enabled limits create the resource manager that AddHop
+// the EWMA discipline installs a scheduler on the uplink, and enabled limits create the resource manager that AddHop
 // consults. kill is invoked when a limit policy evicts a circuit; it
 // must tear the circuit down across the whole network (core.Network
 // wires its circuit teardown here). Configure must run before any
@@ -145,19 +144,9 @@ func (r *Relay) Configure(cfg Config, kill func(circ cell.CircID)) error {
 	if len(r.hops) > 0 {
 		return fmt.Errorf("relay %s: Configure after circuits were added", r.id)
 	}
-	var q sched.Queue
 	if cfg.Scheduler == "ewma" {
-		q = sched.NewEWMA(r.clock, cfg.HalfLife.Duration())
-	}
-	if cfg.Limits.Bandwidth > 0 {
-		if q == nil {
-			q = sched.NewFIFO()
-		}
-		q = sched.NewPolice(q, r.clock, cfg.Limits.Bandwidth, cfg.Limits.Burst)
-	}
-	if q != nil {
-		r.sched = q
-		r.port.Uplink().SetScheduler(q)
+		r.sched = sched.NewEWMA(r.clock, cfg.HalfLife.Duration())
+		r.port.Uplink().SetScheduler(r.sched)
 	}
 	if cfg.Limits.Enabled() {
 		r.mgr = resource.NewManager(r.clock, cfg.Limits)

@@ -1,7 +1,6 @@
 // Package resource implements the per-relay resource manager: caps on
-// concurrent circuits, buffered cell memory and (via the sched-package
-// policer) uplink bandwidth, with deterministic admission and kill
-// policies. The paper measures CircuitStart on relays with unbounded
+// concurrent circuits and buffered cell memory, with deterministic
+// admission and kill policies. The paper measures CircuitStart on relays with unbounded
 // state; this package makes overload — the regime a deployed network
 // actually lives in — expressible as configuration.
 //
@@ -72,18 +71,13 @@ type Limits struct {
 	// relay's transport senders — queued plus retained-for-retransmit,
 	// at cell.Size bytes each (0 = unlimited).
 	MaxMemory units.DataSize
-	// Bandwidth caps the relay's uplink data rate with a token-bucket
-	// policer (0 = uncapped). Control segments are never policed.
-	Bandwidth units.DataRate
-	// Burst is the policer's bucket depth (0 = sched.DefaultBurst).
-	Burst units.DataSize
 	// Policy selects the admission/kill behaviour at the caps.
 	Policy Policy
 }
 
 // Enabled reports whether any cap is set.
 func (l Limits) Enabled() bool {
-	return l.MaxCircuits > 0 || l.MaxMemory > 0 || l.Bandwidth > 0
+	return l.MaxCircuits > 0 || l.MaxMemory > 0
 }
 
 // Validate rejects negative caps.
@@ -93,12 +87,6 @@ func (l Limits) Validate() error {
 	}
 	if l.MaxMemory < 0 {
 		return fmt.Errorf("resource: MaxMemory %v", l.MaxMemory)
-	}
-	if l.Bandwidth < 0 {
-		return fmt.Errorf("resource: Bandwidth %v", l.Bandwidth)
-	}
-	if l.Burst < 0 {
-		return fmt.Errorf("resource: Burst %v", l.Burst)
 	}
 	if l.Policy < RejectNew || l.Policy > KillHeaviest {
 		return fmt.Errorf("resource: unknown policy %d", int(l.Policy))
@@ -118,9 +106,6 @@ func (l Limits) Label() string {
 	}
 	if l.MaxMemory > 0 {
 		s += fmt.Sprintf("m%v/", l.MaxMemory)
-	}
-	if l.Bandwidth > 0 {
-		s += fmt.Sprintf("b%v/", l.Bandwidth)
 	}
 	return s + l.Policy.String()
 }

@@ -51,8 +51,6 @@ func TestLimitsValidateAndLabel(t *testing.T) {
 	bad := []Limits{
 		{MaxCircuits: -1},
 		{MaxMemory: -1},
-		{Bandwidth: -1},
-		{Burst: -1},
 		{Policy: Policy(9)},
 	}
 	for i, l := range bad {

@@ -35,8 +35,10 @@ type NetStats struct {
 	// Resource pools the relays' resource-manager counters (admissions,
 	// rejections, kills, memory high-water; zero without limits).
 	Resource resource.Stats
-	// SchedDrops counts frames dropped by installed circuit schedulers
-	// (bandwidth policers) — distinct from link-level tail drops.
+	// SchedDrops counts frames refused by installed circuit schedulers,
+	// distinct from link-level tail drops. No scheduler in the tree
+	// refuses one today; the column stays because removing it would
+	// move every sweep digest (DESIGN.md, "Mechanism ledger").
 	SchedDrops uint64
 	// Shard is what sharding cost the trial set (zero when Shards = 0).
 	// It holds wall-clock time, so no seeded output renders it.

@@ -1,37 +1,22 @@
-// Package sched provides the pluggable circuit schedulers a relay
-// uplink or backbone trunk can install via netem.Link.SetScheduler:
-// FIFO (the built-in discipline, reified so it can be wrapped), a
-// Tor-style EWMA quiet-circuit priority scheduler, and a token-bucket
-// bandwidth policer that wraps either.
+// Package sched provides the pluggable circuit scheduler a relay
+// uplink or backbone trunk can install via netem.Link.SetScheduler: a
+// Tor-style EWMA quiet-circuit priority scheduler. A link with no
+// scheduler keeps its built-in FIFO ring.
 //
-// All schedulers are deterministic — ties break on a monotonic
+// The scheduler is deterministic — ties break on a monotonic
 // activation sequence, never on map order — and allocation-free in
-// steady state, so they fit the pooled-event hot path: rings and heaps
+// steady state, so it fits the pooled-event hot path: rings and heaps
 // grow to their working set once, circuit nodes come from a free list,
 // and Push/Pop never allocate afterwards.
 package sched
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/units"
 )
-
-// Queue is the scheduler contract a relay holds: the link-facing
-// netem.SchedQueue plus Forget, which releases a torn-down circuit's
-// bookkeeping (EWMA cost, free-listed node) so long churn runs do not
-// accumulate dead-circuit state.
-type Queue interface {
-	netem.SchedQueue
-	// Forget drops the per-circuit state of a circuit with no queued
-	// frames. Forgetting a circuit that still has frames queued, or one
-	// the scheduler never saw, is a no-op.
-	Forget(circ uint32)
-}
 
 // frameRing is a growable power-of-two FIFO of frames (the same shape
 // as netem's internal ring, duplicated here because that one is
@@ -75,30 +60,6 @@ func (r *frameRing) grow() {
 	r.buf = buf
 	r.head = 0
 }
-
-// FIFO serves frames strictly in arrival order — behaviourally
-// identical to a link's built-in data ring. It exists so the policer
-// (and sweep arms that name a discipline explicitly) have a concrete
-// queue to wrap.
-type FIFO struct {
-	ring frameRing
-}
-
-// NewFIFO returns an empty FIFO scheduler.
-func NewFIFO() *FIFO { return &FIFO{} }
-
-// Push accepts every frame.
-func (q *FIFO) Push(f *netem.Frame) bool { q.ring.push(f); return true }
-
-// Pop returns the oldest frame, or nil when empty.
-func (q *FIFO) Pop() *netem.Frame { return q.ring.pop() }
-
-// Len returns the number of queued frames.
-func (q *FIFO) Len() int { return q.ring.len() }
-
-// Forget is a no-op: FIFO keeps no per-circuit state. Queue requires
-// the empty method, which coverage reports as never run.
-func (q *FIFO) Forget(uint32) {}
 
 // DefaultHalfLife is the EWMA decay half-life when none is given —
 // Tor's CircuitPriorityHalflife default of 30 s.
@@ -323,91 +284,4 @@ func (q *EWMA) swap(i, j int) {
 	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
 	q.heap[i].heapIdx = i
 	q.heap[j].heapIdx = j
-}
-
-// DefaultBurst is the policer's bucket depth when none is given: 64
-// cells' worth of wire bytes, enough that a window-sized burst at the
-// configured rate is not clipped, small enough that the long-run rate
-// binds within a round-trip.
-const DefaultBurst = 64 * 512 * units.Byte
-
-// Police wraps a scheduler with a token-bucket bandwidth cap: frames
-// arriving when the bucket is dry are refused at Push (the link counts
-// a SchedDrop), not queued — policing, not shaping, so the scheduler
-// needs no timer and the serializer stays work-conserving for frames
-// already admitted. A refused data frame is recoverable: its cell is
-// retained by the upstream sender until acknowledged, so the drop
-// surfaces as a retransmission, exactly like a tail drop.
-type Police struct {
-	inner  Queue
-	clock  *sim.Clock
-	rate   units.DataRate
-	burst  units.DataSize
-	tokens float64 // bytes available
-	last   sim.Time
-}
-
-// NewPolice wraps inner with a token-bucket cap of rate (burst ≤ 0
-// selects DefaultBurst). The bucket starts full.
-func NewPolice(inner Queue, clock *sim.Clock, rate units.DataRate, burst units.DataSize) *Police {
-	if inner == nil {
-		panic("sched: NewPolice with nil inner queue")
-	}
-	if clock == nil {
-		panic("sched: NewPolice with nil clock")
-	}
-	if rate <= 0 {
-		panic(fmt.Sprintf("sched: NewPolice with rate %v", rate))
-	}
-	if burst <= 0 {
-		burst = DefaultBurst
-	}
-	return &Police{
-		inner: inner, clock: clock, rate: rate, burst: burst,
-		tokens: float64(burst), last: clock.Now(),
-	}
-}
-
-// refill credits the bucket for the time elapsed since the last call.
-func (q *Police) refill() {
-	now := q.clock.Now()
-	if now == q.last {
-		return
-	}
-	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
-	q.tokens += float64(q.rate.BytesPerSecond() * now.Sub(q.last).Seconds())
-	if max := float64(q.burst); q.tokens > max {
-		q.tokens = max
-	}
-	q.last = now
-}
-
-// Push admits the frame if the bucket holds its size in tokens,
-// refusing it otherwise.
-func (q *Police) Push(f *netem.Frame) bool {
-	q.refill()
-	if q.tokens < float64(f.Size) {
-		return false
-	}
-	q.tokens -= float64(f.Size)
-	return q.inner.Push(f)
-}
-
-// Pop forwards to the wrapped scheduler.
-func (q *Police) Pop() *netem.Frame { return q.inner.Pop() }
-
-// Len forwards to the wrapped scheduler.
-func (q *Police) Len() int { return q.inner.Len() }
-
-// Forget forwards to the wrapped scheduler.
-func (q *Police) Forget(circ uint32) { q.inner.Forget(circ) }
-
-// PeekCirc forwards to the wrapped scheduler when it can peek —
-// policing acts at admission, so the dequeue order (and therefore the
-// train split points) is entirely the inner scheduler's.
-func (q *Police) PeekCirc() (uint32, bool) {
-	if p, ok := q.inner.(netem.CircPeeker); ok {
-		return p.PeekCirc()
-	}
-	return 0, false
 }

@@ -13,27 +13,6 @@ func frame(circ uint32, size units.DataSize) *netem.Frame {
 	return &netem.Frame{Src: "a", Dst: "b", Size: size, Circ: circ}
 }
 
-func TestFIFOOrder(t *testing.T) {
-	q := NewFIFO()
-	for i := uint32(1); i <= 20; i++ {
-		if !q.Push(frame(i, 512)) {
-			t.Fatalf("FIFO refused frame %d", i)
-		}
-	}
-	if q.Len() != 20 {
-		t.Fatalf("Len = %d, want 20", q.Len())
-	}
-	for i := uint32(1); i <= 20; i++ {
-		f := q.Pop()
-		if f == nil || f.Circ != i {
-			t.Fatalf("popped %+v, want circuit %d", f, i)
-		}
-	}
-	if q.Pop() != nil {
-		t.Fatal("empty FIFO popped a frame")
-	}
-}
-
 // TestEWMAPrefersQuietCircuit: after a bulk circuit has been charged
 // for its transmissions, a newly queued quiet circuit's frame jumps
 // ahead of the bulk backlog at the next slot.
@@ -143,79 +122,22 @@ func TestEWMAZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestPoliceRefusesWhenDry(t *testing.T) {
-	clock := sim.NewClock()
-	q := NewPolice(NewFIFO(), clock, units.Mbps(8), 1024*units.Byte)
-	if !q.Push(frame(1, 512)) || !q.Push(frame(1, 512)) {
-		t.Fatal("burst-sized pushes refused")
-	}
-	if q.Push(frame(1, 512)) {
-		t.Fatal("push beyond the bucket accepted")
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-	// 8 Mbit/s = 1 MB/s: after 1 ms the bucket holds ~1000 bytes again.
-	clock.After(time.Millisecond, func() {
-		if !q.Push(frame(1, 512)) {
-			t.Fatal("push after refill refused")
-		}
-	})
-	clock.Run()
-	for i := 0; i < 3; i++ {
-		if q.Pop() == nil {
-			t.Fatalf("admitted frame %d missing", i)
-		}
-	}
-}
-
-func TestPoliceBucketCapsAtBurst(t *testing.T) {
-	clock := sim.NewClock()
-	q := NewPolice(NewFIFO(), clock, units.Mbps(100), 512*units.Byte)
-	// However long the idle period, the bucket never exceeds one burst.
-	clock.After(time.Second, func() {
-		if !q.Push(frame(1, 512)) {
-			t.Fatal("first push refused")
-		}
-		if q.Push(frame(1, 512)) {
-			t.Fatal("bucket exceeded its burst depth")
-		}
-	})
-	clock.Run()
-}
-
 // TestPeekCircNamesTheNextPop checks the train-splitting contract:
-// PeekCirc names the circuit the next Pop serves, through a policer
-// too, and a policer over FIFO (which has no preemption points) reports
-// that it cannot peek.
+// PeekCirc names the circuit the next Pop serves.
 func TestPeekCircNamesTheNextPop(t *testing.T) {
-	clock := sim.NewClock()
-	ewma := NewEWMA(clock, 0)
-	policed := NewPolice(NewEWMA(clock, 0), clock, units.Mbps(100), 64*units.Kilobyte)
-	for _, q := range []interface {
-		Queue
-		netem.CircPeeker
-	}{ewma, policed} {
-		if _, ok := q.PeekCirc(); ok {
-			t.Fatal("empty queue peeked a circuit")
-		}
-		q.Push(frame(1, 512))
-		q.Push(frame(1, 512))
-		q.Push(frame(2, 512))
-		for q.Len() > 0 {
-			circ, ok := q.PeekCirc()
-			if f := q.Pop(); !ok || f.Circ != circ {
-				t.Fatalf("peeked circuit %d (%v), popped %d", circ, ok, f.Circ)
-			}
-		}
-		q.Forget(1)
-		q.Forget(2)
+	q := NewEWMA(sim.NewClock(), 0)
+	if _, ok := q.PeekCirc(); ok {
+		t.Fatal("empty queue peeked a circuit")
 	}
-	fifo := NewPolice(NewFIFO(), clock, units.Mbps(100), 64*units.Kilobyte)
-	fifo.Push(frame(1, 512))
-	if _, ok := fifo.PeekCirc(); ok {
-		t.Fatal("policed FIFO claimed to peek")
+	q.Push(frame(1, 512))
+	q.Push(frame(1, 512))
+	q.Push(frame(2, 512))
+	for q.Len() > 0 {
+		circ, ok := q.PeekCirc()
+		if f := q.Pop(); !ok || f.Circ != circ {
+			t.Fatalf("peeked circuit %d (%v), popped %d", circ, ok, f.Circ)
+		}
 	}
-	fifo.Pop()
-	fifo.Forget(1)
+	q.Forget(1)
+	q.Forget(2)
 }

@@ -340,8 +340,8 @@ func FromScenario(sc scenario.Scenario) (*File, error) {
 		}
 		b.Arms = append(b.Arms, a.Name)
 	}
-	if relayCfg.HalfLife != 0 || relayCfg.Limits.Bandwidth != 0 || relayCfg.Limits.Burst != 0 {
-		return nil, fmt.Errorf("spec: relay config uses fields (HalfLife/Bandwidth/Burst) the wire schema does not carry")
+	if relayCfg.HalfLife != 0 {
+		return nil, fmt.Errorf("spec: relay config uses fields (HalfLife) the wire schema does not carry")
 	}
 	b.Scheduler = relayCfg.Scheduler
 	b.MaxCircuits = relayCfg.Limits.MaxCircuits
