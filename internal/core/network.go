@@ -123,7 +123,7 @@ func (n *Network) ConfigureRelays(cfg relay.Config) error {
 	n.relayCfg = cfg
 	if cfg.Scheduler == "ewma" {
 		for _, l := range n.fabric.Trunks() {
-			l.SetScheduler(sched.NewEWMA(n.clock, cfg.HalfLife.Duration()))
+			l.SetScheduler(sched.NewEWMA(n.clock, 0))
 		}
 	}
 	return nil

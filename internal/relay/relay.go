@@ -42,9 +42,6 @@ type Config struct {
 	// keep the link's built-in FIFO ring, "ewma" installs the Tor-style
 	// quiet-circuit priority scheduler (sched.EWMA).
 	Scheduler string
-	// HalfLife is the EWMA decay half-life (0 = sched.DefaultHalfLife).
-	// Ignored for FIFO.
-	HalfLife sim.Time
 	// Limits caps the relay's circuits and buffered cell memory (see
 	// resource.Limits; the zero value is unlimited).
 	Limits resource.Limits
@@ -61,9 +58,6 @@ func (c Config) Validate() error {
 	case "", "fifo", "ewma":
 	default:
 		return fmt.Errorf("relay: unknown scheduler %q (want fifo or ewma)", c.Scheduler)
-	}
-	if c.HalfLife < 0 {
-		return fmt.Errorf("relay: negative scheduler half-life %v", c.HalfLife)
 	}
 	return c.Limits.Validate()
 }
@@ -145,7 +139,7 @@ func (r *Relay) Configure(cfg Config, kill func(circ cell.CircID)) error {
 		return fmt.Errorf("relay %s: Configure after circuits were added", r.id)
 	}
 	if cfg.Scheduler == "ewma" {
-		r.sched = sched.NewEWMA(r.clock, cfg.HalfLife.Duration())
+		r.sched = sched.NewEWMA(r.clock, 0)
 		r.port.Uplink().SetScheduler(r.sched)
 	}
 	if cfg.Limits.Enabled() {

@@ -340,9 +340,6 @@ func FromScenario(sc scenario.Scenario) (*File, error) {
 		}
 		b.Arms = append(b.Arms, a.Name)
 	}
-	if relayCfg.HalfLife != 0 {
-		return nil, fmt.Errorf("spec: relay config uses fields (HalfLife) the wire schema does not carry")
-	}
 	b.Scheduler = relayCfg.Scheduler
 	b.MaxCircuits = relayCfg.Limits.MaxCircuits
 	b.MaxMemoryBytes = int64(relayCfg.Limits.MaxMemory)
