@@ -34,10 +34,6 @@ type TransportOptions struct {
 	Alpha, Beta float64
 	// WindowClock selects feedback (default) or ack window accounting.
 	WindowClock transport.WindowClock
-	// InitialCwnd overrides the initial window (0 = paper default 2).
-	InitialCwnd float64
-	// MaxCwnd overrides the window cap (0 = transport default).
-	MaxCwnd float64
 	// FixedWindow, with Policy "fixed", pins the window to this many
 	// cells and disables avoidance — the static-window baseline.
 	FixedWindow float64
@@ -59,8 +55,6 @@ type TransportOptions struct {
 	// drain measurement and shrink straight to the result. Zero selects
 	// DefaultSevereRemeasure; negative disables.
 	SevereRemeasure float64
-	// RTOMin, RTOMax bound the retransmission timeout (0 = defaults).
-	RTOMin, RTOMax time.Duration
 }
 
 // Default dynamic-adaptation parameters (see TransportOptions).
@@ -109,13 +103,9 @@ func (o TransportOptions) config() (transport.Config, error) {
 		Startup:         p,
 		Alpha:           o.Alpha,
 		Beta:            o.Beta,
-		InitialCwnd:     o.InitialCwnd,
-		MaxCwnd:         o.MaxCwnd,
 		WindowClock:     o.WindowClock,
 		RestartRounds:   restart,
 		SevereRemeasure: remeasure,
-		RTOMin:          o.RTOMin,
-		RTOMax:          o.RTOMax,
 	}
 	if o.Policy == "fixed" {
 		cfg.DisableAvoidance = true

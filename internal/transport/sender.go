@@ -107,8 +107,6 @@ type Config struct {
 	// one-baseRtt drain measurement and shrinks straight to the result
 	// instead of crawling down one cell per RTT. Zero disables it.
 	SevereRemeasure float64
-	// RTOMin, RTOMax bound the retransmission timeout (zero = default).
-	RTOMin, RTOMax time.Duration
 	// OnCwnd, if set, observes every window change.
 	OnCwnd func(cwnd float64, phase Phase)
 	// OnFirstTransmit, if set, observes the cumulative count of cells
@@ -294,7 +292,7 @@ func NewSender(cfg Config) *Sender {
 		pool:  &unpooled,
 		cwnd:  cfg.InitialCwnd,
 		phase: PhaseStartup,
-		rtt:   NewRTTEstimator(cfg.RTOMin, cfg.RTOMax),
+		rtt:   NewRTTEstimator(DefaultRTOMin, DefaultRTOMax),
 	}
 	s.rtoTimer = sim.NewTimer(s.clock, s.onRTO)
 	s.probeTimer = sim.NewTimer(s.clock, s.onProbe)
