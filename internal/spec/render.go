@@ -20,8 +20,8 @@ func millis(ms float64) time.Duration  { return time.Duration(ms * float64(time.
 func secondsD(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // Sweep renders the parsed spec into an executable sweep.Sweep. Call
-// only on a File that came out of Parse (or FromScenario): rendering
-// assumes normalized defaults.
+// only on a File that came out of Parse: rendering assumes normalized
+// defaults.
 func (f *File) Sweep() (sweep.Sweep, error) {
 	base, traceParams, err := f.Base.scenario(f.Name, *f.Seed)
 	if err != nil {
@@ -292,112 +292,4 @@ func TraceHops(p experiments.CwndTraceParams, counts ...int) sweep.Dimension {
 		})
 	}
 	return d
-}
-
-// FromScenario renders a programmatically built population scenario
-// back into a canonical spec File (no dimensions — add them before
-// submitting). Scenario features the wire schema cannot express —
-// explicit topologies, fabric specs, churn, relay events, replications,
-// per-arm relay divergence — are rejected by name rather than silently
-// dropped, so a File always round-trips to an equivalent scenario.
-func FromScenario(sc scenario.Scenario) (*File, error) {
-	if sc.Topology.Population == nil {
-		return nil, fmt.Errorf("spec: only generated population scenarios are representable (explicit topologies carry per-relay state the schema does not)")
-	}
-	reject := map[string]bool{
-		"Topology.Fabric":  sc.Topology.Fabric != nil,
-		"Circuits.Paths":   len(sc.Circuits.Paths) > 0,
-		"Circuits.SizeMix": len(sc.Circuits.SizeMix) > 0,
-		"ClientAccess":     sc.ClientAccess != (netem.AccessConfig{}),
-		"RunFullHorizon":   sc.RunFullHorizon,
-		"Replications":     sc.Replications > 1,
-		"Events":           len(sc.Events) > 0,
-		"CircuitEvents": sc.CircuitEvents.ArrivalRate != 0 || sc.CircuitEvents.Arrivals != 0 ||
-			sc.CircuitEvents.TeardownDelay != 0 || len(sc.CircuitEvents.Teardowns) > 0,
-		"RelayEvents":      len(sc.RelayEvents) > 0,
-		"Probes.TraceCwnd": sc.Probes.TraceCwnd,
-	}
-	for field, set := range reject {
-		if set {
-			return nil, fmt.Errorf("spec: scenario field %s is not representable in the wire schema", field)
-		}
-	}
-	if len(sc.Arms) == 0 {
-		return nil, fmt.Errorf("spec: scenario has no arms")
-	}
-
-	b := Base{Kind: "population"}
-	relayCfg := sc.Arms[0].Relay
-	for _, a := range sc.Arms {
-		if a.Name != a.Transport.Policy {
-			return nil, fmt.Errorf("spec: arm %q: the wire schema names arms by their policy (policy is %q)", a.Name, a.Transport.Policy)
-		}
-		if a.Rebuild {
-			return nil, fmt.Errorf("spec: arm %q: Rebuild is not representable in the wire schema", a.Name)
-		}
-		if a.Relay != relayCfg {
-			return nil, fmt.Errorf("spec: arm %q: per-arm relay configuration diverges (the schema applies one config to all arms)", a.Name)
-		}
-		b.Arms = append(b.Arms, a.Name)
-	}
-	b.Scheduler = relayCfg.Scheduler
-	b.MaxCircuits = relayCfg.Limits.MaxCircuits
-	b.MaxMemoryBytes = int64(relayCfg.Limits.MaxMemory)
-	if relayCfg.Limits.Policy != 0 {
-		b.KillPolicy = relayCfg.Limits.Policy.String()
-	}
-
-	pop := sc.Topology.Population
-	b.Relays = pop.N
-	if def := workload.DefaultRelayParams(pop.N); *pop != def {
-		b.Population = &Population{
-			MedianMbps:    pop.BandwidthMedian.Mbit(),
-			Sigma:         pop.BandwidthSigma,
-			MinMbps:       pop.MinBandwidth.Mbit(),
-			MaxMbps:       pop.MaxBandwidth.Mbit(),
-			DelayMinMs:    float64(pop.DelayMin) / float64(time.Millisecond),
-			DelayMaxMs:    float64(pop.DelayMax) / float64(time.Millisecond),
-			QueueCapBytes: int64(pop.QueueCap),
-			GuardFrac:     pop.GuardFrac,
-			ExitFrac:      pop.ExitFrac,
-		}
-	}
-
-	b.Hops = sc.Circuits.Hops
-	b.Circuits = sc.Circuits.Count
-	b.Download = sc.Circuits.Download
-	if d := sc.Circuits.SizeDist; d != nil {
-		b.SizeDist = d.Label()
-	} else {
-		b.SizeBytes = int64(sc.Circuits.TransferSize)
-	}
-	switch sc.Circuits.Arrival.Kind {
-	case scenario.ArriveTogether:
-		zero := 0.0
-		b.SpreadMs = &zero
-	case scenario.ArriveUniform:
-		ms := float64(sc.Circuits.Arrival.Spread) / float64(time.Millisecond)
-		b.SpreadMs = &ms
-	case scenario.ArrivePoisson:
-		b.PoissonRate = sc.Circuits.Arrival.Rate
-	default:
-		return nil, fmt.Errorf("spec: arrival kind %d is not representable", sc.Circuits.Arrival.Kind)
-	}
-	b.HorizonSec = float64(sc.Horizon) / float64(time.Second)
-	b.Train = sc.TrainSize
-	b.Shards = sc.Shards
-	if sc.Faults.Enabled() {
-		plan, err := faults.MarshalSpec(sc.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("spec: %w", err)
-		}
-		b.FaultPlan = plan
-	}
-
-	seed := sc.Seed
-	f := &File{Version: Version, Name: sc.Name, Seed: &seed, Base: b}
-	if err := f.normalize(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }

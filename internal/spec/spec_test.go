@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"circuitstart/internal/scenario"
-	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
@@ -259,82 +257,3 @@ func TestPointKeyUnambiguous(t *testing.T) {
 	}
 }
 
-// TestFromScenarioRoundTrip checks the inverse renderer: a scenario
-// built from a spec converts back to a spec that renders the same
-// scenario (SpecFromScenario ∘ render = identity on the spec side).
-func TestFromScenarioRoundTrip(t *testing.T) {
-	src := `{"seed": 7,
-	  "base": {"kind": "population", "relays": 10, "circuits": 3, "size_bytes": 100000,
-	   "horizon_sec": 120, "scheduler": "ewma", "faults": "hang"},
-	  "dimensions": [{"gammas": [2]}]}`
-	f, err := Parse([]byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, _, err := f.Base.scenario(f.Name, *f.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := FromScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Base.Kind != "population" || back.Base.Relays != 10 ||
-		back.Base.Circuits != 3 || back.Base.SizeBytes != 100000 ||
-		back.Base.HorizonSec != 120 || back.Base.Scheduler != "ewma" {
-		t.Errorf("round-tripped base lost fields: %+v", back.Base)
-	}
-	if len(back.Base.FaultPlan) == 0 {
-		t.Error("round-tripped base lost the fault plan")
-	}
-	sc2, _, err := back.Base.scenario(back.Name, *back.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc2.Circuits.Count != sc.Circuits.Count || sc2.Horizon != sc.Horizon ||
-		len(sc2.Faults.BurstLoss) != len(sc.Faults.BurstLoss) {
-		t.Errorf("re-rendered scenario differs: %+v vs %+v", sc2.Circuits, sc.Circuits)
-	}
-}
-
-// TestFromScenarioRejectsUnrepresentable checks that scenarios the
-// wire schema cannot express are refused by name instead of silently
-// dropped.
-func TestFromScenarioRejectsUnrepresentable(t *testing.T) {
-	pop := workload.DefaultRelayParams(8)
-	base := scenario.Scenario{
-		Name:     "x",
-		Seed:     1,
-		Topology: scenario.Topology{Population: &pop},
-		Circuits: scenario.CircuitSet{Count: 2, Hops: 3, TransferSize: 1000},
-		Arms:     []scenario.Arm{{Name: "circuitstart"}},
-		Horizon:  10 * sim.Second,
-	}
-	base.Arms[0].Transport.Policy = "circuitstart"
-
-	reps := base
-	reps.Replications = 3
-	mix := base
-	mix.Circuits.SizeMix = []units.DataSize{1, 2}
-	badArm := base
-	badArm.Arms = []scenario.Arm{{Name: "renamed"}}
-	badArm.Arms[0].Transport.Policy = "circuitstart"
-
-	for i, c := range []struct {
-		sc   scenario.Scenario
-		want string
-	}{
-		{reps, "Replications"},
-		{mix, "SizeMix"},
-		{badArm, "arm"},
-	} {
-		_, err := FromScenario(c.sc)
-		if err == nil {
-			t.Errorf("case %d accepted", i)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("case %d: error %q does not name %q", i, err, c.want)
-		}
-	}
-}

@@ -10,12 +10,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"text/tabwriter"
 
 	"circuitstart/internal/metrics"
-	"circuitstart/internal/sim"
 )
 
 // WriteSeriesCSV writes one time series as (time_ms, value) rows. The
@@ -31,54 +29,6 @@ func WriteSeriesCSV(w io.Writer, s *metrics.Series) error {
 			formatFloat(p.Value),
 		}
 		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteSeriessCSV writes several series side by side on a shared time
-// axis using step interpolation: one row per distinct sample instant
-// across all series. Cells before a series' first sample are empty.
-func WriteSeriessCSV(w io.Writer, series ...*metrics.Series) error {
-	if len(series) == 0 {
-		return fmt.Errorf("traceio: no series")
-	}
-	header := make([]string, 1, len(series)+1)
-	header[0] = "time_ms"
-	for _, s := range series {
-		header = append(header, s.Name())
-	}
-
-	// Merge all sample instants.
-	seen := make(map[sim.Time]bool)
-	var instants []sim.Time
-	for _, s := range series {
-		for _, p := range s.Points() {
-			if !seen[p.At] {
-				seen[p.At] = true
-				instants = append(instants, p.At)
-			}
-		}
-	}
-	sort.Slice(instants, func(i, j int) bool { return instants[i] < instants[j] })
-
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	row := make([]string, len(series)+1)
-	for _, t := range instants {
-		row[0] = formatFloat(t.Milliseconds())
-		for i, s := range series {
-			if v, ok := s.At(t); ok {
-				row[i+1] = formatFloat(v)
-			} else {
-				row[i+1] = ""
-			}
-		}
-		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
@@ -189,21 +139,6 @@ func (t *Table) WriteText(w io.Writer) error {
 		writeTabRow(tw, r)
 	}
 	return tw.Flush()
-}
-
-// WriteCSV writes the table as CSV with a header row.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.header); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func writeTabRow(w io.Writer, cells []string) {

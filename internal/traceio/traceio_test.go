@@ -45,42 +45,6 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestWriteSeriessCSVAlignsOnSharedAxis(t *testing.T) {
-	a := metrics.NewSeries("a")
-	a.Record(ms(0), 1)
-	a.Record(ms(20), 3)
-	b := metrics.NewSeries("b")
-	b.Record(ms(10), 5)
-
-	var buf bytes.Buffer
-	if err := WriteSeriessCSV(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	// Header + 3 distinct instants.
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4: %v", len(rows), rows)
-	}
-	// At 0ms: a=1, b empty (before its first sample).
-	if rows[1][1] != "1" || rows[1][2] != "" {
-		t.Fatalf("t=0 row = %v", rows[1])
-	}
-	// At 10ms: a holds 1, b=5.
-	if rows[2][1] != "1" || rows[2][2] != "5" {
-		t.Fatalf("t=10 row = %v", rows[2])
-	}
-	// At 20ms: a=3, b holds 5.
-	if rows[3][1] != "3" || rows[3][2] != "5" {
-		t.Fatalf("t=20 row = %v", rows[3])
-	}
-}
-
-func TestWriteSeriessCSVEmptyArgs(t *testing.T) {
-	if err := WriteSeriessCSV(&bytes.Buffer{}); err == nil {
-		t.Fatal("no error for zero series")
-	}
-}
-
 func TestWriteCDFCSV(t *testing.T) {
 	with := metrics.NewDistribution("with_cs")
 	for _, v := range []float64{1, 2} {
@@ -135,7 +99,7 @@ func TestWriteSummaryTable(t *testing.T) {
 	}
 }
 
-func TestTableTextAndCSV(t *testing.T) {
+func TestTableText(t *testing.T) {
 	tb := NewTable("policy", "ttlb_s", "cells")
 	tb.AddRow("circuitstart", "1.2", "100")
 	tb.AddRowf("slowstart", 1.75, 100)
@@ -149,15 +113,6 @@ func TestTableTextAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(txt.String(), "circuitstart") || !strings.Contains(txt.String(), "1.75") {
 		t.Fatalf("text table:\n%s", txt.String())
-	}
-
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	if len(rows) != 3 || rows[2][1] != "1.75" {
-		t.Fatalf("csv rows = %v", rows)
 	}
 }
 
