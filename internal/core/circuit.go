@@ -137,8 +137,7 @@ type CircuitSpec struct {
 	// Transport configures every hop's sender.
 	Transport TransportOptions
 	// TraceCwnd records the source's congestion window over time
-	// (Figure 1's upper panels) and each relay's onward window (the
-	// back-propagation evidence).
+	// (Figure 1's upper panels).
 	TraceCwnd bool
 }
 
@@ -153,7 +152,6 @@ type Circuit struct {
 	path   model.Path
 
 	sourceTrace *metrics.Series   // source cwnd in cells
-	relayTraces []*metrics.Series // per relay, onward cwnd in cells
 
 	transferStart sim.Time
 	ttlb          time.Duration
@@ -218,14 +216,6 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 		// Fresh policy value per sender.
 		if hopCfg.Startup, err = spec.Transport.policy(); err != nil {
 			return nil, err
-		}
-		if spec.TraceCwnd {
-			trace := metrics.NewSeries(fmt.Sprintf("cwnd_cells_%s", id))
-			c.relayTraces = append(c.relayTraces, trace)
-			clock := n.clock
-			hopCfg.OnCwnd = func(cwnd float64, _ transport.Phase) {
-				trace.Record(clock.Now(), cwnd)
-			}
 		}
 		if !r.AddHop(spec.ID, pred, succ, relayKeys[i], hopCfg, i == len(spec.Relays)-1) {
 			// Admission refused: unwind the hops already wired so the
@@ -294,7 +284,8 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 	return c, nil
 }
 
-// MustBuildCircuit is BuildCircuit for static scenarios.
+// MustBuildCircuit is BuildCircuit for static scenarios. The facade's
+// documented Example builds its circuit with it.
 func (n *Network) MustBuildCircuit(spec CircuitSpec) *Circuit {
 	c, err := n.BuildCircuit(spec)
 	if err != nil {
@@ -302,9 +293,6 @@ func (n *Network) MustBuildCircuit(spec CircuitSpec) *Circuit {
 	}
 	return c
 }
-
-// ID returns the circuit identifier.
-func (c *Circuit) ID() cell.CircID { return c.id }
 
 // Source returns the data-origin endpoint.
 func (c *Circuit) Source() *endpoint.Source { return c.source }
@@ -316,25 +304,12 @@ func (c *Circuit) Sink() *endpoint.Sink { return c.sink }
 // paper's cwnd traces.
 func (c *Circuit) SourceSender() *transport.Sender { return c.source.Sender() }
 
-// RelaySender returns relay i's onward sender on this circuit.
-func (c *Circuit) RelaySender(i int) *transport.Sender {
-	return c.network.relays[c.spec.Relays[i]].HopSender(c.id)
-}
-
 // ModelPath returns the analytic model of the circuit's node sequence.
 func (c *Circuit) ModelPath() model.Path { return c.path }
 
 // SourceTrace returns the source's cwnd time series (cells), or nil if
 // the circuit was built without TraceCwnd.
 func (c *Circuit) SourceTrace() *metrics.Series { return c.sourceTrace }
-
-// RelayTrace returns relay i's onward-cwnd time series (cells), or nil.
-func (c *Circuit) RelayTrace(i int) *metrics.Series {
-	if !c.spec.TraceCwnd || i < 0 || i >= len(c.relayTraces) {
-		return nil
-	}
-	return c.relayTraces[i]
-}
 
 // Transfer starts a transfer of size application bytes from source to
 // sink at the current virtual time. When the last byte arrives, the
@@ -414,11 +389,7 @@ func (c *Circuit) Teardown() {
 // Closed reports whether the circuit has been torn down.
 func (c *Circuit) Closed() bool { return c.closed }
 
-// ClosedAt returns when the circuit was torn down (meaningful only
-// when Closed reports true).
-func (c *Circuit) ClosedAt() sim.Time { return c.closedAt }
-
-// Lifetime returns how long the circuit has been alive: ClosedAt −
+// Lifetime returns how long the circuit has been alive: teardown −
 // BuiltAt once torn down, now − BuiltAt while still up.
 func (c *Circuit) Lifetime() time.Duration {
 	if c.closed {

@@ -57,7 +57,7 @@ func TestTransferSurvivesRandomLoss(t *testing.T) {
 	var retrans uint64
 	retrans += c.SourceSender().Stats().Retransmitted
 	for i := 0; i < 3; i++ {
-		retrans += c.RelaySender(i).Stats().Retransmitted
+		retrans += relaySender(c, i).Stats().Retransmitted
 	}
 	if retrans == 0 {
 		t.Fatal("no retransmissions under 2% loss — loss injection inert")

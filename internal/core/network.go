@@ -214,7 +214,8 @@ func (n *Network) AddRelay(id netem.NodeID, access netem.AccessConfig) (*relay.R
 }
 
 // MustAddRelay is AddRelay for static topologies where a failure is a
-// programming error.
+// programming error. The facade's documented Example adds its relays
+// with it.
 func (n *Network) MustAddRelay(id netem.NodeID, access netem.AccessConfig) *relay.Relay {
 	r, err := n.AddRelay(id, access)
 	if err != nil {

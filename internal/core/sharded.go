@@ -90,11 +90,13 @@ func NewShardedNetwork(seed int64, spec netem.GraphSpec, shards int, arenas []*a
 // boundary accounting).
 func (sn *ShardedNetwork) Fabric() *netem.ShardedFabric { return sn.fab }
 
-// NumShards returns the effective shard count.
+// NumShards returns the effective shard count. Test-only: the sharded
+// tests read per-shard arenas; it goes with sharding (ROADMAP item 2).
 func (sn *ShardedNetwork) NumShards() int { return len(sn.shards) }
 
 // Shard returns shard i's Network. Use it only for shard-local,
-// control-plane inspection (relay stats, scheduler drops).
+// control-plane inspection (relay stats, scheduler drops). Test-only;
+// it goes with sharding (ROADMAP item 2).
 func (sn *ShardedNetwork) Shard(i int) *Network { return sn.shards[i] }
 
 // ConfigureRelays applies the scheduling template on every shard (and,
@@ -150,6 +152,8 @@ func (sn *ShardedNetwork) Relay(id netem.NodeID) *relay.Relay {
 // Identity returns an attached relay's onion identity, or nil. Its key
 // is derived on the first circuit built through the relay, so after a
 // trial Identity(id).Derived() tells whether any circuit reached it.
+// Test-only (TestShardedTrialDerivesOnlyReachedRelayKeys); it goes with
+// sharding and onion crypto (ROADMAP items 2 and 17).
 func (sn *ShardedNetwork) Identity(id netem.NodeID) *onion.Identity { return sn.identities[id] }
 
 // RelayShard returns the shard a relay lives on and its clock, or
@@ -215,7 +219,6 @@ type ShardedCircuit struct {
 	path      model.Path
 
 	sourceTrace *metrics.Series
-	relayTraces []*metrics.Series
 
 	transferStart sim.Time
 	ttlb          time.Duration
@@ -285,14 +288,6 @@ func (sn *ShardedNetwork) BuildCircuit(spec CircuitSpec) (*ShardedCircuit, error
 		hopCfg := tmpl
 		if hopCfg.Startup, err = spec.Transport.policy(); err != nil {
 			return nil, err
-		}
-		if spec.TraceCwnd {
-			trace := metrics.NewSeries(fmt.Sprintf("cwnd_cells_%s", id))
-			c.relayTraces = append(c.relayTraces, trace)
-			clock := n.clock
-			hopCfg.OnCwnd = func(cwnd float64, _ transport.Phase) {
-				trace.Record(clock.Now(), cwnd)
-			}
 		}
 		if !r.AddHop(spec.ID, pred, succ, relayKeys[i], hopCfg, i == len(spec.Relays)-1) {
 			for _, prev := range spec.Relays[:i] {
@@ -419,7 +414,7 @@ func (c *ShardedCircuit) Teardown() {
 // Closed reports whether the circuit has been torn down.
 func (c *ShardedCircuit) Closed() bool { return c.closed }
 
-// Lifetime returns how long the circuit has been alive: ClosedAt −
+// Lifetime returns how long the circuit has been alive: teardown −
 // BuiltAt once torn down, the source shard's now − BuiltAt while up.
 func (c *ShardedCircuit) Lifetime() time.Duration {
 	if c.closed {
@@ -433,7 +428,9 @@ func (c *ShardedCircuit) Relays() []netem.NodeID { return c.spec.Relays }
 
 // Done reports whether the current transfer has completed. Read at
 // barriers only — the completing shard writes it mid-window.
+// Test-only; it goes with sharding (ROADMAP item 2).
 func (c *ShardedCircuit) Done() bool { return c.done }
 
-// TTLB returns the most recent transfer's time-to-last-byte.
+// TTLB returns the most recent transfer's time-to-last-byte. Test-only;
+// it goes with sharding (ROADMAP item 2).
 func (c *ShardedCircuit) TTLB() (time.Duration, bool) { return c.ttlb, c.done }

@@ -32,9 +32,6 @@ func NewCircuitCrypto(hops []*HopKeys) *CircuitCrypto {
 // Len returns the number of hops.
 func (cc *CircuitCrypto) Len() int { return len(cc.hops) }
 
-// Hop returns the keys of hop i (0 = guard).
-func (cc *CircuitCrypto) Hop(i int) *HopKeys { return cc.hops[i] }
-
 // WrapForward seals a plaintext relay cell for the exit hop and applies
 // every layer of forward encryption, outermost last. After WrapForward
 // the cell is ready for the first hop.

@@ -86,7 +86,9 @@ func (id *Identity) key() *ecdh.PrivateKey {
 }
 
 // Derived reports whether the identity's key has been derived, that
-// is, whether any handshake or Public call has used it yet.
+// is, whether any handshake or Public call has used it yet. Test-only
+// (TestShardedTrialDerivesOnlyReachedRelayKeys); it goes with onion
+// crypto (ROADMAP item 17).
 func (id *Identity) Derived() bool { return id.priv != nil }
 
 // Public returns the identity's public key bytes (32 bytes).

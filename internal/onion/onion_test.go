@@ -361,11 +361,6 @@ func TestCircuitCryptoAccessors(t *testing.T) {
 	if cc.Len() != 3 {
 		t.Errorf("Len = %d", cc.Len())
 	}
-	for i := 0; i < 3; i++ {
-		if cc.Hop(i) == nil {
-			t.Errorf("Hop(%d) = nil", i)
-		}
-	}
 }
 
 // Property: for any hop count 1..5 and any payload, wrap + peel-at-each-
