@@ -10,7 +10,6 @@ package directory
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"circuitstart/internal/netem"
@@ -93,31 +92,10 @@ func NewConsensus(relays []Descriptor) (*Consensus, error) {
 // Len returns the number of relays.
 func (c *Consensus) Len() int { return len(c.relays) }
 
-// Relay returns the descriptor for id.
-func (c *Consensus) Relay(id netem.NodeID) (Descriptor, bool) {
-	i, ok := c.byID[id]
-	if !ok {
-		return Descriptor{}, false
-	}
-	return c.relays[i], true
-}
-
-// Relays returns all descriptors sorted by ID (deterministic order).
-func (c *Consensus) Relays() []Descriptor {
-	out := make([]Descriptor, len(c.relays))
-	copy(out, c.relays)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// TotalBandwidth sums all relay bandwidths.
-func (c *Consensus) TotalBandwidth() units.DataRate {
-	var sum units.DataRate
-	for _, d := range c.relays {
-		sum += d.Bandwidth
-	}
-	return sum
-}
+// Relays returns all descriptors in consensus order. Test-only:
+// workload's TestForwardSoakCompletesEveryTransfer walks it to make
+// every relay link lossy.
+func (c *Consensus) Relays() []Descriptor { return c.relays }
 
 // PickWeighted selects one relay holding all bits of flag,
 // bandwidth-weighted as Tor does, excluding IDs in excl. It walks the

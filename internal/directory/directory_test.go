@@ -33,22 +33,6 @@ func TestConsensusBasics(t *testing.T) {
 	if c.Len() != 6 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	d, ok := c.Relay("m1")
-	if !ok || d.Bandwidth != units.Mbps(80) {
-		t.Errorf("Relay(m1) = %+v, %v", d, ok)
-	}
-	if _, ok := c.Relay("nope"); ok {
-		t.Error("found nonexistent relay")
-	}
-	if got := c.TotalBandwidth(); got != units.Mbps(350) {
-		t.Errorf("TotalBandwidth = %v", got)
-	}
-	rs := c.Relays()
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].ID >= rs[i].ID {
-			t.Fatal("Relays() not sorted")
-		}
-	}
 }
 
 func TestNewConsensusRejectsDuplicates(t *testing.T) {

@@ -44,7 +44,6 @@ type Source struct {
 	// from the first relay and unwraps every hop's encryption.
 	drecv        *transport.Receiver
 	downloaded   units.DataSize
-	downCells    uint64
 	downBad      uint64
 	downExpected units.DataSize
 	onDownload   func(at sim.Time)
@@ -111,13 +110,14 @@ func (s *Source) ExpectDownload(size units.DataSize, onComplete func(at sim.Time
 func (s *Source) Downloaded() units.DataSize { return s.downloaded }
 
 // DownloadBadCells returns backward cells that failed to unwrap.
+// Test-only: the core and workload download tests assert it is zero;
+// it goes with onion crypto (ROADMAP item 17).
 func (s *Source) DownloadBadCells() uint64 { return s.downBad }
 
 // consumeDownload processes one in-order backward cell: unwrap every
 // onion layer, account the data, and report the cell forwarded
 // (delivery to the application is the final step).
 func (s *Source) consumeDownload(c *cell.Cell) {
-	s.downCells++
 	if _, err := s.crypto.UnwrapBackward(c); err != nil {
 		s.downBad++
 	} else if hdr, data, err := c.Relay(); err == nil && hdr.Cmd == cell.RelayData {
@@ -149,18 +149,13 @@ func (s *Source) Close() {
 	s.drecv.Close()
 }
 
-// Closed reports whether the source has been torn down.
+// Closed reports whether the source has been torn down. Test-only:
+// core's TestTeardownMidTransferReleasesState checks it.
 func (s *Source) Closed() bool { return s.closed }
-
-// ID returns the source's node ID.
-func (s *Source) ID() netem.NodeID { return s.id }
 
 // Sender exposes the source's hop sender — the subject of the paper's
 // cwnd traces.
 func (s *Source) Sender() *transport.Sender { return s.sender }
-
-// Port returns the source's network attachment.
-func (s *Source) Port() *netem.Port { return s.port }
 
 // Send submits size bytes of application data: relay DATA cells of up to
 // cell.MaxRelayData bytes each, onion-encrypted, built one at a time as
@@ -309,10 +304,8 @@ type Sink struct {
 	exit  netem.NodeID
 	recv  *transport.Receiver
 
-	received   units.DataSize
-	cells      uint64
-	badCells   uint64
-	lastCellAt sim.Time
+	received units.DataSize
+	badCells uint64
 
 	// Expected, when positive, arms OnComplete.
 	expected   units.DataSize
@@ -408,11 +401,9 @@ func (k *Sink) Close() {
 	k.recv.Close()
 }
 
-// Closed reports whether the sink has been torn down.
+// Closed reports whether the sink has been torn down. Test-only:
+// core's TestTeardownMidTransferReleasesState checks it.
 func (k *Sink) Closed() bool { return k.closed }
-
-// ID returns the sink's node ID.
-func (k *Sink) ID() netem.NodeID { return k.id }
 
 // Expect arms the completion callback: once size application bytes have
 // arrived, onComplete fires with the arrival time of the last byte.
@@ -428,20 +419,14 @@ func (k *Sink) Expect(size units.DataSize, onComplete func(at sim.Time)) {
 // Received returns the application bytes delivered so far.
 func (k *Sink) Received() units.DataSize { return k.received }
 
-// Cells returns the number of cells consumed.
-func (k *Sink) Cells() uint64 { return k.cells }
-
 // BadCells returns cells that failed to parse as plaintext relay cells.
+// Test-only: the core and workload tests assert it is zero; it goes
+// with onion crypto (ROADMAP item 17).
 func (k *Sink) BadCells() uint64 { return k.badCells }
-
-// LastCellAt returns the arrival time of the most recent cell.
-func (k *Sink) LastCellAt() sim.Time { return k.lastCellAt }
 
 // consume processes one in-order plaintext cell: account its data and
 // immediately report it forwarded (the delivery IS the forwarding).
 func (k *Sink) consume(c *cell.Cell) {
-	k.cells++
-	k.lastCellAt = k.clock.Now()
 	hdr, data, err := c.Relay()
 	if err != nil || hdr.Cmd != cell.RelayData {
 		k.badCells++

@@ -157,10 +157,7 @@ func TestSourceSendPanicsOnZero(t *testing.T) {
 
 func TestSourceAccessors(t *testing.T) {
 	rig := newSourceRig(t, 1)
-	if rig.source.ID() != "client" {
-		t.Fatalf("ID = %q", rig.source.ID())
-	}
-	if rig.source.Sender() == nil || rig.source.Port() == nil {
+	if rig.source.Sender() == nil {
 		t.Fatal("nil accessors")
 	}
 }
@@ -219,14 +216,8 @@ func TestSinkCountsAndCompletes(t *testing.T) {
 	if rig.sink.Received() != 992 {
 		t.Fatalf("Received = %v", rig.sink.Received())
 	}
-	if rig.sink.Cells() != 2 {
-		t.Fatalf("Cells = %d", rig.sink.Cells())
-	}
 	if doneAt == 0 {
 		t.Fatal("completion callback never fired")
-	}
-	if rig.sink.LastCellAt() == 0 {
-		t.Fatal("LastCellAt not recorded")
 	}
 	// The sink must have acked and fed back both cells ("delivering to
 	// the application is the final forwarding step").
@@ -275,12 +266,5 @@ func TestSinkBadCellCounted(t *testing.T) {
 	}
 	if rig.sink.Received() != 0 {
 		t.Fatalf("Received = %v for garbage", rig.sink.Received())
-	}
-}
-
-func TestSinkID(t *testing.T) {
-	rig := newSinkRig(t)
-	if rig.sink.ID() != "server" {
-		t.Fatalf("ID = %q", rig.sink.ID())
 	}
 }
