@@ -405,6 +405,10 @@ func (k *Sink) Close() {
 // core's TestTeardownMidTransferReleasesState checks it.
 func (k *Sink) Closed() bool { return k.closed }
 
+// ID returns the sink's node ID. Test-only: on ROADMAP item 17's
+// deletion queue.
+func (k *Sink) ID() netem.NodeID { return k.id }
+
 // Expect arms the completion callback: once size application bytes have
 // arrived, onComplete fires with the arrival time of the last byte.
 func (k *Sink) Expect(size units.DataSize, onComplete func(at sim.Time)) {

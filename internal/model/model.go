@@ -121,6 +121,7 @@ func copyTransits(nodes []Node, transits [][]Transit) [][]Transit {
 }
 
 // PathFromAccess builds a Path from netem access configurations.
+// Test-only: on ROADMAP item 17's deletion queue.
 func PathFromAccess(cfgs []netem.AccessConfig) Path {
 	nodes := make([]Node, len(cfgs))
 	for i, c := range cfgs {
@@ -132,7 +133,8 @@ func PathFromAccess(cfgs []netem.AccessConfig) Path {
 // Hops returns the number of transport hops (nodes − 1).
 func (p Path) Hops() int { return len(p.nodes) - 1 }
 
-// Node returns node i of the sequence (0 = source).
+// Node returns node i of the sequence (0 = source). Test-only: on
+// ROADMAP item 17's deletion queue.
 func (p Path) Node(i int) Node { return p.nodes[i] }
 
 // hopTransits returns the transit links crossed travelling from
@@ -177,17 +179,9 @@ func (p Path) FeedbackRTT(i int) time.Duration {
 		p.oneWay(i+1, i, transport.CtrlWireSize)
 }
 
-// AckRTT returns the no-load DATA→ACK round-trip of hop i. It differs
-// from FeedbackRTT only in name under no load, but is kept distinct for
-// clarity in ablation reports.
-func (p Path) AckRTT(i int) time.Duration {
-	p.checkHop(i)
-	return p.oneWay(i, i+1, transport.DataWireSize) +
-		p.oneWay(i+1, i, transport.CtrlWireSize)
-}
-
 // CircuitRTT returns the no-load source→sink→source round-trip: a DATA
 // cell all the way forward, a control segment all the way back.
+// Test-only: on ROADMAP item 17's deletion queue.
 func (p Path) CircuitRTT() time.Duration {
 	var d time.Duration
 	for i := 0; i < p.Hops(); i++ {
@@ -221,6 +215,8 @@ func (p Path) BottleneckRate() units.DataRate {
 
 // BottleneckHop returns the index of the hop whose link is the circuit
 // bottleneck (ties resolve to the hop closest to the source).
+// Test-only: ROADMAP item 5(a) places the bottleneck at every position
+// and needs it as the oracle.
 func (p Path) BottleneckHop() int {
 	best, rate := 0, p.linkRate(0)
 	for i := 1; i < p.Hops(); i++ {
@@ -261,6 +257,7 @@ func (p Path) OptimalSourceWindowCells() float64 { return p.OptimalWindowCells(0
 
 // OptimalSourceWindowBytes returns the source's optimal window in
 // payload bytes (cells × cell size), the unit of Figure 1's y axis.
+// Test-only: on ROADMAP item 17's deletion queue.
 func (p Path) OptimalSourceWindowBytes() float64 {
 	return p.OptimalSourceWindowCells() * float64(transport.DataWireSize-transport.HeaderSize)
 }
@@ -269,7 +266,9 @@ func (p Path) OptimalSourceWindowBytes() float64 {
 // byte of a transfer occupying nCells cells: the pipeline fill (first
 // cell's one-way latency to the sink) plus draining the remaining cells
 // through the bottleneck. Ramp-up, queueing and control-plane effects
-// only add to this, so every simulated TTLB must exceed it.
+// only add to this, so every simulated TTLB must exceed it. Test-only:
+// core's TestTransferDeliversAllBytes checks one circuit, and ROADMAP
+// item 5(c) makes it a property.
 func (p Path) LowerBoundTTLB(nCells int) time.Duration {
 	if nCells <= 0 {
 		panic(fmt.Sprintf("model: LowerBoundTTLB(%d)", nCells))

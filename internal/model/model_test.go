@@ -94,9 +94,6 @@ func TestFeedbackRTTAgainstHandComputation(t *testing.T) {
 	if got := p.FeedbackRTT(0); got != want {
 		t.Fatalf("FeedbackRTT = %v, want %v", got, want)
 	}
-	if got := p.AckRTT(0); got != want {
-		t.Fatalf("AckRTT = %v, want %v", got, want)
-	}
 }
 
 func TestCircuitRTTIsSumOfHops(t *testing.T) {
