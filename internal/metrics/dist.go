@@ -123,6 +123,7 @@ func (d *Distribution) Quantile(q float64) float64 {
 func (d *Distribution) Median() float64 { return d.Quantile(0.5) }
 
 // CDFAt returns the empirical cumulative probability P(X <= x).
+// Test-only: on ROADMAP item 17's deletion queue.
 func (d *Distribution) CDFAt(x float64) float64 {
 	if len(d.samples) == 0 {
 		return 0

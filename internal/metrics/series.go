@@ -54,6 +54,7 @@ func (s *Series) Points() []Point { return s.points }
 // At returns the series value in effect at time t under step
 // (sample-and-hold) interpolation, i.e. the value of the latest sample
 // at or before t. ok is false when t precedes the first sample.
+// Test-only: on ROADMAP item 17's deletion queue.
 func (s *Series) At(t sim.Time) (v float64, ok bool) {
 	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].At > t })
 	if i == 0 {
@@ -84,7 +85,8 @@ func (s *Series) Max() (float64, bool) {
 	return m, true
 }
 
-// Min returns the smallest value observed. ok is false for an empty series.
+// Min returns the smallest value observed. ok is false for an empty
+// series. Test-only: on ROADMAP item 17's deletion queue.
 func (s *Series) Min() (float64, bool) {
 	if len(s.points) == 0 {
 		return 0, false
@@ -98,34 +100,11 @@ func (s *Series) Min() (float64, bool) {
 	return m, true
 }
 
-// TimeAverage returns the step-interpolated mean of the series between
-// its first sample and horizon: each sample holds until the next one (or
-// the horizon). ok is false when the series is empty or the horizon does
-// not extend past the first sample.
-func (s *Series) TimeAverage(horizon sim.Time) (float64, bool) {
-	if len(s.points) == 0 || horizon <= s.points[0].At {
-		return 0, false
-	}
-	var weighted float64
-	for i, p := range s.points {
-		if p.At >= horizon {
-			break
-		}
-		end := horizon
-		if i+1 < len(s.points) && s.points[i+1].At < horizon {
-			end = s.points[i+1].At
-		}
-		// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
-		weighted += float64(p.Value * float64(end-p.At))
-	}
-	total := float64(horizon - s.points[0].At)
-	return weighted / total, true
-}
-
 // SettleTime returns the earliest time from which the series stays
 // within ±tol of target until its end. ok is false if it never settles
 // or the series is empty. Experiments use it to measure how fast a cwnd
-// trace converges onto the model's optimal window.
+// trace converges onto the model's optimal window. Test-only: the
+// experiments use ConvergeTime; on ROADMAP item 17's deletion queue.
 func (s *Series) SettleTime(target, tol float64) (sim.Time, bool) {
 	if len(s.points) == 0 {
 		return 0, false
@@ -189,7 +168,8 @@ func (s *Series) ConvergeTime(target, tol, outlierFrac float64) (sim.Time, bool)
 
 // Overshoot returns the maximum amount by which the series exceeds
 // target, and when that peak occurred. A non-positive overshoot means
-// the series never exceeded the target.
+// the series never exceeded the target. Test-only: ROADMAP item 5(a)
+// reports peak overshoot against bottleneck distance with it.
 func (s *Series) Overshoot(target float64) (amount float64, at sim.Time) {
 	amount = math.Inf(-1)
 	for _, p := range s.points {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -84,28 +83,6 @@ func TestSeriesMinMax(t *testing.T) {
 	}
 	if mn, _ := s.Min(); mn != -1 {
 		t.Errorf("Min = %v, want -1", mn)
-	}
-}
-
-func TestSeriesTimeAverage(t *testing.T) {
-	s := NewSeries("x")
-	if _, ok := s.TimeAverage(ms(10)); ok {
-		t.Fatal("TimeAverage of empty series reported ok")
-	}
-	s.Record(ms(0), 2)
-	s.Record(ms(10), 4)
-	// 2 for 10ms, then 4 for 10ms → mean 3 over [0, 20ms).
-	got, ok := s.TimeAverage(ms(20))
-	if !ok || math.Abs(got-3) > 1e-12 {
-		t.Fatalf("TimeAverage = %v, %v; want 3", got, ok)
-	}
-	// Horizon before the second sample: only the first value counts.
-	got, ok = s.TimeAverage(ms(5))
-	if !ok || got != 2 {
-		t.Fatalf("TimeAverage(5ms) = %v, %v; want 2", got, ok)
-	}
-	if _, ok := s.TimeAverage(ms(0)); ok {
-		t.Fatal("TimeAverage at first sample reported ok")
 	}
 }
 
