@@ -36,7 +36,9 @@ type GilbertElliott struct {
 	bad bool
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters. Test-only: faults.Plan.Validate
+// checks the same ranges for every model a run installs; on ROADMAP
+// item 17's deletion queue.
 func (g *GilbertElliott) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -76,9 +78,6 @@ func (g *GilbertElliott) Drop() bool {
 	return g.RNG.Float64() < p
 }
 
-// Bad reports whether the channel is currently in the bad state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // JitterModel adds extra propagation delay per delivery event. The model
 // is consulted once per scheduled delivery (per frame untrained, per
 // train trained); the link clamps delivery instants monotonically so the
@@ -105,7 +104,9 @@ type UniformJitter struct {
 	RNG *sim.RNG
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters. Test-only: faults.Plan.Validate
+// checks the same ranges for every model a run installs; on ROADMAP
+// item 17's deletion queue.
 func (j *UniformJitter) Validate() error {
 	if j.Amplitude < 0 {
 		return fmt.Errorf("netem: jitter amplitude %v negative", j.Amplitude)

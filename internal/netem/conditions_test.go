@@ -80,8 +80,8 @@ func TestGilbertElliottDeterministicDraws(t *testing.T) {
 	a, b := mk(), mk()
 	for i := 0; i < 5000; i++ {
 		da, db := a.Drop(), b.Drop()
-		if da != db || a.Bad() != b.Bad() {
-			t.Fatalf("frame %d: divergent replicas (%v/%v, bad %v/%v)", i, da, db, a.Bad(), b.Bad())
+		if da != db || a.bad != b.bad {
+			t.Fatalf("frame %d: divergent replicas (%v/%v, bad %v/%v)", i, da, db, a.bad, b.bad)
 		}
 	}
 }
@@ -133,7 +133,7 @@ func TestLinkSetDownDropsFrames(t *testing.T) {
 	link.Send(&Frame{Src: "a", Dst: "b", Size: 512})
 	clock.Run()
 	link.SetDown(true)
-	if !link.Down() {
+	if !link.down {
 		t.Fatal("link not reported down")
 	}
 	for i := 0; i < 3; i++ {

@@ -536,7 +536,7 @@ func (g *GraphFabric) UnknownDst() uint64 { return g.unknownDst }
 func (g *GraphFabric) Unroutable() uint64 { return g.unroutable }
 
 // ResetStats zeroes the drop counters and every access and trunk link's
-// stats.
+// stats. Test-only: on ROADMAP item 17's deletion queue.
 func (g *GraphFabric) ResetStats() {
 	g.unknownDst = 0
 	g.unroutable = 0

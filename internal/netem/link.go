@@ -291,9 +291,6 @@ func (l *Link) SetRate(r units.DataRate) {
 // and partition trunks through this switch.
 func (l *Link) SetDown(down bool) { l.down = down }
 
-// Down reports whether the link is administratively down.
-func (l *Link) Down() bool { return l.down }
-
 // SetLossModel installs (or, with nil, removes) a stateful loss process
 // consulted once per serialized frame in addition to cfg.LossProb. The
 // model must draw from its own RNG stream (see LossModel).
@@ -330,6 +327,8 @@ func (l *Link) QueueLen() int {
 }
 
 // Busy reports whether a frame is currently being serialized.
+// Test-only: TestLinkHoldsOneDeliveryEvent checks serialization ended;
+// ROADMAP item 13 makes completions lazy and needs the same check.
 func (l *Link) Busy() bool { return l.busy }
 
 // Send offers a frame to the link. If the queue has room it is accepted

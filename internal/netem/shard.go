@@ -619,7 +619,7 @@ func (sf *ShardedFabric) Exported() uint64 {
 }
 
 // Imported returns the total frames admitted to their destination
-// shards at barriers.
+// shards at barriers. Test-only; it goes with sharding (ROADMAP item 2).
 func (sf *ShardedFabric) Imported() uint64 { return sf.imported }
 
 // PendingHandoffs returns the frames exported but not yet delivered on
@@ -636,6 +636,7 @@ func (sf *ShardedFabric) PendingHandoffs() int {
 // QueueHighWater returns the deepest any boundary's export ring ever
 // got, in frames. Conservative windows bound it naturally: a ring holds
 // at most the frames one trunk serializes in about two windows.
+// Test-only; it goes with sharding (ROADMAP item 2).
 func (sf *ShardedFabric) QueueHighWater() int {
 	max := 0
 	for _, b := range sf.boundaries {
@@ -647,8 +648,8 @@ func (sf *ShardedFabric) QueueHighWater() int {
 }
 
 // Idle reports whether nothing remains to run: every shard's event
-// queue is empty and no handoff is pending. Scenario drivers use it to
-// stop at a barrier once all work has drained.
+// queue is empty and no handoff is pending. Test-only; it goes with
+// sharding (ROADMAP item 2).
 func (sf *ShardedFabric) Idle() bool {
 	if sf.PendingHandoffs() > 0 {
 		return false
