@@ -153,16 +153,14 @@ func (r *Relay) Configure(cfg Config, kill func(circ cell.CircID)) error {
 // relay runs unlimited.
 func (r *Relay) Resources() *resource.Manager { return r.mgr }
 
-// ID returns the relay's node ID.
-func (r *Relay) ID() netem.NodeID { return r.id }
-
 // Port returns the relay's network attachment (for link stats in tests
 // and experiments).
 func (r *Relay) Port() *netem.Port { return r.port }
 
 // Stats returns a snapshot of the relay counters, folding in the
 // resource manager's admission refusals and the uplink scheduler's
-// drops so callers see them beside the forwarding counters.
+// drops so callers see them beside the forwarding counters. Test-only:
+// core's lifecycle tests and workload's soak test read the counters.
 func (r *Relay) Stats() Stats {
 	st := r.stats
 	if r.mgr != nil {
@@ -185,6 +183,7 @@ func (r *Relay) Fail() { r.failed = true }
 func (r *Relay) Recover() { r.failed = false }
 
 // Failed reports whether the relay is currently out of service.
+// Test-only: core's TestFailedRelayBlackholesAndRecovers checks it.
 func (r *Relay) Failed() bool { return r.failed }
 
 // Hang puts the relay into the hung degradation mode: it blackholes
@@ -199,6 +198,7 @@ func (r *Relay) Hang() { r.hung = true }
 func (r *Relay) Unhang() { r.hung = false }
 
 // Circuits returns the number of circuits currently crossing the relay.
+// The facade's documented Example prints it.
 func (r *Relay) Circuits() int { return len(r.hops) }
 
 // HopSender returns the onward transport sender for a circuit, or nil.
@@ -210,31 +210,6 @@ func (r *Relay) HopSender(circ cell.CircID) *transport.Sender {
 		return nil
 	}
 	return h.send
-}
-
-// BackwardHopSender returns the backward-direction sender (toward the
-// predecessor) for a circuit, or nil.
-func (r *Relay) BackwardHopSender(circ cell.CircID) *transport.Sender {
-	h := r.hops[circ]
-	if h == nil {
-		return nil
-	}
-	return h.bsend
-}
-
-// HopReceiver returns the inbound transport receiver for a circuit, or
-// nil. Tests use it to assert reception-side invariants.
-func (r *Relay) HopReceiver(circ cell.CircID) *transport.Receiver {
-	h := r.hops[circ]
-	if h == nil {
-		return nil
-	}
-	return h.recv
-}
-
-// AddForwardHop registers a forward-only circuit hop (see AddHop).
-func (r *Relay) AddForwardHop(circ cell.CircID, pred, succ netem.NodeID, keys *onion.HopKeys, params transport.Config) bool {
-	return r.AddHop(circ, pred, succ, keys, params, false)
 }
 
 // AddHop registers a circuit through this relay, in both directions.

@@ -98,7 +98,7 @@ func (r *testRig) dataCell(payloadByte byte) *cell.Cell {
 
 func (r *testRig) addHop(t *testing.T) {
 	t.Helper()
-	r.relay.AddForwardHop(7, "src", "sink", r.keys, transport.Config{})
+	r.relay.AddHop(7, "src", "sink", r.keys, transport.Config{}, false)
 }
 
 func (r *testRig) sendData(seq uint64, c *cell.Cell) {
@@ -308,23 +308,23 @@ func TestRelayDuplicateHopPanics(t *testing.T) {
 	rig.addHop(t)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate AddForwardHop did not panic")
+			t.Fatal("duplicate AddHop did not panic")
 		}
 	}()
-	rig.relay.AddForwardHop(7, "src", "sink", rig.keys, transport.Config{})
+	rig.relay.AddHop(7, "src", "sink", rig.keys, transport.Config{}, false)
 }
 
 func TestRelayHopAccessors(t *testing.T) {
 	rig := newTestRig(t)
 	rig.addHop(t)
-	if rig.relay.HopSender(7) == nil || rig.relay.HopReceiver(7) == nil {
+	if rig.relay.HopSender(7) == nil || rig.relay.hops[7].recv == nil {
 		t.Fatal("hop accessors returned nil for existing circuit")
 	}
-	if rig.relay.HopSender(8) != nil || rig.relay.HopReceiver(8) != nil {
+	if rig.relay.HopSender(8) != nil || rig.relay.hops[8] != nil {
 		t.Fatal("hop accessors returned non-nil for missing circuit")
 	}
-	if rig.relay.ID() != "relay" {
-		t.Fatalf("ID = %q", rig.relay.ID())
+	if rig.relay.id != "relay" {
+		t.Fatalf("ID = %q", rig.relay.id)
 	}
 	if rig.relay.Port() == nil {
 		t.Fatal("nil port")
@@ -402,7 +402,7 @@ func TestRelayBackwardExitSealsAndEncrypts(t *testing.T) {
 	if len(data) != 1 || data[0] != 'q' {
 		t.Fatalf("payload %q", data)
 	}
-	if rig.relay.BackwardHopSender(7) == nil {
+	if rig.relay.hops[7].bsend == nil {
 		t.Fatal("nil BackwardHopSender")
 	}
 }
@@ -450,7 +450,7 @@ func TestRelayBackwardControlDemux(t *testing.T) {
 	rig.clock.RunUntil(5 * sim.Second)
 
 	// Backward ACK from the predecessor must reach the backward sender.
-	bs := rig.relay.BackwardHopSender(7)
+	bs := rig.relay.hops[7].bsend
 	sentBefore := bs.Stats().Transmitted
 	if sentBefore == 0 {
 		t.Fatal("backward sender transmitted nothing")

@@ -177,9 +177,6 @@ func (m *Manager) OnKill(fn func(circ cell.CircID)) { m.kill = fn }
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// Circuits returns the number of currently admitted circuits.
-func (m *Manager) Circuits() int { return len(m.circuits) }
-
 // HeldMemory returns the currently buffered cell memory.
 func (m *Manager) HeldMemory() units.DataSize {
 	return units.DataSize(m.heldCells) * cell.Size

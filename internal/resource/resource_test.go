@@ -99,8 +99,8 @@ func TestAdmitRejectNew(t *testing.T) {
 	if !m.Admit(3) {
 		t.Fatal("admission refused after a release made room")
 	}
-	if m.Circuits() != 2 {
-		t.Fatalf("%d circuits admitted, want 2", m.Circuits())
+	if len(m.circuits) != 2 {
+		t.Fatalf("%d circuits admitted, want 2", len(m.circuits))
 	}
 }
 
@@ -236,8 +236,8 @@ func TestMemoryKillPolicyEvictsUntilUnderCap(t *testing.T) {
 	if len(*killed) != 2 || (*killed)[0] != 1 || (*killed)[1] != 2 {
 		t.Fatalf("killed %v, want [1 2]", *killed)
 	}
-	if m.Circuits() != 1 || m.HeldMemory() != 2*cell.Size {
-		t.Fatalf("left %d circuits holding %v", m.Circuits(), m.HeldMemory())
+	if len(m.circuits) != 1 || m.HeldMemory() != 2*cell.Size {
+		t.Fatalf("left %d circuits holding %v", len(m.circuits), m.HeldMemory())
 	}
 }
 
@@ -245,7 +245,7 @@ func TestReleaseUnknownCircuitIgnored(t *testing.T) {
 	m := NewManager(sim.NewClock(), Limits{MaxCircuits: 1})
 	m.Release(99)
 	m.Held(99, 3)
-	if m.HeldMemory() != 0 || m.Circuits() != 0 {
+	if m.HeldMemory() != 0 || len(m.circuits) != 0 {
 		t.Fatal("unknown circuit affected accounting")
 	}
 }

@@ -292,15 +292,6 @@ func (r *Result) MedianGap(a, b string) float64 {
 	return armA.TTLB.Median() - armB.TTLB.Median()
 }
 
-// Summaries returns one summary per arm's TTLB distribution.
-func (r *Result) Summaries() []metrics.Summary {
-	out := make([]metrics.Summary, len(r.Arms))
-	for i := range r.Arms {
-		out[i] = r.Arms[i].TTLB.Summarize()
-	}
-	return out
-}
-
 // WriteText renders the per-arm summary table, the circuit-lifecycle
 // table when the scenario ran with churn, any fabric drop counters
 // (always shown when non-zero — a silent blackhole must not look like a

@@ -277,9 +277,6 @@ func TestResultAccessors(t *testing.T) {
 	if res.Arm("with") == nil || res.Arm("nope") != nil {
 		t.Fatal("Arm lookup broken")
 	}
-	if got := res.Summaries(); len(got) != 2 {
-		t.Fatalf("%d summaries", len(got))
-	}
 	// CircuitStart should not lose to plain BackTap on its home turf.
 	if gap := res.MedianGap("with", "without"); gap > 0.05 {
 		t.Errorf("median gap %+.3fs — circuitstart slower than backtap", gap)
