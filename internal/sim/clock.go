@@ -32,7 +32,8 @@ import (
 // cannot be accidentally mixed with wall-clock time.
 type Time time.Duration
 
-// Common Time constants re-exported for convenience.
+// Common Time constants re-exported for convenience. Nanosecond,
+// Microsecond and Millisecond are used only by tests, across packages.
 const (
 	Nanosecond  Time = Time(time.Nanosecond)
 	Microsecond Time = Time(time.Microsecond)
@@ -45,6 +46,7 @@ const (
 const MaxTime Time = Time(math.MaxInt64)
 
 // Duration converts t to a time.Duration offset from the epoch.
+// Test-only: the netem and transport tests convert instants with it.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Seconds returns the instant expressed in seconds.
@@ -167,7 +169,9 @@ func (c *Clock) Pending() int {
 }
 
 // MaxPending returns the high-water mark of Pending since construction
-// or the last Reset.
+// or the last Reset. Test-only: core's
+// TestEventHeapBoundedByLinksAndCircuits pins the bound, and ROADMAP
+// item 1(a) asserts it in every -check run.
 func (c *Clock) MaxPending() int { return int(c.maxPending) }
 
 // Next returns the instant of the earliest pending event and whether

@@ -27,7 +27,8 @@ func NewRNG(seed int64, name string) *RNG {
 	}
 }
 
-// Name returns the stream's component name.
+// Name returns the stream's component name. Test-only: on ROADMAP
+// item 17's deletion queue.
 func (r *RNG) Name() string { return r.name }
 
 // Uniform returns a sample from U[lo, hi).
@@ -46,7 +47,8 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 }
 
 // Pareto returns a sample from the Pareto distribution with the given
-// minimum value and tail index alpha.
+// minimum value and tail index alpha. Test-only: on ROADMAP item 17's
+// deletion queue.
 func (r *RNG) Pareto(xm, alpha float64) float64 {
 	u := r.Float64()
 	for u == 0 {

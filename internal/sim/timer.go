@@ -57,7 +57,8 @@ func (t *Timer) Stop() { t.handle.Cancel() }
 func (t *Timer) Armed() bool { return t.handle.Active() }
 
 // Deadline returns the instant the timer will fire. It is only
-// meaningful when Armed reports true.
+// meaningful when Armed reports true. Test-only: on ROADMAP item 17's
+// deletion queue.
 func (t *Timer) Deadline() Time {
 	if !t.Armed() {
 		return 0
