@@ -151,7 +151,7 @@ type Circuit struct {
 	sink   *endpoint.Sink
 	path   model.Path
 
-	sourceTrace *metrics.Series   // source cwnd in cells
+	sourceTrace *metrics.Series // source cwnd in cells
 
 	transferStart sim.Time
 	ttlb          time.Duration

@@ -465,10 +465,10 @@ func TestPanickingGridPointFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Dimensions = []sweep.Dimension{sweep.Custom("mutator",
-		sweep.Value{Label: "ok", Apply: func(*scenario.Scenario) error { return nil }},
-		sweep.Value{Label: "boom", Apply: func(*scenario.Scenario) error { panic("mutator bug") }},
-	)}
+	sw.Dimensions = []sweep.Dimension{{Name: "mutator", Values: []sweep.Value{
+		{Label: "ok", Apply: func(*scenario.Scenario) error { return nil }},
+		{Label: "boom", Apply: func(*scenario.Scenario) error { panic("mutator bug") }},
+	}}}
 	j, err := newJob(sw, "panic-test")
 	if err != nil {
 		t.Fatal(err)

@@ -256,4 +256,3 @@ func TestPointKeyUnambiguous(t *testing.T) {
 		t.Error("point key ignored the base hash")
 	}
 }
-

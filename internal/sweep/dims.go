@@ -11,13 +11,6 @@ import (
 	"circuitstart/internal/workload"
 )
 
-// Custom builds a dimension from explicit values — the escape hatch for
-// axes the stock constructors below do not cover (e.g. rebuilding the
-// whole topology per hop count).
-func Custom(name string, values ...Value) Dimension {
-	return Dimension{Name: name, Values: values}
-}
-
 // Gamma returns a dimension sweeping the start-up exit threshold γ on
 // every arm.
 func Gamma(gammas ...float64) Dimension {
@@ -108,26 +101,6 @@ func Hops(counts ...int) Dimension {
 					return fmt.Errorf("hops axis needs a generated population topology")
 				}
 				sc.Circuits.Hops = n
-				return nil
-			},
-		})
-	}
-	return d
-}
-
-// PopulationSizes returns a dimension sweeping the generated relay
-// population size.
-func PopulationSizes(ns ...int) Dimension {
-	d := Dimension{Name: "relays"}
-	for _, n := range ns {
-		n := n
-		d.Values = append(d.Values, Value{
-			Label: fmt.Sprintf("%d", n),
-			Apply: func(sc *scenario.Scenario) error {
-				if sc.Topology.Population == nil {
-					return fmt.Errorf("population-size axis needs a generated population topology")
-				}
-				sc.Topology.Population.N = n
 				return nil
 			},
 		})

@@ -93,7 +93,7 @@ func TestEngineExpandsOnlyPointsThatRun(t *testing.T) {
 	sw := sweep.Sweep{
 		Name:       "lazy",
 		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4), sweep.Custom("counted", counted("a"), counted("b"))},
+		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4), {Name: "counted", Values: []sweep.Value{counted("a"), counted("b")}}},
 	}
 	const points = 4
 

@@ -185,7 +185,7 @@ func TestSampleCap(t *testing.T) {
 func TestDimensionMismatch(t *testing.T) {
 	sw := sweep.Sweep{
 		Base:       traceBase(42), // explicit topology
-		Dimensions: []sweep.Dimension{sweep.PopulationSizes(10, 20)},
+		Dimensions: []sweep.Dimension{sweep.PopulationBandwidths(units.Mbps(8), units.Mbps(16))},
 	}
 	_, err := sw.Points()
 	if err == nil || !strings.Contains(err.Error(), "population") {
@@ -258,10 +258,10 @@ func TestEngineFailedPoint(t *testing.T) {
 func TestEnginePanickingMutatorFailsPoint(t *testing.T) {
 	sw := sweep.Sweep{
 		Base: popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Custom("mutator",
-			sweep.Value{Label: "ok", Apply: noop},
-			sweep.Value{Label: "boom", Apply: func(*scenario.Scenario) error { panic("mutator bug") }},
-		)},
+		Dimensions: []sweep.Dimension{{Name: "mutator", Values: []sweep.Value{
+			{Label: "ok", Apply: noop},
+			{Label: "boom", Apply: func(*scenario.Scenario) error { panic("mutator bug") }},
+		}}},
 	}
 	cap := &captureSink{}
 	tbl, err := sweep.Engine{Workers: 1}.Run(sw, cap)
