@@ -128,9 +128,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(out...)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // WriteText writes the table with aligned columns.
 func (t *Table) WriteText(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

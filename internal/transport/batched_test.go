@@ -27,9 +27,6 @@ func TestBatchedDeliveryDefersAckUntilFlush(t *testing.T) {
 	if seg := (*ctrl)[0]; seg.Kind != KindAck || seg.Count != 4 || seg.Circ != 7 {
 		t.Errorf("flushed segment = %+v, want ack count 4", seg)
 	}
-	if st := r.Stats(); st.AcksSent != 1 {
-		t.Errorf("AcksSent = %d, want 1 — the batch acks once", st.AcksSent)
-	}
 	// A second Flush with nothing pending must send nothing.
 	r.Flush()
 	if len(*ctrl) != 1 {
@@ -65,9 +62,6 @@ func TestBatchedFlushOrdersFeedbackBeforeAck(t *testing.T) {
 	if ctrl[1].Kind != KindAck || ctrl[1].Count != 3 {
 		t.Errorf("second flushed segment = %+v, want cumulative ack 3", ctrl[1])
 	}
-	if st := r.Stats(); st.FeedbackSent != 1 || st.AcksSent != 1 {
-		t.Errorf("FeedbackSent=%d AcksSent=%d, want 1/1", st.FeedbackSent, st.AcksSent)
-	}
 }
 
 func TestBatchedReorderAcksCumulatively(t *testing.T) {
@@ -91,8 +85,8 @@ func TestBatchedReorderAcksCumulatively(t *testing.T) {
 	if len(*ctrl) != 1 || (*ctrl)[0].Count != 3 {
 		t.Fatalf("flushed %v, want one ack with count 3", *ctrl)
 	}
-	if st := r.Stats(); st.Buffered != 2 {
-		t.Errorf("Buffered = %d, want 2 (seq 2 and 4)", st.Buffered)
+	if len(r.buffer) != 1 {
+		t.Errorf("%d cells parked, want 1 (seq 4)", len(r.buffer))
 	}
 }
 
@@ -136,8 +130,8 @@ func TestBatchedAndPerCellPathsDeliverIdentically(t *testing.T) {
 	// The two handler paths must deliver the same cells in the same
 	// order and end with the same cumulative state — only the signal
 	// timing differs (per cell vs per train).
-	run := func(batched bool) ([]int, uint64, ReceiverStats) {
-		r, delivered, _ := collectReceiver(t)
+	run := func(batched bool) ([]int, uint64, int) {
+		r, delivered, ctrl := collectReceiver(t)
 		seqs := []uint64{1, 0, 3, 2, 4}
 		for _, s := range seqs {
 			if batched {
@@ -153,10 +147,16 @@ func TestBatchedAndPerCellPathsDeliverIdentically(t *testing.T) {
 		for _, c := range *delivered {
 			got = append(got, int(c.Payload[0]))
 		}
-		return got, r.Expected(), r.Stats()
+		acks := 0
+		for _, seg := range *ctrl {
+			if seg.Kind == KindAck {
+				acks++
+			}
+		}
+		return got, r.Expected(), acks
 	}
-	bGot, bExp, bSt := run(true)
-	pGot, pExp, pSt := run(false)
+	bGot, bExp, bAcks := run(true)
+	pGot, pExp, pAcks := run(false)
 	if len(bGot) != len(pGot) {
 		t.Fatalf("batched delivered %d, per-cell %d", len(bGot), len(pGot))
 	}
@@ -168,13 +168,10 @@ func TestBatchedAndPerCellPathsDeliverIdentically(t *testing.T) {
 	if bExp != pExp {
 		t.Errorf("Expected() %d vs %d", bExp, pExp)
 	}
-	if bSt.Received != pSt.Received || bSt.Delivered != pSt.Delivered || bSt.Buffered != pSt.Buffered {
-		t.Errorf("delivery stats diverged: %+v vs %+v", bSt, pSt)
+	if bAcks != 1 {
+		t.Errorf("batched path sent %d acks, want 1", bAcks)
 	}
-	if bSt.AcksSent != 1 {
-		t.Errorf("batched AcksSent = %d, want 1", bSt.AcksSent)
-	}
-	if pSt.AcksSent != 5 {
-		t.Errorf("per-cell AcksSent = %d, want 5", pSt.AcksSent)
+	if pAcks != 5 {
+		t.Errorf("per-cell path sent %d acks, want 5", pAcks)
 	}
 }

@@ -40,7 +40,7 @@ func offerRun(t *testing.T, hc harnessConfig, offer bool) (log []string, produce
 	}{{0, 300}, {150 * time.Millisecond, 50}, {20 * time.Second, 40}} {
 		b := b
 		h.clock.At(sim.Time(b.at), func() {
-			log = append(log, fmt.Sprintf("%v submit %d onto %d queued, idle %v", h.clock.Now(), b.n, h.sender.QueueLen(), h.sender.Idle()))
+			log = append(log, fmt.Sprintf("%v submit %d onto %d queued, idle %v", h.clock.Now(), b.n, h.sender.QueueLen(), idle(h.sender)))
 			if offer {
 				h.sender.Offer(b.n)
 			} else {
@@ -54,7 +54,7 @@ func offerRun(t *testing.T, hc harnessConfig, offer bool) (log []string, produce
 	}
 	h.run(60 * time.Second)
 	h.assertDeliveredInOrder(submitted)
-	if !h.sender.Idle() {
+	if !idle(h.sender) {
 		t.Fatalf("sender not idle at the horizon: %s", debugState(h.sender))
 	}
 	log = append(log, fmt.Sprintf("last delivery %v", h.lastDelivery),
@@ -74,7 +74,7 @@ func offerRun(t *testing.T, hc harnessConfig, offer bool) (log []string, produce
 func TestOfferedBacklogBehavesLikeAnEnqueuedQueue(t *testing.T) {
 	for name, hc := range map[string]harnessConfig{
 		"circuitstart, constrained successor": {fwdRate: units.Mbps(4)},
-		"slow start, constrained successor":   {fwdRate: units.Mbps(4), senderCfg: Config{Startup: NewClassicSlowStart()}},
+		"slow start, constrained successor":   {fwdRate: units.Mbps(4), senderCfg: Config{Startup: &ClassicSlowStart{Gamma: DefaultGamma}}},
 		"lossy link":                          {lossProb: 0.03},
 		"re-probe and severe remeasure":       {fwdRate: units.Mbps(2), senderCfg: Config{RestartRounds: 3, SevereRemeasure: 2}},
 		"ack clocked":                         {fwdRate: units.Mbps(4), senderCfg: Config{WindowClock: ClockAck}},

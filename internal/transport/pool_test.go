@@ -65,7 +65,7 @@ func TestSenderWarmPoolZeroAlloc(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s.Enqueue(c) // 64 leave at once; the rest queue behind them
 		}
-		for !s.Idle() {
+		for !idle(s) {
 			clock.RunUntil(clock.Now().Add(time.Millisecond))
 			s.HandleAck(transmitted)
 			s.HandleFeedback(transmitted)

@@ -121,7 +121,7 @@ func TestSenderCountInvariants(t *testing.T) {
 		}
 		st := s.Stats()
 		drained := s.QueueLen() == 0 && st.Acked == st.Transmitted && st.Feedback == st.Transmitted
-		return s.Idle() == drained
+		return idle(s) == drained
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

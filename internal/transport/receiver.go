@@ -6,16 +6,6 @@ import (
 	"circuitstart/internal/cell"
 )
 
-// ReceiverStats counts receiver activity.
-type ReceiverStats struct {
-	Received     uint64 // data segments seen (including duplicates)
-	Duplicates   uint64
-	Buffered     uint64 // out-of-order segments parked
-	Delivered    uint64 // cells handed to the consumer, in order
-	AcksSent     uint64
-	FeedbackSent uint64
-}
-
 // Receiver is the per-hop receive side: it acknowledges reception,
 // reorders, delivers cells in order to its consumer, and reports
 // *forwarding* progress back to the sender as FEEDBACK.
@@ -51,8 +41,6 @@ type Receiver struct {
 	deferSignals bool
 	ackDue       bool
 	fbDue        bool
-
-	stats ReceiverStats
 
 	closed bool
 }
@@ -90,9 +78,6 @@ func (r *Receiver) Close() {
 	r.buffer = nil
 }
 
-// Stats returns a snapshot of the counters.
-func (r *Receiver) Stats() ReceiverStats { return r.stats }
-
 // HandleData processes an arriving DATA segment: acknowledge, reorder,
 // deliver. Nested forwarding reports fire per cell, as they always
 // have — this is the byte-identical unbatched path.
@@ -100,7 +85,6 @@ func (r *Receiver) HandleData(seq uint64, c *cell.Cell) {
 	if !r.handleData(seq, c) {
 		return
 	}
-	r.stats.AcksSent++
 	r.send(Segment{Kind: KindAck, Circ: r.circ, Count: r.expected})
 }
 
@@ -132,10 +116,9 @@ func (r *Receiver) handleData(seq uint64, c *cell.Cell) bool {
 	if r.closed {
 		return false
 	}
-	r.stats.Received++
 	switch {
 	case seq < r.expected:
-		r.stats.Duplicates++ // retransmission of something delivered; re-ack below
+		// A retransmission of something delivered; re-ack below.
 	case seq == r.expected:
 		r.deliverCell(c)
 		// Drain any contiguous run parked in the buffer.
@@ -148,14 +131,11 @@ func (r *Receiver) handleData(seq uint64, c *cell.Cell) bool {
 			r.deliverCell(nxt)
 		}
 	default: // out of order
-		if _, dup := r.buffer[seq]; dup {
-			r.stats.Duplicates++
-		} else {
+		if _, dup := r.buffer[seq]; !dup {
 			if r.buffer == nil {
 				r.buffer = make(map[uint64]*cell.Cell)
 			}
 			r.buffer[seq] = c
-			r.stats.Buffered++
 		}
 	}
 	return !r.closed
@@ -174,20 +154,17 @@ func (r *Receiver) Flush() {
 		r.fbDue = false
 		if r.forwarded > r.feedbackSent {
 			r.feedbackSent = r.forwarded
-			r.stats.FeedbackSent++
 			r.send(Segment{Kind: KindFeedback, Circ: r.circ, Count: r.forwarded})
 		}
 	}
 	if r.ackDue {
 		r.ackDue = false
-		r.stats.AcksSent++
 		r.send(Segment{Kind: KindAck, Circ: r.circ, Count: r.expected})
 	}
 }
 
 func (r *Receiver) deliverCell(c *cell.Cell) {
 	r.expected++
-	r.stats.Delivered++
 	r.deliver(c)
 }
 
@@ -198,10 +175,8 @@ func (r *Receiver) HandleProbe() {
 	if r.closed {
 		return
 	}
-	r.stats.AcksSent++
 	r.send(Segment{Kind: KindAck, Circ: r.circ, Count: r.expected})
 	if r.forwarded > 0 {
-		r.stats.FeedbackSent++
 		r.send(Segment{Kind: KindFeedback, Circ: r.circ, Count: r.forwarded})
 	}
 }
@@ -226,7 +201,6 @@ func (r *Receiver) NotifyForwarded(count uint64) {
 	}
 	if count > r.feedbackSent {
 		r.feedbackSent = count
-		r.stats.FeedbackSent++
 		r.send(Segment{Kind: KindFeedback, Circ: r.circ, Count: count})
 	}
 }

@@ -9,7 +9,6 @@ import "time"
 type RTTEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
-	min    time.Duration // smallest sample ever seen
 	valid  bool
 
 	// rtoMin and rtoMax clamp the computed RTO.
@@ -47,7 +46,6 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 	if !e.valid {
 		e.srtt = rtt
 		e.rttvar = rtt / 2
-		e.min = rtt
 		e.valid = true
 	} else {
 		d := e.srtt - rtt
@@ -56,21 +54,12 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 		}
 		e.rttvar = (3*e.rttvar + d) / 4
 		e.srtt = (7*e.srtt + rtt) / 8
-		if rtt < e.min {
-			e.min = rtt
-		}
 	}
 	e.backoff = 1
 }
 
-// Valid reports whether at least one sample has been folded in.
-func (e *RTTEstimator) Valid() bool { return e.valid }
-
 // SRTT returns the smoothed RTT (zero before the first sample).
 func (e *RTTEstimator) SRTT() time.Duration { return e.srtt }
-
-// Min returns the smallest RTT ever sampled (the transport's baseRtt).
-func (e *RTTEstimator) Min() time.Duration { return e.min }
 
 // RTO returns the current retransmission timeout, including any backoff.
 func (e *RTTEstimator) RTO() time.Duration {

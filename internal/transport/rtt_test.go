@@ -7,18 +7,15 @@ import (
 
 func TestRTTFirstSample(t *testing.T) {
 	e := NewRTTEstimator(0, 0)
-	if e.Valid() {
+	if e.valid {
 		t.Error("Valid before first sample")
 	}
 	e.Sample(100 * time.Millisecond)
-	if !e.Valid() {
+	if !e.valid {
 		t.Error("not Valid after sample")
 	}
 	if e.SRTT() != 100*time.Millisecond {
 		t.Errorf("SRTT = %v, want 100ms", e.SRTT())
-	}
-	if e.Min() != 100*time.Millisecond {
-		t.Errorf("Min = %v", e.Min())
 	}
 	// RTO = srtt + 4*rttvar = 100 + 4*50 = 300ms.
 	if e.RTO() != 300*time.Millisecond {
@@ -35,20 +32,13 @@ func TestRTTSmoothing(t *testing.T) {
 	if e.SRTT() != want {
 		t.Errorf("SRTT = %v, want %v", e.SRTT(), want)
 	}
-	if e.Min() != 100*time.Millisecond {
-		t.Errorf("Min = %v, want 100ms", e.Min())
-	}
-	e.Sample(50 * time.Millisecond)
-	if e.Min() != 50*time.Millisecond {
-		t.Errorf("Min = %v, want 50ms", e.Min())
-	}
 }
 
 func TestRTTIgnoresNonPositive(t *testing.T) {
 	e := NewRTTEstimator(0, 0)
 	e.Sample(0)
 	e.Sample(-time.Second)
-	if e.Valid() {
+	if e.valid {
 		t.Error("non-positive samples must be ignored")
 	}
 }

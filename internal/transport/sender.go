@@ -40,6 +40,7 @@ type WindowClock int
 const (
 	// ClockFeedback bounds in-flight data by cells not yet confirmed
 	// *forwarded* — BackTap's backpressure semantics, and the default.
+	// Only tests name it: every run gets it as the zero value.
 	ClockFeedback WindowClock = iota
 	// ClockAck bounds in-flight data by cells not yet *received* — the
 	// semantics of a chained ("split TCP"-like) per-hop protocol. Used
@@ -358,7 +359,9 @@ func (s *Sender) releaseBuffers() {
 // Cwnd returns the congestion window in cells.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
-// Phase returns the current congestion-control phase.
+// Phase returns the current congestion-control phase. Test-only:
+// core's TestFixedWindowBaseline checks the fixed policy never leaves
+// startup.
 func (s *Sender) Phase() Phase { return s.phase }
 
 // QueueLen returns cells waiting for their first transmission: the
@@ -376,9 +379,6 @@ func (s *Sender) InFlight() int {
 
 // Unacked returns cells transmitted but not yet acknowledged.
 func (s *Sender) Unacked() int { return int(s.nextSeq - s.acked) }
-
-// BaseRTT returns the minimum DATA→FEEDBACK RTT observed.
-func (s *Sender) BaseRTT() time.Duration { return s.baseRtt }
 
 // SRTT returns the smoothed DATA→ACK RTT.
 func (s *Sender) SRTT() time.Duration { return s.rtt.SRTT() }
@@ -1042,10 +1042,4 @@ func (s *Sender) onRTO() {
 	} else {
 		s.endRound()
 	}
-}
-
-// Idle reports whether the sender has nothing queued and nothing in
-// flight (transfer drained through this hop).
-func (s *Sender) Idle() bool {
-	return s.QueueLen() == 0 && s.nextSeq == s.acked && s.nextSeq == s.feedback
 }

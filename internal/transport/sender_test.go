@@ -15,7 +15,7 @@ func TestReliableInOrderTransfer(t *testing.T) {
 	h.sendCells(100)
 	h.run(10 * time.Second)
 	h.assertDeliveredInOrder(100)
-	if !h.sender.Idle() {
+	if !idle(h.sender) {
 		t.Errorf("sender not idle: queue=%d unacked=%d inflight=%d",
 			h.sender.QueueLen(), h.sender.Unacked(), h.sender.InFlight())
 	}
@@ -77,7 +77,7 @@ func TestCircuitStartExitsWithCompensationAtBottleneck(t *testing.T) {
 		t.Errorf("phase = %v, want avoidance", h.sender.Phase())
 	}
 	// The optimal window is bottleneck rate × base feedback RTT.
-	base := h.sender.BaseRTT()
+	base := h.sender.baseRtt
 	optimal := float64(units.BDP(units.Mbps(4), base)) / float64(DataWireSize)
 	if st.ExitCwnd <= 2 {
 		t.Errorf("ExitCwnd = %v: compensation collapsed to the floor", st.ExitCwnd)
@@ -97,7 +97,7 @@ func TestClassicSlowStartHalvesOnExit(t *testing.T) {
 	h := newHopHarness(t, harnessConfig{
 		fwdRate: units.Mbps(4),
 		senderCfg: Config{
-			Startup: NewClassicSlowStart(),
+			Startup: &ClassicSlowStart{Gamma: DefaultGamma},
 			OnCwnd: func(c float64, p Phase) {
 				if p == PhaseStartup {
 					preExit = c
@@ -137,11 +137,11 @@ func TestClassicOvershootsMoreThanCircuitStart(t *testing.T) {
 		})
 		h.sendCells(800)
 		h.run(20 * time.Second)
-		opt := float64(units.BDP(units.Mbps(4), h.sender.BaseRTT())) / float64(DataWireSize)
+		opt := float64(units.BDP(units.Mbps(4), h.sender.baseRtt)) / float64(DataWireSize)
 		return h.sender.Stats().ExitCwnd, peak, opt
 	}
 	csExit, csPeak, opt := run(NewCircuitStart())
-	ssExit, ssPeak, _ := run(NewClassicSlowStart())
+	ssExit, ssPeak, _ := run(&ClassicSlowStart{Gamma: DefaultGamma})
 	t.Logf("optimal=%.1f; circuitstart: exit=%.1f peak=%.1f; slowstart: exit=%.1f peak=%.1f",
 		opt, csExit, csPeak, ssExit, ssPeak)
 	if ssPeak <= csPeak {
@@ -198,7 +198,7 @@ func TestContinuousModeRespectsWindow(t *testing.T) {
 	h = newHopHarness(t, harnessConfig{
 		fwdRate: units.Mbps(2),
 		senderCfg: Config{
-			Startup: NewClassicSlowStart(),
+			Startup: &ClassicSlowStart{Gamma: DefaultGamma},
 			OnFirstTransmit: func(count uint64) {
 				// The cell just sent is included in InFlight, so the
 				// pre-send occupancy was InFlight()-1.
@@ -245,7 +245,7 @@ func TestVegasAvoidanceConvergesNearOptimal(t *testing.T) {
 	h.sendCells(3000)
 	h.run(60 * time.Second)
 	h.assertDeliveredInOrder(3000)
-	base := h.sender.BaseRTT()
+	base := h.sender.baseRtt
 	optimal := float64(units.BDP(units.Mbps(4), base)) / float64(DataWireSize)
 	got := h.sender.Cwnd()
 	// The Vegas band keeps a few extra cells queued (α..β); accept a
@@ -263,7 +263,7 @@ func TestWindowClockAckAblation(t *testing.T) {
 	run := func(clock WindowClock) int {
 		h := newHopHarness(t, harnessConfig{
 			fwdRate:   units.Mbps(2),
-			senderCfg: Config{WindowClock: clock, Startup: NewClassicSlowStart()},
+			senderCfg: Config{WindowClock: clock, Startup: &ClassicSlowStart{Gamma: DefaultGamma}},
 		})
 		h.sendCells(600)
 		maxQueued := 0
@@ -284,6 +284,12 @@ func TestWindowClockAckAblation(t *testing.T) {
 		t.Errorf("ack-clocked window should queue more at the successor (%d <= %d)",
 			ackQueue, fbQueue)
 	}
+}
+
+// idle reports whether s has nothing queued and nothing in flight: the
+// transfer drained through this hop.
+func idle(s *Sender) bool {
+	return s.QueueLen() == 0 && s.nextSeq == s.acked && s.nextSeq == s.feedback
 }
 
 func TestSenderValidation(t *testing.T) {
@@ -425,11 +431,11 @@ func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
 	// ...but once acked the sequence is no longer marked, so FEEDBACK for
 	// it measures against its first transmission, back in the ring's
 	// first lap.
-	if s.BaseRTT() != 0 {
-		t.Fatalf("BaseRTT = %v before any feedback", s.BaseRTT())
+	if s.baseRtt != 0 {
+		t.Fatalf("BaseRTT = %v before any feedback", s.baseRtt)
 	}
 	s.HandleFeedback(101)
-	if got := s.BaseRTT(); got < 10*time.Second {
+	if got := s.baseRtt; got < 10*time.Second {
 		t.Errorf("BaseRTT = %v after feedback for seq 100, want now minus its first transmission (> 10s)", got)
 	}
 

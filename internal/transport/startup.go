@@ -147,9 +147,6 @@ type ClassicSlowStart struct {
 	Gamma float64
 }
 
-// NewClassicSlowStart returns the baseline policy with γ = DefaultGamma.
-func NewClassicSlowStart() *ClassicSlowStart { return &ClassicSlowStart{Gamma: DefaultGamma} }
-
 // Name implements Startup.
 func (p *ClassicSlowStart) Name() string { return "slowstart" }
 
