@@ -116,7 +116,9 @@ func (a *Arena) ResetTrial() {
 	}
 }
 
-// Balance checks the arena's stores, and fails if
+// Balance checks the arena's stores. Test-only: every trial-level leak
+// test calls it, and ROADMAP item 1(a) asserts it in every -check run.
+// It fails if
 //   - a free list holds an entry twice;
 //   - a free list holds an entry its store did not allocate;
 //   - the clock has nothing pending, yet a frame or a segment wrapper is

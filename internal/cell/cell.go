@@ -116,7 +116,9 @@ var (
 	ErrDataTooLarge = errors.New("cell: relay data exceeds MaxRelayData")
 )
 
-// Marshal encodes the cell into exactly Size bytes.
+// Marshal encodes the cell into exactly Size bytes. The simulator never
+// serializes a cell, so the wire codec (Marshal, MarshalTo, Unmarshal)
+// is test-only: on ROADMAP item 17's deletion queue.
 func (c *Cell) Marshal() []byte {
 	buf := make([]byte, Size)
 	c.MarshalTo(buf)
@@ -125,6 +127,7 @@ func (c *Cell) Marshal() []byte {
 
 // MarshalTo encodes the cell into buf, which must hold at least Size
 // bytes. It returns the number of bytes written (always Size).
+// Test-only, like Marshal.
 func (c *Cell) MarshalTo(buf []byte) int {
 	if len(buf) < Size {
 		panic("cell: MarshalTo buffer too small")
@@ -135,7 +138,8 @@ func (c *Cell) MarshalTo(buf []byte) int {
 	return Size
 }
 
-// Unmarshal decodes a cell from buf, which must hold at least Size bytes.
+// Unmarshal decodes a cell from buf, which must hold at least Size
+// bytes. Test-only, like Marshal.
 func Unmarshal(buf []byte) (*Cell, error) {
 	if len(buf) < Size {
 		return nil, ErrShortBuffer

@@ -202,8 +202,8 @@ func (r *Relay) Unhang() { r.hung = false }
 func (r *Relay) Circuits() int { return len(r.hops) }
 
 // HopSender returns the onward transport sender for a circuit, or nil.
-// Experiments use it to observe per-relay window traces (the emergent
-// back-propagation of the bottleneck window).
+// Test-only: core's tests read relay windows (the emergent
+// back-propagation of the bottleneck window) and check teardown with it.
 func (r *Relay) HopSender(circ cell.CircID) *transport.Sender {
 	h := r.hops[circ]
 	if h == nil {

@@ -19,9 +19,7 @@ type DataSize int64
 const (
 	Byte     DataSize = 1
 	Kilobyte          = 1000 * Byte
-	Kibibyte          = 1024 * Byte
 	Megabyte          = 1000 * Kilobyte
-	Mebibyte          = 1024 * Kibibyte
 	Gigabyte          = 1000 * Megabyte
 )
 
@@ -30,10 +28,6 @@ func (s DataSize) Bytes() int64 { return int64(s) }
 
 // Bits returns the size in bits.
 func (s DataSize) Bits() int64 { return int64(s) * 8 }
-
-// Kilobytes returns the size in kB (1000 bytes), as used for the paper's
-// cwnd axis ("source cwnd [KB]").
-func (s DataSize) Kilobytes() float64 { return float64(s) / 1000 }
 
 func (s DataSize) String() string {
 	switch {
@@ -62,7 +56,8 @@ const (
 // Mbps constructs a rate from megabits per second.
 func Mbps(v float64) DataRate { return DataRate(v * float64(MegabitPerSec)) }
 
-// Kbps constructs a rate from kilobits per second.
+// Kbps constructs a rate from kilobits per second. Test-only: the netem
+// link tests build slow links with it.
 func Kbps(v float64) DataRate { return DataRate(v * float64(KilobitPerSec)) }
 
 // BitsPerSecond returns the raw rate.
@@ -71,7 +66,8 @@ func (r DataRate) BitsPerSecond() int64 { return int64(r) }
 // BytesPerSecond returns the rate in bytes per second.
 func (r DataRate) BytesPerSecond() float64 { return float64(r) / 8 }
 
-// Mbit returns the rate in Mbit/s.
+// Mbit returns the rate in Mbit/s. Test-only: the netem, transport and
+// experiments tests read measured rates with it.
 func (r DataRate) Mbit() float64 { return float64(r) / float64(MegabitPerSec) }
 
 func (r DataRate) String() string {
@@ -104,13 +100,15 @@ func (r DataRate) TransmissionTime(s DataSize) time.Duration {
 // BDP returns the bandwidth-delay product of rate r over round-trip time
 // rtt, i.e. the amount of data needed in flight to keep a path of this
 // rate and RTT fully utilized. This is the quantity CircuitStart's
-// optimal-window model is built on.
+// optimal-window model is built on. Test-only: transport's window
+// tests compare against it.
 func BDP(r DataRate, rtt time.Duration) DataSize {
 	bits := float64(r) * rtt.Seconds()
 	return DataSize(math.Ceil(bits / 8))
 }
 
 // RateFromTransfer returns the average rate achieved by moving s in d.
+// Test-only: the netem and transport throughput tests measure with it.
 func RateFromTransfer(s DataSize, d time.Duration) DataRate {
 	if d <= 0 {
 		panic("units: rate over non-positive duration")

@@ -330,7 +330,10 @@ type Result struct {
 
 // Run starts every circuit's transfer (staggered by StartSpread) and
 // executes the simulation until all transfers complete or the horizon
-// passes. It returns per-circuit results in circuit order.
+// passes. It returns per-circuit results in circuit order. Test-only:
+// experiments' TestFig1DownloadCDFScenarioEquivalence checks the
+// scenario engine against it, and ROADMAP item 10 folds it into the
+// reference engine.
 func (sc *Scenario) Run(horizon sim.Time) []Result {
 	p := sc.Params
 	startRNG := sim.NewRNG(sc.Network.Seed(), "workload-starts")
