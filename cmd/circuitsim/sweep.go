@@ -67,24 +67,7 @@ var baseFlagFields = map[string]string{
 func runSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	specPath := fs.String("spec", "", "JSON grid spec file (overrides the flag-built grid; see DESIGN.md)")
-	base := fs.String("base", "trace", "flag-built grid base: trace | population")
-	seed := fs.Int64("seed", 42, "experiment seed (shared by every grid point)")
-	arms := fs.String("arms", "circuitstart", "comma-separated base policy arms")
-	hops := fs.Int("hops", 3, "relays per circuit of the base (trace: also the path length)")
-	distance := fs.Int("distance", 3, "bottleneck distance in hops (trace base)")
-	relays := fs.Int("relays", 40, "relay population size (population base)")
-	circuits := fs.Int("circuits", 50, "concurrent circuits (population base)")
-	switches := fs.Int("switches", 0, "home the population behind a backbone ring of this many switches (population base; 0 = star)")
-	size := fs.Int64("size", 500_000, "transfer size per circuit [bytes] (population base)")
-	sizeDist := fs.String("sizedist", "", "transfer-size distribution (population base; overrides -size; e.g. pareto:100000:1.2:10000000)")
-	download := fs.Bool("download", false, "run transfers server → client through the onion (population base)")
-	horizon := fs.Duration("horizon", 600*time.Second, "per-trial virtual time bound (population base)")
-	spread := fs.Duration("spread", 200*time.Millisecond, "uniform start stagger window (population base)")
-	dimFlags := make([]*string, len(dimFlagDefs))
-	for i, def := range dimFlagDefs {
-		dimFlags[i] = fs.String(def.flag, "", def.usage)
-	}
-	sample := fs.Int("sample", 0, "cap the grid to a seeded sample of this many points (0 = full)")
+	gridSpec := defineGridFlags(fs)
 	resume := fs.Int("resume", 0, "skip grid points with index below this (append to a prior -out)")
 	workers := fs.Int("workers", 0, "concurrent grid points (0 = one per CPU)")
 	pointWorkers := fs.Int("point-workers", 0, "worker pool per point's runner (0 = 1)")
@@ -105,9 +88,7 @@ func runSweep(args []string) error {
 		}
 		file, err = spec.Parse(data)
 	} else {
-		file, err = specFromFlags(fs, *base, *seed, splitList(*arms), *hops, *distance,
-			*relays, *circuits, *switches, *size, *sizeDist, *download,
-			*horizon, *spread, *sample, dimFlags)
+		file, err = gridSpec()
 	}
 	if err != nil {
 		return err
@@ -181,6 +162,35 @@ func runSweep(args []string) error {
 		fmt.Printf("rows written to %s\n", *outPath)
 	}
 	return nil
+}
+
+// defineGridFlags declares on fs the flags that build a grid — the base
+// flags, the dimension flags and -sample — and returns a function that
+// renders them with specFromFlags once fs is parsed.
+func defineGridFlags(fs *flag.FlagSet) func() (*spec.File, error) {
+	base := fs.String("base", "trace", "flag-built grid base: trace | population")
+	seed := fs.Int64("seed", 42, "experiment seed (shared by every grid point)")
+	arms := fs.String("arms", "circuitstart", "comma-separated base policy arms")
+	hops := fs.Int("hops", 3, "relays per circuit of the base (trace: also the path length)")
+	distance := fs.Int("distance", 3, "bottleneck distance in hops (trace base)")
+	relays := fs.Int("relays", 40, "relay population size (population base)")
+	circuits := fs.Int("circuits", 50, "concurrent circuits (population base)")
+	switches := fs.Int("switches", 0, "home the population behind a backbone ring of this many switches (population base; 0 = star)")
+	size := fs.Int64("size", 500_000, "transfer size per circuit [bytes] (population base)")
+	sizeDist := fs.String("sizedist", "", "transfer-size distribution (population base; overrides -size; e.g. pareto:100000:1.2:10000000)")
+	download := fs.Bool("download", false, "run transfers server → client through the onion (population base)")
+	horizon := fs.Duration("horizon", 600*time.Second, "per-trial virtual time bound (population base)")
+	spread := fs.Duration("spread", 200*time.Millisecond, "uniform start stagger window (population base)")
+	dimFlags := make([]*string, len(dimFlagDefs))
+	for i, def := range dimFlagDefs {
+		dimFlags[i] = fs.String(def.flag, "", def.usage)
+	}
+	sample := fs.Int("sample", 0, "cap the grid to a seeded sample of this many points (0 = full)")
+	return func() (*spec.File, error) {
+		return specFromFlags(fs, *base, *seed, splitList(*arms), *hops, *distance,
+			*relays, *circuits, *switches, *size, *sizeDist, *download,
+			*horizon, *spread, *sample, dimFlags)
+	}
 }
 
 // specFromFlags renders the flag-built grid into the same spec.File a

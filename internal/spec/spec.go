@@ -168,6 +168,9 @@ func Parse(data []byte) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := sw.Validate(); err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
+	}
 	if err := sw.Base.Validate(); err != nil {
 		return nil, fmt.Errorf("spec: base: %w", err)
 	}

@@ -152,6 +152,7 @@ func TestParseRejectsWhatAWorkerWould(t *testing.T) {
 		{`{"dimensions": [{"bandwidths_mbps": [8, 0]}]}`, "dimensions[0]: bandwidth 0 Mbit/s is not positive"},
 		{`{"dimensions": [{"gammas": [0]}]}`, "dimensions[0]: gamma 0 is not positive"},
 		{`{"dimensions": [{"gammas": [2, -1]}]}`, "dimensions[0]: gamma -1 is not positive"},
+		{`{"dimensions": [{"hopcounts": [1, 1]}]}`, `dimension "hops" has duplicate label "1"`},
 	}
 	for i, c := range cases {
 		_, err := Parse([]byte(c.src))

@@ -70,7 +70,7 @@ type Engine struct {
 // Table (returned even when a mid-sweep error cuts the run short, with
 // the points that completed before the failure).
 func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	idx := s.indices()

@@ -84,9 +84,9 @@ type Point struct {
 	Scenario scenario.Scenario
 }
 
-// validate checks the grid declaration (the base scenario itself is
+// Validate checks the grid declaration (the base scenario itself is
 // validated by the Runner when each point executes).
-func (s *Sweep) validate() error {
+func (s *Sweep) Validate() error {
 	if len(s.Dimensions) == 0 {
 		return fmt.Errorf("sweep: no dimensions")
 	}
@@ -175,7 +175,7 @@ func (s *Sweep) indices() []int {
 // sweep executes — the full grid, or the Sample cap — without expanding
 // any of them.
 func (s *Sweep) Count() (int, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return 0, err
 	}
 	if n := s.Size(); s.Sample == 0 || s.Sample >= n {
@@ -248,7 +248,7 @@ func (s *Sweep) point(i int) (Point, error) {
 // cross product, or the seeded sample), in grid order. Engine.Run does
 // not call it: the engine expands a point only when it has to run it.
 func (s *Sweep) Points() ([]Point, error) {
-	if err := s.validate(); err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	idx := s.indices()
