@@ -215,9 +215,4 @@ func TestPolicyByNameRoundTrip(t *testing.T) {
 	if _, err := PolicyByName("nope", 0); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	// The vegas alias maps to backtap.
-	p, err := PolicyByName("vegas", 0)
-	if err != nil || p.Name() != "backtap" {
-		t.Fatalf("vegas alias: %v, %v", p, err)
-	}
 }

@@ -316,7 +316,7 @@ func PolicyByName(name string, gamma float64) (Startup, error) {
 		return &CircuitStartHalve{Gamma: gamma}, nil
 	case "slowstart-compensated":
 		return &ClassicCompensated{Gamma: gamma}, nil
-	case "backtap", "vegas":
+	case "backtap":
 		return VegasOnly{}, nil
 	case "fixed":
 		return NoStartup{}, nil
