@@ -23,8 +23,8 @@ import (
 // feedback-clocked windows.
 type TransportOptions struct {
 	// Policy names the start-up scheme: "circuitstart" (default),
-	// "slowstart", "circuitstart-halve", "slowstart-compensated", or
-	// "fixed" (see transport.PolicyByName).
+	// "slowstart", "circuitstart-halve", "slowstart-compensated",
+	// "backtap" or "fixed" (see transport.PolicyByName).
 	Policy string
 	// Gamma is the start-up exit threshold (0 = paper default 4).
 	Gamma float64
