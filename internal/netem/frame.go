@@ -101,12 +101,12 @@ func (p *FramePool) Put(f *Frame) { p.Objects.Put(f) }
 // pops the scheduler's pick. Priority (control) frames bypass it and
 // keep strict precedence.
 //
-// Push may refuse a frame; the link
-// then counts a SchedDrop and recycles the frame exactly like a tail
-// drop. Pop must return frames until Len reaches zero — admission
-// decisions belong in Push, so the serializer stays work-conserving.
-// Implementations must be deterministic and, to preserve the pooled
-// hot path, allocation-free in steady state (see internal/sched).
+// Push may refuse a frame; the link then counts a SchedDrop and
+// recycles the frame exactly like a tail drop. Pop must return frames
+// until Len reaches zero — admission decisions belong in Push, so the
+// serializer stays work-conserving. Implementations must be
+// deterministic and, to preserve the pooled hot path, allocation-free
+// in steady state (see internal/sched).
 type SchedQueue interface {
 	Push(f *Frame) bool
 	Pop() *Frame

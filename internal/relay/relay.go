@@ -125,12 +125,13 @@ func New(id netem.NodeID, fab netem.Fabric, access netem.AccessConfig, rng *sim.
 // core.Network). Must be set before traffic flows.
 func (r *Relay) UseSegmentPool(sp *transport.SegmentPool) { r.segs = *sp }
 
-// Configure applies a scheduling/limits config to a fresh relay:
-// the EWMA discipline installs a scheduler on the uplink, and enabled limits create the resource manager that AddHop
-// consults. kill is invoked when a limit policy evicts a circuit; it
-// must tear the circuit down across the whole network (core.Network
-// wires its circuit teardown here). Configure must run before any
-// circuit is added; calling it with a zero config is a no-op.
+// Configure applies a scheduling/limits config to a fresh relay: the
+// EWMA discipline installs a scheduler on the uplink, and enabled
+// limits create the resource manager that AddHop consults. kill is
+// invoked when a limit policy evicts a circuit; it must tear the
+// circuit down across the whole network (core.Network wires its
+// circuit teardown here). Configure must run before any circuit is
+// added; calling it with a zero config is a no-op.
 func (r *Relay) Configure(cfg Config, kill func(circ cell.CircID)) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -1,8 +1,8 @@
 // Package resource implements the per-relay resource manager: caps on
 // concurrent circuits and buffered cell memory, with deterministic
-// admission and kill policies. The paper measures CircuitStart on relays with unbounded
-// state; this package makes overload — the regime a deployed network
-// actually lives in — expressible as configuration.
+// admission and kill policies. The paper measures CircuitStart on
+// relays with unbounded state; this package makes overload — the regime
+// a deployed network actually lives in — expressible as configuration.
 //
 // Determinism: victims are selected by a total order (the policy's
 // criterion, then the circuit's admission sequence), never map order,
