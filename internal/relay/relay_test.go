@@ -403,7 +403,7 @@ func TestRelayBackwardExitSealsAndEncrypts(t *testing.T) {
 		t.Fatalf("payload %q", data)
 	}
 	if rig.relay.hops[7].bsend == nil {
-		t.Fatal("nil BackwardHopSender")
+		t.Fatal("nil backward sender")
 	}
 }
 
