@@ -223,21 +223,7 @@ type (
 	// SweepEngine executes a Sweep across a worker pool, emitting
 	// results in grid order for any worker count.
 	SweepEngine = sweep.Engine
-	// SweepPoint is one expanded grid point.
-	SweepPoint = sweep.Point
-	// SweepPointResult is one executed grid point with its aggregates.
-	SweepPointResult = sweep.PointResult
-	// SweepArmPoint is one arm's compact aggregate at one grid point.
-	SweepArmPoint = sweep.ArmPoint
-	// SweepSink consumes a sweep's results as an ordered stream.
-	SweepSink = sweep.Sink
-	// SweepTable is the in-memory sink with marginal and best-arm
-	// summaries.
-	SweepTable = sweep.Table
 )
-
-// SweepGamma sweeps the start-up exit threshold γ on every arm.
-var SweepGamma = sweep.Gamma
 
 // ErrSweepStopped is returned by SweepEngine.Run when its Stop hook
 // tripped mid-grid: the rows emitted before the stop are a valid

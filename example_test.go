@@ -115,10 +115,23 @@ func ExampleRunner_policies() {
 func ExampleSweepEngine() {
 	p := circuitstart.DefaultCwndTraceParams(3)
 	gammas := []float64{1, 4, 16}
+	axis := circuitstart.Dimension{Name: "gamma"}
+	for _, g := range gammas {
+		g := g
+		axis.Values = append(axis.Values, circuitstart.DimensionValue{
+			Label: fmt.Sprint(g),
+			Apply: func(sc *circuitstart.Scenario) error {
+				for i := range sc.Arms {
+					sc.Arms[i].Transport.Gamma = g
+				}
+				return nil
+			},
+		})
+	}
 	tbl, err := circuitstart.SweepEngine{Workers: 2}.Run(circuitstart.Sweep{
 		Name:       "gamma",
 		Base:       p.Scenario([]circuitstart.Arm{{Name: "trace"}}),
-		Dimensions: []circuitstart.Dimension{circuitstart.SweepGamma(gammas...)},
+		Dimensions: []circuitstart.Dimension{axis},
 	})
 	if err != nil {
 		panic(err)

@@ -69,7 +69,8 @@ func TestStaticTrialContract(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	sw := sweep.Sweep{Base: sc, Dimensions: []sweep.Dimension{sweep.Seeds(7)}}
+	seed := sweep.Value{Label: "7", Apply: func(sc *scenario.Scenario) error { sc.Seed = 7; return nil }}
+	sw := sweep.Sweep{Base: sc, Dimensions: []sweep.Dimension{{Name: "seed", Values: []sweep.Value{seed}}}}
 	if _, err := (sweep.Engine{Workers: 1}).Run(sw, sweep.NewCSVSink(&buf)); err != nil {
 		t.Fatal(err)
 	}

@@ -200,9 +200,7 @@ func (q *EWMA) Len() int { return q.length }
 // PeekCirc reports the circuit the next Pop would serve — the heap
 // root's circuit — without popping or charging cost. Trained links use
 // it to end a train exactly where EWMA would preempt, so batching
-// never changes which circuit gets the wire next. (The FIFO scheduler
-// deliberately lacks this method: FIFO has no preemption points, so
-// its trains coalesce across circuits.)
+// never changes which circuit gets the wire next.
 func (q *EWMA) PeekCirc() (uint32, bool) {
 	if len(q.heap) == 0 {
 		return 0, false

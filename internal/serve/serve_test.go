@@ -318,6 +318,28 @@ func TestCacheReplayAndOverlapDelta(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesMislabelledValue is the point-cache collision
+// regression: 1004000 bytes labels as "1.00MB", as 1000000 does, and
+// point keys hash labels, so a daemon that had run the 1000000 point
+// replayed its rows for 1004000. The second submission must get a 400
+// naming the label instead.
+func TestSubmitRefusesMislabelledValue(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	first := submit(t, ts, `{"dimensions": [{"sizes_bytes": [1000000]}]}`)
+	waitState(t, ts, first.ID, func(s jobStatus) bool { return s.State == StateDone })
+
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"dimensions": [{"sizes_bytes": [1004000]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `sizes_bytes value 1004000 is labelled \"1.00MB\"`) {
+		t.Fatalf("second submission: %s %s — want a 400 naming the label", resp.Status, body)
+	}
+}
+
 // slowSpec is a grid big enough to still be running when the test
 // reacts to its first emitted row.
 const slowSpec = `{

@@ -1,17 +1,23 @@
 package spec
 
 import (
+	"flag"
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"circuitstart/internal/core"
 	"circuitstart/internal/experiments"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
+	"circuitstart/internal/relay"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/sweep"
+	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
@@ -23,13 +29,20 @@ func secondsD(s float64) time.Duration { return time.Duration(s * float64(time.S
 // only on a File that came out of Parse: rendering assumes normalized
 // defaults.
 func (f *File) Sweep() (sweep.Sweep, error) {
-	base, traceParams, err := f.Base.scenario(f.Name, *f.Seed)
+	base, trace, err := f.Base.scenario(f.Name, *f.Seed)
 	if err != nil {
 		return sweep.Sweep{}, err
 	}
+	return f.grid(base, trace)
+}
+
+// grid crosses the rendered base scenario with the dimension blocks,
+// each rendered through its row of the axis table.
+func (f *File) grid(base scenario.Scenario, trace experiments.CwndTraceParams) (sweep.Sweep, error) {
+	c := &axisCtx{b: &f.Base, base: base, trace: trace}
 	sw := sweep.Sweep{Name: f.Name, Base: base, Sample: f.Sample, SampleSeed: f.SampleSeed}
-	for i, d := range f.Dimensions {
-		dim, err := f.Base.buildDim(d, traceParams)
+	for i := range f.Dimensions {
+		dim, err := c.buildDim(&f.Dimensions[i])
 		if err != nil {
 			return sweep.Sweep{}, fmt.Errorf("spec: dimensions[%d]: %w", i, err)
 		}
@@ -131,165 +144,374 @@ func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments
 	return sc, traceParams, nil
 }
 
-// buildDim renders one dimension block, enforcing that it names
-// exactly one axis.
-func (b *Base) buildDim(d Dim, traceParams experiments.CwndTraceParams) (sweep.Dimension, error) {
-	var out []sweep.Dimension
-	var errs []error
-	add := func(dim sweep.Dimension, err error) {
-		if err != nil {
-			errs = append(errs, err)
-			return
-		}
-		out = append(out, dim)
-	}
-	if len(d.Gammas) > 0 {
+// axes is the axis table: one row per spec.Dim field, and the only
+// place an axis is declared. Parse renders a dimension block through
+// its row, and DimFlags defines and reads the sweep CLI's flags from
+// it. The row order is the dimension order of a flag-built grid, which
+// fixes that grid's CSV columns and point keys.
+var axes = []axisRow{
+	axis[string]{
+		field: "policies", usage: "dimension: startup policies (comma-separated)",
+		list: func(d *Dim) *[]string { return &d.Policies }, name: "policy",
+		check: named(func(s string) error { _, err := transport.PolicyByName(s, 0); return err }),
+		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) error {
+			return eachArm(sc, func(a *scenario.Arm) { a.Transport.Policy = s })
+		},
+	},
+	axis[int]{
+		field: "hopcounts", usage: "dimension: relays per circuit (comma-separated)",
+		list: func(d *Dim) *[]int { return &d.HopCounts }, name: "hops",
+		check: func(c *axisCtx, hs []int) error {
+			// A circuit needs a relay, and a sampled path needs as many
+			// distinct relays as it has hops.
+			if err := belowOne(hs, "hop count %d is below 1"); err != nil {
+				return err
+			}
+			if most := slices.Max(hs); c.b.Kind == "population" && most > c.b.Relays {
+				return fmt.Errorf("hop count %d exceeds base.relays %d", most, c.b.Relays)
+			}
+			return nil
+		},
+		apply:     func(_ *axisCtx, sc *scenario.Scenario, h int) error { sc.Circuits.Hops = h; return nil },
+		traceName: "hops", traceApply: traceHops,
+	},
+	axis[float64]{
+		field: "bandwidths_mbps", usage: "dimension: bottleneck access rate [Mbit/s] (trace) or population median (population)",
+		list: func(d *Dim) *[]float64 { return &d.BandwidthsMbps }, name: "median_bw",
+		label: func(m float64) string { return units.Mbps(m).String() },
+		spell: func(label string) float64 { return float64(spelled(label)) / 1e6 },
+		check: func(_ *axisCtx, ms []float64) error { return positive(ms, "bandwidth %v Mbit/s is not positive") },
+		apply: func(_ *axisCtx, sc *scenario.Scenario, m float64) error {
+			sc.Topology.Population.BandwidthMedian = units.Mbps(m)
+			return nil
+		},
+		traceName: "bottleneck_bw", traceApply: traceBottleneck,
+	},
+	axis[float64]{
+		field: "gammas", usage: "dimension: γ exit thresholds (comma-separated)",
+		list: func(d *Dim) *[]float64 { return &d.Gammas }, name: "gamma",
 		// γ = 0 would select the default 4 under the label 0.
-		if least := slices.Min(d.Gammas); !(least > 0) {
-			add(sweep.Dimension{}, fmt.Errorf("gamma %v is not positive", least))
-		} else {
-			add(sweep.Gamma(d.Gammas...), nil)
-		}
-	}
-	if len(d.Policies) > 0 {
-		add(sweep.Policies(d.Policies...))
-	}
-	if len(d.BandwidthsMbps) > 0 {
-		if least := slices.Min(d.BandwidthsMbps); !(least > 0) {
-			add(sweep.Dimension{}, fmt.Errorf("bandwidth %v Mbit/s is not positive", least))
-		} else {
-			rates := make([]units.DataRate, len(d.BandwidthsMbps))
-			for i, m := range d.BandwidthsMbps {
-				rates[i] = units.Mbps(m)
+		check: func(_ *axisCtx, gs []float64) error { return positive(gs, "gamma %v is not positive") },
+		apply: func(_ *axisCtx, sc *scenario.Scenario, g float64) error {
+			return eachArm(sc, func(a *scenario.Arm) { a.Transport.Gamma = g })
+		},
+	},
+	axis[int64]{
+		field: "sizes_bytes", usage: "dimension: transfer sizes [bytes] (comma-separated)",
+		list: func(d *Dim) *[]int64 { return &d.SizesBytes }, name: "size",
+		label: func(n int64) string { return units.DataSize(n).String() },
+		spell: spelled,
+		check: func(_ *axisCtx, ns []int64) error { return belowOne(ns, "transfer size %d bytes is below 1") },
+		apply: func(_ *axisCtx, sc *scenario.Scenario, n int64) error {
+			sc.Circuits.TransferSize = units.DataSize(n)
+			return nil
+		},
+	},
+	axis[string]{
+		field: "size_dists", usage: "dimension: transfer-size distributions (comma-separated; e.g. lognormal:500000:0.8)",
+		list: func(d *Dim) *[]string { return &d.SizeDists }, name: "size_dist",
+		label: func(s string) string { d, _ := workload.ParseSizeDist(s); return d.Label() },
+		check: named(func(s string) error { _, err := workload.ParseSizeDist(s); return err }),
+		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) error {
+			d, err := workload.ParseSizeDist(s)
+			sc.Circuits.SizeDist, sc.Circuits.SizeMix, sc.Circuits.TransferSize = &d, nil, 0
+			return err
+		},
+	},
+	axis[int]{
+		field: "counts", usage: "dimension: concurrent circuit counts (comma-separated)",
+		list: func(d *Dim) *[]int { return &d.Counts }, name: "circuits",
+		check: func(_ *axisCtx, ns []int) error { return belowOne(ns, "circuit count %d is below 1") },
+		apply: func(_ *axisCtx, sc *scenario.Scenario, n int) error { sc.Circuits.Count = n; return nil },
+	},
+	axis[int]{
+		field: "trains", usage: "dimension: cell-train coalescing caps (comma-separated; ≤1 = untrained)",
+		list: func(d *Dim) *[]int { return &d.Trains }, name: "train",
+		check: func(_ *axisCtx, ns []int) error { return negative(ns, "sweep: negative train size %d") },
+		apply: func(_ *axisCtx, sc *scenario.Scenario, n int) error { sc.TrainSize = n; return nil },
+	},
+	axis[int]{
+		field: "shardcounts", usage: "dimension: trial shard counts (comma-separated; needs -switches)",
+		list: func(d *Dim) *[]int { return &d.ShardCounts }, name: "shards",
+		check: func(c *axisCtx, ns []int) error {
+			if err := negative(ns, "sweep: negative shard count %d"); err != nil {
+				return err
 			}
-			if b.Kind == "trace" {
-				add(TraceBandwidths(b.Distance, rates...), nil)
-			} else {
-				add(sweep.PopulationBandwidths(rates...), nil)
+			// Every count ≥ 1 runs the same sharded engine, so one probe
+			// of the base covers them all.
+			probe := c.base
+			if probe.Shards = slices.Max(ns); probe.Shards > 0 {
+				if err := probe.Validate(); err != nil {
+					return fmt.Errorf("shard count %d: %w", probe.Shards, err)
+				}
 			}
-		}
-	}
-	if len(d.HopCounts) > 0 {
-		// A circuit needs a relay: refuse short counts here, where the
-		// offending block is named, not when a worker expands the point.
-		switch least := slices.Min(d.HopCounts); {
-		case least < 1:
-			add(sweep.Dimension{}, fmt.Errorf("hop count %d is below 1", least))
-		case b.Kind == "trace":
-			add(TraceHops(traceParams, d.HopCounts...), nil)
-		default:
-			add(sweep.Hops(d.HopCounts...), nil)
-		}
-	}
-	if len(d.SizesBytes) > 0 {
-		if least := slices.Min(d.SizesBytes); least < 1 {
-			add(sweep.Dimension{}, fmt.Errorf("transfer size %d bytes is below 1", least))
-		} else {
-			sizes := make([]units.DataSize, len(d.SizesBytes))
-			for i, n := range d.SizesBytes {
-				sizes[i] = units.DataSize(n)
-			}
-			add(sweep.TransferSizes(sizes...), nil)
-		}
-	}
-	if len(d.SizeDists) > 0 {
-		add(sweep.DimSizeDist(d.SizeDists...))
-	}
-	if len(d.Counts) > 0 {
-		if least := slices.Min(d.Counts); least < 1 {
-			add(sweep.Dimension{}, fmt.Errorf("circuit count %d is below 1", least))
-		} else {
-			add(sweep.Circuits(d.Counts...), nil)
-		}
-	}
-	if len(d.Trains) > 0 {
-		add(sweep.DimTrainSize(d.Trains...))
-	}
-	if len(d.ShardCounts) > 0 {
-		add(sweep.DimShards(d.ShardCounts...))
-	}
-	if len(d.Faults) > 0 {
-		add(sweep.DimFaults(d.Faults...))
-	}
-	if len(d.Schedulers) > 0 {
-		add(sweep.DimScheduler(d.Schedulers...))
-	}
-	if len(d.Seeds) > 0 {
-		add(sweep.Seeds(d.Seeds...), nil)
-	}
-	if len(errs) > 0 {
-		return sweep.Dimension{}, errs[0]
-	}
-	if len(out) != 1 {
-		return sweep.Dimension{}, fmt.Errorf("needs exactly one axis list, has %d", len(out))
-	}
-	return out[0], nil
+			return nil
+		},
+		apply: func(_ *axisCtx, sc *scenario.Scenario, n int) error { sc.Shards = n; return nil },
+	},
+	axis[string]{
+		field: "faults", usage: "dimension: fault presets (comma-separated)",
+		list: func(d *Dim) *[]string { return &d.Faults }, name: "faults",
+		check: named(func(s string) error { _, err := faults.Preset(s, nil); return err }),
+		// The preset renders against each point's own relays.
+		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) (err error) {
+			sc.Faults, err = faults.Preset(s, sc.RelayIDs())
+			return err
+		},
+	},
+	axis[string]{
+		field: "schedulers", usage: "dimension: relay circuit schedulers (comma-separated; fifo, ewma)",
+		list: func(d *Dim) *[]string { return &d.Schedulers }, name: "scheduler",
+		check: named(func(s string) error { return relay.Config{Scheduler: s}.Validate() }),
+		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) error {
+			return eachArm(sc, func(a *scenario.Arm) { a.Relay.Scheduler = s })
+		},
+	},
+	axis[int64]{
+		field: "seeds", usage: "dimension: independent base seeds (comma-separated)",
+		list: func(d *Dim) *[]int64 { return &d.Seeds }, name: "seed",
+		apply: func(_ *axisCtx, sc *scenario.Scenario, s int64) error { sc.Seed = s; return nil },
+	},
 }
 
-// TraceBandwidths sweeps the trace base's bottleneck access rate. The
+// axisRow is a row of the axis table with its element type hidden.
+type axisRow interface {
+	doc() (field, usage string)
+	present(d *Dim) bool
+	set(d *Dim, flag string) error
+	render(c *axisCtx, d *Dim) (sweep.Dimension, error)
+}
+
+// axis is one row of the axis table: a spec.Dim field whose list
+// elements have type T.
+type axis[T string | int | int64 | float64] struct {
+	field string          // the spec.Dim JSON field
+	usage string          // the CLI flag's usage text
+	list  func(*Dim) *[]T // the field itself
+	// label renders a value as its coordinate in rows and point keys
+	// (nil: fmt.Sprint). When a label can name more than one value,
+	// spell maps it back, and a value it does not spell back is refused:
+	// point keys hash labels, so two values sharing one would share
+	// each other's cached rows.
+	label func(T) string
+	spell func(label string) T
+	// check refuses, at Parse, a list a worker could not run (nil: any
+	// list).
+	check func(c *axisCtx, vs []T) error
+	name  string // the dimension name
+	apply func(c *axisCtx, sc *scenario.Scenario, v T) error
+	// traceName and traceApply, when traceApply is set, replace name
+	// and apply on the trace base.
+	traceName  string
+	traceApply func(c *axisCtx, sc *scenario.Scenario, v T) error
+}
+
+// axisCtx is what a row's check and mutators see of the spec being
+// rendered: the base block, its rendered scenario and, on the trace
+// base, the trace preset.
+type axisCtx struct {
+	b     *Base
+	base  scenario.Scenario
+	trace experiments.CwndTraceParams
+}
+
+func (a axis[T]) doc() (string, string) { return a.field, a.usage }
+
+func (a axis[T]) present(d *Dim) bool { return len(*a.list(d)) > 0 }
+
+// set appends the comma-separated elements of a flag value to d's list.
+func (a axis[T]) set(d *Dim, flag string) error {
+	for _, s := range strings.Split(flag, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		var v T
+		var err error
+		switch p := any(&v).(type) {
+		case *string:
+			*p = s
+		case *int:
+			*p, err = strconv.Atoi(s)
+		case *int64:
+			*p, err = strconv.ParseInt(s, 10, 64)
+		case *float64:
+			if *p, err = strconv.ParseFloat(s, 64); err != nil || math.IsNaN(*p) || math.IsInf(*p, 0) {
+				return fmt.Errorf("bad value %q (want a finite number)", s)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("bad value %q", s)
+		}
+		*a.list(d) = append(*a.list(d), v)
+	}
+	return nil
+}
+
+func (a axis[T]) render(c *axisCtx, d *Dim) (sweep.Dimension, error) {
+	vs := *a.list(d)
+	if a.check != nil {
+		if err := a.check(c, vs); err != nil {
+			return sweep.Dimension{}, err
+		}
+	}
+	name, apply, label := a.name, a.apply, a.label
+	if c.b.Kind == "trace" && a.traceApply != nil {
+		name, apply = a.traceName, a.traceApply
+	}
+	if label == nil {
+		label = func(v T) string { return fmt.Sprint(v) }
+	}
+	dim := sweep.Dimension{Name: name, Values: make([]sweep.Value, len(vs))}
+	for i, v := range vs {
+		v := v
+		dim.Values[i] = sweep.Value{Label: label(v), Apply: func(sc *scenario.Scenario) error { return apply(c, sc, v) }}
+		if a.spell != nil && a.spell(dim.Values[i].Label) != v {
+			return sweep.Dimension{}, fmt.Errorf("%s value %v is labelled %q, which names %v",
+				a.field, v, dim.Values[i].Label, a.spell(dim.Values[i].Label))
+		}
+	}
+	return dim, nil
+}
+
+// buildDim renders one dimension block through the one row it sets.
+func (c *axisCtx) buildDim(d *Dim) (sweep.Dimension, error) {
+	var row axisRow
+	n := 0
+	for _, a := range axes {
+		if a.present(d) {
+			row, n = a, n+1
+		}
+	}
+	if n != 1 {
+		return sweep.Dimension{}, fmt.Errorf("needs exactly one axis list, has %d", n)
+	}
+	return row.render(c, d)
+}
+
+// DimFlags defines on fs one flag per sweep axis, named after its
+// spec.Dim field with the unit suffix and underscores dropped
+// ("bandwidths_mbps" is -bandwidths). It returns the flag names in
+// table order and a function that reads the parsed flags into one Dim
+// block per flag given, in the same order.
+func DimFlags(fs *flag.FlagSet) (names []string, read func() ([]Dim, error)) {
+	values := make([]*string, len(axes))
+	for i, a := range axes {
+		field, usage := a.doc()
+		for _, unit := range []string{"_mbps", "_bytes", "_sec", "_ms"} {
+			field = strings.TrimSuffix(field, unit)
+		}
+		names = append(names, strings.ReplaceAll(field, "_", ""))
+		values[i] = fs.String(names[i], "", usage)
+	}
+	return names, func() ([]Dim, error) {
+		var dims []Dim
+		for i, a := range axes {
+			var d Dim
+			if err := a.set(&d, *values[i]); err != nil {
+				return nil, fmt.Errorf("-%s: %w", names[i], err)
+			}
+			if a.present(&d) {
+				dims = append(dims, d)
+			}
+		}
+		return dims, nil
+	}
+}
+
+// traceBottleneck sets the trace base's bottleneck access rate. The
 // bottleneck sits at the base distance, clamped to the current path
-// length — so it keeps targeting the relay TraceHops put the bottleneck
+// length, so it keeps targeting the relay traceHops put the bottleneck
 // on when a hops axis shortened the circuit below the base distance,
 // whichever order the two axes appear in.
-func TraceBandwidths(distance int, rates ...units.DataRate) sweep.Dimension {
-	d := sweep.Dimension{Name: "bottleneck_bw"}
-	for _, r := range rates {
-		r := r
-		d.Values = append(d.Values, sweep.Value{
-			Label: r.String(),
-			Apply: func(sc *scenario.Scenario) error {
-				idx := distance
-				if n := len(sc.Topology.Relays); idx > n {
-					idx = n
-				}
-				bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", idx))
-				for i := range sc.Topology.Relays {
-					if sc.Topology.Relays[i].ID == bottleneck {
-						sc.Topology.Relays[i].Access.UpRate = r
-						sc.Topology.Relays[i].Access.DownRate = r
-						return nil
-					}
-				}
-				return fmt.Errorf("explicit topology has no relay %q", bottleneck)
-			},
-		})
+func traceBottleneck(c *axisCtx, sc *scenario.Scenario, mbps float64) error {
+	bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", min(c.b.Distance, len(sc.Topology.Relays))))
+	for i, r := range sc.Topology.Relays {
+		if r.ID == bottleneck {
+			sc.Topology.Relays[i].Access.UpRate = units.Mbps(mbps)
+			sc.Topology.Relays[i].Access.DownRate = units.Mbps(mbps)
+			return nil
+		}
 	}
-	return d
+	return fmt.Errorf("explicit topology has no relay %q", bottleneck)
 }
 
-// TraceHops sweeps the circuit length of the trace base by regenerating
-// the explicit topology and path per value. The bottleneck stays at the
-// base distance, clamped to the new length, and keeps whatever rate the
-// current scenario's bottleneck relay carries — so a bandwidth axis
-// composes with this one in either dimension order instead of being
-// silently clobbered by the rebuild.
-func TraceHops(p experiments.CwndTraceParams, counts ...int) sweep.Dimension {
-	d := sweep.Dimension{Name: "hops"}
-	for _, h := range counts {
-		h := h
-		d.Values = append(d.Values, sweep.Value{
-			Label: fmt.Sprintf("%d", h),
-			Apply: func(sc *scenario.Scenario) error {
-				if h < 1 {
-					return fmt.Errorf("%d hops", h)
-				}
-				q := p
-				q.Hops = h
-				if q.BottleneckHop > h {
-					q.BottleneckHop = h
-				}
-				bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", p.BottleneckHop))
-				for _, r := range sc.Topology.Relays {
-					if r.ID == bottleneck {
-						q.BottleneckRate = r.Access.UpRate
-					}
-				}
-				fresh := q.Scenario(nil)
-				sc.Topology = fresh.Topology
-				sc.Circuits.Paths = fresh.Circuits.Paths
-				return nil
-			},
-		})
+// traceHops sets the trace base's circuit length by regenerating the
+// explicit topology and path. The bottleneck stays at the base
+// distance, clamped to the new length, and keeps whatever rate the
+// current scenario's bottleneck relay carries, so a bandwidth axis
+// composes with this one in either dimension order.
+func traceHops(c *axisCtx, sc *scenario.Scenario, h int) error {
+	q := c.trace
+	q.Hops, q.BottleneckHop = h, min(q.BottleneckHop, h)
+	bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", c.trace.BottleneckHop))
+	for _, r := range sc.Topology.Relays {
+		if r.ID == bottleneck {
+			q.BottleneckRate = r.Access.UpRate
+		}
 	}
-	return d
+	fresh := q.Scenario(nil)
+	sc.Topology, sc.Circuits.Paths = fresh.Topology, fresh.Circuits.Paths
+	return nil
+}
+
+// spelled returns the amount, in bytes or bit/s, that a units.DataSize
+// or units.DataRate label spells: "1.50kB" is 1500, "8.00Mbit/s" is
+// 8000000.
+func spelled(label string) int64 {
+	i := strings.IndexFunc(label, func(r rune) bool { return r != '.' && (r < '0' || r > '9') })
+	num, _ := strconv.ParseFloat(label[:i], 64)
+	hundredths := int64(math.Round(num * 100))
+	switch label[i] {
+	case 'k':
+		return hundredths * 10
+	case 'M':
+		return hundredths * 10_000
+	case 'G':
+		return hundredths * 10_000_000
+	}
+	return hundredths / 100
+}
+
+// belowOne refuses the smallest value when it is below 1.
+func belowOne[T int | int64](vs []T, format string) error {
+	if least := slices.Min(vs); least < 1 {
+		return fmt.Errorf(format, least)
+	}
+	return nil
+}
+
+// positive refuses the smallest value unless it is above 0.
+func positive(vs []float64, format string) error {
+	if least := slices.Min(vs); !(least > 0) {
+		return fmt.Errorf(format, least)
+	}
+	return nil
+}
+
+// eachArm applies set to every arm of sc.
+func eachArm(sc *scenario.Scenario, set func(*scenario.Arm)) error {
+	for i := range sc.Arms {
+		set(&sc.Arms[i])
+	}
+	return nil
+}
+
+// negative refuses the first negative value.
+func negative(vs []int, format string) error {
+	if i := slices.IndexFunc(vs, func(n int) bool { return n < 0 }); i >= 0 {
+		return fmt.Errorf(format, vs[i])
+	}
+	return nil
+}
+
+// named refuses the first name valid rejects.
+func named(valid func(string) error) func(*axisCtx, []string) error {
+	return func(_ *axisCtx, names []string) error {
+		for _, s := range names {
+			if err := valid(s); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
+		}
+		return nil
+	}
 }

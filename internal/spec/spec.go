@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"circuitstart/internal/faults"
 	"circuitstart/internal/relay"
@@ -162,17 +163,21 @@ func Parse(data []byte) (*File, error) {
 	if err := f.normalize(); err != nil {
 		return nil, err
 	}
-	// Eagerly render the sweep: every dimension value and the fully
-	// composed base scenario are validated now, not inside a worker.
-	sw, err := f.Sweep()
+	// Eagerly render the sweep: the fully composed base scenario and
+	// then every dimension value are validated now, not inside a worker.
+	base, trace, err := f.Base.scenario(f.Name, *f.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := base.Validate(); err != nil {
+		return nil, fmt.Errorf("spec: base: %w", err)
+	}
+	sw, err := f.grid(base, trace)
 	if err != nil {
 		return nil, err
 	}
 	if err := sw.Validate(); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
-	}
-	if err := sw.Base.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: base: %w", err)
 	}
 	return &f, nil
 }
@@ -206,7 +211,17 @@ func (f *File) normalize() error {
 	if f.Sample < 0 {
 		return fmt.Errorf("spec: negative sample %d", f.Sample)
 	}
-	return f.Base.normalize()
+	if err := f.Base.normalize(); err != nil {
+		return err
+	}
+	// A sampled path needs as many distinct relays as it has hops; a
+	// hopcounts axis replaces base.hops on every point, and its row
+	// checks its own values.
+	hopAxis := slices.ContainsFunc(f.Dimensions, func(d Dim) bool { return len(d.HopCounts) > 0 })
+	if b := f.Base; b.Kind == "population" && b.Relays > 0 && b.Hops > b.Relays && !hopAxis {
+		return fmt.Errorf("spec: base.hops %d exceeds base.relays %d", b.Hops, b.Relays)
+	}
+	return nil
 }
 
 func (b *Base) normalize() error {

@@ -122,6 +122,7 @@ func TestParseErrorsNameTheEntry(t *testing.T) {
 		{`{"dimensions": [{"hopcounts": [0]}]}`, "dimensions[0]: hop count 0"},
 		{`{"dimensions": [{"gammas": [2]}, {"hopcounts": [3, -1]}]}`, "dimensions[1]: hop count -1"},
 		{`{"base": {"kind": "population"}, "dimensions": [{"hopcounts": [2, 0]}]}`, "dimensions[0]: hop count 0"},
+		{`{"dimensions": [{"policies": ["circuitstart", "warp"]}]}`, `dimensions[0]: sweep: transport: unknown`},
 	}
 	for i, c := range cases {
 		_, err := Parse([]byte(c.src))
@@ -153,6 +154,14 @@ func TestParseRejectsWhatAWorkerWould(t *testing.T) {
 		{`{"dimensions": [{"gammas": [0]}]}`, "dimensions[0]: gamma 0 is not positive"},
 		{`{"dimensions": [{"gammas": [2, -1]}]}`, "dimensions[0]: gamma -1 is not positive"},
 		{`{"dimensions": [{"hopcounts": [1, 1]}]}`, `dimension "hops" has duplicate label "1"`},
+		// A label that does not determine its value would let the
+		// daemon's point cache replay one value's rows for another.
+		{`{"dimensions": [{"sizes_bytes": [1004000]}]}`, `dimensions[0]: sizes_bytes value 1004000 is labelled "1.00MB"`},
+		{`{"dimensions": [{"bandwidths_mbps": [8, 8.001]}]}`, `dimensions[0]: bandwidths_mbps value 8.001 is labelled "8.00Mbit/s"`},
+		{`{"dimensions": [{"shardcounts": [1, 2]}]}`, "dimensions[0]: shard count 2: scenario: sharded execution needs a routed Fabric"},
+		{`{"base": {"kind": "population", "switches": 3, "max_circuits": 4}, "dimensions": [{"shardcounts": [0, 1]}]}`, "dimensions[0]: shard count 1: scenario: arm 0"},
+		{`{"base": {"kind": "population", "relays": 8, "circuits": 2}, "dimensions": [{"hopcounts": [2, 9]}]}`, "dimensions[0]: hop count 9 exceeds base.relays 8"},
+		{`{"base": {"kind": "population", "relays": 8, "hops": 9}, "dimensions": [{"gammas": [2]}]}`, "base.hops 9 exceeds base.relays 8"},
 	}
 	for i, c := range cases {
 		_, err := Parse([]byte(c.src))

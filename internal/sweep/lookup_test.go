@@ -20,7 +20,7 @@ func TestEngineLookupMatchesResume(t *testing.T) {
 	sw := sweep.Sweep{
 		Name:       "lookup",
 		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4, 8)},
+		Dimensions: []sweep.Dimension{axis(`{"gammas": [2, 4, 8]}`)},
 	}
 
 	// Full run: capture every point's rows and the reference CSV bytes.
@@ -93,7 +93,7 @@ func TestEngineExpandsOnlyPointsThatRun(t *testing.T) {
 	sw := sweep.Sweep{
 		Name:       "lazy",
 		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4), {Name: "counted", Values: []sweep.Value{counted("a"), counted("b")}}},
+		Dimensions: []sweep.Dimension{axis(`{"gammas": [2, 4]}`), {Name: "counted", Values: []sweep.Value{counted("a"), counted("b")}}},
 	}
 	const points = 4
 
@@ -155,7 +155,7 @@ func (s pointIndexSink) Flush() error { return nil }
 func TestEngineStop(t *testing.T) {
 	sw := sweep.Sweep{
 		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4, 8)},
+		Dimensions: []sweep.Dimension{axis(`{"gammas": [2, 4, 8]}`)},
 	}
 	_, err := sweep.Engine{Workers: 1, Stop: func() bool { return true }}.Run(sw)
 	if !errors.Is(err, sweep.ErrStopped) {

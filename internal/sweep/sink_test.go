@@ -14,7 +14,6 @@ import (
 	"circuitstart/internal/metrics"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sweep"
-	"circuitstart/internal/units"
 )
 
 // runSmallGrid executes a 2×2 grid with two arms once, streaming into
@@ -29,8 +28,8 @@ func runSmallGrid(t *testing.T) (*sweep.Table, string, string) {
 			scenario.Arm{Name: "backtap", Transport: core.TransportOptions{Policy: "backtap"}},
 		),
 		Dimensions: []sweep.Dimension{
-			sweep.Gamma(2, 4),
-			sweep.TransferSizes(30*units.Kilobyte, 60*units.Kilobyte),
+			axis(`{"gammas": [2, 4]}`),
+			axis(`{"sizes_bytes": [30000, 60000]}`),
 		},
 	}
 	tbl, err := sweep.Engine{Workers: 4}.Run(sw, sweep.NewCSVSink(&cb), sweep.NewJSONLSink(&jb))

@@ -1,11 +1,11 @@
 // Package sweep is the declarative parameter-sweep engine: a Sweep
 // takes a base scenario.Scenario plus a set of named Dimensions — axes
-// that mutate the scenario (start-up policy, γ, circuit count, transfer
-// size, population size, trunk bandwidth, churn rate, or any custom
-// mutation) — expands their cross product into grid points, executes
-// every point on the parallel scenario Runner, and streams per-point
-// aggregates into pluggable Sinks (CSV, JSON lines, an in-memory Table
-// with marginal and best-arm summaries).
+// whose labelled values each mutate the scenario — expands their cross
+// product into grid points, executes every point on the parallel
+// scenario Runner, and streams per-point aggregates into pluggable
+// Sinks (CSV, JSON lines, an in-memory Table with marginal and best-arm
+// summaries). The axes a spec or the sweep CLI can name are declared
+// in package spec, one table row each.
 //
 // Every fixed ablation of package experiments is a point query on this
 // engine: a 1-D γ sweep over the trace scenario reproduces
@@ -35,7 +35,7 @@ import (
 // Mutator applies one dimension value to a (cloned) scenario. It may
 // rewrite anything — transport options, topology, workload, churn — and
 // returns an error when the base scenario cannot carry the mutation
-// (e.g. a population-size axis on an explicit topology).
+// (e.g. a bottleneck-rate axis on a topology without that relay).
 type Mutator func(*scenario.Scenario) error
 
 // Value is one point on a dimension's axis: a label (the coordinate

@@ -2,6 +2,8 @@ package sweep_test
 
 import (
 	"bytes"
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -71,7 +73,7 @@ func TestGammaSweepReproducesAblation(t *testing.T) {
 	tbl, err := sweep.Engine{Workers: 2}.Run(sweep.Sweep{
 		Name:       "gamma",
 		Base:       traceBase(42),
-		Dimensions: []sweep.Dimension{sweep.Gamma(gammas...)},
+		Dimensions: []sweep.Dimension{axis(`{"gammas": [1, 2, 4, 8, 16]}`)},
 	}, cap)
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +122,8 @@ func TestSweepWorkerDeterminism(t *testing.T) {
 			Name: "det",
 			Base: popBase(scenario.Arm{Name: "circuitstart"}),
 			Dimensions: []sweep.Dimension{
-				sweep.Gamma(2, 4),
-				sweep.TransferSizes(30*units.Kilobyte, 60*units.Kilobyte),
+				axis(`{"gammas": [2, 4]}`),
+				axis(`{"sizes_bytes": [30000, 60000]}`),
 			},
 		}
 		if _, err := (sweep.Engine{Workers: workers}).Run(sw, sweep.NewCSVSink(&cb), sweep.NewJSONLSink(&jb)); err != nil {
@@ -149,8 +151,8 @@ func TestSampleCap(t *testing.T) {
 		Name: "sampled",
 		Base: traceBase(42),
 		Dimensions: []sweep.Dimension{
-			sweep.Gamma(1, 2, 4, 8),
-			sweep.TransferSizes(1*units.Megabyte, 2*units.Megabyte),
+			axis(`{"gammas": [1, 2, 4, 8]}`),
+			axis(`{"sizes_bytes": [1000000, 2000000]}`),
 		},
 		Sample: 3,
 	}
@@ -184,8 +186,13 @@ func TestSampleCap(t *testing.T) {
 // fails at expansion with point context, before any trial runs.
 func TestDimensionMismatch(t *testing.T) {
 	sw := sweep.Sweep{
-		Base:       traceBase(42), // explicit topology
-		Dimensions: []sweep.Dimension{sweep.PopulationBandwidths(units.Mbps(8), units.Mbps(16))},
+		Base: traceBase(42), // explicit topology
+		Dimensions: []sweep.Dimension{{Name: "median_bw", Values: []sweep.Value{{Label: "8.00Mbit/s", Apply: func(sc *scenario.Scenario) error {
+			if sc.Topology.Population == nil {
+				return errors.New("median-bandwidth axis needs a generated population topology")
+			}
+			return nil
+		}}}}},
 	}
 	_, err := sw.Points()
 	if err == nil || !strings.Contains(err.Error(), "population") {
@@ -196,20 +203,6 @@ func TestDimensionMismatch(t *testing.T) {
 	}
 }
 
-// TestPoliciesValidation checks eager policy-name validation.
-func TestPoliciesValidation(t *testing.T) {
-	if _, err := sweep.Policies("circuitstart", "warp"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	d, err := sweep.Policies("circuitstart", "slowstart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Values) != 2 || d.Name != "policy" {
-		t.Fatalf("unexpected dimension %+v", d)
-	}
-}
-
 // TestSweepValidation covers grid-declaration errors.
 func TestSweepValidation(t *testing.T) {
 	base := traceBase(42)
@@ -217,10 +210,10 @@ func TestSweepValidation(t *testing.T) {
 		{Base: base}, // no dimensions
 		{Base: base, Dimensions: []sweep.Dimension{{Name: "", Values: []sweep.Value{{Label: "x", Apply: noop}}}}},                             // unnamed
 		{Base: base, Dimensions: []sweep.Dimension{{Name: "d"}}},                                                                              // no values
-		{Base: base, Dimensions: []sweep.Dimension{sweep.Gamma(1), sweep.Gamma(2)}},                                                           // duplicate name
+		{Base: base, Dimensions: []sweep.Dimension{axis(`{"gammas": [1]}`), axis(`{"gammas": [2]}`)}},                                         // duplicate name
 		{Base: base, Dimensions: []sweep.Dimension{{Name: "d", Values: []sweep.Value{{Label: "x", Apply: noop}, {Label: "x", Apply: noop}}}}}, // duplicate label
 		{Base: base, Dimensions: []sweep.Dimension{{Name: "d", Values: []sweep.Value{{Label: "x"}}}}},                                         // nil mutator
-		{Base: base, Dimensions: []sweep.Dimension{sweep.Gamma(1)}, Sample: -1},                                                               // negative sample
+		{Base: base, Dimensions: []sweep.Dimension{axis(`{"gammas": [1]}`)}, Sample: -1},                                                      // negative sample
 	}
 	for i, sw := range cases {
 		if _, err := sw.Points(); err == nil {
@@ -234,13 +227,36 @@ func TestSweepValidation(t *testing.T) {
 
 func noop(*scenario.Scenario) error { return nil }
 
+// circuits is a circuit-count value the spec codec would refuse below 1,
+// so a test can reach the engine's own handling of a failing point.
+func circuits(n int) sweep.Value {
+	return sweep.Value{Label: strconv.Itoa(n), Apply: func(sc *scenario.Scenario) error {
+		sc.Circuits.Count = n
+		return nil
+	}}
+}
+
+// axis renders one spec dimension block, such as `{"gammas": [2, 4]}`,
+// through the spec package's axis table.
+func axis(block string) sweep.Dimension {
+	f, err := spec.Parse([]byte(`{"dimensions": [` + block + `]}`))
+	if err != nil {
+		panic(err)
+	}
+	sw, err := f.Sweep()
+	if err != nil {
+		panic(err)
+	}
+	return sw.Dimensions[0]
+}
+
 // TestEngineFailedPoint checks that a point whose scenario fails
 // validation aborts the sweep with its coordinates in the error, while
 // earlier points still reached the sinks.
 func TestEngineFailedPoint(t *testing.T) {
 	sw := sweep.Sweep{
 		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Circuits(1, 0)}, // 0 circuits is invalid
+		Dimensions: []sweep.Dimension{{Name: "circuits", Values: []sweep.Value{circuits(1), circuits(0)}}}, // 0 circuits is invalid
 	}
 	tbl, err := sweep.Engine{Workers: 1}.Run(sw)
 	if err == nil || !strings.Contains(err.Error(), "point 1") {
@@ -321,7 +337,7 @@ func TestSpecGridsWorkerDeterminism(t *testing.T) {
 func TestEngineResume(t *testing.T) {
 	sw := sweep.Sweep{
 		Base:       popBase(scenario.Arm{Name: "circuitstart"}),
-		Dimensions: []sweep.Dimension{sweep.Gamma(2, 4, 8)},
+		Dimensions: []sweep.Dimension{axis(`{"gammas": [2, 4, 8]}`)},
 	}
 	full, err := sweep.Engine{Workers: 2}.Run(sw)
 	if err != nil {
