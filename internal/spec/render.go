@@ -29,20 +29,21 @@ func secondsD(s float64) time.Duration { return time.Duration(s * float64(time.S
 // only on a File that came out of Parse: rendering assumes normalized
 // defaults.
 func (f *File) Sweep() (sweep.Sweep, error) {
-	base, trace, err := f.Base.scenario(f.Name, *f.Seed)
+	base, err := f.Base.scenario(f.Name, *f.Seed)
 	if err != nil {
 		return sweep.Sweep{}, err
 	}
-	return f.grid(base, trace)
+	return f.grid(base)
 }
 
 // grid crosses the rendered base scenario with the dimension blocks,
-// each rendered through its row of the axis table.
-func (f *File) grid(base scenario.Scenario, trace experiments.CwndTraceParams) (sweep.Sweep, error) {
-	c := &axisCtx{b: &f.Base, base: base, trace: trace}
+// each rendered through its row of the axis table. The mutators read a
+// copy of the base block, so the sweep does not change with f.
+func (f *File) grid(base scenario.Scenario) (sweep.Sweep, error) {
 	sw := sweep.Sweep{Name: f.Name, Base: base, Sample: f.Sample, SampleSeed: f.SampleSeed}
+	b := f.Base
 	for i := range f.Dimensions {
-		dim, err := c.buildDim(&f.Dimensions[i])
+		dim, err := b.buildDim(&f.Dimensions[i])
 		if err != nil {
 			return sweep.Sweep{}, fmt.Errorf("spec: dimensions[%d]: %w", i, err)
 		}
@@ -54,12 +55,22 @@ func (f *File) grid(base scenario.Scenario, trace experiments.CwndTraceParams) (
 	return sw, nil
 }
 
-// scenario renders the base block. traceParams carries the trace
-// preset forward for the trace-aware dimensions.
-func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments.CwndTraceParams, error) {
+// tracePreset is the trace base's single-circuit preset; the trace
+// base renders from it, and so does the trace hops axis.
+func (b *Base) tracePreset() experiments.CwndTraceParams {
+	p := experiments.DefaultCwndTraceParams(b.Distance)
+	p.Hops = b.Hops
+	if b.HorizonSec > 0 {
+		p.Horizon = sim.Time(secondsD(b.HorizonSec))
+	}
+	return p
+}
+
+// scenario renders the base block.
+func (b *Base) scenario(name string, seed int64) (scenario.Scenario, error) {
 	cfg, err := b.relayConfig()
 	if err != nil {
-		return scenario.Scenario{}, experiments.CwndTraceParams{}, err
+		return scenario.Scenario{}, err
 	}
 	arms := make([]scenario.Arm, len(b.Arms))
 	for i, policy := range b.Arms {
@@ -71,16 +82,11 @@ func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments
 	}
 
 	var sc scenario.Scenario
-	var traceParams experiments.CwndTraceParams
 	switch b.Kind {
 	case "trace":
-		traceParams = experiments.DefaultCwndTraceParams(b.Distance)
-		traceParams.Seed = seed
-		traceParams.Hops = b.Hops
-		if b.HorizonSec > 0 {
-			traceParams.Horizon = sim.Time(secondsD(b.HorizonSec))
-		}
-		sc = traceParams.Scenario(arms)
+		p := b.tracePreset()
+		p.Seed = seed
+		sc = p.Scenario(arms)
 	case "population":
 		pop := b.relayParams()
 		arrival := scenario.Arrival{}
@@ -94,7 +100,7 @@ func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments
 		if b.Switches > 0 {
 			gs, err := workload.GenerateBackbone(workload.DefaultBackboneParams(b.Relays, b.Switches))
 			if err != nil {
-				return scenario.Scenario{}, experiments.CwndTraceParams{}, fmt.Errorf("spec: %w", err)
+				return scenario.Scenario{}, fmt.Errorf("spec: %w", err)
 			}
 			topo.Fabric = &gs
 		}
@@ -108,7 +114,7 @@ func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments
 		if b.SizeDist != "" {
 			d, err := workload.ParseSizeDist(b.SizeDist)
 			if err != nil {
-				return scenario.Scenario{}, experiments.CwndTraceParams{}, fmt.Errorf("spec: base.size_dist: %w", err)
+				return scenario.Scenario{}, fmt.Errorf("spec: base.size_dist: %w", err)
 			}
 			circuits.SizeDist = &d
 			circuits.TransferSize = 0
@@ -122,7 +128,7 @@ func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments
 			Horizon:  sim.Time(secondsD(b.HorizonSec)),
 		}
 	default:
-		return scenario.Scenario{}, experiments.CwndTraceParams{}, fmt.Errorf("spec: unknown base.kind %q", b.Kind)
+		return scenario.Scenario{}, fmt.Errorf("spec: unknown base.kind %q", b.Kind)
 	}
 
 	sc.TrainSize = b.Train
@@ -130,18 +136,18 @@ func (b *Base) scenario(name string, seed int64) (scenario.Scenario, experiments
 	if b.Faults != "" {
 		plan, err := faults.Preset(b.Faults, sc.RelayIDs())
 		if err != nil {
-			return scenario.Scenario{}, experiments.CwndTraceParams{}, fmt.Errorf("spec: base.faults: %w", err)
+			return scenario.Scenario{}, fmt.Errorf("spec: base.faults: %w", err)
 		}
 		sc.Faults = plan
 	}
 	if len(b.FaultPlan) > 0 {
 		plan, err := faults.ParseSpec(b.FaultPlan)
 		if err != nil {
-			return scenario.Scenario{}, experiments.CwndTraceParams{}, fmt.Errorf("spec: base.fault_plan: %w", err)
+			return scenario.Scenario{}, fmt.Errorf("spec: base.fault_plan: %w", err)
 		}
 		sc.Faults = plan
 	}
-	return sc, traceParams, nil
+	return sc, nil
 }
 
 // axes is the axis table: one row per spec.Dim field, and the only
@@ -154,25 +160,25 @@ var axes = []axisRow{
 		field: "policies", usage: "dimension: startup policies (comma-separated)",
 		list: func(d *Dim) *[]string { return &d.Policies }, name: "policy",
 		check: named(func(s string) error { _, err := transport.PolicyByName(s, 0); return err }),
-		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) error {
+		apply: func(_ *Base, sc *scenario.Scenario, s string) error {
 			return eachArm(sc, func(a *scenario.Arm) { a.Transport.Policy = s })
 		},
 	},
 	axis[int]{
 		field: "hopcounts", usage: "dimension: relays per circuit (comma-separated)",
 		list: func(d *Dim) *[]int { return &d.HopCounts }, name: "hops",
-		check: func(c *axisCtx, hs []int) error {
+		check: func(b *Base, hs []int) error {
 			// A circuit needs a relay, and a sampled path needs as many
 			// distinct relays as it has hops.
 			if err := belowOne(hs, "hop count %d is below 1"); err != nil {
 				return err
 			}
-			if most := slices.Max(hs); c.b.Kind == "population" && most > c.b.Relays {
-				return fmt.Errorf("hop count %d exceeds base.relays %d", most, c.b.Relays)
+			if most := slices.Max(hs); b.Kind == "population" && most > b.Relays {
+				return fmt.Errorf("hop count %d exceeds base.relays %d", most, b.Relays)
 			}
 			return nil
 		},
-		apply:     func(_ *axisCtx, sc *scenario.Scenario, h int) error { sc.Circuits.Hops = h; return nil },
+		apply:     func(_ *Base, sc *scenario.Scenario, h int) error { sc.Circuits.Hops = h; return nil },
 		traceName: "hops", traceApply: traceHops,
 	},
 	axis[float64]{
@@ -180,8 +186,8 @@ var axes = []axisRow{
 		list: func(d *Dim) *[]float64 { return &d.BandwidthsMbps }, name: "median_bw",
 		label: func(m float64) string { return units.Mbps(m).String() },
 		spell: func(label string) float64 { return float64(spelled(label)) / 1e6 },
-		check: func(_ *axisCtx, ms []float64) error { return positive(ms, "bandwidth %v Mbit/s is not positive") },
-		apply: func(_ *axisCtx, sc *scenario.Scenario, m float64) error {
+		check: func(_ *Base, ms []float64) error { return positive(ms, "bandwidth %v Mbit/s is not positive") },
+		apply: func(_ *Base, sc *scenario.Scenario, m float64) error {
 			sc.Topology.Population.BandwidthMedian = units.Mbps(m)
 			return nil
 		},
@@ -191,8 +197,8 @@ var axes = []axisRow{
 		field: "gammas", usage: "dimension: γ exit thresholds (comma-separated)",
 		list: func(d *Dim) *[]float64 { return &d.Gammas }, name: "gamma",
 		// γ = 0 would select the default 4 under the label 0.
-		check: func(_ *axisCtx, gs []float64) error { return positive(gs, "gamma %v is not positive") },
-		apply: func(_ *axisCtx, sc *scenario.Scenario, g float64) error {
+		check: func(_ *Base, gs []float64) error { return positive(gs, "gamma %v is not positive") },
+		apply: func(_ *Base, sc *scenario.Scenario, g float64) error {
 			return eachArm(sc, func(a *scenario.Arm) { a.Transport.Gamma = g })
 		},
 	},
@@ -201,8 +207,8 @@ var axes = []axisRow{
 		list: func(d *Dim) *[]int64 { return &d.SizesBytes }, name: "size",
 		label: func(n int64) string { return units.DataSize(n).String() },
 		spell: spelled,
-		check: func(_ *axisCtx, ns []int64) error { return belowOne(ns, "transfer size %d bytes is below 1") },
-		apply: func(_ *axisCtx, sc *scenario.Scenario, n int64) error {
+		check: func(_ *Base, ns []int64) error { return belowOne(ns, "transfer size %d bytes is below 1") },
+		apply: func(_ *Base, sc *scenario.Scenario, n int64) error {
 			sc.Circuits.TransferSize = units.DataSize(n)
 			return nil
 		},
@@ -212,7 +218,7 @@ var axes = []axisRow{
 		list: func(d *Dim) *[]string { return &d.SizeDists }, name: "size_dist",
 		label: func(s string) string { d, _ := workload.ParseSizeDist(s); return d.Label() },
 		check: named(func(s string) error { _, err := workload.ParseSizeDist(s); return err }),
-		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) error {
+		apply: func(_ *Base, sc *scenario.Scenario, s string) error {
 			d, err := workload.ParseSizeDist(s)
 			sc.Circuits.SizeDist, sc.Circuits.SizeMix, sc.Circuits.TransferSize = &d, nil, 0
 			return err
@@ -221,40 +227,44 @@ var axes = []axisRow{
 	axis[int]{
 		field: "counts", usage: "dimension: concurrent circuit counts (comma-separated)",
 		list: func(d *Dim) *[]int { return &d.Counts }, name: "circuits",
-		check: func(_ *axisCtx, ns []int) error { return belowOne(ns, "circuit count %d is below 1") },
-		apply: func(_ *axisCtx, sc *scenario.Scenario, n int) error { sc.Circuits.Count = n; return nil },
+		check: func(_ *Base, ns []int) error { return belowOne(ns, "circuit count %d is below 1") },
+		apply: func(_ *Base, sc *scenario.Scenario, n int) error { sc.Circuits.Count = n; return nil },
 	},
 	axis[int]{
 		field: "trains", usage: "dimension: cell-train coalescing caps (comma-separated; ≤1 = untrained)",
 		list: func(d *Dim) *[]int { return &d.Trains }, name: "train",
-		check: func(_ *axisCtx, ns []int) error { return negative(ns, "sweep: negative train size %d") },
-		apply: func(_ *axisCtx, sc *scenario.Scenario, n int) error { sc.TrainSize = n; return nil },
+		check: func(_ *Base, ns []int) error { return negative(ns, "sweep: negative train size %d") },
+		apply: func(_ *Base, sc *scenario.Scenario, n int) error { sc.TrainSize = n; return nil },
 	},
 	axis[int]{
 		field: "shardcounts", usage: "dimension: trial shard counts (comma-separated; needs -switches)",
 		list: func(d *Dim) *[]int { return &d.ShardCounts }, name: "shards",
-		check: func(c *axisCtx, ns []int) error {
+		check: func(b *Base, ns []int) error {
 			if err := negative(ns, "sweep: negative shard count %d"); err != nil {
 				return err
 			}
 			// Every count ≥ 1 runs the same sharded engine, so one probe
 			// of the base covers them all.
-			probe := c.base
-			if probe.Shards = slices.Max(ns); probe.Shards > 0 {
+			if most := slices.Max(ns); most > 0 {
+				probe, err := b.scenario("", 0)
+				if err != nil {
+					return err
+				}
+				probe.Shards = most
 				if err := probe.Validate(); err != nil {
-					return fmt.Errorf("shard count %d: %w", probe.Shards, err)
+					return fmt.Errorf("shard count %d: %w", most, err)
 				}
 			}
 			return nil
 		},
-		apply: func(_ *axisCtx, sc *scenario.Scenario, n int) error { sc.Shards = n; return nil },
+		apply: func(_ *Base, sc *scenario.Scenario, n int) error { sc.Shards = n; return nil },
 	},
 	axis[string]{
 		field: "faults", usage: "dimension: fault presets (comma-separated)",
 		list: func(d *Dim) *[]string { return &d.Faults }, name: "faults",
 		check: named(func(s string) error { _, err := faults.Preset(s, nil); return err }),
 		// The preset renders against each point's own relays.
-		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) (err error) {
+		apply: func(_ *Base, sc *scenario.Scenario, s string) (err error) {
 			sc.Faults, err = faults.Preset(s, sc.RelayIDs())
 			return err
 		},
@@ -263,14 +273,14 @@ var axes = []axisRow{
 		field: "schedulers", usage: "dimension: relay circuit schedulers (comma-separated; fifo, ewma)",
 		list: func(d *Dim) *[]string { return &d.Schedulers }, name: "scheduler",
 		check: named(func(s string) error { return relay.Config{Scheduler: s}.Validate() }),
-		apply: func(_ *axisCtx, sc *scenario.Scenario, s string) error {
+		apply: func(_ *Base, sc *scenario.Scenario, s string) error {
 			return eachArm(sc, func(a *scenario.Arm) { a.Relay.Scheduler = s })
 		},
 	},
 	axis[int64]{
 		field: "seeds", usage: "dimension: independent base seeds (comma-separated)",
 		list: func(d *Dim) *[]int64 { return &d.Seeds }, name: "seed",
-		apply: func(_ *axisCtx, sc *scenario.Scenario, s int64) error { sc.Seed = s; return nil },
+		apply: func(_ *Base, sc *scenario.Scenario, s int64) error { sc.Seed = s; return nil },
 	},
 }
 
@@ -279,7 +289,7 @@ type axisRow interface {
 	doc() (field, usage string)
 	present(d *Dim) bool
 	set(d *Dim, flag string) error
-	render(c *axisCtx, d *Dim) (sweep.Dimension, error)
+	render(b *Base, d *Dim) (sweep.Dimension, error)
 }
 
 // axis is one row of the axis table: a spec.Dim field whose list
@@ -297,22 +307,13 @@ type axis[T string | int | int64 | float64] struct {
 	spell func(label string) T
 	// check refuses, at Parse, a list a worker could not run (nil: any
 	// list).
-	check func(c *axisCtx, vs []T) error
+	check func(b *Base, vs []T) error
 	name  string // the dimension name
-	apply func(c *axisCtx, sc *scenario.Scenario, v T) error
+	apply func(b *Base, sc *scenario.Scenario, v T) error
 	// traceName and traceApply, when traceApply is set, replace name
 	// and apply on the trace base.
 	traceName  string
-	traceApply func(c *axisCtx, sc *scenario.Scenario, v T) error
-}
-
-// axisCtx is what a row's check and mutators see of the spec being
-// rendered: the base block, its rendered scenario and, on the trace
-// base, the trace preset.
-type axisCtx struct {
-	b     *Base
-	base  scenario.Scenario
-	trace experiments.CwndTraceParams
+	traceApply func(b *Base, sc *scenario.Scenario, v T) error
 }
 
 func (a axis[T]) doc() (string, string) { return a.field, a.usage }
@@ -347,15 +348,15 @@ func (a axis[T]) set(d *Dim, flag string) error {
 	return nil
 }
 
-func (a axis[T]) render(c *axisCtx, d *Dim) (sweep.Dimension, error) {
+func (a axis[T]) render(b *Base, d *Dim) (sweep.Dimension, error) {
 	vs := *a.list(d)
 	if a.check != nil {
-		if err := a.check(c, vs); err != nil {
+		if err := a.check(b, vs); err != nil {
 			return sweep.Dimension{}, err
 		}
 	}
 	name, apply, label := a.name, a.apply, a.label
-	if c.b.Kind == "trace" && a.traceApply != nil {
+	if b.Kind == "trace" && a.traceApply != nil {
 		name, apply = a.traceName, a.traceApply
 	}
 	if label == nil {
@@ -364,7 +365,7 @@ func (a axis[T]) render(c *axisCtx, d *Dim) (sweep.Dimension, error) {
 	dim := sweep.Dimension{Name: name, Values: make([]sweep.Value, len(vs))}
 	for i, v := range vs {
 		v := v
-		dim.Values[i] = sweep.Value{Label: label(v), Apply: func(sc *scenario.Scenario) error { return apply(c, sc, v) }}
+		dim.Values[i] = sweep.Value{Label: label(v), Apply: func(sc *scenario.Scenario) error { return apply(b, sc, v) }}
 		if a.spell != nil && a.spell(dim.Values[i].Label) != v {
 			return sweep.Dimension{}, fmt.Errorf("%s value %v is labelled %q, which names %v",
 				a.field, v, dim.Values[i].Label, a.spell(dim.Values[i].Label))
@@ -374,7 +375,7 @@ func (a axis[T]) render(c *axisCtx, d *Dim) (sweep.Dimension, error) {
 }
 
 // buildDim renders one dimension block through the one row it sets.
-func (c *axisCtx) buildDim(d *Dim) (sweep.Dimension, error) {
+func (b *Base) buildDim(d *Dim) (sweep.Dimension, error) {
 	var row axisRow
 	n := 0
 	for _, a := range axes {
@@ -385,7 +386,7 @@ func (c *axisCtx) buildDim(d *Dim) (sweep.Dimension, error) {
 	if n != 1 {
 		return sweep.Dimension{}, fmt.Errorf("needs exactly one axis list, has %d", n)
 	}
-	return row.render(c, d)
+	return row.render(b, d)
 }
 
 // DimFlags defines on fs one flag per sweep axis, named after its
@@ -423,8 +424,8 @@ func DimFlags(fs *flag.FlagSet) (names []string, read func() ([]Dim, error)) {
 // length, so it keeps targeting the relay traceHops put the bottleneck
 // on when a hops axis shortened the circuit below the base distance,
 // whichever order the two axes appear in.
-func traceBottleneck(c *axisCtx, sc *scenario.Scenario, mbps float64) error {
-	bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", min(c.b.Distance, len(sc.Topology.Relays))))
+func traceBottleneck(b *Base, sc *scenario.Scenario, mbps float64) error {
+	bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", min(b.Distance, len(sc.Topology.Relays))))
 	for i, r := range sc.Topology.Relays {
 		if r.ID == bottleneck {
 			sc.Topology.Relays[i].Access.UpRate = units.Mbps(mbps)
@@ -440,10 +441,10 @@ func traceBottleneck(c *axisCtx, sc *scenario.Scenario, mbps float64) error {
 // distance, clamped to the new length, and keeps whatever rate the
 // current scenario's bottleneck relay carries, so a bandwidth axis
 // composes with this one in either dimension order.
-func traceHops(c *axisCtx, sc *scenario.Scenario, h int) error {
-	q := c.trace
+func traceHops(b *Base, sc *scenario.Scenario, h int) error {
+	q := b.tracePreset()
+	bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", q.BottleneckHop))
 	q.Hops, q.BottleneckHop = h, min(q.BottleneckHop, h)
-	bottleneck := netem.NodeID(fmt.Sprintf("relay-%d", c.trace.BottleneckHop))
 	for _, r := range sc.Topology.Relays {
 		if r.ID == bottleneck {
 			q.BottleneckRate = r.Access.UpRate
@@ -505,8 +506,8 @@ func negative(vs []int, format string) error {
 }
 
 // named refuses the first name valid rejects.
-func named(valid func(string) error) func(*axisCtx, []string) error {
-	return func(_ *axisCtx, names []string) error {
+func named(valid func(string) error) func(*Base, []string) error {
+	return func(_ *Base, names []string) error {
 		for _, s := range names {
 			if err := valid(s); err != nil {
 				return fmt.Errorf("sweep: %w", err)

@@ -165,14 +165,14 @@ func Parse(data []byte) (*File, error) {
 	}
 	// Eagerly render the sweep: the fully composed base scenario and
 	// then every dimension value are validated now, not inside a worker.
-	base, trace, err := f.Base.scenario(f.Name, *f.Seed)
+	base, err := f.Base.scenario(f.Name, *f.Seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := base.Validate(); err != nil {
 		return nil, fmt.Errorf("spec: base: %w", err)
 	}
-	sw, err := f.grid(base, trace)
+	sw, err := f.grid(base)
 	if err != nil {
 		return nil, err
 	}
