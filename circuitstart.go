@@ -20,10 +20,10 @@
 //	n.Run()
 //	ttlb, _ := c.TTLB()
 //
-// Fig1CwndTrace and Fig1DownloadCDF regenerate the paper's Figure 1;
-// the ablations and extensions run from the command line ('circuitsim
-// ablation -name …'). EXPERIMENTS.md is the reproduction report and
-// DESIGN.md the system inventory.
+// Fig1CwndTrace and Fig1CDF, run on a Runner, regenerate the paper's
+// Figure 1; the ablations and extensions run from the command line
+// ('circuitsim ablation -name …'). EXPERIMENTS.md is the reproduction
+// report and DESIGN.md the system inventory.
 //
 // # Declarative scenarios
 //
@@ -114,10 +114,6 @@ type (
 	CwndTraceParams = experiments.CwndTraceParams
 	// CwndTraceResult is one single-circuit cwnd trace.
 	CwndTraceResult = experiments.CwndTraceResult
-	// CDFParams configures the Figure-1 lower-panel aggregate run.
-	CDFParams = experiments.CDFParams
-	// ScenarioParams shapes the synthetic Tor-like workload.
-	ScenarioParams = workload.ScenarioParams
 )
 
 // Relay resource management and scheduling, set per Arm.
@@ -282,10 +278,9 @@ var (
 	Fig1CwndTrace = experiments.Fig1CwndTrace
 	// DefaultCwndTraceParams mirrors the paper's trace setup.
 	DefaultCwndTraceParams = experiments.DefaultCwndTraceParams
-	// Fig1DownloadCDF regenerates the paper's Figure 1 lower panel.
-	Fig1DownloadCDF = experiments.Fig1DownloadCDF
-	// DefaultCDFParams mirrors the paper's 50-circuit experiment.
-	DefaultCDFParams = experiments.DefaultCDFParams
+	// Fig1CDF is the paper's Figure 1 lower panel, the 50-circuit
+	// aggregate experiment, as a Scenario to edit and run.
+	Fig1CDF = experiments.Fig1CDF
 	// AblationGamma sweeps the γ exit threshold.
 	AblationGamma = experiments.AblationGamma
 )

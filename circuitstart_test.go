@@ -67,11 +67,12 @@ func TestPublicAPIExperiments(t *testing.T) {
 	if r.Trace.Len() == 0 || r.OptimalCells <= 0 {
 		t.Fatalf("empty result: %+v", r)
 	}
-	p := circuitstart.DefaultCDFParams()
-	p.Scenario.Circuits = 4
-	p.Scenario.Relays = circuitstart.DefaultRelayParams(12)
-	p.Scenario.TransferSize = 100 * circuitstart.Kilobyte
-	cdf, err := circuitstart.Fig1DownloadCDF(p)
+	sc := circuitstart.Fig1CDF(42)
+	sc.Circuits.Count = 4
+	pop := circuitstart.DefaultRelayParams(12)
+	sc.Topology.Population = &pop
+	sc.Circuits.TransferSize = 100 * circuitstart.Kilobyte
+	cdf, err := circuitstart.Runner{}.Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

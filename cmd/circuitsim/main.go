@@ -165,26 +165,26 @@ func runFig1CDF(args []string) error {
 	}
 	defer stopProfiles()
 
-	p := experiments.DefaultCDFParams()
-	p.Seed = *seed
-	p.Scenario.Circuits = *circuits
-	p.Scenario.Relays = workload.DefaultRelayParams(*relays)
-	p.Scenario.TransferSize = units.DataSize(*size)
-	p.Scenario.Download = *download
-	return writeFig1CDF(os.Stdout, p, *csvPath)
+	sc := experiments.Fig1CDF(*seed)
+	pop := workload.DefaultRelayParams(*relays)
+	sc.Topology.Population = &pop
+	sc.Circuits.Count = *circuits
+	sc.Circuits.TransferSize = units.DataSize(*size)
+	sc.Circuits.Download = *download
+	return writeFig1CDF(os.Stdout, sc, *csvPath)
 }
 
-// writeFig1CDF runs the aggregate experiment and prints one TTLB
-// summary row per arm and CircuitStart's median improvement over
-// BackTap; csvPath, if set, receives both CDFs.
-func writeFig1CDF(w io.Writer, p experiments.CDFParams, csvPath string) error {
-	res, err := experiments.Fig1DownloadCDF(p)
+// writeFig1CDF runs the aggregate experiment sc (Fig1CDF or an edit of
+// it) and prints one TTLB summary row per arm and CircuitStart's median
+// improvement over BackTap; csvPath, if set, receives both CDFs.
+func writeFig1CDF(w io.Writer, sc scenario.Scenario, csvPath string) error {
+	res, err := scenario.Run(sc)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(w, "fig1-cdf: %d circuits over %d relays, %s each\n",
-		p.Scenario.Circuits, p.Scenario.Relays.N, p.Scenario.TransferSize)
+		sc.Circuits.Count, sc.Topology.Population.N, sc.Circuits.TransferSize)
 	dists := make([]*metrics.Distribution, 0, len(res.Arms))
 	for _, arm := range res.Arms {
 		if arm.Incomplete > 0 {

@@ -9,7 +9,6 @@ import (
 
 	"circuitstart/internal/experiments"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/workload"
 )
 
 func TestRunFig1Cwnd(t *testing.T) {
@@ -69,12 +68,12 @@ func TestRunFig1CDFSmall(t *testing.T) {
 // the median improvement is missing instead of asking an empty
 // distribution for its median.
 func TestFig1CDFWithoutCompletedTransfer(t *testing.T) {
-	p := experiments.DefaultCDFParams()
-	p.Scenario.Circuits = 2
-	p.Scenario.Relays = workload.DefaultRelayParams(5)
-	p.Horizon = sim.Millisecond
+	sc := experiments.Fig1CDF(42)
+	sc.Circuits.Count = 2
+	sc.Topology.Population.N = 5
+	sc.Horizon = sim.Millisecond
 	var buf bytes.Buffer
-	if err := writeFig1CDF(&buf, p, ""); err != nil {
+	if err := writeFig1CDF(&buf, sc, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -157,13 +157,12 @@ func AblationConcurrency(seed int64, levels []int) ([]ConcurrencyRow, error) {
 	}
 	rows := make([]ConcurrencyRow, 0, len(levels))
 	for _, k := range levels {
-		p := DefaultCDFParams()
-		p.Seed = seed
-		p.Scenario.Circuits = k
+		sc := Fig1CDF(seed)
+		sc.Circuits.Count = k
 		// Keep the relay population proportional so load per relay is
 		// comparable across levels.
-		p.Scenario.Relays.N = max(12, k*4/5)
-		res, err := Fig1DownloadCDF(p)
+		sc.Topology.Population.N = max(12, k*4/5)
+		res, err := scenario.Run(sc)
 		if err != nil {
 			return nil, err
 		}

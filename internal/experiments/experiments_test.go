@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"circuitstart/internal/netem"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
 	"circuitstart/internal/units"
-	"circuitstart/internal/workload"
 )
 
 // --- Figure 1, upper panels -------------------------------------------
@@ -127,19 +123,18 @@ func TestCwndKBPointsUnits(t *testing.T) {
 
 // --- Figure 1, lower panel --------------------------------------------
 
-// smallCDFParams shrinks the aggregate experiment so the test suite
-// stays fast; TestFidelityFig1DownloadGain runs the paper-scale version.
-func smallCDFParams(seed int64) CDFParams {
-	p := DefaultCDFParams()
-	p.Seed = seed
-	p.Scenario.Relays = workload.DefaultRelayParams(16)
-	p.Scenario.Circuits = 12
-	p.Scenario.TransferSize = 300 * units.Kilobyte
-	return p
+// smallCDF shrinks the aggregate experiment so the test suite stays
+// fast; TestFidelityFig1DownloadGain runs the paper-scale version.
+func smallCDF(seed int64) scenario.Scenario {
+	sc := Fig1CDF(seed)
+	sc.Topology.Population.N = 16
+	sc.Circuits.Count = 12
+	sc.Circuits.TransferSize = 300 * units.Kilobyte
+	return sc
 }
 
 func TestFig1DownloadCDFShape(t *testing.T) {
-	res, err := Fig1DownloadCDF(smallCDFParams(42))
+	res, err := scenario.Run(smallCDF(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +161,11 @@ func TestFig1DownloadCDFShape(t *testing.T) {
 }
 
 func TestFig1DownloadCDFDeterministic(t *testing.T) {
-	a, err := Fig1DownloadCDF(smallCDFParams(7))
+	a, err := scenario.Run(smallCDF(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig1DownloadCDF(smallCDFParams(7))
+	b, err := scenario.Run(smallCDF(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,79 +316,6 @@ func TestAblationGammaScenarioEquivalence(t *testing.T) {
 		if got.ExitCwnd != r.ExitCwnd || got.ExitTime != r.ExitTime || got.OptimalCells != r.OptimalCells ||
 			got.PeakCells != r.PeakCells || got.SettleTime != r.SettleTime || got.FinalCells != r.FinalCells {
 			t.Errorf("gamma=%g: scenario row %+v != per-call trace %+v", g, got.CwndTraceResult, r)
-		}
-	}
-}
-
-// TestFig1DownloadCDFScenarioEquivalence asserts the CDF adapter's
-// declarative scenario, run on the scenario engine, matches running each
-// arm by hand through workload.Build and workload.Scenario.Run — the
-// reference execution — circuit for circuit, over both arrival kinds,
-// both transfer directions, three seeds, and a star and a ring fabric.
-func TestFig1DownloadCDFScenarioEquivalence(t *testing.T) {
-	ring, err := workload.GenerateBackbone(workload.DefaultBackboneParams(16, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := []struct {
-		name   string
-		spread time.Duration
-	}{{"together", 0}, {"uniform", 200 * time.Millisecond}}
-	directions := []struct {
-		name     string
-		download bool
-	}{{"download", true}, {"forward", false}}
-	fabrics := []struct {
-		name string
-		spec *netem.GraphSpec
-	}{{"star", nil}, {"ring4", &ring}}
-	for _, arrival := range arrivals {
-		for _, dir := range directions {
-			for _, seed := range []int64{1, 7, 42} {
-				for _, fabric := range fabrics {
-					p := smallCDFParams(seed)
-					p.Scenario.StartSpread = arrival.spread
-					p.Scenario.Download = dir.download
-					p.Scenario.Fabric = fabric.spec
-					name := fmt.Sprintf("%s/%s/seed%d/%s", arrival.name, dir.name, seed, fabric.name)
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						checkCDFAgainstWorkload(t, p)
-					})
-				}
-			}
-		}
-	}
-}
-
-// checkCDFAgainstWorkload runs p's scenario on the engine and each arm
-// through the workload reference, and compares every circuit's Done,
-// TTLB and exit window.
-func checkCDFAgainstWorkload(t *testing.T, p CDFParams) {
-	sc := p.ToScenario()
-	sc.Topology.Fabric = p.Scenario.Fabric
-	res, err := scenario.Runner{Workers: 1}.Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, policy := range p.Policies {
-		sp := p.Scenario
-		sp.Transport.Policy = policy
-		ref, err := workload.Build(p.Seed, sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Run(p.Horizon)
-		got := res.Arm(policy).Circuits
-		if len(got) != len(want) {
-			t.Fatalf("arm %q: %d vs %d circuits", policy, len(got), len(want))
-		}
-		for i, w := range want {
-			exit := ref.Circuits[i].SourceSender().Stats().ExitCwnd
-			if g := got[i]; g.Done != w.Done || g.TTLB != w.TTLB || g.ExitCwnd != exit {
-				t.Fatalf("arm %q circuit %d: engine done=%v ttlb=%v exit=%v, reference done=%v ttlb=%v exit=%v",
-					policy, i, g.Done, g.TTLB, g.ExitCwnd, w.Done, w.TTLB, exit)
-			}
 		}
 	}
 }

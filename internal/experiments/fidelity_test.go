@@ -30,7 +30,7 @@ func within(t *testing.T, what string, got, published, tol float64) {
 // test that needs it (50 circuits × 500 kB × 2 arms, seconds of wall
 // time).
 var paperCDF = sync.OnceValues(func() (*scenario.Result, error) {
-	return Fig1DownloadCDF(DefaultCDFParams())
+	return scenario.Run(Fig1CDF(42))
 })
 
 // Figure 1, upper panels: the compensated exit lands just under the

@@ -122,17 +122,6 @@ func (d *Distribution) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (d *Distribution) Median() float64 { return d.Quantile(0.5) }
 
-// CDFAt returns the empirical cumulative probability P(X <= x).
-// Test-only: on ROADMAP item 17's deletion queue.
-func (d *Distribution) CDFAt(x float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	d.ensureSorted()
-	i := sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(d.samples))
-}
-
 // CDFPoint is one step of an empirical CDF.
 type CDFPoint struct {
 	Value float64 // sample value (x axis)

@@ -94,24 +94,6 @@ func TestQuantilePanics(t *testing.T) {
 	})
 }
 
-func TestCDFAt(t *testing.T) {
-	d := NewDistribution("cdf")
-	for _, v := range []float64{1, 2, 2, 3} {
-		d.Add(v)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.9, 0.25}, {2, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := d.CDFAt(c.x); got != c.want {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if NewDistribution("e").CDFAt(1) != 0 {
-		t.Error("empty CDFAt != 0")
-	}
-}
-
 func TestCDFSteps(t *testing.T) {
 	d := NewDistribution("cdf")
 	for _, v := range []float64{3, 1, 2} {
@@ -177,31 +159,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		}
 		va, vb := d.Quantile(qa), d.Quantile(qb)
 		return va <= vb && va >= d.Min() && vb <= d.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CDFAt agrees with a direct count of samples <= x.
-func TestCDFAtMatchesCountProperty(t *testing.T) {
-	f := func(raw []int8, probe int8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		d := NewDistribution("p")
-		for _, v := range raw {
-			d.Add(float64(v))
-		}
-		x := float64(probe)
-		count := 0
-		for _, v := range raw {
-			if float64(v) <= x {
-				count++
-			}
-		}
-		want := float64(count) / float64(len(raw))
-		return math.Abs(d.CDFAt(x)-want) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

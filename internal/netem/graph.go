@@ -535,21 +535,6 @@ func (g *GraphFabric) UnknownDst() uint64 { return g.unknownDst }
 // between their home switches (a disconnected backbone).
 func (g *GraphFabric) Unroutable() uint64 { return g.unroutable }
 
-// ResetStats zeroes the drop counters and every access and trunk link's
-// stats. Test-only: on ROADMAP item 17's deletion queue.
-func (g *GraphFabric) ResetStats() {
-	g.unknownDst = 0
-	g.unroutable = 0
-	for _, id := range g.Nodes() {
-		p := g.ports[id]
-		p.up.ResetStats()
-		p.down.ResetStats()
-	}
-	for _, l := range g.Trunks() {
-		l.ResetStats()
-	}
-}
-
 // trunkPath returns the directed trunk links between two attached
 // nodes' home switches, or panics when the backbone is disconnected
 // between them — analytic path queries on unroutable pairs are

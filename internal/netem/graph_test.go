@@ -218,42 +218,6 @@ func TestGraphUnknownAndUnroutable(t *testing.T) {
 	}
 }
 
-func TestGraphStatsResetCleanly(t *testing.T) {
-	clock := sim.NewClock()
-	g, _, sb := twoSwitchFabric(clock, SymmetricTrunk(units.Mbps(1), time.Millisecond, 0))
-	for i := 0; i < 5; i++ {
-		g.Port("a").Send("b", 500, i)
-	}
-	g.Port("a").Send("ghost", 500, nil)
-	clock.Run()
-	if len(sb.frames) != 5 {
-		t.Fatalf("delivered %d", len(sb.frames))
-	}
-	st := g.Trunk("west", "east").Stats()
-	if st.MaxQueueLen == 0 || st.QueueDelay == 0 {
-		t.Fatalf("expected trunk queueing, got %+v", st)
-	}
-
-	g.ResetStats()
-	if g.UnknownDst() != 0 || g.Unroutable() != 0 {
-		t.Error("drop counters survived ResetStats")
-	}
-	for _, l := range g.Trunks() {
-		if l.Stats() != (LinkStats{}) {
-			t.Errorf("trunk %s stats survived reset: %+v", l.Name(), l.Stats())
-		}
-	}
-	if up := g.Port("a").Uplink().Stats(); up != (LinkStats{}) {
-		t.Errorf("access stats survived reset: %+v", up)
-	}
-	// The fabric still routes after a reset.
-	g.Port("a").Send("b", 500, "again")
-	clock.Run()
-	if g.Trunk("west", "east").Stats().CellsDelivered != 1 {
-		t.Error("delivery after reset not accounted from zero")
-	}
-}
-
 func TestGraphAnalyticPaths(t *testing.T) {
 	clock := sim.NewClock()
 	g := GraphSpec{

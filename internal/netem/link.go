@@ -65,7 +65,7 @@ func (c LinkConfig) Validate() error {
 }
 
 // LinkStats counts what happened on a link. All counters are cumulative
-// since construction or the last ResetStats.
+// since construction.
 //
 // CellsDelivered counts frames handed to the receiver; TrainsDelivered
 // counts delivery events. On an untrained link the two advance in
@@ -309,11 +309,6 @@ func (l *Link) SetScheduler(q SchedQueue) { l.sched = q }
 
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
-
-// ResetStats zeroes the counters (including MaxQueueLen and QueueDelay)
-// without touching frames in flight, so back-to-back trials on a reused
-// fabric do not leak queue high-water marks across trial boundaries.
-func (l *Link) ResetStats() { l.stats = LinkStats{} }
 
 // QueueLen returns the number of frames waiting (not counting the one in
 // serialization), across both priority classes and any installed

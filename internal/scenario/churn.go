@@ -7,7 +7,6 @@ import (
 
 	"circuitstart/internal/arena"
 	"circuitstart/internal/core"
-	"circuitstart/internal/directory"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/pool"
@@ -185,12 +184,10 @@ type download struct {
 // does is deterministic regardless of the worker pool running the
 // trial.
 type churnEngine struct {
-	sc     Scenario
-	arm    Arm
-	n      *core.Network
-	cons   *directory.Consensus // nil on explicit topologies
-	access netem.AccessConfig
-	seed   int64
+	sc  Scenario
+	arm Arm
+	n   *core.Network
+	m   *members
 	// churnOn is sc.hasChurn(). Without it a completed download keeps
 	// its circuit, the clock stops once the last initial download
 	// settles (unless RunFullHorizon), and the ledger is reported zero.
@@ -225,7 +222,6 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 	e := &churnEngine{
 		sc:      sc,
 		arm:     arm,
-		seed:    seed,
 		churnOn: sc.hasChurn(),
 		failed:  make(map[netem.NodeID]bool),
 	}
@@ -239,20 +235,33 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 	}
 	e.churn.Lifetime = newLifetimeDist(arm.Name)
 
-	var initial []*core.Circuit
-	if sc.Topology.Population != nil {
-		wsc, err := workload.Build(seed, workloadParams(sc, arm, ar))
-		if err != nil {
+	m, err := trialMembers(&sc, arm, seed)
+	if err != nil {
+		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+	}
+	e.m = m
+	e.n = core.NewNetworkInArena(ar, seed, m.buildFabric)
+	if err := e.n.ConfigureRelays(arm.Relay); err != nil {
+		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+	}
+	for _, r := range m.relays {
+		if _, err := e.n.AddRelay(r.ID, r.Access); err != nil {
 			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
 		}
-		e.n, e.cons, initial = wsc.Network, wsc.Consensus, wsc.Circuits
-		e.access = wsc.Params.ClientAccess
-	} else {
-		n, circuits, access, err := buildExplicit(sc, arm, seed, ar)
+	}
+	initial := make([]*core.Circuit, len(m.circuits))
+	for i, spec := range m.circuits {
+		c, err := e.n.BuildCircuit(spec)
 		if err != nil {
-			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+			if errors.Is(err, core.ErrCircuitRejected) {
+				// A relay at its circuit cap refused the build under a
+				// reject-new policy; the slot stays nil and is reported
+				// as a rejected outcome.
+				continue
+			}
+			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, fmt.Errorf("circuit %d: %w", i, err)
 		}
-		e.n, initial, e.access = n, circuits, access
+		initial[i] = c
 	}
 	scheduleEvents(e.n, sc.Events)
 	e.watchKills()
@@ -268,11 +277,11 @@ func runChurn(sc Scenario, arm Arm, seed int64, rep int, ar *arena.Arena) ([]Cir
 	// drawn from the runner's own streams ("scenario-starts" /
 	// "scenario-arrivals") — except a static generated trial without a
 	// SizeMix, whose uniform stagger comes from "workload-starts", the
-	// stream workload.Scenario.Run draws, so the paper experiments keep
-	// their seeded outputs. Enabling churn is allowed to change the
-	// realized start times. A nil slot is a circuit refused at admission
-	// by a resource-limited relay; its download is recorded as rejected
-	// and never starts.
+	// stream of the reference run in internal/workload's tests, so the
+	// paper experiments keep their seeded outputs. Enabling churn is
+	// allowed to change the realized start times. A nil slot is a
+	// circuit refused at admission by a resource-limited relay; its
+	// download is recorded as rejected and never starts.
 	starts := "scenario-starts"
 	if !e.churnOn && sc.Topology.Population != nil && len(sc.Circuits.SizeMix) == 0 {
 		starts = "workload-starts"
@@ -466,55 +475,17 @@ func (e *churnEngine) buildFresh(d *download) bool {
 // failures plus fault-suspect relays). On success the circuit is
 // installed and counted; the caller owns failure accounting.
 func (e *churnEngine) buildOn(d *download, rng *sim.RNG, excl map[netem.NodeID]bool) error {
-	var path []netem.NodeID
-	if e.cons != nil {
-		descs, err := e.cons.SelectPathExcluding(rng, e.hops(), excl)
-		if err != nil {
-			return err
-		}
-		path = make([]netem.NodeID, len(descs))
-		for i, dd := range descs {
-			path[i] = dd.ID
-		}
-	} else {
-		path = e.sc.Circuits.path(d.index % len(e.sc.Circuits.Paths))
+	spec, err := e.m.circuit(d.index, d.rebuild, rng, excl)
+	if err != nil {
+		return err
 	}
-	c, err := e.buildCircuit(d, path)
+	c, err := e.n.BuildCircuit(spec)
 	if err != nil {
 		return err
 	}
 	d.circuit = c
 	e.churn.Built++
 	return nil
-}
-
-// hops returns the sampled path length on generated topologies.
-func (e *churnEngine) hops() int {
-	if e.sc.Circuits.Hops > 0 {
-		return e.sc.Circuits.Hops
-	}
-	return 3
-}
-
-// buildCircuit builds a circuit for download d over the given relay
-// path. Rebuilds get distinct endpoint node IDs (ports cannot be
-// re-attached), marked with the rebuild ordinal.
-func (e *churnEngine) buildCircuit(d *download, path []netem.NodeID) (*core.Circuit, error) {
-	source := fmt.Sprintf("client-%03d", d.index)
-	sink := fmt.Sprintf("server-%03d", d.index)
-	if d.rebuild > 0 {
-		source = fmt.Sprintf("%s.r%d", source, d.rebuild)
-		sink = fmt.Sprintf("%s.r%d", sink, d.rebuild)
-	}
-	return e.n.BuildCircuit(core.CircuitSpec{
-		Source:       netem.NodeID(source),
-		Sink:         netem.NodeID(sink),
-		SourceAccess: e.access,
-		SinkAccess:   e.access,
-		Relays:       path,
-		Transport:    e.arm.Transport,
-		TraceCwnd:    e.sc.Probes.TraceCwnd,
-	})
 }
 
 // complete records download d's completion and schedules its circuit's
@@ -594,7 +565,7 @@ func (e *churnEngine) relayEvent(ev RelayEvent) {
 			d.delivered += e.receivedOn(d.circuit)
 		}
 		e.teardown(d.circuit)
-		if !e.arm.Rebuild || e.cons == nil {
+		if !e.arm.Rebuild || e.m.consensus == nil {
 			d.aborted = true
 			e.churn.Aborted++
 			e.endActive(d)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -14,8 +13,6 @@ import (
 	"circuitstart/internal/metrics"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/units"
-	"circuitstart/internal/workload"
 )
 
 // Runner executes a Scenario. It expands the scenario into
@@ -337,95 +334,6 @@ func scheduleEvents(n *core.Network, events []LinkEvent) {
 			port.Downlink().SetRate(rate)
 		})
 	}
-}
-
-// workloadParams renders the scenario's generated topology into the
-// workload.Build parameters of one trial. The engine starts the
-// transfers itself, so the start and direction fields stay zero.
-func workloadParams(sc Scenario, arm Arm, ar *arena.Arena) workload.ScenarioParams {
-	// With a SizeMix-only workload the engine sizes each transfer
-	// (sizeFor), but Build still validates a positive TransferSize —
-	// hand it the first mix entry.
-	size := sc.Circuits.TransferSize
-	if size <= 0 {
-		size = sc.Circuits.sizeFor(0)
-	}
-	return workload.ScenarioParams{
-		Relays:         *sc.Topology.Population,
-		Circuits:       sc.Circuits.Count,
-		HopsPerCircuit: sc.Circuits.Hops,
-		TransferSize:   size,
-		Transport:      arm.Transport,
-		ClientAccess:   sc.ClientAccess,
-		TraceCwnd:      sc.Probes.TraceCwnd,
-		Fabric:         sc.Topology.Fabric,
-		RelayConfig:    arm.Relay,
-		TrainSize:      sc.TrainSize,
-		Arena:          ar,
-	}
-}
-
-// buildExplicit constructs one trial's network over an explicit
-// topology: attach the listed relays in order and build each circuit
-// along its declared path. It returns the (defaults-filled) client
-// access so churn arrivals attach identically.
-func buildExplicit(sc Scenario, arm Arm, seed int64, ar *arena.Arena) (*core.Network, []*core.Circuit, netem.AccessConfig, error) {
-	build := func(clock *sim.Clock, _ *sim.RNG) netem.Fabric {
-		return netem.NewStarFabric(clock)
-	}
-	if spec := sc.Topology.Fabric; spec != nil {
-		fs := spec.Clone()
-		for i := range fs.Trunks {
-			fs.Trunks[i].Config.TrainSize = sc.TrainSize
-		}
-		build = func(clock *sim.Clock, rng *sim.RNG) netem.Fabric {
-			return fs.Build(clock, rng)
-		}
-	}
-	n := core.NewNetworkInArena(ar, seed, build)
-	if err := n.ConfigureRelays(arm.Relay); err != nil {
-		return nil, nil, netem.AccessConfig{}, err
-	}
-	for _, r := range sc.Topology.Relays {
-		acc := r.Access
-		acc.TrainSize = sc.TrainSize
-		if _, err := n.AddRelay(r.ID, acc); err != nil {
-			return nil, nil, netem.AccessConfig{}, err
-		}
-	}
-	access := sc.ClientAccess
-	if access.UpRate == 0 {
-		access = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, 0)
-	}
-	access.TrainSize = sc.TrainSize
-	circuits := make([]*core.Circuit, sc.Circuits.Count)
-	for i := range circuits {
-		source, sink := netem.NodeID("client"), netem.NodeID("server")
-		if sc.Circuits.Count > 1 {
-			source = netem.NodeID(fmt.Sprintf("client-%03d", i))
-			sink = netem.NodeID(fmt.Sprintf("server-%03d", i))
-		}
-		c, err := n.BuildCircuit(core.CircuitSpec{
-			Source:       source,
-			Sink:         sink,
-			SourceAccess: access,
-			SinkAccess:   access,
-			Relays:       sc.Circuits.path(i),
-			Transport:    arm.Transport,
-			TraceCwnd:    sc.Probes.TraceCwnd,
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				// A relay at its circuit cap refused the build under a
-				// reject-new policy; the slot stays nil and is reported
-				// as a rejected outcome.
-				continue
-			}
-			return nil, nil, netem.AccessConfig{}, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		circuits[i] = c
-	}
-	return n, circuits, access, nil
 }
 
 // arrivalDelays renders the arrival process into per-circuit start

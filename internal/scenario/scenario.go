@@ -486,14 +486,6 @@ func (sc *Scenario) RelayIDs() []netem.NodeID {
 	return ids
 }
 
-// path returns circuit i's relay sequence on an explicit topology.
-func (cs CircuitSet) path(i int) []netem.NodeID {
-	if len(cs.Paths) == 1 {
-		return cs.Paths[0]
-	}
-	return cs.Paths[i]
-}
-
 // sizeFor returns circuit i's transfer size: the round-robin SizeMix
 // entry when a mix is declared, TransferSize otherwise.
 func (cs CircuitSet) sizeFor(i int) units.DataSize {

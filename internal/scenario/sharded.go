@@ -8,13 +8,10 @@ import (
 
 	"circuitstart/internal/arena"
 	"circuitstart/internal/core"
-	"circuitstart/internal/directory"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/netem"
 	"circuitstart/internal/pool"
 	"circuitstart/internal/sim"
-	"circuitstart/internal/units"
-	"circuitstart/internal/workload"
 )
 
 // This file runs one trial on the sharded conservative-lookahead engine
@@ -89,9 +86,7 @@ type shardedEngine struct {
 	sc      Scenario
 	arm     Arm
 	sn      *core.ShardedNetwork
-	cons    *directory.Consensus // nil on explicit topologies
-	access  netem.AccessConfig
-	seed    int64
+	m       *members
 	churnOn bool
 	stride  time.Duration // barrier stride (0 = one window to the horizon)
 
@@ -118,7 +113,6 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 	e := &shardedEngine{
 		sc:      sc,
 		arm:     arm,
-		seed:    seed,
 		churnOn: sc.hasChurn(),
 		pathRNG: sim.NewRNG(seed, "scenario-churn-paths"),
 		dlStore: arena.Slot[sdownload](arenas[0], "scenario.sharded-downloads"),
@@ -128,15 +122,38 @@ func runSharded(sc Scenario, arm Arm, seed int64, rep int, arenas []*arena.Arena
 		e.churn.Lifetime = newLifetimeDist(arm.Name)
 	}
 
-	var initial []*core.ShardedCircuit
-	var err error
-	if sc.Topology.Population != nil {
-		initial, err = e.buildGenerated(arenas)
-	} else {
-		initial, err = e.buildExplicit(arenas)
-	}
+	m, err := trialMembers(&sc, arm, seed)
 	if err != nil {
 		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+	}
+	e.m = m
+	if e.sn, err = core.NewShardedNetwork(seed, *m.fabric, sc.Shards, arenas); err != nil {
+		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+	}
+	// The barrier stride is a bound over every trunk, so it does not
+	// depend on the partition (rule 1 above).
+	if stride := m.fabric.MinPositiveTrunkDelay(); stride > 0 {
+		e.sn.SetWindow(stride)
+		e.stride = stride
+	}
+	if err := e.sn.ConfigureRelays(arm.Relay); err != nil {
+		return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+	}
+	for _, r := range m.relays {
+		if _, err := e.sn.AddRelay(r.ID, r.Access); err != nil {
+			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, err
+		}
+	}
+	initial := make([]*core.ShardedCircuit, len(m.circuits))
+	for i, spec := range m.circuits {
+		c, err := e.sn.BuildCircuit(spec)
+		if err != nil {
+			if errors.Is(err, core.ErrCircuitRejected) {
+				continue
+			}
+			return nil, NetStats{}, ChurnStats{}, ResilienceStats{}, fmt.Errorf("circuit %d: %w", i, err)
+		}
+		initial[i] = c
 	}
 	if sc.Faults.Enabled() {
 		faults.InstallSharded(e.sn, sc.Faults, seed)
@@ -191,142 +208,6 @@ func (e *shardedEngine) newDownload(index int) *sdownload {
 	d := e.dlStore.Get()
 	d.index = index
 	return d
-}
-
-// newShardedNetwork builds the trial's ShardedNetwork from the
-// scenario's fabric spec (TrainSize stamped onto a deep copy) and pins
-// the partition-independent barrier stride.
-func (e *shardedEngine) newShardedNetwork(arenas []*arena.Arena) error {
-	spec := e.sc.Topology.Fabric.Clone()
-	for i := range spec.Trunks {
-		spec.Trunks[i].Config.TrainSize = e.sc.TrainSize
-	}
-	sn, err := core.NewShardedNetwork(e.seed, spec, e.sc.Shards, arenas)
-	if err != nil {
-		return err
-	}
-	if stride := spec.MinPositiveTrunkDelay(); stride > 0 {
-		sn.SetWindow(stride)
-		e.stride = stride
-	}
-	e.sn = sn
-	return nil
-}
-
-// buildExplicit mirrors the single-clock buildExplicit on the sharded
-// network: relays attached in declared order, circuits built along
-// their declared paths.
-func (e *shardedEngine) buildExplicit(arenas []*arena.Arena) ([]*core.ShardedCircuit, error) {
-	sc := e.sc
-	if err := e.newShardedNetwork(arenas); err != nil {
-		return nil, err
-	}
-	if err := e.sn.ConfigureRelays(e.arm.Relay); err != nil {
-		return nil, err
-	}
-	for _, r := range sc.Topology.Relays {
-		acc := r.Access
-		acc.TrainSize = sc.TrainSize
-		if _, err := e.sn.AddRelay(r.ID, acc); err != nil {
-			return nil, err
-		}
-	}
-	access := sc.ClientAccess
-	if access.UpRate == 0 {
-		access = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, 0)
-	}
-	access.TrainSize = sc.TrainSize
-	e.access = access
-	circuits := make([]*core.ShardedCircuit, sc.Circuits.Count)
-	for i := range circuits {
-		source, sink := netem.NodeID("client"), netem.NodeID("server")
-		if sc.Circuits.Count > 1 {
-			source = netem.NodeID(fmt.Sprintf("client-%03d", i))
-			sink = netem.NodeID(fmt.Sprintf("server-%03d", i))
-		}
-		c, err := e.sn.BuildCircuit(core.CircuitSpec{
-			Source:       source,
-			Sink:         sink,
-			SourceAccess: access,
-			SinkAccess:   access,
-			Relays:       sc.Circuits.path(i),
-			Transport:    e.arm.Transport,
-			TraceCwnd:    sc.Probes.TraceCwnd,
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				continue
-			}
-			return nil, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		circuits[i] = c
-	}
-	return circuits, nil
-}
-
-// buildGenerated mirrors workload.Build on the sharded network: the
-// same "workload-relays" population, the same consensus, and initial
-// paths from the same "workload-paths" stream.
-func (e *shardedEngine) buildGenerated(arenas []*arena.Arena) ([]*core.ShardedCircuit, error) {
-	sc := e.sc
-	relays, err := workload.GenerateRelays(e.seed, *sc.Topology.Population)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.newShardedNetwork(arenas); err != nil {
-		return nil, err
-	}
-	if err := e.sn.ConfigureRelays(e.arm.Relay); err != nil {
-		return nil, err
-	}
-	descs := make([]directory.Descriptor, len(relays))
-	for i, r := range relays {
-		descs[i] = r.Desc
-		r.Access.TrainSize = sc.TrainSize
-		if _, err := e.sn.AddRelay(r.Desc.ID, r.Access); err != nil {
-			return nil, err
-		}
-	}
-	e.cons, err = directory.NewConsensus(descs)
-	if err != nil {
-		return nil, err
-	}
-	access := sc.ClientAccess
-	if access.UpRate == 0 {
-		access = netem.Symmetric(units.Mbps(100), 5*time.Millisecond, sc.Topology.Population.QueueCap)
-	}
-	access.TrainSize = sc.TrainSize
-	e.access = access
-
-	pathRNG := sim.NewRNG(e.seed, "workload-paths")
-	circuits := make([]*core.ShardedCircuit, sc.Circuits.Count)
-	for i := range circuits {
-		path, err := e.cons.SelectPath(pathRNG, e.hops())
-		if err != nil {
-			return nil, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		ids := make([]netem.NodeID, len(path))
-		for j, d := range path {
-			ids[j] = d.ID
-		}
-		c, err := e.sn.BuildCircuit(core.CircuitSpec{
-			Source:       netem.NodeID(fmt.Sprintf("client-%03d", i)),
-			Sink:         netem.NodeID(fmt.Sprintf("server-%03d", i)),
-			SourceAccess: access,
-			SinkAccess:   access,
-			Relays:       ids,
-			Transport:    e.arm.Transport,
-			TraceCwnd:    sc.Probes.TraceCwnd,
-		})
-		if err != nil {
-			if errors.Is(err, core.ErrCircuitRejected) {
-				continue
-			}
-			return nil, fmt.Errorf("circuit %d: %w", i, err)
-		}
-		circuits[i] = c
-	}
-	return circuits, nil
 }
 
 // nextBarrier returns the instant of the barrier after now.
@@ -431,7 +312,7 @@ func (e *shardedEngine) relayEvent(ev RelayEvent, now sim.Time) {
 			continue
 		}
 		e.teardown(d.circuit)
-		if !e.arm.Rebuild || e.cons == nil {
+		if !e.arm.Rebuild || e.m.consensus == nil {
 			d.aborted = true
 			e.churn.Aborted++
 			continue
@@ -518,38 +399,14 @@ func (e *shardedEngine) startTransfer(d *sdownload, at sim.Time) {
 	})
 }
 
-// buildOn builds download d a circuit: a consensus-sampled path
-// (excluding excl) on generated topologies, the declared path cycle on
-// explicit ones. Rebuilds get distinct endpoint node IDs.
+// buildOn builds download d a circuit over a path sampled from the
+// churn stream, excluding excl.
 func (e *shardedEngine) buildOn(d *sdownload, excl map[netem.NodeID]bool) error {
-	var path []netem.NodeID
-	if e.cons != nil {
-		descs, err := e.cons.SelectPathExcluding(e.pathRNG, e.hops(), excl)
-		if err != nil {
-			return err
-		}
-		path = make([]netem.NodeID, len(descs))
-		for i, dd := range descs {
-			path[i] = dd.ID
-		}
-	} else {
-		path = e.sc.Circuits.path(d.index % len(e.sc.Circuits.Paths))
+	spec, err := e.m.circuit(d.index, d.rebuild, e.pathRNG, excl)
+	if err != nil {
+		return err
 	}
-	source := fmt.Sprintf("client-%03d", d.index)
-	sink := fmt.Sprintf("server-%03d", d.index)
-	if d.rebuild > 0 {
-		source = fmt.Sprintf("%s.r%d", source, d.rebuild)
-		sink = fmt.Sprintf("%s.r%d", sink, d.rebuild)
-	}
-	c, err := e.sn.BuildCircuit(core.CircuitSpec{
-		Source:       netem.NodeID(source),
-		Sink:         netem.NodeID(sink),
-		SourceAccess: e.access,
-		SinkAccess:   e.access,
-		Relays:       path,
-		Transport:    e.arm.Transport,
-		TraceCwnd:    e.sc.Probes.TraceCwnd,
-	})
+	c, err := e.sn.BuildCircuit(spec)
 	if err != nil {
 		return err
 	}
@@ -576,14 +433,6 @@ func (e *shardedEngine) teardown(c *core.ShardedCircuit) {
 	c.Teardown()
 	e.churn.TornDown++
 	e.churn.Lifetime.Add(c.Lifetime().Seconds())
-}
-
-// hops returns the sampled path length on generated topologies.
-func (e *shardedEngine) hops() int {
-	if e.sc.Circuits.Hops > 0 {
-		return e.sc.Circuits.Hops
-	}
-	return 3
 }
 
 // crossesShardedRelay reports whether the circuit's path contains the

@@ -13,7 +13,6 @@ import (
 // adding a new consumer of randomness does not perturb existing ones.
 type RNG struct {
 	*rand.Rand
-	name string
 }
 
 // NewRNG derives an independent stream from seed and a component name.
@@ -21,15 +20,8 @@ type RNG struct {
 func NewRNG(seed int64, name string) *RNG {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", seed, name)
-	return &RNG{
-		Rand: rand.New(rand.NewSource(int64(h.Sum64()))), //nolint:gosec // simulation, not crypto
-		name: name,
-	}
+	return &RNG{rand.New(rand.NewSource(int64(h.Sum64())))} //nolint:gosec // simulation, not crypto
 }
-
-// Name returns the stream's component name. Test-only: on ROADMAP
-// item 17's deletion queue.
-func (r *RNG) Name() string { return r.name }
 
 // Uniform returns a sample from U[lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
@@ -44,17 +36,6 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	// float64(…) rounds the product unfused (TestNoFusedMultiplyAdd).
 	return math.Exp(mu + float64(sigma*r.NormFloat64()))
-}
-
-// Pareto returns a sample from the Pareto distribution with the given
-// minimum value and tail index alpha. Test-only: on ROADMAP item 17's
-// deletion queue.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // Exponential returns a sample from Exp(1/mean).

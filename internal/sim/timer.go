@@ -56,16 +56,6 @@ func (t *Timer) Stop() { t.handle.Cancel() }
 // Armed reports whether the timer is currently scheduled to fire.
 func (t *Timer) Armed() bool { return t.handle.Active() }
 
-// Deadline returns the instant the timer will fire. It is only
-// meaningful when Armed reports true. Test-only: on ROADMAP item 17's
-// deletion queue.
-func (t *Timer) Deadline() Time {
-	if !t.Armed() {
-		return 0
-	}
-	return t.handle.ev.at
-}
-
 func (t *Timer) fire() {
 	t.handle = Handle{}
 	t.fn()

@@ -8,17 +8,18 @@ import (
 func TestTimerFires(t *testing.T) {
 	c := NewClock()
 	fired := 0
-	tm := NewTimer(c, func() { fired++ })
+	var at Time
+	tm := NewTimer(c, func() { fired, at = fired+1, c.Now() })
 	tm.Arm(10 * time.Millisecond)
 	if !tm.Armed() {
 		t.Fatal("timer should be armed")
 	}
-	if got := tm.Deadline(); got != Time(10*time.Millisecond) {
-		t.Errorf("Deadline = %v, want 10ms", got)
-	}
 	c.Run()
 	if fired != 1 {
 		t.Errorf("fired %d times, want 1", fired)
+	}
+	if at != Time(10*time.Millisecond) {
+		t.Errorf("fired at %v, want 10ms", at)
 	}
 	if tm.Armed() {
 		t.Error("timer should be unarmed after firing")
@@ -84,14 +85,6 @@ func TestTimerArmAt(t *testing.T) {
 	c.Run()
 	if at != Time(42*time.Millisecond) {
 		t.Errorf("fired at %v, want 42ms", at)
-	}
-}
-
-func TestTimerDeadlineUnarmed(t *testing.T) {
-	c := NewClock()
-	tm := NewTimer(c, func() {})
-	if tm.Deadline() != 0 {
-		t.Error("Deadline of unarmed timer should be 0")
 	}
 }
 

@@ -55,6 +55,47 @@ func (f *File) grid(base scenario.Scenario) (sweep.Sweep, error) {
 	return sw, nil
 }
 
+// checkSharded refuses, at Parse, a grid with a sharded point a worker
+// would refuse. When the base or a shardcounts value shards any point,
+// the sharded probe — the base at the largest shard count — is
+// validated alone and with each value of every other axis applied on
+// its own. Each rule of the sharded engine reads one field, so one value
+// at a time covers them all. A grid with no sharded point costs nothing.
+func (f *File) checkSharded(base scenario.Scenario, sw sweep.Sweep) error {
+	shards, shardDim := base.Shards, -1
+	for i, d := range f.Dimensions {
+		if len(d.ShardCounts) > 0 {
+			shards, shardDim = slices.Max(d.ShardCounts), i
+		}
+	}
+	if shards <= 0 {
+		return nil
+	}
+	probe := base
+	probe.Shards = shards
+	if shardDim >= 0 { // else Parse has validated the probe as the base
+		if err := probe.Validate(); err != nil {
+			return fmt.Errorf("spec: dimensions[%d]: shard count %d: %w", shardDim, shards, err)
+		}
+	}
+	for i, dim := range sw.Dimensions {
+		if i == shardDim {
+			continue
+		}
+		for _, v := range dim.Values {
+			sc := probe.Clone()
+			err := v.Apply(&sc)
+			if err == nil {
+				err = sc.Validate()
+			}
+			if err != nil {
+				return fmt.Errorf("spec: dimensions[%d]: %s %q with shards %d: %w", i, dim.Name, v.Label, shards, err)
+			}
+		}
+	}
+	return nil
+}
+
 // tracePreset is the trace base's single-circuit preset; the trace
 // base renders from it, and so does the trace hops axis.
 func (b *Base) tracePreset() experiments.CwndTraceParams {
@@ -239,24 +280,9 @@ var axes = []axisRow{
 	axis[int]{
 		field: "shardcounts", usage: "dimension: trial shard counts (comma-separated; needs -switches)",
 		list: func(d *Dim) *[]int { return &d.ShardCounts }, name: "shards",
-		check: func(b *Base, ns []int) error {
-			if err := negative(ns, "sweep: negative shard count %d"); err != nil {
-				return err
-			}
-			// Every count ≥ 1 runs the same sharded engine, so one probe
-			// of the base covers them all.
-			if most := slices.Max(ns); most > 0 {
-				probe, err := b.scenario("", 0)
-				if err != nil {
-					return err
-				}
-				probe.Shards = most
-				if err := probe.Validate(); err != nil {
-					return fmt.Errorf("shard count %d: %w", most, err)
-				}
-			}
-			return nil
-		},
+		// Every count ≥ 1 runs the same sharded engine, which Parse
+		// probes at the largest (checkSharded).
+		check: func(_ *Base, ns []int) error { return negative(ns, "sweep: negative shard count %d") },
 		apply: func(_ *Base, sc *scenario.Scenario, n int) error { sc.Shards = n; return nil },
 	},
 	axis[string]{

@@ -179,6 +179,9 @@ func Parse(data []byte) (*File, error) {
 	if err := sw.Validate(); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
+	if err := f.checkSharded(base, sw); err != nil {
+		return nil, err
+	}
 	return &f, nil
 }
 

@@ -160,6 +160,12 @@ func TestParseRejectsWhatAWorkerWould(t *testing.T) {
 		{`{"dimensions": [{"bandwidths_mbps": [8, 8.001]}]}`, `dimensions[0]: bandwidths_mbps value 8.001 is labelled "8.00Mbit/s"`},
 		{`{"dimensions": [{"shardcounts": [1, 2]}]}`, "dimensions[0]: shard count 2: scenario: sharded execution needs a routed Fabric"},
 		{`{"base": {"kind": "population", "switches": 3, "max_circuits": 4}, "dimensions": [{"shardcounts": [0, 1]}]}`, "dimensions[0]: shard count 1: scenario: arm 0"},
+		// A combination of axes: each value of another axis on the
+		// sharded probe, whether the base or a shard count shards it.
+		{`{"base": {"kind": "population", "relays": 8, "circuits": 2, "switches": 2}, "dimensions": [{"faults": ["none", "recovery"]}, {"shardcounts": [1]}]}`,
+			`dimensions[0]: faults "recovery" with shards 1: scenario: endpoint recovery is not supported on the sharded engine`},
+		{`{"base": {"kind": "population", "relays": 8, "circuits": 2, "switches": 2, "shards": 2}, "dimensions": [{"faults": ["none", "recovery"]}]}`,
+			`dimensions[0]: faults "recovery" with shards 2: scenario: endpoint recovery is not supported on the sharded engine`},
 		{`{"base": {"kind": "population", "relays": 8, "circuits": 2}, "dimensions": [{"hopcounts": [2, 9]}]}`, "dimensions[0]: hop count 9 exceeds base.relays 8"},
 		{`{"base": {"kind": "population", "relays": 8, "hops": 9}, "dimensions": [{"gammas": [2]}]}`, "base.hops 9 exceeds base.relays 8"},
 	}

@@ -81,8 +81,8 @@ func SwitchID(i int) netem.SwitchID {
 // population generator will name (relay i → switch i mod K). Clients
 // and servers are left unpinned — they home by the fabric's
 // deterministic ID hash, spreading load across the backbone. The spec
-// is pure data: pass it to scenario.Topology.Fabric or
-// ScenarioParams.Fabric and every trial builds its own fabric from it.
+// is pure data: pass it to scenario.Topology.Fabric and every trial
+// builds its own fabric from it.
 func GenerateBackbone(p BackboneParams) (netem.GraphSpec, error) {
 	if p.Switches <= 0 {
 		return netem.GraphSpec{}, fmt.Errorf("workload: %d backbone switches", p.Switches)
