@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"io"
-	"os"
 	"strings"
 	"testing"
 
@@ -11,73 +10,22 @@ import (
 	"circuitstart/internal/scenario"
 )
 
-// goldenTables lists every seeded table pinned under testdata/ablation:
-// the file it is compared with and the command line that prints it.
-// The scale ablation prints wall time, so it is the one ablation left
-// out. Regenerate a file after an intentional change to its table
-// with, for example:
-//
-//	go run ./cmd/circuitsim ablation -name churn > cmd/circuitsim/testdata/ablation/churn.txt
-//
-// and say in the change description which table moved and why.
-var goldenTables = []struct {
-	file string
-	run  func([]string) error
-	args []string
-	slow bool // skipped under -short
-}{
-	{"gamma", runAblation, []string{"-name", "gamma"}, false},
-	{"compensation", runAblation, []string{"-name", "compensation"}, false},
-	{"clock", runAblation, []string{"-name", "clock"}, false},
-	{"position", runAblation, []string{"-name", "position"}, false},
-	{"concurrency", runAblation, []string{"-name", "concurrency"}, true},
-	{"extensions", runAblation, []string{"-name", "extensions"}, false},
-	{"vegas", runAblation, []string{"-name", "vegas"}, false},
-	{"shared", runAblation, []string{"-name", "shared"}, false},
-	{"churn", runAblation, []string{"-name", "churn"}, false},
-	{"overload", runAblation, []string{"-name", "overload"}, false},
-	{"faults", runAblation, []string{"-name", "faults"}, false},
-	{"dynamic", runDynamic, nil, false},
-	{"fig1-cwnd-1", runFig1Cwnd, []string{"-distance", "1"}, false},
-	{"fig1-cwnd-3", runFig1Cwnd, []string{"-distance", "3"}, false},
-	{"fig1-cdf", runFig1CDF, nil, true},
-}
-
-// TestGoldenTables re-runs every pinned command at the default seed and
-// compares its stdout with the recorded file byte for byte, so a change
-// to how an experiment is declared cannot move a published number
-// unnoticed.
-func TestGoldenTables(t *testing.T) {
-	for _, g := range goldenTables {
-		t.Run(g.file, func(t *testing.T) {
-			if g.slow && testing.Short() {
-				t.Skip("multi-second table")
-			}
-			path := "testdata/ablation/" + g.file + ".txt"
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := captureStdout(t, func() error { return g.run(g.args) })
-			if got != string(want) {
-				t.Errorf("output drifted from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
-		})
-	}
-}
-
 // TestAblationNamesDispatch asserts every advertised ablation name
 // reaches its implementation: each one but scale, which prints wall
-// time, has a pinned table that TestGoldenTables runs, and a name
-// outside the table is rejected.
+// time, has a script under testdata/script that TestScripts runs, and a
+// name outside the table is rejected.
 func TestAblationNamesDispatch(t *testing.T) {
 	pinned := map[string]bool{}
-	for _, g := range goldenTables {
-		pinned[g.file] = true
+	for _, path := range scriptPaths(t) {
+		for _, args := range readScript(t, path).commands {
+			if len(args) == 3 && args[0] == "ablation" && args[1] == "-name" {
+				pinned[args[2]] = true
+			}
+		}
 	}
 	for _, name := range ablationNames() {
 		if name != "scale" && !pinned[name] {
-			t.Errorf("ablation %q has no table under testdata/ablation", name)
+			t.Errorf("ablation %q has no script under testdata/script", name)
 		}
 	}
 	if err := runAblation([]string{"-name", "bogus"}); err == nil {
@@ -115,22 +63,19 @@ func trainedReport(t *testing.T, report func(io.Writer, scenario.Scenario) error
 }
 
 // checkTrained runs an ablation at TrainSize 8: it must describe the
-// same experiment as its pinned table and must not reproduce that
-// table, which would mean no train ever formed.
-func checkTrained(t *testing.T, file string, report func(io.Writer, scenario.Scenario) error, sc scenario.Scenario) {
+// same experiment as its pinned table, testdata/script/<name>.txt, and
+// must not reproduce that table, which would mean no train ever formed.
+func checkTrained(t *testing.T, name string, report func(io.Writer, scenario.Scenario) error, sc scenario.Scenario) {
 	t.Helper()
-	want, err := os.ReadFile("testdata/ablation/" + file + ".txt")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readScript(t, "testdata/script/"+name+".txt").stdout
 	got := trainedReport(t, report, sc, 8)
 	gotHeader, _, _ := strings.Cut(got, "\n")
-	wantHeader, _, _ := strings.Cut(string(want), "\n")
+	wantHeader, _, _ := strings.Cut(want, "\n")
 	if gotHeader != wantHeader {
-		t.Errorf("trained %s header %q, want %q", file, gotHeader, wantHeader)
+		t.Errorf("trained %s header %q, want %q", name, gotHeader, wantHeader)
 	}
-	if got == string(want) {
-		t.Errorf("%s at TrainSize 8 printed the one-event-per-cell table:\n%s", file, got)
+	if got == want {
+		t.Errorf("%s at TrainSize 8 printed the one-event-per-cell table:\n%s", name, got)
 	}
 }
 

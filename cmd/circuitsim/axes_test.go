@@ -13,8 +13,6 @@ import (
 	"circuitstart/internal/sweep"
 )
 
-var updateAxes = flag.Bool("update-axes", false, "rewrite testdata/golden_axes.txt from this build")
-
 // popFlags and popBase are the same small population base as sweep
 // flags and as a spec base block.
 const (
@@ -48,7 +46,7 @@ var axisGoldenCases = []struct{ args, spec string }{
 // names, coordinates, point keys and rows must match
 // testdata/golden_axes.txt. Regenerate with
 //
-//	go test ./cmd/circuitsim -run TestAxesGolden -update-axes
+//	go test ./cmd/circuitsim -run TestAxesGolden -update
 //
 // only when an axis's meaning changes on purpose.
 func TestAxesGolden(t *testing.T) {
@@ -105,7 +103,7 @@ func TestAxesGolden(t *testing.T) {
 	}
 
 	const golden = "testdata/golden_axes.txt"
-	if *updateAxes {
+	if *update {
 		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

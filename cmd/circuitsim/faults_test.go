@@ -44,50 +44,3 @@ func TestRunScenarioFaultsBadArg(t *testing.T) {
 		t.Fatal("malformed spec file accepted")
 	}
 }
-
-// goldenFaultsArgs seeds the committed faulted fixture
-// testdata/golden_faults.txt: the golden scenario population with the
-// "flaky" preset (a relay flap plus access jitter) and recovery.
-// Transfers are sized so they span the flap's first downtime window —
-// the fixture records a stall, a recovery and a rebuild, so all the
-// fault RNG streams and the watchdog path feed the pinned bytes.
-var goldenFaultsArgs = []string{
-	"-circuits", "4", "-relays", "10", "-size", "2000000",
-	"-poisson", "40", "-reps", "2", "-workers", "4", "-seed", "42",
-	"-faults", "flaky",
-}
-
-// TestGoldenFaultsOutput is the faulted twin of
-// TestGoldenScenarioOutput. Regenerate after an intentional
-// determinism change with:
-//
-//	go run ./cmd/circuitsim scenario -circuits 4 -relays 10 \
-//	  -size 2000000 -poisson 40 -reps 2 -workers 4 -seed 42 \
-//	  -faults flaky > cmd/circuitsim/testdata/golden_faults.txt
-func TestGoldenFaultsOutput(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden_faults.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := captureStdout(t, func() error { return runScenario(goldenFaultsArgs) })
-	if got != string(want) {
-		t.Errorf("seeded faulted output drifted from testdata/golden_faults.txt\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestFaultsWorkerCountOutput checks the faulted run end to end across
-// worker counts: trial scheduling must not leak into results even when
-// watchdogs, fault timers and rebuilds fire mid-trial.
-func TestFaultsWorkerCountOutput(t *testing.T) {
-	serialArgs := append([]string{}, goldenFaultsArgs...)
-	for i, a := range serialArgs {
-		if a == "-workers" {
-			serialArgs[i+1] = "1"
-		}
-	}
-	serial := captureStdout(t, func() error { return runScenario(serialArgs) })
-	parallel := captureStdout(t, func() error { return runScenario(goldenFaultsArgs) })
-	if serial != parallel {
-		t.Errorf("faulted output differs between -workers 1 and -workers 4\n--- workers 1 ---\n%s--- workers 4 ---\n%s", serial, parallel)
-	}
-}

@@ -54,9 +54,10 @@ var commands = []command{
 	{"spec", "validate and canonicalize a sweep spec file", runSpecCmd},
 }
 
-// main dispatches os.Args to the commands table. Tests call the
-// run functions directly, so only the CI jobs that build the binary
-// run main itself.
+// main dispatches os.Args to the commands table. TestScripts runs
+// each pinned command line through the same table in-process, so main
+// adds only the os.Args slicing and the exit status, and only the CI
+// jobs that build the binary run it.
 func main() {
 	if len(os.Args) < 2 {
 		usage(os.Stderr)
@@ -67,18 +68,26 @@ func main() {
 		usage(os.Stderr)
 		return
 	}
+	cmd, ok := lookup(name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "circuitsim: unknown command %q\n", name)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	if err := cmd.run(os.Args[2:]); err != nil {
+		fmt.Fprintln(os.Stderr, "circuitsim:", err)
+		os.Exit(1)
+	}
+}
+
+// lookup finds the command called name in the commands table.
+func lookup(name string) (command, bool) {
 	for _, cmd := range commands {
 		if cmd.name == name {
-			if err := cmd.run(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "circuitsim:", err)
-				os.Exit(1)
-			}
-			return
+			return cmd, true
 		}
 	}
-	fmt.Fprintf(os.Stderr, "circuitsim: unknown command %q\n", name)
-	usage(os.Stderr)
-	os.Exit(2)
+	return command{}, false
 }
 
 // usage renders the help text from the commands table.
@@ -339,7 +348,7 @@ func traceAblation(rows func(seed int64) ([]experiments.TraceRow, error)) func(i
 
 // runConcurrency prints TTLB medians and 90th percentiles per
 // concurrency level. Its four aggregate runs take seconds, so only
-// TestGoldenTables without -short runs it.
+// TestScripts without -short runs it (testdata/script/concurrency.txt).
 func runConcurrency(w io.Writer, a ablationArgs) error {
 	rows, err := experiments.AblationConcurrency(a.seed, nil)
 	if err != nil {

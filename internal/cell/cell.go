@@ -111,46 +111,9 @@ type Cell struct {
 
 // Errors returned by decoding.
 var (
-	ErrShortBuffer  = errors.New("cell: buffer shorter than cell size")
 	ErrBadRelayLen  = errors.New("cell: relay length field exceeds payload")
 	ErrDataTooLarge = errors.New("cell: relay data exceeds MaxRelayData")
 )
-
-// Marshal encodes the cell into exactly Size bytes. The simulator never
-// serializes a cell, so the wire codec (Marshal, MarshalTo, Unmarshal)
-// is test-only: on ROADMAP item 17's deletion queue.
-func (c *Cell) Marshal() []byte {
-	buf := make([]byte, Size)
-	c.MarshalTo(buf)
-	return buf
-}
-
-// MarshalTo encodes the cell into buf, which must hold at least Size
-// bytes. It returns the number of bytes written (always Size).
-// Test-only, like Marshal.
-func (c *Cell) MarshalTo(buf []byte) int {
-	if len(buf) < Size {
-		panic("cell: MarshalTo buffer too small")
-	}
-	binary.BigEndian.PutUint32(buf[0:4], uint32(c.Circ))
-	buf[4] = byte(c.Cmd)
-	copy(buf[HeaderSize:Size], c.Payload[:])
-	return Size
-}
-
-// Unmarshal decodes a cell from buf, which must hold at least Size
-// bytes. Test-only, like Marshal.
-func Unmarshal(buf []byte) (*Cell, error) {
-	if len(buf) < Size {
-		return nil, ErrShortBuffer
-	}
-	c := &Cell{
-		Circ: CircID(binary.BigEndian.Uint32(buf[0:4])),
-		Cmd:  Command(buf[4]),
-	}
-	copy(c.Payload[:], buf[HeaderSize:Size])
-	return c, nil
-}
 
 // RelayHeader is the sub-header of a RELAY cell, stored at the start of
 // the payload.

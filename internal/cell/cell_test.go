@@ -19,39 +19,6 @@ func TestConstantsConsistent(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	c := &Cell{Circ: 0xDEADBEEF, Cmd: CmdRelay}
-	for i := range c.Payload {
-		c.Payload[i] = byte(i * 7)
-	}
-	buf := c.Marshal()
-	if len(buf) != Size {
-		t.Fatalf("marshalled %d bytes, want %d", len(buf), Size)
-	}
-	got, err := Unmarshal(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Circ != c.Circ || got.Cmd != c.Cmd || got.Payload != c.Payload {
-		t.Error("round trip mismatch")
-	}
-}
-
-func TestUnmarshalShortBuffer(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, Size-1)); err != ErrShortBuffer {
-		t.Errorf("err = %v, want ErrShortBuffer", err)
-	}
-}
-
-func TestMarshalToPanicsOnShortBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MarshalTo with short buffer did not panic")
-		}
-	}()
-	(&Cell{}).MarshalTo(make([]byte, 10))
-}
-
 func TestRelayRoundTrip(t *testing.T) {
 	c := &Cell{Circ: 7}
 	data := bytes.Repeat([]byte{0xAB}, 100)
@@ -172,26 +139,6 @@ func TestCellString(t *testing.T) {
 	c := &Cell{Circ: 3, Cmd: CmdRelay}
 	if got := c.String(); got != "cell{circ=3 cmd=RELAY}" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-// Property: marshal → unmarshal is the identity on (Circ, Cmd, Payload).
-func TestPropertyMarshalRoundTrip(t *testing.T) {
-	f := func(circ uint32, cmd uint8, seed []byte) bool {
-		c := &Cell{Circ: CircID(circ), Cmd: Command(cmd)}
-		for i := range c.Payload {
-			if len(seed) > 0 {
-				c.Payload[i] = seed[i%len(seed)]
-			}
-		}
-		got, err := Unmarshal(c.Marshal())
-		if err != nil {
-			return false
-		}
-		return got.Circ == c.Circ && got.Cmd == c.Cmd && got.Payload == c.Payload
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -268,10 +268,3 @@ func TestSinkBadCellCounted(t *testing.T) {
 		t.Fatalf("Received = %v for garbage", rig.sink.Received())
 	}
 }
-
-func TestSinkID(t *testing.T) {
-	rig := newSinkRig(t)
-	if rig.sink.ID() != "server" {
-		t.Fatalf("ID = %q", rig.sink.ID())
-	}
-}

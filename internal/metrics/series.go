@@ -54,7 +54,8 @@ func (s *Series) Points() []Point { return s.points }
 // At returns the series value in effect at time t under step
 // (sample-and-hold) interpolation, i.e. the value of the latest sample
 // at or before t. ok is false when t precedes the first sample.
-// Test-only: on ROADMAP item 17's deletion queue.
+// experiments.ExtensionDynamicRestart reads the window at the capacity
+// step with it.
 func (s *Series) At(t sim.Time) (v float64, ok bool) {
 	i := sort.Search(len(s.points), func(i int) bool { return s.points[i].At > t })
 	if i == 0 {
@@ -85,26 +86,11 @@ func (s *Series) Max() (float64, bool) {
 	return m, true
 }
 
-// Min returns the smallest value observed. ok is false for an empty
-// series. Test-only: on ROADMAP item 17's deletion queue.
-func (s *Series) Min() (float64, bool) {
-	if len(s.points) == 0 {
-		return 0, false
-	}
-	m := math.Inf(1)
-	for _, p := range s.points {
-		if p.Value < m {
-			m = p.Value
-		}
-	}
-	return m, true
-}
-
 // SettleTime returns the earliest time from which the series stays
 // within ±tol of target until its end. ok is false if it never settles
-// or the series is empty. Experiments use it to measure how fast a cwnd
-// trace converges onto the model's optimal window. Test-only: the
-// experiments use ConvergeTime; on ROADMAP item 17's deletion queue.
+// or the series is empty. Test-only, and it stays: the experiments use
+// ConvergeTime, and converge_test.go and core_test.go compare against
+// this strict form.
 func (s *Series) SettleTime(target, tol float64) (sim.Time, bool) {
 	if len(s.points) == 0 {
 		return 0, false

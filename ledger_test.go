@@ -21,10 +21,17 @@ import (
 // pkg.Type.Member.
 var goName = regexp.MustCompile("`([a-z]+\\.[A-Z]\\w*(?:\\.[A-Z]\\w*)?)`")
 
+// fixtureName matches a backticked expected-output file in a ledger
+// row's "Experiments and goldens" column, named relative to
+// cmd/circuitsim/testdata.
+var fixtureName = regexp.MustCompile("`([\\w./-]+\\.txt)`")
+
 // TestMechanismLedger keeps DESIGN.md's mechanism ledger honest, in the
 // style of TestSweepFlagsMatchSpecFields: every exported option field
-// of the five option structs has a row, and every Go name a row's "Go
-// names" column cites still exists in internal/.
+// of the five option structs has a row, every Go name a row's "Go
+// names" column cites still exists in internal/, and every file its
+// "Experiments and goldens" column cites still exists under
+// cmd/circuitsim/testdata.
 func TestMechanismLedger(t *testing.T) {
 	src, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -41,7 +48,7 @@ func TestMechanismLedger(t *testing.T) {
 
 	declared := declaredNames(t)
 	cited := map[string]bool{}
-	rows := 0
+	rows, fixtures := 0, 0
 	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(line, "|")
 		if len(cells) < 8 || strings.HasPrefix(line, "|---") || strings.TrimSpace(cells[1]) == "Mechanism" {
@@ -54,9 +61,15 @@ func TestMechanismLedger(t *testing.T) {
 				t.Errorf("row %q cites %s, which internal/ does not declare", strings.TrimSpace(cells[1]), m[1])
 			}
 		}
+		for _, m := range fixtureName.FindAllStringSubmatch(cells[4], -1) {
+			fixtures++
+			if _, err := os.Stat(filepath.Join("cmd/circuitsim/testdata", m[1])); err != nil {
+				t.Errorf("row %q cites %s, which cmd/circuitsim/testdata does not hold", strings.TrimSpace(cells[1]), m[1])
+			}
+		}
 	}
-	if rows == 0 {
-		t.Fatal("found no ledger rows")
+	if rows == 0 || fixtures == 0 {
+		t.Fatalf("found %d ledger rows citing %d fixtures", rows, fixtures)
 	}
 
 	for _, v := range []any{
