@@ -36,12 +36,30 @@ func flagNameFor(field string) string {
 	return strings.ReplaceAll(field, "_", "")
 }
 
+// baseFlagFields maps each flag defineBaseFlags declares, for both
+// commands, to the spec.Base JSON field it fills ("" for the File-level
+// seed).
+var baseFlagFields = map[string]string{
+	"seed":     "",
+	"arms":     "arms",
+	"hops":     "hops",
+	"relays":   "relays",
+	"circuits": "circuits",
+	"switches": "switches",
+	"size":     "size_bytes",
+	"download": "download",
+	"horizon":  "horizon_sec",
+	"spread":   "spread_ms",
+}
+
 // TestSweepFlagsMatchSpecFields is the drift test the spec schema
-// demands: every dimension axis in the wire schema has exactly one
-// sweep CLI flag, named from its JSON field by the naming rule, and
-// every base flag maps onto a real spec.Base field. (That every
-// spec.Dim field has a row of the axis table is checked in package
-// spec.)
+// demands, over both commands that build a spec from flags: every
+// dimension axis has exactly one sweep flag, named from its JSON field
+// by the naming rule; every flag sweep and scenario parse is a shared
+// base flag, a dimension flag, a command flag mapped to the spec field
+// it fills, or a listed command option; and every spec.Base field no
+// flag reaches is a listed spec-only field. (That every spec.Dim field
+// has a row of the axis table is checked in package spec.)
 func TestSweepFlagsMatchSpecFields(t *testing.T) {
 	dimFields := jsonTags(t, spec.Dim{})
 	names, _ := spec.DimFlags(flag.NewFlagSet("sweep", flag.ContinueOnError))
@@ -59,33 +77,86 @@ func TestSweepFlagsMatchSpecFields(t *testing.T) {
 	}
 
 	baseFields := jsonTags(t, spec.Base{})
+	flagged := map[string]bool{}
 	for flagName, field := range baseFlagFields {
+		flagged[field] = true
 		if field == "" {
 			continue // File-level fields (seed)
 		}
 		if !baseFields[field] {
 			t.Errorf("base flag -%s maps to %q, which is not a spec.Base field", flagName, field)
 		}
-		if want := flagNameFor(field); flagName != want && flagName != "base" {
+		if want := flagNameFor(field); flagName != want {
 			t.Errorf("base flag -%s does not follow the naming rule for %q (want -%s)", flagName, field, want)
+		}
+	}
+
+	sweepFlags := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	defineGridFlags(sweepFlags)
+	scenarioFlags := flag.NewFlagSet("scenario", flag.ContinueOnError)
+	defineScenarioFlags(scenarioFlags)
+	for _, c := range []struct {
+		fs      *flag.FlagSet
+		fields  map[string][]string // a command flag → the spec.Base fields it fills
+		options []string
+	}{
+		{
+			fs:      sweepFlags,
+			fields:  map[string][]string{"base": {"kind"}, "distance": {"distance"}, "sizedist": {"size_dist"}},
+			options: append([]string{"sample", "cpuprofile", "memprofile"}, names...), // File.Sample, profiles, dimensions
+		},
+		{
+			fs: scenarioFlags,
+			fields: map[string][]string{
+				"poisson": {"poisson_rate"}, "train": {"train"}, "shards": {"shards"},
+				"faults": {"faults", "fault_plan"},
+			},
+			options: []string{"reps", "workers", "csv", "cpuprofile", "memprofile"},
+		},
+	} {
+		// Walk what the command parses, profile flags included.
+		stop, err := parseProfiled(c.fs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop()
+		listed := map[string]bool{}
+		for _, name := range c.options {
+			listed[name] = true
+		}
+		for name, fields := range c.fields {
+			listed[name] = true
+			for _, field := range fields {
+				flagged[field] = true
+				if !baseFields[field] {
+					t.Errorf("%s flag -%s maps to %q, which is not a spec.Base field", c.fs.Name(), name, field)
+				}
+			}
+		}
+		for name := range baseFlagFields {
+			listed[name] = true
+		}
+		c.fs.VisitAll(func(f *flag.Flag) {
+			if !listed[f.Name] {
+				t.Errorf("%s flag -%s is neither a base flag, a spec field's flag nor a listed option", c.fs.Name(), f.Name)
+			}
+		})
+		for name := range listed {
+			if c.fs.Lookup(name) == nil {
+				t.Errorf("%s has no flag -%s, which this test lists", c.fs.Name(), name)
+			}
 		}
 	}
 
 	// Base fields with no flag must be intentional: spec-file-only
 	// knobs. Keep this list in sync when extending either side.
 	specOnly := map[string]bool{
-		"population": true, "poisson_rate": true, "train": true,
-		"shards": true, "scheduler": true, "max_circuits": true,
+		"population": true, "scheduler": true, "max_circuits": true,
 		"max_memory_bytes": true, "kill_policy": true,
-		"faults": true, "fault_plan": true,
-	}
-	flagged := map[string]bool{}
-	for _, field := range baseFlagFields {
-		flagged[field] = true
 	}
 	for field := range baseFields {
 		if !flagged[field] && !specOnly[field] {
-			t.Errorf("spec.Base field %q has neither a sweep flag nor a spec-only exemption", field)
+			t.Errorf("spec.Base field %q has neither a flag nor a spec-only exemption", field)
 		}
 	}
 	for field := range specOnly {

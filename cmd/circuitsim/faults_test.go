@@ -43,4 +43,12 @@ func TestRunScenarioFaultsBadArg(t *testing.T) {
 	if err := runScenario([]string{"-circuits", "2", "-relays", "10", "-faults", bad}); err == nil {
 		t.Fatal("malformed spec file accepted")
 	}
+	// An empty spec file is a plan that fails to parse, not no plan.
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runScenario([]string{"-circuits", "2", "-relays", "10", "-faults", empty}); err == nil {
+		t.Fatal("empty spec file accepted")
+	}
 }

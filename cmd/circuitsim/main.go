@@ -6,9 +6,11 @@
 //
 // Each subcommand prints a human-readable table to stdout; -csv
 // additionally writes the raw series/CDF in gnuplot-ready CSV. The
-// scenario subcommand runs a declaratively-specified sweep — one arm
-// per policy over a generated relay population — on a multi-core
-// runner.
+// scenario subcommand runs one population base, one arm per policy, on
+// a multi-core runner: a spec.File with no dimensions, built from the
+// base flags it shares with sweep and rendered as spec.Parse renders a
+// base. Its -reps, -workers and -csv are command options, not spec
+// fields.
 package main
 
 import (
@@ -20,13 +22,12 @@ import (
 	"strings"
 	"time"
 
-	"circuitstart/internal/core"
 	"circuitstart/internal/experiments"
 	"circuitstart/internal/faults"
 	"circuitstart/internal/metrics"
-	"circuitstart/internal/netem"
 	"circuitstart/internal/scenario"
 	"circuitstart/internal/sim"
+	"circuitstart/internal/spec"
 	"circuitstart/internal/traceio"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
@@ -448,106 +449,39 @@ func runDynamic(args []string) error {
 	return tbl.WriteText(os.Stdout)
 }
 
+// runScenario runs a population base with no dimensions, one arm per
+// policy, on the parallel runner. Its spec comes from
+// defineScenarioFlags, through the normalize, render and validate
+// sequence spec.Parse runs, so a base the command accepts is one a spec
+// file accepts.
 func runScenario(args []string) error {
 	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
-	arms := fs.String("arms", "circuitstart,backtap", "comma-separated policy arms")
-	circuits := fs.Int("circuits", 50, "concurrent circuits")
-	relays := fs.Int("relays", 40, "relay population size")
-	hops := fs.Int("hops", 3, "relays per circuit")
-	size := fs.Int64("size", 500_000, "transfer size per circuit [bytes]")
-	seed := fs.Int64("seed", 42, "experiment seed")
-	reps := fs.Int("reps", 1, "replications per arm (independent seed substreams)")
-	workers := fs.Int("workers", 0, "trial worker pool size (0 = one per CPU)")
-	spread := fs.Duration("spread", 200*time.Millisecond, "uniform start stagger window")
-	poisson := fs.Float64("poisson", 0, "Poisson arrival rate per second (overrides -spread)")
-	download := fs.Bool("download", false, "run transfers in the download (server → client) direction")
-	horizon := fs.Duration("horizon", 600*time.Second, "per-trial virtual time bound")
-	train := fs.Int("train", 0, "cell-train coalescing cap per link (≤1 = one event per cell)")
-	switches := fs.Int("switches", 0, "home the relays behind a backbone ring of this many switches (0 = star topology)")
-	shards := fs.Int("shards", 0, "partition each trial across this many shard clocks (0 = single clock; needs -switches)")
-	faultArg := fs.String("faults", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), ", ")+") or a JSON spec file")
-	csvPath := fs.String("csv", "", "write every arm's TTLB CDF as CSV")
+	scenarioSpec, opts := defineScenarioFlags(fs)
 	stopProfiles, err := parseProfiled(fs, args)
 	if err != nil {
 		return err
 	}
 	defer stopProfiles()
 
-	if *reps < 1 {
-		return fmt.Errorf("-reps %d: want at least 1", *reps)
+	if opts.reps < 1 {
+		return fmt.Errorf("-reps %d: want at least 1", opts.reps)
 	}
-	if *poisson < 0 {
-		return fmt.Errorf("-poisson %g: want a non-negative rate", *poisson)
+	file, err := scenarioSpec()
+	if err != nil {
+		return err
 	}
-	if *spread < 0 {
-		return fmt.Errorf("-spread %v: want a non-negative window", *spread)
+	sc, err := file.Scenario()
+	if err != nil {
+		return err
 	}
-	if *hops < 1 {
-		return fmt.Errorf("-hops %d: want at least 1", *hops)
-	}
-	if *switches < 0 {
-		return fmt.Errorf("-switches %d: want 0 (star) or more", *switches)
-	}
-
-	var armSpecs []scenario.Arm
-	for _, policy := range strings.Split(*arms, ",") {
-		policy = strings.TrimSpace(policy)
-		if policy == "" {
-			continue
-		}
-		armSpecs = append(armSpecs, scenario.Arm{
-			Name:      policy,
-			Transport: core.TransportOptions{Policy: policy},
-		})
-	}
-	arrival := scenario.Arrival{Kind: scenario.ArriveUniform, Spread: *spread}
-	if *poisson > 0 {
-		arrival = scenario.Arrival{Kind: scenario.ArrivePoisson, Rate: *poisson}
-	} else if *spread <= 0 {
-		arrival = scenario.Arrival{}
-	}
-	pop := workload.DefaultRelayParams(*relays)
-	sc := scenario.Scenario{
-		Name:     "cli-sweep",
-		Seed:     *seed,
-		Topology: scenario.Topology{Population: &pop},
-		Circuits: scenario.CircuitSet{
-			Count:        *circuits,
-			Hops:         *hops,
-			TransferSize: units.DataSize(*size),
-			Download:     *download,
-			Arrival:      arrival,
-		},
-		Arms:         armSpecs,
-		Horizon:      sim.Time(*horizon),
-		Replications: *reps,
-		TrainSize:    *train,
-		Shards:       *shards,
-	}
-	if *switches > 0 {
-		bp := workload.DefaultBackboneParams(*relays, *switches)
-		spec, err := workload.GenerateBackbone(bp)
-		if err != nil {
-			return err
-		}
-		sc.Topology.Fabric = &spec
-	} else if *shards > 0 {
-		return fmt.Errorf("-shards needs a routed backbone: set -switches > 0")
-	}
-	if *faultArg != "" {
-		plan, err := resolveFaults(*faultArg, sc.RelayIDs())
-		if err != nil {
-			return err
-		}
-		sc.Faults = plan
-	}
-	res, err := scenario.Runner{Workers: *workers}.Run(sc)
+	sc.Replications = opts.reps
+	res, err := scenario.Runner{Workers: opts.workers}.Run(sc)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("scenario: %d circuits × %d arms × %d reps over %d relays, %s each\n",
-		*circuits, len(res.Arms), *reps, *relays, units.DataSize(*size))
+		sc.Circuits.Count, len(res.Arms), opts.reps, sc.Topology.Population.N, sc.Circuits.TransferSize)
 	for _, arm := range res.Arms {
 		if arm.Incomplete > 0 {
 			fmt.Printf("  warning: %s left %d transfers incomplete\n", arm.Name, arm.Incomplete)
@@ -557,32 +491,61 @@ func runScenario(args []string) error {
 		return err
 	}
 
-	if *csvPath != "" {
+	if opts.csvPath != "" {
 		dists := make([]*metrics.Distribution, len(res.Arms))
 		for i := range res.Arms {
 			dists[i] = res.Arms[i].TTLB
 		}
-		return writeCSV(*csvPath, func(f *os.File) error {
+		return writeCSV(opts.csvPath, func(f *os.File) error {
 			return traceio.WriteCDFCSV(f, dists...)
 		})
 	}
 	return nil
 }
 
-// resolveFaults renders a -faults argument into a Plan: a preset name
-// (rendered against the scenario's relay set) or a path to a JSON fault
-// spec file. Preset names win, so a stray file named "burstloss" in the
-// working directory cannot shadow the preset silently.
-func resolveFaults(arg string, relays []netem.NodeID) (faults.Plan, error) {
-	if plan, err := faults.Preset(arg, relays); err == nil {
-		return plan, nil
-	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return faults.Plan{}, fmt.Errorf("-faults %q is neither a preset (%s) nor a readable spec file: %w",
-			arg, strings.Join(faults.PresetNames(), ", "), err)
-	}
-	return faults.ParseSpec(data)
+// scenarioOptions are the scenario command's options: how often the
+// run repeats, over how many workers, and where its CDFs go. They are
+// not part of the spec.
+type scenarioOptions struct {
+	reps, workers int
+	csvPath       string
+}
+
+// defineScenarioFlags declares on fs the scenario command's flags: the
+// base flags it shares with sweep, -poisson, -train, -shards and
+// -faults, and its options. The returned function, once fs is parsed,
+// fills a population spec.File with no dimensions from them.
+func defineScenarioFlags(fs *flag.FlagSet) (func() (*spec.File, error), *scenarioOptions) {
+	fillBase := defineBaseFlags(fs, "circuitstart,backtap")
+	poisson := fs.Float64("poisson", 0, "Poisson arrival rate per second (overrides -spread)")
+	train := fs.Int("train", 0, "cell-train coalescing cap per link (≤1 = one event per cell)")
+	shards := fs.Int("shards", 0, "partition each trial across this many shard clocks (0 = single clock; needs -switches)")
+	faultArg := fs.String("faults", "", "fault plan: a preset name ("+strings.Join(faults.PresetNames(), ", ")+") or a JSON spec file")
+	opts := &scenarioOptions{}
+	fs.IntVar(&opts.reps, "reps", 1, "replications per arm (independent seed substreams)")
+	fs.IntVar(&opts.workers, "workers", 0, "trial worker pool size (0 = one per CPU)")
+	fs.StringVar(&opts.csvPath, "csv", "", "write every arm's TTLB CDF as CSV")
+	return func() (*spec.File, error) {
+		f := &spec.File{Name: "cli-sweep", Base: spec.Base{Kind: "population", Train: *train, Shards: *shards}}
+		if err := fillBase(f); err != nil {
+			return nil, err
+		}
+		if *poisson != 0 {
+			f.Base.PoissonRate, f.Base.SpreadMs = *poisson, nil
+		}
+		if *faultArg == "" {
+			return f, nil
+		}
+		// Preset names win, so a stray file named "burstloss" in the
+		// working directory cannot shadow the preset silently.
+		if _, err := faults.Preset(*faultArg, nil); err == nil {
+			f.Base.Faults = *faultArg
+		} else if f.Base.FaultPlan, err = os.ReadFile(*faultArg); err != nil {
+			return nil, fmt.Errorf("-faults %q is neither a preset (%s) nor a readable spec file: %w",
+				*faultArg, strings.Join(faults.PresetNames(), ", "), err)
+		}
+		return f, nil
+	}, opts
 }
 
 func writeCSV(path string, write func(*os.File) error) error {

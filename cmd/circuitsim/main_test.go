@@ -134,18 +134,21 @@ func TestRunScenario(t *testing.T) {
 
 // TestRunScenarioRejectsBadFlags pins that the scenario flags a
 // Scenario cannot express fail before anything runs, instead of
-// falling back to a default the output then misreports.
+// falling back to a default the output then misreports. A base the
+// spec refuses fails with the spec's own text, as a spec file would.
 func TestRunScenarioRejectsBadFlags(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-poisson", "-3"}, "-poisson -3"},
+		{[]string{"-poisson", "-3"}, "base.poisson_rate -3"},
+		{[]string{"-poisson", "NaN"}, "base.poisson_rate NaN"},
 		{[]string{"-reps", "0"}, "-reps 0"},
 		{[]string{"-reps", "-1"}, "-reps -1"},
-		{[]string{"-spread", "-1s"}, "-spread -1s"},
+		{[]string{"-spread", "-1s"}, "base.spread_ms -1000"},
 		{[]string{"-hops", "0"}, "-hops 0"},
-		{[]string{"-switches", "-1"}, "-switches -1"},
+		{[]string{"-switches", "-1"}, "base.switches -1"},
+		{[]string{"-relays", "4", "-hops", "5"}, "base.hops 5 exceeds base.relays 4"},
 	} {
 		err := runScenario(append([]string{"-circuits", "1", "-relays", "4", "-size", "1000"}, c.args...))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

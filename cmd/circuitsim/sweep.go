@@ -12,24 +12,6 @@ import (
 	"circuitstart/internal/sweep"
 )
 
-// baseFlagFields maps each base flag to the spec.Base JSON field it
-// fills — the drift test walks this table too.
-var baseFlagFields = map[string]string{
-	"base":     "kind",
-	"seed":     "", // File.Seed, not a base field
-	"arms":     "arms",
-	"hops":     "hops",
-	"distance": "distance",
-	"relays":   "relays",
-	"circuits": "circuits",
-	"switches": "switches",
-	"size":     "size_bytes",
-	"sizedist": "size_dist",
-	"download": "download",
-	"horizon":  "horizon_sec",
-	"spread":   "spread_ms",
-}
-
 // runSweep drives the declarative grid engine from the command line: a
 // base scenario (the single-circuit trace topology or a generated
 // relay population) crossed with the dimension flags, or an arbitrary
@@ -139,70 +121,31 @@ func runSweep(args []string) error {
 	return nil
 }
 
-// defineGridFlags declares on fs the flags that build a grid — the base
-// flags, the dimension flags and -sample — and returns a function that,
-// once fs is parsed, renders them into the same spec.File a spec file
-// or HTTP body parses to: one code path from either front door to the
-// engine. Flags the user left at their default are omitted when they
-// don't apply to the base kind, so `-base trace` doesn't trip the
-// population-field validation.
+// defineGridFlags declares on fs the flags that build a grid — -base,
+// the shared base flags, -distance, -sizedist, the dimension flags and
+// -sample — and returns a function that, once fs is parsed, renders
+// them into the same spec.File a spec file or HTTP body parses to: one
+// code path from either front door to the engine.
 func defineGridFlags(fs *flag.FlagSet) func() (*spec.File, error) {
 	kind := fs.String("base", "trace", "flag-built grid base: trace | population")
-	seed := fs.Int64("seed", 42, "experiment seed (shared by every grid point)")
-	armList := fs.String("arms", "circuitstart", "comma-separated base policy arms")
-	hops := fs.Int("hops", 3, "relays per circuit of the base (trace: also the path length)")
+	fillBase := defineBaseFlags(fs, "circuitstart")
 	distance := fs.Int("distance", 3, "bottleneck distance in hops (trace base)")
-	relays := fs.Int("relays", 40, "relay population size (population base)")
-	circuits := fs.Int("circuits", 50, "concurrent circuits (population base)")
-	switches := fs.Int("switches", 0, "home the population behind a backbone ring of this many switches (population base; 0 = star)")
-	size := fs.Int64("size", 500_000, "transfer size per circuit [bytes] (population base)")
 	sizeDist := fs.String("sizedist", "", "transfer-size distribution (population base; overrides -size; e.g. pareto:100000:1.2:10000000)")
-	download := fs.Bool("download", false, "run transfers server → client through the onion (population base)")
-	horizon := fs.Duration("horizon", 600*time.Second, "per-trial virtual time bound (population base)")
-	spread := fs.Duration("spread", 200*time.Millisecond, "uniform start stagger window (population base)")
 	dimNames, dims := spec.DimFlags(fs)
 	sample := fs.Int("sample", 0, "cap the grid to a seeded sample of this many points (0 = full)")
 	return func() (*spec.File, error) {
-		changed := make(map[string]bool)
-		fs.Visit(func(f *flag.Flag) { changed[f.Name] = true })
-		arms := splitList(*armList)
-		if changed["arms"] && len(arms) == 0 {
-			return nil, fmt.Errorf("sweep: -arms named no policies")
+		f := &spec.File{Version: spec.Version, Name: "cli-sweep", Base: spec.Base{Kind: *kind}, Sample: *sample}
+		if err := fillBase(f); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
-
-		f := &spec.File{
-			Version: spec.Version,
-			Name:    "cli-sweep",
-			Seed:    seed,
-			Base:    spec.Base{Kind: *kind, Arms: arms, Hops: *hops},
-			Sample:  *sample,
-		}
-		switch *kind {
-		case "population":
-			f.Base.Relays = *relays
-			f.Base.Circuits = *circuits
-			f.Base.Switches = *switches
-			f.Base.Download = *download
-			f.Base.HorizonSec = horizon.Seconds()
-			spreadMs := float64(*spread) / float64(time.Millisecond)
-			f.Base.SpreadMs = &spreadMs
-			if *sizeDist != "" {
-				f.Base.SizeDist = *sizeDist
-			} else {
-				f.Base.SizeBytes = *size
-			}
-		default:
-			// The trace base rejects population fields by name; only carry
-			// the ones the user actually set, so defaults don't trip it.
+		if *kind != "population" {
 			f.Base.Distance = *distance
-			for _, flagName := range []string{"relays", "circuits", "switches", "size", "sizedist", "download", "spread"} {
-				if changed[flagName] {
-					return nil, fmt.Errorf("sweep: -%s applies only to -base population", flagName)
-				}
+		}
+		if *sizeDist != "" {
+			if *kind != "population" {
+				return nil, fmt.Errorf("sweep: -sizedist applies only to -base population")
 			}
-			if changed["horizon"] {
-				f.Base.HorizonSec = horizon.Seconds()
-			}
+			f.Base.SizeDist, f.Base.SizeBytes = *sizeDist, 0
 		}
 
 		var err error
@@ -220,6 +163,57 @@ func defineGridFlags(fs *flag.FlagSet) func() (*spec.File, error) {
 			return nil, err
 		}
 		return spec.Parse(data)
+	}
+}
+
+// defineBaseFlags declares on fs the ten flags scenario and sweep
+// share: -seed, -arms (defaulting to arms) and the population base. The
+// returned fill, called once fs is parsed, writes them into f's seed
+// and base as the spec spells them; f.Base.Kind must be set. A base
+// other than population takes only the seed, the arms, -hops and a set
+// -horizon, and refuses the population flags by name. A zero the user
+// set is refused by name too: the spec reads a zero as omitted and
+// would run its default instead.
+func defineBaseFlags(fs *flag.FlagSet, arms string) (fill func(f *spec.File) error) {
+	seed := fs.Int64("seed", 42, "experiment seed")
+	armList := fs.String("arms", arms, "comma-separated policy arms")
+	hops := fs.Int("hops", 3, "relays per circuit (trace base: also the path length)")
+	relays := fs.Int("relays", 40, "relay population size")
+	circuits := fs.Int("circuits", 50, "concurrent circuits")
+	switches := fs.Int("switches", 0, "home the relays behind a backbone ring of this many switches (0 = star topology)")
+	size := fs.Int64("size", 500_000, "transfer size per circuit [bytes]")
+	download := fs.Bool("download", false, "run transfers in the download (server → client) direction")
+	horizon := fs.Duration("horizon", 600*time.Second, "per-trial virtual time bound")
+	spread := fs.Duration("spread", 200*time.Millisecond, "uniform start stagger window")
+	return func(f *spec.File) error {
+		set := make(map[string]bool)
+		fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+		for _, name := range []string{"hops", "relays", "circuits", "size", "horizon"} {
+			if v := fs.Lookup(name).Value.String(); set[name] && (v == "0" || v == "0s") {
+				return fmt.Errorf("-%s %s: want at least 1", name, v)
+			}
+		}
+		f.Seed = seed
+		if f.Base.Arms = splitList(*armList); set["arms"] && len(f.Base.Arms) == 0 {
+			return fmt.Errorf("-arms named no policies")
+		}
+		f.Base.Hops = *hops
+		if f.Base.Kind != "population" {
+			for _, name := range []string{"relays", "circuits", "switches", "size", "download", "spread"} {
+				if set[name] {
+					return fmt.Errorf("-%s applies only to -base population", name)
+				}
+			}
+			if set["horizon"] {
+				f.Base.HorizonSec = horizon.Seconds()
+			}
+			return nil
+		}
+		spreadMs := float64(*spread) / float64(time.Millisecond)
+		f.Base.Relays, f.Base.Circuits, f.Base.Switches = *relays, *circuits, *switches
+		f.Base.SizeBytes, f.Base.Download = *size, *download
+		f.Base.HorizonSec, f.Base.SpreadMs = horizon.Seconds(), &spreadMs
+		return nil
 	}
 }
 

@@ -258,6 +258,14 @@ func TestRunSweepBadFlags(t *testing.T) {
 			t.Errorf("case %d (%v) accepted", i, args)
 		}
 	}
+	// A zero the user set is refused naming the flag: the spec reads a
+	// zero field as omitted and would run its default instead.
+	for _, zero := range [][]string{{"-hops", "0"}, {"-relays", "0"}, {"-circuits", "0"}, {"-size", "0"}, {"-horizon", "0s"}} {
+		err := runSweep(append([]string{"-base", "population", "-gammas", "2"}, zero...))
+		if want := strings.Join(zero, " ") + ":"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: error %v, want one naming %q", zero, err, want)
+		}
+	}
 }
 
 // TestRunSweepRejectsNonFinite pins that a NaN or infinite value in a

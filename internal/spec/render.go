@@ -22,8 +22,31 @@ import (
 	"circuitstart/internal/workload"
 )
 
-func millis(ms float64) time.Duration  { return time.Duration(ms * float64(time.Millisecond)) }
-func secondsD(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+// millis and secondsD round to the nearest nanosecond, so a duration
+// a flag wrote as float milliseconds or seconds reads back exactly.
+func millis(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
+}
+func secondsD(s float64) time.Duration { return time.Duration(math.Round(s * float64(time.Second))) }
+
+// Scenario normalizes f in place and renders its base block into the
+// validated scenario every grid point starts from: the sequence Parse
+// runs before it renders the grid. A file with no dimensions is one
+// run; `circuitsim scenario` builds such a file from its flags and runs
+// what this returns.
+func (f *File) Scenario() (scenario.Scenario, error) {
+	if err := f.normalize(); err != nil {
+		return scenario.Scenario{}, err
+	}
+	sc, err := f.Base.scenario(f.Name, *f.Seed)
+	if err != nil {
+		return scenario.Scenario{}, err
+	}
+	if err := sc.Validate(); err != nil {
+		return scenario.Scenario{}, fmt.Errorf("spec: base: %w", err)
+	}
+	return sc, nil
+}
 
 // Sweep renders the parsed spec into an executable sweep.Sweep. Call
 // only on a File that came out of Parse: rendering assumes normalized

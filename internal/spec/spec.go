@@ -24,11 +24,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 
 	"circuitstart/internal/faults"
 	"circuitstart/internal/relay"
 	"circuitstart/internal/resource"
+	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
 	"circuitstart/internal/workload"
 )
@@ -160,17 +162,11 @@ func Parse(data []byte) (*File, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("spec: trailing content after the grid object")
 	}
-	if err := f.normalize(); err != nil {
-		return nil, err
-	}
 	// Eagerly render the sweep: the fully composed base scenario and
 	// then every dimension value are validated now, not inside a worker.
-	base, err := f.Base.scenario(f.Name, *f.Seed)
+	base, err := f.Scenario()
 	if err != nil {
 		return nil, err
-	}
-	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("spec: base: %w", err)
 	}
 	sw, err := f.grid(base)
 	if err != nil {
@@ -234,6 +230,11 @@ func (b *Base) normalize() error {
 	if len(b.Arms) == 0 {
 		b.Arms = []string{"circuitstart"}
 	}
+	for _, policy := range b.Arms {
+		if _, err := transport.PolicyByName(policy, 0); err != nil {
+			return fmt.Errorf("spec: base.arms: %w", err)
+		}
+	}
 	if b.Hops == 0 {
 		b.Hops = 3
 	}
@@ -288,8 +289,13 @@ func (b *Base) normalize() error {
 		if b.HorizonSec == 0 {
 			b.HorizonSec = 600
 		}
-		if b.PoissonRate < 0 {
-			return fmt.Errorf("spec: negative base.poisson_rate %g", b.PoissonRate)
+		if b.Switches < 0 {
+			return fmt.Errorf("spec: negative base.switches %d", b.Switches)
+		}
+		// A NaN or infinite rate reaches here only from Go or a flag;
+		// JSON cannot spell one, so Marshal could not write it back.
+		if !(b.PoissonRate >= 0 && b.PoissonRate <= math.MaxFloat64) {
+			return fmt.Errorf("spec: base.poisson_rate %g is not a finite rate ≥ 0", b.PoissonRate)
 		}
 		if b.PoissonRate > 0 {
 			if b.SpreadMs != nil && *b.SpreadMs != 0 {
@@ -318,7 +324,9 @@ func (b *Base) normalize() error {
 	if _, err := b.relayConfig(); err != nil {
 		return err
 	}
-	if b.Faults != "" && len(b.FaultPlan) > 0 {
+	// A plan that is set is parsed even when empty, so an empty plan is
+	// refused rather than run as no faults.
+	if b.Faults != "" && b.FaultPlan != nil {
 		return fmt.Errorf("spec: base.faults and base.fault_plan are mutually exclusive")
 	}
 	if b.Faults != "" {
@@ -326,7 +334,7 @@ func (b *Base) normalize() error {
 			return fmt.Errorf("spec: base.faults: %w", err)
 		}
 	}
-	if len(b.FaultPlan) > 0 {
+	if b.FaultPlan != nil {
 		plan, err := faults.ParseSpec(b.FaultPlan)
 		if err != nil {
 			return fmt.Errorf("spec: base.fault_plan: %w", err)

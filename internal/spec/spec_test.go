@@ -111,6 +111,8 @@ func TestParseErrorsNameTheEntry(t *testing.T) {
 		{`{"base": {"kind": "population", "size_bytes": 100, "size_dist": "fixed:100"}, "dimensions": [{"gammas": [2]}]}`, "size_dist"},
 		{`{"base": {"kind": "population", "size_dist": "triangular:5"}, "dimensions": [{"gammas": [2]}]}`, "triangular"},
 		{`{"base": {"kind": "population", "spread_ms": 10, "poisson_rate": 5}, "dimensions": [{"gammas": [2]}]}`, "poisson"},
+		{`{"base": {"kind": "population", "switches": -1}, "dimensions": [{"gammas": [2]}]}`, "spec: negative base.switches -1"},
+		{`{"base": {"arms": ["circuitstart", "warp"]}, "dimensions": [{"gammas": [2]}]}`, `base.arms: transport: unknown startup policy "warp"`},
 		{`{"base": {"kind": "population", "kill_policy": "kill-nicest"}, "dimensions": [{"gammas": [2]}]}`, "kill-nicest"},
 		{`{"base": {"scheduler": "lifo"}, "dimensions": [{"gammas": [2]}]}`, "lifo"},
 		{`{"base": {"faults": "meteor"}, "dimensions": [{"gammas": [2]}]}`, "meteor"},
