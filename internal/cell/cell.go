@@ -21,16 +21,16 @@ import (
 const (
 	// Size is the fixed wire size of every cell.
 	Size = 512
-	// HeaderSize is CircID (4) + Command (1).
-	HeaderSize = 5
-	// PayloadSize is the fixed payload length of every cell.
-	PayloadSize = Size - HeaderSize // 507
-	// RelayHeaderSize is the relay sub-header inside the payload:
+	// headerSize is CircID (4) + Command (1).
+	headerSize = 5
+	// payloadSize is the fixed payload length of every cell.
+	payloadSize = Size - headerSize // 507
+	// relayHeaderSize is the relay sub-header inside the payload:
 	// relay command (1) + recognized (2) + stream ID (2) + digest (4) +
 	// length (2).
-	RelayHeaderSize = 11
+	relayHeaderSize = 11
 	// MaxRelayData is the usable data bytes in one relay cell.
-	MaxRelayData = PayloadSize - RelayHeaderSize // 496
+	MaxRelayData = payloadSize - relayHeaderSize // 496
 )
 
 // CircID identifies a circuit on one hop. As in Tor, IDs are per-link,
@@ -40,61 +40,32 @@ type CircID uint32
 // Command is the top-level cell command.
 type Command uint8
 
-// Top-level commands (a subset of Tor's, sufficient for circuit
-// construction, data relaying and teardown).
-const (
-	CmdPadding Command = 0
-	CmdCreate  Command = 1
-	CmdCreated Command = 2
-	CmdRelay   Command = 3
-	CmdDestroy Command = 4
-)
+// CmdRelay is the one top-level command the simulator sends; it keeps
+// Tor's value.
+const CmdRelay Command = 3
 
 func (c Command) String() string {
-	switch c {
-	case CmdPadding:
-		return "PADDING"
-	case CmdCreate:
-		return "CREATE"
-	case CmdCreated:
-		return "CREATED"
-	case CmdRelay:
+	if c == CmdRelay {
 		return "RELAY"
-	case CmdDestroy:
-		return "DESTROY"
-	default:
-		return fmt.Sprintf("Command(%d)", uint8(c))
 	}
+	return fmt.Sprintf("Command(%d)", uint8(c))
 }
 
 // RelayCommand is the command of a relay sub-header.
 type RelayCommand uint8
 
-// Relay commands.
+// Relay commands: the two the simulator sends, at Tor's values. Tor's
+// commands 2–6 (BEGIN … EXTENDED) lie between them, and a relay still
+// recognizes a header by a command in [RelayData, RelaySendme].
 const (
-	RelayData      RelayCommand = 1
-	RelayBegin     RelayCommand = 2
-	RelayConnected RelayCommand = 3
-	RelayEnd       RelayCommand = 4
-	RelayExtend    RelayCommand = 5
-	RelayExtended  RelayCommand = 6
-	RelaySendme    RelayCommand = 7
+	RelayData   RelayCommand = 1
+	RelaySendme RelayCommand = 7
 )
 
 func (c RelayCommand) String() string {
 	switch c {
 	case RelayData:
 		return "RELAY_DATA"
-	case RelayBegin:
-		return "RELAY_BEGIN"
-	case RelayConnected:
-		return "RELAY_CONNECTED"
-	case RelayEnd:
-		return "RELAY_END"
-	case RelayExtend:
-		return "RELAY_EXTEND"
-	case RelayExtended:
-		return "RELAY_EXTENDED"
 	case RelaySendme:
 		return "RELAY_SENDME"
 	default:
@@ -106,13 +77,13 @@ func (c RelayCommand) String() string {
 type Cell struct {
 	Circ    CircID
 	Cmd     Command
-	Payload [PayloadSize]byte
+	Payload [payloadSize]byte
 }
 
 // Errors returned by decoding.
 var (
-	ErrBadRelayLen  = errors.New("cell: relay length field exceeds payload")
-	ErrDataTooLarge = errors.New("cell: relay data exceeds MaxRelayData")
+	errBadRelayLen  = errors.New("cell: relay length field exceeds payload")
+	errDataTooLarge = errors.New("cell: relay data exceeds MaxRelayData")
 )
 
 // RelayHeader is the sub-header of a RELAY cell, stored at the start of
@@ -136,7 +107,7 @@ type RelayHeader struct {
 // must not leak previous contents).
 func (c *Cell) SetRelay(hdr RelayHeader, data []byte) error {
 	if len(data) > MaxRelayData {
-		return ErrDataTooLarge
+		return errDataTooLarge
 	}
 	hdr.Length = uint16(len(data))
 	c.Cmd = CmdRelay
@@ -146,8 +117,8 @@ func (c *Cell) SetRelay(hdr RelayHeader, data []byte) error {
 	binary.BigEndian.PutUint16(p[3:5], hdr.StreamID)
 	copy(p[5:9], hdr.Digest[:])
 	binary.BigEndian.PutUint16(p[9:11], hdr.Length)
-	n := copy(p[RelayHeaderSize:], data)
-	for i := RelayHeaderSize + n; i < PayloadSize; i++ {
+	n := copy(p[relayHeaderSize:], data)
+	for i := relayHeaderSize + n; i < payloadSize; i++ {
 		p[i] = 0
 	}
 	return nil
@@ -165,9 +136,9 @@ func (c *Cell) Relay() (RelayHeader, []byte, error) {
 	}
 	copy(hdr.Digest[:], p[5:9])
 	if int(hdr.Length) > MaxRelayData {
-		return RelayHeader{}, nil, ErrBadRelayLen
+		return RelayHeader{}, nil, errBadRelayLen
 	}
-	return hdr, p[RelayHeaderSize : RelayHeaderSize+int(hdr.Length)], nil
+	return hdr, p[relayHeaderSize : relayHeaderSize+int(hdr.Length)], nil
 }
 
 // ZeroDigest clears the digest field in the payload in place. The

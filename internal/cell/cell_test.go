@@ -7,12 +7,12 @@ import (
 )
 
 func TestConstantsConsistent(t *testing.T) {
-	if HeaderSize+PayloadSize != Size {
-		t.Errorf("header %d + payload %d != %d", HeaderSize, PayloadSize, Size)
+	if headerSize+payloadSize != Size {
+		t.Errorf("header %d + payload %d != %d", headerSize, payloadSize, Size)
 	}
-	if RelayHeaderSize+MaxRelayData != PayloadSize {
+	if relayHeaderSize+MaxRelayData != payloadSize {
 		t.Errorf("relay header %d + max data %d != payload %d",
-			RelayHeaderSize, MaxRelayData, PayloadSize)
+			relayHeaderSize, MaxRelayData, payloadSize)
 	}
 	if Size != 512 {
 		t.Errorf("cell size %d, want 512 (the paper's fixed cell size)", Size)
@@ -56,7 +56,7 @@ func TestSetRelayZeroesTail(t *testing.T) {
 	if err := c.SetRelay(RelayHeader{Cmd: RelayData}, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	for i := RelayHeaderSize + 2; i < PayloadSize; i++ {
+	for i := relayHeaderSize + 2; i < payloadSize; i++ {
 		if c.Payload[i] != 0 {
 			t.Fatalf("payload[%d] = %#x, tail not zeroed", i, c.Payload[i])
 		}
@@ -66,8 +66,8 @@ func TestSetRelayZeroesTail(t *testing.T) {
 func TestSetRelayTooLarge(t *testing.T) {
 	c := &Cell{}
 	err := c.SetRelay(RelayHeader{Cmd: RelayData}, make([]byte, MaxRelayData+1))
-	if err != ErrDataTooLarge {
-		t.Errorf("err = %v, want ErrDataTooLarge", err)
+	if err != errDataTooLarge {
+		t.Errorf("err = %v, want errDataTooLarge", err)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestRelayBadLength(t *testing.T) {
 	c := &Cell{}
 	c.Payload[9] = 0xFF // length field high byte: way beyond MaxRelayData
 	c.Payload[10] = 0xFF
-	if _, _, err := c.Relay(); err != ErrBadRelayLen {
-		t.Errorf("err = %v, want ErrBadRelayLen", err)
+	if _, _, err := c.Relay(); err != errBadRelayLen {
+		t.Errorf("err = %v, want errBadRelayLen", err)
 	}
 }
 
@@ -113,18 +113,9 @@ func TestDigestFieldAccessors(t *testing.T) {
 
 func TestCommandStrings(t *testing.T) {
 	cases := map[string]string{
-		CmdPadding.String():       "PADDING",
-		CmdCreate.String():        "CREATE",
-		CmdCreated.String():       "CREATED",
 		CmdRelay.String():         "RELAY",
-		CmdDestroy.String():       "DESTROY",
 		Command(99).String():      "Command(99)",
 		RelayData.String():        "RELAY_DATA",
-		RelayBegin.String():       "RELAY_BEGIN",
-		RelayConnected.String():   "RELAY_CONNECTED",
-		RelayEnd.String():         "RELAY_END",
-		RelayExtend.String():      "RELAY_EXTEND",
-		RelayExtended.String():    "RELAY_EXTENDED",
 		RelaySendme.String():      "RELAY_SENDME",
 		RelayCommand(77).String(): "RelayCommand(77)",
 	}

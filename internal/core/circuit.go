@@ -40,7 +40,7 @@ type TransportOptions struct {
 	// RestartRounds configures the dynamic re-probe extension: after
 	// this many consecutive underutilized avoidance rounds with data
 	// waiting, a sender re-enters the ramp. Zero selects
-	// DefaultRestartRounds; a negative value disables the extension
+	// defaultRestartRounds; a negative value disables the extension
 	// (the strictly-as-published algorithm for ablations).
 	//
 	// The extension is on by default because a fully simultaneous
@@ -53,14 +53,14 @@ type TransportOptions struct {
 	// SevereRemeasure is the downward counterpart: when an avoidance
 	// round's queue estimate exceeds Beta by this factor, re-run the
 	// drain measurement and shrink straight to the result. Zero selects
-	// DefaultSevereRemeasure; negative disables.
+	// defaultSevereRemeasure; negative disables.
 	SevereRemeasure float64
 }
 
 // Default dynamic-adaptation parameters (see TransportOptions).
 const (
-	DefaultRestartRounds   = 3
-	DefaultSevereRemeasure = 4.0
+	defaultRestartRounds   = 3
+	defaultSevereRemeasure = 4.0
 )
 
 // policy instantiates the startup scheme. A fresh value per sender keeps
@@ -89,13 +89,13 @@ func (o TransportOptions) config() (transport.Config, error) {
 	}
 	restart := o.RestartRounds
 	if restart == 0 {
-		restart = DefaultRestartRounds
+		restart = defaultRestartRounds
 	} else if restart < 0 {
 		restart = 0
 	}
 	remeasure := o.SevereRemeasure
 	if remeasure == 0 {
-		remeasure = DefaultSevereRemeasure
+		remeasure = defaultSevereRemeasure
 	} else if remeasure < 0 {
 		remeasure = 0
 	}
@@ -284,8 +284,9 @@ func (n *Network) BuildCircuit(spec CircuitSpec) (*Circuit, error) {
 	return c, nil
 }
 
-// MustBuildCircuit is BuildCircuit for static scenarios. The facade's
-// documented Example builds its circuit with it.
+// MustBuildCircuit is BuildCircuit for static scenarios. Test-only: the
+// facade's documented Example and TestPublicAPIQuickstart build their
+// circuits with it.
 func (n *Network) MustBuildCircuit(spec CircuitSpec) *Circuit {
 	c, err := n.BuildCircuit(spec)
 	if err != nil {
@@ -407,4 +408,6 @@ func (c *Circuit) Done() bool { return c.done }
 
 // TTLB returns the most recent transfer's time-to-last-byte. ok is
 // false while a transfer is still in progress or none ever ran.
+// Test-only: TestPublicAPIQuickstart and workload's
+// TestFig1DownloadCDFScenarioEquivalence read download times with it.
 func (c *Circuit) TTLB() (time.Duration, bool) { return c.ttlb, c.done }

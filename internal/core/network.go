@@ -70,7 +70,8 @@ func NewNetwork(seed int64) *Network {
 // NewNetworkWithFabric creates an empty network whose topology is
 // produced by build — e.g. a netem.GraphSpec's Build for a routed
 // backbone. Every trial must build its own fabric; reusing one across
-// networks would share clocks and queues.
+// networks would share clocks and queues. Test-only: workload's
+// TestFig1DownloadCDFScenarioEquivalence builds its reference with it.
 func NewNetworkWithFabric(seed int64, build FabricBuilder) *Network {
 	return NewNetworkInArena(nil, seed, build)
 }
@@ -181,6 +182,8 @@ func (n *Network) Clock() *sim.Clock { return n.clock }
 func (n *Network) Fabric() netem.Fabric { return n.fabric }
 
 // Seed returns the experiment seed the network was created with.
+// Test-only: workload's TestFig1DownloadCDFScenarioEquivalence seeds its
+// reference with it.
 func (n *Network) Seed() int64 { return n.seed }
 
 // Now returns the current virtual time.
@@ -214,8 +217,8 @@ func (n *Network) AddRelay(id netem.NodeID, access netem.AccessConfig) (*relay.R
 }
 
 // MustAddRelay is AddRelay for static topologies where a failure is a
-// programming error. The facade's documented Example adds its relays
-// with it.
+// programming error. Test-only: the facade's documented Example and
+// TestPublicAPIQuickstart add their relays with it.
 func (n *Network) MustAddRelay(id netem.NodeID, access netem.AccessConfig) *relay.Relay {
 	r, err := n.AddRelay(id, access)
 	if err != nil {

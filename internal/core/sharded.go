@@ -90,14 +90,12 @@ func NewShardedNetwork(seed int64, spec netem.GraphSpec, shards int, arenas []*a
 // boundary accounting).
 func (sn *ShardedNetwork) Fabric() *netem.ShardedFabric { return sn.fab }
 
-// NumShards returns the effective shard count. Test-only: the sharded
-// tests read per-shard arenas; it goes with sharding (ROADMAP item 2).
-func (sn *ShardedNetwork) NumShards() int { return len(sn.shards) }
+// numShards returns the effective shard count.
+func (sn *ShardedNetwork) numShards() int { return len(sn.shards) }
 
-// Shard returns shard i's Network. Use it only for shard-local,
-// control-plane inspection (relay stats, scheduler drops). Test-only;
-// it goes with sharding (ROADMAP item 2).
-func (sn *ShardedNetwork) Shard(i int) *Network { return sn.shards[i] }
+// shard returns shard i's Network. Use it only for shard-local,
+// control-plane inspection (relay stats, scheduler drops).
+func (sn *ShardedNetwork) shard(i int) *Network { return sn.shards[i] }
 
 // ConfigureRelays applies the scheduling template on every shard (and,
 // for the EWMA discipline, each shard's trunk links — boundary egress
@@ -152,20 +150,9 @@ func (sn *ShardedNetwork) Relay(id netem.NodeID) *relay.Relay {
 // Identity returns an attached relay's onion identity, or nil. Its key
 // is derived on the first circuit built through the relay, so after a
 // trial Identity(id).Derived() tells whether any circuit reached it.
-// Test-only (TestShardedTrialDerivesOnlyReachedRelayKeys); it goes with
-// sharding and onion crypto (ROADMAP items 2 and 17).
+// Test-only: TestShardedTrialDerivesOnlyReachedRelayKeys reads it; it
+// goes with sharding and onion crypto (ROADMAP items 2 and 17).
 func (sn *ShardedNetwork) Identity(id netem.NodeID) *onion.Identity { return sn.identities[id] }
-
-// RelayShard returns the shard a relay lives on and its clock, or
-// (-1, nil) when unknown. Fault installers use it to schedule each
-// episode on the owning shard.
-func (sn *ShardedNetwork) RelayShard(id netem.NodeID) (int, *sim.Clock) {
-	shard, ok := sn.relayShard[id]
-	if !ok {
-		return -1, nil
-	}
-	return shard, sn.shards[shard].clock
-}
 
 // SchedDrops totals scheduler drops across every shard.
 func (sn *ShardedNetwork) SchedDrops() uint64 {
@@ -197,10 +184,14 @@ func (sn *ShardedNetwork) TrunkClock(a, b netem.SwitchID) *sim.Clock {
 }
 
 // RelayClock returns the clock of the shard a relay lives on, or nil
-// when the relay is unknown.
+// when the relay is unknown. Fault installers use it to schedule each
+// episode on the owning shard.
 func (sn *ShardedNetwork) RelayClock(id netem.NodeID) *sim.Clock {
-	_, clk := sn.RelayShard(id)
-	return clk
+	shard, ok := sn.relayShard[id]
+	if !ok {
+		return nil
+	}
+	return sn.shards[shard].clock
 }
 
 // ShardedCircuit is a circuit whose endpoints and relays may live on
@@ -428,9 +419,6 @@ func (c *ShardedCircuit) Relays() []netem.NodeID { return c.spec.Relays }
 
 // Done reports whether the current transfer has completed. Read at
 // barriers only — the completing shard writes it mid-window.
-// Test-only; it goes with sharding (ROADMAP item 2).
+// Test-only: TestShardedTrialDerivesOnlyReachedRelayKeys reads it; it
+// goes with sharding (ROADMAP item 2).
 func (c *ShardedCircuit) Done() bool { return c.done }
-
-// TTLB returns the most recent transfer's time-to-last-byte. Test-only;
-// it goes with sharding (ROADMAP item 2).
-func (c *ShardedCircuit) TTLB() (time.Duration, bool) { return c.ttlb, c.done }

@@ -60,7 +60,7 @@ func runUnshardedReference(t *testing.T, seed int64, size units.DataSize, horizo
 	for _, l := range n.Fabric().Trunks() {
 		trunks = append(trunks, l.Stats())
 	}
-	ttlb, done := c.TTLB()
+	ttlb, done := c.ttlb, c.done
 	return shardRunResult{
 		ttlb: ttlb, done: done,
 		received: c.Sink().Received(),
@@ -98,7 +98,7 @@ func runSharded(t *testing.T, seed int64, shards int, size units.DataSize, horiz
 	for _, l := range sn.Fabric().Trunks() {
 		trunks = append(trunks, l.Stats())
 	}
-	ttlb, done := c.TTLB()
+	ttlb, done := c.ttlb, c.done
 	return shardRunResult{
 		ttlb: ttlb, done: done,
 		received: c.sink.Received(),
@@ -210,9 +210,9 @@ func TestShardedFrameLeakBalance(t *testing.T) {
 	if fab.QueueHighWater() == 0 {
 		t.Fatal("boundary rings never held a frame")
 	}
-	ars := make([]*arena.Arena, sn.NumShards())
+	ars := make([]*arena.Arena, sn.numShards())
 	for i := range ars {
-		ars[i] = sn.Shard(i).ar
+		ars[i] = sn.shard(i).ar
 	}
 	if err := ars[0].Balance(ars[1:]...); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,8 @@ const (
 	FlagMiddle
 )
 
-// Has reports whether all bits of q are set in f.
+// Has reports whether all bits of q are set in f. Test-only: workload's
+// TestGenerateRelaysProperties checks relay flags with it.
 func (f Flag) Has(q Flag) bool { return f&q == q }
 
 func (f Flag) String() string {
@@ -68,9 +69,9 @@ type Consensus struct {
 
 // Errors from consensus operations.
 var (
-	ErrDuplicateRelay = errors.New("directory: duplicate relay ID")
-	ErrNoCandidates   = errors.New("directory: no candidate relay for position")
-	ErrPathTooLong    = errors.New("directory: path longer than distinct candidate relays")
+	errDuplicateRelay = errors.New("directory: duplicate relay ID")
+	errNoCandidates   = errors.New("directory: no candidate relay for position")
+	errPathTooLong    = errors.New("directory: path longer than distinct candidate relays")
 )
 
 // NewConsensus builds a consensus from descriptors.
@@ -78,7 +79,7 @@ func NewConsensus(relays []Descriptor) (*Consensus, error) {
 	c := &Consensus{byID: make(map[netem.NodeID]int, len(relays))}
 	for _, d := range relays {
 		if _, dup := c.byID[d.ID]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateRelay, d.ID)
+			return nil, fmt.Errorf("%w: %q", errDuplicateRelay, d.ID)
 		}
 		if d.Bandwidth <= 0 {
 			return nil, fmt.Errorf("directory: relay %q with non-positive bandwidth", d.ID)
@@ -89,19 +90,19 @@ func NewConsensus(relays []Descriptor) (*Consensus, error) {
 	return c, nil
 }
 
-// Len returns the number of relays.
-func (c *Consensus) Len() int { return len(c.relays) }
+// size returns the number of relays.
+func (c *Consensus) size() int { return len(c.relays) }
 
 // Relays returns all descriptors in consensus order. Test-only:
 // workload's TestForwardSoakCompletesEveryTransfer walks it to make
 // every relay link lossy.
 func (c *Consensus) Relays() []Descriptor { return c.relays }
 
-// PickWeighted selects one relay holding all bits of flag,
+// pickWeighted selects one relay holding all bits of flag,
 // bandwidth-weighted as Tor does, excluding IDs in excl. It walks the
 // consensus twice — once to sum the eligible weight, once to spend one
 // draw over it — and allocates nothing.
-func (c *Consensus) PickWeighted(rng *sim.RNG, flag Flag, excl map[netem.NodeID]bool) (Descriptor, error) {
+func (c *Consensus) pickWeighted(rng *sim.RNG, flag Flag, excl map[netem.NodeID]bool) (Descriptor, error) {
 	eligible := func(d *Descriptor) bool { return d.Flags.Has(flag) && !excl[d.ID] }
 	var total int64
 	last := -1
@@ -112,7 +113,7 @@ func (c *Consensus) PickWeighted(rng *sim.RNG, flag Flag, excl map[netem.NodeID]
 		}
 	}
 	if last < 0 {
-		return Descriptor{}, ErrNoCandidates
+		return Descriptor{}, errNoCandidates
 	}
 	x := rng.Int63n(total)
 	for i := range c.relays[:last] {
@@ -152,7 +153,7 @@ func (c *Consensus) SelectPathExcluding(rng *sim.RNG, nHops int, excl map[netem.
 		}
 	}
 	if nHops > len(c.relays)-excluded {
-		return nil, ErrPathTooLong
+		return nil, errPathTooLong
 	}
 	path := make([]Descriptor, nHops)
 
@@ -175,7 +176,7 @@ func (c *Consensus) SelectPathExcluding(rng *sim.RNG, nHops int, excl map[netem.
 		order = append(order, i)
 	}
 	for _, i := range order {
-		d, err := c.PickWeighted(rng, posFlag(i), used)
+		d, err := c.pickWeighted(rng, posFlag(i), used)
 		if err != nil {
 			return nil, fmt.Errorf("directory: position %d (%v): %w", i, posFlag(i), err)
 		}

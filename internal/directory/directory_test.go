@@ -30,8 +30,8 @@ func testConsensus(t *testing.T) *Consensus {
 
 func TestConsensusBasics(t *testing.T) {
 	c := testConsensus(t)
-	if c.Len() != 6 {
-		t.Errorf("Len = %d", c.Len())
+	if c.size() != 6 {
+		t.Errorf("size = %d", c.size())
 	}
 }
 
@@ -40,8 +40,8 @@ func TestNewConsensusRejectsDuplicates(t *testing.T) {
 		{ID: "a", Bandwidth: units.Mbps(1), Flags: allFlags()},
 		{ID: "a", Bandwidth: units.Mbps(2), Flags: allFlags()},
 	})
-	if !errors.Is(err, ErrDuplicateRelay) {
-		t.Errorf("err = %v, want ErrDuplicateRelay", err)
+	if !errors.Is(err, errDuplicateRelay) {
+		t.Errorf("err = %v, want errDuplicateRelay", err)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestPickWeightedRespectsFlags(t *testing.T) {
 	c := testConsensus(t)
 	rng := sim.NewRNG(1, "pick")
 	for i := 0; i < 200; i++ {
-		d, err := c.PickWeighted(rng, FlagExit, nil)
+		d, err := c.pickWeighted(rng, FlagExit, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestPickWeightedBandwidthBias(t *testing.T) {
 	counts := map[netem.NodeID]int{}
 	const n = 5000
 	for i := 0; i < n; i++ {
-		d, err := c.PickWeighted(rng, FlagGuard, nil)
+		d, err := c.pickWeighted(rng, FlagGuard, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestPickWeightedExclusion(t *testing.T) {
 	rng := sim.NewRNG(3, "excl")
 	excl := map[netem.NodeID]bool{"e1": true}
 	for i := 0; i < 100; i++ {
-		d, err := c.PickWeighted(rng, FlagExit, excl)
+		d, err := c.pickWeighted(rng, FlagExit, excl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +99,8 @@ func TestPickWeightedExclusion(t *testing.T) {
 		}
 	}
 	excl["e2"] = true
-	if _, err := c.PickWeighted(rng, FlagExit, excl); err != ErrNoCandidates {
-		t.Errorf("err = %v, want ErrNoCandidates", err)
+	if _, err := c.pickWeighted(rng, FlagExit, excl); err != errNoCandidates {
+		t.Errorf("err = %v, want errNoCandidates", err)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestSelectPathErrors(t *testing.T) {
 	if _, err := c.SelectPath(rng, 0); err == nil {
 		t.Error("zero-hop path accepted")
 	}
-	if _, err := c.SelectPath(rng, 7); !errors.Is(err, ErrPathTooLong) {
-		t.Errorf("err = %v, want ErrPathTooLong", err)
+	if _, err := c.SelectPath(rng, 7); !errors.Is(err, errPathTooLong) {
+		t.Errorf("err = %v, want errPathTooLong", err)
 	}
 }
 
@@ -203,7 +203,7 @@ func pickByCopy(c *Consensus, rng *sim.RNG, flag Flag, excl map[netem.NodeID]boo
 		total += d.Bandwidth.BitsPerSecond()
 	}
 	if len(candidates) == 0 {
-		return Descriptor{}, ErrNoCandidates
+		return Descriptor{}, errNoCandidates
 	}
 	x := rng.Int63n(total)
 	for _, d := range candidates {
@@ -240,7 +240,7 @@ func TestPickWeightedMatchesCopyReference(t *testing.T) {
 		excl := map[netem.NodeID]bool{}
 		for i := 0; i < 200; i++ {
 			flag := flags[i%len(flags)]
-			d, err := c.PickWeighted(got, flag, excl)
+			d, err := c.pickWeighted(got, flag, excl)
 			rd, rerr := pickByCopy(c, want, flag, excl)
 			if d != rd || err != rerr {
 				t.Fatalf("seed %d pick %d (%v, %d excluded): got %+v, %v; reference %+v, %v",
@@ -264,7 +264,7 @@ func TestPickWeightedZeroAlloc(t *testing.T) {
 	rng := sim.NewRNG(5, "alloc")
 	excl := map[netem.NodeID]bool{"g1": true}
 	if a := testing.AllocsPerRun(100, func() {
-		if _, err := c.PickWeighted(rng, FlagMiddle, excl); err != nil {
+		if _, err := c.pickWeighted(rng, FlagMiddle, excl); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {

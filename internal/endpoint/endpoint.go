@@ -228,7 +228,7 @@ func (s *Source) Deliver(f *netem.Frame) {
 }
 
 // DeliverTrain handles a whole cell train in one call
-// (netem.TrainHandler): backward data segments defer their per-cell
+// (netem batch delivery): backward data segments defer their per-cell
 // acks and forwarding reports, and one cumulative FEEDBACK+ACK pair
 // covering the train is flushed at the end.
 func (s *Source) DeliverTrain(fs []*netem.Frame) {
@@ -448,7 +448,7 @@ func (k *Sink) Deliver(f *netem.Frame) {
 }
 
 // DeliverTrain handles a whole cell train in one call
-// (netem.TrainHandler): forward data segments defer their per-cell acks
+// (netem batch delivery): forward data segments defer their per-cell acks
 // and forwarding reports, and one cumulative FEEDBACK+ACK pair covering
 // the train is flushed at the end.
 func (k *Sink) DeliverTrain(fs []*netem.Frame) {

@@ -96,9 +96,9 @@ func (p *ScaleParams) validate() error {
 	return nil
 }
 
-// Scenario renders the params into the single-arm whole-network churn
+// scenario renders the params into the single-arm whole-network churn
 // scenario, parameterized by shard count.
-func (p ScaleParams) Scenario(shards int) (scenario.Scenario, error) {
+func (p ScaleParams) scenario(shards int) (scenario.Scenario, error) {
 	bp := workload.DefaultBackboneParams(p.Relays, p.Switches)
 	bp.TrunkDelay = p.TrunkDelay
 	spec, err := workload.GenerateBackbone(bp)
@@ -192,7 +192,7 @@ func AblationScale(p ScaleParams) (*ScaleResult, error) {
 	res := &ScaleResult{Params: p, Cores: runtime.GOMAXPROCS(0)}
 	var baseline *scenario.Result
 	for i, shards := range p.ShardCounts {
-		sc, err := p.Scenario(shards)
+		sc, err := p.scenario(shards)
 		if err != nil {
 			return nil, err
 		}

@@ -87,6 +87,8 @@ const (
 	DegradeHang DegradeMode = iota
 	// DegradeSlow multiplies the relay's access-link rates by
 	// RateFactor — a limping relay that still forwards, slowly.
+	// Test-only: scenario's TestFaultsValidation plans it; specs name it
+	// "slow".
 	DegradeSlow
 )
 

@@ -48,6 +48,7 @@ func (d *Distribution) Sorted() []float64 {
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty distribution.
+// Test-only: experiments' TestFig1DownloadCDFShape reads it.
 func (d *Distribution) Mean() float64 {
 	if len(d.samples) == 0 {
 		return 0
@@ -59,9 +60,9 @@ func (d *Distribution) Mean() float64 {
 	return sum / float64(len(d.samples))
 }
 
-// StdDev returns the population standard deviation, or 0 with fewer than
+// stdDev returns the population standard deviation, or 0 with fewer than
 // two samples.
-func (d *Distribution) StdDev() float64 {
+func (d *Distribution) stdDev() float64 {
 	n := len(d.samples)
 	if n < 2 {
 		return 0
@@ -76,8 +77,8 @@ func (d *Distribution) StdDev() float64 {
 	return math.Sqrt(ss / float64(n))
 }
 
-// Min returns the smallest sample, or 0 when empty.
-func (d *Distribution) Min() float64 {
+// minimum returns the smallest sample, or 0 when empty.
+func (d *Distribution) minimum() float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
@@ -85,8 +86,8 @@ func (d *Distribution) Min() float64 {
 	return d.samples[0]
 }
 
-// Max returns the largest sample, or 0 when empty.
-func (d *Distribution) Max() float64 {
+// maximum returns the largest sample, or 0 when empty.
+func (d *Distribution) maximum() float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
@@ -158,17 +159,17 @@ type Summary struct {
 
 // Summarize computes a Summary. Quantile fields are zero when empty.
 func (d *Distribution) Summarize() Summary {
-	s := Summary{Name: d.name, N: d.Len(), Mean: d.Mean(), StdDev: d.StdDev()}
+	s := Summary{Name: d.name, N: d.Len(), Mean: d.Mean(), StdDev: d.stdDev()}
 	if d.Len() == 0 {
 		return s
 	}
-	s.Min = d.Min()
+	s.Min = d.minimum()
 	s.P25 = d.Quantile(0.25)
 	s.Median = d.Median()
 	s.P75 = d.Quantile(0.75)
 	s.P90 = d.Quantile(0.90)
 	s.P99 = d.Quantile(0.99)
-	s.Max = d.Max()
+	s.Max = d.maximum()
 	return s
 }
 

@@ -12,7 +12,7 @@ func TestDistributionBasics(t *testing.T) {
 	if d.Name() != "ttlb" {
 		t.Fatalf("Name = %q", d.Name())
 	}
-	if d.Len() != 0 || d.Mean() != 0 || d.StdDev() != 0 {
+	if d.Len() != 0 || d.Mean() != 0 || d.stdDev() != 0 {
 		t.Fatal("empty distribution not zeroed")
 	}
 	for _, v := range []float64{4, 1, 3, 2} {
@@ -24,15 +24,15 @@ func TestDistributionBasics(t *testing.T) {
 	if d.Mean() != 2.5 {
 		t.Fatalf("Mean = %v, want 2.5", d.Mean())
 	}
-	if got := d.Min(); got != 1 {
+	if got := d.minimum(); got != 1 {
 		t.Fatalf("Min = %v", got)
 	}
-	if got := d.Max(); got != 4 {
+	if got := d.maximum(); got != 4 {
 		t.Fatalf("Max = %v", got)
 	}
 	wantSD := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 4)
-	if math.Abs(d.StdDev()-wantSD) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", d.StdDev(), wantSD)
+	if math.Abs(d.stdDev()-wantSD) > 1e-12 {
+		t.Fatalf("StdDev = %v, want %v", d.stdDev(), wantSD)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 			qa, qb = qb, qa
 		}
 		va, vb := d.Quantile(qa), d.Quantile(qb)
-		return va <= vb && va >= d.Min() && vb <= d.Max()
+		return va <= vb && va >= d.minimum() && vb <= d.maximum()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

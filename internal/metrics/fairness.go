@@ -4,9 +4,10 @@ package metrics
 // (Σx)² / (n·Σx²). It is 1 when every sample is equal, 1/n when one
 // sample dwarfs the rest, and scale-invariant in between — the
 // standard single-number fairness summary for per-flow allocations.
-// The overload experiments apply it to per-circuit TTLB, where an
-// index near 1 means interactive and bulk circuits finished in
-// comparable time relative to each other.
+// The overload experiments apply it to per-circuit TTLB through
+// Distribution.JainIndex, where an index near 1 means interactive and
+// bulk circuits finished in comparable time relative to each other.
+// Test-only: core's TestMixedPoliciesCoexist calls it directly.
 //
 // An empty sample set (or one summing to zero) returns 0: no
 // allocation happened, so no fairness claim can be made.

@@ -88,9 +88,10 @@ func (s *Series) Max() (float64, bool) {
 
 // SettleTime returns the earliest time from which the series stays
 // within ±tol of target until its end. ok is false if it never settles
-// or the series is empty. Test-only, and it stays: the experiments use
-// ConvergeTime, and converge_test.go and core_test.go compare against
-// this strict form.
+// or the series is empty. Test-only: it stays, because the experiments
+// use ConvergeTime, and TestConvergeTimeToleratesBriefExcursion and
+// core's TestCircuitStartConvergesOntoModelWindow compare against this
+// strict form.
 func (s *Series) SettleTime(target, tol float64) (sim.Time, bool) {
 	if len(s.points) == 0 {
 		return 0, false

@@ -67,7 +67,7 @@ func TestSeriesAtStepInterpolation(t *testing.T) {
 	}
 }
 
-func TestSeriesMinMax(t *testing.T) {
+func TestSeriesMax(t *testing.T) {
 	s := NewSeries("x")
 	if _, ok := s.Max(); ok {
 		t.Fatal("Max of empty series reported ok")

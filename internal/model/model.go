@@ -120,22 +120,8 @@ func copyTransits(nodes []Node, transits [][]Transit) [][]Transit {
 	return out
 }
 
-// PathFromAccess builds a Path from netem access configurations.
-// Test-only: on ROADMAP item 17's deletion queue.
-func PathFromAccess(cfgs []netem.AccessConfig) Path {
-	nodes := make([]Node, len(cfgs))
-	for i, c := range cfgs {
-		nodes[i] = FromAccess(c)
-	}
-	return NewPath(nodes)
-}
-
-// Hops returns the number of transport hops (nodes − 1).
-func (p Path) Hops() int { return len(p.nodes) - 1 }
-
-// Node returns node i of the sequence (0 = source). Test-only: on
-// ROADMAP item 17's deletion queue.
-func (p Path) Node(i int) Node { return p.nodes[i] }
+// hops returns the number of transport hops (nodes − 1).
+func (p Path) hops() int { return len(p.nodes) - 1 }
 
 // hopTransits returns the transit links crossed travelling from
 // adjacent node a to adjacent node b: the hop's forward route when
@@ -167,28 +153,16 @@ func (p Path) oneWay(a, b int, size units.DataSize) time.Duration {
 	return d
 }
 
-// FeedbackRTT returns the no-load DATA→FEEDBACK round-trip of hop i
+// feedbackRTT returns the no-load DATA→FEEDBACK round-trip of hop i
 // (sender = node i, receiver = node i+1): a full cell forward, plus a
 // control segment back. The receiver's forwarding signal itself is
 // instantaneous in an unloaded network — a relay emits feedback the
 // moment it begins its own onward transmission, which under no load is
 // the moment of delivery.
-func (p Path) FeedbackRTT(i int) time.Duration {
+func (p Path) feedbackRTT(i int) time.Duration {
 	p.checkHop(i)
 	return p.oneWay(i, i+1, transport.DataWireSize) +
 		p.oneWay(i+1, i, transport.CtrlWireSize)
-}
-
-// CircuitRTT returns the no-load source→sink→source round-trip: a DATA
-// cell all the way forward, a control segment all the way back.
-// Test-only: on ROADMAP item 17's deletion queue.
-func (p Path) CircuitRTT() time.Duration {
-	var d time.Duration
-	for i := 0; i < p.Hops(); i++ {
-		d += p.oneWay(i, i+1, transport.DataWireSize)
-		d += p.oneWay(i+1, i, transport.CtrlWireSize)
-	}
-	return d
 }
 
 // linkRate returns the forwarding rate of the data path from node i to
@@ -208,7 +182,8 @@ func (p Path) linkRate(i int) units.DataRate {
 }
 
 // BottleneckRate returns the slowest data-path link rate of the whole
-// circuit.
+// circuit. Test-only: core's TestTrunkBottlenecksThroughput compares
+// goodput with it.
 func (p Path) BottleneckRate() units.DataRate {
 	return p.downstreamRate(0)
 }
@@ -219,7 +194,7 @@ func (p Path) BottleneckRate() units.DataRate {
 // and needs it as the oracle.
 func (p Path) BottleneckHop() int {
 	best, rate := 0, p.linkRate(0)
-	for i := 1; i < p.Hops(); i++ {
+	for i := 1; i < p.hops(); i++ {
 		if r := p.linkRate(i); r < rate {
 			best, rate = i, r
 		}
@@ -232,7 +207,7 @@ func (p Path) BottleneckHop() int {
 func (p Path) downstreamRate(i int) units.DataRate {
 	p.checkHop(i)
 	rate := p.linkRate(i)
-	for j := i + 1; j < p.Hops(); j++ {
+	for j := i + 1; j < p.hops(); j++ {
 		if r := p.linkRate(j); r < rate {
 			rate = r
 		}
@@ -245,22 +220,15 @@ func cellsPerSecond(r units.DataRate) float64 {
 	return r.BytesPerSecond() / float64(transport.DataWireSize)
 }
 
-// OptimalWindowCells returns the minimal window (in cells) at hop i that
+// optimalWindowCells returns the minimal window (in cells) at hop i that
 // fully utilizes the circuit: feedback arrival rate × feedback RTT.
-func (p Path) OptimalWindowCells(i int) float64 {
-	return cellsPerSecond(p.downstreamRate(i)) * p.FeedbackRTT(i).Seconds()
+func (p Path) optimalWindowCells(i int) float64 {
+	return cellsPerSecond(p.downstreamRate(i)) * p.feedbackRTT(i).Seconds()
 }
 
 // OptimalSourceWindowCells returns the optimal window of hop 0 — the
 // quantity the paper's dashed line marks.
-func (p Path) OptimalSourceWindowCells() float64 { return p.OptimalWindowCells(0) }
-
-// OptimalSourceWindowBytes returns the source's optimal window in
-// payload bytes (cells × cell size), the unit of Figure 1's y axis.
-// Test-only: on ROADMAP item 17's deletion queue.
-func (p Path) OptimalSourceWindowBytes() float64 {
-	return p.OptimalSourceWindowCells() * float64(transport.DataWireSize-transport.HeaderSize)
-}
+func (p Path) OptimalSourceWindowCells() float64 { return p.optimalWindowCells(0) }
 
 // LowerBoundTTLB returns an analytic lower bound on the time-to-last-
 // byte of a transfer occupying nCells cells: the pipeline fill (first
@@ -274,7 +242,7 @@ func (p Path) LowerBoundTTLB(nCells int) time.Duration {
 		panic(fmt.Sprintf("model: LowerBoundTTLB(%d)", nCells))
 	}
 	var first time.Duration
-	for i := 0; i < p.Hops(); i++ {
+	for i := 0; i < p.hops(); i++ {
 		first += p.oneWay(i, i+1, transport.DataWireSize)
 	}
 	drain := time.Duration(float64(nCells-1) / cellsPerSecond(p.BottleneckRate()) * float64(time.Second))
@@ -282,7 +250,7 @@ func (p Path) LowerBoundTTLB(nCells int) time.Duration {
 }
 
 func (p Path) checkHop(i int) {
-	if i < 0 || i >= p.Hops() {
-		panic(fmt.Sprintf("model: hop %d outside path with %d hops", i, p.Hops()))
+	if i < 0 || i >= p.hops() {
+		panic(fmt.Sprintf("model: hop %d outside path with %d hops", i, p.hops()))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"circuitstart/internal/netem"
 	"circuitstart/internal/transport"
 	"circuitstart/internal/units"
 )
@@ -47,20 +46,6 @@ func TestNewPathValidation(t *testing.T) {
 	}
 }
 
-func TestPathFromAccess(t *testing.T) {
-	cfgs := []netem.AccessConfig{
-		netem.Symmetric(units.Mbps(10), time.Millisecond, 0),
-		netem.Symmetric(units.Mbps(20), 2*time.Millisecond, 0),
-	}
-	p := PathFromAccess(cfgs)
-	if p.Hops() != 1 {
-		t.Fatalf("Hops = %d", p.Hops())
-	}
-	if p.Node(0).UpRate != units.Mbps(10) || p.Node(1).Delay != 2*time.Millisecond {
-		t.Fatalf("nodes not copied: %+v, %+v", p.Node(0), p.Node(1))
-	}
-}
-
 func TestBottleneckIdentification(t *testing.T) {
 	for slot := 1; slot <= 2; slot++ {
 		p := fourNode(slot, units.Mbps(8))
@@ -91,19 +76,8 @@ func TestFeedbackRTTAgainstHandComputation(t *testing.T) {
 	txData := rate.TransmissionTime(transport.DataWireSize)
 	txCtrl := rate.TransmissionTime(transport.CtrlWireSize)
 	want := (txData + 10*time.Millisecond + txData) + (txCtrl + 10*time.Millisecond + txCtrl)
-	if got := p.FeedbackRTT(0); got != want {
+	if got := p.feedbackRTT(0); got != want {
 		t.Fatalf("FeedbackRTT = %v, want %v", got, want)
-	}
-}
-
-func TestCircuitRTTIsSumOfHops(t *testing.T) {
-	p := fourNode(2, units.Mbps(8))
-	var want time.Duration
-	for i := 0; i < p.Hops(); i++ {
-		want += p.oneWay(i, i+1, transport.DataWireSize) + p.oneWay(i+1, i, transport.CtrlWireSize)
-	}
-	if got := p.CircuitRTT(); got != want {
-		t.Fatalf("CircuitRTT = %v, want %v", got, want)
 	}
 }
 
@@ -134,24 +108,11 @@ func TestOptimalWindowIndependentOfBottleneckPosition(t *testing.T) {
 	}
 }
 
-func TestOptimalWindowBytes(t *testing.T) {
-	p := fourNode(2, units.Mbps(8))
-	cells := p.OptimalSourceWindowCells()
-	bytes := p.OptimalSourceWindowBytes()
-	if bytes <= cells {
-		t.Fatalf("bytes %v not > cells %v", bytes, cells)
-	}
-	per := bytes / cells
-	if per != float64(transport.DataWireSize-transport.HeaderSize) {
-		t.Fatalf("bytes per cell = %v", per)
-	}
-}
-
 func TestLowerBoundTTLB(t *testing.T) {
 	p := fourNode(2, units.Mbps(8))
 	one := p.LowerBoundTTLB(1)
 	var firstCell time.Duration
-	for i := 0; i < p.Hops(); i++ {
+	for i := 0; i < p.hops(); i++ {
 		firstCell += p.oneWay(i, i+1, transport.DataWireSize)
 	}
 	if one != firstCell {
@@ -186,7 +147,7 @@ func TestHopIndexValidation(t *testing.T) {
 					t.Errorf("FeedbackRTT(%d) did not panic", i)
 				}
 			}()
-			p.FeedbackRTT(i)
+			p.feedbackRTT(i)
 		}()
 	}
 }
@@ -204,7 +165,7 @@ func TestOptimalWindowMonotoneProperty(t *testing.T) {
 		p := NewPath(nodes)
 		// Downstream bottleneck rate is non-decreasing as we move toward
 		// the sink (the min is over a shrinking suffix).
-		for i := 0; i+1 < p.Hops(); i++ {
+		for i := 0; i+1 < p.hops(); i++ {
 			if p.downstreamRate(i) > p.downstreamRate(i+1) {
 				return false
 			}
@@ -245,10 +206,10 @@ func TestTransitsBottleneckAndRTT(t *testing.T) {
 	// both directions; hop 0's is untouched.
 	wantExtra := trunk.Rate.TransmissionTime(transport.DataWireSize) +
 		trunk.Rate.TransmissionTime(transport.CtrlWireSize) + 2*trunk.Delay
-	if got := p.FeedbackRTT(1) - flat.FeedbackRTT(1); got != wantExtra {
+	if got := p.feedbackRTT(1) - flat.feedbackRTT(1); got != wantExtra {
 		t.Errorf("hop 1 RTT extra = %v, want %v", got, wantExtra)
 	}
-	if p.FeedbackRTT(0) != flat.FeedbackRTT(0) {
+	if p.feedbackRTT(0) != flat.feedbackRTT(0) {
 		t.Error("hop 0 RTT changed by a hop-1 transit")
 	}
 	// The optimal source window is trunk-limited, far below the
@@ -256,9 +217,6 @@ func TestTransitsBottleneckAndRTT(t *testing.T) {
 	if p.OptimalSourceWindowCells() >= flat.OptimalSourceWindowCells() {
 		t.Errorf("transit model %v ≥ star model %v",
 			p.OptimalSourceWindowCells(), flat.OptimalSourceWindowCells())
-	}
-	if p.CircuitRTT() <= flat.CircuitRTT() {
-		t.Error("CircuitRTT ignores transits")
 	}
 	if lb := p.LowerBoundTTLB(100); lb <= flat.LowerBoundTTLB(100) {
 		t.Error("LowerBoundTTLB ignores transits")
@@ -301,10 +259,10 @@ func TestDirectionalTransits(t *testing.T) {
 		t.Errorf("BottleneckRate = %v, want the forward trunk's 8 Mbit/s", got)
 	}
 	mirror := NewPathWithTransits(nodes, [][]Transit{{slow}}, nil)
-	wantLess := mirror.FeedbackRTT(0) -
+	wantLess := mirror.feedbackRTT(0) -
 		slow.Rate.TransmissionTime(transport.CtrlWireSize) +
 		fast.Rate.TransmissionTime(transport.CtrlWireSize)
-	if got := p.FeedbackRTT(0); got != wantLess {
+	if got := p.feedbackRTT(0); got != wantLess {
 		t.Errorf("FeedbackRTT = %v, want %v (control leg at the reverse trunk's rate)", got, wantLess)
 	}
 }

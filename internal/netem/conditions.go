@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"fmt"
 	"time"
 
 	"circuitstart/internal/sim"
@@ -34,27 +33,6 @@ type GilbertElliott struct {
 	RNG *sim.RNG
 
 	bad bool
-}
-
-// Validate checks the model parameters. Test-only: faults.Plan.Validate
-// checks the same ranges for every model a run installs; on ROADMAP
-// item 17's deletion queue.
-func (g *GilbertElliott) Validate() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"p-good-bad", g.PGoodBad}, {"p-bad-good", g.PBadGood},
-		{"loss-good", g.LossGood}, {"loss-bad", g.LossBad},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("netem: gilbert-elliott %s %v outside [0,1]", p.name, p.v)
-		}
-	}
-	if g.RNG == nil {
-		return fmt.Errorf("netem: gilbert-elliott model without RNG")
-	}
-	return nil
 }
 
 // Drop advances the two-state chain by one frame and reports loss. Both
@@ -102,25 +80,6 @@ type UniformJitter struct {
 	SpikeDelay time.Duration
 	// RNG drives the draws. It must be a dedicated stream.
 	RNG *sim.RNG
-}
-
-// Validate checks the model parameters. Test-only: faults.Plan.Validate
-// checks the same ranges for every model a run installs; on ROADMAP
-// item 17's deletion queue.
-func (j *UniformJitter) Validate() error {
-	if j.Amplitude < 0 {
-		return fmt.Errorf("netem: jitter amplitude %v negative", j.Amplitude)
-	}
-	if j.SpikeProb < 0 || j.SpikeProb > 1 {
-		return fmt.Errorf("netem: jitter spike probability %v outside [0,1]", j.SpikeProb)
-	}
-	if j.SpikeDelay < 0 {
-		return fmt.Errorf("netem: jitter spike delay %v negative", j.SpikeDelay)
-	}
-	if j.RNG == nil {
-		return fmt.Errorf("netem: jitter model without RNG")
-	}
-	return nil
 }
 
 // Extra returns the next delivery's additional delay.

@@ -9,29 +9,6 @@ import (
 	"circuitstart/internal/units"
 )
 
-func TestGilbertElliottValidate(t *testing.T) {
-	rng := sim.NewRNG(1, "ge-test")
-	cases := []struct {
-		name string
-		ge   GilbertElliott
-		want string
-	}{
-		{"bad transition", GilbertElliott{PGoodBad: 1.5, RNG: rng}, "p-good-bad"},
-		{"negative loss", GilbertElliott{LossBad: -0.1, RNG: rng}, "loss-bad"},
-		{"no rng", GilbertElliott{PGoodBad: 0.1}, "without RNG"},
-	}
-	for _, tc := range cases {
-		err := tc.ge.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-	ok := GilbertElliott{PGoodBad: 0.01, PBadGood: 0.1, LossBad: 0.8, RNG: rng}
-	if err := ok.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGilbertElliottBurstiness pins the defining property of the
 // two-state channel: with the same marginal loss rate, drops cluster
 // into bursts rather than arriving i.i.d. A sticky bad state
@@ -82,26 +59,6 @@ func TestGilbertElliottDeterministicDraws(t *testing.T) {
 		da, db := a.Drop(), b.Drop()
 		if da != db || a.bad != b.bad {
 			t.Fatalf("frame %d: divergent replicas (%v/%v, bad %v/%v)", i, da, db, a.bad, b.bad)
-		}
-	}
-}
-
-func TestUniformJitterValidate(t *testing.T) {
-	rng := sim.NewRNG(1, "jit-test")
-	cases := []struct {
-		name string
-		j    UniformJitter
-		want string
-	}{
-		{"negative amplitude", UniformJitter{Amplitude: -time.Millisecond, RNG: rng}, "amplitude"},
-		{"bad spike prob", UniformJitter{SpikeProb: 2, RNG: rng}, "spike probability"},
-		{"negative spike", UniformJitter{SpikeDelay: -time.Second, RNG: rng}, "spike delay"},
-		{"no rng", UniformJitter{Amplitude: time.Millisecond}, "without RNG"},
-	}
-	for _, tc := range cases {
-		err := tc.j.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 }

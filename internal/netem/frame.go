@@ -92,7 +92,8 @@ func NewFramePool() *FramePool {
 func (p *FramePool) Get() *Frame { return p.Objects.Get() }
 
 // Put recycles a dead frame: the frame store's put hook sees it whole,
-// then it is zeroed.
+// then it is zeroed. Test-only: arena's TestArenaBalanceCatchesLeaks
+// plants a double put with it; the package itself recycles frames.
 func (p *FramePool) Put(f *Frame) { p.Objects.Put(f) }
 
 // SchedQueue is a pluggable scheduler for a link's data frames. When
@@ -104,23 +105,15 @@ func (p *FramePool) Put(f *Frame) { p.Objects.Put(f) }
 // Push may refuse a frame; the link then counts a SchedDrop and
 // recycles the frame exactly like a tail drop. Pop must return frames
 // until Len reaches zero — admission decisions belong in Push, so the
-// serializer stays work-conserving. Implementations must be
-// deterministic and, to preserve the pooled hot path, allocation-free
-// in steady state (see internal/sched).
+// serializer stays work-conserving. PeekCirc reports the circuit of the
+// frame the next Pop would return, without popping it: a trained link
+// ends a train there, so a train never spans a scheduler preemption
+// point. Implementations must be deterministic and, to preserve the
+// pooled hot path, allocation-free in steady state (see internal/sched).
 type SchedQueue interface {
 	Push(f *Frame) bool
 	Pop() *Frame
 	Len() int
-}
-
-// CircPeeker is an optional SchedQueue extension: PeekCirc reports the
-// circuit of the frame the next Pop would return, without popping it.
-// A trained link consults it during train formation so a train never
-// spans a scheduler preemption point — the EWMA scheduler implements
-// it (its next pick is the cheapest circuit, known from the heap root),
-// while the FIFO scheduler deliberately does not (FIFO order has no
-// preemption, so trains coalesce across circuits there).
-type CircPeeker interface {
 	PeekCirc() (circ uint32, ok bool)
 }
 
@@ -138,16 +131,16 @@ type HandlerFunc func(f *Frame)
 // Deliver implements Handler.
 func (h HandlerFunc) Deliver(f *Frame) { h(f) }
 
-// TrainHandler is an optional Handler extension for batch delivery: a
+// trainHandler is an optional Handler extension for batch delivery: a
 // trained link hands a whole train's surviving frames in one call
 // instead of one Deliver each, letting the receiver amortize per-batch
 // work (relays hoist the circuit-table lookup across a train's
 // same-circuit run). Frame ownership is unchanged — every frame in the
 // batch is only valid for the duration of the call. Handlers that do
 // not implement it receive per-frame Deliver calls in train order, so
-// implementing TrainHandler must be behaviorally equivalent to that
+// implementing trainHandler must be behaviorally equivalent to that
 // loop.
-type TrainHandler interface {
+type trainHandler interface {
 	Handler
 	DeliverTrain(fs []*Frame)
 }

@@ -278,7 +278,7 @@ func (g *GraphFabric) Clock() *sim.Clock { return g.clock }
 
 // switchIngress is the handler feeding a switch's routing stage — the
 // destination of every uplink and trunk that terminates there. It
-// implements TrainHandler so an arriving train is routed as one batch
+// implements trainHandler so an arriving train is routed as one batch
 // and its members enqueue back to back on their next link, keeping the
 // coalescing alive across the backbone.
 type switchIngress struct {
@@ -310,8 +310,8 @@ func (g *GraphFabric) Trunk(a, b SwitchID) *Link {
 // (source switch, destination switch) order.
 func (g *GraphFabric) Trunks() []*Link { return g.trunks }
 
-// Home returns the switch a node homes (or would home) to.
-func (g *GraphFabric) Home(node NodeID) SwitchID {
+// home returns the switch a node homes (or would home) to.
+func (g *GraphFabric) home(node NodeID) SwitchID {
 	if p, ok := g.ports[node]; ok {
 		return g.order[p.home]
 	}
@@ -334,7 +334,7 @@ func (g *GraphFabric) Attach(id NodeID, cfg AccessConfig, h Handler, rng *sim.RN
 	if h == nil {
 		panic(fmt.Sprintf("netem: node %q attached with nil handler", id))
 	}
-	home := g.Home(id)
+	home := g.home(id)
 	sw := g.switches[home]
 	p := newPort(id, g.clock, cfg, &switchIngress{g: g, sw: sw}, h, rng, g.pool)
 	p.home = sw.idx

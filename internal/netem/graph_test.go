@@ -259,10 +259,10 @@ func TestGraphHomeDefaultIsDeterministic(t *testing.T) {
 	spread := map[SwitchID]int{}
 	for i := 0; i < 64; i++ {
 		id := NodeID(rune('a'+i%26)) + NodeID(rune('0'+i/26))
-		if g1.Home(id) != g2.Home(id) {
+		if g1.home(id) != g2.home(id) {
 			t.Fatalf("node %q homes differ across identical fabrics", id)
 		}
-		spread[g1.Home(id)]++
+		spread[g1.home(id)]++
 	}
 	if len(spread) < 2 {
 		t.Errorf("hash homing used %d of 3 switches", len(spread))

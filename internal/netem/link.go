@@ -41,11 +41,9 @@ type LinkConfig struct {
 	TrainSize int
 }
 
-// Validate checks the configuration. NewLink panics on exactly these
-// errors; layers that assemble configs from user input (scenario specs,
-// sweep grids) call Validate first so a bad grid point fails cleanly
-// instead of crashing a worker.
-func (c LinkConfig) Validate() error {
+// validate checks the configuration. NewLink panics on exactly these
+// errors.
+func (c LinkConfig) validate() error {
 	if c.Rate <= 0 {
 		return fmt.Errorf("netem: non-positive rate %v", c.Rate)
 	}
@@ -148,7 +146,7 @@ type Link struct {
 	// Train state. trainCap is the most frames one train may hold,
 	// max(1, cfg.TrainSize). train holds the members of the train
 	// occupying the serializer; deliverBuf is the scratch batch handed
-	// to a TrainHandler. Both reach their working set once and are
+	// to a trainHandler. Both reach their working set once and are
 	// reused — steady-state train transit is allocation-free. The
 	// propagation FIFO holds the members of consecutive trains back to
 	// back; the first survivor of each carries the count of those that
@@ -223,21 +221,21 @@ type DropReason int
 
 // Drop reasons.
 const (
-	DropTail  DropReason = iota // egress queue full
-	DropLoss                    // random loss process
-	DropSched                   // refused by the installed scheduler
-	DropDown                    // link administratively down (flap / partition)
+	dropTail  DropReason = iota // egress queue full
+	dropLoss                    // random loss process
+	dropSched                   // refused by the installed scheduler
+	dropDown                    // link administratively down (flap / partition)
 )
 
 func (r DropReason) String() string {
 	switch r {
-	case DropTail:
+	case dropTail:
 		return "tail-drop"
-	case DropLoss:
+	case dropLoss:
 		return "random-loss"
-	case DropSched:
+	case dropSched:
 		return "sched-drop"
-	case DropDown:
+	case dropDown:
 		return "down-drop"
 	default:
 		return fmt.Sprintf("DropReason(%d)", int(r))
@@ -246,7 +244,7 @@ func (r DropReason) String() string {
 
 // NewLink creates a link feeding dst. Name appears in panics and traces.
 func NewLink(name string, clock *sim.Clock, cfg LinkConfig, dst Handler) *Link {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		panic(fmt.Sprintf("link %q: %v", name, err))
 	}
 	if dst == nil {
@@ -287,7 +285,7 @@ func (l *Link) SetRate(r units.DataRate) {
 // SetDown takes the link down (true) or brings it back up (false). A
 // down link still accepts and serializes frames — the node does not know
 // its link died — but every frame completing serialization is dropped
-// with DropDown instead of propagating. Fault plans flap access links
+// with dropDown instead of propagating. Fault plans flap access links
 // and partition trunks through this switch.
 func (l *Link) SetDown(down bool) { l.down = down }
 
@@ -310,10 +308,10 @@ func (l *Link) SetScheduler(q SchedQueue) { l.sched = q }
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// QueueLen returns the number of frames waiting (not counting the one in
+// queueLen returns the number of frames waiting (not counting the one in
 // serialization), across both priority classes and any installed
 // scheduler.
-func (l *Link) QueueLen() int {
+func (l *Link) queueLen() int {
 	n := l.queue.len() + l.prioQueue.len()
 	if l.sched != nil {
 		n += l.sched.Len()
@@ -336,7 +334,7 @@ func (l *Link) Send(f *Frame) bool {
 	if l.cfg.QueueCap > 0 && l.queuedBytes+f.Size > l.cfg.QueueCap {
 		l.stats.TailDrops++
 		if l.OnDrop != nil {
-			l.OnDrop(f, DropTail)
+			l.OnDrop(f, dropTail)
 		}
 		l.pool.Put(f)
 		return false
@@ -349,7 +347,7 @@ func (l *Link) Send(f *Frame) bool {
 		if !l.sched.Push(f) {
 			l.stats.SchedDrops++
 			if l.OnDrop != nil {
-				l.OnDrop(f, DropSched)
+				l.OnDrop(f, dropSched)
 			}
 			l.pool.Put(f)
 			return false
@@ -359,7 +357,7 @@ func (l *Link) Send(f *Frame) bool {
 	}
 	l.queuedBytes += f.Size
 	l.stats.Enqueued++
-	if n := l.QueueLen(); n > l.stats.MaxQueueLen {
+	if n := l.queueLen(); n > l.stats.MaxQueueLen {
 		l.stats.MaxQueueLen = n
 	}
 	switch {
@@ -468,11 +466,9 @@ const (
 //     already queued: arrivals during serialization join the next
 //     train, exactly as a hardware burst-dequeue sees only its moment's
 //     backlog.
-//   - A scheduler that exposes its next pick's circuit (CircPeeker,
-//     implemented by the EWMA scheduler) bounds the train to one
-//     circuit: the train ends where the scheduler would preempt.
-//     Schedulers without the method (FIFO) are circuit-agnostic and
-//     coalesce freely, as does the built-in ring.
+//   - An installed scheduler bounds the train to one circuit: the
+//     train ends where its PeekCirc names another, that is, where the
+//     scheduler would preempt. The built-in rings coalesce freely.
 //
 // The whole train serializes as one event at the formation-time rate
 // over its summed bytes — SetRate mid-train therefore applies from the
@@ -492,14 +488,11 @@ func (l *Link) transmitTrain() {
 		}
 	case l.sched != nil && l.sched.Len() > 0:
 		l.trainSrc = trainSrcSched
-		peeker, _ := l.sched.(CircPeeker)
 		first := l.sched.Pop()
 		l.train = append(l.train, first)
 		for len(l.train) < l.trainCap && l.sched.Len() > 0 {
-			if peeker != nil {
-				if circ, ok := peeker.PeekCirc(); !ok || circ != first.Circ {
-					break // scheduler preemption point: never span it
-				}
+			if circ, ok := l.sched.PeekCirc(); !ok || circ != first.Circ {
+				break // scheduler preemption point: never span it
 			}
 			l.train = append(l.train, l.sched.Pop())
 		}
@@ -549,10 +542,8 @@ func (l *Link) stretchTrain() {
 			if l.sched == nil || l.sched.Len() == 0 {
 				goto done
 			}
-			if peeker, ok := l.sched.(CircPeeker); ok {
-				if circ, ok := peeker.PeekCirc(); !ok || circ != l.train[0].Circ {
-					goto done
-				}
+			if circ, ok := l.sched.PeekCirc(); !ok || circ != l.train[0].Circ {
+				goto done
 			}
 			f = l.sched.Pop()
 		default:
@@ -588,13 +579,13 @@ func (l *Link) onTxDoneTrain() {
 		case l.down:
 			l.stats.DownDrops++
 			if l.OnDrop != nil {
-				l.OnDrop(f, DropDown)
+				l.OnDrop(f, dropDown)
 			}
 			l.pool.Put(f)
 		case lost:
 			l.stats.RandomLoss++
 			if l.OnDrop != nil {
-				l.OnDrop(f, DropLoss)
+				l.OnDrop(f, dropLoss)
 			}
 			l.pool.Put(f)
 		case l.export != nil:
@@ -629,7 +620,7 @@ func (l *Link) onTxDoneTrain() {
 
 // onDeliverTrain completes the propagation of the oldest in-flight
 // train: its surviving members leave the FIFO as one batch. A
-// destination that implements TrainHandler receives the whole batch in
+// destination that implements trainHandler receives the whole batch in
 // a single call (relays use this to amortize per-circuit lookups);
 // otherwise members are handed over one Deliver at a time, in order.
 func (l *Link) onDeliverTrain() {
@@ -651,7 +642,7 @@ func (l *Link) onDeliverTrain() {
 	l.stats.CellsDelivered += uint64(n)
 	l.stats.TrainsDelivered++
 	l.stats.BytesOut += bytes
-	if th, ok := l.dst.(TrainHandler); ok && n > 1 {
+	if th, ok := l.dst.(trainHandler); ok && n > 1 {
 		th.DeliverTrain(batch)
 	} else {
 		for _, f := range batch {

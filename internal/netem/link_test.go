@@ -116,7 +116,7 @@ func TestLinkTailDrop(t *testing.T) {
 	if st.TailDrops != 1 {
 		t.Errorf("TailDrops = %d, want 1", st.TailDrops)
 	}
-	if len(drops) != 1 || drops[0] != DropTail {
+	if len(drops) != 1 || drops[0] != dropTail {
 		t.Errorf("OnDrop saw %v, want one tail-drop", drops)
 	}
 }
@@ -446,8 +446,8 @@ func TestFramePoolReclaimsRingBuffers(t *testing.T) {
 		}
 		// Stop mid-flight: frames stay queued and propagating.
 		clock.RunUntil(sim.Time(5 * time.Millisecond))
-		if link.QueueLen() == 0 || link.inflight.len() == 0 {
-			t.Fatalf("burst left %d queued, %d in flight; want both nonzero", link.QueueLen(), link.inflight.len())
+		if link.queueLen() == 0 || link.inflight.len() == 0 {
+			t.Fatalf("burst left %d queued, %d in flight; want both nonzero", link.queueLen(), link.inflight.len())
 		}
 	}
 	burst()
@@ -527,10 +527,10 @@ func TestLinkTransitZeroAlloc(t *testing.T) {
 
 func TestDropReasonString(t *testing.T) {
 	for r, want := range map[DropReason]string{
-		DropTail:      "tail-drop",
-		DropLoss:      "random-loss",
-		DropSched:     "sched-drop",
-		DropDown:      "down-drop",
+		dropTail:      "tail-drop",
+		dropLoss:      "random-loss",
+		dropSched:     "sched-drop",
+		dropDown:      "down-drop",
 		DropReason(9): "DropReason(9)",
 	} {
 		if got := r.String(); got != want {

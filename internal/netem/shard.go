@@ -265,13 +265,14 @@ func (r *handoffRing) drop() {
 	r.n--
 }
 
-// ShardLookaheadCheck is a test-only debug hook: when non-nil it is
+// ShardLookaheadCheck is a debug hook: when non-nil it is
 // invoked for every imported handoff with the destination shard, that
 // shard's parked clock, and the handoff's arrival instant. The
 // conservative bound requires arrival to be strictly in the future; the
 // property test installs a hook that asserts exactly that. It is called
 // only from the coordinator (all shard goroutines parked), so a plain
 // package variable is race-free as long as tests set it before running.
+// Test-only: core's TestShardedLookaheadNeverViolated installs it.
 var ShardLookaheadCheck func(shard int, clockNow, arrival sim.Time)
 
 // boundary is one cut-trunk direction: the egress link lives on the
@@ -567,12 +568,12 @@ func (sf *ShardedFabric) Shard(i int) *GraphFabric { return sf.shards[i] }
 // ShardOfSwitch returns the shard owning a switch.
 func (sf *ShardedFabric) ShardOfSwitch(sw SwitchID) int { return sf.plan.Assign[sw] }
 
-// HomeOf returns the switch a node homes (or would home) to, resolved
+// homeOf returns the switch a node homes (or would home) to, resolved
 // exactly as the unsharded fabric resolves it.
-func (sf *ShardedFabric) HomeOf(id NodeID) SwitchID { return sf.oracle.Home(id) }
+func (sf *ShardedFabric) homeOf(id NodeID) SwitchID { return sf.oracle.home(id) }
 
 // ShardOf returns the shard a node attaches (or would attach) to.
-func (sf *ShardedFabric) ShardOf(id NodeID) int { return sf.plan.Assign[sf.HomeOf(id)] }
+func (sf *ShardedFabric) ShardOf(id NodeID) int { return sf.plan.Assign[sf.homeOf(id)] }
 
 // Trunks returns every directed trunk link in the same global order the
 // unsharded fabric reports, so per-trunk stats tables are byte-
@@ -609,7 +610,8 @@ func (sf *ShardedFabric) Unroutable() uint64 {
 // Exported returns the total frames handed off across shard
 // boundaries; Imported the total admitted to their destination shards.
 // After a run drains, the two are equal and every boundary ring is
-// empty — the leak-balance tests assert this.
+// empty. Test-only: TestShardedFrameLeakBalance asserts this; it goes
+// with sharding (ROADMAP item 2).
 func (sf *ShardedFabric) Exported() uint64 {
 	var n uint64
 	for _, b := range sf.boundaries {
@@ -619,12 +621,14 @@ func (sf *ShardedFabric) Exported() uint64 {
 }
 
 // Imported returns the total frames admitted to their destination
-// shards at barriers. Test-only; it goes with sharding (ROADMAP item 2).
+// shards at barriers. Test-only: TestShardedFrameLeakBalance reads it;
+// it goes with sharding (ROADMAP item 2).
 func (sf *ShardedFabric) Imported() uint64 { return sf.imported }
 
 // PendingHandoffs returns the frames exported but not yet delivered on
 // their destination shard — what the boundary rings hold. Zero once a
-// run has drained.
+// run has drained. Test-only: TestShardedFrameLeakBalance reads it; it
+// goes with sharding (ROADMAP item 2).
 func (sf *ShardedFabric) PendingHandoffs() int {
 	n := 0
 	for _, b := range sf.boundaries {
@@ -636,7 +640,8 @@ func (sf *ShardedFabric) PendingHandoffs() int {
 // QueueHighWater returns the deepest any boundary's export ring ever
 // got, in frames. Conservative windows bound it naturally: a ring holds
 // at most the frames one trunk serializes in about two windows.
-// Test-only; it goes with sharding (ROADMAP item 2).
+// Test-only: TestShardedFrameLeakBalance bounds it; it goes with
+// sharding (ROADMAP item 2).
 func (sf *ShardedFabric) QueueHighWater() int {
 	max := 0
 	for _, b := range sf.boundaries {
@@ -648,8 +653,9 @@ func (sf *ShardedFabric) QueueHighWater() int {
 }
 
 // Idle reports whether nothing remains to run: every shard's event
-// queue is empty and no handoff is pending. Test-only; it goes with
-// sharding (ROADMAP item 2).
+// queue is empty and no handoff is pending. Test-only:
+// TestShardedFrameLeakBalance checks it; it goes with sharding
+// (ROADMAP item 2).
 func (sf *ShardedFabric) Idle() bool {
 	if sf.PendingHandoffs() > 0 {
 		return false

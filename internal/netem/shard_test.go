@@ -106,6 +106,13 @@ func (r *portRecorder) Pop() *Frame {
 
 func (r *portRecorder) Len() int { return len(r.q) }
 
+func (r *portRecorder) PeekCirc() (uint32, bool) {
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	return r.q[0].Circ, true
+}
+
 // TestShardedImportCarriesNoForeignPort: a frame resolves its
 // destination at its first switch, and a frame imported over a cut
 // trunk resolves again on the shard it arrives at. On the line A—B—C

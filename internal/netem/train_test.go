@@ -242,9 +242,9 @@ func TestTrainSetRateMidTrainAppliesNextTrain(t *testing.T) {
 	}
 }
 
-// peekFIFO is a minimal CircPeeker scheduler: FIFO order, but it
-// exposes the head's circuit, so a trained link must end a train where
-// the circuit changes — the scheduler's preemption point.
+// peekFIFO is a minimal scheduler: FIFO order, exposing the head's
+// circuit, so a trained link must end a train where the circuit
+// changes — the scheduler's preemption point.
 type peekFIFO struct{ q []*Frame }
 
 func (s *peekFIFO) Push(f *Frame) bool { s.q = append(s.q, f); return true }

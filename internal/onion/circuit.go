@@ -16,21 +16,18 @@ type CircuitCrypto struct {
 	hops []*HopKeys
 }
 
-// ErrNotRecognized is returned when a backward cell fails to become
+// errNotRecognized is returned when a backward cell fails to become
 // recognized at any hop — in a healthy circuit this means corruption.
-var ErrNotRecognized = errors.New("onion: backward cell not recognized at any hop")
+var errNotRecognized = errors.New("onion: backward cell not recognized at any hop")
 
-// NewCircuitCrypto assembles the client's layered state from per-hop
+// newCircuitCrypto assembles the client's layered state from per-hop
 // keys (guard first).
-func NewCircuitCrypto(hops []*HopKeys) *CircuitCrypto {
+func newCircuitCrypto(hops []*HopKeys) *CircuitCrypto {
 	if len(hops) == 0 {
 		panic("onion: circuit with zero hops")
 	}
 	return &CircuitCrypto{hops: hops}
 }
-
-// Len returns the number of hops.
-func (cc *CircuitCrypto) Len() int { return len(cc.hops) }
 
 // WrapForward seals a plaintext relay cell for the exit hop and applies
 // every layer of forward encryption, outermost last. After WrapForward
@@ -56,7 +53,7 @@ func (cc *CircuitCrypto) UnwrapBackward(c *cell.Cell) (int, error) {
 			return i, nil
 		}
 	}
-	return 0, ErrNotRecognized
+	return 0, errNotRecognized
 }
 
 // BuildCircuit performs the client side of key establishment with each
@@ -85,5 +82,5 @@ func BuildCircuit(rand io.Reader, relays []*Identity) (*CircuitCrypto, []*HopKey
 		clientHops[i] = ck
 		relayHops[i] = rk
 	}
-	return NewCircuitCrypto(clientHops), relayHops, nil
+	return newCircuitCrypto(clientHops), relayHops, nil
 }

@@ -31,12 +31,12 @@ import (
 
 // Key sizes.
 const (
-	// KeyLen is the AES-128 key length used for layer ciphers.
-	KeyLen = 16
-	// IVLen is the AES-CTR IV length.
-	IVLen = aes.BlockSize
-	// DigestSeedLen seeds each direction's running digest.
-	DigestSeedLen = 20
+	// keyLen is the AES-128 key length used for layer ciphers.
+	keyLen = 16
+	// ivLen is the AES-CTR IV length.
+	ivLen = aes.BlockSize
+	// digestSeedLen seeds each direction's running digest.
+	digestSeedLen = 20
 )
 
 // Identity is a relay's long-term X25519 identity used in handshakes:
@@ -86,12 +86,14 @@ func (id *Identity) key() *ecdh.PrivateKey {
 }
 
 // Derived reports whether the identity's key has been derived, that
-// is, whether any handshake or Public call has used it yet. Test-only
-// (TestShardedTrialDerivesOnlyReachedRelayKeys); it goes with onion
-// crypto (ROADMAP item 17).
+// is, whether any handshake or Public call has used it yet. Test-only:
+// TestShardedTrialDerivesOnlyReachedRelayKeys reads it; it goes with
+// onion crypto (ROADMAP item 17).
 func (id *Identity) Derived() bool { return id.priv != nil }
 
-// Public returns the identity's public key bytes (32 bytes).
+// Public returns the identity's public key bytes (32 bytes). Test-only:
+// relay's TestRelayForwardsAndDecrypts handshakes with it; it goes with
+// onion crypto (ROADMAP item 17).
 func (id *Identity) Public() []byte { return id.key().PublicKey().Bytes() }
 
 // HopKeys is one side's directional key material for a single hop:
@@ -132,14 +134,14 @@ func kdf(secret, ctx []byte, n int) []byte {
 // secret. Both sides of a handshake call this with identical inputs and
 // obtain identical state.
 func deriveHopKeys(secret, ctx []byte) (*HopKeys, error) {
-	const need = 2*KeyLen + 2*IVLen + 2*DigestSeedLen
+	const need = 2*keyLen + 2*ivLen + 2*digestSeedLen
 	km := kdf(secret, ctx, need)
-	fk, km := km[:KeyLen], km[KeyLen:]
-	bk, km := km[:KeyLen], km[KeyLen:]
-	fiv, km := km[:IVLen], km[IVLen:]
-	biv, km := km[:IVLen], km[IVLen:]
-	fds, km := km[:DigestSeedLen], km[DigestSeedLen:]
-	bds := km[:DigestSeedLen]
+	fk, km := km[:keyLen], km[keyLen:]
+	bk, km := km[:keyLen], km[keyLen:]
+	fiv, km := km[:ivLen], km[ivLen:]
+	biv, km := km[:ivLen], km[ivLen:]
+	fds, km := km[:digestSeedLen], km[digestSeedLen:]
+	bds := km[:digestSeedLen]
 
 	fc, err := aes.NewCipher(fk)
 	if err != nil {
@@ -162,12 +164,14 @@ func deriveHopKeys(secret, ctx []byte) (*HopKeys, error) {
 
 // Handshake errors.
 var (
-	ErrBadHandshake = errors.New("onion: malformed handshake message")
+	errBadHandshake = errors.New("onion: malformed handshake message")
 )
 
 // ClientHandshake initiates key establishment with a relay identified by
 // relayPub. It returns the client's hop keys and the CREATE payload to
-// send to the relay (the client's ephemeral public key).
+// send to the relay (the client's ephemeral public key). Test-only:
+// relay's TestRelayForwardsAndDecrypts keys its circuit with it; it goes
+// with onion crypto (ROADMAP item 17).
 func ClientHandshake(rand io.Reader, relayPub []byte) (*HopKeys, []byte, error) {
 	eph, err := newPrivateKey(rand)
 	if err != nil {
@@ -191,26 +195,30 @@ func ClientHandshake(rand io.Reader, relayPub []byte) (*HopKeys, []byte, error) 
 
 // RelayHandshake is the responder side: given the CREATE payload
 // (client's ephemeral public key), it derives the same hop keys.
+// Test-only: relay's TestRelayForwardsAndDecrypts keys its circuit with
+// it; it goes with onion crypto (ROADMAP item 17).
 func (id *Identity) RelayHandshake(createPayload []byte) (*HopKeys, error) {
 	if len(createPayload) != 32 {
-		return nil, ErrBadHandshake
+		return nil, errBadHandshake
 	}
 	cp, err := ecdh.X25519().NewPublicKey(createPayload)
 	if err != nil {
-		return nil, ErrBadHandshake
+		return nil, errBadHandshake
 	}
 	secret, err := id.key().ECDH(cp)
 	if err != nil {
 		// A low-order point yields the all-zero secret; the payload is
 		// what is wrong, not the relay.
-		return nil, fmt.Errorf("%w: %v", ErrBadHandshake, err)
+		return nil, fmt.Errorf("%w: %v", errBadHandshake, err)
 	}
 	ctx := append(append([]byte{}, createPayload...), id.Public()...)
 	return deriveHopKeys(secret, ctx)
 }
 
 // EncryptForward applies this hop's forward cipher to the cell payload
-// in place (one onion layer).
+// in place (one onion layer). Test-only: relay's
+// TestRelayForwardsAndDecrypts wraps cells with it; it goes with onion
+// crypto (ROADMAP item 17).
 func (k *HopKeys) EncryptForward(c *cell.Cell) { k.fwd.XORKeyStream(c.Payload[:], c.Payload[:]) }
 
 // DecryptForward removes this hop's forward layer in place. AES-CTR is
@@ -222,13 +230,17 @@ func (k *HopKeys) DecryptForward(c *cell.Cell) { k.fwd.XORKeyStream(c.Payload[:]
 // EncryptBackward applies this hop's backward cipher in place.
 func (k *HopKeys) EncryptBackward(c *cell.Cell) { k.bwd.XORKeyStream(c.Payload[:], c.Payload[:]) }
 
-// DecryptBackward removes this hop's backward layer in place.
+// DecryptBackward removes this hop's backward layer in place. Test-only:
+// relay's TestRelayBackwardMiddleOnlyEncrypts peels with it; it goes
+// with onion crypto (ROADMAP item 17).
 func (k *HopKeys) DecryptBackward(c *cell.Cell) { k.bwd.XORKeyStream(c.Payload[:], c.Payload[:]) }
 
 // SealForward computes and stores the running digest for a plaintext
 // relay payload about to be sent forward by the endpoint that owns the
 // innermost layer relationship with this hop (the sender side of the
 // forward digest). Must be called before encryption, on the plaintext.
+// Test-only: relay's TestRelayForwardsAndDecrypts seals cells with it;
+// it goes with onion crypto (ROADMAP item 17).
 func (k *HopKeys) SealForward(c *cell.Cell) {
 	k.seal(k.fwdDig, c)
 }
@@ -247,6 +259,8 @@ func (k *HopKeys) SealBackward(c *cell.Cell) {
 }
 
 // VerifyBackward is VerifyForward for the backward direction.
+// Test-only: relay's TestRelayBackwardExitSealsAndEncrypts checks the
+// exit's seal with it; it goes with onion crypto (ROADMAP item 17).
 func (k *HopKeys) VerifyBackward(c *cell.Cell) bool {
 	return k.verify(k.bwdDig, c)
 }

@@ -73,7 +73,7 @@ func TestHandshakeDerivesSharedKeys(t *testing.T) {
 
 func TestRelayHandshakeRejectsBadPayload(t *testing.T) {
 	id := mustIdentity(t)
-	if _, err := id.RelayHandshake([]byte("short")); err != ErrBadHandshake {
+	if _, err := id.RelayHandshake([]byte("short")); err != errBadHandshake {
 		t.Errorf("err = %v, want ErrBadHandshake", err)
 	}
 	// Low-order points: X25519 with them yields the all-zero secret, so
@@ -81,7 +81,7 @@ func TestRelayHandshakeRejectsBadPayload(t *testing.T) {
 	one := make([]byte, 32)
 	one[0] = 1
 	for name, payload := range map[string][]byte{"all-zero": make([]byte, 32), "u=1": one} {
-		if _, err := id.RelayHandshake(payload); !errors.Is(err, ErrBadHandshake) {
+		if _, err := id.RelayHandshake(payload); !errors.Is(err, errBadHandshake) {
 			t.Errorf("%s point: err = %v, want ErrBadHandshake", name, err)
 		}
 	}
@@ -336,7 +336,7 @@ func TestUnwrapBackwardUnrecognized(t *testing.T) {
 	for i := range c.Payload {
 		c.Payload[i] = byte(i)
 	}
-	if _, err := cc.UnwrapBackward(c); err != ErrNotRecognized {
+	if _, err := cc.UnwrapBackward(c); err != errNotRecognized {
 		t.Errorf("err = %v, want ErrNotRecognized", err)
 	}
 }
@@ -353,13 +353,13 @@ func TestNewCircuitCryptoPanicsOnEmpty(t *testing.T) {
 			t.Error("no panic for zero hops")
 		}
 	}()
-	NewCircuitCrypto(nil)
+	newCircuitCrypto(nil)
 }
 
 func TestCircuitCryptoAccessors(t *testing.T) {
 	cc, _ := buildTestCircuit(t, 3)
-	if cc.Len() != 3 {
-		t.Errorf("Len = %d", cc.Len())
+	if len(cc.hops) != 3 {
+		t.Errorf("%d hops", len(cc.hops))
 	}
 }
 

@@ -2,8 +2,8 @@ package pool
 
 import "math/bits"
 
-// MinLen is the length of the smallest buffer a Buffers store hands out.
-const MinLen = 8
+// minLen is the length of the smallest buffer a Buffers store hands out.
+const minLen = 8
 
 // Buffers is a size-classed free list of []T buffers with an allocation
 // ledger. It is the store behind every growable buffer the simulator
@@ -13,17 +13,17 @@ const MinLen = 8
 // so across trials fresh owners regrow into the buffers earlier owners
 // grew. The zero value is ready to use.
 type Buffers[T any] struct {
-	// classes[k] holds the buffers of length MinLen<<k.
+	// classes[k] holds the buffers of length minLen<<k.
 	classes []ledger[[]T]
 }
 
 // classOf returns the class index for a request of n elements: the
-// smallest k with MinLen<<k ≥ n.
+// smallest k with minLen<<k ≥ n.
 func classOf(n int) int {
-	if n <= MinLen {
+	if n <= minLen {
 		return 0
 	}
-	return bits.Len(uint(n-1)) - bits.Len(uint(MinLen-1))
+	return bits.Len(uint(n-1)) - bits.Len(uint(minLen-1))
 }
 
 func (s *Buffers[T]) class(k int) *ledger[[]T] {
@@ -34,19 +34,19 @@ func (s *Buffers[T]) class(k int) *ledger[[]T] {
 }
 
 // Get returns a buffer of length at least n — n rounded up to a power of
-// two, and at least MinLen — allocating one only when its class has none
+// two, and at least minLen — allocating one only when its class has none
 // free. A buffer fresh from the store is zeroed; one handed back by Put
 // was zeroed there.
 func (s *Buffers[T]) Get(n int) []T {
 	k := classOf(n)
 	if s == nil {
-		return make([]T, MinLen<<k)
+		return make([]T, minLen<<k)
 	}
 	c := s.class(k)
 	if buf, ok := c.pop(); ok {
 		return buf
 	}
-	buf := make([]T, MinLen<<k)
+	buf := make([]T, minLen<<k)
 	c.all = append(c.all, buf)
 	return buf
 }
@@ -65,7 +65,7 @@ func (s *Buffers[T]) Put(buf []T) {
 }
 
 // Append is append with growth through the store: when buf is full its
-// contents move to a buffer of twice the capacity (at least MinLen) from
+// contents move to a buffer of twice the capacity (at least minLen) from
 // the store, and the old buffer goes back.
 func (s *Buffers[T]) Append(buf []T, v T) []T {
 	if len(buf) == cap(buf) {
@@ -88,7 +88,8 @@ func (s *Buffers[T]) Reset() {
 	}
 }
 
-// Len returns how many buffers the store ever allocated.
+// Len returns how many buffers the store ever allocated. Test-only:
+// transport's TestSenderWarmPoolZeroAlloc reads the ledger with it.
 func (s *Buffers[T]) Len() int {
 	n := 0
 	for _, c := range s.classes {

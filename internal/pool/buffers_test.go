@@ -16,7 +16,7 @@ func ledgerOf[T any](t *testing.T, s *Buffers[T]) (all, free int) {
 func TestBuffersGetRoundsUpToPowerOfTwoClasses(t *testing.T) {
 	var s Buffers[int]
 	for _, tc := range []struct{ n, want int }{
-		{0, MinLen}, {1, MinLen}, {MinLen, MinLen}, {MinLen + 1, 2 * MinLen},
+		{0, minLen}, {1, minLen}, {minLen, minLen}, {minLen + 1, 2 * minLen},
 		{32, 32}, {33, 64}, {1000, 1024},
 	} {
 		if got := len(s.Get(tc.n)); got != tc.want {

@@ -161,7 +161,8 @@ func (r *Relay) Port() *netem.Port { return r.port }
 // Stats returns a snapshot of the relay counters, folding in the
 // resource manager's admission refusals and the uplink scheduler's
 // drops so callers see them beside the forwarding counters. Test-only:
-// core's lifecycle tests and workload's soak test read the counters.
+// core's TestFailedRelayBlackholesAndRecovers and workload's
+// TestForwardSoakCompletesEveryTransfer read the counters.
 func (r *Relay) Stats() Stats {
 	st := r.stats
 	if r.mgr != nil {
@@ -199,12 +200,14 @@ func (r *Relay) Hang() { r.hung = true }
 func (r *Relay) Unhang() { r.hung = false }
 
 // Circuits returns the number of circuits currently crossing the relay.
-// The facade's documented Example prints it.
+// Test-only: the facade's documented Example prints it, and core's
+// TestTeardownMidTransferReleasesState checks teardown with it.
 func (r *Relay) Circuits() int { return len(r.hops) }
 
 // HopSender returns the onward transport sender for a circuit, or nil.
-// Test-only: core's tests read relay windows (the emergent
-// back-propagation of the bottleneck window) and check teardown with it.
+// Test-only: core's TestBackpropagationOfBottleneckWindow reads relay
+// windows with it, and TestTeardownMidTransferReleasesState checks
+// teardown.
 func (r *Relay) HopSender(circ cell.CircID) *transport.Sender {
 	h := r.hops[circ]
 	if h == nil {
@@ -396,7 +399,7 @@ func (r *Relay) Deliver(f *netem.Frame) {
 }
 
 // DeliverTrain demultiplexes a whole cell train in one call
-// (netem.TrainHandler). A train is typically a same-circuit run — the
+// (netem batch delivery). A train is typically a same-circuit run — the
 // EWMA scheduler guarantees it, FIFO bursts usually are — so the
 // circuit-table lookup is hoisted across the run: the per-cell onion
 // work stays, but the per-cell demux bookkeeping is paid once per run

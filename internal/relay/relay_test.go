@@ -277,6 +277,18 @@ func TestRelayCorruptCellDropped(t *testing.T) {
 	}
 }
 
+// TestLooksRecognizedAcceptsTorRelayCommands pins the command range a
+// plaintext-looking header may carry: Tor's relay commands 1–7, though
+// the cell package names only the two the simulator sends.
+func TestLooksRecognizedAcceptsTorRelayCommands(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		want := v >= 1 && v <= 7
+		if got := looksRecognized(cell.RelayHeader{Cmd: cell.RelayCommand(v)}); got != want {
+			t.Errorf("looksRecognized(command %d) = %v, want %v", v, got, want)
+		}
+	}
+}
+
 // At a middle hop the same bytes are still ciphertext that merely
 // parses as a recognized header — rare, but bulk traffic meets it: the
 // relay cannot judge it and must forward it untouched.

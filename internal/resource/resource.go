@@ -177,8 +177,8 @@ func (m *Manager) OnKill(fn func(circ cell.CircID)) { m.kill = fn }
 // Stats returns a snapshot of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// HeldMemory returns the currently buffered cell memory.
-func (m *Manager) HeldMemory() units.DataSize {
+// heldMemory returns the currently buffered cell memory.
+func (m *Manager) heldMemory() units.DataSize {
 	return units.DataSize(m.heldCells) * cell.Size
 }
 
@@ -237,13 +237,13 @@ func (m *Manager) Held(circ cell.CircID, delta int) {
 	}
 	e.held += delta
 	m.heldCells += delta
-	if mem := m.HeldMemory(); mem > m.stats.MemHighWater {
+	if mem := m.heldMemory(); mem > m.stats.MemHighWater {
 		m.stats.MemHighWater = mem
 	}
 	if m.limits.MaxMemory <= 0 || m.kill == nil || m.killPending {
 		return
 	}
-	if m.HeldMemory() > m.limits.MaxMemory {
+	if m.heldMemory() > m.limits.MaxMemory {
 		m.killPending = true
 		m.breacher = circ
 		m.clock.After(0, m.memoryKills)
@@ -257,7 +257,7 @@ func (m *Manager) Held(circ cell.CircID, delta int) {
 func (m *Manager) memoryKills() {
 	m.killPending = false
 	breacher := m.breacher
-	for m.HeldMemory() > m.limits.MaxMemory && len(m.circuits) > 0 {
+	for m.heldMemory() > m.limits.MaxMemory && len(m.circuits) > 0 {
 		victim, ok := breacher, false
 		if m.limits.Policy == RejectNew {
 			_, ok = m.circuits[breacher]

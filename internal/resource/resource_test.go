@@ -164,7 +164,7 @@ func TestHeldTracksHighWater(t *testing.T) {
 	m := NewManager(sim.NewClock(), Limits{MaxMemory: 100 * cell.Size})
 	m.Admit(1)
 	m.Held(1, 7)
-	if got := m.HeldMemory(); got != 7*cell.Size {
+	if got := m.heldMemory(); got != 7*cell.Size {
 		t.Fatalf("held = %v, want %v", got, units.DataSize(7*cell.Size))
 	}
 	m.Held(1, -4)
@@ -172,7 +172,7 @@ func TestHeldTracksHighWater(t *testing.T) {
 		t.Fatalf("high-water = %v after drain, want %v", got, units.DataSize(7*cell.Size))
 	}
 	m.Release(1)
-	if got := m.HeldMemory(); got != 0 {
+	if got := m.heldMemory(); got != 0 {
 		t.Fatalf("held = %v after release, want 0", got)
 	}
 }
@@ -212,7 +212,7 @@ func TestMemoryKillRejectNewKillsBreacher(t *testing.T) {
 	if len(*killed) != 1 || (*killed)[0] != 2 {
 		t.Fatalf("killed %v, want breacher [2]", *killed)
 	}
-	if got := m.HeldMemory(); got != 4*cell.Size {
+	if got := m.heldMemory(); got != 4*cell.Size {
 		t.Fatalf("held = %v after kill, want %v", got, units.DataSize(4*cell.Size))
 	}
 }
@@ -236,8 +236,8 @@ func TestMemoryKillPolicyEvictsUntilUnderCap(t *testing.T) {
 	if len(*killed) != 2 || (*killed)[0] != 1 || (*killed)[1] != 2 {
 		t.Fatalf("killed %v, want [1 2]", *killed)
 	}
-	if len(m.circuits) != 1 || m.HeldMemory() != 2*cell.Size {
-		t.Fatalf("left %d circuits holding %v", len(m.circuits), m.HeldMemory())
+	if len(m.circuits) != 1 || m.heldMemory() != 2*cell.Size {
+		t.Fatalf("left %d circuits holding %v", len(m.circuits), m.heldMemory())
 	}
 }
 
@@ -245,7 +245,7 @@ func TestReleaseUnknownCircuitIgnored(t *testing.T) {
 	m := NewManager(sim.NewClock(), Limits{MaxCircuits: 1})
 	m.Release(99)
 	m.Held(99, 3)
-	if m.HeldMemory() != 0 || len(m.circuits) != 0 {
+	if m.heldMemory() != 0 || len(m.circuits) != 0 {
 		t.Fatal("unknown circuit affected accounting")
 	}
 }

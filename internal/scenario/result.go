@@ -420,5 +420,6 @@ func (r *Result) writeResources(w io.Writer) error {
 }
 
 // Trunks returns the arm's pooled per-trunk stats (nil on the
-// one-switch star).
+// one-switch star). Test-only: TestPublicAPIBackbone and
+// Example_backbone read them.
 func (a *ArmResult) Trunks() []TrunkStat { return a.Net.Trunks }

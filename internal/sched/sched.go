@@ -61,9 +61,9 @@ func (r *frameRing) grow() {
 	r.head = 0
 }
 
-// DefaultHalfLife is the EWMA decay half-life when none is given —
+// defaultHalfLife is the EWMA decay half-life when none is given —
 // Tor's CircuitPriorityHalflife default of 30 s.
-const DefaultHalfLife = 30 * time.Second
+const defaultHalfLife = 30 * time.Second
 
 // renormThreshold bounds the shared EWMA scale factor. Costs are
 // stored at epoch scale and increments grow as 2^(Δt/halfLife), so
@@ -110,13 +110,13 @@ type EWMA struct {
 }
 
 // NewEWMA returns an empty EWMA scheduler on the given clock.
-// halfLife ≤ 0 selects DefaultHalfLife.
+// halfLife ≤ 0 selects defaultHalfLife.
 func NewEWMA(clock *sim.Clock, halfLife time.Duration) *EWMA {
 	if clock == nil {
 		panic("sched: NewEWMA with nil clock")
 	}
 	if halfLife <= 0 {
-		halfLife = DefaultHalfLife
+		halfLife = defaultHalfLife
 	}
 	return &EWMA{
 		clock:    clock,

@@ -6,8 +6,8 @@ import (
 	"circuitstart/internal/sweep"
 )
 
-// CacheStats is a snapshot of the point cache's counters.
-type CacheStats struct {
+// cacheStats is a snapshot of the point cache's counters.
+type cacheStats struct {
 	Points int   `json:"points"`
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -70,11 +70,11 @@ func (c *pointCache) put(key string, arms []sweep.ArmPoint) {
 	}
 }
 
-func (c *pointCache) stats() CacheStats {
+func (c *pointCache) stats() cacheStats {
 	if c == nil {
-		return CacheStats{}
+		return cacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Points: len(c.points), Hits: c.hits, Misses: c.misses}
+	return cacheStats{Points: len(c.points), Hits: c.hits, Misses: c.misses}
 }

@@ -12,11 +12,11 @@ import (
 // Job states. A job moves queued → running → one of the terminal
 // states; DELETE moves a queued job straight to cancelled.
 const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
+	stateQueued    = "queued"
+	stateRunning   = "running"
+	stateDone      = "done"
+	stateFailed    = "failed"
+	stateCancelled = "cancelled"
 )
 
 // pointRows is one emitted grid point in wire-ready form: everything a
@@ -62,7 +62,7 @@ func newJob(sw sweep.Sweep, baseHash string) (*job, error) {
 	return &job{
 		sw:       sw,
 		baseHash: baseHash,
-		state:    StateQueued,
+		state:    stateQueued,
 		notify:   make(chan struct{}),
 		meta: sweep.Meta{
 			Name:       sw.Name,
@@ -150,11 +150,11 @@ func (c *collector) Flush() error { return nil }
 // computed them, and only the grid delta costs simulation time.
 func (j *job) run(workers, pointWorkers int, cache *pointCache) {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if j.state != stateQueued {
 		j.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
+	j.state = stateRunning
 	j.broadcastLocked()
 	j.mu.Unlock()
 
@@ -175,12 +175,12 @@ func (j *job) run(workers, pointWorkers int, cache *pointCache) {
 	j.tbl = tbl
 	switch {
 	case errors.Is(err, sweep.ErrStopped):
-		j.state = StateCancelled
+		j.state = stateCancelled
 	case err != nil:
-		j.state = StateFailed
+		j.state = stateFailed
 		j.errMsg = err.Error()
 	default:
-		j.state = StateDone
+		j.state = stateDone
 	}
 	j.broadcastLocked()
 	j.mu.Unlock()
@@ -188,5 +188,5 @@ func (j *job) run(workers, pointWorkers int, cache *pointCache) {
 
 // terminal reports whether the state accepts no further rows.
 func terminal(state string) bool {
-	return state == StateDone || state == StateFailed || state == StateCancelled
+	return state == stateDone || state == stateFailed || state == stateCancelled
 }

@@ -195,9 +195,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, j := range s.jobs {
 		j.mu.Lock()
 		switch j.state {
-		case StateQueued:
+		case stateQueued:
 			queued++
-		case StateRunning:
+		case stateRunning:
 			running++
 		}
 		j.mu.Unlock()
@@ -357,8 +357,8 @@ func (s *Server) cancel(w http.ResponseWriter, j *job) {
 	// A queued job never reaches its runner's state machine promptly
 	// (it may sit behind long sweeps), so cancel it here.
 	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateCancelled
+	if j.state == stateQueued {
+		j.state = stateCancelled
 		j.broadcastLocked()
 	}
 	j.mu.Unlock()

@@ -141,7 +141,7 @@ func TestSubmitStreamSummary(t *testing.T) {
 	wantCSV, wantJSONL, wantSummary := batchBytes(t, smokeSpec)
 
 	st := submit(t, ts, smokeSpec)
-	if st.State != StateQueued && st.State != StateRunning {
+	if st.State != stateQueued && st.State != stateRunning {
 		t.Fatalf("fresh job state = %s", st.State)
 	}
 	if st.Points != 2 || st.GridSize != 2 {
@@ -158,7 +158,7 @@ func TestSubmitStreamSummary(t *testing.T) {
 	}
 
 	final := waitState(t, ts, st.ID, func(s jobStatus) bool { return terminal(s.State) })
-	if final.State != StateDone || final.Emitted != 2 || final.Computed != 2 || final.Cached != 0 {
+	if final.State != stateDone || final.Emitted != 2 || final.Computed != 2 || final.Cached != 0 {
 		t.Fatalf("final status %+v", final)
 	}
 
@@ -214,7 +214,7 @@ func TestFinishedJobStreamsInFewFlushes(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	wantCSV, wantJSONL, _ := batchBytes(t, smokeSpec)
 	st := submit(t, ts, smokeSpec)
-	waitState(t, ts, st.ID, func(s jobStatus) bool { return s.State == StateDone })
+	waitState(t, ts, st.ID, func(s jobStatus) bool { return s.State == stateDone })
 
 	for _, tc := range []struct {
 		accept string
@@ -256,9 +256,9 @@ func TestLiveFollowStreamsBeforeDone(t *testing.T) {
 			t.Fatalf("reading the %s: %v", what, err)
 		}
 	}
-	if got := getStatus(t, ts, st.ID); got.State != StateRunning {
+	if got := getStatus(t, ts, st.ID); got.State != stateRunning {
 		t.Errorf("first row reached the client with the sweep %s (%d of %d emitted), want %s",
-			got.State, got.Emitted, got.Points, StateRunning)
+			got.State, got.Emitted, got.Points, stateRunning)
 	}
 
 	req, err = http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
@@ -281,12 +281,12 @@ func TestCacheReplayAndOverlapDelta(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
 	first := submit(t, ts, smokeSpec)
-	waitState(t, ts, first.ID, func(s jobStatus) bool { return s.State == StateDone })
+	waitState(t, ts, first.ID, func(s jobStatus) bool { return s.State == stateDone })
 	_, firstCSV := fetch(t, ts, "/v1/sweeps/"+first.ID+"/rows", "text/csv")
 
 	// Same grid again: zero points computed, identical bytes.
 	second := submit(t, ts, smokeSpec)
-	fin := waitState(t, ts, second.ID, func(s jobStatus) bool { return s.State == StateDone })
+	fin := waitState(t, ts, second.ID, func(s jobStatus) bool { return s.State == stateDone })
 	if fin.Cached != 2 || fin.Computed != 0 {
 		t.Fatalf("resubmission cached/computed = %d/%d, want 2/0", fin.Cached, fin.Computed)
 	}
@@ -306,7 +306,7 @@ func TestCacheReplayAndOverlapDelta(t *testing.T) {
 	  "dimensions": [{"gammas": [2, 4, 8]}]
 	}`
 	third := submit(t, ts, superset)
-	fin3 := waitState(t, ts, third.ID, func(s jobStatus) bool { return s.State == StateDone })
+	fin3 := waitState(t, ts, third.ID, func(s jobStatus) bool { return s.State == stateDone })
 	if fin3.Cached != 2 || fin3.Computed != 1 {
 		t.Fatalf("superset cached/computed = %d/%d, want 2/1", fin3.Cached, fin3.Computed)
 	}
@@ -326,7 +326,7 @@ func TestCacheReplayAndOverlapDelta(t *testing.T) {
 func TestSubmitRefusesMislabelledValue(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	first := submit(t, ts, `{"dimensions": [{"sizes_bytes": [1000000]}]}`)
-	waitState(t, ts, first.ID, func(s jobStatus) bool { return s.State == StateDone })
+	waitState(t, ts, first.ID, func(s jobStatus) bool { return s.State == stateDone })
 
 	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
 		strings.NewReader(`{"dimensions": [{"sizes_bytes": [1004000]}]}`))
@@ -372,8 +372,8 @@ func TestCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || st.State != StateCancelled {
-		t.Fatalf("queued cancel: %d, state %s (want %s)", resp.StatusCode, st.State, StateCancelled)
+	if resp.StatusCode != http.StatusAccepted || st.State != stateCancelled {
+		t.Fatalf("queued cancel: %d, state %s (want %s)", resp.StatusCode, st.State, stateCancelled)
 	}
 
 	// Now cancel the running sweep mid-flight.
@@ -388,8 +388,8 @@ func TestCancel(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	fin := waitState(t, ts, running.ID, func(s jobStatus) bool { return terminal(s.State) })
-	if fin.State != StateCancelled {
-		t.Fatalf("running job ended %s, want %s", fin.State, StateCancelled)
+	if fin.State != stateCancelled {
+		t.Fatalf("running job ended %s, want %s", fin.State, stateCancelled)
 	}
 	if fin.Emitted >= 16 {
 		t.Fatalf("cancelled job emitted all %d points — stop had no effect", fin.Emitted)
@@ -499,16 +499,16 @@ func TestPanickingGridPointFailsJob(t *testing.T) {
 		t.Fatal("queue full")
 	}
 	fin := waitState(t, ts, j.id, func(s jobStatus) bool { return terminal(s.State) })
-	if fin.State != StateFailed || !strings.Contains(fin.Error, "point 1 (boom)") || !strings.Contains(fin.Error, "mutator bug") {
-		t.Fatalf("panicking job ended %s (%q), want %s naming point 1 and the panic", fin.State, fin.Error, StateFailed)
+	if fin.State != stateFailed || !strings.Contains(fin.Error, "point 1 (boom)") || !strings.Contains(fin.Error, "mutator bug") {
+		t.Fatalf("panicking job ended %s (%q), want %s naming point 1 and the panic", fin.State, fin.Error, stateFailed)
 	}
 	if fin.Emitted != 1 {
 		t.Errorf("panicking job emitted %d points, want point 0 only", fin.Emitted)
 	}
 
 	next := submit(t, ts, smokeSpec)
-	if st := waitState(t, ts, next.ID, func(s jobStatus) bool { return terminal(s.State) }); st.State != StateDone {
-		t.Fatalf("submission after the panic ended %s (%q), want %s", st.State, st.Error, StateDone)
+	if st := waitState(t, ts, next.ID, func(s jobStatus) bool { return terminal(s.State) }); st.State != stateDone {
+		t.Fatalf("submission after the panic ended %s (%q), want %s", st.State, st.Error, stateDone)
 	}
 }
 

@@ -32,21 +32,22 @@ import (
 // cannot be accidentally mixed with wall-clock time.
 type Time time.Duration
 
-// Common Time constants re-exported for convenience. Nanosecond,
-// Microsecond and Millisecond are used only by tests, across packages.
+// Common Time constants re-exported for convenience.
 const (
-	Nanosecond  Time = Time(time.Nanosecond)
-	Microsecond Time = Time(time.Microsecond)
+	// Millisecond is one millisecond of simulated time. Test-only: other
+	// packages' tests write instants with it, core's
+	// TestTeardownMidTransferReleasesState among them.
 	Millisecond Time = Time(time.Millisecond)
 	Second      Time = Time(time.Second)
 )
 
-// MaxTime is the largest representable instant. It is used as the
+// maxTime is the largest representable instant. It is used as the
 // default horizon for unbounded runs.
-const MaxTime Time = Time(math.MaxInt64)
+const maxTime Time = Time(math.MaxInt64)
 
 // Duration converts t to a time.Duration offset from the epoch.
-// Test-only: the netem and transport tests convert instants with it.
+// Test-only: netem's TestLinkThroughputMatchesRate and transport's
+// TestThroughputUnderBottleneckMatchesRate convert instants with it.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Seconds returns the instant expressed in seconds.
@@ -194,12 +195,12 @@ type Handle struct {
 	gen uint64
 }
 
-// Cancel prevents the event from running, removing it from the queue
+// cancel prevents the event from running, removing it from the queue
 // immediately. Cancelling an event that has already fired or been
 // cancelled is a no-op. Cancel reports whether the event was still
 // pending.
-func (h Handle) Cancel() bool {
-	if !h.Active() {
+func (h Handle) cancel() bool {
+	if !h.active() {
 		return false
 	}
 	c := h.ev.clk
@@ -208,8 +209,8 @@ func (h Handle) Cancel() bool {
 	return true
 }
 
-// Active reports whether the event is still scheduled to run.
-func (h Handle) Active() bool {
+// active reports whether the event is still scheduled to run.
+func (h Handle) active() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.idx >= 0
 }
 
@@ -218,7 +219,7 @@ func (h Handle) Active() bool {
 // reports whether the event was still pending; a fired or cancelled
 // event is left alone.
 func (h Handle) Reschedule(t Time) bool {
-	if !h.Active() {
+	if !h.active() {
 		return false
 	}
 	h.ev.clk.reschedule(h.ev, t)
@@ -380,7 +381,7 @@ func (c *Clock) Reset() {
 
 // Run executes events until the queue is empty or Stop is called.
 // It returns the time of the last executed event.
-func (c *Clock) Run() Time { return c.RunUntil(MaxTime) }
+func (c *Clock) Run() Time { return c.RunUntil(maxTime) }
 
 // RunUntil executes events with timestamps <= horizon, advancing the
 // clock as it goes. On return the clock is positioned at
@@ -406,7 +407,7 @@ func (c *Clock) RunUntil(horizon Time) Time {
 		}
 		c.fire(next)
 	}
-	if horizon != MaxTime && c.now < horizon {
+	if horizon != maxTime && c.now < horizon {
 		c.now = horizon
 	}
 	return c.now

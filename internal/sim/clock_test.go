@@ -113,16 +113,16 @@ func TestCancel(t *testing.T) {
 	c := NewClock()
 	ran := false
 	h := c.After(time.Millisecond, func() { ran = true })
-	if !h.Active() {
+	if !h.active() {
 		t.Fatal("handle should be active after scheduling")
 	}
-	if !h.Cancel() {
+	if !h.cancel() {
 		t.Fatal("first Cancel should report true")
 	}
-	if h.Cancel() {
+	if h.cancel() {
 		t.Error("second Cancel should report false")
 	}
-	if h.Active() {
+	if h.active() {
 		t.Error("handle should be inactive after cancel")
 	}
 	c.Run()
@@ -135,7 +135,7 @@ func TestCancelDuringRun(t *testing.T) {
 	c := NewClock()
 	var h Handle
 	ran := false
-	c.After(time.Millisecond, func() { h.Cancel() })
+	c.After(time.Millisecond, func() { h.cancel() })
 	h = c.After(2*time.Millisecond, func() { ran = true })
 	c.Run()
 	if ran {
@@ -220,7 +220,7 @@ func TestProcessedCount(t *testing.T) {
 		c.After(time.Duration(i)*time.Millisecond, func() {})
 	}
 	h := c.After(time.Hour, func() {})
-	h.Cancel()
+	h.cancel()
 	c.Run()
 	if c.Processed() != 7 {
 		t.Errorf("Processed() = %d, want 7 (cancelled events don't count)", c.Processed())
@@ -285,7 +285,7 @@ func TestPropertyCancellationExactness(t *testing.T) {
 		}
 		for _, r := range recs {
 			if rng.Intn(3) == 0 {
-				r.h.Cancel()
+				r.h.cancel()
 				r.cancelled = true
 			}
 		}
@@ -340,7 +340,7 @@ func TestPendingCountsExactly(t *testing.T) {
 	// Cancelled events leave the queue immediately — a long run that
 	// cancels many RTO timers must not inflate the pending count.
 	for i := 0; i < 6; i++ {
-		handles[i].Cancel()
+		handles[i].cancel()
 	}
 	if got := c.Pending(); got != 4 {
 		t.Fatalf("Pending after 6 cancels = %d, want 4", got)
@@ -372,13 +372,13 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	// The fired event has been recycled; a second schedule reuses its
 	// slot. The stale handle must be inert against the new occupant.
 	h2 := c.After(time.Millisecond, func() { ran += 10 })
-	if h.Cancel() {
+	if h.cancel() {
 		t.Fatal("stale handle cancelled a recycled event")
 	}
-	if h.Active() {
+	if h.active() {
 		t.Fatal("stale handle reports active")
 	}
-	if !h2.Active() {
+	if !h2.active() {
 		t.Fatal("fresh handle reports inactive")
 	}
 	c.Run()
@@ -397,7 +397,7 @@ func TestCancelledThenRescheduledOrdering(t *testing.T) {
 		i := i
 		h := c.At(at, func() { order = append(order, i) })
 		if i%2 == 1 {
-			h.Cancel()
+			h.cancel()
 		}
 	}
 	c.Run()

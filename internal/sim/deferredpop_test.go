@@ -23,7 +23,7 @@ func clockScheduler(c *Clock) popScheduler {
 		now: c.Now,
 		at: func(t Time, fn func()) (func() bool, func(Time) bool) {
 			h := c.At(t, fn)
-			return h.Cancel, h.Reschedule
+			return h.cancel, h.Reschedule
 		},
 		peek: func() (int, Time) {
 			next, _ := c.Next()

@@ -73,7 +73,7 @@ func (h *orderHarness) act(n int) {
 			h.timers[h.rng.Intn(len(h.timers))].Arm(d)
 		case 3:
 			if len(h.handles) > 0 {
-				h.handles[h.rng.Intn(len(h.handles))].Cancel()
+				h.handles[h.rng.Intn(len(h.handles))].cancel()
 			}
 		case 4:
 			if len(h.handles) > 0 {

@@ -38,12 +38,12 @@ func (t *Timer) Arm(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	t.ArmAt(t.clock.Now().Add(d))
+	t.armAt(t.clock.Now().Add(d))
 }
 
-// ArmAt (re)schedules the timer to fire at the absolute instant at.
-func (t *Timer) ArmAt(at Time) {
-	if t.handle.Active() {
+// armAt (re)schedules the timer to fire at the absolute instant at.
+func (t *Timer) armAt(at Time) {
+	if t.handle.active() {
 		t.clock.reschedule(t.handle.ev, at)
 		return
 	}
@@ -51,10 +51,10 @@ func (t *Timer) ArmAt(at Time) {
 }
 
 // Stop cancels a pending firing. Stopping an unarmed timer is a no-op.
-func (t *Timer) Stop() { t.handle.Cancel() }
+func (t *Timer) Stop() { t.handle.cancel() }
 
 // Armed reports whether the timer is currently scheduled to fire.
-func (t *Timer) Armed() bool { return t.handle.Active() }
+func (t *Timer) Armed() bool { return t.handle.active() }
 
 func (t *Timer) fire() {
 	t.handle = Handle{}

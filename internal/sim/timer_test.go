@@ -81,7 +81,7 @@ func TestTimerArmAt(t *testing.T) {
 	c := NewClock()
 	var at Time
 	tm := NewTimer(c, func() { at = c.Now() })
-	tm.ArmAt(Time(42 * time.Millisecond))
+	tm.armAt(Time(42 * time.Millisecond))
 	c.Run()
 	if at != Time(42*time.Millisecond) {
 		t.Errorf("fired at %v, want 42ms", at)

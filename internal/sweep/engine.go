@@ -76,7 +76,7 @@ func (e Engine) Run(s Sweep, sinks ...Sink) (*Table, error) {
 	idx := s.indices()
 	idx = idx[sort.SearchInts(idx, e.Resume):]
 
-	tbl := NewTable()
+	tbl := newTable()
 	all := append(append([]Sink{}, sinks...), tbl)
 	meta := Meta{Name: s.Name, Dimensions: s.DimensionNames(), GridSize: s.Size(), Points: len(idx)}
 	for i, sk := range all {

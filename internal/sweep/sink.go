@@ -134,7 +134,8 @@ type jsonlHeader struct {
 	Points     int      `json:"points"`
 }
 
-// JSONLRow is one (point, arm) record of a JSONL sweep file.
+// JSONLRow is one (point, arm) record of a JSONL sweep file. Test-only:
+// TestJSONLRoundTrip decodes rows into it.
 type JSONLRow struct {
 	Point      int               `json:"point"`
 	Coords     map[string]string `json:"coords"`
@@ -261,8 +262,8 @@ type Table struct {
 	Rows []Row
 }
 
-// NewTable returns an empty table; Engine.Run populates and returns it.
-func NewTable() *Table { return &Table{} }
+// newTable returns an empty table; Engine.Run populates and returns it.
+func newTable() *Table { return &Table{} }
 
 // Begin implements Sink.
 func (t *Table) Begin(meta Meta) error { t.Meta = meta; return nil }
@@ -386,7 +387,8 @@ func (t *Table) Marginal(dim string) ([]MarginalRow, error) {
 }
 
 // WriteText renders the full (point, arm) table with aligned columns —
-// a compact subset of the CSV schema for terminal reading.
+// a compact subset of the CSV schema for terminal reading. Test-only:
+// TestTableSummaries checks it.
 func (t *Table) WriteText(w io.Writer) error {
 	cols := append([]string{"point"}, t.Meta.Dimensions...)
 	cols = append(cols, "arm", "n", "incomplete", "ttlb_p50_s", "ttlb_p90_s", "exit_cwnd", "exit_time_s", "drops")
@@ -421,6 +423,7 @@ func (t *Table) WriteSummary(w io.Writer) error {
 }
 
 // WriteMarginals renders one aligned marginal table per dimension.
+// Test-only: TestTableSummaries checks it.
 func (t *Table) WriteMarginals(w io.Writer) error {
 	for _, dim := range t.Meta.Dimensions {
 		rows, err := t.Marginal(dim)

@@ -33,7 +33,7 @@ func NewCSVStream(w io.Writer, header ...string) (*CSVStream, error) {
 		return nil, fmt.Errorf("traceio: CSV stream without columns")
 	}
 	s := &CSVStream{w: w, cols: len(header)}
-	return s, s.Write(header...)
+	return s, s.write(header...)
 }
 
 // NewCSVStreamNoHeader returns a stream that writes no header row —
@@ -45,9 +45,9 @@ func NewCSVStreamNoHeader(w io.Writer, columns int) (*CSVStream, error) {
 	return &CSVStream{w: w, cols: columns}, nil
 }
 
-// Write appends one row of string cells. The cell count must match the
+// write appends one row of string cells. The cell count must match the
 // header.
-func (s *CSVStream) Write(cells ...string) error {
+func (s *CSVStream) write(cells ...string) error {
 	for _, c := range cells {
 		s.Field(c)
 	}

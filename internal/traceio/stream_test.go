@@ -15,7 +15,7 @@ func TestCSVStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("1", "2", "3"); err != nil {
+	if err := s.write("1", "2", "3"); err != nil {
 		t.Fatal(err)
 	}
 	s.Field("x")
@@ -25,10 +25,10 @@ func TestCSVStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cells with commas, quotes and newlines must round-trip.
-	if err := s.Write(`he said "hi"`, "a,b", "two\nlines"); err != nil {
+	if err := s.write(`he said "hi"`, "a,b", "two\nlines"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("short"); err == nil {
+	if err := s.write("short"); err == nil {
 		t.Fatal("row with wrong cell count accepted")
 	}
 
@@ -125,7 +125,7 @@ func TestCSVStreamRecordBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write("", "x\ny", "plain"); err != nil {
+	if err := s.write("", "x\ny", "plain"); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"point,\"a,b\",\"q\"\"\"\n", ",\"x\ny\",plain\n"}
@@ -153,7 +153,7 @@ func TestCSVStreamCellCountMismatch(t *testing.T) {
 	if err := s.EndRecord(); err == nil {
 		t.Error("record with 3 of 2 cells accepted")
 	}
-	if err := s.Write("only"); err == nil {
+	if err := s.write("only"); err == nil {
 		t.Error("string row with 1 of 2 cells accepted")
 	}
 	if len(log.writes) != 0 {

@@ -103,8 +103,8 @@ func NewTable(header ...string) *Table {
 	return &Table{header: header}
 }
 
-// AddRow appends a row. The cell count must match the header.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends a row. The cell count must match the header.
+func (t *Table) addRow(cells ...string) {
 	if len(cells) != len(t.header) {
 		panic(fmt.Sprintf("traceio: row with %d cells in table with %d columns", len(cells), len(t.header)))
 	}
@@ -125,7 +125,7 @@ func (t *Table) AddRowf(cells ...any) {
 			out[i] = fmt.Sprintf("%v", v)
 		}
 	}
-	t.AddRow(out...)
+	t.addRow(out...)
 }
 
 // WriteText writes the table with aligned columns.

@@ -101,7 +101,7 @@ func TestWriteSummaryTable(t *testing.T) {
 
 func TestTableText(t *testing.T) {
 	tb := NewTable("policy", "ttlb_s", "cells")
-	tb.AddRow("circuitstart", "1.2", "100")
+	tb.addRow("circuitstart", "1.2", "100")
 	tb.AddRowf("slowstart", 1.75, 100)
 
 	var txt bytes.Buffer
@@ -129,6 +129,6 @@ func TestTablePanics(t *testing.T) {
 				t.Fatal("no panic")
 			}
 		}()
-		tb.AddRow("only-one")
+		tb.addRow("only-one")
 	})
 }

@@ -49,7 +49,7 @@ func offerRun(t *testing.T, hc harnessConfig, offer bool) (log []string, produce
 				}
 			}
 			submitted += b.n
-			log = append(log, fmt.Sprintf("%v queued %d in flight %d", h.clock.Now(), h.sender.QueueLen(), h.sender.InFlight()))
+			log = append(log, fmt.Sprintf("%v queued %d in flight %d", h.clock.Now(), h.sender.QueueLen(), h.sender.inFlight()))
 		})
 	}
 	h.run(60 * time.Second)
@@ -74,7 +74,7 @@ func offerRun(t *testing.T, hc harnessConfig, offer bool) (log []string, produce
 func TestOfferedBacklogBehavesLikeAnEnqueuedQueue(t *testing.T) {
 	for name, hc := range map[string]harnessConfig{
 		"circuitstart, constrained successor": {fwdRate: units.Mbps(4)},
-		"slow start, constrained successor":   {fwdRate: units.Mbps(4), senderCfg: Config{Startup: &ClassicSlowStart{Gamma: DefaultGamma}}},
+		"slow start, constrained successor":   {fwdRate: units.Mbps(4), senderCfg: Config{Startup: &classicSlowStart{Gamma: defaultGamma}}},
 		"lossy link":                          {lossProb: 0.03},
 		"re-probe and severe remeasure":       {fwdRate: units.Mbps(2), senderCfg: Config{RestartRounds: 3, SevereRemeasure: 2}},
 		"ack clocked":                         {fwdRate: units.Mbps(4), senderCfg: Config{WindowClock: ClockAck}},
@@ -129,7 +129,7 @@ func TestOfferedCellsCountAsHeldOnceProduced(t *testing.T) {
 		t.Fatalf("held = %d after Offer(10) transmitted %d; want the initial window, all of it held", held, sent)
 	}
 	s.HandleAck(1)
-	if want := s.Unacked(); held != want {
+	if want := s.unacked(); held != want {
 		t.Fatalf("held = %d after an ACK, want the %d unacked", held, want)
 	}
 	s.Close()
@@ -142,5 +142,5 @@ func TestOfferedCellsCountAsHeldOnceProduced(t *testing.T) {
 func debugState(s *Sender) string {
 	return fmt.Sprintf("phase=%v cwnd=%.1f measuring=%v aligned=%v starved=%v roundActive=%v budget=%d boundary=%d sent=%d acked=%d fb=%d queue=%d inflight=%d exitTimerArmed=%v rtoArmed=%v",
 		s.phase, s.cwnd, s.exitMeasuring, s.exitAligned, s.exitStarved, s.roundActive, s.roundBudget, s.roundBoundary,
-		s.nextSeq, s.acked, s.feedback, s.QueueLen(), s.InFlight(), s.exitTimer.Armed(), s.rtoTimer.Armed())
+		s.nextSeq, s.acked, s.feedback, s.QueueLen(), s.inFlight(), s.exitTimer.Armed(), s.rtoTimer.Armed())
 }

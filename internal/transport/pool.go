@@ -49,7 +49,9 @@ func NewSegmentPool() *SegmentPool {
 	}
 }
 
-// Get returns a zeroed segment for the caller to fill.
+// Get returns a zeroed segment for the caller to fill. Test-only: arena's
+// TestArenaBalanceCatchesLeaks draws segments with it; the package
+// itself sends through it.
 func (p *SegmentPool) Get() *Segment { return p.segments.Get() }
 
 // Put recycles a dead wrapper, zeroed so the pool pins no cell.

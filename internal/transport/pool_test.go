@@ -15,7 +15,7 @@ import (
 func fixedWindowSender(clock *sim.Clock, pool *SegmentPool, sent *[]Segment, n *uint64) *Sender {
 	s := NewSender(Config{
 		Clock: clock, Circ: 1,
-		Startup: NoStartup{}, DisableAvoidance: true,
+		Startup: noStartup{}, DisableAvoidance: true,
 		InitialCwnd: 64,
 		Send: func(seg Segment) bool {
 			if seg.Kind == KindData {

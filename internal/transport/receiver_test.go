@@ -182,8 +182,8 @@ func TestRecoveryUnderHeavyLossWithBothPolicies(t *testing.T) {
 		name   string
 		policy Startup
 	}{
-		{"circuitstart", NewCircuitStart()},
-		{"slowstart", &ClassicSlowStart{Gamma: DefaultGamma}},
+		{"circuitstart", newCircuitStart()},
+		{"slowstart", &classicSlowStart{Gamma: defaultGamma}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHopHarness(t, harnessConfig{

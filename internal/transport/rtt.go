@@ -22,18 +22,18 @@ type RTTEstimator struct {
 // runs between overlay neighbours where spurious timeouts are cheap and
 // interactivity matters.
 const (
-	DefaultRTOMin = 10 * time.Millisecond
-	DefaultRTOMax = 10 * time.Second
+	defaultRTOMin = 10 * time.Millisecond
+	defaultRTOMax = 10 * time.Second
 )
 
 // NewRTTEstimator creates an estimator with the given RTO bounds; zero
 // values select the defaults.
 func NewRTTEstimator(rtoMin, rtoMax time.Duration) *RTTEstimator {
 	if rtoMin <= 0 {
-		rtoMin = DefaultRTOMin
+		rtoMin = defaultRTOMin
 	}
 	if rtoMax <= 0 {
-		rtoMax = DefaultRTOMax
+		rtoMax = defaultRTOMax
 	}
 	return &RTTEstimator{rtoMin: rtoMin, rtoMax: rtoMax, backoff: 1}
 }
@@ -57,9 +57,6 @@ func (e *RTTEstimator) Sample(rtt time.Duration) {
 	}
 	e.backoff = 1
 }
-
-// SRTT returns the smoothed RTT (zero before the first sample).
-func (e *RTTEstimator) SRTT() time.Duration { return e.srtt }
 
 // RTO returns the current retransmission timeout, including any backoff.
 func (e *RTTEstimator) RTO() time.Duration {

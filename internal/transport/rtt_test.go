@@ -14,8 +14,8 @@ func TestRTTFirstSample(t *testing.T) {
 	if !e.valid {
 		t.Error("not Valid after sample")
 	}
-	if e.SRTT() != 100*time.Millisecond {
-		t.Errorf("SRTT = %v, want 100ms", e.SRTT())
+	if e.srtt != 100*time.Millisecond {
+		t.Errorf("SRTT = %v, want 100ms", e.srtt)
 	}
 	// RTO = srtt + 4*rttvar = 100 + 4*50 = 300ms.
 	if e.RTO() != 300*time.Millisecond {
@@ -29,8 +29,8 @@ func TestRTTSmoothing(t *testing.T) {
 	e.Sample(200 * time.Millisecond)
 	// srtt = 7/8*100 + 1/8*200 = 112.5ms
 	want := 112500 * time.Microsecond
-	if e.SRTT() != want {
-		t.Errorf("SRTT = %v, want %v", e.SRTT(), want)
+	if e.srtt != want {
+		t.Errorf("SRTT = %v, want %v", e.srtt, want)
 	}
 }
 

@@ -66,10 +66,10 @@ func (k Kind) String() string {
 // control segments are small. These sizes are charged by the network
 // emulator, so control traffic consumes (reverse-path) bandwidth.
 const (
-	// HeaderSize covers kind, circuit ID, sequence/count and framing.
-	HeaderSize = 16
+	// headerSize covers kind, circuit ID, sequence/count and framing.
+	headerSize = 16
 	// DataWireSize is the on-wire size of a DATA segment.
-	DataWireSize = units.DataSize(cell.Size + HeaderSize)
+	DataWireSize = units.DataSize(cell.Size + headerSize)
 	// CtrlWireSize is the on-wire size of ACK and FEEDBACK segments.
 	CtrlWireSize = units.DataSize(24)
 )
@@ -110,6 +110,7 @@ type Segment struct {
 }
 
 // WireSize returns the size the network charges for this segment.
+// Test-only: endpoint's TestSinkBadCellCounted frames segments with it.
 func (s Segment) WireSize() units.DataSize {
 	if s.Kind == KindData {
 		return DataWireSize

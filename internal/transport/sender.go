@@ -16,17 +16,18 @@ type Phase int
 // Phases.
 const (
 	// PhaseStartup is the ramp-up phase governed by the Startup policy.
+	// Test-only: core's TestFixedWindowBaseline compares with it.
 	PhaseStartup Phase = iota
-	// PhaseAvoidance is delay-based congestion avoidance (TCP-Vegas
+	// phaseAvoidance is delay-based congestion avoidance (TCP-Vegas
 	// style, as in BackTap).
-	PhaseAvoidance
+	phaseAvoidance
 )
 
 func (p Phase) String() string {
 	switch p {
 	case PhaseStartup:
 		return "startup"
-	case PhaseAvoidance:
+	case phaseAvoidance:
 		return "avoidance"
 	default:
 		return fmt.Sprintf("Phase(%d)", int(p))
@@ -38,10 +39,10 @@ type WindowClock int
 
 // Window clock options.
 const (
-	// ClockFeedback bounds in-flight data by cells not yet confirmed
+	// clockFeedback bounds in-flight data by cells not yet confirmed
 	// *forwarded* — BackTap's backpressure semantics, and the default.
 	// Only tests name it: every run gets it as the zero value.
-	ClockFeedback WindowClock = iota
+	clockFeedback WindowClock = iota
 	// ClockAck bounds in-flight data by cells not yet *received* — the
 	// semantics of a chained ("split TCP"-like) per-hop protocol. Used
 	// by the feedback-clocking ablation.
@@ -58,16 +59,16 @@ func (w WindowClock) String() string {
 // Vegas congestion-avoidance defaults (cells of queue estimate), as in
 // TCP Vegas / BackTap.
 const (
-	DefaultAlpha = 2.0
-	DefaultBeta  = 4.0
+	defaultAlpha = 2.0
+	defaultBeta  = 4.0
 )
 
-// DefaultInitialCwnd is the paper's initial window: "Each relay starts
+// defaultInitialCwnd is the paper's initial window: "Each relay starts
 // with an initial congestion window (cwnd) of two cells."
-const DefaultInitialCwnd = 2.0
+const defaultInitialCwnd = 2.0
 
-// DefaultMaxCwnd caps runaway windows (cells).
-const DefaultMaxCwnd = 4096.0
+// defaultMaxCwnd caps runaway windows (cells).
+const defaultMaxCwnd = 4096.0
 
 // Config parameterizes a hop sender.
 type Config struct {
@@ -79,7 +80,7 @@ type Config struct {
 	// return value reports whether the network accepted the segment
 	// (false = tail drop at the local queue).
 	Send func(Segment) bool
-	// Startup is the ramp-up policy. Defaults to NewCircuitStart().
+	// Startup is the ramp-up policy. Defaults to newCircuitStart().
 	Startup Startup
 	// Alpha, Beta are the Vegas congestion-avoidance thresholds.
 	// Zero selects the defaults.
@@ -88,13 +89,13 @@ type Config struct {
 	InitialCwnd float64
 	// MinCwnd floors the window (default 2).
 	MinCwnd float64
-	// MaxCwnd caps the window (default DefaultMaxCwnd).
+	// MaxCwnd caps the window (default defaultMaxCwnd).
 	MaxCwnd float64
 	// WindowClock selects backpressure (feedback) or reception (ack)
 	// window accounting.
 	WindowClock WindowClock
 	// DisableAvoidance freezes the window after startup exit (used with
-	// NoStartup for fixed-window baselines).
+	// noStartup for fixed-window baselines).
 	DisableAvoidance bool
 	// RestartRounds, when positive, enables the paper's future-work
 	// extension: after this many consecutive underutilized avoidance
@@ -210,7 +211,7 @@ type Sender struct {
 	// "congestion window validation": a round only proves something
 	// about the network if the in-flight data actually reached the
 	// window at some point during it. Policies consult the verdict via
-	// RoundAppLimited during OnRoundComplete: growing the window in an
+	// roundAppLimited during OnRoundComplete: growing the window in an
 	// application-limited round would let idle hops (e.g. a relay
 	// throttled by its upstream) double forever without ever probing the
 	// network, destroying the back-propagation property.
@@ -267,22 +268,22 @@ func NewSender(cfg Config) *Sender {
 		panic("transport: Config.Send is required")
 	}
 	if cfg.Startup == nil {
-		cfg.Startup = NewCircuitStart()
+		cfg.Startup = newCircuitStart()
 	}
 	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
+		cfg.Alpha = defaultAlpha
 	}
 	if cfg.Beta == 0 {
-		cfg.Beta = DefaultBeta
+		cfg.Beta = defaultBeta
 	}
 	if cfg.InitialCwnd == 0 {
-		cfg.InitialCwnd = DefaultInitialCwnd
+		cfg.InitialCwnd = defaultInitialCwnd
 	}
 	if cfg.MinCwnd == 0 {
-		cfg.MinCwnd = DefaultInitialCwnd
+		cfg.MinCwnd = defaultInitialCwnd
 	}
 	if cfg.MaxCwnd == 0 {
-		cfg.MaxCwnd = DefaultMaxCwnd
+		cfg.MaxCwnd = defaultMaxCwnd
 	}
 	if cfg.Alpha > cfg.Beta {
 		panic(fmt.Sprintf("transport: alpha %v > beta %v", cfg.Alpha, cfg.Beta))
@@ -293,7 +294,7 @@ func NewSender(cfg Config) *Sender {
 		pool:  &unpooled,
 		cwnd:  cfg.InitialCwnd,
 		phase: PhaseStartup,
-		rtt:   NewRTTEstimator(DefaultRTOMin, DefaultRTOMax),
+		rtt:   NewRTTEstimator(defaultRTOMin, defaultRTOMax),
 	}
 	s.rtoTimer = sim.NewTimer(s.clock, s.onRTO)
 	s.probeTimer = sim.NewTimer(s.clock, s.onProbe)
@@ -335,7 +336,7 @@ func (s *Sender) Close() {
 	s.probeTimer.Stop()
 	s.exitTimer.Stop()
 	if s.cfg.OnHeld != nil {
-		if held := len(s.queue) - s.qhead + s.Unacked(); held > 0 {
+		if held := len(s.queue) - s.qhead + s.unacked(); held > 0 {
 			s.cfg.OnHeld(-held)
 		}
 	}
@@ -356,7 +357,8 @@ func (s *Sender) releaseBuffers() {
 
 // --- accessors -------------------------------------------------------
 
-// Cwnd returns the congestion window in cells.
+// Cwnd returns the congestion window in cells. Test-only: core's
+// TestBackpropagationOfBottleneckWindow reads windows with it.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
 // Phase returns the current congestion-control phase. Test-only:
@@ -365,23 +367,24 @@ func (s *Sender) Cwnd() float64 { return s.cwnd }
 func (s *Sender) Phase() Phase { return s.phase }
 
 // QueueLen returns cells waiting for their first transmission: the
-// local queue plus the offered backlog not yet produced.
+// local queue plus the offered backlog not yet produced. Test-only:
+// core's TestLongTransferHoldsOnlyTheCellsInFlight reads it.
 func (s *Sender) QueueLen() int { return len(s.queue) - s.qhead + s.backlog }
 
-// InFlight returns the window occupancy in cells under the configured
+// inFlight returns the window occupancy in cells under the configured
 // window clock.
-func (s *Sender) InFlight() int {
+func (s *Sender) inFlight() int {
 	if s.cfg.WindowClock == ClockAck {
 		return int(s.nextSeq - s.acked)
 	}
 	return int(s.nextSeq - s.feedback)
 }
 
-// Unacked returns cells transmitted but not yet acknowledged.
-func (s *Sender) Unacked() int { return int(s.nextSeq - s.acked) }
+// unacked returns cells transmitted but not yet acknowledged.
+func (s *Sender) unacked() int { return int(s.nextSeq - s.acked) }
 
 // SRTT returns the smoothed DATA→ACK RTT.
-func (s *Sender) SRTT() time.Duration { return s.rtt.SRTT() }
+func (s *Sender) SRTT() time.Duration { return s.rtt.srtt }
 
 // Stats returns a snapshot of the counters.
 func (s *Sender) Stats() SenderStats {
@@ -391,21 +394,21 @@ func (s *Sender) Stats() SenderStats {
 	return st
 }
 
-// RoundFeedback returns the number of cells confirmed moving within the
+// roundFeedback returns the number of cells confirmed moving within the
 // current round so far — the quantity CircuitStart's overshooting
 // compensation sets the window to.
-func (s *Sender) RoundFeedback() int { return int(s.feedback - s.roundStartFb) }
+func (s *Sender) roundFeedback() int { return int(s.feedback - s.roundStartFb) }
 
-// RoundAppLimited reports whether the most recently completed round was
+// roundAppLimited reports whether the most recently completed round was
 // constrained by available data rather than the congestion window. It is
 // meaningful during Startup.OnRoundComplete; policies must not grow the
 // window after an application-limited round.
-func (s *Sender) RoundAppLimited() bool { return s.lastRoundAppLimited }
+func (s *Sender) roundAppLimited() bool { return s.lastRoundAppLimited }
 
-// VegasDiff returns the live queue estimate of the current round:
+// vegasDiff returns the live queue estimate of the current round:
 // diff = cwnd·(currentRtt/baseRtt) − cwnd, with currentRtt the mean
 // feedback RTT of the round so far. Zero until samples exist.
-func (s *Sender) VegasDiff() float64 {
+func (s *Sender) vegasDiff() float64 {
 	if s.roundRttCnt == 0 || s.baseRtt <= 0 {
 		return 0
 	}
@@ -426,8 +429,8 @@ func (s *Sender) clampCwnd(v float64) float64 {
 	return v
 }
 
-// SetCwnd sets the window, clamped to [MinCwnd, MaxCwnd].
-func (s *Sender) SetCwnd(v float64) {
+// setCwnd sets the window, clamped to [MinCwnd, MaxCwnd].
+func (s *Sender) setCwnd(v float64) {
 	v = s.clampCwnd(v)
 	if v == s.cwnd {
 		return
@@ -436,13 +439,13 @@ func (s *Sender) SetCwnd(v float64) {
 	s.notifyCwnd()
 }
 
-// ExitStartup leaves the ramp-up phase with the given window and enters
+// exitStartup leaves the ramp-up phase with the given window and enters
 // congestion avoidance. Calling it outside PhaseStartup is a no-op.
-func (s *Sender) ExitStartup(newCwnd float64) {
+func (s *Sender) exitStartup(newCwnd float64) {
 	if s.phase != PhaseStartup {
 		return
 	}
-	s.phase = PhaseAvoidance
+	s.phase = phaseAvoidance
 	s.exitMeasuring = false
 	s.exitTimer.Stop()
 	s.stats.StartupExits++
@@ -453,13 +456,13 @@ func (s *Sender) ExitStartup(newCwnd float64) {
 	s.notifyCwnd()
 }
 
-// BeginExitMeasurement starts the overshooting-compensation measurement.
+// beginExitMeasurement starts the overshooting-compensation measurement.
 // The sender keeps transmitting (with headroom for the doubling this
 // round would have performed, so the successor stays saturated), waits
 // for the first feedback covering a post-trip cell, then counts feedback
 // for exactly one baseRtt and leaves startup with the counted amount as
 // its window. Redundant calls are no-ops.
-func (s *Sender) BeginExitMeasurement() {
+func (s *Sender) beginExitMeasurement() {
 	if s.phase != PhaseStartup {
 		return
 	}
@@ -468,7 +471,7 @@ func (s *Sender) BeginExitMeasurement() {
 }
 
 // beginMeasurement arms the one-baseRtt drain measurement in either
-// phase. In startup it ends with ExitStartup; in avoidance (severe
+// phase. In startup it ends with exitStartup; in avoidance (severe
 // remeasure) it shrinks the window to the measured drain.
 func (s *Sender) beginMeasurement() {
 	if s.exitMeasuring {
@@ -483,9 +486,6 @@ func (s *Sender) beginMeasurement() {
 	// finish anyway with whatever was counted.
 	s.exitTimer.Arm(4 * s.rtt.RTO())
 }
-
-// ExitMeasuring reports whether the exit measurement is in progress.
-func (s *Sender) ExitMeasuring() bool { return s.exitMeasuring }
 
 // observeExitFeedback feeds the measurement with a feedback batch that
 // advanced the cumulative count by delta cells. It opens the counting
@@ -546,7 +546,7 @@ func (s *Sender) onExitMeasured() {
 		// plus re-probe govern the window from here.
 		s.exitMeasuring = false
 		if s.phase == PhaseStartup {
-			s.ExitStartup(s.cwnd)
+			s.exitStartup(s.cwnd)
 		} else {
 			s.endRound()
 			s.pump()
@@ -571,19 +571,19 @@ func (s *Sender) onExitMeasured() {
 		// ramping instead of exiting below capacity.
 		if est >= 1.8*s.cwnd {
 			s.exitMeasuring = false
-			s.SetCwnd(est)
+			s.setCwnd(est)
 			s.endRound()
 			s.pump()
 			return
 		}
-		s.ExitStartup(est) // clears exitMeasuring
+		s.exitStartup(est) // clears exitMeasuring
 		return
 	}
 	// Severe remeasure in avoidance: only ever shrink — growth goes
 	// through the re-probe path, which validates it against the network.
 	s.exitMeasuring = false
 	if est < s.cwnd {
-		s.SetCwnd(est)
+		s.setCwnd(est)
 	}
 	s.endRound()
 	s.pump()
@@ -672,7 +672,7 @@ func (s *Sender) pump() {
 		// A drain measurement is only valid while the window is the
 		// binding constraint. Running out of data mid-measurement means
 		// the count reflects upstream supply, not successor capacity.
-		if s.exitMeasuring && s.QueueLen() == 0 && s.InFlight() < int(math.Floor(s.cwnd)) {
+		if s.exitMeasuring && s.QueueLen() == 0 && s.inFlight() < int(math.Floor(s.cwnd)) {
 			s.exitStarved = true
 		}
 	}()
@@ -695,7 +695,7 @@ func (s *Sender) pump() {
 				// cancels.
 				limit = 2 * s.cwnd
 			}
-			if s.InFlight() >= int(math.Floor(limit)) {
+			if s.inFlight() >= int(math.Floor(limit)) {
 				return
 			}
 			if !s.roundActive {
@@ -716,7 +716,7 @@ func (s *Sender) beginRound() {
 	s.roundRttCnt = 0
 	s.roundHasFb = false
 	s.roundStartCwnd = s.cwnd
-	s.roundMaxInFlight = s.InFlight()
+	s.roundMaxInFlight = s.inFlight()
 	// The round completes when feedback covers its boundary. In burst
 	// mode the boundary grows to cover the whole train (see
 	// transmitNext); in continuous mode it is pinned to the first cell
@@ -795,7 +795,7 @@ func (s *Sender) transmitNext() {
 		}
 	}
 	if s.roundActive {
-		if inf := s.InFlight(); inf > s.roundMaxInFlight {
+		if inf := s.inFlight(); inf > s.roundMaxInFlight {
 			s.roundMaxInFlight = inf
 		}
 	}
@@ -847,7 +847,7 @@ func (s *Sender) HandleAck(count uint64) {
 		s.cfg.OnHeld(-newly)
 	}
 
-	if s.Unacked() == 0 {
+	if s.unacked() == 0 {
 		s.rtoTimer.Stop()
 	} else {
 		s.rtoTimer.Arm(s.rtt.RTO())
@@ -908,7 +908,7 @@ func (s *Sender) HandleFeedback(count uint64) {
 // completeRound closes the measurement round and lets the phase logic
 // act on the Vegas diff.
 func (s *Sender) completeRound() {
-	diff := s.VegasDiff()
+	diff := s.vegasDiff()
 	// The round was application-limited if in-flight data never reached
 	// the window that was in force when it began: the window was not the
 	// binding constraint, so its size was not actually probed.
@@ -919,7 +919,7 @@ func (s *Sender) completeRound() {
 	switch s.phase {
 	case PhaseStartup:
 		s.cfg.Startup.OnRoundComplete(s, diff)
-	case PhaseAvoidance:
+	case phaseAvoidance:
 		if s.cfg.DisableAvoidance {
 			break
 		}
@@ -958,16 +958,16 @@ func (s *Sender) completeRound() {
 					s.accelStartCwnd = s.cwnd
 				}
 				s.stats.Restarts++
-				s.SetCwnd(s.cwnd * 1.5)
+				s.setCwnd(s.cwnd * 1.5)
 			} else {
-				s.SetCwnd(s.cwnd + 1)
+				s.setCwnd(s.cwnd + 1)
 			}
 		case s.cfg.SevereRemeasure > 0 && diff > s.cfg.SevereRemeasure*s.cfg.Beta:
 			s.endUnderuseStreak()
 			s.beginMeasurement()
 		case diff > s.cfg.Beta:
 			s.endUnderuseStreak()
-			s.SetCwnd(s.cwnd - 1)
+			s.setCwnd(s.cwnd - 1)
 		default:
 			s.endUnderuseStreak()
 		}
@@ -1022,7 +1022,7 @@ func (s *Sender) onRTO() {
 	if s.closed {
 		return
 	}
-	if s.Unacked() == 0 {
+	if s.unacked() == 0 {
 		return
 	}
 	seq := s.acked
@@ -1036,7 +1036,7 @@ func (s *Sender) onRTO() {
 	s.rtt.Backoff()
 	s.rtoTimer.Arm(s.rtt.RTO())
 
-	s.SetCwnd(s.cfg.InitialCwnd)
+	s.setCwnd(s.cfg.InitialCwnd)
 	if s.phase != PhaseStartup && !s.cfg.DisableAvoidance {
 		s.enterStartup()
 	} else {

@@ -17,7 +17,7 @@ func TestReliableInOrderTransfer(t *testing.T) {
 	h.assertDeliveredInOrder(100)
 	if !idle(h.sender) {
 		t.Errorf("sender not idle: queue=%d unacked=%d inflight=%d",
-			h.sender.QueueLen(), h.sender.Unacked(), h.sender.InFlight())
+			h.sender.QueueLen(), h.sender.unacked(), h.sender.inFlight())
 	}
 	st := h.sender.Stats()
 	if st.Transmitted != 100 || st.Retransmitted != 0 {
@@ -31,7 +31,7 @@ func TestReliableInOrderTransfer(t *testing.T) {
 func TestCircuitStartDoublesPerRound(t *testing.T) {
 	var cwnds []float64
 	h := newHopHarness(t, harnessConfig{senderCfg: Config{
-		Startup: NewCircuitStart(),
+		Startup: newCircuitStart(),
 		OnCwnd: func(c float64, p Phase) {
 			if p == PhaseStartup {
 				cwnds = append(cwnds, c)
@@ -73,7 +73,7 @@ func TestCircuitStartExitsWithCompensationAtBottleneck(t *testing.T) {
 	if st.StartupExits != 1 {
 		t.Fatalf("StartupExits = %d, want 1", st.StartupExits)
 	}
-	if h.sender.Phase() != PhaseAvoidance {
+	if h.sender.Phase() != phaseAvoidance {
 		t.Errorf("phase = %v, want avoidance", h.sender.Phase())
 	}
 	// The optimal window is bottleneck rate × base feedback RTT.
@@ -97,7 +97,7 @@ func TestClassicSlowStartHalvesOnExit(t *testing.T) {
 	h := newHopHarness(t, harnessConfig{
 		fwdRate: units.Mbps(4),
 		senderCfg: Config{
-			Startup: &ClassicSlowStart{Gamma: DefaultGamma},
+			Startup: &classicSlowStart{Gamma: defaultGamma},
 			OnCwnd: func(c float64, p Phase) {
 				if p == PhaseStartup {
 					preExit = c
@@ -140,8 +140,8 @@ func TestClassicOvershootsMoreThanCircuitStart(t *testing.T) {
 		opt := float64(units.BDP(units.Mbps(4), h.sender.baseRtt)) / float64(DataWireSize)
 		return h.sender.Stats().ExitCwnd, peak, opt
 	}
-	csExit, csPeak, opt := run(NewCircuitStart())
-	ssExit, ssPeak, _ := run(&ClassicSlowStart{Gamma: DefaultGamma})
+	csExit, csPeak, opt := run(newCircuitStart())
+	ssExit, ssPeak, _ := run(&classicSlowStart{Gamma: defaultGamma})
 	t.Logf("optimal=%.1f; circuitstart: exit=%.1f peak=%.1f; slowstart: exit=%.1f peak=%.1f",
 		opt, csExit, csPeak, ssExit, ssPeak)
 	if ssPeak <= csPeak {
@@ -168,11 +168,11 @@ func TestBurstModeRespectsRoundBudget(t *testing.T) {
 			break
 		}
 		if h.sender.Phase() == PhaseStartup {
-			if f := h.sender.InFlight(); f > maxInflight {
+			if f := h.sender.inFlight(); f > maxInflight {
 				maxInflight = f
 			}
 			allowed := h.sender.Cwnd()
-			if h.sender.ExitMeasuring() {
+			if h.sender.exitMeasuring {
 				allowed *= 2
 			}
 			if allowed > maxAllowed {
@@ -198,11 +198,11 @@ func TestContinuousModeRespectsWindow(t *testing.T) {
 	h = newHopHarness(t, harnessConfig{
 		fwdRate: units.Mbps(2),
 		senderCfg: Config{
-			Startup: &ClassicSlowStart{Gamma: DefaultGamma},
+			Startup: &classicSlowStart{Gamma: defaultGamma},
 			OnFirstTransmit: func(count uint64) {
 				// The cell just sent is included in InFlight, so the
 				// pre-send occupancy was InFlight()-1.
-				if float64(h.sender.InFlight()-1) >= h.sender.Cwnd() {
+				if float64(h.sender.inFlight()-1) >= h.sender.Cwnd() {
 					violations++
 				}
 			},
@@ -221,7 +221,7 @@ func TestFixedWindowNeverAdapts(t *testing.T) {
 	h := newHopHarness(t, harnessConfig{
 		fwdRate: units.Mbps(2),
 		senderCfg: Config{
-			Startup:          NoStartup{},
+			Startup:          noStartup{},
 			InitialCwnd:      10,
 			DisableAvoidance: true,
 			OnCwnd:           func(c float64, p Phase) { changes++ },
@@ -263,7 +263,7 @@ func TestWindowClockAckAblation(t *testing.T) {
 	run := func(clock WindowClock) int {
 		h := newHopHarness(t, harnessConfig{
 			fwdRate:   units.Mbps(2),
-			senderCfg: Config{WindowClock: clock, Startup: &ClassicSlowStart{Gamma: DefaultGamma}},
+			senderCfg: Config{WindowClock: clock, Startup: &classicSlowStart{Gamma: defaultGamma}},
 		})
 		h.sendCells(600)
 		maxQueued := 0
@@ -277,7 +277,7 @@ func TestWindowClockAckAblation(t *testing.T) {
 		}
 		return maxQueued
 	}
-	fbQueue := run(ClockFeedback)
+	fbQueue := run(clockFeedback)
 	ackQueue := run(ClockAck)
 	t.Logf("max successor queue: feedback-clocked=%d, ack-clocked=%d", fbQueue, ackQueue)
 	if ackQueue <= fbQueue {
@@ -338,19 +338,19 @@ func TestPolicyByName(t *testing.T) {
 		t.Errorf("gamma = %v, want 8", cs.Gamma)
 	}
 	p, _ = PolicyByName("circuitstart", 0)
-	if cs := p.(*CircuitStart); cs.Gamma != DefaultGamma {
-		t.Errorf("default gamma = %v, want %v", cs.Gamma, DefaultGamma)
+	if cs := p.(*CircuitStart); cs.Gamma != defaultGamma {
+		t.Errorf("default gamma = %v, want %v", cs.Gamma, defaultGamma)
 	}
 }
 
 func TestPhaseAndClockStrings(t *testing.T) {
-	if PhaseStartup.String() != "startup" || PhaseAvoidance.String() != "avoidance" {
+	if PhaseStartup.String() != "startup" || phaseAvoidance.String() != "avoidance" {
 		t.Error("phase strings wrong")
 	}
 	if Phase(9).String() != "Phase(9)" {
 		t.Error("unknown phase string wrong")
 	}
-	if ClockFeedback.String() != "feedback" || ClockAck.String() != "ack" {
+	if clockFeedback.String() != "feedback" || ClockAck.String() != "ack" {
 		t.Error("window clock strings wrong")
 	}
 	if KindData.String() != "DATA" || KindAck.String() != "ACK" || KindFeedback.String() != "FEEDBACK" {
@@ -389,7 +389,7 @@ func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
 	var wire []Segment
 	held := 0
 	s := NewSender(Config{
-		Clock: clock, Startup: NoStartup{}, DisableAvoidance: true,
+		Clock: clock, Startup: noStartup{}, DisableAvoidance: true,
 		WindowClock: ClockAck, InitialCwnd: 24, MinCwnd: 24,
 		Send:   func(seg Segment) bool { wire = append(wire, seg); return true },
 		OnHeld: func(delta int) { held += delta },
@@ -406,7 +406,7 @@ func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
 		clock.RunUntil(clock.Now() + sim.Millisecond)
 		s.HandleAck(acked)
 	}
-	if got := s.Unacked(); got != 24 {
+	if got := s.unacked(); got != 24 {
 		t.Fatalf("Unacked = %d, want the full window of 24", got)
 	}
 	for i, seg := range wire {
@@ -440,7 +440,7 @@ func TestSentRingKeepsCellsAcrossGrowthAndWrap(t *testing.T) {
 	}
 
 	// Close releases everything still held: queued plus unacked.
-	if want := s.QueueLen() + s.Unacked(); held != want || want == 0 {
+	if want := s.QueueLen() + s.unacked(); held != want || want == 0 {
 		t.Fatalf("held = %d before Close, want QueueLen+Unacked = %d (non-zero)", held, want)
 	}
 	s.Close()

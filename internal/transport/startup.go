@@ -7,7 +7,7 @@ import (
 
 // Startup governs congestion-window evolution during a hop sender's
 // start-up phase. Implementations receive hooks from the sender and
-// manipulate it through Cwnd/SetCwnd/ExitStartup.
+// manipulate it through Cwnd/setCwnd/exitStartup.
 //
 // Two orthogonal design choices distinguish the paper's algorithm from a
 // traditional slow start, and the implementations below cover the full
@@ -37,9 +37,9 @@ type Startup interface {
 	OnRoundComplete(s *Sender, diff float64)
 }
 
-// DefaultGamma is the paper's start-up exit threshold ("we define a
+// defaultGamma is the paper's start-up exit threshold ("we define a
 // threshold γ, currently set to 4").
-const DefaultGamma = 4.0
+const defaultGamma = 4.0
 
 // Compensation selects how CircuitStart computes the post-overshoot
 // window ("the cwnd is set to the amount of data acknowledged within the
@@ -83,9 +83,9 @@ type CircuitStart struct {
 	Compensation Compensation
 }
 
-// NewCircuitStart returns the paper's policy with γ = DefaultGamma and
+// newCircuitStart returns the paper's policy with γ = defaultGamma and
 // measured compensation.
-func NewCircuitStart() *CircuitStart { return &CircuitStart{Gamma: DefaultGamma} }
+func newCircuitStart() *CircuitStart { return &CircuitStart{Gamma: defaultGamma} }
 
 // Name implements Startup.
 func (p *CircuitStart) Name() string { return "circuitstart" }
@@ -102,17 +102,17 @@ func (p *CircuitStart) OnAck(*Sender, int) {}
 // exit applies the configured compensation when the delay signal trips.
 func (p *CircuitStart) exit(s *Sender) {
 	if p.Compensation == CompCounted {
-		s.ExitStartup(float64(s.RoundFeedback()))
+		s.exitStartup(float64(s.roundFeedback()))
 		return
 	}
-	s.BeginExitMeasurement()
+	s.beginExitMeasurement()
 }
 
 // OnFeedback implements Startup: if the queue estimate exceeds γ, begin
 // the overshooting compensation — "the cwnd is set to the amount of
 // data acknowledged within the current round so far".
 func (p *CircuitStart) OnFeedback(s *Sender) {
-	if s.VegasDiff() > p.Gamma {
+	if s.vegasDiff() > p.Gamma {
 		p.exit(s)
 	}
 }
@@ -126,200 +126,200 @@ func (p *CircuitStart) OnFeedback(s *Sender) {
 // what lets an upstream-throttled relay's window track its actual usage
 // instead of doubling to the cap, preserving back-propagation.
 func (p *CircuitStart) OnRoundComplete(s *Sender, diff float64) {
-	if s.ExitMeasuring() {
+	if s.exitMeasuring {
 		return
 	}
 	if diff > p.Gamma {
 		p.exit(s)
 		return
 	}
-	if !s.RoundAppLimited() {
-		s.SetCwnd(s.Cwnd() * 2)
+	if !s.roundAppLimited() {
+		s.setCwnd(s.Cwnd() * 2)
 	}
 }
 
-// ClassicSlowStart is the baseline ("without CircuitStart"): continuous
+// classicSlowStart is the baseline ("without CircuitStart"): continuous
 // ACK-clocked exponential growth — cwnd grows by one cell per
 // acknowledged cell — with the traditional halving when the delay signal
 // says the ramp overshot.
-type ClassicSlowStart struct {
+type classicSlowStart struct {
 	// Gamma is the Vegas-style exit threshold in cells.
 	Gamma float64
 }
 
 // Name implements Startup.
-func (p *ClassicSlowStart) Name() string { return "slowstart" }
+func (p *classicSlowStart) Name() string { return "slowstart" }
 
 // BurstMode implements Startup: traditional slow start is ACK-clocked
 // and continuous.
-func (p *ClassicSlowStart) BurstMode() bool { return false }
+func (p *classicSlowStart) BurstMode() bool { return false }
 
 // OnAck implements Startup: one cell of growth per acknowledged cell —
 // but only while the window is the binding constraint (the in-flight
 // data before this acknowledgment filled the window). Growing while
 // application-limited would inflate the window without probing anything.
-func (p *ClassicSlowStart) OnAck(s *Sender, n int) {
-	if s.InFlight()+n >= int(math.Floor(s.Cwnd())) {
-		s.SetCwnd(s.Cwnd() + float64(n))
+func (p *classicSlowStart) OnAck(s *Sender, n int) {
+	if s.inFlight()+n >= int(math.Floor(s.Cwnd())) {
+		s.setCwnd(s.Cwnd() + float64(n))
 	}
 }
 
 // OnFeedback implements Startup: the traditional scheme only evaluates
 // the delay signal once per RTT. The interface requires the empty
 // method, which coverage reports as never run.
-func (p *ClassicSlowStart) OnFeedback(*Sender) {}
+func (p *classicSlowStart) OnFeedback(*Sender) {}
 
 // OnRoundComplete implements Startup: exit by halving, as traditional
 // start-up schemes do ("traditional start-up schemes would halve the
 // cwnd before entering congestion avoidance").
-func (p *ClassicSlowStart) OnRoundComplete(s *Sender, diff float64) {
+func (p *classicSlowStart) OnRoundComplete(s *Sender, diff float64) {
 	if diff > p.Gamma {
-		s.ExitStartup(s.Cwnd() / 2)
+		s.exitStartup(s.Cwnd() / 2)
 	}
 }
 
-// CircuitStartHalve is an ablation: CircuitStart's feedback-clocked
+// circuitStartHalve is an ablation: CircuitStart's feedback-clocked
 // discrete rounds, but with the traditional halving instead of
 // overshooting compensation. Comparing it against CircuitStart isolates
 // the contribution of the compensation step.
-type CircuitStartHalve struct {
+type circuitStartHalve struct {
 	Gamma float64
 }
 
 // Name implements Startup.
-func (p *CircuitStartHalve) Name() string { return "circuitstart-halve" }
+func (p *circuitStartHalve) Name() string { return "circuitstart-halve" }
 
 // BurstMode implements Startup.
-func (p *CircuitStartHalve) BurstMode() bool { return true }
+func (p *circuitStartHalve) BurstMode() bool { return true }
 
 // OnAck implements Startup with the empty method the interface
 // requires (coverage reports it as never run).
-func (p *CircuitStartHalve) OnAck(*Sender, int) {}
+func (p *circuitStartHalve) OnAck(*Sender, int) {}
 
 // OnFeedback implements Startup.
-func (p *CircuitStartHalve) OnFeedback(s *Sender) {
-	if s.VegasDiff() > p.Gamma {
-		s.ExitStartup(s.Cwnd() / 2)
+func (p *circuitStartHalve) OnFeedback(s *Sender) {
+	if s.vegasDiff() > p.Gamma {
+		s.exitStartup(s.Cwnd() / 2)
 	}
 }
 
 // OnRoundComplete implements Startup.
-func (p *CircuitStartHalve) OnRoundComplete(s *Sender, diff float64) {
+func (p *circuitStartHalve) OnRoundComplete(s *Sender, diff float64) {
 	if diff > p.Gamma {
-		s.ExitStartup(s.Cwnd() / 2)
+		s.exitStartup(s.Cwnd() / 2)
 		return
 	}
-	if !s.RoundAppLimited() {
-		s.SetCwnd(s.Cwnd() * 2)
+	if !s.roundAppLimited() {
+		s.setCwnd(s.Cwnd() * 2)
 	}
 }
 
-// ClassicCompensated is an ablation: traditional ACK-clocked growth, but
+// classicCompensated is an ablation: traditional ACK-clocked growth, but
 // CircuitStart's overshooting compensation on exit. Comparing it against
-// ClassicSlowStart isolates the contribution of feedback clocking.
-type ClassicCompensated struct {
+// classicSlowStart isolates the contribution of feedback clocking.
+type classicCompensated struct {
 	Gamma float64
 }
 
 // Name implements Startup.
-func (p *ClassicCompensated) Name() string { return "slowstart-compensated" }
+func (p *classicCompensated) Name() string { return "slowstart-compensated" }
 
 // BurstMode implements Startup.
-func (p *ClassicCompensated) BurstMode() bool { return false }
+func (p *classicCompensated) BurstMode() bool { return false }
 
 // OnAck implements Startup.
-func (p *ClassicCompensated) OnAck(s *Sender, n int) {
-	if s.InFlight()+n >= int(math.Floor(s.Cwnd())) {
-		s.SetCwnd(s.Cwnd() + float64(n))
+func (p *classicCompensated) OnAck(s *Sender, n int) {
+	if s.inFlight()+n >= int(math.Floor(s.Cwnd())) {
+		s.setCwnd(s.Cwnd() + float64(n))
 	}
 }
 
 // OnFeedback implements Startup: begins the measured exit like
 // CircuitStart.
-func (p *ClassicCompensated) OnFeedback(s *Sender) {
-	if s.VegasDiff() > p.Gamma {
-		s.BeginExitMeasurement()
+func (p *classicCompensated) OnFeedback(s *Sender) {
+	if s.vegasDiff() > p.Gamma {
+		s.beginExitMeasurement()
 	}
 }
 
 // OnRoundComplete implements Startup.
-func (p *ClassicCompensated) OnRoundComplete(s *Sender, diff float64) {
-	if !s.ExitMeasuring() && diff > p.Gamma {
-		s.BeginExitMeasurement()
+func (p *classicCompensated) OnRoundComplete(s *Sender, diff float64) {
+	if !s.exitMeasuring && diff > p.Gamma {
+		s.beginExitMeasurement()
 	}
 }
 
-// VegasOnly is plain BackTap — the paper's "without CircuitStart"
+// vegasOnly is plain BackTap — the paper's "without CircuitStart"
 // baseline: no dedicated start-up phase at all. The sender drops into
 // delay-based congestion avoidance immediately, growing from the initial
 // window by at most one cell per RTT. This is exactly the behaviour the
 // paper motivates against: "Most tailored approaches, however, neglect
 // the protocol dynamics, particularly the question of how to ramp-up the
 // congestion window during the initial phase of a circuit."
-type VegasOnly struct{}
+type vegasOnly struct{}
 
 // Name implements Startup.
-func (VegasOnly) Name() string { return "backtap" }
+func (vegasOnly) Name() string { return "backtap" }
 
 // BurstMode implements Startup.
-func (VegasOnly) BurstMode() bool { return false }
+func (vegasOnly) BurstMode() bool { return false }
 
 // OnAck implements Startup with the empty method the interface
 // requires (coverage reports it as never run).
-func (VegasOnly) OnAck(*Sender, int) {}
+func (vegasOnly) OnAck(*Sender, int) {}
 
 // OnFeedback implements Startup with the empty method the interface
 // requires (coverage reports it as never run).
-func (VegasOnly) OnFeedback(*Sender) {}
+func (vegasOnly) OnFeedback(*Sender) {}
 
 // OnRoundComplete implements Startup: hand over to congestion avoidance
 // at the current window after the very first measurement round.
-func (VegasOnly) OnRoundComplete(s *Sender, _ float64) {
-	s.ExitStartup(s.Cwnd())
+func (vegasOnly) OnRoundComplete(s *Sender, _ float64) {
+	s.exitStartup(s.Cwnd())
 }
 
-// NoStartup pins the window: no growth, no exit. Combined with
+// noStartup pins the window: no growth, no exit. Combined with
 // Config.DisableAvoidance it yields a fixed-window sender (the
 // Tor-SENDME-like static baseline).
-type NoStartup struct{}
+type noStartup struct{}
 
 // Name implements Startup.
-func (NoStartup) Name() string { return "fixed" }
+func (noStartup) Name() string { return "fixed" }
 
 // BurstMode implements Startup.
-func (NoStartup) BurstMode() bool { return false }
+func (noStartup) BurstMode() bool { return false }
 
 // OnAck implements Startup with the empty method the interface
 // requires (coverage reports it as never run).
-func (NoStartup) OnAck(*Sender, int) {}
+func (noStartup) OnAck(*Sender, int) {}
 
 // OnFeedback implements Startup with the empty method the interface
 // requires (coverage reports it as never run).
-func (NoStartup) OnFeedback(*Sender) {}
+func (noStartup) OnFeedback(*Sender) {}
 
 // OnRoundComplete implements Startup with the empty method the
 // interface requires (coverage reports it as never run).
-func (NoStartup) OnRoundComplete(*Sender, float64) {}
+func (noStartup) OnRoundComplete(*Sender, float64) {}
 
 // PolicyByName returns a startup policy from its Name string, with the
-// given gamma (0 selects DefaultGamma). It powers CLI flag parsing.
+// given gamma (0 selects defaultGamma). It powers CLI flag parsing.
 func PolicyByName(name string, gamma float64) (Startup, error) {
 	if gamma == 0 {
-		gamma = DefaultGamma
+		gamma = defaultGamma
 	}
 	switch name {
 	case "circuitstart":
 		return &CircuitStart{Gamma: gamma}, nil
 	case "slowstart":
-		return &ClassicSlowStart{Gamma: gamma}, nil
+		return &classicSlowStart{Gamma: gamma}, nil
 	case "circuitstart-halve":
-		return &CircuitStartHalve{Gamma: gamma}, nil
+		return &circuitStartHalve{Gamma: gamma}, nil
 	case "slowstart-compensated":
-		return &ClassicCompensated{Gamma: gamma}, nil
+		return &classicCompensated{Gamma: gamma}, nil
 	case "backtap":
-		return VegasOnly{}, nil
+		return vegasOnly{}, nil
 	case "fixed":
-		return NoStartup{}, nil
+		return noStartup{}, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown startup policy %q", name)
 	}

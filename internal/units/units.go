@@ -17,22 +17,25 @@ type DataSize int64
 
 // Data size constants.
 const (
+	// Byte is one byte. Test-only: endpoint's TestSinkCountsAndCompletes
+	// and core's TestTransferSurvivesTinyQueues size transfers in it.
 	Byte     DataSize = 1
 	Kilobyte          = 1000 * Byte
 	Megabyte          = 1000 * Kilobyte
-	Gigabyte          = 1000 * Megabyte
+	gigabyte          = 1000 * Megabyte
 )
 
 // Bytes returns the size as a raw byte count.
 func (s DataSize) Bytes() int64 { return int64(s) }
 
-// Bits returns the size in bits.
+// Bits returns the size in bits. Test-only: model's TestLowerBoundTTLB
+// computes serialization times with it.
 func (s DataSize) Bits() int64 { return int64(s) * 8 }
 
 func (s DataSize) String() string {
 	switch {
-	case s >= Gigabyte:
-		return fmt.Sprintf("%.2fGB", float64(s)/float64(Gigabyte))
+	case s >= gigabyte:
+		return fmt.Sprintf("%.2fGB", float64(s)/float64(gigabyte))
 	case s >= Megabyte:
 		return fmt.Sprintf("%.2fMB", float64(s)/float64(Megabyte))
 	case s >= Kilobyte:
@@ -47,18 +50,18 @@ type DataRate int64
 
 // Data rate constants.
 const (
-	BitPerSecond  DataRate = 1
-	KilobitPerSec          = 1000 * BitPerSecond
-	MegabitPerSec          = 1000 * KilobitPerSec
-	GigabitPerSec          = 1000 * MegabitPerSec
+	bitPerSecond  DataRate = 1
+	kilobitPerSec          = 1000 * bitPerSecond
+	megabitPerSec          = 1000 * kilobitPerSec
+	gigabitPerSec          = 1000 * megabitPerSec
 )
 
 // Mbps constructs a rate from megabits per second.
-func Mbps(v float64) DataRate { return DataRate(v * float64(MegabitPerSec)) }
+func Mbps(v float64) DataRate { return DataRate(v * float64(megabitPerSec)) }
 
-// Kbps constructs a rate from kilobits per second. Test-only: the netem
-// link tests build slow links with it.
-func Kbps(v float64) DataRate { return DataRate(v * float64(KilobitPerSec)) }
+// Kbps constructs a rate from kilobits per second. Test-only: netem's
+// TestLinkSetRateMidSerializationAppliesNext builds slow links with it.
+func Kbps(v float64) DataRate { return DataRate(v * float64(kilobitPerSec)) }
 
 // BitsPerSecond returns the raw rate.
 func (r DataRate) BitsPerSecond() int64 { return int64(r) }
@@ -66,18 +69,19 @@ func (r DataRate) BitsPerSecond() int64 { return int64(r) }
 // BytesPerSecond returns the rate in bytes per second.
 func (r DataRate) BytesPerSecond() float64 { return float64(r) / 8 }
 
-// Mbit returns the rate in Mbit/s. Test-only: the netem, transport and
-// experiments tests read measured rates with it.
-func (r DataRate) Mbit() float64 { return float64(r) / float64(MegabitPerSec) }
+// Mbit returns the rate in Mbit/s. Test-only: netem's
+// TestLinkThroughputMatchesRate and experiments'
+// TestAblationSharedBottleneck read measured rates with it.
+func (r DataRate) Mbit() float64 { return float64(r) / float64(megabitPerSec) }
 
 func (r DataRate) String() string {
 	switch {
-	case r >= GigabitPerSec:
-		return fmt.Sprintf("%.2fGbit/s", float64(r)/float64(GigabitPerSec))
-	case r >= MegabitPerSec:
-		return fmt.Sprintf("%.2fMbit/s", float64(r)/float64(MegabitPerSec))
-	case r >= KilobitPerSec:
-		return fmt.Sprintf("%.2fkbit/s", float64(r)/float64(KilobitPerSec))
+	case r >= gigabitPerSec:
+		return fmt.Sprintf("%.2fGbit/s", float64(r)/float64(gigabitPerSec))
+	case r >= megabitPerSec:
+		return fmt.Sprintf("%.2fMbit/s", float64(r)/float64(megabitPerSec))
+	case r >= kilobitPerSec:
+		return fmt.Sprintf("%.2fkbit/s", float64(r)/float64(kilobitPerSec))
 	default:
 		return fmt.Sprintf("%dbit/s", int64(r))
 	}
@@ -100,15 +104,16 @@ func (r DataRate) TransmissionTime(s DataSize) time.Duration {
 // BDP returns the bandwidth-delay product of rate r over round-trip time
 // rtt, i.e. the amount of data needed in flight to keep a path of this
 // rate and RTT fully utilized. This is the quantity CircuitStart's
-// optimal-window model is built on. Test-only: transport's window
-// tests compare against it.
+// optimal-window model is built on. Test-only: transport's
+// TestVegasAvoidanceConvergesNearOptimal compares windows against it.
 func BDP(r DataRate, rtt time.Duration) DataSize {
 	bits := float64(r) * rtt.Seconds()
 	return DataSize(math.Ceil(bits / 8))
 }
 
 // RateFromTransfer returns the average rate achieved by moving s in d.
-// Test-only: the netem and transport throughput tests measure with it.
+// Test-only: netem's TestLinkThroughputMatchesRate and transport's
+// TestThroughputUnderBottleneckMatchesRate measure with it.
 func RateFromTransfer(s DataSize, d time.Duration) DataRate {
 	if d <= 0 {
 		panic("units: rate over non-positive duration")

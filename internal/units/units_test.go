@@ -34,7 +34,7 @@ func TestDataSizeString(t *testing.T) {
 		{100 * Byte, "100B"},
 		{1500 * Byte, "1.50kB"},
 		{2 * Megabyte, "2.00MB"},
-		{3 * Gigabyte, "3.00GB"},
+		{3 * gigabyte, "3.00GB"},
 	}
 	for _, tt := range tests {
 		if got := tt.size.String(); got != tt.want {
@@ -60,10 +60,10 @@ func TestDataRateConstructorsAndString(t *testing.T) {
 		rate DataRate
 		want string
 	}{
-		{500 * BitPerSecond, "500bit/s"},
+		{500 * bitPerSecond, "500bit/s"},
 		{Kbps(64), "64.00kbit/s"},
 		{Mbps(10), "10.00Mbit/s"},
-		{2 * GigabitPerSec, "2.00Gbit/s"},
+		{2 * gigabitPerSec, "2.00Gbit/s"},
 	}
 	for _, tt := range tests {
 		if got := tt.rate.String(); got != tt.want {
@@ -79,7 +79,7 @@ func TestTransmissionTime(t *testing.T) {
 		t.Errorf("cell over 8Mbit/s = %v, want 512µs", got)
 	}
 	// 1 byte over 1 Gbit/s = 8 ns.
-	if got := GigabitPerSec.TransmissionTime(Byte); got != 8*time.Nanosecond {
+	if got := gigabitPerSec.TransmissionTime(Byte); got != 8*time.Nanosecond {
 		t.Errorf("1B over 1Gbit/s = %v, want 8ns", got)
 	}
 	// Zero size transmits instantly.
@@ -151,7 +151,7 @@ func TestPropertyTransmissionRoundTrip(t *testing.T) {
 // Property: BDP is monotone in both rate and RTT.
 func TestPropertyBDPMonotone(t *testing.T) {
 	f := func(r1, r2 uint8, ms1, ms2 uint8) bool {
-		lo, hi := DataRate(r1)*MegabitPerSec, DataRate(r2)*MegabitPerSec
+		lo, hi := DataRate(r1)*megabitPerSec, DataRate(r2)*megabitPerSec
 		if lo > hi {
 			lo, hi = hi, lo
 		}

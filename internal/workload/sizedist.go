@@ -19,11 +19,13 @@ const (
 	SizeFixed SizeDistKind = "fixed"
 	// SizeLogNormal draws sizes from a lognormal with the given median
 	// and log-space sigma — the classic heavy-ish web-object model.
+	// Test-only: scenario's TestSizeDistStochasticDeterministic names
+	// it; specs write "lognormal".
 	SizeLogNormal SizeDistKind = "lognormal"
-	// SizePareto draws sizes from a bounded Pareto on [Size, Max] with
+	// sizePareto draws sizes from a bounded Pareto on [Size, Max] with
 	// shape Alpha — the heavy-tailed flow-size model (most transfers
 	// small, a few elephants).
-	SizePareto SizeDistKind = "pareto"
+	sizePareto SizeDistKind = "pareto"
 )
 
 // SizeDist describes a per-circuit transfer-size distribution. Samples
@@ -33,13 +35,13 @@ const (
 type SizeDist struct {
 	Kind SizeDistKind
 	// Size is the fixed size (SizeFixed), the median (SizeLogNormal)
-	// or the lower bound / scale (SizePareto).
+	// or the lower bound / scale (sizePareto).
 	Size units.DataSize
 	// Sigma is the log-space standard deviation (SizeLogNormal).
 	Sigma float64
-	// Alpha is the tail shape (SizePareto); smaller = heavier tail.
+	// Alpha is the tail shape (sizePareto); smaller = heavier tail.
 	Alpha float64
-	// Min and Max clamp every sample (0 = unclamped). SizePareto
+	// Min and Max clamp every sample (0 = unclamped). sizePareto
 	// requires Max: it is the distribution's upper bound.
 	Min, Max units.DataSize
 }
@@ -61,7 +63,7 @@ func (d SizeDist) Validate() error {
 		if !finitePositive(d.Sigma) {
 			return fmt.Errorf("workload: lognormal size dist: sigma %g must be finite and positive", d.Sigma)
 		}
-	case SizePareto:
+	case sizePareto:
 		if !finitePositive(d.Alpha) {
 			return fmt.Errorf("workload: pareto size dist: alpha %g must be finite and positive", d.Alpha)
 		}
@@ -87,7 +89,7 @@ func (d SizeDist) Label() string {
 	switch d.Kind {
 	case SizeLogNormal:
 		return fmt.Sprintf("lognormal:%d:%s", int64(d.Size), trimFloat(d.Sigma))
-	case SizePareto:
+	case sizePareto:
 		return fmt.Sprintf("pareto:%d:%s:%d", int64(d.Size), trimFloat(d.Alpha), int64(d.Max))
 	default:
 		return fmt.Sprintf("fixed:%d", int64(d.Size))
@@ -113,7 +115,7 @@ func (d SizeDist) Sample(seed int64, n int) ([]units.DataSize, error) {
 		switch d.Kind {
 		case SizeLogNormal:
 			v = float64(d.Size) * rng.LogNormal(0, d.Sigma)
-		case SizePareto:
+		case sizePareto:
 			v = boundedPareto(rng.Uniform(0, 1), float64(d.Size), float64(d.Max), d.Alpha)
 		}
 		s := units.DataSize(math.MaxInt64) // NaN or past int64: saturate
@@ -194,7 +196,7 @@ func ParseSizeDist(s string) (SizeDist, error) {
 			return bad()
 		}
 		d = SizeDist{Kind: SizeLogNormal, Size: v, Sigma: sg}
-	case SizePareto:
+	case sizePareto:
 		if len(parts) != 4 {
 			return bad()
 		}
@@ -204,7 +206,7 @@ func ParseSizeDist(s string) (SizeDist, error) {
 		if !ok1 || !ok2 || !ok3 {
 			return bad()
 		}
-		d = SizeDist{Kind: SizePareto, Size: v, Alpha: al, Max: mx}
+		d = SizeDist{Kind: sizePareto, Size: v, Alpha: al, Max: mx}
 	default:
 		return bad()
 	}

@@ -84,7 +84,7 @@ func TestParseSizeDistRejectsNonFinite(t *testing.T) {
 	}
 	for _, d := range []SizeDist{
 		{Kind: SizeLogNormal, Size: 1000, Sigma: math.NaN()},
-		{Kind: SizePareto, Size: 1000, Alpha: math.Inf(1), Max: 2000},
+		{Kind: sizePareto, Size: 1000, Alpha: math.Inf(1), Max: 2000},
 	} {
 		if err := d.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", d)

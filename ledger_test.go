@@ -1,9 +1,6 @@
 package circuitstart_test
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,8 +15,9 @@ import (
 )
 
 // goName matches a backticked Go name in a ledger row: pkg.Name or
-// pkg.Type.Member.
-var goName = regexp.MustCompile("`([a-z]+\\.[A-Z]\\w*(?:\\.[A-Z]\\w*)?)`")
+// pkg.Type.Member, exported or not (a mechanism's code need not be
+// reached from outside its package).
+var goName = regexp.MustCompile("`([a-z]+\\.[A-Za-z]\\w*(?:\\.[A-Za-z]\\w*)?)`")
 
 // fixtureName matches a backticked expected-output file in a ledger
 // row's "Experiments and goldens" column, named relative to
@@ -46,7 +44,7 @@ func TestMechanismLedger(t *testing.T) {
 		t.Error("the ledger does not open with its keep-or-cut rule")
 	}
 
-	declared := declaredNames(t)
+	declared := repoModule(t).declared()
 	cited := map[string]bool{}
 	rows, fixtures := 0, 0
 	for _, line := range strings.Split(section, "\n") {
@@ -86,68 +84,4 @@ func TestMechanismLedger(t *testing.T) {
 			}
 		}
 	}
-}
-
-// declaredNames parses the non-test files of every internal package and
-// returns the names a ledger row may cite: pkg.Name for package-level
-// declarations, pkg.Type.Field and pkg.Type.Method for struct fields and
-// methods.
-func declaredNames(t *testing.T) map[string]bool {
-	t.Helper()
-	names := map[string]bool{}
-	dirs, err := filepath.Glob("internal/*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, dir := range dirs {
-		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkg := f.Name.Name
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						names[pkg+"."+d.Name.Name] = true
-						continue
-					}
-					recv := d.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					if id, ok := recv.(*ast.Ident); ok {
-						names[pkg+"."+id.Name+"."+d.Name.Name] = true
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch spec := spec.(type) {
-						case *ast.TypeSpec:
-							names[pkg+"."+spec.Name.Name] = true
-							st, ok := spec.Type.(*ast.StructType)
-							if !ok {
-								continue
-							}
-							for _, field := range st.Fields.List {
-								for _, n := range field.Names {
-									names[pkg+"."+spec.Name.Name+"."+n.Name] = true
-								}
-							}
-						case *ast.ValueSpec:
-							for _, n := range spec.Names {
-								names[pkg+"."+n.Name] = true
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return names
 }
